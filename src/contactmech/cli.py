@@ -108,11 +108,17 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         raise ConfigError(f"{what} must be comma-separated numbers, got {text!r}") from None
 
 
+def _require_count(value: int, flag: str) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_check(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
+    _require_count(args.samples, "--samples")
     system = cfg.system()
     points = system.sample(np.random.default_rng(seed), args.samples)
     cond = contact_condition_check(system.chart, points)
@@ -153,6 +159,7 @@ def cmd_check(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
 
 
 def cmd_coisotropy(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
+    _require_count(args.points, "--points")
     system = cfg.system()
     lam = _parse_floats(args.ray, "--lambda")
     if len(lam) != len(system.integrals):
@@ -202,13 +209,11 @@ def cmd_integrate(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     x0 = _parse_floats(args.x0, "--x0")
     if len(x0) != system.dim:
         raise ConfigError(f"--x0 needs {system.dim} components, got {len(x0)}")
-    try:
-        f = system.integrals[args.f]
-    except IndexError:
-        raise ConfigError(
-            f"--f must index one of {len(system.integrals)} integrals"
-        ) from None
-    traj = integrate(system, f, x0, args.t, cfg.integrator)
+    if not 0 <= args.f < len(system.integrals):
+        raise ConfigError(f"--f must index one of {len(system.integrals)} integrals")
+    if not np.isfinite(args.t):
+        raise ConfigError(f"--t must be finite, got {args.t}")
+    traj = integrate(system, system.integrals[args.f], x0, args.t, cfg.integrator)
     traj.write_csv(args.out, system.coordinates)
     report = _report_head(cfg, "integrate", seed)
     report.update(
@@ -228,6 +233,7 @@ def cmd_integrate(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
 
 
 def cmd_symplectize_verify(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
+    _require_count(args.samples, "--samples")
     system = cfg.system()
     symp = cfg.symp_system()
     chart = symp.chart
@@ -325,6 +331,7 @@ def _load_points(path: str, dim: int) -> tuple[list[np.ndarray], float]:
 
 
 def cmd_action_angle(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
+    _require_count(args.samples, "--samples")
     system = cfg.system()
     symp = cfg.symp_system()
     section = cfg.section(args.section)

@@ -248,12 +248,8 @@ class ContactChart:
         value, grad = self.value_and_gradient(f, x)
         n = self.n
         if self.darboux:
-            p = x[n : 2 * n]
-            X = np.empty(self.dim)
-            X[:n] = grad[n : 2 * n]
-            X[n : 2 * n] = -(grad[:n] + p * grad[-1])
-            X[-1] = p @ grad[n : 2 * n] - value
-            pairing = X[-1] - p @ X[:n]
+            X = _standard_field(n, x, value, grad)
+            pairing = X[-1] - x[n : 2 * n] @ X[:n]
         else:
             eta = self.eta_at(x)
             reeb = self.reeb_at(x)
@@ -388,6 +384,16 @@ class ContactChart:
         return cls(names)
 
 
+def _standard_field(n: int, x: np.ndarray, value: float, grad: np.ndarray) -> np.ndarray:
+    # closed form for eta = dz - p dq: the solve of flat(X_f) = df - (R(f) + f) eta
+    p = x[n : 2 * n]
+    X = np.empty(2 * n + 1)
+    X[:n] = grad[n : 2 * n]
+    X[n : 2 * n] = -(grad[:n] + p * grad[-1])
+    X[-1] = p @ grad[n : 2 * n] - value
+    return X
+
+
 def _standard_coefficients(names: Sequence[str]) -> tuple[Expr, ...]:
     n = (len(names) - 1) // 2
     coeffs: list[Expr] = []
@@ -473,17 +479,11 @@ class ContactSystem:
         if not chart.darboux:
             return lambda x: chart.hamiltonian_field_at(f, x)
         n = chart.n
-        dim = chart.dim
         run = gradient_evaluator(f, chart.coordinates)
 
         def field(x: np.ndarray) -> np.ndarray:
             value, grad = run(x)
-            p = x[n : 2 * n]
-            X = np.empty(dim)
-            X[:n] = grad[n : 2 * n]
-            X[n : 2 * n] = -(grad[:n] + p * grad[-1])
-            X[-1] = p @ grad[n : 2 * n] - value
-            return X
+            return _standard_field(n, x, value, grad)
 
         return field
 

@@ -181,7 +181,8 @@ class ActionAngleResult:
 
     y and A are indexed like the system integrals.  A_tilde lists
     -A_j / A_d for j != d in index order, d the denominator index.
-    jacobian is the last Newton Jacobian (reusable for warm starts).
+    M_matrix is the basis whose rows weight the integrals into the
+    generators; residual and iterations describe the Newton solve.
     """
 
     y: np.ndarray
@@ -189,12 +190,10 @@ class ActionAngleResult:
     A_tilde: np.ndarray
     denominator_index: int
     M_matrix: np.ndarray
-    N_matrix: np.ndarray
     sign: int
     residual: float
     iterations: int
     converged: bool
-    jacobian: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +639,6 @@ def _generators(symp_system: SympSystem, M: np.ndarray) -> list[Expr]:
                 else Binary("*", Const(float(coeff)), symp_system.integrals[c])
             )
             term = piece if term is None else Binary("+", term, piece)
-        if term is None:
-            raise ValueError("basis matrix has a zero row")
         gens.append(term)
     return gens
 
@@ -654,20 +651,22 @@ def angle_solve(
     basis: np.ndarray | None = None,
     sign: int | None = None,
     y0: np.ndarray | None = None,
-    jacobian: np.ndarray | None = None,
     newton_tolerance: float = 1e-10,
     max_iter: int = 60,
-    fd_step: float = 1e-6,
 ) -> ActionAngleResult:
     """Solve x = Phi(y; chi(sign * F(x))) for the angles y.
 
-    Damped Newton from y = 0 (or the warm start y0) with the Jacobian of
-    the flow composition by central differences of step fd_step; the
-    Jacobian is reused between iterations and refreshed on stall.  Steps
-    halve up to 20 times on residual increase.  The convergence target is
-    newton_tolerance or the integrator's own error floor (rel_tol times
-    the point scale), whichever is larger: the flow map cannot be
-    resolved below its truncation error.
+    Damped Newton from y = 0 (or the warm start y0) with the exact
+    Jacobian of the group action: the generators commute, so
+    dPhi/dy_a = X_{g_a}(Phi(y)) and each iteration takes the lifted
+    Hamiltonian fields at the current endpoint.  The generators must be
+    in involution at x (|{g_a, g_b}| <= 1e-8 max(1, |F(x)|)), otherwise
+    IntegrabilityError names the offending pair.  Steps halve up to 20
+    times on residual increase; a step that finds no decrease raises
+    NewtonDivergenceError.  The convergence target is newton_tolerance
+    or the integrator's own error floor (rel_tol times the point scale),
+    whichever is larger: the flow map cannot be resolved below its
+    truncation error.
 
     Actions are A = M f(x_base) with the base integrals f; the relabeling
     denominator comes from the section (fallback: argmax |A_a|).
@@ -679,9 +678,21 @@ def angle_solve(
     M = np.eye(m) if basis is None else np.asarray(basis, dtype=float)
     if M.shape != (m, m):
         raise ValueError(f"basis must be {m} x {m}")
-    N = np.linalg.inv(M)
+    if np.linalg.matrix_rank(M) < m:
+        raise ValueError(f"basis matrix {M.tolist()} is singular")
+    generators = _generators(symp_system, M)
 
     F_x = symp_system.integral_values(x)
+    bracket_tol = 1e-8 * max(1.0, float(np.max(np.abs(F_x))))
+    for a in range(m):
+        for b in range(a + 1, m):
+            bracket = chart.poisson_bracket_at(generators[a], generators[b], x)
+            if abs(bracket) > bracket_tol:
+                raise IntegrabilityError(
+                    f"generators {a} and {b} are not in involution at "
+                    f"{x.tolist()} (|{{g_{a}, g_{b}}}| = {abs(bracket):.3e})"
+                )
+
     if sign is None:
         s, base = _detect_sign(symp_system, section, F_x)
     else:
@@ -691,29 +702,18 @@ def angle_solve(
             raise SectionError(
                 f"section {section.name!r} leaves the chart at the base point"
             )
-    generators = _generators(symp_system, M) if basis is not None else None
 
     def phi(y: np.ndarray) -> np.ndarray:
         return group_action(symp_system, y, base, cfg, integrals=generators)
-
-    def fd_jacobian(y: np.ndarray) -> np.ndarray:
-        J = np.empty((symp_system.dim, m))
-        for a in range(m):
-            step = np.zeros(m)
-            step[a] = fd_step
-            J[:, a] = (phi(y + step) - phi(y - step)) / (2.0 * fd_step)
-        return J
 
     scale = max(1.0, float(np.max(np.abs(x))))
     target = max(newton_tolerance, 10.0 * cfg.rel_tol * scale)
 
     y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
-    g = phi(y) - x
-    gn = float(np.max(np.abs(g)))
-    J = fd_jacobian(y) if jacobian is None else np.asarray(jacobian, dtype=float)
-    fresh = jacobian is None
+    end = phi(y)
+    gn = float(np.max(np.abs(end - x)))
     iterations = 0
-    while gn > target:
+    while not gn <= target:  # a NaN residual must not read as converged
         if iterations >= max_iter:
             raise NewtonDivergenceError(
                 f"no convergence after {max_iter} iterations (residual {gn:.3e})",
@@ -721,40 +721,29 @@ def angle_solve(
                 iterations,
             )
         iterations += 1
-        delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
-        lam, improved = 1.0, False
-        y_try = y
-        g_try = g
+        J = np.column_stack(
+            [symp_system.hamiltonian_field_at(G, end) for G in generators]
+        )
+        delta, *_ = np.linalg.lstsq(J, x - end, rcond=None)
+        lam = 1.0
         for _ in range(21):
             y_try = y + lam * delta
             try:
-                g_try = phi(y_try) - x
+                end_try = phi(y_try)
             except (FlowError, ValueError, EvaluationDomainError):
                 lam *= 0.5
                 continue
-            if float(np.max(np.abs(g_try))) <= (1.0 - 1e-4 * lam) * gn:
-                improved = True
+            gn_try = float(np.max(np.abs(end_try - x)))
+            if gn_try <= (1.0 - 1e-4 * lam) * gn:
                 break
             lam *= 0.5
-        if improved:
-            rate = float(np.max(np.abs(g_try))) / gn
-            y, g = y_try, g_try
-            gn = float(np.max(np.abs(g)))
-            # slow linear contraction means the frozen Jacobian is stale
-            if rate > 0.2 and gn > target:
-                J = fd_jacobian(y)
-                fresh = True
-            else:
-                fresh = False
-        elif not fresh:
-            J = fd_jacobian(y)
-            fresh = True
         else:
             raise NewtonDivergenceError(
                 f"stalled at residual {gn:.3e} after {iterations} iterations",
                 gn,
                 iterations,
             )
+        y, end, gn = y_try, end_try, gn_try
 
     f_base = symp_system.base.integral_values(x[:-1])
     A = M @ f_base
@@ -773,12 +762,10 @@ def angle_solve(
         A_tilde=A_tilde,
         denominator_index=d,
         M_matrix=M,
-        N_matrix=N,
         sign=s,
         residual=gn,
         iterations=iterations,
         converged=True,
-        jacobian=J,
     )
 
 
@@ -809,7 +796,7 @@ def darboux_verify(
     The angle coordinates are differentiated by central differences of
     step fd_step in the base coordinates (the angles are fiberwise
     constant, so the lift uses the fixed reference fiber r_ref); each
-    perturbed solve warm-starts from the center solution.  The default
+    perturbed solve warm-starts from the center angles.  The default
     integrator here is tighter than usual: the difference quotient
     divides the angle error by fd_step, so the flow must be resolved a
     few orders below tolerance * fd_step.
@@ -844,7 +831,6 @@ def darboux_verify(
                 basis=basis,
                 sign=center.sign,
                 y0=center.y,
-                jacobian=center.jacobian,
                 newton_tolerance=newton_tol,
             )
             minus = angle_solve(
@@ -855,7 +841,6 @@ def darboux_verify(
                 basis=basis,
                 sign=center.sign,
                 y0=center.y,
-                jacobian=center.jacobian,
                 newton_tolerance=newton_tol,
             )
             grad_y[:, a] = (plus.y - minus.y) / (2.0 * fd_step)

@@ -24,7 +24,7 @@ from .expressions import (
     gradient_evaluator,
     parse,
 )
-from .geometry import ContactChart, ContactSystem
+from .geometry import ContactChart, ContactSystem, _scale_tol
 
 __all__ = [
     "SymplectizationError",
@@ -52,11 +52,6 @@ class SingularStructureError(SymplectizationError):
         )
         self.point = np.asarray(point, dtype=float)
         self.det = det
-
-
-def _scale_tol(tol: float, *values: float) -> float:
-    scale = max(1.0, *(abs(v) for v in values)) if values else 1.0
-    return tol * scale
 
 
 class SympChart:

@@ -163,7 +163,27 @@ def test_integrate_argument_validation(capsys, tmp_path):
     assert cli.main(["integrate", PZ, "--f", "5", "--x0", "2,3,5", "--t", "1", "--out", out]) == 2
     assert cli.main(["integrate", PZ, "--f", "0", "--x0", "2,3", "--t", "1", "--out", out]) == 2
     assert cli.main(["integrate", PZ, "--f", "0", "--x0", "a,b,c", "--t", "1", "--out", out]) == 2
-    capsys.readouterr()
+    assert cli.main(["integrate", PZ, "--f", "-1", "--x0", "2,3,5", "--t", "1", "--out", out]) == 2
+    assert cli.main(["integrate", PZ, "--f", "0", "--x0", "2,3,5", "--t", "nan", "--out", out]) == 2
+    assert cli.main(["integrate", PZ, "--f", "0", "--x0", "2,3,5", "--t", "inf", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 6
+
+
+def test_count_flags_reject_values_below_one(capsys, points_file):
+    for argv in (
+        ["check", PZ, "--samples", "0"],
+        ["check", PZ, "--samples", "-3"],
+        ["coisotropy", PZ, "--lambda", "1,1", "--points", "0"],
+        ["symplectize-verify", PZ, "--samples", "0"],
+        ["action-angle", PZ, "--section", "graph-z", "--points", points_file,
+         "--samples", "0"],
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "at least 1" in captured.err
 
 
 # ---------------------------------------------------------------------------

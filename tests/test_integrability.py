@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactmech.flows import FlowError, IntegratorConfig
+from contactmech.flows import FlowError, IntegratorConfig, group_action
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.integrability import (
     IntegrabilityError,
@@ -21,12 +21,24 @@ from contactmech.integrability import (
     tangency_check,
     verify_section,
 )
+from contactmech.symplectization import symplectize
 
 X4 = np.array([2.0, 3.0, 5.0, 1.0])
 
 
 def _ray(*v):
     return RayTarget(np.array(v, dtype=float))
+
+
+@pytest.fixture(scope="module")
+def rescaled_symp(pz_system):
+    # eta' = exp(q/3) eta with integrals exp(q/3) (p, z): a general coframe
+    # whose lifted flows are conjugate to darboux-pz's
+    chart = ContactChart(("q", "p", "z"), ["-exp(q/3)*p", "0", "exp(q/3)"])
+    system = ContactSystem(
+        chart, ["exp(q/3)*p", "exp(q/3)*z"], pz_system.region, positive=["p", "z"]
+    )
+    return symplectize(system)
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +286,65 @@ def test_angle_solve_rejects_bad_basis(pz_config, pz_symp):
             pz_symp, pz_config.section("graph-z"), X4,
             basis=np.array([[1.0, 0.0], [0.0, 0.0]]),
         )
+    with pytest.raises(ValueError):
+        angle_solve(
+            pz_symp, pz_config.section("graph-z"), X4,
+            basis=np.array([[1.0, 1.0], [1.0, 1.0]]),
+        )
 
 
 def test_angle_solve_warm_start_converges_immediately(pz_config, pz_symp):
     section = pz_config.section("graph-z")
     cold = angle_solve(pz_symp, section, X4)
     warm = angle_solve(
-        pz_symp, section, X4, sign=cold.sign, y0=cold.y, jacobian=cold.jacobian
+        pz_symp, section, X4, sign=cold.sign, y0=cold.y
     )
     assert warm.iterations == 0
     assert np.allclose(warm.y, cold.y, atol=1e-12)
 
 
+def test_newton_jacobian_matches_group_action_differences(pz_config, pz_symp,
+                                                          rescaled_symp):
+    section = pz_config.section("graph-z")
+    h = 1e-6
+    for symp, x in ((pz_symp, X4), (rescaled_symp, np.array([0.7, 1.3, 0.9, 1.2]))):
+        sol = angle_solve(symp, section, x)
+        base = section.chi_at(sol.sign * symp.integral_values(x))
+        end = group_action(symp, sol.y, base)
+        fields = np.column_stack([symp.hamiltonian_field_at(a, end) for a in range(2)])
+        differences = np.column_stack([
+            (group_action(symp, sol.y + h * e, base) - group_action(symp, sol.y - h * e, base))
+            / (2.0 * h)
+            for e in np.eye(2)
+        ])
+        assert np.max(np.abs(fields - differences)) < 1e-7
+
+
+def test_angle_solve_on_rescaled_coframe(pz_config, rescaled_symp):
+    q, p, z, r = 0.7, 1.3, 0.9, 1.2
+    sol = angle_solve(rescaled_symp, pz_config.section("graph-z"), [q, p, z, r])
+    assert sol.sign == -1
+    assert np.max(np.abs(sol.y - [q, -np.log(z)])) < 1e-6
+
+
+def test_angle_solve_rejects_noninvolutive_generators(noninvolutive5):
+    # the lifted bracket {q1, p1} is 1 at (1, ..., 1)
+    section = SectionSpec(
+        "unused", ("L1", "L2", "L3"), ("0", "0", "0", "0", "0", "1"),
+        {"L1": (0.5, 2.0), "L2": (0.5, 2.0), "L3": (0.5, 2.0)},
+    )
+    with pytest.raises(IntegrabilityError, match="generators 0 and 1 are not in involution"):
+        angle_solve(symplectize(noninvolutive5), section, np.ones(6))
+
+
 def test_angle_solve_iteration_budget(pz_config, pz_symp):
     with pytest.raises(NewtonDivergenceError):
         angle_solve(pz_symp, pz_config.section("graph-z"), X4, max_iter=1)
+
+
+def test_angle_solve_rejects_nonfinite_query(pz_config, pz_symp):
+    with pytest.raises(NewtonDivergenceError):
+        angle_solve(pz_symp, pz_config.section("graph-z"), [np.nan, 3.0, 5.0, 1.0])
 
 
 def test_angle_solve_off_section_ray(pz_symp):
