@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, SystemConfig, load_config
 from .expressions import ExpressionError
-from .flows import COMPLETED, EXITED_DOMAIN, FlowError, integrate
+from .flows import COMPLETED, EXITED_DOMAIN, FlowError, StartPointError, integrate
 from .geometry import GeometryError, contact_condition_check
 from .integrability import (
     IntegrabilityError,
@@ -103,9 +103,12 @@ def _resolve_seed(arg_seed: int | None, cfg: SystemConfig) -> int:
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        values = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise ConfigError(f"{what} must be comma-separated numbers, got {text!r}") from None
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{what} must be finite numbers, got {text!r}")
+    return values
 
 
 def _require_count(value: int, flag: str) -> None:
@@ -213,7 +216,10 @@ def cmd_integrate(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
         raise ConfigError(f"--f must index one of {len(system.integrals)} integrals")
     if not np.isfinite(args.t):
         raise ConfigError(f"--t must be finite, got {args.t}")
-    traj = integrate(system, system.integrals[args.f], x0, args.t, cfg.integrator)
+    try:
+        traj = integrate(system, system.integrals[args.f], x0, args.t, cfg.integrator)
+    except StartPointError as exc:
+        raise ConfigError(f"--x0: {exc}") from None
     traj.write_csv(args.out, system.coordinates)
     report = _report_head(cfg, "integrate", seed)
     report.update(
@@ -250,18 +256,16 @@ def cmd_symplectize_verify(cfg: SystemConfig, args, seed: int) -> tuple[dict, in
         delta = np.linalg.solve(omega.T, -theta)
         liouville = max(liouville, float(np.max(np.abs(delta - expected))))
         fields = []
-        for F in symp.integrals:
-            value, grad = chart.value_and_gradient(F, x)
+        for value, grad in symp.values_and_gradients(x):
             homogeneity = max(homogeneity, abs(x[-1] * grad[-1] - value))
-            X = chart.hamiltonian_field_at(F, x)
+            X = chart.field_from_gradient(x, value, grad)
             fields.append((grad, X))
             pairing = max(pairing, abs(float(theta @ X) - value))
+        brackets = system.bracket_matrix_at(x[:-1])
         for a in range(m):
             for b in range(a + 1, m):
                 upstairs = float(fields[a][1] @ fields[b][0])
-                downstairs = system.chart.jacobi_bracket_at(
-                    system.integrals[a], system.integrals[b], x[:-1]
-                )
+                downstairs = float(brackets[a, b])
                 correspondence = max(
                     correspondence, abs(upstairs + x[-1] * downstairs)
                 )
@@ -326,6 +330,8 @@ def _load_points(path: str, dim: int) -> tuple[list[np.ndarray], float]:
                 f"point {i} must have {dim} (base) or {dim + 1} (lifted) "
                 f"components, got {vec.shape}"
             )
+        if not np.isfinite(vec).all():
+            raise ConfigError(f"point {i} has non-finite components {vec.tolist()}")
         points.append(vec)
     return points, r_default
 

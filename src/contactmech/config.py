@@ -88,12 +88,17 @@ SCHEMA: dict[str, Any] = {
                 "rel_tol": {"type": "number", "exclusiveMinimum": 0},
                 "abs_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_step": {"type": "number", "exclusiveMinimum": 0},
+                "min_step": {"type": "number", "exclusiveMinimum": 0},
                 "max_steps": {"type": "integer", "minimum": 1},
             },
         },
         "seed": {"type": "integer", "minimum": 0},
     },
 }
+
+# SCHEMA is constant, so it is checked against the meta-schema by the tests
+# rather than on every load (jsonschema.validate does that each call).
+_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
 @dataclass
@@ -229,11 +234,10 @@ def load_config(path: str | Path) -> SystemConfig:
         data = json.loads(blob)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config {path} invalid at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config {path} invalid at {where}: {error.message}") from error
     return _build(data, digest, str(path))
 
 

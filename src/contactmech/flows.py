@@ -23,6 +23,7 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "FlowError",
+    "StartPointError",
     "COMPLETED",
     "EXITED_DOMAIN",
     "STEP_FAILURE",
@@ -45,6 +46,10 @@ class FlowError(RuntimeError):
     def __init__(self, message: str, trajectory: "Trajectory | None" = None):
         super().__init__(message)
         self.trajectory = trajectory
+
+
+class StartPointError(ValueError):
+    """A flow's start point is non-finite or violates a positivity guard."""
 
 
 @dataclass
@@ -143,7 +148,7 @@ def integrate(system, f, x0, t_final: float, config: IntegratorConfig | None = N
         raise ValueError(f"expected start point of shape ({system.dim},), got {x0.shape}")
     bad = _guard_violation(x0, guards, names)
     if bad is not None:
-        raise ValueError(f"start point outside domain: {bad}")
+        raise StartPointError(f"start point outside domain: {bad}")
 
     if t_final == 0.0:
         return Trajectory(np.zeros(1), x0[None, :].copy(), COMPLETED)

@@ -39,6 +39,7 @@ __all__ = [
     "ContactChart",
     "ContactSystem",
     "ContactConditionReport",
+    "Jets",
     "conformal_rescale",
     "contact_condition_check",
 ]
@@ -216,8 +217,9 @@ class ContactChart:
             out = np.zeros(self.dim)
             out[-1] = 1.0
             return out
-        eta = self.eta_at(x)
-        B = self.flat_matrix_at(x)
+        return self._reeb(x, self.eta_at(x), self.flat_matrix_at(x))
+
+    def _reeb(self, x: np.ndarray, eta: np.ndarray, B: np.ndarray) -> np.ndarray:
         reeb = np.linalg.solve(B.T, eta)
         resid = float(np.max(np.abs(B.T @ reeb - eta)))
         if resid > _scale_tol(_RESIDUAL_TOL, *eta):
@@ -246,15 +248,25 @@ class ContactChart:
         f = self.function(f)
         x = self.point(x)
         value, grad = self.value_and_gradient(f, x)
-        n = self.n
+        return self._field(x, value, grad, self._frame(x))
+
+    def _frame(self, x: np.ndarray):
+        """(eta, B, Reeb field) at x for the general solve; None on standard charts."""
         if self.darboux:
+            return None
+        eta = self.eta_at(x)
+        B = self.flat_matrix_at(x)
+        return eta, B, self._reeb(x, eta, B)
+
+    def _field(self, x: np.ndarray, value: float, grad: np.ndarray, frame) -> np.ndarray:
+        n = self.n
+        if frame is None:
             X = _standard_field(n, x, value, grad)
             pairing = X[-1] - x[n : 2 * n] @ X[:n]
         else:
-            eta = self.eta_at(x)
-            reeb = self.reeb_at(x)
+            eta, B, reeb = frame
             rhs = grad - (grad @ reeb + value) * eta
-            X = np.linalg.solve(self.flat_matrix_at(x).T, rhs)
+            X = np.linalg.solve(B.T, rhs)
             pairing = eta @ X
         resid = abs(pairing + value)
         if resid > _scale_tol(1e-8, value, *X):
@@ -262,6 +274,25 @@ class ContactChart:
                 f"field invariant eta(X_f) = -f violated by {resid:.3e} at {x.tolist()}"
             )
         return X
+
+    def jets_at(self, x, values_and_gradients) -> Jets:
+        """Fields and Reeb derivatives of functions with known (value, gradient) at x.
+
+        The coframe solve is shared by all the functions, and each field is
+        checked against eta(X_f) = -f as in hamiltonian_field_at.
+        """
+        x = self.point(x)
+        frame = self._frame(x)
+        values = np.array([value for value, _ in values_and_gradients])
+        grads = tuple(grad for _, grad in values_and_gradients)
+        fields = tuple(
+            self._field(x, value, grad, frame) for value, grad in values_and_gradients
+        )
+        if frame is None:
+            reeb = tuple(grad[-1] for grad in grads)
+        else:
+            reeb = tuple(grad @ frame[2] for grad in grads)
+        return Jets(x, values, grads, fields, reeb)
 
     def hamiltonian_field_jacobian_at(
         self, f: Expr | str, x, method: str = "auto"
@@ -322,22 +353,30 @@ class ContactChart:
         """
         f, g = self.function(f), self.function(g)
         x = self.point(x)
-        fv, fg = self.value_and_gradient(f, x)
-        gv, gg = self.value_and_gradient(g, x)
-        Xf = self.hamiltonian_field_at(f, x)
-        Xg = self.hamiltonian_field_at(g, x)
-        if self.darboux:
-            rf, rg = fg[-1], gg[-1]
-        else:
-            reeb = self.reeb_at(x)
-            rf, rg = fg @ reeb, gg @ reeb
-        first = float(gg @ Xf + gv * rf)
-        second = float(-(fg @ Xg) - fv * rg)
-        if abs(first - second) > _scale_tol(_RESIDUAL_TOL, first, second):
-            raise GeometryError(
-                f"bracket expressions disagree by {abs(first - second):.3e} at {x.tolist()}"
-            )
-        return first
+        pair = (self.value_and_gradient(f, x), self.value_and_gradient(g, x))
+        return float(self.bracket_matrix(self.jets_at(x, pair))[0, 1])
+
+    def bracket_matrix(self, jets: Jets) -> np.ndarray:
+        """Antisymmetric matrix of the Jacobi brackets {f_a, f_b} of the jets.
+
+        Entry (a, b), a < b, is X_a(f_b) + f_b R(f_a); it must agree with
+        -X_b(f_a) - f_a R(f_b) to 1e-10 (relative to the value scale).
+        """
+        values, grads, fields, reeb = jets.values, jets.gradients, jets.fields, jets.reeb
+        m = len(values)
+        out = np.zeros((m, m))
+        for a in range(m):
+            for b in range(a + 1, m):
+                first = float(grads[b] @ fields[a] + values[b] * reeb[a])
+                second = float(-(grads[a] @ fields[b]) - values[a] * reeb[b])
+                if abs(first - second) > _scale_tol(_RESIDUAL_TOL, first, second):
+                    raise GeometryError(
+                        f"bracket expressions disagree by {abs(first - second):.3e} "
+                        f"at {jets.point.tolist()}"
+                    )
+                out[a, b] = first
+                out[b, a] = -first
+        return out
 
     def lambda_pairing_at(self, f: Expr | str, g: Expr | str, x) -> float:
         """Bivector pairing Lambda(df, dg) = {f, g} + f R(g) - g R(f)."""
@@ -404,6 +443,21 @@ def _standard_coefficients(names: Sequence[str]) -> tuple[Expr, ...]:
     return tuple(coeffs)
 
 
+@dataclass(frozen=True)
+class Jets:
+    """Per-point data of several functions on a contact chart.
+
+    Entry a of each field belongs to function a: its value, gradient,
+    Hamiltonian field X_a and Reeb derivative R(f_a) at `point`.
+    """
+
+    point: np.ndarray
+    values: np.ndarray
+    gradients: tuple[np.ndarray, ...]
+    fields: tuple[np.ndarray, ...]
+    reeb: tuple[float, ...]
+
+
 # ---------------------------------------------------------------------------
 # Systems: chart + integrals + sampling region
 # ---------------------------------------------------------------------------
@@ -439,6 +493,9 @@ class ContactSystem:
                 raise ValueError(f"positive constraint on unknown coordinate {name!r}")
         self.positive = tuple(positive)
         self.positive_indices = tuple(chart.coordinates.index(p) for p in positive)
+        self._gradients = tuple(
+            gradient_evaluator(f, chart.coordinates) for f in self.integrals
+        )
 
     @property
     def coordinates(self) -> tuple[str, ...]:
@@ -460,14 +517,25 @@ class ContactSystem:
         lo, hi = self.region[:, 0], self.region[:, 1]
         return rng.uniform(lo, hi, size=(count, self.dim))
 
-    def integral_values(self, x) -> np.ndarray:
+    def values_and_gradients(self, x) -> list[tuple[float, np.ndarray]]:
+        """(value, gradient) of every integral, one evaluation each."""
         x = self.chart.point(x)
-        return np.array([self.chart.value_and_gradient(f, x)[0] for f in self.integrals])
+        return [run(x) for run in self._gradients]
+
+    def integral_values(self, x) -> np.ndarray:
+        return np.array([value for value, _ in self.values_and_gradients(x)])
 
     def integral_jacobian(self, x) -> np.ndarray:
         """Rows are the gradients of the integrals (the matrix TF)."""
-        x = self.chart.point(x)
-        return np.array([self.chart.value_and_gradient(f, x)[1] for f in self.integrals])
+        return np.array([grad for _, grad in self.values_and_gradients(x)])
+
+    def jets_at(self, x) -> Jets:
+        """Values, gradients, fields and Reeb derivatives of the integrals."""
+        return self.chart.jets_at(x, self.values_and_gradients(x))
+
+    def bracket_matrix_at(self, x) -> np.ndarray:
+        """Brackets {f_a, f_b} of the integrals, each integral evaluated once."""
+        return self.chart.bracket_matrix(self.jets_at(x))
 
     def hamiltonian_field_at(self, f: FunctionLike, x) -> np.ndarray:
         return self.chart.hamiltonian_field_at(self.resolve(f), x)

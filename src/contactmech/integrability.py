@@ -265,13 +265,10 @@ def involution_check(
     worst, pair, where = 0.0, (0, 0), points[0]
     m = len(system.integrals)
     for x in points:
+        brackets = system.bracket_matrix_at(x)
         for a in range(m):
             for b in range(a + 1, m):
-                val = abs(
-                    system.chart.jacobi_bracket_at(
-                        system.integrals[a], system.integrals[b], x
-                    )
-                )
+                val = abs(float(brackets[a, b]))
                 if val > worst:
                     worst, pair, where = val, (a, b), x
     return InvolutionReport(
@@ -319,10 +316,9 @@ def rank_check(
 # Ray preimages
 # ---------------------------------------------------------------------------
 
-def _membership(system: ContactSystem, target: RayTarget, x) -> tuple[float, float]:
-    """Least-squares ray residual and the fitted scale r*."""
+def _membership(target: RayTarget, F: np.ndarray) -> tuple[float, float]:
+    """Least-squares ray residual and the fitted scale r* of integral values F."""
     lam = target.direction
-    F = system.integral_values(x)
     r_star = float(F @ lam / (lam @ lam))
     resid = float(np.max(np.abs(F - r_star * lam)))
     return resid, r_star
@@ -343,33 +339,35 @@ def ray_project(
     """
     lam = target.direction
     x = system.chart.point(seed_point)
-    F = system.integral_values(x)
+
+    def values_and_jacobian(xv):
+        jet = system.values_and_gradients(xv)
+        return np.array([v for v, _ in jet]), np.array([grad for _, grad in jet])
+
+    F, TF = values_and_jacobian(x)
     r = max(float(F @ lam / (lam @ lam)), 1e-3)
-
-    def resid(xv, rv):
-        return system.integral_values(xv) - rv * lam
-
-    g = resid(x, r)
+    g = F - r * lam
     gn = float(np.max(np.abs(g)))
     for _ in range(max_iter):
         if gn <= tolerance * max(1.0, float(np.max(np.abs(lam)))):
             if r <= 0.0:
                 raise RayProjectionError(f"landed at nonpositive scale r = {r:.3e}")
             return x, r
-        J = np.hstack([system.integral_jacobian(x), -lam[:, None]])
+        J = np.hstack([TF, -lam[:, None]])
         step, *_ = np.linalg.lstsq(J, -g, rcond=None)
         lam_step = 1.0
         for _ in range(25):
             x_try = x + lam_step * step[:-1]
             r_try = r + lam_step * step[-1]
             try:
-                g_try = resid(x_try, r_try)
+                F_try, TF_try = values_and_jacobian(x_try)
             except EvaluationDomainError:
                 lam_step *= 0.5
                 continue
+            g_try = F_try - r_try * lam
             gn_try = float(np.max(np.abs(g_try)))
             if gn_try < gn:
-                x, r, g, gn = x_try, r_try, g_try, gn_try
+                x, r, g, gn, TF = x_try, r_try, g_try, gn_try, TF_try
                 break
             lam_step *= 0.5
         else:
@@ -406,19 +404,6 @@ def _ray_points(
     return np.array(found)
 
 
-def _bracket_matrix(system: ContactSystem, x) -> np.ndarray:
-    m = len(system.integrals)
-    out = np.zeros((m, m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            val = system.chart.jacobi_bracket_at(
-                system.integrals[a], system.integrals[b], x
-            )
-            out[a, b] = val
-            out[b, a] = -val
-    return out
-
-
 def coisotropy_check(
     system: ContactSystem,
     target: RayTarget,
@@ -441,16 +426,17 @@ def coisotropy_check(
     m = len(system.integrals)
     worst, triple, where, worst_member = 0.0, (0, 0, 0), points[0], 0.0
     for x in points:
-        member, r_star = _membership(system, target, x)
-        scale = float(np.max(np.abs(system.integral_values(x))))
+        jets = system.jets_at(x)
+        f = jets.values
+        member, r_star = _membership(target, f)
+        scale = float(np.max(np.abs(f)))
         if member > membership_tolerance * max(1.0, scale) or r_star <= 0.0:
             raise IntegrabilityError(
                 f"point {x.tolist()} is not on the ray preimage "
                 f"(residual {member:.3e}, r* {r_star:.3e})"
             )
         worst_member = max(worst_member, member)
-        f = system.integral_values(x)
-        bk = _bracket_matrix(system, x)
+        bk = system.chart.bracket_matrix(jets)
         for a in range(m):
             for b in range(m):
                 for c in range(m):
@@ -488,11 +474,11 @@ def tangency_check(
     m = len(system.integrals)
     worst, triple, where = 0.0, (0, 0, 0), points[0]
     for x in points:
-        f = system.integral_values(x)
-        grads = system.integral_jacobian(x)
-        fields = [system.hamiltonian_field_at(c, x) for c in range(m)]
+        jets = system.jets_at(x)
+        f = jets.values
+        grads = np.array(jets.gradients)
         for c in range(m):
-            rates = grads @ fields[c]  # X_c applied to every integral
+            rates = grads @ jets.fields[c]  # X_c applied to every integral
             for a in range(m):
                 for b in range(a + 1, m):
                     val = abs(f[a] * rates[b] - f[b] * rates[a])

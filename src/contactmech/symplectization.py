@@ -166,9 +166,13 @@ class SympChart:
         F = self.function(F)
         x = self.point(x)
         value, grad = self.value_and_gradient(F, x)
+        return self.field_from_gradient(x, value, grad)
+
+    def field_from_gradient(self, x, value: float, grad: np.ndarray) -> np.ndarray:
+        """hamiltonian_field_at for a function already evaluated at x."""
+        x = self.point(x)
         if self.base.darboux:
             X = _standard_field(self.base.n, x, grad)
-            theta_x = self.theta_at(x)
         else:
             omega = self.omega_at(x)
             X = np.linalg.solve(omega.T, grad)
@@ -177,9 +181,8 @@ class SympChart:
                 raise SymplectizationError(
                     f"field solve residual {resid:.3e} at {x.tolist()}"
                 )
-            theta_x = self.theta_at(x)
         if abs(x[-1] * grad[-1] - value) <= _scale_tol(_RESIDUAL_TOL, value):
-            pairing = float(theta_x @ X)
+            pairing = float(self.theta_at(x) @ X)
             if abs(pairing - value) > _scale_tol(1e-8, value, *X):
                 raise SymplectizationError(
                     f"theta(X_F) = F violated by {abs(pairing - value):.3e} "
@@ -236,6 +239,9 @@ class SympSystem:
             self.region = None
         # the fiber stays positive along any flow in this chart
         self.positive_indices = tuple(base.positive_indices) + (self.chart.dim - 1,)
+        self._gradients = tuple(
+            gradient_evaluator(F, self.chart.coordinates) for F in self.integrals
+        )
 
     @property
     def coordinates(self) -> tuple[str, ...]:
@@ -256,11 +262,13 @@ class SympSystem:
         lo, hi = self.region[:, 0], self.region[:, 1]
         return rng.uniform(lo, hi, size=(count, self.dim))
 
-    def integral_values(self, x) -> np.ndarray:
+    def values_and_gradients(self, x) -> list[tuple[float, np.ndarray]]:
+        """(value, gradient) of every lifted integral, one evaluation each."""
         x = self.chart.point(x)
-        return np.array(
-            [self.chart.value_and_gradient(F, x)[0] for F in self.integrals]
-        )
+        return [run(x) for run in self._gradients]
+
+    def integral_values(self, x) -> np.ndarray:
+        return np.array([value for value, _ in self.values_and_gradients(x)])
 
     def hamiltonian_field_at(self, F: FunctionLike, x) -> np.ndarray:
         return self.chart.hamiltonian_field_at(self.resolve(F), x)

@@ -171,6 +171,35 @@ def test_integrate_argument_validation(capsys, tmp_path):
     assert captured.err.count("error: ") == 6
 
 
+def _assert_input_error(capsys, argv, *fragments):
+    assert cli.main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+@pytest.mark.parametrize("value", ["nan,1", "1,inf", "1,-inf"])
+def test_nonfinite_lambda_is_input_error(capsys, value):
+    _assert_input_error(capsys, ["coisotropy", PZ, "--lambda", value], "--lambda", "finite")
+
+
+@pytest.mark.parametrize("x0", ["nan,1,1", "1,inf,1"])
+def test_nonfinite_x0_is_input_error(capsys, tmp_path, x0):
+    argv = ["integrate", PZ, "--f", "0", "--x0", x0, "--t", "1", "--out",
+            str(tmp_path / "t.csv")]
+    _assert_input_error(capsys, argv, "--x0", "finite")
+
+
+def test_integrate_start_outside_domain_is_input_error(capsys, tmp_path):
+    out = tmp_path / "t.csv"
+    argv = ["integrate", PZ, "--f", "0", "--x0", "0,-1,1", "--t", "1", "--out", str(out)]
+    _assert_input_error(capsys, argv, "--x0", "outside domain", "coordinate p")
+    assert not out.exists()
+
+
 def test_count_flags_reject_values_below_one(capsys, points_file):
     for argv in (
         ["check", PZ, "--samples", "0"],
@@ -244,6 +273,13 @@ def test_action_angle_bad_points_file(capsys, tmp_path):
     assert cli.main(["action-angle", PZ, "--section", "graph-z", "--points", str(ragged)]) == 2
     assert cli.main(["action-angle", PZ, "--section", "graph-z", "--points", "/no/file"]) == 2
     capsys.readouterr()
+
+
+def test_action_angle_nonfinite_point_is_input_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"points": [[1.0, 1.0, 1.0], [NaN, 1, 1]]}')
+    argv = ["action-angle", PZ, "--section", "graph-z", "--points", str(path)]
+    _assert_input_error(capsys, argv, "point 1", "non-finite")
 
 
 def test_action_angle_failing_section_skips_points(capsys, tmp_path, points_file):

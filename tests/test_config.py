@@ -1,9 +1,10 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
-from contactmech.config import ConfigError, bundled_config_path, load_config
+from contactmech.config import SCHEMA, ConfigError, bundled_config_path, load_config
 from contactmech.flows import IntegratorConfig
 
 MINIMAL = {
@@ -95,6 +96,39 @@ def test_schema_rejects_missing_required(tmp_path):
         load_config(_write(tmp_path, data))
 
 
+def test_schema_is_a_valid_2020_12_schema():
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+
+def _without(key):
+    data = _variant()
+    del data[key]
+    return data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _variant(surprise=1),
+        _without("region"),
+        _variant(n=-1, name=""),
+        _variant(coordinates="q p z"),
+        _variant(region={"q": [0, 1, 2], "p": [0, 1], "z": ["a", 1]}),
+        _variant(integrator={"method": "euler", "step": 0}),
+        _variant(sections={"s": {"params": [], "components": [1]}}),
+        [1, 2],
+    ],
+)
+def test_schema_errors_match_jsonschema_validate(tmp_path, data):
+    path = _write(tmp_path, data)
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(data, SCHEMA)
+    where = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+    with pytest.raises(ConfigError) as got:
+        load_config(path)
+    assert str(got.value) == f"config {path} invalid at {where}: {expected.value.message}"
+
+
 def test_coordinate_count_cross_check(tmp_path):
     with pytest.raises(ConfigError, match="coordinates"):
         load_config(_write(tmp_path, _variant(n=2)))
@@ -154,6 +188,13 @@ def test_integrator_schema_rejects_bad_method(tmp_path):
     data = _variant(integrator={"method": "euler"})
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, data))
+
+
+def test_integrator_min_step(tmp_path):
+    cfg = load_config(_write(tmp_path, _variant(integrator={"min_step": 1e-9})))
+    assert cfg.integrator.min_step == 1e-9
+    with pytest.raises(ConfigError, match="invalid at integrator/min_step"):
+        load_config(_write(tmp_path, _variant(integrator={"min_step": 0})))
 
 
 # ---------------------------------------------------------------------------

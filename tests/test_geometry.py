@@ -157,6 +157,40 @@ def test_bracket_antisymmetry(chart, rng):
         )
 
 
+def _rescaled_involutive5(system):
+    # eta' = exp(q1/3) eta with integrals exp(q1/3) (p1, p2, z): a general coframe
+    chart = conformal_rescale(system.chart, "exp(q1/3)")
+    return ContactSystem(
+        chart, [f"exp(q1/3)*{f}" for f in ("p1", "p2", "z")], system.region
+    )
+
+
+@pytest.mark.parametrize("which", ["involutive", "noninvolutive", "rescaled"])
+def test_bracket_matrix_equals_pairwise_brackets(which, involutive5, noninvolutive5, rng):
+    if which == "rescaled":
+        system = _rescaled_involutive5(involutive5)
+    else:
+        system = involutive5 if which == "involutive" else noninvolutive5
+    assert system.chart.darboux == (which != "rescaled")
+    m = len(system.integrals)
+    for x in system.sample(rng, 8):
+        # reference: one jacobi_bracket_at call per pair, as the checks used to do
+        pairwise = np.zeros((m, m))
+        for a in range(m):
+            for b in range(a + 1, m):
+                val = system.chart.jacobi_bracket_at(
+                    system.integrals[a], system.integrals[b], x
+                )
+                pairwise[a, b], pairwise[b, a] = val, -val
+        matrix = system.bracket_matrix_at(x)
+        assert np.array_equal(matrix, pairwise)
+        jets = system.jets_at(x)
+        for a in range(m):
+            assert np.array_equal(jets.fields[a], system.hamiltonian_field_at(a, x))
+    if which == "noninvolutive":
+        assert np.any(np.abs(matrix) > 0.1)
+
+
 def test_bracket_with_constant(chart):
     # {z, c} = c R(z) = c
     assert chart.jacobi_bracket_at("z", "-1", X0) == pytest.approx(-1.0)
