@@ -421,7 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coisotropy", help="cyclic sums and tangency on a ray")
     common(p)
-    p.add_argument("--lambda", dest="ray", required=True, help="ray direction v0,v1,...")
+    p.add_argument(
+        "--lambda", dest="ray", required=True,
+        help="ray direction v0,v1,...; write --lambda=-1,1 when v0 is negative",
+    )
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=cmd_coisotropy)
@@ -430,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="system configuration JSON")
     p.add_argument("--seed", type=int, default=None, help="sampling seed override")
     p.add_argument("--f", type=int, required=True, help="integral index")
-    p.add_argument("--x0", required=True, help="start point v0,v1,...")
+    p.add_argument(
+        "--x0", required=True,
+        help="start point v0,v1,...; write --x0=-1,2,3 when v0 is negative",
+    )
     p.add_argument("--t", type=float, required=True, help="flow time")
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.set_defaults(func=cmd_integrate, out_is_csv=True)

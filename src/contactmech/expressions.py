@@ -6,7 +6,8 @@ operators + - * /, and ^ with a constant real exponent.  They are parsed
 by recursive descent, printed back in a canonical form that reparses to
 the same tree, and evaluated either over plain floats or over nested
 dual numbers, which gives exact first and second derivatives without
-symbolic differentiation.
+symbolic differentiation.  Gradients run as straight-line float kernels
+compiled from the tree, bitwise equal to the dual-number walk.
 
 Grammar (EBNF, whitespace insignificant):
 
@@ -23,7 +24,9 @@ time.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
@@ -484,16 +487,26 @@ def _eval(node: Expr, env: Mapping[str, object]):
         op = node.op
         try:
             if op == "+":
-                return lhs + rhs
-            if op == "-":
-                return lhs - rhs
-            if op == "*":
-                return lhs * rhs
-            if _primal(rhs) == 0.0:
-                raise ZeroDivisionError
-            return lhs / rhs
+                out = lhs + rhs
+            elif op == "-":
+                out = lhs - rhs
+            elif op == "*":
+                out = lhs * rhs
+            else:
+                if _primal(rhs) == 0.0:
+                    raise ZeroDivisionError
+                out = lhs / rhs
         except (ZeroDivisionError, OverflowError) as exc:
             raise EvaluationDomainError(str(exc) or "division by zero", node) from None
+        # float arithmetic overflows to inf silently; non-finite operands
+        # still propagate without raising
+        if (
+            math.isinf(_primal(out))
+            and math.isfinite(_primal(lhs))
+            and math.isfinite(_primal(rhs))
+        ):
+            raise EvaluationDomainError("overflow", node)
+        return out
     if isinstance(node, Unary):
         arg = _eval(node.arg, env)
         if node.op == "neg":
@@ -516,15 +529,11 @@ def evaluate(node: Expr, env: Mapping[str, float]) -> float:
     return float(_eval(node, env))
 
 
-def gradient_evaluator(
-    node: Expr, names: Sequence[str]
-) -> "Callable[[Sequence[float]], tuple[float, np.ndarray]]":
-    """Reusable closure computing (value, gradient) at given values.
+def _dual_gradient(node: Expr, names: tuple[str, ...]):
+    """(value, gradient) by the Dual walk with vector tangents.
 
-    Precomputes the tangent seeds once; the returned callable is the hot
-    path for field evaluation inside integrator loops.
+    The reference the compiled kernels reproduce, and their fallback.
     """
-    names = tuple(names)
     n = len(names)
     eye = np.eye(n)
     zero = np.zeros(n)
@@ -539,12 +548,280 @@ def gradient_evaluator(
     return run
 
 
+class _Uncompilable(Exception):
+    """The tree always fails or needs names outside the kernel's inputs."""
+
+
+class _KernelSource:
+    """Straight-line Python source computing one tree's value and gradient.
+
+    Each node with a variable below it becomes a value local plus one
+    tangent entry per coordinate, in the float operations and order of
+    the Dual walk.  An entry is either source text or a float known at
+    compile time: the 0.0/1.0 seeds, and what arithmetic on two known
+    floats gives, which is folded here in the same float operation the
+    walk would run.  Variable-free subtrees fold through `_eval`.
+    """
+
+    def __init__(self, names: tuple[str, ...]):
+        self.index = {name: k for k, name in enumerate(names)}
+        self.n = len(names)
+        self.lines: list[str] = []
+        self.consts: dict[str, float] = {}
+        self.count = 0
+
+    def text(self, entry) -> str:
+        if isinstance(entry, str):
+            return entry
+        if math.isfinite(entry) and math.copysign(1.0, entry) > 0.0:
+            return repr(entry)
+        # signed zeros, infinities and NaNs keep their exact bits
+        name = f"_c{len(self.consts)}"
+        self.consts[name] = entry
+        return name
+
+    def local(self, source: str, prefix: str = "t") -> str:
+        name = f"{prefix}{self.count}"
+        self.count += 1
+        self.lines.append(f"{name} = {source}")
+        return name
+
+    def binary(self, x, op: str, y):
+        if not isinstance(x, str) and not isinstance(y, str):
+            try:
+                return _FOLD[op](x, y)
+            except ZeroDivisionError:
+                pass  # the primal division before it raises at run time
+        return f"({self.text(x)} {op} {self.text(y)})"
+
+    def neg(self, x):
+        return -x if not isinstance(x, str) else f"(-{x})"
+
+    def tangent(self, entries) -> list:
+        return [e if not isinstance(e, str) or e.isidentifier() else self.local(e)
+                for e in entries]
+
+    def guard_pow(self, a: str, exponent: float) -> None:
+        # the domain checks of _powc, specialised to a known exponent
+        checks = []
+        if exponent < 0.0:
+            checks.append(f"{a} == 0.0")
+        if not (math.isfinite(exponent) and exponent == round(exponent)):
+            checks.append(f"{a} < 0.0")
+        if checks:
+            self.lines.append(f"if {' or '.join(checks)}: raise ValueError")
+
+    def emit(self, node: Expr):
+        """(value, tangent entries), or (float, None) for a variable-free node."""
+        if isinstance(node, Const):
+            return node.value, None
+        if isinstance(node, Var):
+            k = self.index.get(node.name)
+            if k is None:
+                raise _Uncompilable
+            return f"x{k}", [1.0 if j == k else 0.0 for j in range(self.n)]
+        if isinstance(node, Binary):
+            a, ta = self.emit(node.lhs)
+            b, tb = self.emit(node.rhs)
+            if ta is None and tb is None:
+                return self.fold(node), None
+            return self.emit_binary(node.op, a, ta, b, tb)
+        if isinstance(node, Unary):
+            a, ta = self.emit(node.arg)
+            if ta is None:
+                return self.fold(node), None
+            return self.emit_unary(node.op, a, ta)
+        if isinstance(node, Power):
+            a, ta = self.emit(node.base)
+            if ta is None:
+                return self.fold(node), None
+            c = node.exponent
+            self.guard_pow(a, c)
+            v = self.local(f"_pow({a}, {self.text(c)})", "v")
+            self.guard_pow(a, c - 1.0)
+            d = self.local(f"{self.text(c)} * _pow({a}, {self.text(c - 1.0)})")
+            return v, self.tangent(self.binary(x, "*", d) for x in ta)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    @staticmethod
+    def fold(node: Expr) -> float:
+        try:
+            return _eval(node, {})
+        except EvaluationDomainError:
+            raise _Uncompilable from None
+
+    def emit_binary(self, op: str, a, ta, b, tb):
+        A, B = self.text(a), self.text(b)
+        if op == "+":
+            # float + Dual runs Dual.__radd__: the dual's value comes first
+            v = self.local(f"{B} + {A}" if ta is None else f"{A} + {B}", "v")
+            if ta is None:
+                t = tb
+            elif tb is None:
+                t = ta
+            else:
+                t = [self.binary(x, "+", y) for x, y in zip(ta, tb)]
+        elif op == "-":
+            v = self.local(f"{A} - {B}", "v")
+            if ta is None:
+                t = [self.neg(y) for y in tb]
+            elif tb is None:
+                t = ta
+            else:
+                t = [self.binary(x, "-", y) for x, y in zip(ta, tb)]
+        elif op == "*":
+            v = self.local(f"{B} * {A}" if ta is None else f"{A} * {B}", "v")
+            if ta is None:
+                t = [self.binary(y, "*", a) for y in tb]
+            elif tb is None:
+                t = [self.binary(x, "*", b) for x in ta]
+            else:
+                t = [self.binary(self.binary(a, "*", y), "+", self.binary(x, "*", b))
+                     for x, y in zip(ta, tb)]
+        else:
+            # a zero denominator raises ZeroDivisionError here as in the walk
+            v = self.local(f"{A} / {B}", "v")
+            if ta is None:
+                nq = self.local(f"-{v}")
+                t = [self.binary(self.binary(nq, "*", y), "/", b) for y in tb]
+            elif tb is None:
+                t = [self.binary(x, "/", b) for x in ta]
+            else:
+                t = [self.binary(self.binary(x, "-", self.binary(v, "*", y)), "/", b)
+                     for x, y in zip(ta, tb)]
+        # inf or NaN: let the walk decide between an overflow error and
+        # propagating a non-finite operand
+        self.lines.append(f"if {v} - {v}: raise OverflowError")
+        return v, self.tangent(t)
+
+    def emit_unary(self, op: str, a: str, ta: list):
+        if op == "neg":
+            return self.local(f"-{a}", "v"), self.tangent(self.neg(x) for x in ta)
+        v = self.local(f"_{op}({a})", "v")
+        if op == "exp":
+            t = [self.binary(x, "*", v) for x in ta]
+        elif op == "log":
+            t = [self.binary(x, "/", a) for x in ta]
+        elif op == "sqrt":
+            # sqrt(0) makes this denominator 0 and the division raise
+            d = self.local(f"2.0 * {v}")
+            t = [self.binary(x, "/", d) for x in ta]
+        elif op == "sin":
+            c = self.local(f"_cos({a})")
+            t = [self.binary(x, "*", c) for x in ta]
+        elif op == "cos":
+            s = self.local(f"_sin({a})")
+            t = [self.binary(self.neg(x), "*", s) for x in ta]
+        else:  # tanh
+            d = self.local(f"1.0 - {v} * {v}")
+            t = [self.binary(x, "*", d) for x in ta]
+        return v, self.tangent(t)
+
+
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _compile(node: Expr, names: tuple[str, ...]):
+    walk = _dual_gradient(node, names)
+    source = _KernelSource(names)
+    try:
+        value, tangent = source.emit(node)
+    except _Uncompilable:
+        return walk
+    n = len(names)
+    if tangent is None:
+        result = f"{source.text(float(value))}, _zeros({n})"
+    else:
+        entries = "".join(f"{source.text(e)}, " for e in tangent)
+        result = f"{value}, _array(({entries}))"
+    body = [f"x{k} = float(values[{k}])" for k in range(n)] + source.lines
+    code = "\n".join(
+        ["def kernel(values):", "    try:"]
+        + [f"        {line}" for line in body]
+        + [f"        return {result}",
+           "    except (ArithmeticError, ValueError):",
+           "        return _walk(values)"]
+    )
+    namespace = {
+        "_walk": walk, "_array": np.array, "_zeros": np.zeros, "_pow": math.pow,
+        "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt, "_sin": math.sin,
+        "_cos": math.cos, "_tanh": math.tanh, **source.consts,
+    }
+    exec(code, namespace)
+    return namespace["kernel"]
+
+
+def _exact(value: float):
+    # Const(0.0) == Const(-0.0), but their kernels differ in signs of zero
+    return value if value else repr(value)
+
+
+def _signature(node: Expr):
+    """Hashable structure of a tree; equal only for identical kernels."""
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Const):
+        return ("c", _exact(node.value))
+    if isinstance(node, Unary):
+        return ("u", node.op, _signature(node.arg))
+    if isinstance(node, Binary):
+        return ("b", node.op, _signature(node.lhs), _signature(node.rhs))
+    return ("p", _exact(node.exponent), _signature(node.base))
+
+
+class _KernelKey:
+    """Memo key of a compiled kernel: the tree's signature and the names."""
+
+    __slots__ = ("node", "names", "signature", "hash")
+
+    def __init__(self, node: Expr, names: tuple[str, ...]):
+        self.node = node
+        self.names = names
+        self.signature = (_signature(node), names)
+        self.hash = hash(self.signature)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return self.signature == other.signature
+
+
+@functools.lru_cache(maxsize=512)
+def _kernel(key: _KernelKey):
+    return _compile(key.node, key.names)
+
+
+def gradient_evaluator(
+    node: Expr, names: Sequence[str]
+) -> "Callable[[Sequence[float]], tuple[float, np.ndarray]]":
+    """Reusable closure computing (value, gradient) at given values.
+
+    The first call compiles the tree into a straight-line float kernel,
+    memoised per (tree, names), that performs the Dual walk's float
+    operations in the walk's order, so its results are bitwise equal to
+    the walk's.  Where the kernel raises ArithmeticError or ValueError, or
+    a binary node's value is not finite, it reruns the walk, which raises
+    the walk's EvaluationDomainError or returns its non-finite result.
+    """
+    names = tuple(names)
+    kernel = None
+
+    def run(values) -> tuple[float, np.ndarray]:
+        nonlocal kernel
+        if kernel is None:
+            kernel = _kernel(_KernelKey(node, names))
+        return kernel(values)
+
+    return run
+
+
 def eval_gradient(
     node: Expr, names: Sequence[str], values: Sequence[float]
 ) -> tuple[float, np.ndarray]:
     """Value and gradient with respect to `names` in one forward pass.
 
-    Uses dual numbers with vector tangents; exact to round-off.
+    Runs gradient_evaluator's compiled kernel; exact to round-off.
     """
     return gradient_evaluator(node, names)(values)
 

@@ -174,26 +174,32 @@ class ContactChart:
             out[:n] = -x[n : 2 * n]
             out[-1] = 1.0
             return out
-        return np.array([run(x)[0] for run in self._coeff_grads])
+        return self.coframe_at(x)[0]
 
     def deta_at(self, x) -> np.ndarray:
+        return self.coframe_at(x)[1]
+
+    def coframe_at(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(eta, d eta) at x, from one run of each coefficient kernel."""
         x = self.point(x)
         n = self.n
         if self.darboux:
-            out = np.zeros((self.dim, self.dim))
+            deta = np.zeros((self.dim, self.dim))
             for i in range(n):
-                out[i, n + i] = 1.0
-                out[n + i, i] = -1.0
-            return out
+                deta[i, n + i] = 1.0
+                deta[n + i, i] = -1.0
+            return self.eta_at(x), deta
+        eta = np.empty(self.dim)
         jac = np.empty((self.dim, self.dim))
         for b, run in enumerate(self._coeff_grads):
-            jac[:, b] = run(x)[1]
-        return jac - jac.T
+            eta[b], jac[:, b] = run(x)
+        return eta, jac - jac.T
 
-    def flat_matrix_at(self, x) -> np.ndarray:
+    def flat_matrix_at(self, x, coframe=None) -> np.ndarray:
+        """B = d eta + eta eta^T; `coframe` is coframe_at(x) when already known."""
         x = self.point(x)
-        eta = self.eta_at(x)
-        B = self.deta_at(x) + np.outer(eta, eta)
+        eta, deta = self.coframe_at(x) if coframe is None else coframe
+        B = deta + np.outer(eta, eta)
         det = float(np.linalg.det(B))
         if abs(det) <= _SINGULAR_DET:
             raise ContactConditionError(x, det)
@@ -254,9 +260,9 @@ class ContactChart:
         """(eta, B, Reeb field) at x for the general solve; None on standard charts."""
         if self.darboux:
             return None
-        eta = self.eta_at(x)
-        B = self.flat_matrix_at(x)
-        return eta, B, self._reeb(x, eta, B)
+        coframe = self.coframe_at(x)
+        B = self.flat_matrix_at(x, coframe)
+        return coframe[0], B, self._reeb(x, coframe[0], B)
 
     def _field(self, x: np.ndarray, value: float, grad: np.ndarray, frame) -> np.ndarray:
         n = self.n
@@ -544,10 +550,16 @@ class ContactSystem:
         """Closure computing X_f, kept allocation-light for integrator loops."""
         f = self.resolve(f)
         chart = self.chart
-        if not chart.darboux:
-            return lambda x: chart.hamiltonian_field_at(f, x)
-        n = chart.n
         run = gradient_evaluator(f, chart.coordinates)
+        if not chart.darboux:
+
+            def general_field(x: np.ndarray) -> np.ndarray:
+                x = chart.point(x)
+                value, grad = run(x)
+                return chart._field(x, value, grad, chart._frame(x))
+
+            return general_field
+        n = chart.n
 
         def field(x: np.ndarray) -> np.ndarray:
             value, grad = run(x)
@@ -624,8 +636,8 @@ def contact_condition_check(
     best = np.inf
     worst = points[0]
     for x in points:
-        eta = chart.eta_at(x)
-        B = chart.deta_at(x) + np.outer(eta, eta)
+        eta, deta = chart.coframe_at(x)
+        B = deta + np.outer(eta, eta)
         det = abs(float(np.linalg.det(B)))
         if det < best:
             best, worst = det, x

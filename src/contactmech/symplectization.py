@@ -124,9 +124,9 @@ class SympChart:
         x = self.point(x)
         r = x[-1]
         xb = x[:-1]
-        eta = self.base.eta_at(xb)
+        eta, deta = self.base.coframe_at(xb)
         out = np.zeros((self.dim, self.dim))
-        out[:-1, :-1] = -r * self.base.deta_at(xb)
+        out[:-1, :-1] = -r * deta
         out[-1, :-1] = -eta
         out[:-1, -1] = eta
         det = float(np.linalg.det(out))
@@ -274,13 +274,19 @@ class SympSystem:
         return self.chart.hamiltonian_field_at(self.resolve(F), x)
 
     def field_evaluator(self, F: FunctionLike) -> Callable[[np.ndarray], np.ndarray]:
-        """Closure computing X_F without per-call invariant checks."""
+        """Closure computing X_F; on standard-form bases without per-call checks."""
         F = self.resolve(F)
         chart = self.chart
-        if not chart.base.darboux:
-            return lambda x: chart.hamiltonian_field_at(F, x)
-        n = chart.base.n
         run = gradient_evaluator(F, chart.coordinates)
+        if not chart.base.darboux:
+
+            def general_field(x: np.ndarray) -> np.ndarray:
+                x = chart.point(x)
+                value, grad = run(x)
+                return chart.field_from_gradient(x, value, grad)
+
+            return general_field
+        n = chart.base.n
 
         def field(x: np.ndarray) -> np.ndarray:
             _, grad = run(x)

@@ -115,6 +115,29 @@ def test_coisotropy_lambda_validation(capsys):
     capsys.readouterr()
 
 
+def test_negative_leading_component_in_equals_form(capsys, tmp_path):
+    # after a space argparse reads "-1,1,1" as an option; the "=" form is
+    # the documented way to pass it
+    code, report, _ = run_cli(
+        capsys, "coisotropy", INV5, "--lambda=-1,1,1", "--points", "6"
+    )
+    assert code == 0
+    assert report["ray"] == [-1.0, 1.0, 1.0]
+    assert report["checks_agree"] is True
+    out = tmp_path / "traj.csv"
+    code, report, _ = run_cli(
+        capsys, "integrate", PZ, "--f", "1", "--x0=-2,3,5", "--t", "1.0",
+        "--out", str(out),
+    )
+    assert code == 0
+    assert report["status"] == "completed"
+    assert np.allclose(report["endpoint"], [-2.0, 3.0 / np.e, 5.0 / np.e], atol=1e-8)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["coisotropy", INV5, "--lambda", "-1,1,1"])
+    assert exit_info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------

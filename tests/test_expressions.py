@@ -1,10 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from contactmech import expressions
 from contactmech.expressions import (
     Binary,
     Const,
@@ -273,3 +275,103 @@ def test_dual_sqrt_rejects_zero_derivative():
         Dual(0.0, 1.0).sqrt()
     with pytest.raises(EvaluationDomainError):
         eval_gradient(parse("sqrt(q)"), ("q",), (0.0,))
+
+
+# ---------------------------------------------------------------------------
+# Compiled gradient kernels
+# ---------------------------------------------------------------------------
+
+def _outcome(run, point):
+    """Value and gradient bytes, or the exception's type and message."""
+    try:
+        value, grad = run(point)
+    except Exception as exc:  # the outcome under comparison
+        return type(exc), str(exc)
+    grad = np.array(grad, dtype=float)
+    # which NaN an operation on two NaNs returns is left open by IEEE 754
+    # and differs between NumPy loops and scalar float code
+    grad[np.isnan(grad)] = math.nan
+    value = math.nan if math.isnan(value) else value
+    return struct.pack("<d", value), grad.dtype, grad.shape, grad.tobytes()
+
+
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(min_value=-4.0, max_value=4.0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1, max_size=3))
+def test_compiled_kernel_matches_dual_walk(tree, points):
+    names = ("q", "p", "z")
+    compiled = gradient_evaluator(tree, names)
+    walk = expressions._dual_gradient(tree, names)
+    for point in points:
+        assert _outcome(compiled, np.array(point)) == _outcome(walk, point)
+
+
+@pytest.mark.parametrize(
+    "source, x, message",
+    [
+        ("log(x)", 0.0, "log of a nonpositive value in 'log(x)'"),
+        ("sqrt(x)", 0.0, "sqrt derivative at zero in 'sqrt(x)'"),
+        ("x / -0.0", 1.0, "division by zero in 'x / -0.0'"),
+        ("x + 0 ^ -1", 1.0, "zero base with negative exponent in '0.0^(-1.0)'"),
+        ("x ^ 0.5", 0.0, "zero base with negative exponent in 'x^0.5'"),
+        ("x + (-1) ^ 1.5", 1.0,
+         "negative base with non-integer exponent in '(-1.0)^1.5'"),
+        ("exp(800 * x)", 1.0, "math range error in 'exp(800.0 * x)'"),
+        ("x ^ 2", 1e200, "math range error in 'x^2.0'"),
+    ],
+)
+def test_compiled_kernel_domain_errors(source, x, message):
+    tree = parse(source)
+    for run in (gradient_evaluator(tree, ("x",)), expressions._dual_gradient(tree, ("x",))):
+        with pytest.raises(EvaluationDomainError) as err:
+            run(np.array([x]))
+        assert str(err.value) == message
+
+
+def test_overflow_is_a_domain_error():
+    with pytest.raises(EvaluationDomainError, match="overflow in 'exp"):
+        evaluate(parse("exp(700) * exp(700)"), {})
+    with pytest.raises(EvaluationDomainError, match="overflow in 'q / p'"):
+        eval_gradient(parse("q / p"), ("q", "p"), (1.0, 1e-310))
+    with pytest.raises(EvaluationDomainError, match="overflow in 'q \\* q'"):
+        eval_jet2(parse("q * q + p"), ("q", "p"), (1e200, 1.0))
+    # an overflow inside the tree raises even where the value is finite again
+    with pytest.raises(EvaluationDomainError, match="overflow in 'q \\* p'"):
+        eval_gradient(parse("1 / (q * p)"), ("q", "p"), (1e200, 1e200))
+    # non-finite inputs propagate without raising
+    assert math.isnan(evaluate(parse("q * 2 + 1"), {"q": math.nan}))
+    value, grad = eval_gradient(parse("q * p"), ("q", "p"), (math.inf, 2.0))
+    assert value == math.inf and grad[1] == math.inf
+
+
+def test_kernels_compile_lazily_once_per_expression_and_names():
+    from contactmech.geometry import ContactChart, ContactSystem
+    from contactmech.symplectization import SympSystem
+
+    compiled = expressions._kernel.cache_info
+    expressions._kernel.cache_clear()
+    names = ("q", "p", "z")
+    eta = ["-exp(q/3)*p", "0", "exp(q/3)"]
+    integrals = ["exp(q/3)*p", "exp(q/3)*z"]
+    region = {"q": (-1.0, 1.0), "p": (0.5, 2.0), "z": (0.5, 2.0)}
+    system = ContactSystem(ContactChart(names, eta), integrals, region)
+    symp = SympSystem(system)
+    assert compiled().misses == 0 and compiled().currsize == 0
+    x = np.array([0.3, 1.1, 0.9])
+    system.values_and_gradients(x)
+    system.values_and_gradients(x)
+    assert compiled().misses == 2
+    system.chart.coframe_at(x)
+    assert compiled().misses == 5
+    # the lifted integrals are new expressions in the names (q, p, z, r)
+    symp.values_and_gradients(np.append(x, 1.5))
+    assert compiled().misses == 7
+    # equal trees in equal names share the memoised kernels
+    again = ContactSystem(ContactChart(names, eta), integrals, region)
+    again.values_and_gradients(x)
+    again.chart.coframe_at(x)
+    assert compiled().misses == 7 and compiled().hits == 5
