@@ -25,6 +25,8 @@ from contactmech.expressions import (
     parse,
     to_string,
 )
+from contactmech.geometry import ContactChart, ContactSystem
+from contactmech.symplectization import SympSystem
 
 ENV = {"q": 1.3, "p": 0.7, "z": 2.1}
 
@@ -349,9 +351,6 @@ def test_overflow_is_a_domain_error():
 
 
 def test_kernels_compile_lazily_once_per_expression_and_names():
-    from contactmech.geometry import ContactChart, ContactSystem
-    from contactmech.symplectization import SympSystem
-
     compiled = expressions._kernel.cache_info
     expressions._kernel.cache_clear()
     names = ("q", "p", "z")
