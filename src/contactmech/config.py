@@ -119,15 +119,14 @@ class SystemConfig:
     digest: str
     path: str = ""
     raw: dict = field(default_factory=dict, repr=False)
+    # built once by load_config; system() is its base
+    _symp: SympSystem = field(init=False, repr=False, compare=False)
 
     def system(self) -> ContactSystem:
-        chart = ContactChart(self.coordinates, self.eta)
-        return ContactSystem(
-            chart, self.integrals, region=self.region, positive=self.positive
-        )
+        return self._symp.base
 
     def symp_system(self) -> SympSystem:
-        return symplectize(self.system(), r_range=self.r_range)
+        return self._symp
 
     def section(self, name: str) -> SectionSpec:
         try:
@@ -149,20 +148,17 @@ def _build(data: dict, digest: str, path: str) -> SystemConfig:
     if len(integrals) != n + 1:
         raise ConfigError(f"n = {n} needs {n + 1} integrals, got {len(integrals)}")
     eta = tuple(data["eta"]) if "eta" in data else None
-    if eta is not None and len(eta) != len(coords):
-        raise ConfigError(
-            f"eta needs {len(coords)} coefficients, got {len(eta)}"
-        )
     region = {k: (float(v[0]), float(v[1])) for k, v in data["region"].items()}
-    if set(region) != set(coords):
-        raise ConfigError("region keys must match the coordinates exactly")
     positive = tuple(data.get("positive", ()))
-    for name in positive:
-        if name not in coords:
-            raise ConfigError(f"positive constraint on unknown coordinate {name!r}")
     r_lo, r_hi = data.get("r_range", (0.5, 2.0))
-    if not 0.0 < r_lo <= r_hi:
-        raise ConfigError(f"r_range must satisfy 0 < lo <= hi, got {(r_lo, r_hi)}")
+    # the constructors parse the expressions and check the cross-field rules
+    try:
+        system = ContactSystem(
+            ContactChart(coords, eta), integrals, region=region, positive=positive
+        )
+        symp = symplectize(system, r_range=(r_lo, r_hi))
+    except (ExpressionError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
     sections: dict[str, SectionSpec] = {}
     for sec_name, sec in data.get("sections", {}).items():
@@ -214,11 +210,7 @@ def _build(data: dict, digest: str, path: str) -> SystemConfig:
         path=path,
         raw=data,
     )
-    # chart and integral expressions must parse against the coordinates
-    try:
-        cfg.system()
-    except (ExpressionError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg._symp = symp
     return cfg
 
 

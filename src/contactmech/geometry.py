@@ -86,7 +86,41 @@ def _scale_tol(tol: float, *values: float) -> float:
     return tol * scale
 
 
-class ContactChart:
+class _Chart:
+    """Points, functions and Hamiltonian fields of contact and symplectized charts.
+
+    A subclass sets `coordinates`, `dim` and `_closed_field` (its
+    standard-form field, or None) and defines `field_from_gradient`.
+    """
+
+    coordinates: tuple[str, ...]
+    dim: int
+
+    def point(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
+        return x
+
+    def function(self, f: Expr | str) -> Expr:
+        f = _as_expr(f, self.coordinates)
+        extra = free_variables(f) - set(self.coordinates)
+        if extra:
+            raise ValueError(f"function uses unknown names {sorted(extra)}")
+        return f
+
+    def value_and_gradient(self, f: Expr, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return gradient_evaluator(f, self.coordinates)(x)
+
+    def hamiltonian_field_at(self, f: Expr | str, x) -> np.ndarray:
+        """Hamiltonian field of f at x; see field_from_gradient."""
+        f = self.function(f)
+        x = self.point(x)
+        value, grad = self.value_and_gradient(f, x)
+        return self.field_from_gradient(x, value, grad)
+
+
+class ContactChart(_Chart):
     """Coordinate chart with a contact coframe.
 
     Args:
@@ -137,32 +171,11 @@ class ContactChart:
                 raise ValueError("assume_darboux=True but eta is not the standard form")
             self.darboux = assume_darboux
 
-        self._grad_cache: dict[Expr, Callable] = {}
+        self._closed_field = _standard_field if self.darboux else None
         self._coeff_grads = tuple(gradient_evaluator(c, names) for c in coeffs)
-
-    # -- helpers -------------------------------------------------------------
-
-    def point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
-        return x
 
     def env(self, x) -> dict[str, float]:
         return dict(zip(self.coordinates, map(float, x)))
-
-    def function(self, f: Expr | str) -> Expr:
-        f = _as_expr(f, self.coordinates)
-        extra = free_variables(f) - set(self.coordinates)
-        if extra:
-            raise ValueError(f"function uses unknown names {sorted(extra)}")
-        return f
-
-    def value_and_gradient(self, f: Expr, x: np.ndarray) -> tuple[float, np.ndarray]:
-        run = self._grad_cache.get(f)
-        if run is None:
-            run = self._grad_cache[f] = gradient_evaluator(f, self.coordinates)
-        return run(x)
 
     # -- coframe -------------------------------------------------------------
 
@@ -243,17 +256,14 @@ class ContactChart:
 
     # -- Hamiltonian fields ----------------------------------------------------
 
-    def hamiltonian_field_at(self, f: Expr | str, x) -> np.ndarray:
-        """Contact Hamiltonian field X_f, with eta(X_f) = -f.
+    def field_from_gradient(self, x, value: float, grad: np.ndarray) -> np.ndarray:
+        """Contact Hamiltonian field X_f, with eta(X_f) = -f, from f's value and grad.
 
         Standard-form charts use the closed-form expression
         X_f = (df/dp_i) d_q^i - (df/dq^i + p_i df/dz) d_p^i
               + (p_i df/dp_i - f) d_z;
         otherwise flat(X_f) = df - (R(f) + f) eta is solved directly.
         """
-        f = self.function(f)
-        x = self.point(x)
-        value, grad = self.value_and_gradient(f, x)
         return self._field(x, value, grad, self._frame(x))
 
     def _frame(self, x: np.ndarray):
@@ -468,7 +478,72 @@ class Jets:
 # Systems: chart + integrals + sampling region
 # ---------------------------------------------------------------------------
 
-class ContactSystem:
+class _System:
+    """Integrals, sampling box and field closures of contact and symplectized systems.
+
+    A subclass sets `chart`, `integrals`, `region` (or None) and
+    `_gradients`, one gradient closure per integral.
+    """
+
+    @property
+    def coordinates(self) -> tuple[str, ...]:
+        return self.chart.coordinates
+
+    @property
+    def dim(self) -> int:
+        return self.chart.dim
+
+    def resolve(self, f: FunctionLike) -> Expr:
+        """Accept an integral index, a source string, or an expression."""
+        if isinstance(f, int):
+            return self.integrals[f]
+        return self.chart.function(f)
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        if self.region is None:
+            raise ValueError("system has no sampling region")
+        lo, hi = self.region[:, 0], self.region[:, 1]
+        return rng.uniform(lo, hi, size=(count, self.dim))
+
+    def values_and_gradients(self, x) -> list[tuple[float, np.ndarray]]:
+        """(value, gradient) of every integral, one evaluation each."""
+        x = self.chart.point(x)
+        return [run(x) for run in self._gradients]
+
+    def integral_values(self, x) -> np.ndarray:
+        return np.array([value for value, _ in self.values_and_gradients(x)])
+
+    def hamiltonian_field_at(self, f: FunctionLike, x) -> np.ndarray:
+        return self.chart.hamiltonian_field_at(self.resolve(f), x)
+
+    def field_evaluator(self, f: FunctionLike) -> Callable[[np.ndarray], np.ndarray]:
+        """Closure computing X_f, kept allocation-light for integrator loops.
+
+        Standard-form charts call the closed form without per-call checks;
+        otherwise the closure runs field_from_gradient with every check.
+        """
+        f = self.resolve(f)
+        chart = self.chart
+        run = gradient_evaluator(f, chart.coordinates)
+        closed_field = chart._closed_field
+        if closed_field is None:
+
+            def general_field(x: np.ndarray) -> np.ndarray:
+                x = chart.point(x)
+                value, grad = run(x)
+                return chart.field_from_gradient(x, value, grad)
+
+            return general_field
+        n = (chart.dim - 1) // 2
+
+        def field(x: np.ndarray) -> np.ndarray:
+            value, grad = run(x)
+            return closed_field(n, x, value, grad)
+
+        return field
+
+
+class ContactSystem(_System):
     """A chart with n+1 candidate integrals and a sampling box.
 
     Args:
@@ -503,34 +578,6 @@ class ContactSystem:
             gradient_evaluator(f, chart.coordinates) for f in self.integrals
         )
 
-    @property
-    def coordinates(self) -> tuple[str, ...]:
-        return self.chart.coordinates
-
-    @property
-    def dim(self) -> int:
-        return self.chart.dim
-
-    def resolve(self, f: FunctionLike) -> Expr:
-        """Accept an integral index, a source string, or an expression."""
-        if isinstance(f, int):
-            return self.integrals[f]
-        return self.chart.function(f)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.region is None:
-            raise ValueError("system has no sampling region")
-        lo, hi = self.region[:, 0], self.region[:, 1]
-        return rng.uniform(lo, hi, size=(count, self.dim))
-
-    def values_and_gradients(self, x) -> list[tuple[float, np.ndarray]]:
-        """(value, gradient) of every integral, one evaluation each."""
-        x = self.chart.point(x)
-        return [run(x) for run in self._gradients]
-
-    def integral_values(self, x) -> np.ndarray:
-        return np.array([value for value, _ in self.values_and_gradients(x)])
-
     def integral_jacobian(self, x) -> np.ndarray:
         """Rows are the gradients of the integrals (the matrix TF)."""
         return np.array([grad for _, grad in self.values_and_gradients(x)])
@@ -542,30 +589,6 @@ class ContactSystem:
     def bracket_matrix_at(self, x) -> np.ndarray:
         """Brackets {f_a, f_b} of the integrals, each integral evaluated once."""
         return self.chart.bracket_matrix(self.jets_at(x))
-
-    def hamiltonian_field_at(self, f: FunctionLike, x) -> np.ndarray:
-        return self.chart.hamiltonian_field_at(self.resolve(f), x)
-
-    def field_evaluator(self, f: FunctionLike) -> Callable[[np.ndarray], np.ndarray]:
-        """Closure computing X_f, kept allocation-light for integrator loops."""
-        f = self.resolve(f)
-        chart = self.chart
-        run = gradient_evaluator(f, chart.coordinates)
-        if not chart.darboux:
-
-            def general_field(x: np.ndarray) -> np.ndarray:
-                x = chart.point(x)
-                value, grad = run(x)
-                return chart._field(x, value, grad, chart._frame(x))
-
-            return general_field
-        n = chart.n
-
-        def field(x: np.ndarray) -> np.ndarray:
-            value, grad = run(x)
-            return _standard_field(n, x, value, grad)
-
-        return field
 
     def conformal_rescale(self, factor: Expr | str, n_samples: int = 64, seed: int = 0):
         """Chart with coframe scaled by `factor`, vetted on sampled points."""
@@ -590,6 +613,10 @@ def _region_bounds(chart: ContactChart, region) -> np.ndarray | None:
         bounds = np.asarray(region, dtype=float)
     if bounds.shape != (chart.dim, 2):
         raise ValueError(f"region must have shape ({chart.dim}, 2)")
+    finite = np.isfinite(bounds).all(axis=1)
+    if not finite.all():
+        bad = [name for name, ok in zip(chart.coordinates, finite) if not ok]
+        raise ValueError(f"region bounds of {bad} are not finite")
     if np.any(bounds[:, 0] > bounds[:, 1]):
         raise ValueError("region lower bounds exceed upper bounds")
     return bounds

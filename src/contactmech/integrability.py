@@ -155,6 +155,12 @@ class SectionSpec:
             bounds = np.asarray(domain, dtype=float)
         if bounds.shape != (len(self.params), 2):
             raise ValueError("section domain must give (low, high) per parameter")
+        finite = np.isfinite(bounds).all(axis=1)
+        if not finite.all():
+            bad = [p for p, ok in zip(self.params, finite) if not ok]
+            raise ValueError(f"section domain bounds of {bad} are not finite")
+        if np.any(bounds[:, 0] > bounds[:, 1]):
+            raise ValueError("section domain lower bounds exceed upper bounds")
         self.domain = bounds
         if denominator_index is not None and not 0 <= denominator_index < len(self.params):
             raise ValueError(f"denominator index {denominator_index} out of range")

@@ -11,20 +11,12 @@ bracket downstairs.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .expressions import (
-    Binary,
-    Expr,
-    Unary,
-    Var,
-    free_variables,
-    gradient_evaluator,
-    parse,
-)
-from .geometry import ContactChart, ContactSystem, _scale_tol
+from .expressions import Binary, Expr, Unary, Var, gradient_evaluator, parse
+from .geometry import ContactChart, ContactSystem, _Chart, _scale_tol, _System
 
 __all__ = [
     "SymplectizationError",
@@ -33,8 +25,6 @@ __all__ = [
     "SympSystem",
     "symplectize",
 ]
-
-FunctionLike = Union[Expr, str, int]
 
 _RESIDUAL_TOL = 1e-10
 
@@ -54,7 +44,7 @@ class SingularStructureError(SymplectizationError):
         self.det = det
 
 
-class SympChart:
+class SympChart(_Chart):
     """Chart on the symplectization of a contact chart.
 
     Coordinates are the base coordinates followed by the fiber r > 0.
@@ -73,29 +63,13 @@ class SympChart:
         self.theta_coefficients = tuple(
             Binary("*", Var(fiber), c) for c in base.eta_coefficients
         ) + (parse("0"),)
-        self._grad_cache: dict[Expr, Callable] = {}
+        self._closed_field = _standard_field if base.darboux else None
 
     def point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
+        x = super().point(x)
         if x[-1] <= 0.0:
             raise ValueError(f"fiber coordinate must be positive, got {x[-1]}")
         return x
-
-    def function(self, F: Expr | str) -> Expr:
-        if isinstance(F, str):
-            F = parse(F, self.coordinates)
-        extra = free_variables(F) - set(self.coordinates)
-        if extra:
-            raise ValueError(f"function uses unknown names {sorted(extra)}")
-        return F
-
-    def value_and_gradient(self, F: Expr, x: np.ndarray) -> tuple[float, np.ndarray]:
-        run = self._grad_cache.get(F)
-        if run is None:
-            run = self._grad_cache[F] = gradient_evaluator(F, self.coordinates)
-        return run(x)
 
     def lift_function(self, f: Expr | str) -> Expr:
         """Degree-1 lift f^S = -(r * f) of a base function."""
@@ -157,22 +131,15 @@ class SympChart:
 
     # -- Hamiltonian structure --------------------------------------------------
 
-    def hamiltonian_field_at(self, F: Expr | str, x) -> np.ndarray:
-        """Symplectic Hamiltonian field, X^a omega_ab = (dF)_b.
+    def field_from_gradient(self, x, value: float, grad: np.ndarray) -> np.ndarray:
+        """Symplectic Hamiltonian field, X^a omega_ab = (dF)_b, from F's value and grad.
 
         For degree-1 homogeneous F the identity theta(X_F) = F is checked.
         Standard-form bases use a closed-form solve.
         """
-        F = self.function(F)
-        x = self.point(x)
-        value, grad = self.value_and_gradient(F, x)
-        return self.field_from_gradient(x, value, grad)
-
-    def field_from_gradient(self, x, value: float, grad: np.ndarray) -> np.ndarray:
-        """hamiltonian_field_at for a function already evaluated at x."""
         x = self.point(x)
         if self.base.darboux:
-            X = _standard_field(self.base.n, x, grad)
+            X = _standard_field(self.base.n, x, value, grad)
         else:
             omega = self.omega_at(x)
             X = np.linalg.solve(omega.T, grad)
@@ -202,8 +169,10 @@ class SympChart:
         return f"SympChart({self.base!r}, fiber={self.fiber!r})"
 
 
-def _standard_field(n: int, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    # closed form for theta = r(dz - p dq): the solve of X^a omega_ab = dF_b
+def _standard_field(n: int, x: np.ndarray, value: float, grad: np.ndarray) -> np.ndarray:
+    # closed form for theta = r(dz - p dq): the solve of X^a omega_ab = dF_b;
+    # value is unused: the signature is geometry._standard_field's, so
+    # field_evaluator calls either closed form alike
     r = x[-1]
     p = x[n : 2 * n]
     Fq = grad[:n]
@@ -218,7 +187,7 @@ def _standard_field(n: int, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return X
 
 
-class SympSystem:
+class SympSystem(_System):
     """Symplectization of a ContactSystem with the lifted integrals."""
 
     def __init__(
@@ -231,8 +200,8 @@ class SympSystem:
         self.chart = SympChart(base.chart, fiber)
         self.integrals = tuple(self.chart.lift_function(f) for f in base.integrals)
         lo, hi = float(r_range[0]), float(r_range[1])
-        if not 0.0 < lo <= hi:
-            raise ValueError(f"fiber range must satisfy 0 < lo <= hi, got {r_range}")
+        if not 0.0 < lo <= hi < np.inf:
+            raise ValueError(f"r_range must be finite with 0 < lo <= hi, got {r_range}")
         if base.region is not None:
             self.region = np.vstack([base.region, [lo, hi]])
         else:
@@ -242,57 +211,6 @@ class SympSystem:
         self._gradients = tuple(
             gradient_evaluator(F, self.chart.coordinates) for F in self.integrals
         )
-
-    @property
-    def coordinates(self) -> tuple[str, ...]:
-        return self.chart.coordinates
-
-    @property
-    def dim(self) -> int:
-        return self.chart.dim
-
-    def resolve(self, F: FunctionLike) -> Expr:
-        if isinstance(F, int):
-            return self.integrals[F]
-        return self.chart.function(F)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.region is None:
-            raise ValueError("system has no sampling region")
-        lo, hi = self.region[:, 0], self.region[:, 1]
-        return rng.uniform(lo, hi, size=(count, self.dim))
-
-    def values_and_gradients(self, x) -> list[tuple[float, np.ndarray]]:
-        """(value, gradient) of every lifted integral, one evaluation each."""
-        x = self.chart.point(x)
-        return [run(x) for run in self._gradients]
-
-    def integral_values(self, x) -> np.ndarray:
-        return np.array([value for value, _ in self.values_and_gradients(x)])
-
-    def hamiltonian_field_at(self, F: FunctionLike, x) -> np.ndarray:
-        return self.chart.hamiltonian_field_at(self.resolve(F), x)
-
-    def field_evaluator(self, F: FunctionLike) -> Callable[[np.ndarray], np.ndarray]:
-        """Closure computing X_F; on standard-form bases without per-call checks."""
-        F = self.resolve(F)
-        chart = self.chart
-        run = gradient_evaluator(F, chart.coordinates)
-        if not chart.base.darboux:
-
-            def general_field(x: np.ndarray) -> np.ndarray:
-                x = chart.point(x)
-                value, grad = run(x)
-                return chart.field_from_gradient(x, value, grad)
-
-            return general_field
-        n = chart.base.n
-
-        def field(x: np.ndarray) -> np.ndarray:
-            _, grad = run(x)
-            return _standard_field(n, x, grad)
-
-        return field
 
 
 def symplectize(system: ContactSystem, r_range: Sequence[float] = (0.5, 2.0),

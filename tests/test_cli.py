@@ -223,6 +223,39 @@ def test_integrate_start_outside_domain_is_input_error(capsys, tmp_path):
     assert not out.exists()
 
 
+_NONFINITE_CONFIGS = {
+    "region-nan": lambda d: d["region"].update(q=[float("nan"), 2.0]),
+    "region-inf": lambda d: d["region"].update(p=[0.5, float("inf")]),
+    "region-neg-inf": lambda d: d["region"].update(z=[float("-inf"), 2.0]),
+    "r-range-inf": lambda d: d.update(r_range=[0.5, float("inf")]),
+    "domain-nan": lambda d: d["sections"]["graph-z"]["domain"].update(L1=[float("nan"), 2.0]),
+    "domain-inf": lambda d: d["sections"]["graph-z"]["domain"].update(L2=[0.5, float("inf")]),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [(case, command) for case in ("region-nan", "region-inf", "region-neg-inf")
+     for command in ("check", "coisotropy", "symplectize-verify")]
+    + [("r-range-inf", "symplectize-verify"), ("domain-nan", "action-angle"),
+       ("domain-inf", "action-angle")],
+)
+def test_nonfinite_config_bounds_are_input_errors(capsys, tmp_path, points_file,
+                                                  case, command):
+    data = json.loads(bundled_config_path("darboux-pz").read_text())
+    _NONFINITE_CONFIGS[case](data)
+    path = tmp_path / "bounds.json"
+    # json.dumps writes NaN and Infinity, which json.loads accepts
+    path.write_text(json.dumps(data))
+    extra = {
+        "check": [],
+        "coisotropy": ["--lambda", "1,1"],
+        "symplectize-verify": [],
+        "action-angle": ["--section", "graph-z", "--points", points_file],
+    }[command]
+    _assert_input_error(capsys, [command, str(path), *extra], "finite")
+
+
 def test_count_flags_reject_values_below_one(capsys, points_file):
     for argv in (
         ["check", PZ, "--samples", "0"],

@@ -242,6 +242,12 @@ def test_section_domain_keys(tmp_path):
         load_config(_write(tmp_path, data))
 
 
+def test_section_domain_order(tmp_path):
+    data = _with_section(domain={"L1": [2, 0.5], "L2": [0.5, 2]})
+    with pytest.raises(ConfigError, match="section 's': section domain lower bounds"):
+        load_config(_write(tmp_path, data))
+
+
 def test_section_denominator_range(tmp_path):
     data = _with_section(denominator_index=2)
     with pytest.raises(ConfigError, match="denominator"):

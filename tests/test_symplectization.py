@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactmech.expressions import parse, to_string
+from contactmech.expressions import Binary, Const, Var, eval_gradient, parse, to_string
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.symplectization import (
     SingularStructureError,
@@ -182,6 +182,24 @@ def test_singular_structure_detected():
 # ---------------------------------------------------------------------------
 # Lifted systems
 # ---------------------------------------------------------------------------
+
+def test_charts_keep_the_sign_of_a_zero_constant():
+    # Const(0.0) == Const(-0.0) with equal hashes, so a memo keyed by the
+    # tree alone would give q * -0.0 the value and gradient of q * 0.0
+    base = ContactChart.standard(1)
+    for chart in (base, SympChart(base)):
+        x = np.concatenate([[-1.0], np.ones(chart.dim - 1)])
+        for zero in (0.0, -0.0):
+            f = Binary("*", Var("q"), Const(zero))
+            value, grad = chart.value_and_gradient(f, x)
+            field = chart.hamiltonian_field_at(f, x)
+        fresh = Binary("*", Var("q"), Const(-0.0))
+        want_value, want_grad = eval_gradient(fresh, chart.coordinates, x)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        want_field = chart.field_from_gradient(x, want_value, want_grad)
+        assert field.tobytes() == want_field.tobytes()
+
 
 def test_symplectize_lifts_integrals(pz_system):
     symp = symplectize(pz_system, r_range=(0.5, 2.0))

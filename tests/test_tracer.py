@@ -9,10 +9,12 @@ test rather than only a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from contactmech import expressions, geometry, symplectization
-from contactmech.geometry import ContactChart
+from contactmech.geometry import ContactChart, ContactSystem
+from contactmech.symplectization import SympChart, SympSystem
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,3 +42,24 @@ def test_tracer_installs_and_uninstalls(tracer_module):
     assert geometry.gradient_evaluator is original
     assert symplectization.gradient_evaluator is original
     assert ContactChart.hamiltonian_field_at is field
+
+
+def test_tracer_counts_inherited_entry_points(tracer_module, pz_system, pz_symp):
+    # the chart and system classes inherit these methods from shared bases;
+    # the tracer wraps each class on its own and must restore each one
+    classes = (ContactChart, SympChart, ContactSystem, SympSystem)
+    before = [dict(vars(cls)) for cls in classes]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        pz_system.chart.hamiltonian_field_at("p * z", [0.5, 1.0, 1.5])
+        pz_symp.chart.hamiltonian_field_at(pz_symp.integrals[0], [0.5, 1.0, 1.5, 2.0])
+        pz_system.field_evaluator(0)(np.array([0.5, 1.0, 1.5]))
+        pz_symp.field_evaluator(1)(np.array([0.5, 1.0, 1.5, 2.0]))
+        calls = dict(tracer.calls)
+    finally:
+        tracer.uninstall()
+    assert calls["geometry.field"] == 1
+    assert calls["symplectization.field"] == 1
+    assert calls["flows.field_eval"] == 2
+    assert [dict(vars(cls)) for cls in classes] == before
