@@ -152,11 +152,13 @@ def _build(data: dict, digest: str, path: str) -> SystemConfig:
     positive = tuple(data.get("positive", ()))
     r_lo, r_hi = data.get("r_range", (0.5, 2.0))
     # the constructors parse the expressions and check the cross-field rules
+    # (and the non-finite numbers that JSON Schema lets through)
     try:
         system = ContactSystem(
             ContactChart(coords, eta), integrals, region=region, positive=positive
         )
         symp = symplectize(system, r_range=(r_lo, r_hi))
+        integrator = IntegratorConfig(**data.get("integrator", {}))
     except (ExpressionError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -191,8 +193,6 @@ def _build(data: dict, digest: str, path: str) -> SystemConfig:
             )
         except (ExpressionError, ValueError) as exc:
             raise ConfigError(f"section {sec_name!r}: {exc}") from exc
-
-    integrator = IntegratorConfig(**data.get("integrator", {}))
 
     cfg = SystemConfig(
         name=data["name"],

@@ -51,6 +51,7 @@ __all__ = [
     "evaluate",
     "eval_gradient",
     "gradient_evaluator",
+    "gradient_kernel",
     "eval_jet2",
 ]
 
@@ -722,7 +723,12 @@ _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.
 
 
 def _compile(node: Expr, names: tuple[str, ...]):
-    walk = _dual_gradient(node, names)
+    dual_walk = _dual_gradient(node, names)
+
+    def walk(values) -> tuple[float, tuple[float, ...]]:
+        value, grad = dual_walk(values)
+        return value, tuple(grad.tolist())
+
     source = _KernelSource(names)
     try:
         value, tangent = source.emit(node)
@@ -730,10 +736,10 @@ def _compile(node: Expr, names: tuple[str, ...]):
         return walk
     n = len(names)
     if tangent is None:
-        result = f"{source.text(float(value))}, _zeros({n})"
+        result = f"{source.text(float(value))}, ({'0.0, ' * n})"
     else:
         entries = "".join(f"{source.text(e)}, " for e in tangent)
-        result = f"{value}, _array(({entries}))"
+        result = f"{value}, ({entries})"
     body = [f"x{k} = float(values[{k}])" for k in range(n)] + source.lines
     code = "\n".join(
         ["def kernel(values):", "    try:"]
@@ -743,7 +749,7 @@ def _compile(node: Expr, names: tuple[str, ...]):
            "        return _walk(values)"]
     )
     namespace = {
-        "_walk": walk, "_array": np.array, "_zeros": np.zeros, "_pow": math.pow,
+        "_walk": walk, "_pow": math.pow,
         "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt, "_sin": math.sin,
         "_cos": math.cos, "_tanh": math.tanh, **source.consts,
     }
@@ -792,17 +798,29 @@ def _kernel(key: _KernelKey):
     return _compile(key.node, key.names)
 
 
+def gradient_kernel(
+    node: Expr, names: Sequence[str]
+) -> "Callable[[Sequence[float]], tuple[float, tuple[float, ...]]]":
+    """Compiled kernel computing (value, gradient as a float tuple) at given values.
+
+    The tree is compiled now into straight-line float code, memoised per
+    (tree, names), that performs the Dual walk's float operations in the
+    walk's order, so its results are bitwise equal to the walk's.  Where
+    the kernel raises ArithmeticError or ValueError, or a binary node's
+    value is not finite, it reruns the walk, which raises the walk's
+    EvaluationDomainError or returns its non-finite result.  Loops over
+    floats (the flow integrators) call the kernel directly.
+    """
+    return _kernel(_KernelKey(node, tuple(names)))
+
+
 def gradient_evaluator(
     node: Expr, names: Sequence[str]
 ) -> "Callable[[Sequence[float]], tuple[float, np.ndarray]]":
-    """Reusable closure computing (value, gradient) at given values.
+    """Reusable closure computing (value, gradient array) at given values.
 
-    The first call compiles the tree into a straight-line float kernel,
-    memoised per (tree, names), that performs the Dual walk's float
-    operations in the walk's order, so its results are bitwise equal to
-    the walk's.  Where the kernel raises ArithmeticError or ValueError, or
-    a binary node's value is not finite, it reruns the walk, which raises
-    the walk's EvaluationDomainError or returns its non-finite result.
+    The first call fetches gradient_kernel's compiled kernel, and every
+    call wraps the kernel's gradient tuple in an array.
     """
     names = tuple(names)
     kernel = None
@@ -810,8 +828,9 @@ def gradient_evaluator(
     def run(values) -> tuple[float, np.ndarray]:
         nonlocal kernel
         if kernel is None:
-            kernel = _kernel(_KernelKey(node, names))
-        return kernel(values)
+            kernel = gradient_kernel(node, names)
+        value, grad = kernel(values)
+        return value, np.array(grad)
 
     return run
 

@@ -3,17 +3,23 @@
 Two integrators: classic fixed-step RK4 and the adaptive Fehlberg 4(5)
 pair.  The adaptive stepper controls the 4th/5th-order difference
 against abs_tol + rel_tol * |x| componentwise and propagates the
-fifth-order solution.  Trajectories record every accepted step; leaving
-the chart domain (a positivity guard crossing zero, or an expression
-domain error in the field) truncates the trajectory with an explicit
-status instead of raising.
+fifth-order solution.  Both step a list of Python floats through the
+system's `field_evaluator` closure, which takes and returns float
+lists; at the state sizes here this is several times faster than NumPy
+arrays, whose per-call overhead dominates.  Trajectories record every
+accepted step, as arrays built once at the end; leaving the chart
+domain (a positivity guard crossing zero, or an expression domain error
+in the field) truncates the trajectory with an explicit status instead
+of raising.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import math
+import sys
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -62,6 +68,10 @@ class IntegratorConfig:
     max_step: upper bound on the adaptive step (also the output density).
     min_step: collapse threshold; going below it is a step failure.
     max_steps: hard cap on accepted steps.
+
+    step, rel_tol, abs_tol and min_step must be finite and positive,
+    max_step positive (infinity allowed) and max_steps at least 1;
+    anything else raises ValueError.
     """
 
     method: str = "rkf45"
@@ -75,6 +85,14 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rkf45", "rk4"):
             raise ValueError(f"unknown integrator method {self.method!r}")
+        for name in ("step", "rel_tol", "abs_tol", "min_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"integrator {name} must be finite and positive, got {value}")
+        if not self.max_step > 0.0:
+            raise ValueError(f"integrator max_step must be positive, got {self.max_step}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"integrator max_steps must be at least 1, got {self.max_steps}")
 
 
 @dataclass
@@ -122,8 +140,8 @@ _B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 _B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 
 
-def _guard_violation(x: np.ndarray, guards: Sequence[int], names: Sequence[str]) -> str | None:
-    if not np.isfinite(x).all():
+def _guard_violation(x: Sequence[float], guards: Sequence[int], names: Sequence[str]) -> str | None:
+    if not all(map(math.isfinite, x)):
         return "non-finite state"
     for i in guards:
         if x[i] <= 0.0:
@@ -143,71 +161,96 @@ def integrate(system, f, x0, t_final: float, config: IntegratorConfig | None = N
     field_fn = system.field_evaluator(f)
     guards = tuple(getattr(system, "positive_indices", ()))
     names = system.coordinates
-    x0 = np.asarray(x0, dtype=float).copy()
+    x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim,):
         raise ValueError(f"expected start point of shape ({system.dim},), got {x0.shape}")
-    bad = _guard_violation(x0, guards, names)
+    x = x0.tolist()
+    bad = _guard_violation(x, guards, names)
     if bad is not None:
         raise StartPointError(f"start point outside domain: {bad}")
 
     if t_final == 0.0:
-        return Trajectory(np.zeros(1), x0[None, :].copy(), COMPLETED)
-    if cfg.method == "rk4":
-        return _run_rk4(field_fn, x0, float(t_final), cfg, guards, names)
-    return _run_rkf45(field_fn, x0, float(t_final), cfg, guards, names)
+        return Trajectory(np.zeros(1), np.array([x]), COMPLETED)
+    run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
+    return run(field_fn, x, float(t_final), cfg, guards, names)
 
 
-def _truncate(times: list, points: list, status: str, detail: str) -> Trajectory:
+def _trajectory(times: list, points: list, status: str, detail: str = "") -> Trajectory:
     return Trajectory(np.array(times), np.array(points), status, detail)
 
 
-def _run_rk4(field_fn, x0, T, cfg, guards, names) -> Trajectory:
-    n_steps = max(1, int(np.ceil(abs(T) / cfg.step)))
+# The steppers carry the state as a list of floats.  Each stage forms
+# x_i + (h a_0) k0_i + (h a_1) k1_i + ... left to right, the float
+# operations of the in-place array updates they replace.
+
+
+def _run_rk4(field_fn, x, T, cfg, guards, names) -> Trajectory:
+    n_steps = max(1, math.ceil(abs(T) / cfg.step))
     h = T / n_steps
-    times, points = [0.0], [x0.copy()]
-    x, t = x0, 0.0
+    half, sixth = 0.5 * h, h / 6.0
+    times, points = [0.0], [x]
+    t = 0.0
     for _ in range(n_steps):
         try:
             k1 = field_fn(x)
-            k2 = field_fn(x + 0.5 * h * k1)
-            k3 = field_fn(x + 0.5 * h * k2)
-            k4 = field_fn(x + h * k3)
+            k2 = field_fn([u + half * v for u, v in zip(x, k1)])
+            k3 = field_fn([u + half * v for u, v in zip(x, k2)])
+            k4 = field_fn([u + h * v for u, v in zip(x, k3)])
         except EvaluationDomainError as exc:
-            return _truncate(times, points, EXITED_DOMAIN, str(exc))
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return _trajectory(times, points, EXITED_DOMAIN, str(exc))
+        x = [u + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+             for u, v1, v2, v3, v4 in zip(x, k1, k2, k3, k4)]
         t += h
         bad = _guard_violation(x, guards, names)
         if bad is not None:
-            return _truncate(times, points, EXITED_DOMAIN, bad)
+            return _trajectory(times, points, EXITED_DOMAIN, bad)
         times.append(t)
-        points.append(x.copy())
-    return Trajectory(np.array(times), np.array(points), COMPLETED)
+        points.append(x)
+    return _trajectory(times, points, COMPLETED)
 
 
 def _rkf_step(field_fn, x, h):
-    k = [field_fn(x)]
-    for stage in range(1, 6):
-        xs = x.copy()
-        for j, a in enumerate(_A[stage]):
-            xs += (h * a) * k[j]
-        k.append(field_fn(xs))
-    x4 = x.copy()
-    x5 = x.copy()
-    for j in range(6):
-        x4 += (h * _B4[j]) * k[j]
-        x5 += (h * _B5[j]) * k[j]
+    """(fourth-order, fifth-order) Fehlberg solutions after a step h from x."""
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = (
+        [h * a for a in row] for row in _A[1:]
+    )
+    k0 = field_fn(x)
+    k1 = field_fn([u + a10 * v0 for u, v0 in zip(x, k0)])
+    k2 = field_fn([u + a20 * v0 + a21 * v1 for u, v0, v1 in zip(x, k0, k1)])
+    k3 = field_fn([u + a30 * v0 + a31 * v1 + a32 * v2
+                   for u, v0, v1, v2 in zip(x, k0, k1, k2)])
+    k4 = field_fn([u + a40 * v0 + a41 * v1 + a42 * v2 + a43 * v3
+                   for u, v0, v1, v2, v3 in zip(x, k0, k1, k2, k3)])
+    k5 = field_fn([u + a50 * v0 + a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4
+                   for u, v0, v1, v2, v3, v4 in zip(x, k0, k1, k2, k3, k4)])
+    # the zero weights stay in: they decide signs of zero and spread NaNs
+    b0, b1, b2, b3, b4, b5 = (h * b for b in _B4)
+    c0, c1, c2, c3, c4, c5 = (h * c for c in _B5)
+    ks = list(zip(x, k0, k1, k2, k3, k4, k5))
+    x4 = [u + b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5
+          for u, v0, v1, v2, v3, v4, v5 in ks]
+    x5 = [u + c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3 + c4 * v4 + c5 * v5
+          for u, v0, v1, v2, v3, v4, v5 in ks]
     return x4, x5
 
 
-def _run_rkf45(field_fn, x0, T, cfg, guards, names) -> Trajectory:
+def _error_norm(x, x4, x5, abs_tol: float, rel_tol: float) -> float:
+    """max_i |x5_i - x4_i| / (abs_tol + rel_tol max(|x_i|, |x5_i|)); NaN if a term is."""
+    terms = [abs(w - v) / (abs_tol + rel_tol * max(abs(u), abs(w)))
+             for u, v, w in zip(x, x4, x5)]
+    # max() keeps a NaN only in first place, and a NaN norm must reject the step
+    return math.nan if any(map(math.isnan, terms)) else max(terms)
+
+
+def _run_rkf45(field_fn, x, T, cfg, guards, names) -> Trajectory:
     sign = 1.0 if T > 0 else -1.0
     span = abs(T)
     # endpoint clamping must not trip the min-step failure, so the
     # proposal h and the executed (possibly clamped) step are separate
-    eps_end = 4.0 * np.finfo(float).eps * span
+    eps_end = 4.0 * sys.float_info.epsilon * span
     h = min(span, cfg.max_step, max(1e-4, 0.01 * span))
-    times, points = [0.0], [x0.copy()]
-    x, t = x0, 0.0
+    times, points = [0.0], [x]
+    t = 0.0
     accepted = 0
     while span - t > eps_end:
         h_step = min(h, span - t)
@@ -216,35 +259,34 @@ def _run_rkf45(field_fn, x0, T, cfg, guards, names) -> Trajectory:
         except EvaluationDomainError as exc:
             h = 0.5 * h_step
             if h < cfg.min_step:
-                return _truncate(times, points, EXITED_DOMAIN, str(exc))
+                return _trajectory(times, points, EXITED_DOMAIN, str(exc))
             continue
-        if not np.isfinite(x5).all():
+        if not all(map(math.isfinite, x5)):
             h = 0.5 * h_step
             if h < cfg.min_step:
-                return _truncate(times, points, STEP_FAILURE, "non-finite step")
+                return _trajectory(times, points, STEP_FAILURE, "non-finite step")
             continue
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x5))
-        err_norm = float(np.max(np.abs(x5 - x4) / scale))
+        err_norm = _error_norm(x, x4, x5, cfg.abs_tol, cfg.rel_tol)
         if err_norm <= 1.0:
             t += h_step
             x = x5
             bad = _guard_violation(x, guards, names)
             if bad is not None:
-                return _truncate(times, points, EXITED_DOMAIN, bad)
+                return _trajectory(times, points, EXITED_DOMAIN, bad)
             times.append(sign * t)
-            points.append(x.copy())
+            points.append(x)
             accepted += 1
             if accepted >= cfg.max_steps:
-                return _truncate(times, points, MAX_STEPS, f"{accepted} steps")
+                return _trajectory(times, points, MAX_STEPS, f"{accepted} steps")
             factor = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2)
             h = min(max(h, h_step) * factor, cfg.max_step)
         else:
             h = h_step * max(0.1, 0.9 * err_norm ** -0.2)
             if h < cfg.min_step:
-                return _truncate(times, points, STEP_FAILURE, f"step collapsed to {h:.3e}")
+                return _trajectory(times, points, STEP_FAILURE, f"step collapsed to {h:.3e}")
     if times[-1] != sign * span:
         times[-1] = sign * span
-    return Trajectory(np.array(times), np.array(points), COMPLETED)
+    return _trajectory(times, points, COMPLETED)
 
 
 def flow_map(system, f, x0, t: float, config: IntegratorConfig | None = None) -> np.ndarray:

@@ -29,6 +29,7 @@ from .expressions import (
     evaluate,
     free_variables,
     gradient_evaluator,
+    gradient_kernel,
     parse,
 )
 
@@ -90,7 +91,8 @@ class _Chart:
     """Points, functions and Hamiltonian fields of contact and symplectized charts.
 
     A subclass sets `coordinates`, `dim` and `_closed_field` (its
-    standard-form field, or None) and defines `field_from_gradient`.
+    standard-form field over float lists, or None) and defines
+    `field_from_gradient`.
     """
 
     coordinates: tuple[str, ...]
@@ -171,7 +173,7 @@ class ContactChart(_Chart):
                 raise ValueError("assume_darboux=True but eta is not the standard form")
             self.darboux = assume_darboux
 
-        self._closed_field = _standard_field if self.darboux else None
+        self._closed_field = _standard_field_floats if self.darboux else None
         self._coeff_grads = tuple(gradient_evaluator(c, names) for c in coeffs)
 
     def env(self, x) -> dict[str, float]:
@@ -449,6 +451,20 @@ def _standard_field(n: int, x: np.ndarray, value: float, grad: np.ndarray) -> np
     return X
 
 
+def _standard_field_floats(n: int, x, value: float, grad) -> list[float]:
+    # _standard_field over float sequences, in its float operations and
+    # order; NumPy's p @ g is 0.0 + p_1 g_1 at n = 1 and fuses a
+    # multiply-add from n = 2 on, which this sum does not
+    gz = grad[-1]
+    X = list(grad[n : 2 * n])
+    X += [-(gq + p * gz) for gq, p in zip(grad[:n], x[n : 2 * n])]
+    pairing = 0.0
+    for p, gp in zip(x[n : 2 * n], grad[n : 2 * n]):
+        pairing += p * gp
+    X.append(pairing - value)
+    return X
+
+
 def _standard_coefficients(names: Sequence[str]) -> tuple[Expr, ...]:
     n = (len(names) - 1) // 2
     coeffs: list[Expr] = []
@@ -516,28 +532,29 @@ class _System:
     def hamiltonian_field_at(self, f: FunctionLike, x) -> np.ndarray:
         return self.chart.hamiltonian_field_at(self.resolve(f), x)
 
-    def field_evaluator(self, f: FunctionLike) -> Callable[[np.ndarray], np.ndarray]:
-        """Closure computing X_f, kept allocation-light for integrator loops.
+    def field_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
+        """Closure computing X_f as a list of floats, for the flow integrators.
 
-        Standard-form charts call the closed form without per-call checks;
-        otherwise the closure runs field_from_gradient with every check.
+        Standard-form charts run f's compiled gradient kernel and the
+        closed form over floats, without per-call checks; otherwise the
+        closure runs field_from_gradient with every check.
         """
         f = self.resolve(f)
         chart = self.chart
-        run = gradient_evaluator(f, chart.coordinates)
+        kernel = gradient_kernel(f, chart.coordinates)
         closed_field = chart._closed_field
         if closed_field is None:
 
-            def general_field(x: np.ndarray) -> np.ndarray:
+            def general_field(x) -> list[float]:
                 x = chart.point(x)
-                value, grad = run(x)
-                return chart.field_from_gradient(x, value, grad)
+                value, grad = kernel(x)
+                return chart.field_from_gradient(x, value, np.array(grad)).tolist()
 
             return general_field
         n = (chart.dim - 1) // 2
 
-        def field(x: np.ndarray) -> np.ndarray:
-            value, grad = run(x)
+        def field(x) -> list[float]:
+            value, grad = kernel(x)
             return closed_field(n, x, value, grad)
 
         return field

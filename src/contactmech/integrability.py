@@ -673,12 +673,17 @@ def angle_solve(
     if np.linalg.matrix_rank(M) < m:
         raise ValueError(f"basis matrix {M.tolist()} is singular")
     generators = _generators(symp_system, M)
+    # one gradient closure per generator serves the involution check and
+    # every Newton Jacobian, in the float operations of poisson_bracket_at
+    # and hamiltonian_field_at
+    runs = [gradient_evaluator(G, chart.coordinates) for G in generators]
 
     F_x = symp_system.integral_values(x)
     bracket_tol = 1e-8 * max(1.0, float(np.max(np.abs(F_x))))
-    for a in range(m):
+    for a in range(m - 1):
+        field_a = chart.field_from_gradient(x, *runs[a](x))
         for b in range(a + 1, m):
-            bracket = chart.poisson_bracket_at(generators[a], generators[b], x)
+            bracket = float(runs[b](x)[1] @ field_a)
             if abs(bracket) > bracket_tol:
                 raise IntegrabilityError(
                     f"generators {a} and {b} are not in involution at "
@@ -713,9 +718,7 @@ def angle_solve(
                 iterations,
             )
         iterations += 1
-        J = np.column_stack(
-            [symp_system.hamiltonian_field_at(G, end) for G in generators]
-        )
+        J = np.column_stack([chart.field_from_gradient(end, *run(end)) for run in runs])
         delta, *_ = np.linalg.lstsq(J, x - end, rcond=None)
         lam = 1.0
         for _ in range(21):

@@ -63,7 +63,7 @@ class SympChart(_Chart):
         self.theta_coefficients = tuple(
             Binary("*", Var(fiber), c) for c in base.eta_coefficients
         ) + (parse("0"),)
-        self._closed_field = _standard_field if base.darboux else None
+        self._closed_field = _standard_field_floats if base.darboux else None
 
     def point(self, x) -> np.ndarray:
         x = super().point(x)
@@ -171,8 +171,7 @@ class SympChart(_Chart):
 
 def _standard_field(n: int, x: np.ndarray, value: float, grad: np.ndarray) -> np.ndarray:
     # closed form for theta = r(dz - p dq): the solve of X^a omega_ab = dF_b;
-    # value is unused: the signature is geometry._standard_field's, so
-    # field_evaluator calls either closed form alike
+    # value is unused: the signature is geometry._standard_field's
     r = x[-1]
     p = x[n : 2 * n]
     Fq = grad[:n]
@@ -184,6 +183,22 @@ def _standard_field(n: int, x: np.ndarray, value: float, grad: np.ndarray) -> np
     X[n : 2 * n] = (Fq + p * Fz) / r
     X[2 * n] = Fr - (p @ Fp) / r
     X[2 * n + 1] = -Fz
+    return X
+
+
+def _standard_field_floats(n: int, x, value: float, grad) -> list[float]:
+    # _standard_field over float sequences, in its float operations and
+    # order (see geometry._standard_field_floats for p @ Fp); the
+    # signature is geometry's, so field_evaluator calls either alike
+    r = x[-1]
+    Fz = grad[2 * n]
+    X = [-Fp / r for Fp in grad[n : 2 * n]]
+    X += [(Fq + p * Fz) / r for Fq, p in zip(grad[:n], x[n : 2 * n])]
+    pairing = 0.0
+    for p, Fp in zip(x[n : 2 * n], grad[n : 2 * n]):
+        pairing += p * Fp
+    X.append(grad[2 * n + 1] - pairing / r)
+    X.append(-Fz)
     return X
 
 

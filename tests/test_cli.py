@@ -256,6 +256,23 @@ def test_nonfinite_config_bounds_are_input_errors(capsys, tmp_path, points_file,
     _assert_input_error(capsys, [command, str(path), *extra], "finite")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("rel_tol", "nan"), ("abs_tol", "nan"), ("min_step", "nan"), ("max_step", "nan"),
+     ("rel_tol", "inf"), ("abs_tol", "inf"), ("min_step", "inf"), ("step", "inf")],
+)
+def test_nonfinite_integrator_fields_are_input_errors(capsys, tmp_path, field, value):
+    # JSON Schema's exclusiveMinimum lets NaN and Infinity through
+    data = json.loads(bundled_config_path("darboux-pz").read_text())
+    data["integrator"] = {"method": "rk4" if field == "step" else "rkf45",
+                          field: float(value)}
+    path = tmp_path / "integrator.json"
+    path.write_text(json.dumps(data))
+    argv = ["integrate", str(path), "--f", "1", "--x0", "2,3,5", "--t", "1",
+            "--out", str(tmp_path / "t.csv")]
+    _assert_input_error(capsys, argv, f"integrator {field} must be")
+
+
 def test_count_flags_reject_values_below_one(capsys, points_file):
     for argv in (
         ["check", PZ, "--samples", "0"],

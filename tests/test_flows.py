@@ -25,6 +25,22 @@ def test_config_rejects_unknown_method():
         IntegratorConfig(method="euler")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [(field, value) for field in ("step", "rel_tol", "abs_tol", "min_step")
+     for value in (np.nan, np.inf, 0.0, -1e-3)]
+    + [("max_step", value) for value in (np.nan, 0.0, -1.0)]
+    + [("max_steps", value) for value in (0, -1, np.nan)],
+)
+def test_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=f"integrator {field} must be"):
+        IntegratorConfig(**{field: value})
+
+
+def test_config_allows_unbounded_max_step():
+    assert IntegratorConfig(max_step=np.inf).max_step == np.inf
+
+
 def test_zero_time_is_a_single_row(pz_system):
     traj = integrate(pz_system, "p", X0, 0.0)
     assert traj.completed

@@ -1,0 +1,81 @@
+"""CLI reports and trajectory CSVs stay byte-identical to committed goldens.
+
+The files under tests/data/golden were written by the CLI at --seed 42.
+Each case runs one command in-process and compares the bytes of its
+report and, for `integrate`, of its CSV.  The only part left out is the
+report's `csv` entry, the output path, which differs from run to run.
+
+Regenerate the goldens only for an intended report change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from contactmech import cli
+from contactmech.config import bundled_config_path
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+PZ = str(bundled_config_path("darboux-pz"))
+INV5 = str(bundled_config_path("darboux-5d-involutive"))
+POINTS = str(GOLDEN / "points-pz.json")
+
+CASES = {
+    "integrate-pz-f0": ["integrate", PZ, "--f", "0", "--x0", "0.5,1.2,0.8", "--t", "1.5"],
+    "integrate-pz-f1": ["integrate", PZ, "--f", "1", "--x0", "0.5,1.2,0.8", "--t", "2.0"],
+    "integrate-5d-f2": ["integrate", INV5, "--f", "2", "--x0", "0.6,1.1,0.9,1.4,1.3",
+                        "--t=-1.0"],
+    "action-angle-pz-graph-z": ["action-angle", PZ, "--section", "graph-z",
+                                "--points", POINTS],
+    "action-angle-pz-graph-p": ["action-angle", PZ, "--section", "graph-p",
+                                "--points", POINTS],
+}
+
+_CSV_ENTRY = re.compile(r'^(  "csv": ).*?(,?)$', re.MULTILINE)
+
+
+def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:
+    """(exit code, report text with the csv path masked, CSV bytes or None)."""
+    argv = CASES[name] + ["--seed", "42"]
+    csv = None
+    if argv[0] == "integrate":
+        csv = workdir / f"{name}.csv"
+        argv += ["--out", str(csv)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    report = _CSV_ENTRY.sub(r'\1"<csv>"\2', stdout.getvalue())
+    return code, report, None if csv is None else csv.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name, tmp_path):
+    code, report, csv = run_case(name, tmp_path)
+    assert code == 0
+    assert report.encode() == (GOLDEN / f"{name}.json").read_bytes()
+    if csv is not None:
+        assert csv == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def _regenerate() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            code, report, csv = run_case(name, Path(tmp))
+            if code != 0:
+                raise SystemExit(f"{name} exited {code}")
+            (GOLDEN / f"{name}.json").write_text(report)
+            if csv is not None:
+                (GOLDEN / f"{name}.csv").write_bytes(csv)
+            print(f"wrote {name}")
+
+
+if __name__ == "__main__":
+    _regenerate()
