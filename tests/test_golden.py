@@ -1,9 +1,17 @@
 """CLI reports and trajectory CSVs stay byte-identical to committed goldens.
 
 The files under tests/data/golden were written by the CLI at --seed 42.
-Each case runs one command in-process and compares the bytes of its
-report and, for `integrate`, of its CSV.  The only part left out is the
-report's `csv` entry, the output path, which differs from run to run.
+Each case runs one command in-process and compares its exit code, the
+bytes of its report and, for `integrate`, of its CSV.  The only part
+left out is the report's `csv` entry, the output path, which differs
+from run to run.
+
+The sampled reports (`check`, `coisotropy` on the ray (1, ..., 1) and
+`symplectize-verify`) run on the three bundled configs, on
+`rescaled-pz.json` (a general coframe: eta = exp(q/3)(dz - p dq)) and on
+`cubic-5d.json` (n = 2, written once by `perfbench/inputs.cubic_config`,
+whose bracket and lift residuals move with the order of float
+operations).
 
 Regenerate the goldens only for an intended report change:
 
@@ -26,6 +34,7 @@ from contactmech.config import bundled_config_path
 GOLDEN = Path(__file__).parent / "data" / "golden"
 PZ = str(bundled_config_path("darboux-pz"))
 INV5 = str(bundled_config_path("darboux-5d-involutive"))
+NONINV5 = str(bundled_config_path("darboux-5d-noninvolutive"))
 POINTS = str(GOLDEN / "points-pz.json")
 
 CASES = {
@@ -38,6 +47,21 @@ CASES = {
     "action-angle-pz-graph-p": ["action-angle", PZ, "--section", "graph-p",
                                 "--points", POINTS],
 }
+
+SAMPLED = {
+    "pz": (PZ, "1,1"),
+    "5d-involutive": (INV5, "1,1,1"),
+    "5d-noninvolutive": (NONINV5, "1,1,1"),
+    "rescaled-pz": (str(GOLDEN / "rescaled-pz.json"), "1,1"),
+    "cubic-5d": (str(GOLDEN / "cubic-5d.json"), "1,1,1"),
+}
+for _label, (_path, _ray) in SAMPLED.items():
+    CASES[f"check-{_label}"] = ["check", _path]
+    CASES[f"coisotropy-{_label}"] = ["coisotropy", _path, "--lambda", _ray]
+    CASES[f"symplectize-verify-{_label}"] = ["symplectize-verify", _path]
+
+# exit code of each case, 0 unless listed: the non-involutive system fails
+EXIT_CODES = {"check-5d-noninvolutive": 1, "coisotropy-5d-noninvolutive": 1}
 
 _CSV_ENTRY = re.compile(r'^(  "csv": ).*?(,?)$', re.MULTILINE)
 
@@ -59,7 +83,7 @@ def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name, tmp_path):
     code, report, csv = run_case(name, tmp_path)
-    assert code == 0
+    assert code == EXIT_CODES.get(name, 0)
     assert report.encode() == (GOLDEN / f"{name}.json").read_bytes()
     if csv is not None:
         assert csv == (GOLDEN / f"{name}.csv").read_bytes()
@@ -69,7 +93,7 @@ def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
             code, report, csv = run_case(name, Path(tmp))
-            if code != 0:
+            if code != EXIT_CODES.get(name, 0):
                 raise SystemExit(f"{name} exited {code}")
             (GOLDEN / f"{name}.json").write_text(report)
             if csv is not None:
