@@ -38,6 +38,7 @@ from .symplectization import (
     SymplectizationError,
     SingularStructureError,
     symplectize,
+    lift_check,
 )
 from .flows import (
     IntegratorConfig,

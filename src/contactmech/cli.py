@@ -37,15 +37,15 @@ from .geometry import GeometryError, contact_condition_check
 from .integrability import (
     IntegrabilityError,
     RayTarget,
+    _coisotropy,
+    _involution,
+    _rank,
     _ray_points,
+    _tangency,
     angle_solve,
-    coisotropy_check,
-    involution_check,
-    rank_check,
-    tangency_check,
     verify_section,
 )
-from .symplectization import SymplectizationError
+from .symplectization import SymplectizationError, lift_check
 
 __all__ = [
     "main",
@@ -125,8 +125,10 @@ def cmd_check(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     system = cfg.system()
     points = system.sample(np.random.default_rng(seed), args.samples)
     cond = contact_condition_check(system.chart, points)
-    inv = involution_check(system, points=points, tolerance=args.tolerance, seed=seed)
-    rk = rank_check(system, points=points, seed=seed)
+    # involution and rank share each point's jets
+    jets = [system.jets_at(x) for x in points]
+    inv = _involution(system, points, jets, args.tolerance, seed)
+    rk = _rank(system, points, (jet.gradients for jet in jets), seed=seed)
     checks = [
         {
             "name": "contact-condition",
@@ -171,8 +173,10 @@ def cmd_coisotropy(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
         )
     target = RayTarget(lam)
     points = _ray_points(system, target, args.points, seed)
-    co = coisotropy_check(system, target, points=points, tolerance=args.tolerance)
-    tan = tangency_check(system, target, points=points, tolerance=args.tolerance)
+    # coisotropy and tangency share each point's jets
+    jets = [system.jets_at(x) for x in points]
+    co = _coisotropy(system, target, points, jets, args.tolerance)
+    tan = _tangency(system, points, jets, args.tolerance)
     checks = [
         {
             "name": "coisotropy",
@@ -238,73 +242,21 @@ def cmd_integrate(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     return report, 0 if report["passed"] else 3
 
 
+# report keys of a lifted check's value and bound, where not the residual's
+_LIFT_KEYS = {"omega-nondegenerate": ("min_abs_det", "threshold")}
+
+
 def cmd_symplectize_verify(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     _require_count(args.samples, "--samples")
-    system = cfg.system()
     symp = cfg.symp_system()
-    chart = symp.chart
-    points = symp.sample(np.random.default_rng(seed), args.samples)
-    min_det = np.inf
-    liouville = homogeneity = pairing = correspondence = 0.0
-    m = len(symp.integrals)
-    for x in points:
-        omega = chart.omega_at(x)
-        min_det = min(min_det, abs(float(np.linalg.det(omega))))
-        theta = chart.theta_at(x)
-        expected = np.zeros(chart.dim)
-        expected[-1] = x[-1]
-        delta = np.linalg.solve(omega.T, -theta)
-        liouville = max(liouville, float(np.max(np.abs(delta - expected))))
-        fields = []
-        for value, grad in symp.values_and_gradients(x):
-            homogeneity = max(homogeneity, abs(x[-1] * grad[-1] - value))
-            X = chart.field_from_gradient(x, value, grad)
-            fields.append((grad, X))
-            pairing = max(pairing, abs(float(theta @ X) - value))
-        brackets = system.bracket_matrix_at(x[:-1])
-        for a in range(m):
-            for b in range(a + 1, m):
-                upstairs = float(fields[a][1] @ fields[b][0])
-                downstairs = float(brackets[a, b])
-                correspondence = max(
-                    correspondence, abs(upstairs + x[-1] * downstairs)
-                )
-    checks = [
-        {
-            "name": "omega-nondegenerate",
-            "passed": bool(min_det > 1e-8),
-            "min_abs_det": min_det,
-            "threshold": 1e-8,
-        },
-        {
-            "name": "liouville-field",
-            "passed": bool(liouville <= 1e-10),
-            "max_residual": liouville,
-            "tolerance": 1e-10,
-        },
-        {
-            "name": "lift-homogeneity",
-            "passed": bool(homogeneity <= 1e-10),
-            "max_residual": homogeneity,
-            "tolerance": 1e-10,
-        },
-        {
-            "name": "theta-pairing",
-            "passed": bool(pairing <= 1e-8),
-            "max_residual": pairing,
-            "tolerance": 1e-8,
-        },
-        {
-            "name": "bracket-correspondence",
-            "passed": bool(correspondence <= 1e-8),
-            "max_residual": correspondence,
-            "tolerance": 1e-8,
-        },
-    ]
-    passed = all(c["passed"] for c in checks)
+    lift = lift_check(symp, symp.sample(np.random.default_rng(seed), args.samples))
+    checks = []
+    for c in lift.checks:
+        value_key, bound_key = _LIFT_KEYS.get(c.name, ("max_residual", "tolerance"))
+        checks.append({"name": c.name, "passed": c.passed, value_key: c.value, bound_key: c.bound})
     report = _report_head(cfg, "symplectize-verify", seed)
-    report.update({"checks": checks, "samples": args.samples, "passed": passed})
-    return report, 0 if passed else 1
+    report.update({"checks": checks, "samples": args.samples, "passed": lift.passed})
+    return report, 0 if lift.passed else 1
 
 
 def _load_points(path: str, dim: int) -> tuple[list[np.ndarray], float]:

@@ -190,7 +190,9 @@ def _run_rk4(field_fn, x, T, cfg, guards, names) -> Trajectory:
     half, sixth = 0.5 * h, h / 6.0
     times, points = [0.0], [x]
     t = 0.0
-    for _ in range(n_steps):
+    for accepted in range(n_steps):
+        if accepted == cfg.max_steps:
+            return _trajectory(times, points, MAX_STEPS, f"{accepted} steps")
         try:
             k1 = field_fn(x)
             k2 = field_fn([u + half * v for u, v in zip(x, k1)])

@@ -2,8 +2,9 @@
 
 A chart holds 2n+1 coordinate names and the coefficient functions of a
 contact one-form eta.  Coordinates are ordered (q_1..q_n, p_1..p_n, z);
-when eta is the standard form dz - p_i dq^i the chart takes closed-form
-fast paths, otherwise every operator goes through the flat-map solve.
+when the coefficients are structurally those of the standard form
+dz - p_i dq^i the chart takes closed-form fast paths, otherwise every
+operator goes through the flat-map solve.
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -129,19 +130,11 @@ class ContactChart(_Chart):
         coordinates: 2n+1 coordinate names, ordered (q_1..q_n, p_1..p_n, z).
         eta: coefficient functions of the contact form, one per coordinate;
             strings are parsed against the coordinate names.  None means the
-            standard form dz - p_i dq^i.
-        assume_darboux: force (True) or forbid (False) the closed-form fast
-            paths; None autodetects by structural comparison of the
-            coefficients with the standard form.
+            standard form dz - p_i dq^i.  The chart takes the closed forms
+            (`darboux`) exactly when these are structurally the standard's.
     """
 
-    def __init__(
-        self,
-        coordinates: Sequence[str],
-        eta: Sequence[Expr | str] | None = None,
-        *,
-        assume_darboux: bool | None = None,
-    ):
+    def __init__(self, coordinates: Sequence[str], eta: Sequence[Expr | str] | None = None):
         names = tuple(coordinates)
         if len(names) % 2 != 1:
             raise ValueError(f"need an odd number of coordinates, got {len(names)}")
@@ -166,13 +159,7 @@ class ContactChart(_Chart):
                 if extra:
                     raise ValueError(f"eta coefficient uses unknown names {sorted(extra)}")
         self.eta_coefficients = coeffs
-        if assume_darboux is None:
-            self.darboux = coeffs == standard
-        else:
-            if assume_darboux and coeffs != standard:
-                raise ValueError("assume_darboux=True but eta is not the standard form")
-            self.darboux = assume_darboux
-
+        self.darboux = coeffs == standard
         self._closed_field = _standard_field_floats if self.darboux else None
         self._coeff_grads = tuple(gradient_evaluator(c, names) for c in coeffs)
 
@@ -238,7 +225,7 @@ class ContactChart(_Chart):
             out = np.zeros(self.dim)
             out[-1] = 1.0
             return out
-        return self._reeb(x, self.eta_at(x), self.flat_matrix_at(x))
+        return self._frame(x)[2]
 
     def _reeb(self, x: np.ndarray, eta: np.ndarray, B: np.ndarray) -> np.ndarray:
         reeb = np.linalg.solve(B.T, eta)
@@ -306,27 +293,20 @@ class ContactChart(_Chart):
         fields = tuple(
             self._field(x, value, grad, frame) for value, grad in values_and_gradients
         )
-        if frame is None:
-            reeb = tuple(grad[-1] for grad in grads)
-        else:
-            reeb = tuple(grad @ frame[2] for grad in grads)
+        reeb = tuple(grad[-1] if frame is None else grad @ frame[2] for grad in grads)
         return Jets(x, values, grads, fields, reeb)
 
-    def hamiltonian_field_jacobian_at(
-        self, f: Expr | str, x, method: str = "auto"
-    ) -> np.ndarray:
+    def hamiltonian_field_jacobian_at(self, f: Expr | str, x) -> np.ndarray:
         """Jacobian d_a X_f^i, rows i, columns a.
 
-        On standard-form charts "auto"/"jet" differentiates the closed form
-        with exact second-order jets; "fd" (forced, or any non-standard
-        coframe) uses central differences of the field map with step 1e-5.
+        Standard-form charts differentiate the closed form with exact
+        second-order jets; general coframes take central differences of
+        the field map with step 1e-5.
         """
-        if method not in ("auto", "jet", "fd"):
-            raise ValueError(f"unknown method {method!r}")
         f = self.function(f)
         x = self.point(x)
         n = self.n
-        if method != "fd" and self.darboux:
+        if self.darboux:
             jet = eval_jet2(f, self.coordinates, x)
             g, H = jet.gradient, jet.hessian
             p = x[n : 2 * n]
@@ -338,27 +318,20 @@ class ContactChart(_Chart):
             J[-1] = p @ H[n : 2 * n] - g
             J[-1, n : 2 * n] += g[n : 2 * n]
             return J
-        if method == "jet":
-            raise ValueError("jet Jacobians need the standard coframe")
         J = np.empty((self.dim, self.dim))
-        for a in range(self.dim):
-            step = np.zeros(self.dim)
-            step[a] = _FD_STEP
+        for a, step in enumerate(np.eye(self.dim) * _FD_STEP):
             J[:, a] = (
                 self.hamiltonian_field_at(f, x + step)
                 - self.hamiltonian_field_at(f, x - step)
             ) / (2.0 * _FD_STEP)
         return J
 
-    def field_commutator_at(
-        self, f: Expr | str, g: Expr | str, x, method: str = "auto"
-    ) -> np.ndarray:
+    def field_commutator_at(self, f: Expr | str, g: Expr | str, x) -> np.ndarray:
         """Lie bracket [X_f, X_g] of two Hamiltonian fields."""
-        x = self.point(x)
-        Xf = self.hamiltonian_field_at(f, x)
-        Xg = self.hamiltonian_field_at(g, x)
-        Jf = self.hamiltonian_field_jacobian_at(f, x, method=method)
-        Jg = self.hamiltonian_field_jacobian_at(g, x, method=method)
+        jets = self._pair_jets(f, g, x)
+        Xf, Xg = jets.fields
+        Jf = self.hamiltonian_field_jacobian_at(f, jets.point)
+        Jg = self.hamiltonian_field_jacobian_at(g, jets.point)
         return Jg @ Xf - Jf @ Xg
 
     # -- brackets --------------------------------------------------------------
@@ -369,10 +342,13 @@ class ContactChart(_Chart):
         Both defining expressions are evaluated and must agree to 1e-10
         (relative to the value scale); the first is returned.
         """
+        return float(self.bracket_matrix(self._pair_jets(f, g, x))[0, 1])
+
+    def _pair_jets(self, f: Expr | str, g: Expr | str, x) -> Jets:
+        """Jets of f and g at x, the coframe evaluated once."""
         f, g = self.function(f), self.function(g)
         x = self.point(x)
-        pair = (self.value_and_gradient(f, x), self.value_and_gradient(g, x))
-        return float(self.bracket_matrix(self.jets_at(x, pair))[0, 1])
+        return self.jets_at(x, (self.value_and_gradient(f, x), self.value_and_gradient(g, x)))
 
     def bracket_matrix(self, jets: Jets) -> np.ndarray:
         """Antisymmetric matrix of the Jacobi brackets {f_a, f_b} of the jets.
@@ -398,21 +374,14 @@ class ContactChart(_Chart):
 
     def lambda_pairing_at(self, f: Expr | str, g: Expr | str, x) -> float:
         """Bivector pairing Lambda(df, dg) = {f, g} + f R(g) - g R(f)."""
-        f, g = self.function(f), self.function(g)
-        x = self.point(x)
-        fv, fg = self.value_and_gradient(f, x)
-        gv, gg = self.value_and_gradient(g, x)
-        B = self.flat_matrix_at(x)
-        u = np.linalg.solve(B.T, fg)
-        v = np.linalg.solve(B.T, gg)
-        value = float(-(u @ self.deta_at(x) @ v))
-        if self.darboux:
-            rf, rg = fg[-1], gg[-1]
-        else:
-            reeb = self.reeb_at(x)
-            rf, rg = fg @ reeb, gg @ reeb
-        bracket = self.jacobi_bracket_at(f, g, x)
-        expected = bracket + fv * rg - gv * rf
+        jets = self._pair_jets(f, g, x)
+        x = jets.point
+        coframe = self.coframe_at(x)
+        B = self.flat_matrix_at(x, coframe)
+        u, v = (np.linalg.solve(B.T, grad) for grad in jets.gradients)
+        value = float(-(u @ coframe[1] @ v))
+        (fv, gv), (rf, rg) = jets.values, jets.reeb
+        expected = float(self.bracket_matrix(jets)[0, 1]) + fv * rg - gv * rf
         if abs(value - expected) > _scale_tol(_RESIDUAL_TOL, value, expected):
             raise GeometryError(
                 f"Lambda pairing disagrees with bracket identity by "

@@ -268,10 +268,15 @@ def involution_check(
     if points is None:
         points = system.sample(np.random.default_rng(seed), n_samples)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    return _involution(system, points, map(system.jets_at, points), tolerance, seed)
+
+
+def _involution(system, points, jets, tolerance, seed) -> InvolutionReport:
+    """involution_check over the jets of the integrals at each point."""
     worst, pair, where = 0.0, (0, 0), points[0]
     m = len(system.integrals)
-    for x in points:
-        brackets = system.bracket_matrix_at(x)
+    for x, jet in zip(points, jets):
+        brackets = system.chart.bracket_matrix(jet)
         for a in range(m):
             for b in range(a + 1, m):
                 val = abs(float(brackets[a, b]))
@@ -299,10 +304,15 @@ def rank_check(
     if points is None:
         points = system.sample(np.random.default_rng(seed), n_samples)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    return _rank(system, points, map(system.integral_jacobian, points), tolerance, seed)
+
+
+def _rank(system, points, jacobians, tolerance=1e-8, seed=None) -> RankReport:
+    """rank_check over TF at each point, given as its rows (the gradients)."""
     required = system.chart.n
     min_rank, where = len(system.integrals), points[0]
-    for x in points:
-        sigma = np.linalg.svd(system.integral_jacobian(x), compute_uv=False)
+    for x, TF in zip(points, jacobians):
+        sigma = np.linalg.svd(TF, compute_uv=False)
         top = sigma[0] if len(sigma) else 0.0
         rank = int(np.sum(sigma > tolerance * max(top, 1.0)))
         if rank < min_rank:
@@ -429,11 +439,19 @@ def coisotropy_check(
     if points is None:
         points = _ray_points(system, target, n_points, seed)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    return _coisotropy(
+        system, target, points, map(system.jets_at, points), tolerance, membership_tolerance
+    )
+
+
+def _coisotropy(
+    system, target, points, jets, tolerance, membership_tolerance=1e-6
+) -> CoisotropyReport:
+    """coisotropy_check over the jets of the integrals at each point."""
     m = len(system.integrals)
     worst, triple, where, worst_member = 0.0, (0, 0, 0), points[0], 0.0
-    for x in points:
-        jets = system.jets_at(x)
-        f = jets.values
+    for x, jet in zip(points, jets):
+        f = jet.values
         member, r_star = _membership(target, f)
         scale = float(np.max(np.abs(f)))
         if member > membership_tolerance * max(1.0, scale) or r_star <= 0.0:
@@ -442,7 +460,7 @@ def coisotropy_check(
                 f"(residual {member:.3e}, r* {r_star:.3e})"
             )
         worst_member = max(worst_member, member)
-        bk = system.chart.bracket_matrix(jets)
+        bk = system.chart.bracket_matrix(jet)
         for a in range(m):
             for b in range(m):
                 for c in range(m):
@@ -477,14 +495,18 @@ def tangency_check(
     if points is None:
         points = _ray_points(system, target, n_points, seed)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    return _tangency(system, points, map(system.jets_at, points), tolerance)
+
+
+def _tangency(system, points, jets, tolerance) -> TangencyReport:
+    """tangency_check over the jets of the integrals at each point; no ray needed."""
     m = len(system.integrals)
     worst, triple, where = 0.0, (0, 0, 0), points[0]
-    for x in points:
-        jets = system.jets_at(x)
-        f = jets.values
-        grads = np.array(jets.gradients)
+    for x, jet in zip(points, jets):
+        f = jet.values
+        grads = np.array(jet.gradients)
         for c in range(m):
-            rates = grads @ jets.fields[c]  # X_c applied to every integral
+            rates = grads @ jet.fields[c]  # X_c applied to every integral
             for a in range(m):
                 for b in range(a + 1, m):
                     val = abs(f[a] * rates[b] - f[b] * rates[a])
@@ -516,8 +538,10 @@ def dissipative_map_check(
     """
     if points is None:
         points = _ray_points(system, target, n_points, seed)
-    co = coisotropy_check(system, target, points=points, tolerance=tolerance)
-    rk = rank_check(system, points=points, tolerance=1e-8, seed=None)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    jets = [system.jets_at(x) for x in points]
+    co = _coisotropy(system, target, points, jets, tolerance)
+    rk = _rank(system, points, (jet.gradients for jet in jets))
     return DissipativeMapReport(
         coisotropy=co,
         min_rank=rk.min_rank,
@@ -803,49 +827,22 @@ def darboux_verify(
     cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     m = len(system.integrals)
     worst, where = 0.0, points[0]
-    newton_tol = 1e-11
+
+    def solve(xb, **warm) -> ActionAngleResult:
+        return angle_solve(symp, section, np.append(xb, r_ref), config=cfg, basis=basis,
+                           newton_tolerance=1e-11, **warm)
+
     for xb in points:
-        center = angle_solve(
-            symp,
-            section,
-            np.append(xb, r_ref),
-            config=cfg,
-            basis=basis,
-            newton_tolerance=newton_tol,
-        )
+        center = solve(xb)
         d = center.denominator_index
         grad_y = np.empty((m, system.dim))
-        for a in range(system.dim):
-            offset = np.zeros(system.dim)
-            offset[a] = fd_step
-            plus = angle_solve(
-                symp,
-                section,
-                np.append(xb + offset, r_ref),
-                config=cfg,
-                basis=basis,
-                sign=center.sign,
-                y0=center.y,
-                newton_tolerance=newton_tol,
-            )
-            minus = angle_solve(
-                symp,
-                section,
-                np.append(xb - offset, r_ref),
-                config=cfg,
-                basis=basis,
-                sign=center.sign,
-                y0=center.y,
-                newton_tolerance=newton_tol,
-            )
+        for a, offset in enumerate(np.eye(system.dim) * fd_step):
+            plus = solve(xb + offset, sign=center.sign, y0=center.y)
+            minus = solve(xb - offset, sign=center.sign, y0=center.y)
             grad_y[:, a] = (plus.y - minus.y) / (2.0 * fd_step)
         covector = grad_y[d].copy()
-        k = 0
-        for j in range(m):
-            if j == d:
-                continue
-            covector -= center.A_tilde[k] * grad_y[j]
-            k += 1
+        for coeff, j in zip(center.A_tilde, [j for j in range(m) if j != d]):
+            covector -= coeff * grad_y[j]
         target = -system.chart.eta_at(xb) / center.A[d]
         resid = float(np.max(np.abs(covector - target)))
         if resid > worst:

@@ -6,11 +6,15 @@ symplectic form omega = -d theta.  A function f on M lifts to the
 degree-1 homogeneous function f^S = -r * f; Hamiltonian fields solve
 X^a omega_ab = (dF)_b, the Liouville field is r d/dr, and the Poisson
 bracket {F, G} = X_F(G) satisfies {f^S, g^S} = -r {f, g} over the Jacobi
-bracket downstairs.
+bracket downstairs.  `lift_check` measures these identities on sampled
+points.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,10 +27,22 @@ __all__ = [
     "SingularStructureError",
     "SympChart",
     "SympSystem",
+    "LiftCheck",
+    "LiftReport",
     "symplectize",
+    "lift_check",
 ]
 
 _RESIDUAL_TOL = 1e-10
+
+# (name, bound, test of value against bound) of each lift_check identity
+_LIFT_BOUNDS = (
+    ("omega-nondegenerate", 1e-8, operator.gt),  # min |det omega|
+    ("liouville-field", 1e-10, operator.le),  # the rest: largest residuals
+    ("lift-homogeneity", 1e-10, operator.le),
+    ("theta-pairing", 1e-8, operator.le),
+    ("bracket-correspondence", 1e-8, operator.le),
+)
 
 
 class SymplectizationError(RuntimeError):
@@ -85,9 +101,7 @@ class SympChart(_Chart):
 
     def theta_at(self, x) -> np.ndarray:
         x = self.point(x)
-        out = np.zeros(self.dim)
-        out[:-1] = x[-1] * self.base.eta_at(x[:-1])
-        return out
+        return self._theta(x, self.base.eta_at(x[:-1]))
 
     def omega_at(self, x) -> np.ndarray:
         """omega = -d theta assembled from the base coframe.
@@ -96,11 +110,16 @@ class SympChart(_Chart):
         -r d(eta) and the mixed block omega_rb = -eta_b.
         """
         x = self.point(x)
-        r = x[-1]
-        xb = x[:-1]
-        eta, deta = self.base.coframe_at(xb)
+        return self._omega(x, *self.base.coframe_at(x[:-1]))
+
+    def _theta(self, x: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.dim)
+        out[:-1] = x[-1] * eta
+        return out
+
+    def _omega(self, x: np.ndarray, eta: np.ndarray, deta: np.ndarray) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
-        out[:-1, :-1] = -r * deta
+        out[:-1, :-1] = -x[-1] * deta
         out[-1, :-1] = -eta
         out[:-1, -1] = eta
         det = float(np.linalg.det(out))
@@ -111,16 +130,19 @@ class SympChart(_Chart):
     def liouville_field_at(self, x) -> np.ndarray:
         """Field solving i_Delta omega = -theta; equals r d/dr here."""
         x = self.point(x)
-        omega = self.omega_at(x)
-        delta = np.linalg.solve(omega.T, -self.theta_at(x))
-        expected = np.zeros(self.dim)
-        expected[-1] = x[-1]
-        resid = float(np.max(np.abs(delta - expected)))
+        delta, resid = self._liouville(x, self.omega_at(x), self.theta_at(x))
         if resid > _scale_tol(_RESIDUAL_TOL, x[-1]):
             raise SymplectizationError(
                 f"Liouville field deviates from r d/dr by {resid:.3e} at {x.tolist()}"
             )
         return delta
+
+    def _liouville(self, x, omega, theta) -> tuple[np.ndarray, float]:
+        """Delta from i_Delta omega = -theta, and its largest deviation from r d/dr."""
+        delta = np.linalg.solve(omega.T, -theta)
+        expected = np.zeros(self.dim)
+        expected[-1] = x[-1]
+        return delta, float(np.max(np.abs(delta - expected)))
 
     def homogeneity_residual(self, F: Expr | str, x, degree: float = 1.0) -> float:
         """|Delta(F) - degree * F| = |r dF/dr - degree * F|."""
@@ -135,13 +157,16 @@ class SympChart(_Chart):
         """Symplectic Hamiltonian field, X^a omega_ab = (dF)_b, from F's value and grad.
 
         For degree-1 homogeneous F the identity theta(X_F) = F is checked.
-        Standard-form bases use a closed-form solve.
+        Standard-form bases use a closed-form solve; otherwise omega and
+        theta come from one run of the base coframe.
         """
         x = self.point(x)
         if self.base.darboux:
+            eta = self.base.eta_at(x[:-1])
             X = _standard_field(self.base.n, x, value, grad)
         else:
-            omega = self.omega_at(x)
+            eta, deta = self.base.coframe_at(x[:-1])
+            omega = self._omega(x, eta, deta)
             X = np.linalg.solve(omega.T, grad)
             resid = float(np.max(np.abs(omega.T @ X - grad)))
             if resid > _scale_tol(_RESIDUAL_TOL, *grad):
@@ -149,7 +174,7 @@ class SympChart(_Chart):
                     f"field solve residual {resid:.3e} at {x.tolist()}"
                 )
         if abs(x[-1] * grad[-1] - value) <= _scale_tol(_RESIDUAL_TOL, value):
-            pairing = float(self.theta_at(x) @ X)
+            pairing = float(self._theta(x, eta) @ X)
             if abs(pairing - value) > _scale_tol(1e-8, value, *X):
                 raise SymplectizationError(
                     f"theta(X_F) = F violated by {abs(pairing - value):.3e} "
@@ -232,3 +257,55 @@ def symplectize(system: ContactSystem, r_range: Sequence[float] = (0.5, 2.0),
                 fiber: str = "r") -> SympSystem:
     """Build the symplectization of a system with its lifted integrals."""
     return SympSystem(system, r_range=r_range, fiber=fiber)
+
+
+@dataclass(frozen=True)
+class LiftCheck:
+    """One identity of lift_check: min |det omega| or a largest residual, and its bound."""
+
+    name: str
+    value: float
+    bound: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class LiftReport:
+    checks: tuple[LiftCheck, ...]
+    n_points: int
+    passed: bool
+
+
+def lift_check(symp: SympSystem, points) -> LiftReport:
+    """The lifted structure of a system on points of its symplectization.
+
+    At each point: |det omega|; the Liouville field solved from
+    i_Delta omega = -theta against r d/dr; |r dF/dr - F| and
+    |theta(X_F) - F| for every lifted integral F; and
+    |{f^S, g^S} + r {f, g}| for every pair, with the Jacobi bracket of
+    the base system.
+    """
+    chart = symp.chart
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    min_det = np.inf
+    liouville = homogeneity = pairing = correspondence = 0.0
+    for x in points:
+        omega = chart.omega_at(x)
+        min_det = min(min_det, abs(float(np.linalg.det(omega))))
+        theta = chart.theta_at(x)
+        liouville = max(liouville, chart._liouville(x, omega, theta)[1])
+        vgs = symp.values_and_gradients(x)
+        fields = [chart.field_from_gradient(x, value, grad) for value, grad in vgs]
+        for (value, grad), X in zip(vgs, fields):
+            homogeneity = max(homogeneity, abs(x[-1] * grad[-1] - value))
+            pairing = max(pairing, abs(float(theta @ X) - value))
+        brackets = symp.base.bracket_matrix_at(x[:-1])
+        for a, b in itertools.combinations(range(len(fields)), 2):
+            upstairs = float(fields[a] @ vgs[b][1])
+            correspondence = max(correspondence, abs(upstairs + x[-1] * float(brackets[a, b])))
+    values = (min_det, liouville, homogeneity, pairing, correspondence)
+    checks = tuple(
+        LiftCheck(name, value, bound, bool(test(value, bound)))
+        for (name, bound, test), value in zip(_LIFT_BOUNDS, values)
+    )
+    return LiftReport(checks, len(points), all(c.passed for c in checks))

@@ -245,3 +245,12 @@ def test_dissipation_residual_shrinks_quadratically(pz_system):
         res.append(dissipation_residual(pz_system, "z", "p", traj))
     assert res[2] < res[1] < res[0]
     assert res[0] / res[2] > 8.0  # second order would give 16
+
+
+def test_rk4_max_steps_status(pz_system):
+    cfg = IntegratorConfig(method="rk4", step=0.01, max_steps=3)
+    traj = integrate(pz_system, "z", np.array([0.5, 1.0, 1.0]), 1.0, cfg)
+    assert traj.status == MAX_STEPS
+    assert traj.detail == "3 steps"
+    assert len(traj.times) == 4  # start plus three of the 100 steps
+    assert traj.times[-1] == pytest.approx(0.03)

@@ -6,6 +6,7 @@ from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.symplectization import (
     SingularStructureError,
     SympChart,
+    lift_check,
     symplectize,
 )
 
@@ -129,9 +130,8 @@ def test_fast_field_matches_general_solve(schart, rng):
     # non-homogeneous F exercises the omega solve; compare against the
     # closed form on a homogeneous one where both paths are available
     F = schart.lift_function("exp(q/4) * p + z^2")
-    general = SympChart(
-        ContactChart(("q", "p", "z"), ["-p", "0", "1"], assume_darboux=False)
-    )
+    # -1 * p is not structurally the standard form: the general omega solve
+    general = SympChart(ContactChart(("q", "p", "z"), ["-1 * p", "0", "1"]))
     for _ in range(5):
         x = np.append(rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0))
         assert np.allclose(
@@ -230,3 +230,21 @@ def test_symp_field_evaluator_matches_field(pz_symp, rng):
         for _ in range(3):
             x = np.append(rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0))
             assert np.allclose(run(x), pz_symp.hamiltonian_field_at(F, x), atol=1e-12)
+
+
+@pytest.mark.parametrize("factor", ["1", "exp(q/3)"])
+def test_lift_check_reports_every_identity(pz_system, factor):
+    # the standard coframe, and the same system rescaled by exp(q/3) on a
+    # general coframe (eta' = a eta, f' = a f keep every lifted identity)
+    chart = ContactChart(("q", "p", "z"), [f"-({factor}) * p", "0", factor])
+    system = ContactSystem(chart, [f"({factor}) * p", f"({factor}) * z"], pz_system.region)
+    symp = symplectize(system)
+    report = lift_check(symp, symp.sample(np.random.default_rng(3), 20))
+    names = [c.name for c in report.checks]
+    assert names == ["omega-nondegenerate", "liouville-field", "lift-homogeneity",
+                     "theta-pairing", "bracket-correspondence"]
+    assert [c.bound for c in report.checks] == [1e-8, 1e-10, 1e-10, 1e-8, 1e-8]
+    assert report.checks[0].value > 1e-8
+    assert all(c.value <= 1e-12 for c in report.checks[1:])
+    assert report.passed and all(c.passed for c in report.checks)
+    assert report.n_points == 20
