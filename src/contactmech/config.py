@@ -145,8 +145,6 @@ def _build(data: dict, digest: str, path: str) -> SystemConfig:
             f"n = {n} needs {2 * n + 1} coordinates, got {len(coords)}"
         )
     integrals = tuple(data["integrals"])
-    if len(integrals) != n + 1:
-        raise ConfigError(f"n = {n} needs {n + 1} integrals, got {len(integrals)}")
     eta = tuple(data["eta"]) if "eta" in data else None
     region = {k: (float(v[0]), float(v[1])) for k, v in data["region"].items()}
     positive = tuple(data.get("positive", ()))
@@ -174,22 +172,13 @@ def _build(data: dict, digest: str, path: str) -> SystemConfig:
                 f"section {sec_name!r} needs {n + 1} parameters, "
                 f"got {len(sec['params'])}"
             )
-        if set(sec["domain"]) != set(sec["params"]):
-            raise ConfigError(
-                f"section {sec_name!r} domain keys must match its parameters"
-            )
-        den = sec.get("denominator_index")
-        if den is not None and den > n:
-            raise ConfigError(
-                f"section {sec_name!r} denominator index {den} out of range"
-            )
         try:
             sections[sec_name] = SectionSpec(
                 sec_name,
                 sec["params"],
                 sec["components"],
                 sec["domain"],
-                denominator_index=den,
+                denominator_index=sec.get("denominator_index"),
             )
         except (ExpressionError, ValueError) as exc:
             raise ConfigError(f"section {sec_name!r}: {exc}") from exc

@@ -4,10 +4,12 @@ Expressions are built from numeric literals, named variables, the unary
 functions exp, log, sin, cos, sqrt, tanh, unary minus, the binary
 operators + - * /, and ^ with a constant real exponent.  They are parsed
 by recursive descent, printed back in a canonical form that reparses to
-the same tree, and evaluated either over plain floats or over nested
-dual numbers, which gives exact first and second derivatives without
-symbolic differentiation.  Gradients run as straight-line float kernels
-compiled from the tree, bitwise equal to the dual-number walk.
+the same tree, and evaluated over plain floats.  Exact derivatives come
+from straight-line float kernels compiled from the tree: forward-mode
+dual arithmetic unrolled into one float per tangent entry, raising their
+own EvaluationDomainError.  Hessian rows are the gradients of the kernels
+of the first partial derivatives, which are built as trees by the same
+tangent rules, without symbolic simplification.
 
 Grammar (EBNF, whitespace insignificant):
 
@@ -328,131 +330,28 @@ def free_variables(node: Expr) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers
+# Evaluation over floats
 # ---------------------------------------------------------------------------
 
-class Dual:
-    """Truncated dual number a + eps*b.
-
-    Components may be floats, numpy arrays (vector tangents for one-pass
-    gradients), or Dual again (nesting gives second derivatives).  Only
-    same-shape operands are ever combined; scalars promote implicitly.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.a + other.a, self.b + other.b)
-        return Dual(self.a + other, self.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.a - other.a, self.b - other.b)
-        return Dual(self.a - other, self.b)
-
-    def __rsub__(self, other):
-        return Dual(other - self.a, -self.b)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
-        return Dual(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            q = self.a / other.a
-            return Dual(q, (self.b - q * other.b) / other.a)
-        return Dual(self.a / other, self.b / other)
-
-    def __rtruediv__(self, other):
-        q = other / self.a
-        return Dual(q, -q * self.b / self.a)
-
-    def __neg__(self):
-        return Dual(-self.a, -self.b)
-
-    # -- transcendental functions, chain rule on the tangent ----------------
-
-    def exp(self):
-        e = _exp(self.a)
-        return Dual(e, self.b * e)
-
-    def log(self):
-        return Dual(_log(self.a), self.b / self.a)
-
-    def sqrt(self):
-        s = _sqrt(self.a)
-        if _primal(s) == 0.0:
-            raise ZeroDivisionError("sqrt derivative at zero")
-        return Dual(s, self.b / (2.0 * s))
-
-    def sin(self):
-        return Dual(_sin(self.a), self.b * _cos(self.a))
-
-    def cos(self):
-        return Dual(_cos(self.a), -self.b * _sin(self.a))
-
-    def tanh(self):
-        t = _tanh(self.a)
-        return Dual(t, self.b * (1.0 - t * t))
-
-    def powc(self, c: float):
-        # d/dx x^c = c x^(c-1); domain checks happen on the primal float
-        return Dual(_powc(self.a, c), self.b * (c * _powc(self.a, c - 1.0)))
+# math.log and math.sqrt raise ValueError on exactly the inputs these
+# checks reject, so the kernels call them directly and attach the messages
+_LOG_DOMAIN = "log of a nonpositive value"
+_SQRT_DOMAIN = "sqrt of a negative value"
 
 
-def _primal(x) -> float:
-    while isinstance(x, Dual):
-        x = x.a
-    return float(x)
-
-
-def _exp(x):
-    return x.exp() if isinstance(x, Dual) else math.exp(x)
-
-
-def _log(x):
-    if isinstance(x, Dual):
-        return x.log()
+def _log(x: float) -> float:
     if x <= 0.0:
-        raise ValueError("log of a nonpositive value")
+        raise ValueError(_LOG_DOMAIN)
     return math.log(x)
 
 
-def _sqrt(x):
-    if isinstance(x, Dual):
-        return x.sqrt()
+def _sqrt(x: float) -> float:
     if x < 0.0:
-        raise ValueError("sqrt of a negative value")
+        raise ValueError(_SQRT_DOMAIN)
     return math.sqrt(x)
 
 
-def _sin(x):
-    return x.sin() if isinstance(x, Dual) else math.sin(x)
-
-
-def _cos(x):
-    return x.cos() if isinstance(x, Dual) else math.cos(x)
-
-
-def _tanh(x):
-    return x.tanh() if isinstance(x, Dual) else math.tanh(x)
-
-
-def _powc(x, c: float):
-    if isinstance(x, Dual):
-        return x.powc(c)
+def _powc(x: float, c: float) -> float:
     if x == 0.0 and c < 0.0:
         raise ZeroDivisionError("zero base with negative exponent")
     if x < 0.0 and c != round(c):
@@ -461,20 +360,18 @@ def _powc(x, c: float):
 
 
 _FUNC_TABLE = {
-    "exp": _exp,
+    "exp": math.exp,
     "log": _log,
     "sqrt": _sqrt,
-    "sin": _sin,
-    "cos": _cos,
-    "tanh": _tanh,
+    "sin": math.sin,
+    "cos": math.cos,
+    "tanh": math.tanh,
 }
 
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
 
-def _eval(node: Expr, env: Mapping[str, object]):
+def _eval(node: Expr, env: Mapping[str, float]) -> float:
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -485,27 +382,16 @@ def _eval(node: Expr, env: Mapping[str, object]):
     if isinstance(node, Binary):
         lhs = _eval(node.lhs, env)
         rhs = _eval(node.rhs, env)
-        op = node.op
         try:
-            if op == "+":
-                out = lhs + rhs
-            elif op == "-":
-                out = lhs - rhs
-            elif op == "*":
-                out = lhs * rhs
-            else:
-                if _primal(rhs) == 0.0:
-                    raise ZeroDivisionError
-                out = lhs / rhs
+            # NumPy floats divide by zero without raising
+            if node.op == "/" and rhs == 0.0:
+                raise ZeroDivisionError
+            out = _FOLD[node.op](lhs, rhs)
         except (ZeroDivisionError, OverflowError) as exc:
             raise EvaluationDomainError(str(exc) or "division by zero", node) from None
         # float arithmetic overflows to inf silently; non-finite operands
         # still propagate without raising
-        if (
-            math.isinf(_primal(out))
-            and math.isfinite(_primal(lhs))
-            and math.isfinite(_primal(rhs))
-        ):
+        if math.isinf(out) and math.isfinite(lhs) and math.isfinite(rhs):
             raise EvaluationDomainError("overflow", node)
         return out
     if isinstance(node, Unary):
@@ -514,7 +400,7 @@ def _eval(node: Expr, env: Mapping[str, object]):
             return -arg
         try:
             return _FUNC_TABLE[node.op](arg)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise EvaluationDomainError(str(exc), node) from None
     if isinstance(node, Power):
         base = _eval(node.base, env)
@@ -530,46 +416,40 @@ def evaluate(node: Expr, env: Mapping[str, float]) -> float:
     return float(_eval(node, env))
 
 
-def _dual_gradient(node: Expr, names: tuple[str, ...]):
-    """(value, gradient) by the Dual walk with vector tangents.
-
-    The reference the compiled kernels reproduce, and their fallback.
-    """
-    n = len(names)
-    eye = np.eye(n)
-    zero = np.zeros(n)
-
-    def run(values) -> tuple[float, np.ndarray]:
-        env = {name: Dual(float(values[k]), eye[k]) for k, name in enumerate(names)}
-        out = _eval(node, env)
-        if isinstance(out, Dual):
-            return float(out.a), np.asarray(out.b, dtype=float)
-        return float(out), zero.copy()
-
-    return run
-
-
-class _Uncompilable(Exception):
-    """The tree always fails or needs names outside the kernel's inputs."""
-
+# ---------------------------------------------------------------------------
+# Compiled kernels
+# ---------------------------------------------------------------------------
 
 class _KernelSource:
     """Straight-line Python source computing one tree's value and gradient.
 
-    Each node with a variable below it becomes a value local plus one
-    tangent entry per coordinate, in the float operations and order of
-    the Dual walk.  An entry is either source text or a float known at
-    compile time: the 0.0/1.0 seeds, and what arithmetic on two known
-    floats gives, which is folded here in the same float operation the
-    walk would run.  Variable-free subtrees fold through `_eval`.
+    The code is forward-mode dual arithmetic (value a, tangent b) unrolled:
+    each node with a variable below it becomes a value local plus one
+    tangent entry per coordinate, zero entries included.  An entry is
+    either source text or a float known at compile time: the 0.0/1.0
+    seeds, and what arithmetic on two known floats gives, which is folded
+    here in the same float operation.  Variable-free subtrees fold through
+    `_eval`; one that fails there, or a name outside the kernel's inputs,
+    becomes a line that reruns `_eval` on it and so raises its error at
+    its place in evaluation order.
+
+    `errors` maps the index of each line that can raise to the message
+    (None: the exception's own, as math's "math range error") and the
+    node of the EvaluationDomainError it stands for.
     """
 
     def __init__(self, names: tuple[str, ...]):
         self.index = {name: k for k, name in enumerate(names)}
         self.n = len(names)
-        self.lines: list[str] = []
-        self.consts: dict[str, float] = {}
+        self.lines = [f"x{k} = float(values[{k}])" for k in range(self.n)]
+        self.errors: dict[int, tuple[str | None, Expr]] = {}
+        self.globals: dict[str, object] = {}
         self.count = 0
+
+    def bind(self, obj, prefix: str) -> str:
+        name = f"{prefix}{len(self.globals)}"
+        self.globals[name] = obj
+        return name
 
     def text(self, entry) -> str:
         if isinstance(entry, str):
@@ -577,15 +457,23 @@ class _KernelSource:
         if math.isfinite(entry) and math.copysign(1.0, entry) > 0.0:
             return repr(entry)
         # signed zeros, infinities and NaNs keep their exact bits
-        name = f"_c{len(self.consts)}"
-        self.consts[name] = entry
-        return name
+        return self.bind(entry, "_c")
 
     def local(self, source: str, prefix: str = "t") -> str:
         name = f"{prefix}{self.count}"
         self.count += 1
         self.lines.append(f"{name} = {source}")
         return name
+
+    def blame(self, node: Expr, message: str | None = None, start: int | None = None):
+        """Errors raised from line `start` on (default: the last line) are node's."""
+        end = len(self.lines)
+        for i in range(end - 1 if start is None else start, end):
+            self.errors[i] = (message, node)
+
+    def fail(self, node: Expr):
+        self.lines.append(f"_eval({self.bind(node, '_n')}, {{}})")
+        return math.nan, None
 
     def binary(self, x, op: str, y):
         if not isinstance(x, str) and not isinstance(y, str):
@@ -602,16 +490,6 @@ class _KernelSource:
         return [e if not isinstance(e, str) or e.isidentifier() else self.local(e)
                 for e in entries]
 
-    def guard_pow(self, a: str, exponent: float) -> None:
-        # the domain checks of _powc, specialised to a known exponent
-        checks = []
-        if exponent < 0.0:
-            checks.append(f"{a} == 0.0")
-        if not (math.isfinite(exponent) and exponent == round(exponent)):
-            checks.append(f"{a} < 0.0")
-        if checks:
-            self.lines.append(f"if {' or '.join(checks)}: raise ValueError")
-
     def emit(self, node: Expr):
         """(value, tangent entries), or (float, None) for a variable-free node."""
         if isinstance(node, Const):
@@ -619,42 +497,53 @@ class _KernelSource:
         if isinstance(node, Var):
             k = self.index.get(node.name)
             if k is None:
-                raise _Uncompilable
+                return self.fail(node)
             return f"x{k}", [1.0 if j == k else 0.0 for j in range(self.n)]
         if isinstance(node, Binary):
             a, ta = self.emit(node.lhs)
             b, tb = self.emit(node.rhs)
             if ta is None and tb is None:
-                return self.fold(node), None
-            return self.emit_binary(node.op, a, ta, b, tb)
+                return self.fold(node)
+            return self.emit_binary(node, a, ta, b, tb)
         if isinstance(node, Unary):
             a, ta = self.emit(node.arg)
             if ta is None:
-                return self.fold(node), None
-            return self.emit_unary(node.op, a, ta)
+                return self.fold(node)
+            return self.emit_unary(node, a, ta)
         if isinstance(node, Power):
             a, ta = self.emit(node.base)
             if ta is None:
-                return self.fold(node), None
+                return self.fold(node)
             c = node.exponent
-            self.guard_pow(a, c)
+            self.guard_pow(node, a, c)
             v = self.local(f"_pow({a}, {self.text(c)})", "v")
-            self.guard_pow(a, c - 1.0)
+            self.blame(node)
+            self.guard_pow(node, a, c - 1.0)
             d = self.local(f"{self.text(c)} * _pow({a}, {self.text(c - 1.0)})")
+            self.blame(node)
             return v, self.tangent(self.binary(x, "*", d) for x in ta)
         raise TypeError(f"not an expression node: {node!r}")
 
-    @staticmethod
-    def fold(node: Expr) -> float:
+    def fold(self, node: Expr):
         try:
-            return _eval(node, {})
-        except EvaluationDomainError:
-            raise _Uncompilable from None
+            return _eval(node, {}), None
+        except ExpressionError:
+            return self.fail(node)
 
-    def emit_binary(self, op: str, a, ta, b, tb):
+    def guard_pow(self, node: Power, a: str, exponent: float) -> None:
+        # _powc's checks at a known exponent: one per base it rejects
+        for base, test in ((0.0, "=="), (-1.0, "<")):
+            try:
+                _powc(base, exponent)
+            except (ArithmeticError, ValueError) as exc:
+                self.lines.append(f"if {a} {test} 0.0: raise ValueError")
+                self.blame(node, str(exc))
+
+    def emit_binary(self, node: Binary, a, ta, b, tb):
+        op = node.op
         A, B = self.text(a), self.text(b)
         if op == "+":
-            # float + Dual runs Dual.__radd__: the dual's value comes first
+            # float + dual adds in the dual's order: its value comes first
             v = self.local(f"{B} + {A}" if ta is None else f"{A} + {B}", "v")
             if ta is None:
                 t = tb
@@ -680,8 +569,8 @@ class _KernelSource:
                 t = [self.binary(self.binary(a, "*", y), "+", self.binary(x, "*", b))
                      for x, y in zip(ta, tb)]
         else:
-            # a zero denominator raises ZeroDivisionError here as in the walk
             v = self.local(f"{A} / {B}", "v")
+            self.blame(node, "division by zero")
             if ta is None:
                 nq = self.local(f"-{v}")
                 t = [self.binary(self.binary(nq, "*", y), "/", b) for y in tb]
@@ -690,23 +579,32 @@ class _KernelSource:
             else:
                 t = [self.binary(self.binary(x, "-", self.binary(v, "*", y)), "/", b)
                      for x, y in zip(ta, tb)]
-        # inf or NaN: let the walk decide between an overflow error and
-        # propagating a non-finite operand
-        self.lines.append(f"if {v} - {v}: raise OverflowError")
+        # float arithmetic overflows to inf silently: an infinite value is an
+        # error where both operands are finite, which also rules out NaN;
+        # a non-finite operand propagates
+        if all(math.isfinite(x) for x in (a, b) if not isinstance(x, str)):
+            finite = "".join(f" and {x} - {x} == 0.0" for x in (a, b) if isinstance(x, str))
+            self.lines.append(f"if {v} - {v}{finite}: raise OverflowError")
+            self.blame(node, "overflow")
         return v, self.tangent(t)
 
-    def emit_unary(self, op: str, a: str, ta: list):
+    def emit_unary(self, node: Unary, a: str, ta: list):
+        op = node.op
         if op == "neg":
             return self.local(f"-{a}", "v"), self.tangent(self.neg(x) for x in ta)
         v = self.local(f"_{op}({a})", "v")
+        self.blame(node, {"log": _LOG_DOMAIN, "sqrt": _SQRT_DOMAIN}.get(op))
         if op == "exp":
             t = [self.binary(x, "*", v) for x in ta]
         elif op == "log":
             t = [self.binary(x, "/", a) for x in ta]
         elif op == "sqrt":
-            # sqrt(0) makes this denominator 0 and the division raise
+            # sqrt(0) makes this denominator 0 and each division raise
             d = self.local(f"2.0 * {v}")
-            t = [self.binary(x, "/", d) for x in ta]
+            start = len(self.lines)
+            tangent = self.tangent(self.binary(x, "/", d) for x in ta)
+            self.blame(node, "sqrt derivative at zero", start)
+            return v, tangent
         elif op == "sin":
             c = self.local(f"_cos({a})")
             t = [self.binary(x, "*", c) for x in ta]
@@ -719,42 +617,99 @@ class _KernelSource:
         return v, self.tangent(t)
 
 
-_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
 def _compile(node: Expr, names: tuple[str, ...]):
-    dual_walk = _dual_gradient(node, names)
-
-    def walk(values) -> tuple[float, tuple[float, ...]]:
-        value, grad = dual_walk(values)
-        return value, tuple(grad.tolist())
-
     source = _KernelSource(names)
-    try:
-        value, tangent = source.emit(node)
-    except _Uncompilable:
-        return walk
-    n = len(names)
+    value, tangent = source.emit(node)
     if tangent is None:
-        result = f"{source.text(float(value))}, ({'0.0, ' * n})"
+        result = f"{source.text(float(value))}, ({'0.0, ' * len(names)})"
     else:
         entries = "".join(f"{source.text(e)}, " for e in tangent)
         result = f"{value}, ({entries})"
-    body = [f"x{k} = float(values[{k}])" for k in range(n)] + source.lines
     code = "\n".join(
         ["def kernel(values):", "    try:"]
-        + [f"        {line}" for line in body]
+        + [f"        {line}" for line in source.lines]
         + [f"        return {result}",
-           "    except (ArithmeticError, ValueError):",
-           "        return _walk(values)"]
+           "    except (ArithmeticError, ValueError) as exc:",
+           "        raise _domain_error(exc) from None"]
     )
     namespace = {
-        "_walk": walk, "_pow": math.pow,
-        "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt, "_sin": math.sin,
-        "_cos": math.cos, "_tanh": math.tanh, **source.consts,
+        "_domain_error": functools.partial(_domain_error, source.errors),
+        "_eval": _eval,
+        "_pow": math.pow,
+        **{f"_{name}": getattr(math, name) for name in FUNCTIONS},
+        **source.globals,
     }
     exec(code, namespace)
     return namespace["kernel"]
+
+
+def _domain_error(errors, exc: Exception) -> Exception:
+    """The EvaluationDomainError of the kernel line that raised exc, else exc."""
+    # line i of _KernelSource.lines follows "def kernel" and "try:"
+    entry = errors.get(exc.__traceback__.tb_lineno - 3)
+    if entry is None:
+        return exc
+    message, node = entry
+    return EvaluationDomainError(message or str(exc), node)
+
+
+def _derivative(node: Expr, name: str) -> Expr | None:
+    """d node / d name as a tree; None where no variable lies below.
+
+    Each rule is the kernels' tangent rule for the node, operand order and
+    float operands included, so the kernel of the result runs the float
+    operations of a second-order dual pass.
+    """
+    if isinstance(node, Const):
+        return None
+    if isinstance(node, Var):
+        return Const(1.0 if node.name == name else 0.0)
+    if isinstance(node, Power):
+        du = _derivative(node.base, name)
+        if du is None:
+            return None
+        c = node.exponent
+        return Binary("*", du, Binary("*", Const(c), Power(node.base, c - 1.0)))
+    if isinstance(node, Unary):
+        u, op = node.arg, node.op
+        du = _derivative(u, name)
+        if du is None:
+            return None
+        if op == "neg":
+            return Unary("neg", du)
+        if op == "exp":
+            return Binary("*", du, node)
+        if op == "log":
+            return Binary("/", du, u)
+        if op == "sqrt":
+            return Binary("/", du, Binary("*", Const(2.0), node))
+        if op == "sin":
+            return Binary("*", du, Unary("cos", u))
+        if op == "cos":
+            return Binary("*", Unary("neg", du), Unary("sin", u))
+        return Binary("*", du, Binary("-", Const(1.0), Binary("*", node, node)))
+    u, v, op = node.lhs, node.rhs, node.op
+    du, dv = _derivative(u, name), _derivative(v, name)
+    if du is None and dv is None:
+        return None
+    # a variable-free operand contributes no tangent term
+    if op == "+":
+        return dv if du is None else du if dv is None else Binary("+", du, dv)
+    if op == "-":
+        if du is None:
+            return Unary("neg", dv)
+        return du if dv is None else Binary("-", du, dv)
+    if op == "*":
+        if du is None:
+            return Binary("*", dv, u)
+        if dv is None:
+            return Binary("*", du, v)
+        return Binary("+", Binary("*", u, dv), Binary("*", du, v))
+    if du is None:
+        return Binary("/", Binary("*", Unary("neg", node), dv), v)
+    if dv is None:
+        return Binary("/", du, v)
+    return Binary("/", Binary("-", du, Binary("*", node, dv)), v)
 
 
 def _exact(value: float):
@@ -798,18 +753,27 @@ def _kernel(key: _KernelKey):
     return _compile(key.node, key.names)
 
 
+@functools.lru_cache(maxsize=512)
+def _partial_kernels(key: _KernelKey) -> tuple:
+    """The kernel of df/dx_i for each name x_i; its gradient is Hessian row i."""
+    return tuple(
+        _compile(_derivative(key.node, name) or Const(0.0), key.names) for name in key.names
+    )
+
+
 def gradient_kernel(
     node: Expr, names: Sequence[str]
 ) -> "Callable[[Sequence[float]], tuple[float, tuple[float, ...]]]":
     """Compiled kernel computing (value, gradient as a float tuple) at given values.
 
     The tree is compiled now into straight-line float code, memoised per
-    (tree, names), that performs the Dual walk's float operations in the
-    walk's order, so its results are bitwise equal to the walk's.  Where
-    the kernel raises ArithmeticError or ValueError, or a binary node's
-    value is not finite, it reruns the walk, which raises the walk's
-    EvaluationDomainError or returns its non-finite result.  Loops over
-    floats (the flow integrators) call the kernel directly.
+    (tree, names), that runs forward-mode dual arithmetic over floats.  The
+    kernel raises EvaluationDomainError itself, naming the subtree that
+    failed: the line that raised maps to the node that emitted it, so a
+    call without errors runs no extra checks.  A binary node whose value
+    is infinite although both operands are finite raises "overflow";
+    otherwise non-finite values propagate.  Loops over floats (the flow
+    integrators) call the kernel directly.
     """
     return _kernel(_KernelKey(node, tuple(names)))
 
@@ -855,32 +819,17 @@ class Jet2:
 
 
 def eval_jet2(node: Expr, names: Sequence[str], values: Sequence[float]) -> Jet2:
-    """Value, gradient, and Hessian via nested dual numbers.
+    """Value, gradient, and Hessian from compiled kernels.
 
-    One nested-dual pass per index pair (i <= j); the (i, j) pass seeds
-    coordinate k with Dual(Dual(v_k, d_ki), Dual(d_kj, 0)) so that the
-    output carries f, df_i, df_j, and d2f_ij in its four slots.
+    f's kernel gives the value and gradient.  Row i of the Hessian is the
+    gradient of the memoised kernel of df/dx_i (see `_derivative`), taken
+    on and below the diagonal and mirrored above it.  Besides f's own
+    domain errors, a second derivative that overflows raises "overflow"
+    naming a subtree of df/dx_i.
     """
-    n = len(names)
-    vals = [float(v) for v in values]
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    value = evaluate(node, dict(zip(names, vals))) if n == 0 else 0.0
-    for i in range(n):
-        for j in range(i, n):
-            env = {
-                name: Dual(
-                    Dual(vals[k], 1.0 if k == i else 0.0),
-                    Dual(1.0 if k == j else 0.0, 0.0),
-                )
-                for k, name in enumerate(names)
-            }
-            out = _eval(node, env)
-            if not isinstance(out, Dual):
-                out = Dual(Dual(float(out), 0.0), Dual(0.0, 0.0))
-            if i == 0 and j == 0:
-                value = out.a.a
-            grad[i] = out.a.b
-            grad[j] = out.b.a
-            hess[i, j] = hess[j, i] = out.b.b
-    return Jet2(value=float(value), gradient=grad, hessian=hess)
+    key = _KernelKey(node, tuple(names))
+    value, grad = _kernel(key)(values)
+    rows = np.array([kernel(values)[1] for kernel in _partial_kernels(key)], dtype=float)
+    rows = rows.reshape(len(grad), len(grad))
+    hessian = np.tril(rows) + np.tril(rows, -1).T
+    return Jet2(value=float(value), gradient=np.array(grad), hessian=hessian)

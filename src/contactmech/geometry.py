@@ -554,7 +554,10 @@ class ContactSystem(_System):
             raise ValueError(
                 f"need {chart.n + 1} integrals for n = {chart.n}, got {len(self.integrals)}"
             )
-        self.region = _region_bounds(chart, region)
+        self.region = (
+            None if region is None
+            else _bounds(region, chart.coordinates, "region", "coordinates")
+        )
         for name in positive:
             if name not in chart.coordinates:
                 raise ValueError(f"positive constraint on unknown coordinate {name!r}")
@@ -583,28 +586,30 @@ class ContactSystem(_System):
         return conformal_rescale(self.chart, factor, samples)
 
 
-def _region_bounds(chart: ContactChart, region) -> np.ndarray | None:
-    if region is None:
-        return None
-    if isinstance(region, Mapping):
-        missing = set(chart.coordinates) - set(region)
-        extra = set(region) - set(chart.coordinates)
+def _bounds(bounds, names: Sequence[str], label: str, noun: str) -> np.ndarray:
+    """One finite, ordered (low, high) row per name.
+
+    `bounds` is a mapping keyed by exactly `names` or an array of shape
+    (len(names), 2); `label` and `noun` name it and its keys in errors.
+    """
+    if isinstance(bounds, Mapping):
+        missing = set(names) - set(bounds)
+        extra = set(bounds) - set(names)
         if missing or extra:
             raise ValueError(
-                f"region keys must match coordinates (missing {sorted(missing)}, "
+                f"{label} keys must match {noun} (missing {sorted(missing)}, "
                 f"extra {sorted(extra)})"
             )
-        bounds = np.array([region[name] for name in chart.coordinates], dtype=float)
-    else:
-        bounds = np.asarray(region, dtype=float)
-    if bounds.shape != (chart.dim, 2):
-        raise ValueError(f"region must have shape ({chart.dim}, 2)")
+        bounds = [bounds[name] for name in names]
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.shape != (len(names), 2):
+        raise ValueError(f"{label} must have shape ({len(names)}, 2)")
     finite = np.isfinite(bounds).all(axis=1)
     if not finite.all():
-        bad = [name for name, ok in zip(chart.coordinates, finite) if not ok]
-        raise ValueError(f"region bounds of {bad} are not finite")
+        bad = [name for name, ok in zip(names, finite) if not ok]
+        raise ValueError(f"{label} bounds of {bad} are not finite")
     if np.any(bounds[:, 0] > bounds[:, 1]):
-        raise ValueError("region lower bounds exceed upper bounds")
+        raise ValueError(f"{label} lower bounds exceed upper bounds")
     return bounds
 
 

@@ -43,7 +43,7 @@ from .expressions import (
     parse,
 )
 from .flows import FlowError, IntegratorConfig, flow_map, group_action, integrate
-from .geometry import ContactSystem
+from .geometry import ContactSystem, _bounds
 from .symplectization import SympSystem, symplectize
 
 __all__ = [
@@ -146,22 +146,7 @@ class SectionSpec:
                 raise ValueError(f"section component uses unknown names {sorted(extra)}")
             comps.append(c)
         self.components = tuple(comps)
-        if isinstance(domain, Mapping):
-            missing = set(self.params) - set(domain)
-            if missing:
-                raise ValueError(f"section domain missing bounds for {sorted(missing)}")
-            bounds = np.array([domain[p] for p in self.params], dtype=float)
-        else:
-            bounds = np.asarray(domain, dtype=float)
-        if bounds.shape != (len(self.params), 2):
-            raise ValueError("section domain must give (low, high) per parameter")
-        finite = np.isfinite(bounds).all(axis=1)
-        if not finite.all():
-            bad = [p for p, ok in zip(self.params, finite) if not ok]
-            raise ValueError(f"section domain bounds of {bad} are not finite")
-        if np.any(bounds[:, 0] > bounds[:, 1]):
-            raise ValueError("section domain lower bounds exceed upper bounds")
-        self.domain = bounds
+        self.domain = _bounds(domain, self.params, "section domain", "parameters")
         if denominator_index is not None and not 0 <= denominator_index < len(self.params):
             raise ValueError(f"denominator index {denominator_index} out of range")
         self.denominator_index = denominator_index
@@ -577,8 +562,11 @@ def verify_section(
     """Check F(chi(Lambda)) = +/-Lambda and chi*theta = 0 on the domain.
 
     The target identity is measured under both signs; the report records
-    the convention that holds (sign 0 when neither does).
+    the convention that holds (sign 0 when neither does).  At least one
+    sample is required, so that no verdict passes without evidence.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     lo, hi = section.domain[:, 0], section.domain[:, 1]
     lams = rng.uniform(lo, hi, size=(n_samples, len(section.params)))

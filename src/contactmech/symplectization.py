@@ -160,11 +160,16 @@ class SympChart(_Chart):
         theta come from one run of the base coframe.
         """
         x = self.point(x)
-        if self.base.darboux:
+        coframe = None if self.base.darboux else self.base.coframe_at(x[:-1])
+        return self._field(x, value, grad, coframe)
+
+    def _field(self, x: np.ndarray, value: float, grad: np.ndarray, coframe) -> np.ndarray:
+        """field_from_gradient with the base (eta, d eta) at x; None on standard bases."""
+        if coframe is None:
             eta = self.base.eta_at(x[:-1])
             X = _standard_field(self.base.n, x, value, grad)
         else:
-            eta, deta = self.base.coframe_at(x[:-1])
+            eta, deta = coframe
             omega = self._omega(x, eta, deta)
             X = np.linalg.solve(omega.T, grad)
             resid = float(np.max(np.abs(omega.T @ X - grad)))
@@ -282,19 +287,23 @@ def lift_check(symp: SympSystem, points) -> LiftReport:
     i_Delta omega = -theta against r d/dr; |r dF/dr - F| and
     |theta(X_F) - F| for every lifted integral F; and
     |{f^S, g^S} + r {f, g}| for every pair, with the Jacobi bracket of
-    the base system.
+    the base system.  Each point runs the base coframe once for omega,
+    theta and the lifted fields, and once more for the base jets.
     """
     chart = symp.chart
     points = np.atleast_2d(np.asarray(points, dtype=float))
     min_det = np.inf
     liouville = homogeneity = pairing = correspondence = 0.0
     for x in points:
-        omega = chart.omega_at(x)
+        x = chart.point(x)
+        coframe = chart.base.coframe_at(x[:-1])
+        omega = chart._omega(x, *coframe)
         min_det = min(min_det, abs(float(np.linalg.det(omega))))
-        theta = chart.theta_at(x)
+        theta = chart._theta(x, coframe[0])
         liouville = max(liouville, chart._liouville(x, omega, theta)[1])
         vgs = symp.values_and_gradients(x)
-        fields = [chart.field_from_gradient(x, value, grad) for value, grad in vgs]
+        frame = None if chart.base.darboux else coframe
+        fields = [chart._field(x, value, grad, frame) for value, grad in vgs]
         for (value, grad), X in zip(vgs, fields):
             homogeneity = max(homogeneity, abs(x[-1] * grad[-1] - value))
             pairing = max(pairing, abs(float(theta @ X) - value))

@@ -3,14 +3,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactmech import expressions
 from contactmech.expressions import (
     Binary,
     Const,
-    Dual,
     EvaluationDomainError,
     ExpressionSyntaxError,
     Power,
@@ -27,6 +26,7 @@ from contactmech.expressions import (
 )
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.symplectization import SympSystem
+from dual_walk import Dual, dual_gradient, dual_jet2
 
 ENV = {"q": 1.3, "p": 0.7, "z": 2.1}
 
@@ -171,20 +171,29 @@ def test_printer_is_canonical(tree):
 @settings(max_examples=200, deadline=None)
 @given(_TREES)
 def test_gradient_implementations_agree(tree):
-    # vector-tangent duals and nested per-pair duals are independent paths
+    # the kernels against nested duals, one walk per index pair
     names = ("q", "p", "z")
     point = (1.3, 0.7, 2.1)
     try:
+        ref = dual_jet2(tree, names, point)
+    except EvaluationDomainError:
+        ref = None
+    try:
         value, grad = eval_gradient(tree, names, point)
         jet = eval_jet2(tree, names, point)
-    except EvaluationDomainError:
+    except EvaluationDomainError as exc:
+        # the kernels of the first partials check their own arithmetic for
+        # overflow, where the walk lets a second derivative become non-finite
+        assert ref is None or (
+            str(exc).startswith("overflow") and not np.isfinite(ref.hessian).all()
+        ), exc
         return
-    # near-overflow constants (1/2e-311) make inf/nan legitimate; the
-    # property is agreement, including where both paths produce nan
-    assume(math.isfinite(value))
-    assert value == pytest.approx(jet.value, rel=1e-12, abs=1e-12)
-    assert np.allclose(grad, jet.gradient, rtol=1e-9, atol=1e-9, equal_nan=True)
-    assert np.allclose(jet.hessian, jet.hessian.T, equal_nan=True)
+    assert ref is not None
+    assert value == jet.value and np.array_equal(grad, jet.gradient, equal_nan=True)
+    assert jet.value == pytest.approx(ref.value, rel=1e-12, nan_ok=True)
+    for got, want in ((jet.gradient, ref.gradient), (jet.hessian, ref.hessian)):
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True)
+    assert np.array_equal(jet.hessian, jet.hessian.T, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +307,8 @@ def _outcome(run, point):
 
 
 _COORDS = st.one_of(
-    st.sampled_from([0.0, -0.0]), st.floats(min_value=-4.0, max_value=4.0)
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=-4.0, max_value=4.0),
 )
 
 
@@ -307,7 +317,7 @@ _COORDS = st.one_of(
 def test_compiled_kernel_matches_dual_walk(tree, points):
     names = ("q", "p", "z")
     compiled = gradient_evaluator(tree, names)
-    walk = expressions._dual_gradient(tree, names)
+    walk = dual_gradient(tree, names)
     for point in points:
         assert _outcome(compiled, np.array(point)) == _outcome(walk, point)
 
@@ -328,7 +338,7 @@ def test_compiled_kernel_matches_dual_walk(tree, points):
 )
 def test_compiled_kernel_domain_errors(source, x, message):
     tree = parse(source)
-    for run in (gradient_evaluator(tree, ("x",)), expressions._dual_gradient(tree, ("x",))):
+    for run in (gradient_evaluator(tree, ("x",)), dual_gradient(tree, ("x",))):
         with pytest.raises(EvaluationDomainError) as err:
             run(np.array([x]))
         assert str(err.value) == message
@@ -348,6 +358,16 @@ def test_overflow_is_a_domain_error():
     assert math.isnan(evaluate(parse("q * 2 + 1"), {"q": math.nan}))
     value, grad = eval_gradient(parse("q * p"), ("q", "p"), (math.inf, 2.0))
     assert value == math.inf and grad[1] == math.inf
+
+
+def test_jet2_raises_where_a_second_derivative_overflows():
+    # at 1e-155, f = 1/x is finite and the tangent -1/x^2 overflows to -inf
+    # without raising; the kernel of df/dx checks that arithmetic itself,
+    # where the nested-dual walk returns an infinite Hessian
+    tree = parse("1 / x")
+    assert dual_jet2(tree, ("x",), (1e-155,)).hessian[0, 0] == math.inf
+    with pytest.raises(EvaluationDomainError, match=r"^overflow in '-\(1.0 / x\) \* 1.0 / x'$"):
+        eval_jet2(tree, ("x",), (1e-155,))
 
 
 def test_kernels_compile_lazily_once_per_expression_and_names():

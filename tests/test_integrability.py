@@ -62,6 +62,13 @@ def test_section_spec_validation():
         SectionSpec("s", ("L1", "L2"), ("0", "1", "1", "L2"), dom, denominator_index=2)
 
 
+def test_section_spec_rejects_extra_domain_key():
+    # the shared bounds check of regions: an extra key used to pass silently
+    dom = {"L1": (0.5, 2.0), "L2": (0.5, 2.0), "W": (0.5, 2.0)}
+    with pytest.raises(ValueError, match=r"domain keys must match parameters .*extra \['W'\]"):
+        SectionSpec("s", ("L1", "L2"), ("0", "1", "1", "L2"), dom)
+
+
 def test_section_chi_and_jacobian(pz_config):
     section = pz_config.section("graph-z")
     lam = np.array([3.0, 5.0])
@@ -106,6 +113,12 @@ def test_verify_section_flags_nonhorizontal(pz_symp):
     assert report.sign == -1
     assert report.max_horizontality > 1e-3
     assert not report.passed
+
+
+def test_verify_section_needs_a_sample(pz_config, pz_symp):
+    # zero samples used to report sign 1 and pass without evaluating a point
+    with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+        verify_section(pz_symp, pz_config.section("graph-z"), n_samples=0)
 
 
 def test_verify_section_rejects_escaping_fiber(pz_symp):

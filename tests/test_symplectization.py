@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from contactmech.config import load_config
 from contactmech.expressions import Binary, Const, Var, eval_gradient, parse, to_string
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.symplectization import (
@@ -248,3 +251,18 @@ def test_lift_check_reports_every_identity(pz_system, factor):
     assert all(c.value <= 1e-12 for c in report.checks[1:])
     assert report.passed and all(c.passed for c in report.checks)
     assert report.n_points == 20
+
+
+def test_lift_check_runs_the_base_coframe_twice_per_point(monkeypatch):
+    # once for omega, theta and the lifted fields, once for the base jets
+    # (it ran 5 times per point: omega, theta, one per field, the jets)
+    cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
+    symp = cfg.symp_system()
+    points = symp.sample(np.random.default_rng(0), 50)
+    calls = []
+    coframe_at = ContactChart.coframe_at
+    monkeypatch.setattr(
+        ContactChart, "coframe_at", lambda self, x: calls.append(1) or coframe_at(self, x)
+    )
+    assert lift_check(symp, points).passed
+    assert len(calls) == 100
