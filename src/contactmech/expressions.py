@@ -55,6 +55,7 @@ __all__ = [
     "gradient_evaluator",
     "gradient_kernel",
     "eval_jet2",
+    "jet2_kernel",
 ]
 
 
@@ -818,6 +819,25 @@ class Jet2:
     hessian: np.ndarray
 
 
+def jet2_kernel(
+    node: Expr, names: Sequence[str]
+) -> "Callable[[Sequence[float]], tuple[float, tuple[float, ...], list[tuple[float, ...]]]]":
+    """Compiled kernels computing (value, gradient, Hessian rows) as floats.
+
+    Row i is the gradient of the memoised kernel of df/dx_i (see
+    `_derivative`), as computed: eval_jet2 symmetrizes the rows, this
+    closure does not.  The kernels are fetched now, once.
+    """
+    key = _KernelKey(node, tuple(names))
+    kernel, partials = _kernel(key), _partial_kernels(key)
+
+    def run(values):
+        value, grad = kernel(values)
+        return value, grad, [partial(values)[1] for partial in partials]
+
+    return run
+
+
 def eval_jet2(node: Expr, names: Sequence[str], values: Sequence[float]) -> Jet2:
     """Value, gradient, and Hessian from compiled kernels.
 
@@ -827,9 +847,7 @@ def eval_jet2(node: Expr, names: Sequence[str], values: Sequence[float]) -> Jet2
     domain errors, a second derivative that overflows raises "overflow"
     naming a subtree of df/dx_i.
     """
-    key = _KernelKey(node, tuple(names))
-    value, grad = _kernel(key)(values)
-    rows = np.array([kernel(values)[1] for kernel in _partial_kernels(key)], dtype=float)
-    rows = rows.reshape(len(grad), len(grad))
+    value, grad, rows = jet2_kernel(node, names)(values)
+    rows = np.array(rows, dtype=float).reshape(len(grad), len(grad))
     hessian = np.tril(rows) + np.tril(rows, -1).T
     return Jet2(value=float(value), gradient=np.array(grad), hessian=hessian)

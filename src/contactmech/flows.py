@@ -37,6 +37,7 @@ __all__ = [
     "integrate",
     "flow_map",
     "group_action",
+    "variational_group_action",
     "dissipation_residual",
 ]
 
@@ -155,8 +156,10 @@ def integrate(system, f, x0, t_final: float, config: IntegratorConfig | None = N
     `system` is a ContactSystem or SympSystem; f may be an integral
     index, a source string, or an expression.  Negative t_final flows
     backward.  Returns the trajectory of accepted steps; domain exits
-    truncate with status "exited_domain".
+    truncate with status "exited_domain".  A non-finite t_final raises
+    ValueError.
     """
+    _check_time(t_final)
     cfg = config or IntegratorConfig()
     field_fn = system.field_evaluator(f)
     guards = tuple(getattr(system, "positive_indices", ()))
@@ -169,10 +172,19 @@ def integrate(system, f, x0, t_final: float, config: IntegratorConfig | None = N
     if bad is not None:
         raise StartPointError(f"start point outside domain: {bad}")
 
-    if t_final == 0.0:
+    return _flow(field_fn, x, float(t_final), cfg, guards, names)
+
+
+def _check_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t}")
+
+
+def _flow(field_fn, x, T, cfg, guards, names) -> Trajectory:
+    if T == 0.0:
         return Trajectory(np.zeros(1), np.array([x]), COMPLETED)
     run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
-    return run(field_fn, x, float(t_final), cfg, guards, names)
+    return run(field_fn, x, T, cfg, guards, names)
 
 
 def _trajectory(times: list, points: list, status: str, detail: str = "") -> Trajectory:
@@ -293,7 +305,10 @@ def _run_rkf45(field_fn, x, T, cfg, guards, names) -> Trajectory:
 
 def flow_map(system, f, x0, t: float, config: IntegratorConfig | None = None) -> np.ndarray:
     """Endpoint of the time-t flow; raises FlowError on truncation."""
-    traj = integrate(system, f, x0, t, config)
+    return _endpoint(integrate(system, f, x0, t, config), f)
+
+
+def _endpoint(traj: Trajectory, f) -> np.ndarray:
     if not traj.completed:
         raise FlowError(
             f"flow of {f!r} stopped at t = {traj.times[-1]:.6g} ({traj.status}: {traj.detail})",
@@ -322,6 +337,42 @@ def group_action(
         if t[idx] != 0.0:
             x = flow_map(system, fs[idx], x, float(t[idx]), config)
     return x
+
+
+def variational_group_action(
+    system,
+    t: Sequence[float],
+    x0,
+    tangents,
+    config: IntegratorConfig | None = None,
+    integrals: Sequence | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """group_action and its derivative in x0 applied to the columns of `tangents`.
+
+    Each flow steps the augmented state (x, dx_1, ..., dx_k) with the
+    variational equation dx_j' = DX_f(x) dx_j (system.variational_evaluator),
+    so the tangents share the stages and accepted steps of the flow
+    (internal differentiation).  The error control covers the tangents
+    too.  Returns the endpoint and the carried tangents as columns; a
+    truncated flow raises FlowError and a non-finite time ValueError.
+    """
+    fs = list(integrals) if integrals is not None else list(system.integrals)
+    t = np.asarray(t, dtype=float)
+    if len(t) != len(fs):
+        raise ValueError(f"need {len(fs)} times, got {len(t)}")
+    for time in t:
+        _check_time(time)
+    cfg = config or IntegratorConfig()
+    guards = tuple(getattr(system, "positive_indices", ()))
+    dim = system.dim
+    tangents = np.asarray(tangents, dtype=float)
+    state = np.concatenate([np.asarray(x0, dtype=float), tangents.T.ravel()])
+    for idx in range(len(fs) - 1, -1, -1):
+        if t[idx] != 0.0:
+            field_fn = system.variational_evaluator(fs[idx])
+            traj = _flow(field_fn, state.tolist(), float(t[idx]), cfg, guards, system.coordinates)
+            state = _endpoint(traj, fs[idx])
+    return state[:dim], state[dim:].reshape(-1, dim).T
 
 
 def dissipation_residual(system, h, f, trajectory: Trajectory) -> float:

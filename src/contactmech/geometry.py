@@ -31,6 +31,7 @@ from .expressions import (
     free_variables,
     gradient_evaluator,
     gradient_kernel,
+    jet2_kernel,
     parse,
 )
 
@@ -74,7 +75,6 @@ class ConformalFactorError(GeometryError):
 
 _SINGULAR_DET = 1e-12
 _RESIDUAL_TOL = 1e-10
-_FD_STEP = 1e-5
 
 
 def _as_expr(f: Expr | str, names: Sequence[str]) -> Expr:
@@ -93,7 +93,7 @@ class _Chart:
 
     A subclass sets `coordinates`, `dim` and `_closed_field` (its
     standard-form field over float lists, or None) and defines
-    `field_from_gradient`.
+    `field_from_gradient` and `field_with_tangents`.
     """
 
     coordinates: tuple[str, ...]
@@ -121,6 +121,18 @@ class _Chart:
         x = self.point(x)
         value, grad = self.value_and_gradient(f, x)
         return self.field_from_gradient(x, value, grad)
+
+    def hamiltonian_field_jacobian_at(self, f: Expr | str, x) -> np.ndarray:
+        """Jacobian d_a X_f^i, rows i, columns a.
+
+        Column a is the exact tangent map of the field (field_with_tangents)
+        applied to the unit vector e_a, from f's second-order jet.
+        """
+        f = self.function(f)
+        x = self.point(x)
+        jet = eval_jet2(f, self.coordinates, x)
+        unit = np.eye(self.dim)
+        return self.field_with_tangents(x, jet.value, jet.gradient, jet.hessian, unit)[1]
 
 
 class ContactChart(_Chart):
@@ -196,6 +208,18 @@ class ContactChart(_Chart):
         for b, run in enumerate(self._coeff_grads):
             eta[b], jac[:, b] = run(x)
         return eta, jac - jac.T
+
+    def _coframe_tangent(self, x: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives of eta and d eta at x along the k columns of dx.
+
+        Shapes (dim, k) and (k, dim, dim), from the Hessians of eta's
+        coefficients.
+        """
+        jets = [eval_jet2(c, self.coordinates, x) for c in self.eta_coefficients]
+        jac = np.array([jet.gradient for jet in jets])  # [b, a] = d_a eta_b
+        hessians = np.array([jet.hessian for jet in jets])
+        djac = np.einsum("bac,cj->jab", hessians, dx)
+        return jac @ dx, djac - djac.transpose(0, 2, 1)
 
     def flat_matrix_at(self, x, coframe=None) -> np.ndarray:
         """B = d eta + eta eta^T; `coframe` is coframe_at(x) when already known."""
@@ -296,35 +320,36 @@ class ContactChart(_Chart):
         reeb = tuple(grad[-1] if frame is None else grad @ frame[2] for grad in grads)
         return Jets(x, values, grads, fields, reeb)
 
-    def hamiltonian_field_jacobian_at(self, f: Expr | str, x) -> np.ndarray:
-        """Jacobian d_a X_f^i, rows i, columns a.
+    def field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
+        """X_f at x and its tangent map DX_f(x) dx on the k columns of dx.
 
-        Standard-form charts differentiate the closed form with exact
-        second-order jets; general coframes take central differences of
-        the field map with step 1e-5.
+        From f's value, gradient and Hessian at x.  The tangent map is the
+        derivative of field_from_gradient: of the closed form on
+        standard-form charts, otherwise of the solve B^T X = rhs, giving
+        dX = B^-T (d rhs - dB^T X) with dB from the Hessians of eta's
+        coefficients (the Reeb field is differentiated the same way).
         """
-        f = self.function(f)
-        x = self.point(x)
+        frame = self._frame(x)
+        X = self._field(x, value, grad, frame)
+        dvalue, dgrad = grad @ dx, hessian @ dx
         n = self.n
-        if self.darboux:
-            jet = eval_jet2(f, self.coordinates, x)
-            g, H = jet.gradient, jet.hessian
-            p = x[n : 2 * n]
-            J = np.empty((self.dim, self.dim))
-            J[:n] = H[n : 2 * n]
-            J[n : 2 * n] = -(H[:n] + np.outer(p, H[-1]))
-            for i in range(n):
-                J[n + i, n + i] -= g[-1]
-            J[-1] = p @ H[n : 2 * n] - g
-            J[-1, n : 2 * n] += g[n : 2 * n]
-            return J
-        J = np.empty((self.dim, self.dim))
-        for a, step in enumerate(np.eye(self.dim) * _FD_STEP):
-            J[:, a] = (
-                self.hamiltonian_field_at(f, x + step)
-                - self.hamiltonian_field_at(f, x - step)
-            ) / (2.0 * _FD_STEP)
-        return J
+        if frame is None:
+            p, dp = x[n : 2 * n], dx[n : 2 * n]
+            dX = np.empty_like(dgrad)
+            dX[:n] = dgrad[n : 2 * n]
+            dX[n : 2 * n] = -(dgrad[:n] + p[:, None] * dgrad[-1] + grad[-1] * dp)
+            dX[-1] = p @ dgrad[n : 2 * n] + grad[n : 2 * n] @ dp - dvalue
+            return X, dX
+        eta, B, reeb = frame
+        deta, ddeta = self._coframe_tangent(x, dx)
+
+        def dBT(v):  # (dB)^T v per column, dB = d(d eta) + d eta eta^T + eta d eta^T
+            return np.einsum("jab,a->bj", ddeta, v) + np.outer(eta, v @ deta) + (eta @ v) * deta
+
+        dreeb = np.linalg.solve(B.T, deta - dBT(reeb))
+        drhs = (dgrad - np.outer(eta, reeb @ dgrad + grad @ dreeb + dvalue)
+                - (grad @ reeb + value) * deta)
+        return X, np.linalg.solve(B.T, drhs - dBT(X))
 
     def field_commutator_at(self, f: Expr | str, g: Expr | str, x) -> np.ndarray:
         """Lie bracket [X_f, X_g] of two Hamiltonian fields."""
@@ -525,6 +550,29 @@ class _System:
         def field(x) -> list[float]:
             value, grad = kernel(x)
             return closed_field(n, x, value, grad)
+
+        return field
+
+    def variational_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
+        """Closure for the variational equation of X_f, over float lists.
+
+        The state is x followed by k tangent vectors dx_1..dx_k; the
+        closure returns X_f(x) followed by DX_f(x) dx_1..DX_f(x) dx_k, from
+        f's compiled second-order jet and field_with_tangents.
+        """
+        f = self.resolve(f)
+        chart = self.chart
+        jet = jet2_kernel(f, chart.coordinates)
+        dim = chart.dim
+
+        def field(state) -> list[float]:
+            x = state[:dim]
+            value, grad, rows = jet(x)
+            tangents = np.array(state[dim:]).reshape(-1, dim).T
+            X, dX = chart.field_with_tangents(
+                np.array(x), value, np.array(grad), np.array(rows), tangents
+            )
+            return np.concatenate((X, dX.T.ravel())).tolist()
 
         return field
 

@@ -13,8 +13,9 @@ contact chart, this module checks the structure theory numerically:
   two-forms f_a df_b - f_b df_a on ray points.
 * verify_section / angle_solve / darboux_verify: horizontal sections of
   the lifted moment map on the symplectization, the Newton solve for the
-  angle coordinates y^a in x = Phi(y; chi(F(x))), and the
-  finite-difference verification that dy^d - sum_j Atilde_j dy^j
+  angle coordinates y^a in x = Phi(y; chi(F(x))), and the verification,
+  with the angles differentiated exactly through the variational
+  equation of the group action, that dy^d - sum_j Atilde_j dy^j
   reproduces the rescaled contact form -eta / A_d.
 * period_detect: smallest positive return time of a flow, if any.
 
@@ -42,7 +43,14 @@ from .expressions import (
     gradient_evaluator,
     parse,
 )
-from .flows import FlowError, IntegratorConfig, flow_map, group_action, integrate
+from .flows import (
+    FlowError,
+    IntegratorConfig,
+    flow_map,
+    group_action,
+    integrate,
+    variational_group_action,
+)
 from .geometry import ContactSystem, _bounds
 from .symplectization import SympSystem, symplectize
 
@@ -663,8 +671,12 @@ def angle_solve(
     Damped Newton from y = 0 (or the warm start y0) with the exact
     Jacobian of the group action: the generators commute, so
     dPhi/dy_a = X_{g_a}(Phi(y)) and each iteration takes the lifted
-    Hamiltonian fields at the current endpoint.  The generators must be
-    in involution at x (|{g_a, g_b}| <= 1e-8 max(1, |F(x)|)), otherwise
+    Hamiltonian fields at the current endpoint.  Commuting flows also
+    give Phi(y + delta; b) = Phi(delta; Phi(y; b)), so each line-search
+    trial flows only its increment from the current endpoint; the
+    Jacobian above is exactly the derivative of that map at delta = 0.
+    The generators must be in involution at x
+    (|{g_a, g_b}| <= 1e-8 max(1, |F(x)|)), otherwise
     IntegrabilityError names the offending pair.  Steps halve up to 20
     times on residual increase; a step that finds no decrease raises
     NewtonDivergenceError.  The convergence target is newton_tolerance
@@ -712,14 +724,14 @@ def angle_solve(
                 f"section {section.name!r} leaves the chart at the base point"
             )
 
-    def phi(y: np.ndarray) -> np.ndarray:
-        return group_action(symp_system, y, base, cfg, integrals=generators)
+    def phi(y: np.ndarray, start: np.ndarray) -> np.ndarray:
+        return group_action(symp_system, y, start, cfg, integrals=generators)
 
     scale = max(1.0, float(np.max(np.abs(x))))
     target = max(newton_tolerance, 10.0 * cfg.rel_tol * scale)
 
     y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
-    end = phi(y)
+    end = phi(y, base)
     gn = float(np.max(np.abs(end - x)))
     iterations = 0
     while not gn <= target:  # a NaN residual must not read as converged
@@ -736,7 +748,7 @@ def angle_solve(
         for _ in range(21):
             y_try = y + lam * delta
             try:
-                end_try = phi(y_try)
+                end_try = phi(lam * delta, end)
             except (FlowError, ValueError, EvaluationDomainError):
                 lam *= 0.5
                 continue
@@ -780,7 +792,6 @@ def angle_solve(
 class DarbouxReport:
     max_residual: float
     worst_point: np.ndarray
-    fd_step: float
     tolerance: float
     n_points: int
     passed: bool
@@ -791,7 +802,6 @@ def darboux_verify(
     section: SectionSpec,
     n_points: int = 25,
     points: np.ndarray | None = None,
-    fd_step: float = 1e-5,
     tolerance: float = 1e-5,
     r_ref: float = 1.0,
     config: IntegratorConfig | None = None,
@@ -800,49 +810,54 @@ def darboux_verify(
 ) -> DarbouxReport:
     """Check dy^d - sum_j Atilde_j dy^j = -eta / A_d at sampled points.
 
-    The angle coordinates are differentiated by central differences of
-    step fd_step in the base coordinates (the angles are fiberwise
-    constant, so the lift uses the fixed reference fiber r_ref); each
-    perturbed solve warm-starts from the center angles.  The default
-    integrator here is tighter than usual: the difference quotient
-    divides the angle error by fd_step, so the flow must be resolved a
-    few orders below tolerance * fd_step.
+    Each point takes one angle solve under `config` and then the exact
+    differential of the angles (see _darboux_covector).  The angles are
+    fiberwise constant, so the lift uses the fixed reference fiber r_ref.
     """
     symp = symplectize(system, r_range=(r_ref / 2.0, 2.0 * r_ref))
     if points is None:
         points = system.sample(np.random.default_rng(seed), n_points)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-    m = len(system.integrals)
+    cfg = config or IntegratorConfig()
     worst, where = 0.0, points[0]
-
-    def solve(xb, **warm) -> ActionAngleResult:
-        return angle_solve(symp, section, np.append(xb, r_ref), config=cfg, basis=basis,
-                           newton_tolerance=1e-11, **warm)
-
     for xb in points:
-        center = solve(xb)
-        d = center.denominator_index
-        grad_y = np.empty((m, system.dim))
-        for a, offset in enumerate(np.eye(system.dim) * fd_step):
-            plus = solve(xb + offset, sign=center.sign, y0=center.y)
-            minus = solve(xb - offset, sign=center.sign, y0=center.y)
-            grad_y[:, a] = (plus.y - minus.y) / (2.0 * fd_step)
-        covector = grad_y[d].copy()
-        for coeff, j in zip(center.A_tilde, [j for j in range(m) if j != d]):
-            covector -= coeff * grad_y[j]
-        target = -system.chart.eta_at(xb) / center.A[d]
+        covector, target = _darboux_covector(symp, section, xb, r_ref, cfg, basis)
         resid = float(np.max(np.abs(covector - target)))
         if resid > worst:
             worst, where = resid, xb
     return DarbouxReport(
         max_residual=worst,
         worst_point=np.asarray(where),
-        fd_step=fd_step,
         tolerance=tolerance,
         n_points=len(points),
         passed=bool(worst <= tolerance),
     )
+
+
+def _darboux_covector(symp, section, xb, r_ref, cfg, basis) -> tuple[np.ndarray, np.ndarray]:
+    """dy^d - sum_j Atilde_j dy^j and -eta / A_d at the base point xb.
+
+    At the solved angles x = Phi(y; chi(s F(x))), so along a base
+    direction v, v = J dy + DPhi_y Dchi s dF v with J the lifted generator
+    fields at x, and dy = J^+ (v - DPhi_y Dchi s dF v); the bracket lies in
+    the span of J, so the least-squares solve is exact.  DPhi_y carries
+    the n+1 columns of s Dchi in one variational pass of the group action.
+    """
+    x = np.append(xb, r_ref)
+    center = angle_solve(symp, section, x, config=cfg, basis=basis)
+    generators = _generators(symp, center.M_matrix)
+    vgs = symp.values_and_gradients(x)
+    lam = center.sign * np.array([value for value, _ in vgs])
+    _, carried = variational_group_action(
+        symp, center.y, section.chi_at(lam), center.sign * section.chi_jacobian_at(lam),
+        cfg, integrals=generators,
+    )
+    dF = np.array([grad[:-1] for _, grad in vgs])
+    J = np.column_stack([symp.hamiltonian_field_at(G, x) for G in generators])
+    grad_y, *_ = np.linalg.lstsq(J, np.eye(len(x))[:, :-1] - carried @ dF, rcond=None)
+    d = center.denominator_index
+    covector = np.insert(-center.A_tilde, d, 1.0) @ grad_y
+    return covector, -symp.base.chart.eta_at(xb) / center.A[d]
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,41 @@ class SympChart(_Chart):
                 )
         return X
 
+    def field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
+        """X_F at x and its tangent map DX_F(x) dx on the k columns of dx.
+
+        From F's value, gradient and Hessian at x.  Standard-form bases
+        differentiate the closed form, whose X is not checked here (as in
+        field_evaluator); otherwise the solve omega^T X = dF gives
+        dX = omega^-T (d dF - d omega^T X), with d omega from r and the
+        Hessians of the base coframe's coefficients.
+        """
+        dgrad = hessian @ dx
+        r, dr = x[-1], dx[-1]
+        if self.base.darboux:
+            n = self.base.n
+            X = _standard_field(n, x, value, grad)
+            p, dp = x[n : 2 * n], dx[n : 2 * n]
+            dX = np.empty_like(dgrad)  # first the numerators over r
+            dX[:n] = -dgrad[n : 2 * n]
+            dX[n : 2 * n] = dgrad[:n] + p[:, None] * dgrad[2 * n] + grad[2 * n] * dp
+            dX[2 * n] = -(p @ dgrad[n : 2 * n] + grad[n : 2 * n] @ dp)
+            over_r = X[:-1].copy()  # the terms of X divided by r
+            over_r[-1] -= grad[-1]
+            dX[:-1] = (dX[:-1] - over_r[:, None] * dr) / r
+            dX[2 * n] += dgrad[-1]
+            dX[-1] = -dgrad[2 * n]
+            return X, dX
+        eta, deta = coframe = self.base.coframe_at(x[:-1])
+        X = self._field(x, value, grad, coframe)
+        d_eta, d_deta = self.base._coframe_tangent(x[:-1], dx[:-1])
+        Xb, Xr = X[:-1], X[-1]
+        domega_T_X = np.empty_like(dgrad)
+        domega_T_X[:-1] = (-np.outer(deta.T @ Xb, dr) - r * np.einsum("jab,a->bj", d_deta, Xb)
+                           - Xr * d_eta)
+        domega_T_X[-1] = Xb @ d_eta
+        return X, np.linalg.solve(self._omega(x, eta, deta).T, dgrad - domega_T_X)
+
     def poisson_bracket_at(self, F: Expr | str, G: Expr | str, x) -> float:
         """Poisson bracket {F, G} = X_F(G) of the potential theta."""
         F, G = self.function(F), self.function(G)

@@ -4,7 +4,9 @@ One test per user-visible guarantee: closed-form fields and flows,
 action-angle recovery on both bundled sections, the standard shape of
 the rescaled contact form, bracket correspondence under lifting, the
 Jacobi-structure axioms, agreement of the two coisotropy diagnostics,
-the dissipation law, and byte-identical reports.
+the dissipation law, and byte-identical reports.  Angle coordinates and
+the standard shape are also checked at n = 2, on the standard chart and
+on its image under a contactomorphism.
 """
 
 import itertools
@@ -13,10 +15,13 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from contactmech import (
     ContactChart,
+    ContactSystem,
     RayTarget,
+    SectionSpec,
     angle_solve,
     bundled_config_path,
     coisotropy_check,
@@ -24,6 +29,7 @@ from contactmech import (
     group_action,
     integrate,
     parse,
+    symplectize,
     tangency_check,
 )
 from contactmech.flows import COMPLETED
@@ -82,6 +88,39 @@ def test_rescaled_contact_form_is_standard_in_angle_coordinates(pz_system, pz_co
     report = darboux_verify(pz_system, pz_config.section("graph-z"), n_points=25)
     assert report.passed
     assert report.max_residual < 1e-5
+
+
+# n = 2: the integrals (p1, p2, z) have the angles (q1, q2, -log z).  The
+# contactomorphism (q, p, z) -> (q, p + grad S, z + S) with S = 0.3 q1^2 q2
+# carries them to a nonlinear twin with the angles (q1, q2, -log(z - S));
+# S and grad S vanish at q = 0, so both share the section.
+N2_SYSTEMS = {
+    "standard": (["p1", "p2", "z"], lambda q1, q2, z: -np.log(z)),
+    "twin": (["p1 - 0.6*q1*q2", "p2 - 0.3*q1^2", "z - 0.3*q1^2*q2"],
+             lambda q1, q2, z: -np.log(z - 0.3 * q1**2 * q2)),
+}
+N2_SECTION = SectionSpec(
+    "graph-z", ("L1", "L2", "L3"), ("0", "0", "L1/L3", "L2/L3", "1", "L3"),
+    {name: (0.5, 2.0) for name in ("L1", "L2", "L3")}, denominator_index=2,
+)
+N2_POINTS = np.array([
+    [0.8, 0.7, 1.3, 1.6, 1.5],
+    [-0.5, 1.1, 0.9, 1.2, 0.8],
+    [1.2, -0.6, 1.7, 0.6, 1.9],
+])
+
+
+@pytest.mark.parametrize("name", sorted(N2_SYSTEMS))
+def test_angle_coordinates_and_standard_shape_at_n2(name):
+    integrals, last_angle = N2_SYSTEMS[name]
+    system = ContactSystem(ContactChart.standard(2), integrals)
+    symp = symplectize(system)
+    for x in N2_POINTS:
+        q1, q2, _, _, z = x
+        sol = angle_solve(symp, N2_SECTION, np.append(x, 1.0))
+        assert np.max(np.abs(sol.y - [q1, q2, last_angle(q1, q2, z)])) < 1e-8
+    report = darboux_verify(system, N2_SECTION, points=N2_POINTS)
+    assert report.max_residual <= 1e-7
 
 
 def _random_cubic(rng) -> str:

@@ -15,7 +15,10 @@ from contactmech.flows import (
     flow_map,
     group_action,
     integrate,
+    variational_group_action,
 )
+from contactmech.geometry import ContactChart, ContactSystem
+from contactmech.symplectization import symplectize
 
 X0 = np.array([2.0, 3.0, 5.0])
 
@@ -39,6 +42,19 @@ def test_config_rejects_bad_values(field, value):
 
 def test_config_allows_unbounded_max_step():
     assert IntegratorConfig(max_step=np.inf).max_step == np.inf
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_nonfinite_time_is_rejected(pz_system, t):
+    # a NaN time used to return status "completed" at the start point
+    with pytest.raises(ValueError, match=f"flow time must be finite, got {t}"):
+        integrate(pz_system, 0, [0.5, 1.2, 0.8], t)
+    with pytest.raises(ValueError, match="flow time must be finite"):
+        flow_map(pz_system, 1, X0, t)
+    with pytest.raises(ValueError, match="flow time must be finite"):
+        group_action(pz_system, [0.3, t], X0)
+    with pytest.raises(ValueError, match="flow time must be finite"):
+        variational_group_action(pz_system, [t, 0.0], X0, np.eye(3))
 
 
 def test_zero_time_is_a_single_row(pz_system):
@@ -211,6 +227,40 @@ def test_group_action_on_lift(pz_symp):
         [2.7, 3.0 * np.exp(0.4), 5.0 * np.exp(0.4), 7.0 * np.exp(-0.4)]
     )
     assert np.allclose(got, want, atol=1e-8)
+
+
+def test_variational_group_action_on_lift(pz_symp):
+    # Phi(t, s; q, p, z, r) = (q + t, p e^-s, z e^-s, r e^s): the derivative
+    # in the start point is diagonal
+    x0 = np.array([2.0, 3.0, 5.0, 7.0])
+    tangents = np.arange(8.0).reshape(4, 2) - 3.0
+    for method in ("rkf45", "rk4"):
+        cfg = IntegratorConfig(method=method, step=1e-3)
+        end, carried = variational_group_action(pz_symp, [0.7, -0.4], x0, tangents, cfg)
+        assert np.allclose(end, group_action(pz_symp, [0.7, -0.4], x0, cfg), atol=1e-12)
+        scale = np.exp([0.0, 0.4, 0.4, -0.4])
+        assert np.max(np.abs(carried - scale[:, None] * tangents)) < 1e-9
+
+
+def test_variational_group_action_matches_differences(pz_system):
+    # a general coframe, eta' = exp(q/3) eta, with the integrals exp(q/3) (p, z)
+    chart = ContactChart(("q", "p", "z"), ["-exp(q/3)*p", "0", "exp(q/3)"])
+    system = ContactSystem(chart, ["exp(q/3)*p", "exp(q/3)*z"], positive=["p", "z"])
+    x0, t, h = np.array([0.4, 1.3, 0.9]), [0.6, -0.3], 1e-6
+    for sys_, x in ((system, x0), (symplectize(system), np.append(x0, 1.2))):
+        _, carried = variational_group_action(sys_, t, x, np.eye(len(x)))
+        differences = np.column_stack([
+            (group_action(sys_, t, x + h * e) - group_action(sys_, t, x - h * e)) / (2.0 * h)
+            for e in np.eye(len(x))
+        ])
+        assert np.max(np.abs(carried - differences)) < 1e-7
+
+
+def test_variational_group_action_raises_on_truncation(pz_system):
+    # a two-step cap stops the flow short of its time
+    with pytest.raises(FlowError):
+        variational_group_action(pz_system, [0.0, 1.0], X0, np.eye(3),
+                                 IntegratorConfig(max_steps=2))
 
 
 # ---------------------------------------------------------------------------

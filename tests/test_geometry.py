@@ -230,12 +230,20 @@ def test_field_jacobian_jet_matches_fd(chart):
 
 
 def test_general_field_jacobian_matches_jets(chart, general_chart):
-    # the general chart differentiates its field map by central differences
+    # the general chart differentiates its flat-map solve, the Darboux chart its closed form
     f = parse("exp(q/4) * sin(p) + z^2 * cos(q) - sqrt(z) * tanh(p*q/3)")
     x = np.array([1.3, 0.7, 2.1])
     J_jet = chart.hamiltonian_field_jacobian_at(f, x)
     J_fd = general_chart.hamiltonian_field_jacobian_at(f, x)
     assert np.allclose(J_jet, J_fd, atol=1e-8)
+
+
+def test_general_field_jacobian_is_exact(chart, general_chart):
+    # the general chart's columns are exact tangent maps, not central differences
+    f = parse("exp(q/4) * sin(p) + z^2 * cos(q) - sqrt(z) * tanh(p*q/3)")
+    for x in ([1.3, 0.7, 2.1], [-0.4, 1.9, 0.6]):
+        J_jet = chart.hamiltonian_field_jacobian_at(f, x)
+        assert np.max(np.abs(general_chart.hamiltonian_field_jacobian_at(f, x) - J_jet)) < 1e-11
 
 
 def test_commutator_closes_on_brackets(chart):

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from contactmech.config import load_config
 from contactmech.flows import FlowError, IntegratorConfig, group_action
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.integrability import (
@@ -20,10 +23,22 @@ from contactmech.integrability import (
     ray_project,
     tangency_check,
     verify_section,
+    _darboux_covector,
 )
 from contactmech.symplectization import symplectize
 
 X4 = np.array([2.0, 3.0, 5.0, 1.0])
+RESCALED_PZ = Path(__file__).parent / "data" / "golden" / "rescaled-pz.json"
+# tight enough that the Newton target, 10 rel_tol times the point scale,
+# sits two orders below a 1e-9 comparison
+TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def _closed_form_angles(section: str, x) -> np.ndarray:
+    q, p, z = x[0], x[1], x[2]
+    if section == "graph-z":
+        return np.array([q, -np.log(z)])
+    return np.array([q - z / p, -np.log(p)])
 
 
 def _ray(*v):
@@ -350,6 +365,30 @@ def test_angle_solve_rejects_noninvolutive_generators(noninvolutive5):
         angle_solve(symplectize(noninvolutive5), section, np.ones(6))
 
 
+@pytest.mark.parametrize("name", ["graph-z", "graph-p"])
+def test_newton_increments_reach_the_closed_form(pz_config, pz_symp, name):
+    # each line-search trial flows only its increment from the last endpoint;
+    # cold and perturbed warm starts must land on the same closed-form angles
+    section = pz_config.section(name)
+    rng = np.random.default_rng(11)
+    for x in pz_symp.sample(rng, 50):
+        want = _closed_form_angles(name, x)
+        cold = angle_solve(pz_symp, section, x, config=TIGHT)
+        warm = angle_solve(pz_symp, section, x, config=TIGHT,
+                           y0=want + rng.normal(0.0, 0.1, 2))
+        assert np.max(np.abs(cold.y - warm.y)) < 1e-9
+        assert np.max(np.abs(cold.y - want)) < 1e-8
+        assert np.max(np.abs(warm.y - want)) < 1e-8
+        again = angle_solve(pz_symp, section, x, config=TIGHT, sign=cold.sign, y0=cold.y)
+        assert again.iterations == 0
+
+
+def test_angle_solve_rejects_nonfinite_warm_start(pz_config, pz_symp):
+    # a NaN angle used to flow for a NaN time, which reported success
+    with pytest.raises(ValueError, match="flow time must be finite"):
+        angle_solve(pz_symp, pz_config.section("graph-z"), X4, y0=np.array([np.nan, 0.0]))
+
+
 def test_angle_solve_iteration_budget(pz_config, pz_symp):
     with pytest.raises(NewtonDivergenceError):
         angle_solve(pz_symp, pz_config.section("graph-z"), X4, max_iter=1)
@@ -389,6 +428,36 @@ def test_darboux_verify_fiber_reference_invariance(pz_config, pz_system):
     b = darboux_verify(pz_system, pz_config.section("graph-z"), points=pts, r_ref=1.5)
     assert a.passed and b.passed
     assert abs(a.max_residual - b.max_residual) < 1e-5
+
+
+def _finite_difference_covector(symp, section, xb, step=1e-5):
+    """The covector by central differences: 7 tight angle solves at n = 1."""
+    def solve(x, **warm):
+        return angle_solve(symp, section, np.append(x, 1.0), config=TIGHT,
+                           newton_tolerance=1e-11, **warm)
+
+    center = solve(xb)
+    grad_y = np.column_stack([
+        (solve(xb + offset, sign=center.sign, y0=center.y).y
+         - solve(xb - offset, sign=center.sign, y0=center.y).y) / (2.0 * step)
+        for offset in np.eye(len(xb)) * step
+    ])
+    return np.insert(-center.A_tilde, center.denominator_index, 1.0) @ grad_y
+
+
+@pytest.mark.parametrize("config_path, name", [
+    (None, "graph-z"), (None, "graph-p"), (RESCALED_PZ, "graph-z"),
+], ids=["pz-graph-z", "pz-graph-p", "rescaled-pz-graph-z"])
+def test_exact_covector_matches_finite_differences(pz_config, config_path, name):
+    # rescaled-pz runs the general-coframe tangent map, with d eta from its Hessians
+    cfg = pz_config if config_path is None else load_config(config_path)
+    system = cfg.system()
+    symp = symplectize(system)
+    section = cfg.section(name)
+    for xb in system.sample(np.random.default_rng(5), 3):
+        exact, target = _darboux_covector(symp, section, xb, 1.0, IntegratorConfig(), None)
+        assert np.max(np.abs(exact - _finite_difference_covector(symp, section, xb))) < 1e-6
+        assert np.max(np.abs(exact - target)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,20 @@ def test_fast_field_matches_general_solve(schart, rng):
         )
 
 
+@pytest.mark.parametrize("eta", [None, ["-exp(q/3)*p", "0", "exp(q/3)"]])
+def test_lifted_field_jacobian_matches_differences(eta):
+    # standard and general bases: exact tangent maps against central differences
+    chart = SympChart(ContactChart(("q", "p", "z"), eta))
+    F = parse("-r * (exp(q/4) * sin(p) + z^2 * cos(q))", chart.coordinates)
+    x, h = np.array([1.3, 0.7, 2.1, 1.4]), 1e-6
+    differences = np.column_stack([
+        (chart.hamiltonian_field_at(F, x + h * e) - chart.hamiltonian_field_at(F, x - h * e))
+        / (2.0 * h)
+        for e in np.eye(4)
+    ])
+    assert np.max(np.abs(chart.hamiltonian_field_jacobian_at(F, x) - differences)) < 1e-8
+
+
 def test_hamiltonian_field_solves_omega_equation(schart, rng):
     F = parse("r * q - p * z")  # not a lift, not homogeneous
     for _ in range(5):
