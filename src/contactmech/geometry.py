@@ -11,12 +11,29 @@ B_ab = (d eta)_ab + eta_a eta_b with the row convention
 (d eta)_ab = d_a eta_b - d_b eta_a, so (flat v)_b = v^a B_ab.  The
 Hamiltonian field of f solves flat(X_f) = df - (R(f) + f) eta and the
 Jacobi bracket is {f, g} = X_f(g) + g R(f).
+
+Point data is computed on stacks with a leading axis N of points: the
+coframe (N, dim) and (N, dim, dim), the flat matrix and Reeb field, the
+values (N, m) and gradients (N, m, dim) of m functions, their fields
+(N, m, dim), Reeb derivatives (N, m) and bracket matrices (N, m, m).
+Every check runs once over the whole stack and raises at its first
+failing row; `_in_sample_order` makes a multi-row stage raise the error
+of the first failing point in sample order, as a per-point loop would.
+The private stack methods take any leading shape, none included, so the
+single-point methods (`hamiltonian_field_at`, `field_from_gradient`,
+`jacobi_bracket_at`, ...) run the same code on one point.
+
+Stacked det, solve and svd reproduce their per-matrix results bitwise.
+A dot product is the stacked-vector product `_dot`, which reproduces the
+1-D `@` bitwise; `np.einsum` and a matrix-vector `@` sum in other orders
+and move the last bits of the reports.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -83,9 +100,105 @@ def _as_expr(f: Expr | str, names: Sequence[str]) -> Expr:
     return f
 
 
-def _scale_tol(tol: float, *values: float) -> float:
-    scale = max(1.0, *(abs(v) for v in values)) if values else 1.0
-    return tol * scale
+def _exceeds(resid, tol: float, values=(), vectors=()):
+    """Mask of resid > tol * max(1, |v|, max_i |w_i|) over values v and vectors w.
+
+    Everything broadcasts together; the scale is computed only when
+    resid > tol somewhere, since it is at least 1.
+    """
+    over = resid > tol
+    if _first(over) is None:
+        return over
+    scale = 1.0
+    for v in values:
+        scale = np.maximum(scale, abs(v))
+    for w in vectors:
+        scale = np.maximum(scale, _norm(w))
+    return resid > tol * scale
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (a, b) of the pairs a < b of m functions, in loop order."""
+    return np.triu_indices(m, 1)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """max |v_i| over the last axis."""
+    return abs(v).max(axis=-1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, broadcast over the leading axes.
+
+    The stacked-vector product reproduces the 1-D `a @ b` bitwise.
+    """
+    if a.ndim == b.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v over stacks; a stacked product reproduces the 2-D `M @ v` bitwise."""
+    if v.ndim == 1:
+        return M @ v
+    return (M @ v[..., None])[..., 0]
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b over stacks of matrices and vectors (NumPy 1 and 2 alike)."""
+    if b.ndim == 1:
+        return np.linalg.solve(A, b)
+    return np.linalg.solve(A, b[..., None])[..., 0]
+
+
+def _first(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry of a mask in C order, or None."""
+    if bad.ndim == 0:
+        return () if bad else None
+    k = bad.argmax()
+    if not bad.flat[k]:
+        return None
+    return np.unravel_index(k, bad.shape)
+
+
+def _first_max(values: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
+    """Largest entry and the index of its first occurrence in C order.
+
+    NaN entries are skipped, as a loop keeping the first strict maximum
+    above 0 skips them; (0.0, None) when no entry exceeds 0.
+    """
+    if values.size == 0:
+        return 0.0, None
+    positive = np.where(values > 0.0, values, 0.0)
+    k = positive.argmax()
+    worst = float(positive.flat[k])
+    if not worst > 0.0:
+        return 0.0, None
+    return worst, np.unravel_index(k, values.shape)
+
+
+def _in_sample_order(stage: Callable, *stacks):
+    """stage(*stacks), whose stacks share a leading row axis.
+
+    A stage checks each row, but its checks run one after the other over
+    the whole stack; when it raises, it runs again row by row, so that the
+    error raised is that of the first failing row in sample order, as a
+    loop over the points would raise it.
+    """
+    try:
+        return stage(*stacks)
+    except Exception as exc:  # whatever it is, an error is raised below
+        error = exc
+    for i in range(len(stacks[0])):
+        stage(*(_rows(stack, i) for stack in stacks))
+    raise error
+
+
+def _rows(stack, i: int):
+    if isinstance(stack, Jets):
+        return Jets._make(entry[i : i + 1] for entry in stack)
+    return stack[i : i + 1]
 
 
 class _Chart:
@@ -104,6 +217,13 @@ class _Chart:
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
         return x
+
+    def points(self, xs) -> np.ndarray:
+        """A stack of points, shape (N, dim); `point` for each row."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected point of shape ({self.dim},), got {xs.shape[1:]}")
+        return xs
 
     def function(self, f: Expr | str) -> Expr:
         f = _as_expr(f, self.coordinates)
@@ -179,16 +299,12 @@ class ContactChart(_Chart):
         return dict(zip(self.coordinates, map(float, x)))
 
     # -- coframe -------------------------------------------------------------
+    #
+    # The private methods below take points of shape (..., dim): a single
+    # point, or a stack with any leading axes.
 
     def eta_at(self, x) -> np.ndarray:
-        x = self.point(x)
-        if self.darboux:
-            n = self.n
-            out = np.zeros(self.dim)
-            out[:n] = -x[n : 2 * n]
-            out[-1] = 1.0
-            return out
-        return self.coframe_at(x)[0]
+        return self._etas(self.point(x))
 
     def deta_at(self, x) -> np.ndarray:
         return self.coframe_at(x)[1]
@@ -196,18 +312,41 @@ class ContactChart(_Chart):
     def coframe_at(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(eta, d eta) at x, from one run of each coefficient kernel."""
         x = self.point(x)
-        n = self.n
         if self.darboux:
-            deta = np.zeros((self.dim, self.dim))
-            for i in range(n):
-                deta[i, n + i] = 1.0
-                deta[n + i, i] = -1.0
-            return self.eta_at(x), deta
+            return self._coframes(x)
         eta = np.empty(self.dim)
         jac = np.empty((self.dim, self.dim))
         for b, run in enumerate(self._coeff_grads):
             eta[b], jac[:, b] = run(x)
         return eta, jac - jac.T
+
+    def _etas(self, xs: np.ndarray) -> np.ndarray:
+        """eta at points xs, shape (..., dim)."""
+        if not self.darboux:
+            return self._coframes(xs)[0]
+        n = self.n
+        eta = np.zeros(xs.shape)
+        eta.T[:n] = -xs.T[n : 2 * n]
+        eta.T[-1] = 1.0
+        return eta
+
+    def _coframes(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(eta, d eta) at points xs, shapes (..., dim) and (..., dim, dim).
+
+        General coframes run coframe_at on each point.
+        """
+        if self.darboux:
+            n = self.n
+            deta = np.zeros(xs.shape + (self.dim,))
+            i = np.arange(n)
+            deta[..., i, n + i] = 1.0
+            deta[..., n + i, i] = -1.0
+            return self._etas(xs), deta
+        if xs.ndim == 1:
+            return self.coframe_at(xs)
+        rows = [self.coframe_at(x) for x in xs.reshape(-1, self.dim)]
+        eta = np.array([eta for eta, _ in rows]).reshape(xs.shape)
+        return eta, np.array([deta for _, deta in rows]).reshape(xs.shape + (self.dim,))
 
     def _coframe_tangent(self, x: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Derivatives of eta and d eta at x along the k columns of dx.
@@ -222,13 +361,17 @@ class ContactChart(_Chart):
         return jac @ dx, djac - djac.transpose(0, 2, 1)
 
     def flat_matrix_at(self, x, coframe=None) -> np.ndarray:
-        """B = d eta + eta eta^T; `coframe` is coframe_at(x) when already known."""
-        x = self.point(x)
-        eta, deta = self.coframe_at(x) if coframe is None else coframe
-        B = deta + np.outer(eta, eta)
-        det = float(np.linalg.det(B))
-        if abs(det) <= _SINGULAR_DET:
-            raise ContactConditionError(x, det)
+        """B = d eta + eta eta^T at a point, or at each row of a stack (N, dim).
+
+        `coframe` is (eta, d eta) there when already known.  A singular B
+        raises ContactConditionError at the first such point.
+        """
+        x = np.asarray(x, dtype=float)
+        x = self.point(x) if x.ndim == 1 else self.points(x)
+        B, det = _flat_det(*(self._coframes(x) if coframe is None else coframe))
+        bad = _first(abs(det) <= _SINGULAR_DET)
+        if bad is not None:
+            raise ContactConditionError(x[bad], float(det[bad]))
         return B
 
     def flat_at(self, x, v) -> np.ndarray:
@@ -249,23 +392,49 @@ class ContactChart(_Chart):
             out = np.zeros(self.dim)
             out[-1] = 1.0
             return out
-        return self._frame(x)[2]
+        return self._frames(x)[2]
 
-    def _reeb(self, x: np.ndarray, eta: np.ndarray, B: np.ndarray) -> np.ndarray:
-        reeb = np.linalg.solve(B.T, eta)
-        resid = float(np.max(np.abs(B.T @ reeb - eta)))
-        if resid > _scale_tol(_RESIDUAL_TOL, *eta):
-            raise GeometryError(f"Reeb solve residual {resid:.3e} at {x.tolist()}")
-        return reeb
+    def _frames(self, xs: np.ndarray, coframes=None):
+        """(eta, B, Reeb field) at points xs; None on standard charts.
+
+        `coframes` is _coframes(xs) when already known.  A singular flat
+        matrix, or a Reeb solve residual above 1e-10 (relative to eta),
+        raises at the first such point.
+        """
+        if self.darboux:
+            return None
+        eta, deta = self._coframes(xs) if coframes is None else coframes
+        B = self.flat_matrix_at(xs, (eta, deta))
+        BT = B.swapaxes(-1, -2)
+        reeb = _solve(BT, eta)
+        resid = _norm(_matvec(BT, reeb) - eta)
+        bad = _first(_exceeds(resid, _RESIDUAL_TOL, vectors=(eta,)))
+        if bad is not None:
+            raise GeometryError(f"Reeb solve residual {resid[bad]:.3e} at {xs[bad].tolist()}")
+        return eta, B, reeb
+
+    @staticmethod
+    def _per_function(xs: np.ndarray, grads: np.ndarray, frames):
+        """Points and frames with an axis for the functions, when grads has one."""
+        if grads.ndim == xs.ndim:
+            return xs, frames
+        if frames is not None:
+            eta, B, reeb = frames
+            frames = eta[..., None, :], B[..., None, :, :], reeb[..., None, :]
+        return xs[..., None, :], frames
+
+    def _reeb_derivatives(self, xs: np.ndarray, grads: np.ndarray, frames) -> np.ndarray:
+        """R(f) of functions with gradients grads (..., dim) at points xs."""
+        if frames is None:
+            return grads[..., -1]
+        return _dot(grads, self._per_function(xs, grads, frames)[1][2])
 
     def reeb_derivative(self, f: Expr | str, x) -> float:
         """R(f), the Reeb derivative of a function."""
         f = self.function(f)
         x = self.point(x)
         _, grad = self.value_and_gradient(f, x)
-        if self.darboux:
-            return float(grad[-1])
-        return float(grad @ self.reeb_at(x))
+        return float(self._reeb_derivatives(x, grad, self._frames(x)))
 
     # -- Hamiltonian fields ----------------------------------------------------
 
@@ -277,48 +446,41 @@ class ContactChart(_Chart):
               + (p_i df/dp_i - f) d_z;
         otherwise flat(X_f) = df - (R(f) + f) eta is solved directly.
         """
-        return self._field(x, value, grad, self._frame(x))
+        x = self.point(x)
+        return self._fields(x, value, grad, self._frames(x))
 
-    def _frame(self, x: np.ndarray):
-        """(eta, B, Reeb field) at x for the general solve; None on standard charts."""
-        if self.darboux:
-            return None
-        coframe = self.coframe_at(x)
-        B = self.flat_matrix_at(x, coframe)
-        return coframe[0], B, self._reeb(x, coframe[0], B)
+    def _fields(self, xs: np.ndarray, values, grads: np.ndarray, frames) -> np.ndarray:
+        """Fields of functions with values and gradients at points xs (..., dim).
 
-    def _field(self, x: np.ndarray, value: float, grad: np.ndarray, frame) -> np.ndarray:
-        n = self.n
-        if frame is None:
-            X = _standard_field(n, x, value, grad)
-            pairing = X[-1] - x[n : 2 * n] @ X[:n]
+        Shapes: values (...) and grads (..., dim), or (..., k) and
+        (..., k, dim) for k functions at each point; the fields have the
+        shape of grads.  Each field is checked against eta(X_f) = -f to
+        1e-8 (relative to f and X_f); the first failing one raises.
+        """
+        x, frames = self._per_function(xs, grads, frames)
+        if frames is None:
+            n = self.n
+            X = _standard_field(n, x, values, grads)
+            pairing = X[..., -1] - _dot(x[..., n : 2 * n], X[..., :n])
         else:
-            eta, B, reeb = frame
-            rhs = grad - (grad @ reeb + value) * eta
-            X = np.linalg.solve(B.T, rhs)
-            pairing = eta @ X
-        resid = abs(pairing + value)
-        if resid > _scale_tol(1e-8, value, *X):
+            eta, B, reeb = frames
+            rhs = grads - (_dot(grads, reeb) + values)[..., None] * eta
+            X = _solve(B.swapaxes(-1, -2), rhs)
+            pairing = _dot(eta, X)
+        resid = abs(pairing + values)
+        bad = _first(_exceeds(resid, 1e-8, (values,), (X,)))
+        if bad is not None:
             raise GeometryError(
-                f"field invariant eta(X_f) = -f violated by {resid:.3e} at {x.tolist()}"
+                f"field invariant eta(X_f) = -f violated by {resid[bad]:.3e} "
+                f"at {xs[bad[: xs.ndim - 1]].tolist()}"
             )
         return X
 
-    def jets_at(self, x, values_and_gradients) -> Jets:
-        """Fields and Reeb derivatives of functions with known (value, gradient) at x.
-
-        The coframe solve is shared by all the functions, and each field is
-        checked against eta(X_f) = -f as in hamiltonian_field_at.
-        """
-        x = self.point(x)
-        frame = self._frame(x)
-        values = np.array([value for value, _ in values_and_gradients])
-        grads = tuple(grad for _, grad in values_and_gradients)
-        fields = tuple(
-            self._field(x, value, grad, frame) for value, grad in values_and_gradients
-        )
-        reeb = tuple(grad[-1] if frame is None else grad @ frame[2] for grad in grads)
-        return Jets(x, values, grads, fields, reeb)
+    def _jets(self, xs: np.ndarray, values: np.ndarray, grads: np.ndarray) -> Jets:
+        """Jets of k functions with values (..., k) and gradients (..., k, dim) at xs."""
+        frames = self._frames(xs)
+        fields = self._fields(xs, values, grads, frames)
+        return Jets(xs, values, grads, fields, self._reeb_derivatives(xs, grads, frames))
 
     def field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
         """X_f at x and its tangent map DX_f(x) dx on the k columns of dx.
@@ -329,8 +491,8 @@ class ContactChart(_Chart):
         dX = B^-T (d rhs - dB^T X) with dB from the Hessians of eta's
         coefficients (the Reeb field is differentiated the same way).
         """
-        frame = self._frame(x)
-        X = self._field(x, value, grad, frame)
+        frame = self._frames(x)
+        X = self._fields(x, value, grad, frame)
         dvalue, dgrad = grad @ dx, hessian @ dx
         n = self.n
         if frame is None:
@@ -373,28 +535,31 @@ class ContactChart(_Chart):
         """Jets of f and g at x, the coframe evaluated once."""
         f, g = self.function(f), self.function(g)
         x = self.point(x)
-        return self.jets_at(x, (self.value_and_gradient(f, x), self.value_and_gradient(g, x)))
+        (fv, fg), (gv, gg) = self.value_and_gradient(f, x), self.value_and_gradient(g, x)
+        return self._jets(x, np.array([fv, gv]), np.array([fg, gg]))
 
     def bracket_matrix(self, jets: Jets) -> np.ndarray:
-        """Antisymmetric matrix of the Jacobi brackets {f_a, f_b} of the jets.
+        """Antisymmetric matrices of the Jacobi brackets {f_a, f_b} of the jets.
 
-        Entry (a, b), a < b, is X_a(f_b) + f_b R(f_a); it must agree with
+        Shape (..., m, m) over the leading axes of the jets.  Entry (a, b),
+        a < b, is X_a(f_b) + f_b R(f_a); it must agree with
         -X_b(f_a) - f_a R(f_b) to 1e-10 (relative to the value scale).
         """
         values, grads, fields, reeb = jets.values, jets.gradients, jets.fields, jets.reeb
-        m = len(values)
-        out = np.zeros((m, m))
-        for a in range(m):
-            for b in range(a + 1, m):
-                first = float(grads[b] @ fields[a] + values[b] * reeb[a])
-                second = float(-(grads[a] @ fields[b]) - values[a] * reeb[b])
-                if abs(first - second) > _scale_tol(_RESIDUAL_TOL, first, second):
-                    raise GeometryError(
-                        f"bracket expressions disagree by {abs(first - second):.3e} "
-                        f"at {jets.point.tolist()}"
-                    )
-                out[a, b] = first
-                out[b, a] = -first
+        a, b = _pairs(values.shape[-1])
+        # X_a(f_b) + f_b R(f_a) and -X_b(f_a) - f_a R(f_b) of every pair a < b
+        first = _dot(fields[..., a, :], grads[..., b, :]) + values[..., b] * reeb[..., a]
+        second = -_dot(fields[..., b, :], grads[..., a, :]) - values[..., a] * reeb[..., b]
+        gap = abs(first - second)
+        bad = _first(_exceeds(gap, _RESIDUAL_TOL, (first, second)))
+        if bad is not None:
+            raise GeometryError(
+                f"bracket expressions disagree by {gap[bad]:.3e} "
+                f"at {jets.point[bad[:-1]].tolist()}"
+            )
+        out = np.zeros(values.shape + values.shape[-1:])
+        out[..., a, b] = first
+        out[..., b, a] = -first
         return out
 
     def lambda_pairing_at(self, f: Expr | str, g: Expr | str, x) -> float:
@@ -407,7 +572,7 @@ class ContactChart(_Chart):
         value = float(-(u @ coframe[1] @ v))
         (fv, gv), (rf, rg) = jets.values, jets.reeb
         expected = float(self.bracket_matrix(jets)[0, 1]) + fv * rg - gv * rf
-        if abs(value - expected) > _scale_tol(_RESIDUAL_TOL, value, expected):
+        if _exceeds(abs(value - expected), _RESIDUAL_TOL, (value, expected)):
             raise GeometryError(
                 f"Lambda pairing disagrees with bracket identity by "
                 f"{abs(value - expected):.3e} at {x.tolist()}"
@@ -435,14 +600,25 @@ class ContactChart(_Chart):
         return cls(names)
 
 
-def _standard_field(n: int, x: np.ndarray, value: float, grad: np.ndarray) -> np.ndarray:
-    # closed form for eta = dz - p dq: the solve of flat(X_f) = df - (R(f) + f) eta
+def _standard_field(n: int, x: np.ndarray, value, grad: np.ndarray) -> np.ndarray:
+    # closed form for eta = dz - p dq: the solve of flat(X_f) = df - (R(f) + f) eta,
+    # broadcast over the leading axes of x (..., dim), value (...) and grad
+    # (..., dim); the transposes put the coordinates first, so that one
+    # indexing serves both without Ellipsis, which is slow on single points
+    x, g = x.T, grad.T
     p = x[n : 2 * n]
-    X = np.empty(2 * n + 1)
-    X[:n] = grad[n : 2 * n]
-    X[n : 2 * n] = -(grad[:n] + p * grad[-1])
-    X[-1] = p @ grad[n : 2 * n] - value
+    X = np.empty(grad.shape)
+    XT = X.T
+    XT[:n] = g[n : 2 * n]
+    XT[n : 2 * n] = -(g[:n] + p * g[-1])
+    X[..., -1] = _dot(p.T, g[n : 2 * n].T) - value
     return X
+
+
+def _flat_det(eta: np.ndarray, deta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat matrices B = d eta + eta eta^T of coframes, and their determinants."""
+    B = deta + eta[..., :, None] * eta[..., None, :]
+    return B, np.linalg.det(B)
 
 
 def _standard_field_floats(n: int, x, value: float, grad) -> list[float]:
@@ -469,19 +645,20 @@ def _standard_coefficients(names: Sequence[str]) -> tuple[Expr, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class Jets:
-    """Per-point data of several functions on a contact chart.
+class Jets(NamedTuple):
+    """Point data of m functions on a contact chart, with optional leading axes.
 
-    Entry a of each field belongs to function a: its value, gradient,
-    Hamiltonian field X_a and Reeb derivative R(f_a) at `point`.
+    Entry a along the function axis belongs to function a: its value,
+    gradient, Hamiltonian field X_a and Reeb derivative R(f_a) at `point`.
+    Shapes: point (..., dim), values and reeb (..., m), gradients and
+    fields (..., m, dim).
     """
 
     point: np.ndarray
     values: np.ndarray
-    gradients: tuple[np.ndarray, ...]
-    fields: tuple[np.ndarray, ...]
-    reeb: tuple[float, ...]
+    gradients: np.ndarray
+    fields: np.ndarray
+    reeb: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +696,19 @@ class _System:
         """(value, gradient) of every integral, one evaluation each."""
         x = self.chart.point(x)
         return [run(x) for run in self._gradients]
+
+    def gradient_stack(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Values (N, m) and gradients (N, m, dim) of the integrals at the rows of xs.
+
+        Each integral's gradient closure runs once per row, in row order.
+        """
+        xs = self.chart.points(xs)
+        values = np.empty((len(xs), len(self._gradients)))
+        grads = np.empty(values.shape + (self.dim,))
+        for x, value, grad in zip(xs, values, grads):
+            for a, run in enumerate(self._gradients):
+                value[a], grad[a] = run(x)
+        return values, grads
 
     def integral_values(self, x) -> np.ndarray:
         return np.array([value for value, _ in self.values_and_gradients(x)])
@@ -621,7 +811,17 @@ class ContactSystem(_System):
 
     def jets_at(self, x) -> Jets:
         """Values, gradients, fields and Reeb derivatives of the integrals."""
-        return self.chart.jets_at(x, self.values_and_gradients(x))
+        x = self.chart.point(x)
+        vgs = self.values_and_gradients(x)
+        values = np.array([value for value, _ in vgs])
+        return self.chart._jets(x, values, np.array([grad for _, grad in vgs]))
+
+    def jet_stack(self, xs) -> Jets:
+        """jets_at on every row of xs, as one stack; errors in sample order."""
+        return _in_sample_order(self._jet_stack, self.chart.points(xs))
+
+    def _jet_stack(self, xs: np.ndarray) -> Jets:
+        return self.chart._jets(xs, *self.gradient_stack(xs))
 
     def bracket_matrix_at(self, x) -> np.ndarray:
         """Brackets {f_a, f_b} of the integrals, each integral evaluated once."""
@@ -699,14 +899,11 @@ def contact_condition_check(
 ) -> ContactConditionReport:
     """Minimum |det B| over sample points; passes above the threshold."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    best = np.inf
-    worst = points[0]
-    for x in points:
-        eta, deta = chart.coframe_at(x)
-        B = deta + np.outer(eta, eta)
-        det = abs(float(np.linalg.det(B)))
-        if det < best:
-            best, worst = det, x
+    dets = np.abs(_flat_det(*chart._coframes(chart.points(points)))[1])
+    # NaN reads as no minimum, as in a loop keeping the first strict minimum
+    dets = np.where(np.isnan(dets), np.inf, dets)
+    i = dets.argmin()
+    best, worst = float(dets[i]), points[i]
     return ContactConditionReport(
         min_abs_det=best,
         worst_point=np.asarray(worst),

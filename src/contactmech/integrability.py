@@ -19,6 +19,14 @@ contact chart, this module checks the structure theory numerically:
   reproduces the rescaled contact form -eta / A_d.
 * period_detect: smallest positive return time of a flow, if any.
 
+The sampled checks take the jets of the integrals at all their points as
+one stack (`ContactSystem.jet_stack`) and evaluate each check in one
+array pass.  The worst pair, triple or point is the first strict maximum
+in the order of a loop over the points, then the pairs a < b, the
+triples (a, b, c), or c then a < b for tangency; a check whose worst
+value is 0 reports (0, 0) or (0, 0, 0) and the first point.  A failing
+point raises in sample order.  Ray projection runs point by point.
+
 Angle conventions: a declared section may satisfy F(chi(Lambda)) equal
 to +Lambda or -Lambda; the sign is detected and the base point uses the
 reparameterized true section chi(sign * Lambda).  Actions A_a are the
@@ -51,7 +59,16 @@ from .flows import (
     integrate,
     variational_group_action,
 )
-from .geometry import ContactSystem, _bounds
+from .geometry import (
+    ContactSystem,
+    _bounds,
+    _dot,
+    _first,
+    _first_max,
+    _in_sample_order,
+    _norm,
+    _pairs,
+)
 from .symplectization import SympSystem, symplectize
 
 __all__ = [
@@ -261,20 +278,24 @@ def involution_check(
     if points is None:
         points = system.sample(np.random.default_rng(seed), n_samples)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _involution(system, points, map(system.jets_at, points), tolerance, seed)
+    return _in_sample_order(
+        lambda xs: _involution(system, xs, system._jet_stack(xs), tolerance, seed), points
+    )
 
 
 def _involution(system, points, jets, tolerance, seed) -> InvolutionReport:
-    """involution_check over the jets of the integrals at each point."""
-    worst, pair, where = 0.0, (0, 0), points[0]
-    m = len(system.integrals)
-    for x, jet in zip(points, jets):
-        brackets = system.chart.bracket_matrix(jet)
-        for a in range(m):
-            for b in range(a + 1, m):
-                val = abs(float(brackets[a, b]))
-                if val > worst:
-                    worst, pair, where = val, (a, b), x
+    """involution_check over the jet stack of the integrals at the points.
+
+    The worst pair and point are the first strict maximum over points,
+    then pairs a < b.
+    """
+    a, b = _pairs(len(system.integrals))
+    worst, at = _first_max(np.abs(system.chart.bracket_matrix(jets)[:, a, b]))
+    if at is None:
+        pair, where = (0, 0), points[0]
+    else:
+        i, k = at
+        pair, where = (int(a[k]), int(b[k])), points[i]
     return InvolutionReport(
         max_abs_bracket=worst,
         worst_pair=pair,
@@ -297,27 +318,29 @@ def rank_check(
     if points is None:
         points = system.sample(np.random.default_rng(seed), n_samples)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _rank(system, points, map(system.integral_jacobian, points), tolerance, seed)
+    return _rank(system, points, system.gradient_stack(points)[1], tolerance, seed)
 
 
 def _rank(system, points, jacobians, tolerance=1e-8, seed=None) -> RankReport:
-    """rank_check over TF at each point, given as its rows (the gradients)."""
-    required = system.chart.n
+    """rank_check over the stack of TF (N, m, dim), whose rows are the gradients.
+
+    The worst point is the first strict minimum of the rank below m.
+    """
+    sigma = np.linalg.svd(jacobians, compute_uv=False)
+    top = sigma[:, :1] if sigma.shape[1] else np.zeros((len(sigma), 1))
+    ranks = np.sum(sigma > tolerance * np.maximum(top, 1.0), axis=1)
+    i = ranks.argmin()
     min_rank, where = len(system.integrals), points[0]
-    for x, TF in zip(points, jacobians):
-        sigma = np.linalg.svd(TF, compute_uv=False)
-        top = sigma[0] if len(sigma) else 0.0
-        rank = int(np.sum(sigma > tolerance * max(top, 1.0)))
-        if rank < min_rank:
-            min_rank, where = rank, x
+    if ranks[i] < min_rank:
+        min_rank, where = int(ranks[i]), points[i]
     return RankReport(
         min_rank=min_rank,
-        required_rank=required,
+        required_rank=system.chart.n,
         worst_point=np.asarray(where),
         tolerance=tolerance,
         n_samples=len(points),
         seed=seed,
-        passed=bool(min_rank >= required),
+        passed=bool(min_rank >= system.chart.n),
     )
 
 
@@ -325,12 +348,11 @@ def _rank(system, points, jacobians, tolerance=1e-8, seed=None) -> RankReport:
 # Ray preimages
 # ---------------------------------------------------------------------------
 
-def _membership(target: RayTarget, F: np.ndarray) -> tuple[float, float]:
-    """Least-squares ray residual and the fitted scale r* of integral values F."""
+def _membership(target: RayTarget, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares ray residual and the fitted scale r* of integral values F (..., m)."""
     lam = target.direction
-    r_star = float(F @ lam / (lam @ lam))
-    resid = float(np.max(np.abs(F - r_star * lam)))
-    return resid, r_star
+    r_star = _dot(F, lam) / (lam @ lam)
+    return _norm(F - r_star[..., None] * lam), r_star
 
 
 def ray_project(
@@ -432,39 +454,44 @@ def coisotropy_check(
     if points is None:
         points = _ray_points(system, target, n_points, seed)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _coisotropy(
-        system, target, points, map(system.jets_at, points), tolerance, membership_tolerance
+    return _in_sample_order(
+        lambda xs: _coisotropy(
+            system, target, xs, system._jet_stack(xs), tolerance, membership_tolerance
+        ),
+        points,
     )
 
 
 def _coisotropy(
     system, target, points, jets, tolerance, membership_tolerance=1e-6
 ) -> CoisotropyReport:
-    """coisotropy_check over the jets of the integrals at each point."""
-    m = len(system.integrals)
-    worst, triple, where, worst_member = 0.0, (0, 0, 0), points[0], 0.0
-    for x, jet in zip(points, jets):
-        f = jet.values
-        member, r_star = _membership(target, f)
-        scale = float(np.max(np.abs(f)))
-        if member > membership_tolerance * max(1.0, scale) or r_star <= 0.0:
-            raise IntegrabilityError(
-                f"point {x.tolist()} is not on the ray preimage "
-                f"(residual {member:.3e}, r* {r_star:.3e})"
-            )
-        worst_member = max(worst_member, member)
-        bk = system.chart.bracket_matrix(jet)
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    val = abs(f[a] * bk[b, c] + f[c] * bk[a, b] + f[b] * bk[c, a])
-                    if val > worst:
-                        worst, triple, where = val, (a, b, c), x
+    """coisotropy_check over the jet stack of the integrals at the points.
+
+    A point off the ray preimage raises IntegrabilityError.  The worst
+    triple and point are the first strict maximum over points, then
+    (a, b, c) over all m^3 triples.
+    """
+    f = jets.values
+    member, r_star = _membership(target, f)
+    off = _first((member > membership_tolerance * np.fmax(1.0, _norm(f))) | (r_star <= 0.0))
+    if off is not None:
+        raise IntegrabilityError(
+            f"point {points[off].tolist()} is not on the ray preimage "
+            f"(residual {member[off]:.3e}, r* {r_star[off]:.3e})"
+        )
+    bk = system.chart.bracket_matrix(jets)
+    fa, fb, fc = f[:, :, None, None], f[:, None, :, None], f[:, None, None, :]
+    sums = np.abs(fa * bk[:, None] + fc * bk[:, :, :, None] + fb * bk.swapaxes(1, 2)[:, :, None])
+    worst, at = _first_max(sums)
+    if at is None:
+        triple, where = (0, 0, 0), points[0]
+    else:
+        triple, where = tuple(map(int, at[1:])), points[at[0]]
     return CoisotropyReport(
         max_abs_sum=worst,
         worst_triple=triple,
         worst_point=np.asarray(where),
-        max_membership_residual=worst_member,
+        max_membership_residual=float(np.fmax.reduce(member, initial=0.0)),
         tolerance=tolerance,
         n_points=len(points),
         passed=bool(worst <= tolerance),
@@ -488,23 +515,26 @@ def tangency_check(
     if points is None:
         points = _ray_points(system, target, n_points, seed)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _tangency(system, points, map(system.jets_at, points), tolerance)
+    return _tangency(system, points, system.jet_stack(points), tolerance)
 
 
 def _tangency(system, points, jets, tolerance) -> TangencyReport:
-    """tangency_check over the jets of the integrals at each point; no ray needed."""
-    m = len(system.integrals)
-    worst, triple, where = 0.0, (0, 0, 0), points[0]
-    for x, jet in zip(points, jets):
-        f = jet.values
-        grads = np.array(jet.gradients)
-        for c in range(m):
-            rates = grads @ jet.fields[c]  # X_c applied to every integral
-            for a in range(m):
-                for b in range(a + 1, m):
-                    val = abs(f[a] * rates[b] - f[b] * rates[a])
-                    if val > worst:
-                        worst, triple, where = val, (a, b, c), x
+    """tangency_check over the jet stack of the integrals at the points; no ray needed.
+
+    The worst triple and point are the first strict maximum over points,
+    then c, then pairs a < b.
+    """
+    f = jets.values
+    # rates[:, c, b] = X_c(f_b), the matrix-vector product gradients @ X_c
+    rates = (jets.gradients[:, None] @ jets.fields[..., None])[..., 0]
+    a, b = _pairs(f.shape[1])
+    contractions = np.abs(f[:, None, a] * rates[:, :, b] - f[:, None, b] * rates[:, :, a])
+    worst, at = _first_max(contractions)
+    if at is None:
+        triple, where = (0, 0, 0), points[0]
+    else:
+        i, c, k = at
+        triple, where = (int(a[k]), int(b[k]), int(c)), points[i]
     return TangencyReport(
         max_abs_contraction=worst,
         worst_triple=triple,
@@ -532,9 +562,11 @@ def dissipative_map_check(
     if points is None:
         points = _ray_points(system, target, n_points, seed)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    jets = [system.jets_at(x) for x in points]
-    co = _coisotropy(system, target, points, jets, tolerance)
-    rk = _rank(system, points, (jet.gradients for jet in jets))
+    jets = system.jet_stack(points)
+    co = _in_sample_order(
+        lambda xs, jet: _coisotropy(system, target, xs, jet, tolerance), points, jets
+    )
+    rk = _rank(system, points, jets.gradients)
     return DissipativeMapReport(
         coisotropy=co,
         min_rank=rk.min_rank,
@@ -742,7 +774,10 @@ def angle_solve(
                 iterations,
             )
         iterations += 1
-        J = np.column_stack([chart.field_from_gradient(end, *run(end)) for run in runs])
+        # the generator fields at the endpoint, one stack with a function axis
+        end = chart.point(end)
+        vgs = [run(end) for run in runs]
+        J = chart._fields(end, np.array([v for v, _ in vgs]), np.array([g for _, g in vgs])).T
         delta, *_ = np.linalg.lstsq(J, x - end, rcond=None)
         lam = 1.0
         for _ in range(21):

@@ -8,18 +8,35 @@ X^a omega_ab = (dF)_b, the Liouville field is r d/dr, and the Poisson
 bracket {F, G} = X_F(G) satisfies {f^S, g^S} = -r {f, g} over the Jacobi
 bracket downstairs.  `lift_check` measures these identities on sampled
 points.
+
+As in `geometry`, omega, theta, the Liouville field and the lifted
+fields are computed for points with any leading axes: `lift_check`
+takes its points as one stack and measures each identity in one array
+pass, and the single-point methods run the same code on one point.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .expressions import Binary, Expr, Unary, Var, gradient_evaluator, parse
-from .geometry import ContactChart, ContactSystem, _Chart, _scale_tol, _System
+from .geometry import (
+    ContactChart,
+    ContactSystem,
+    _Chart,
+    _dot,
+    _exceeds,
+    _first,
+    _in_sample_order,
+    _matvec,
+    _norm,
+    _pairs,
+    _solve,
+    _System,
+)
 
 __all__ = [
     "SymplectizationError",
@@ -86,6 +103,13 @@ class SympChart(_Chart):
             raise ValueError(f"fiber coordinate must be positive, got {x[-1]}")
         return x
 
+    def points(self, xs) -> np.ndarray:
+        xs = super().points(xs)
+        bad = _first(xs[:, -1] <= 0.0)
+        if bad is not None:
+            raise ValueError(f"fiber coordinate must be positive, got {xs[bad][-1]}")
+        return xs
+
     def lift_function(self, f: Expr | str) -> Expr:
         """Degree-1 lift f^S = -(r * f) of a base function."""
         f = self.base.function(f)
@@ -100,7 +124,7 @@ class SympChart(_Chart):
 
     def theta_at(self, x) -> np.ndarray:
         x = self.point(x)
-        return self._theta(x, self.base.eta_at(x[:-1]))
+        return self._thetas(x, self.base._etas(x[:-1]))
 
     def omega_at(self, x) -> np.ndarray:
         """omega = -d theta assembled from the base coframe.
@@ -109,39 +133,45 @@ class SympChart(_Chart):
         -r d(eta) and the mixed block omega_rb = -eta_b.
         """
         x = self.point(x)
-        return self._omega(x, *self.base.coframe_at(x[:-1]))
+        return self._omegas(x, *self.base.coframe_at(x[:-1]))
 
-    def _theta(self, x: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[:-1] = x[-1] * eta
+    # The private methods below take points of shape (..., dim): a single
+    # point, or a stack with any leading axes, and the base eta and d eta
+    # there.
+
+    def _thetas(self, xs: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        out = np.zeros(xs.shape)
+        out.T[:-1] = xs.T[-1] * eta.T
         return out
 
-    def _omega(self, x: np.ndarray, eta: np.ndarray, deta: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        out[:-1, :-1] = -x[-1] * deta
-        out[-1, :-1] = -eta
-        out[:-1, -1] = eta
-        det = float(np.linalg.det(out))
-        if abs(det) <= 1e-12:
-            raise SingularStructureError(x, det)
+    def _omegas(self, xs: np.ndarray, eta: np.ndarray, deta: np.ndarray) -> np.ndarray:
+        """omega at points xs; a singular one raises SingularStructureError."""
+        out = np.zeros(xs.shape + (self.dim,))
+        out[..., :-1, :-1] = -xs[..., -1, None, None] * deta
+        out[..., -1, :-1] = -eta
+        out[..., :-1, -1] = eta
+        det = np.linalg.det(out)
+        bad = _first(abs(det) <= 1e-12)
+        if bad is not None:
+            raise SingularStructureError(xs[bad], float(det[bad]))
         return out
 
     def liouville_field_at(self, x) -> np.ndarray:
         """Field solving i_Delta omega = -theta; equals r d/dr here."""
         x = self.point(x)
         delta, resid = self._liouville(x, self.omega_at(x), self.theta_at(x))
-        if resid > _scale_tol(_RESIDUAL_TOL, x[-1]):
+        if _exceeds(resid, _RESIDUAL_TOL, (x[-1],)):
             raise SymplectizationError(
                 f"Liouville field deviates from r d/dr by {resid:.3e} at {x.tolist()}"
             )
         return delta
 
-    def _liouville(self, x, omega, theta) -> tuple[np.ndarray, float]:
+    def _liouville(self, xs, omega, theta) -> tuple[np.ndarray, np.ndarray]:
         """Delta from i_Delta omega = -theta, and its largest deviation from r d/dr."""
-        delta = np.linalg.solve(omega.T, -theta)
-        expected = np.zeros(self.dim)
-        expected[-1] = x[-1]
-        return delta, float(np.max(np.abs(delta - expected)))
+        delta = _solve(omega.swapaxes(-1, -2), -theta)
+        expected = np.zeros(xs.shape)
+        expected[..., -1] = xs[..., -1]
+        return delta, _norm(delta - expected)
 
     def homogeneity_residual(self, F: Expr | str, x, degree: float = 1.0) -> float:
         """|Delta(F) - degree * F| = |r dF/dr - degree * F|."""
@@ -159,31 +189,48 @@ class SympChart(_Chart):
         Standard-form bases use a closed-form solve; otherwise omega and
         theta come from one run of the base coframe.
         """
-        x = self.point(x)
-        coframe = None if self.base.darboux else self.base.coframe_at(x[:-1])
-        return self._field(x, value, grad, coframe)
+        return self._fields(self.point(x), value, grad)
 
-    def _field(self, x: np.ndarray, value: float, grad: np.ndarray, coframe) -> np.ndarray:
-        """field_from_gradient with the base (eta, d eta) at x; None on standard bases."""
-        if coframe is None:
-            eta = self.base.eta_at(x[:-1])
-            X = _standard_field(self.base.n, x, value, grad)
+    def _fields(self, xs: np.ndarray, values, grads: np.ndarray, coframes=None) -> np.ndarray:
+        """Fields of functions with values and gradients at points xs (..., dim).
+
+        Shapes: values (...) and grads (..., dim), or (..., k) and
+        (..., k, dim) for k functions at each point; the fields have the
+        shape of grads.  `coframes` is the base's _coframes at xs when
+        already known.  General bases solve omega^T X = dF, checked to
+        1e-10 (relative to dF); a homogeneous F is checked against
+        theta(X_F) = F to 1e-8 (relative to F and X_F).  The first
+        failing function raises, with the solve checked first.
+        """
+        base = self.base
+        x = xs if grads.ndim == xs.ndim else xs[..., None, :]
+        if base.darboux:
+            eta = base._etas(xs[..., :-1])
+            X = _standard_field(base.n, x, values, grads)
         else:
-            eta, deta = coframe
-            omega = self._omega(x, eta, deta)
-            X = np.linalg.solve(omega.T, grad)
-            resid = float(np.max(np.abs(omega.T @ X - grad)))
-            if resid > _scale_tol(_RESIDUAL_TOL, *grad):
+            eta, deta = base._coframes(xs[..., :-1]) if coframes is None else coframes
+            omegaT = self._omegas(xs, eta, deta).swapaxes(-1, -2)
+            if x is not xs:
+                omegaT = omegaT[..., None, :, :]
+            X = _solve(omegaT, grads)
+            solve_resid = _norm(_matvec(omegaT, X) - grads)
+            solve_bad = _exceeds(solve_resid, _RESIDUAL_TOL, vectors=(grads,))
+        theta = self._thetas(xs, eta)
+        gap = abs(_dot(theta if x is xs else theta[..., None, :], X) - values)
+        theta_bad = _exceeds(gap, 1e-8, (values,), (X,))
+        if _first(theta_bad) is not None:  # the identity binds homogeneous F only
+            homogeneity = abs(x[..., -1] * grads[..., -1] - values)
+            theta_bad &= ~_exceeds(homogeneity, _RESIDUAL_TOL, (values,))
+        bad = _first(theta_bad if base.darboux else solve_bad | theta_bad)
+        if bad is not None:
+            where = xs[bad[: xs.ndim - 1]].tolist()
+            if not base.darboux and solve_bad[bad]:
                 raise SymplectizationError(
-                    f"field solve residual {resid:.3e} at {x.tolist()}"
+                    f"field solve residual {solve_resid[bad]:.3e} at {where}"
                 )
-        if abs(x[-1] * grad[-1] - value) <= _scale_tol(_RESIDUAL_TOL, value):
-            pairing = float(self._theta(x, eta) @ X)
-            if abs(pairing - value) > _scale_tol(1e-8, value, *X):
-                raise SymplectizationError(
-                    f"theta(X_F) = F violated by {abs(pairing - value):.3e} "
-                    f"for homogeneous F at {x.tolist()}"
-                )
+            raise SymplectizationError(
+                f"theta(X_F) = F violated by {gap[bad]:.3e} for homogeneous F at {where}"
+            )
         return X
 
     def field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
@@ -212,14 +259,14 @@ class SympChart(_Chart):
             dX[-1] = -dgrad[2 * n]
             return X, dX
         eta, deta = coframe = self.base.coframe_at(x[:-1])
-        X = self._field(x, value, grad, coframe)
+        X = self._fields(x, value, grad, coframe)
         d_eta, d_deta = self.base._coframe_tangent(x[:-1], dx[:-1])
         Xb, Xr = X[:-1], X[-1]
         domega_T_X = np.empty_like(dgrad)
         domega_T_X[:-1] = (-np.outer(deta.T @ Xb, dr) - r * np.einsum("jab,a->bj", d_deta, Xb)
                            - Xr * d_eta)
         domega_T_X[-1] = Xb @ d_eta
-        return X, np.linalg.solve(self._omega(x, eta, deta).T, dgrad - domega_T_X)
+        return X, np.linalg.solve(self._omegas(x, eta, deta).T, dgrad - domega_T_X)
 
     def poisson_bracket_at(self, F: Expr | str, G: Expr | str, x) -> float:
         """Poisson bracket {F, G} = X_F(G) of the potential theta."""
@@ -233,20 +280,18 @@ class SympChart(_Chart):
         return f"SympChart({self.base!r}, fiber={self.fiber!r})"
 
 
-def _standard_field(n: int, x: np.ndarray, value: float, grad: np.ndarray) -> np.ndarray:
-    # closed form for theta = r(dz - p dq): the solve of X^a omega_ab = dF_b;
-    # value is unused: the signature is geometry._standard_field's
-    r = x[-1]
-    p = x[n : 2 * n]
-    Fq = grad[:n]
-    Fp = grad[n : 2 * n]
-    Fz = grad[2 * n]
-    Fr = grad[2 * n + 1]
-    X = np.empty(2 * n + 2)
-    X[:n] = -Fp / r
-    X[n : 2 * n] = (Fq + p * Fz) / r
-    X[2 * n] = Fr - (p @ Fp) / r
-    X[2 * n + 1] = -Fz
+def _standard_field(n: int, x: np.ndarray, value, grad: np.ndarray) -> np.ndarray:
+    # closed form for theta = r(dz - p dq): the solve of X^a omega_ab = dF_b,
+    # broadcast like geometry._standard_field; value is unused: the
+    # signature is geometry._standard_field's
+    x, g = x.T, grad.T
+    r, p, Fp = x[-1], x[n : 2 * n], g[n : 2 * n]
+    X = np.empty(grad.shape)
+    XT = X.T
+    XT[:n] = -Fp / r
+    XT[n : 2 * n] = (g[:n] + p * g[2 * n]) / r
+    XT[2 * n] = g[2 * n + 1] - _dot(p.T, Fp.T).T / r
+    XT[2 * n + 1] = -g[2 * n]
     return X
 
 
@@ -322,33 +367,38 @@ def lift_check(symp: SympSystem, points) -> LiftReport:
     i_Delta omega = -theta against r d/dr; |r dF/dr - F| and
     |theta(X_F) - F| for every lifted integral F; and
     |{f^S, g^S} + r {f, g}| for every pair, with the Jacobi bracket of
-    the base system.  Each point runs the base coframe once for omega,
-    theta and the lifted fields, and once more for the base jets.
+    the base system.  The points run as one stack: the base coframe runs
+    once per point for omega, theta and the lifted fields, and once more
+    for the base jets.
     """
-    chart = symp.chart
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    min_det = np.inf
-    liouville = homogeneity = pairing = correspondence = 0.0
-    for x in points:
-        x = chart.point(x)
-        coframe = chart.base.coframe_at(x[:-1])
-        omega = chart._omega(x, *coframe)
-        min_det = min(min_det, abs(float(np.linalg.det(omega))))
-        theta = chart._theta(x, coframe[0])
-        liouville = max(liouville, chart._liouville(x, omega, theta)[1])
-        vgs = symp.values_and_gradients(x)
-        frame = None if chart.base.darboux else coframe
-        fields = [chart._field(x, value, grad, frame) for value, grad in vgs]
-        for (value, grad), X in zip(vgs, fields):
-            homogeneity = max(homogeneity, abs(x[-1] * grad[-1] - value))
-            pairing = max(pairing, abs(float(theta @ X) - value))
-        brackets = symp.base.bracket_matrix_at(x[:-1])
-        for a, b in itertools.combinations(range(len(fields)), 2):
-            upstairs = float(fields[a] @ vgs[b][1])
-            correspondence = max(correspondence, abs(upstairs + x[-1] * float(brackets[a, b])))
-    values = (min_det, liouville, homogeneity, pairing, correspondence)
+    values = _in_sample_order(lambda xs: _lift_values(symp, xs), points)
     checks = tuple(
         LiftCheck(name, value, bound, bool(test(value, bound)))
         for (name, bound, test), value in zip(_LIFT_BOUNDS, values)
     )
     return LiftReport(checks, len(points), all(c.passed for c in checks))
+
+
+def _lift_values(symp: SympSystem, xs) -> tuple[float, ...]:
+    """The five lift_check values over a stack of points, in _LIFT_BOUNDS order."""
+    chart = symp.chart
+    xs = chart.points(xs)
+    coframes = chart.base._coframes(xs[:, :-1])
+    omega = chart._omegas(xs, *coframes)
+    theta = chart._thetas(xs, coframes[0])
+    liouville = chart._liouville(xs, omega, theta)[1]
+    values, grads = symp.gradient_stack(xs)
+    fields = chart._fields(xs, values, grads, coframes)
+    r = xs[:, -1, None]
+    homogeneity = np.abs(r * grads[..., -1] - values)
+    pairing = np.abs(_dot(theta[:, None], fields) - values)
+    brackets = symp.base.chart.bracket_matrix(symp.base._jet_stack(xs[:, :-1]))
+    a, b = _pairs(values.shape[1])
+    upstairs = _dot(fields[:, a], grads[:, b])
+    correspondence = np.abs(upstairs + r * brackets[:, a, b])
+    # the reductions skip NaN, as the running min and max of a loop would
+    min_det = np.fmin.reduce(np.abs(np.linalg.det(omega)), initial=np.inf)
+    largest = (np.fmax.reduce(v, axis=None, initial=0.0)
+               for v in (liouville, homogeneity, pairing, correspondence))
+    return (float(min_det), *map(float, largest))

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -400,3 +401,31 @@ def test_version_flag(capsys):
     from contactmech import __version__
 
     assert capsys.readouterr().out.strip() == __version__
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    # one process runs a report, an argparse error (a missing --lambda exits
+    # 2), another report and --version on the memoised parser; each must
+    # match the same call on a freshly built parser
+    calls = [
+        ["check", PZ, "--samples", "5"],
+        ["coisotropy", PZ],
+        ["coisotropy", INV5, "--lambda", "1,1,1", "--points", "3"],
+        ["--version"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, re.sub(r"elapsed \d+\.\d+s", "elapsed <t>s", err)
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = [outcome(argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [outcome(argv) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0]
+    assert "--lambda" in cached[1][2]
