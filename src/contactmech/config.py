@@ -7,6 +7,11 @@ default random seed.  Validation is two-stage: a JSON Schema for shape,
 then expression parsing and cross-field checks.  The raw file bytes are
 hashed so reports can pin the exact configuration they were produced
 from.
+
+`SCHEMA` is the only statement of the shape rules.  A small walker of
+the keywords it uses (Draft 2020-12 semantics) accepts conforming
+documents; jsonschema is imported only when the walker says no, and
+then decides and words the rejection.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any
-
-import jsonschema
 
 from .expressions import ExpressionError
 from .flows import IntegratorConfig
@@ -96,9 +99,57 @@ SCHEMA: dict[str, Any] = {
     },
 }
 
-# SCHEMA is constant, so it is checked against the meta-schema by the tests
-# rather than on every load (jsonschema.validate does that each call).
-_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Draft 2020-12: bool is no number, and a float with an integral value
+# (never NaN or an infinity) is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+# Each keyword's test, given the instance, the keyword's value and its
+# schema; it holds for instances of the types it does not apply to.  A
+# comparison with NaN is false, so NaN passes minimum and exclusiveMinimum.
+_KEYWORDS = {
+    "$schema": lambda v, s, _: True,
+    "type": lambda v, s, _: _TYPES[s](v),
+    "enum": lambda v, s, _: isinstance(v, str) and v in s,
+    "required": lambda v, s, _: not isinstance(v, dict) or all(k in v for k in s),
+    "properties": lambda v, s, _: not isinstance(v, dict)
+    or all(_conforms(v[k], sub) for k, sub in s.items() if k in v),
+    "additionalProperties": lambda v, s, schema: not isinstance(v, dict)
+    or all(_conforms(x, s) for k, x in v.items() if k not in schema.get("properties", ())),
+    "items": lambda v, s, _: not isinstance(v, list) or all(_conforms(x, s) for x in v),
+    "minItems": lambda v, s, _: not isinstance(v, list) or len(v) >= s,
+    "maxItems": lambda v, s, _: not isinstance(v, list) or len(v) <= s,
+    "minLength": lambda v, s, _: not isinstance(v, str) or len(v) >= s,
+    "minimum": lambda v, s, _: not _is_number(v) or not v < s,
+    "exclusiveMinimum": lambda v, s, _: not _is_number(v) or not v <= s,
+}
+
+
+def _conforms(value, schema) -> bool:
+    """Whether value satisfies schema; False for a keyword not in _KEYWORDS.
+
+    A False is never final: load_config then asks jsonschema, which
+    decides.  `enum` holds only for strings, which is exact when the
+    listed values are strings, as in SCHEMA.
+    """
+    if isinstance(schema, bool):
+        return schema
+    for key, arg in schema.items():
+        test = _KEYWORDS.get(key)
+        if test is None or not test(value, arg, schema):
+            return False
+    return True
 
 
 @dataclass
@@ -138,7 +189,8 @@ class SystemConfig:
 
 
 def _build(data: dict, digest: str, path: str) -> SystemConfig:
-    n = data["n"]
+    # the schema's integers may be floats with integral values, such as 1.0
+    n = int(data["n"])
     coords = tuple(data["coordinates"])
     if len(coords) != 2 * n + 1:
         raise ConfigError(
@@ -156,7 +208,10 @@ def _build(data: dict, digest: str, path: str) -> SystemConfig:
             ContactChart(coords, eta), integrals, region=region, positive=positive
         )
         symp = symplectize(system, r_range=(r_lo, r_hi))
-        integrator = IntegratorConfig(**data.get("integrator", {}))
+        settings = dict(data.get("integrator", {}))
+        if "max_steps" in settings:
+            settings["max_steps"] = int(settings["max_steps"])
+        integrator = IntegratorConfig(**settings)
     except (ExpressionError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -172,13 +227,14 @@ def _build(data: dict, digest: str, path: str) -> SystemConfig:
                 f"section {sec_name!r} needs {n + 1} parameters, "
                 f"got {len(sec['params'])}"
             )
+        denominator = sec.get("denominator_index")
         try:
             sections[sec_name] = SectionSpec(
                 sec_name,
                 sec["params"],
                 sec["components"],
                 sec["domain"],
-                denominator_index=sec.get("denominator_index"),
+                denominator_index=None if denominator is None else int(denominator),
             )
         except (ExpressionError, ValueError) as exc:
             raise ConfigError(f"section {sec_name!r}: {exc}") from exc
@@ -215,11 +271,22 @@ def load_config(path: str | Path) -> SystemConfig:
         data = json.loads(blob)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    if not _conforms(data, SCHEMA):
+        _reject(data, path)
+    return _build(data, digest, str(path))
+
+
+def _reject(data, path: Path) -> None:
+    """Raise jsonschema's best-matching error; return if it finds none."""
+    import jsonschema
+
+    # SCHEMA is constant, so it is checked against the meta-schema by the
+    # tests rather than here (jsonschema.validate does that each call)
+    validator = jsonschema.Draft202012Validator(SCHEMA)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(data))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config {path} invalid at {where}: {error.message}") from error
-    return _build(data, digest, str(path))
 
 
 def bundled_config_path(name: str) -> Path:

@@ -476,9 +476,12 @@ class ContactChart(_Chart):
             )
         return X
 
-    def _jets(self, xs: np.ndarray, values: np.ndarray, grads: np.ndarray) -> Jets:
-        """Jets of k functions with values (..., k) and gradients (..., k, dim) at xs."""
-        frames = self._frames(xs)
+    def _jets(self, xs: np.ndarray, values: np.ndarray, grads: np.ndarray, coframes=None) -> Jets:
+        """Jets of k functions with values (..., k) and gradients (..., k, dim) at xs.
+
+        `coframes` is _coframes(xs) when already known.
+        """
+        frames = self._frames(xs, coframes)
         fields = self._fields(xs, values, grads, frames)
         return Jets(xs, values, grads, fields, self._reeb_derivatives(xs, grads, frames))
 
@@ -820,8 +823,8 @@ class ContactSystem(_System):
         """jets_at on every row of xs, as one stack; errors in sample order."""
         return _in_sample_order(self._jet_stack, self.chart.points(xs))
 
-    def _jet_stack(self, xs: np.ndarray) -> Jets:
-        return self.chart._jets(xs, *self.gradient_stack(xs))
+    def _jet_stack(self, xs: np.ndarray, coframes=None) -> Jets:
+        return self.chart._jets(xs, *self.gradient_stack(xs), coframes)
 
     def bracket_matrix_at(self, x) -> np.ndarray:
         """Brackets {f_a, f_b} of the integrals, each integral evaluated once."""

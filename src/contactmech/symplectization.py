@@ -133,7 +133,7 @@ class SympChart(_Chart):
         -r d(eta) and the mixed block omega_rb = -eta_b.
         """
         x = self.point(x)
-        return self._omegas(x, *self.base.coframe_at(x[:-1]))
+        return self._omegas(x, *self.base.coframe_at(x[:-1]))[0]
 
     # The private methods below take points of shape (..., dim): a single
     # point, or a stack with any leading axes, and the base eta and d eta
@@ -144,8 +144,8 @@ class SympChart(_Chart):
         out.T[:-1] = xs.T[-1] * eta.T
         return out
 
-    def _omegas(self, xs: np.ndarray, eta: np.ndarray, deta: np.ndarray) -> np.ndarray:
-        """omega at points xs; a singular one raises SingularStructureError."""
+    def _omegas(self, xs: np.ndarray, eta: np.ndarray, deta: np.ndarray):
+        """(omega, det omega) at points xs; a singular one raises SingularStructureError."""
         out = np.zeros(xs.shape + (self.dim,))
         out[..., :-1, :-1] = -xs[..., -1, None, None] * deta
         out[..., -1, :-1] = -eta
@@ -154,7 +154,7 @@ class SympChart(_Chart):
         bad = _first(abs(det) <= 1e-12)
         if bad is not None:
             raise SingularStructureError(xs[bad], float(det[bad]))
-        return out
+        return out, det
 
     def liouville_field_at(self, x) -> np.ndarray:
         """Field solving i_Delta omega = -theta; equals r d/dr here."""
@@ -209,7 +209,7 @@ class SympChart(_Chart):
             X = _standard_field(base.n, x, values, grads)
         else:
             eta, deta = base._coframes(xs[..., :-1]) if coframes is None else coframes
-            omegaT = self._omegas(xs, eta, deta).swapaxes(-1, -2)
+            omegaT = self._omegas(xs, eta, deta)[0].swapaxes(-1, -2)
             if x is not xs:
                 omegaT = omegaT[..., None, :, :]
             X = _solve(omegaT, grads)
@@ -266,7 +266,7 @@ class SympChart(_Chart):
         domega_T_X[:-1] = (-np.outer(deta.T @ Xb, dr) - r * np.einsum("jab,a->bj", d_deta, Xb)
                            - Xr * d_eta)
         domega_T_X[-1] = Xb @ d_eta
-        return X, np.linalg.solve(self._omegas(x, eta, deta).T, dgrad - domega_T_X)
+        return X, np.linalg.solve(self._omegas(x, eta, deta)[0].T, dgrad - domega_T_X)
 
     def poisson_bracket_at(self, F: Expr | str, G: Expr | str, x) -> float:
         """Poisson bracket {F, G} = X_F(G) of the potential theta."""
@@ -368,8 +368,7 @@ def lift_check(symp: SympSystem, points) -> LiftReport:
     |theta(X_F) - F| for every lifted integral F; and
     |{f^S, g^S} + r {f, g}| for every pair, with the Jacobi bracket of
     the base system.  The points run as one stack: the base coframe runs
-    once per point for omega, theta and the lifted fields, and once more
-    for the base jets.
+    once per point, for omega, theta, the lifted fields and the base jets.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = _in_sample_order(lambda xs: _lift_values(symp, xs), points)
@@ -385,7 +384,7 @@ def _lift_values(symp: SympSystem, xs) -> tuple[float, ...]:
     chart = symp.chart
     xs = chart.points(xs)
     coframes = chart.base._coframes(xs[:, :-1])
-    omega = chart._omegas(xs, *coframes)
+    omega, det = chart._omegas(xs, *coframes)
     theta = chart._thetas(xs, coframes[0])
     liouville = chart._liouville(xs, omega, theta)[1]
     values, grads = symp.gradient_stack(xs)
@@ -393,12 +392,12 @@ def _lift_values(symp: SympSystem, xs) -> tuple[float, ...]:
     r = xs[:, -1, None]
     homogeneity = np.abs(r * grads[..., -1] - values)
     pairing = np.abs(_dot(theta[:, None], fields) - values)
-    brackets = symp.base.chart.bracket_matrix(symp.base._jet_stack(xs[:, :-1]))
+    brackets = symp.base.chart.bracket_matrix(symp.base._jet_stack(xs[:, :-1], coframes))
     a, b = _pairs(values.shape[1])
     upstairs = _dot(fields[:, a], grads[:, b])
     correspondence = np.abs(upstairs + r * brackets[:, a, b])
     # the reductions skip NaN, as the running min and max of a loop would
-    min_det = np.fmin.reduce(np.abs(np.linalg.det(omega)), initial=np.inf)
+    min_det = np.fmin.reduce(np.abs(det), initial=np.inf)
     largest = (np.fmax.reduce(v, axis=None, initial=0.0)
                for v in (liouville, homogeneity, pairing, correspondence))
     return (float(min_det), *map(float, largest))

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +332,21 @@ def test_action_angle_solves_points(capsys, points_file):
     # the second point carried its own fiber value
     assert second["point"] == [0.5, 1.0, 1.0, 1.5]
     assert np.allclose(second["y"], [0.5, 0.0], atol=1e-7)
+
+
+def test_action_angle_accepts_an_integral_float_index(capsys, tmp_path):
+    # Draft 2020-12 counts 1.0 as an integer, so the schema lets it through
+    data = json.loads(Path(PZ).read_text())
+    data["sections"]["graph-z"]["denominator_index"] = 1.0
+    cfg = tmp_path / "darboux-pz-float.json"
+    cfg.write_text(json.dumps(data))
+    points = str(Path(__file__).parent / "data" / "golden" / "points-pz.json")
+    args = ["--section", "graph-z", "--points", points]
+    code, report, _ = run_cli(capsys, "action-angle", str(cfg), *args)
+    assert code == 0
+    _, expected, _ = run_cli(capsys, "action-angle", PZ, *args)
+    assert report.pop("config") != expected.pop("config")
+    assert report == expected
 
 
 def test_action_angle_unknown_section(capsys, points_file):
