@@ -117,12 +117,19 @@ def _require_count(value: int, flag: str) -> None:
         raise ConfigError(f"{flag} must be at least 1, got {value}")
 
 
+def _require_tolerance(value: float) -> None:
+    # an infinite tolerance passes every check, a NaN or negative one none
+    if not 0.0 < value < np.inf:
+        raise ConfigError(f"--tolerance must be finite and positive, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_check(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     _require_count(args.samples, "--samples")
+    _require_tolerance(args.tolerance)
     system = cfg.system()
     points = system.sample(np.random.default_rng(seed), args.samples)
     cond = contact_condition_check(system.chart, points)
@@ -168,6 +175,7 @@ def cmd_check(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
 
 def cmd_coisotropy(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     _require_count(args.points, "--points")
+    _require_tolerance(args.tolerance)
     system = cfg.system()
     lam = _parse_floats(args.ray, "--lambda")
     if len(lam) != len(system.integrals):
@@ -272,7 +280,10 @@ def _load_points(path: str, dim: int) -> tuple[list[np.ndarray], float]:
         raise ConfigError(f"cannot read points file {path}: {exc}") from exc
     r_default = 1.0
     if isinstance(data, dict):
-        r_default = float(data.get("r", 1.0))
+        r_default = data.get("r", 1.0)
+        # bool is an int, and an integer beyond the float range is no fiber
+        if type(r_default) not in (int, float) or not 0.0 < r_default <= sys.float_info.max:
+            raise ConfigError(f"r in {path} must be a finite positive number, got {r_default!r}")
         data = data.get("points")
     if not isinstance(data, list) or not data:
         raise ConfigError(f"points file {path} must list at least one point")
@@ -289,12 +300,15 @@ def _load_points(path: str, dim: int) -> tuple[list[np.ndarray], float]:
             )
         if not np.isfinite(vec).all():
             raise ConfigError(f"point {i} has non-finite components {vec.tolist()}")
+        if len(vec) == dim + 1 and not vec[-1] > 0.0:
+            raise ConfigError(f"point {i} has a non-positive fiber coordinate r = {vec[-1]}")
         points.append(vec)
     return points, r_default
 
 
 def cmd_action_angle(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     _require_count(args.samples, "--samples")
+    _require_tolerance(args.tolerance)
     system = cfg.system()
     symp = cfg.symp_system()
     section = cfg.section(args.section)

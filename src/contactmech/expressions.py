@@ -4,10 +4,11 @@ Expressions are built from numeric literals, named variables, the unary
 functions exp, log, sin, cos, sqrt, tanh, unary minus, the binary
 operators + - * /, and ^ with a constant real exponent.  They are parsed
 by recursive descent, printed back in a canonical form that reparses to
-the same tree, and evaluated over plain floats.  Exact derivatives come
-from straight-line float kernels compiled from the tree: forward-mode
-dual arithmetic unrolled into one float per tangent entry, raising their
-own EvaluationDomainError.  Hessian rows are the gradients of the kernels
+the same tree, and evaluated over plain floats; + - * / and unary minus
+on nodes build the same trees in code.  Exact derivatives come from
+straight-line float kernels compiled from the tree: forward-mode dual
+arithmetic unrolled into one float per tangent entry, raising their own
+EvaluationDomainError.  Hessian rows are the gradients of the kernels
 of the first partial derivatives, which are built as trees by the same
 tangent rules, without symbolic simplification.
 
@@ -92,31 +93,53 @@ class EvaluationDomainError(ExpressionError):
 # AST
 # ---------------------------------------------------------------------------
 
+def _operator(op: str, reflected: bool = False):
+    def method(self, other):
+        if isinstance(other, (int, float)):
+            other = Const(float(other))
+        elif not isinstance(other, _Node):
+            return NotImplemented
+        return Binary(op, other, self) if reflected else Binary(op, self, other)
+
+    return method
+
+
+class _Node:
+    """Tree arithmetic: + - * / build Binary nodes (a number becomes a Const), - "neg"."""
+
+    __array_ufunc__ = None  # NumPy scalars defer to the reflected operators
+    __add__, __sub__, __mul__, __truediv__ = map(_operator, "+-*/")
+    __radd__, __rsub__, __rmul__, __rtruediv__ = (_operator(op, True) for op in "+-*/")
+
+    def __neg__(self):
+        return Unary("neg", self)
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     op: str  # "neg" or a function name
     arg: "Expr"
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     op: str  # one of + - * /
     lhs: "Expr"
     rhs: "Expr"
 
 
 @dataclass(frozen=True)
-class Power:
+class Power(_Node):
     base: "Expr"
     exponent: float  # constant by construction
 
@@ -670,47 +693,47 @@ def _derivative(node: Expr, name: str) -> Expr | None:
         if du is None:
             return None
         c = node.exponent
-        return Binary("*", du, Binary("*", Const(c), Power(node.base, c - 1.0)))
+        return du * (c * Power(node.base, c - 1.0))
     if isinstance(node, Unary):
         u, op = node.arg, node.op
         du = _derivative(u, name)
         if du is None:
             return None
         if op == "neg":
-            return Unary("neg", du)
+            return -du
         if op == "exp":
-            return Binary("*", du, node)
+            return du * node
         if op == "log":
-            return Binary("/", du, u)
+            return du / u
         if op == "sqrt":
-            return Binary("/", du, Binary("*", Const(2.0), node))
+            return du / (2.0 * node)
         if op == "sin":
-            return Binary("*", du, Unary("cos", u))
+            return du * Unary("cos", u)
         if op == "cos":
-            return Binary("*", Unary("neg", du), Unary("sin", u))
-        return Binary("*", du, Binary("-", Const(1.0), Binary("*", node, node)))
+            return -du * Unary("sin", u)
+        return du * (1.0 - node * node)
     u, v, op = node.lhs, node.rhs, node.op
     du, dv = _derivative(u, name), _derivative(v, name)
     if du is None and dv is None:
         return None
     # a variable-free operand contributes no tangent term
     if op == "+":
-        return dv if du is None else du if dv is None else Binary("+", du, dv)
+        return dv if du is None else du if dv is None else du + dv
     if op == "-":
         if du is None:
-            return Unary("neg", dv)
-        return du if dv is None else Binary("-", du, dv)
+            return -dv
+        return du if dv is None else du - dv
     if op == "*":
         if du is None:
-            return Binary("*", dv, u)
+            return dv * u
         if dv is None:
-            return Binary("*", du, v)
-        return Binary("+", Binary("*", u, dv), Binary("*", du, v))
+            return du * v
+        return u * dv + du * v
     if du is None:
-        return Binary("/", Binary("*", Unary("neg", node), dv), v)
+        return -node * dv / v
     if dv is None:
-        return Binary("/", du, v)
-    return Binary("/", Binary("-", du, Binary("*", node, dv)), v)
+        return du / v
+    return (du - node * dv) / v
 
 
 def _exact(value: float):

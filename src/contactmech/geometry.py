@@ -4,7 +4,9 @@ A chart holds 2n+1 coordinate names and the coefficient functions of a
 contact one-form eta.  Coordinates are ordered (q_1..q_n, p_1..p_n, z);
 when the coefficients are structurally those of the standard form
 dz - p_i dq^i the chart takes closed-form fast paths, otherwise every
-operator goes through the flat-map solve.
+operator goes through the flat-map solve.  The closed-form field is one
+template, `_darboux_field`, run over float lists (flows), arrays (point
+stacks) and expression trees, whose kernels give its Jacobian.
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -38,11 +40,11 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .expressions import (
-    Binary,
     Const,
     Expr,
-    Unary,
     Var,
+    _derivative,
+    _KernelKey,
     eval_jet2,
     evaluate,
     free_variables,
@@ -204,9 +206,9 @@ def _rows(stack, i: int):
 class _Chart:
     """Points, functions and Hamiltonian fields of contact and symplectized charts.
 
-    A subclass sets `coordinates`, `dim` and `_closed_field` (its
-    standard-form field over float lists, or None) and defines
-    `field_from_gradient` and `field_with_tangents`.
+    A subclass sets `coordinates`, `dim` and `_closed_field` (its module's
+    standard-form template `_darboux_field`, or None on general coframes)
+    and defines `field_from_gradient` and `_field_with_tangents`.
     """
 
     coordinates: tuple[str, ...]
@@ -243,16 +245,43 @@ class _Chart:
         return self.field_from_gradient(x, value, grad)
 
     def hamiltonian_field_jacobian_at(self, f: Expr | str, x) -> np.ndarray:
-        """Jacobian d_a X_f^i, rows i, columns a.
+        """Jacobian d_a X_f^i, rows i, columns a: `_variational` on the unit vectors e_a."""
+        dim = self.dim
+        state = self._variational(self.function(f))([*self.point(x), *np.eye(dim).ravel()])
+        return np.reshape(state[dim:], (dim, dim)).T
 
-        Column a is the exact tangent map of the field (field_with_tangents)
-        applied to the unit vector e_a, from f's second-order jet.
+    def _variational(self, f: Expr) -> Callable[[Sequence[float]], list[float]]:
+        """Closure for the variational equation of X_f, over float lists.
+
+        The state is x followed by k tangent vectors dx_1..dx_k; the
+        closure returns X_f(x) followed by DX_f(x) dx_1..DX_f(x) dx_k.  On
+        standard-form charts the kernels of the closed-form components
+        give X_f(x) and the rows of DX_f(x); otherwise f's compiled
+        second-order jet feeds _field_with_tangents.
         """
-        f = self.function(f)
-        x = self.point(x)
-        jet = eval_jet2(f, self.coordinates, x)
-        unit = np.eye(self.dim)
-        return self.field_with_tangents(x, jet.value, jet.gradient, jet.hessian, unit)[1]
+        dim = self.dim
+        if self._closed_field is not None:
+            kernels = _closed_kernels(self._closed_field, _KernelKey(f, self.coordinates))
+
+            def closed(state) -> list[float]:
+                x = state[:dim]
+                X, rows = zip(*[kernel(x) for kernel in kernels])
+                tangents = [state[j : j + dim] for j in range(dim, len(state), dim)]
+                return [*X, *[_fdot(row, dx) for dx in tangents for row in rows]]
+
+            return closed
+        jet = jet2_kernel(f, self.coordinates)
+
+        def field(state) -> list[float]:
+            x = state[:dim]
+            value, grad, rows = jet(x)
+            tangents = np.array(state[dim:]).reshape(-1, dim).T
+            X, dX = self._field_with_tangents(
+                np.array(x), value, np.array(grad), np.array(rows), tangents
+            )
+            return np.concatenate((X, dX.T.ravel())).tolist()
+
+        return field
 
 
 class ContactChart(_Chart):
@@ -292,7 +321,7 @@ class ContactChart(_Chart):
                     raise ValueError(f"eta coefficient uses unknown names {sorted(extra)}")
         self.eta_coefficients = coeffs
         self.darboux = coeffs == standard
-        self._closed_field = _standard_field_floats if self.darboux else None
+        self._closed_field = _darboux_field if self.darboux else None
         self._coeff_grads = tuple(gradient_evaluator(c, names) for c in coeffs)
 
     def env(self, x) -> dict[str, float]:
@@ -441,9 +470,7 @@ class ContactChart(_Chart):
     def field_from_gradient(self, x, value: float, grad: np.ndarray) -> np.ndarray:
         """Contact Hamiltonian field X_f, with eta(X_f) = -f, from f's value and grad.
 
-        Standard-form charts use the closed-form expression
-        X_f = (df/dp_i) d_q^i - (df/dq^i + p_i df/dz) d_p^i
-              + (p_i df/dp_i - f) d_z;
+        Standard-form charts use the closed form (`_darboux_field`);
         otherwise flat(X_f) = df - (R(f) + f) eta is solved directly.
         """
         x = self.point(x)
@@ -460,7 +487,7 @@ class ContactChart(_Chart):
         x, frames = self._per_function(xs, grads, frames)
         if frames is None:
             n = self.n
-            X = _standard_field(n, x, values, grads)
+            X = _stacked(self._closed_field, n, x, values, grads)
             pairing = X[..., -1] - _dot(x[..., n : 2 * n], X[..., :n])
         else:
             eta, B, reeb = frames
@@ -485,27 +512,17 @@ class ContactChart(_Chart):
         fields = self._fields(xs, values, grads, frames)
         return Jets(xs, values, grads, fields, self._reeb_derivatives(xs, grads, frames))
 
-    def field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
-        """X_f at x and its tangent map DX_f(x) dx on the k columns of dx.
+    def _field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
+        """X_f at x and its tangent map DX_f(x) dx on the k columns of dx, on a general coframe.
 
         From f's value, gradient and Hessian at x.  The tangent map is the
-        derivative of field_from_gradient: of the closed form on
-        standard-form charts, otherwise of the solve B^T X = rhs, giving
+        derivative of the solve B^T X = rhs of field_from_gradient, giving
         dX = B^-T (d rhs - dB^T X) with dB from the Hessians of eta's
         coefficients (the Reeb field is differentiated the same way).
         """
-        frame = self._frames(x)
+        eta, B, reeb = frame = self._frames(x)
         X = self._fields(x, value, grad, frame)
         dvalue, dgrad = grad @ dx, hessian @ dx
-        n = self.n
-        if frame is None:
-            p, dp = x[n : 2 * n], dx[n : 2 * n]
-            dX = np.empty_like(dgrad)
-            dX[:n] = dgrad[n : 2 * n]
-            dX[n : 2 * n] = -(dgrad[:n] + p[:, None] * dgrad[-1] + grad[-1] * dp)
-            dX[-1] = p @ dgrad[n : 2 * n] + grad[n : 2 * n] @ dp - dvalue
-            return X, dX
-        eta, B, reeb = frame
         deta, ddeta = self._coframe_tangent(x, dx)
 
         def dBT(v):  # (dB)^T v per column, dB = d(d eta) + d eta eta^T + eta d eta^T
@@ -603,19 +620,46 @@ class ContactChart(_Chart):
         return cls(names)
 
 
-def _standard_field(n: int, x: np.ndarray, value, grad: np.ndarray) -> np.ndarray:
-    # closed form for eta = dz - p dq: the solve of flat(X_f) = df - (R(f) + f) eta,
-    # broadcast over the leading axes of x (..., dim), value (...) and grad
-    # (..., dim); the transposes put the coordinates first, so that one
-    # indexing serves both without Ellipsis, which is slow on single points
-    x, g = x.T, grad.T
-    p = x[n : 2 * n]
+def _darboux_field(n: int, x, value, grad, dot) -> list:
+    """Components of X_f for eta = dz - p_i dq^i, in coordinate order.
+
+    X_f = (df/dp_i) d_q^i - (df/dq^i + p_i df/dz) d_p^i + (p_i df/dp_i - f) d_z,
+    from sequences x and grad over the coordinates; dot(a, b) sums a_i b_i.
+    """
+    p, gp, gz = x[n : 2 * n], grad[n : 2 * n], grad[-1]
+    return [*gp, *[-(gq + pi * gz) for gq, pi in zip(grad[:n], p)], dot(p, gp) - value]
+
+
+def _stacked(template, n: int, x: np.ndarray, value, grad: np.ndarray) -> np.ndarray:
+    """A closed-form template over x (..., dim), value (...) and grad (..., dim), broadcast.
+
+    The transposes put the coordinates first, so that one indexing serves
+    every leading shape without Ellipsis, which is slow on single points.
+    """
     X = np.empty(grad.shape)
     XT = X.T
-    XT[:n] = g[n : 2 * n]
-    XT[n : 2 * n] = -(g[:n] + p * g[-1])
-    X[..., -1] = _dot(p.T, g[n : 2 * n].T) - value
+    value = value.T if isinstance(value, np.ndarray) else value
+    components = template(n, x.T, value, grad.T, lambda a, b: _dot(a.T, b.T).T)
+    for i, component in enumerate(components):
+        XT[i] = component
     return X
+
+
+def _fdot(a, b):
+    """a . b over floats or trees, summed left to right from 0.0 (`_dot`'s bits at length 1)."""
+    total = 0.0
+    for u, v in zip(a, b):
+        total += u * v
+    return total
+
+
+@functools.lru_cache(maxsize=512)
+def _closed_kernels(template, key: _KernelKey) -> tuple:
+    """Kernels of a template's components on key's tree: values X_f^i, gradients DX_f rows."""
+    names = key.names
+    grad = [_derivative(key.node, name) or Const(0.0) for name in names]
+    components = template((len(names) - 1) // 2, [*map(Var, names)], key.node, grad, _fdot)
+    return tuple(gradient_kernel(c, names) for c in components)
 
 
 def _flat_det(eta: np.ndarray, deta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -624,25 +668,11 @@ def _flat_det(eta: np.ndarray, deta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return B, np.linalg.det(B)
 
 
-def _standard_field_floats(n: int, x, value: float, grad) -> list[float]:
-    # _standard_field over float sequences, in its float operations and
-    # order; NumPy's p @ g is 0.0 + p_1 g_1 at n = 1 and fuses a
-    # multiply-add from n = 2 on, which this sum does not
-    gz = grad[-1]
-    X = list(grad[n : 2 * n])
-    X += [-(gq + p * gz) for gq, p in zip(grad[:n], x[n : 2 * n])]
-    pairing = 0.0
-    for p, gp in zip(x[n : 2 * n], grad[n : 2 * n]):
-        pairing += p * gp
-    X.append(pairing - value)
-    return X
-
-
 def _standard_coefficients(names: Sequence[str]) -> tuple[Expr, ...]:
     n = (len(names) - 1) // 2
     coeffs: list[Expr] = []
     for i in range(n):
-        coeffs.append(Unary("neg", Var(names[n + i])))
+        coeffs.append(-Var(names[n + i]))
     coeffs.extend(Const(0.0) for _ in range(n))
     coeffs.append(Const(1.0))
     return tuple(coeffs)
@@ -723,8 +753,8 @@ class _System:
         """Closure computing X_f as a list of floats, for the flow integrators.
 
         Standard-form charts run f's compiled gradient kernel and the
-        closed form over floats, without per-call checks; otherwise the
-        closure runs field_from_gradient with every check.
+        closed form over floats (`_fdot`), without per-call checks;
+        otherwise the closure runs field_from_gradient with every check.
         """
         f = self.resolve(f)
         chart = self.chart
@@ -742,32 +772,13 @@ class _System:
 
         def field(x) -> list[float]:
             value, grad = kernel(x)
-            return closed_field(n, x, value, grad)
+            return closed_field(n, x, value, grad, _fdot)
 
         return field
 
     def variational_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
-        """Closure for the variational equation of X_f, over float lists.
-
-        The state is x followed by k tangent vectors dx_1..dx_k; the
-        closure returns X_f(x) followed by DX_f(x) dx_1..DX_f(x) dx_k, from
-        f's compiled second-order jet and field_with_tangents.
-        """
-        f = self.resolve(f)
-        chart = self.chart
-        jet = jet2_kernel(f, chart.coordinates)
-        dim = chart.dim
-
-        def field(state) -> list[float]:
-            x = state[:dim]
-            value, grad, rows = jet(x)
-            tangents = np.array(state[dim:]).reshape(-1, dim).T
-            X, dX = chart.field_with_tangents(
-                np.array(x), value, np.array(grad), np.array(rows), tangents
-            )
-            return np.concatenate((X, dX.T.ravel())).tolist()
-
-        return field
+        """The chart's closure for the variational equation of X_f (`_Chart._variational`)."""
+        return self.chart._variational(self.resolve(f))
 
 
 class ContactSystem(_System):
@@ -884,7 +895,7 @@ def conformal_rescale(
         for x in np.atleast_2d(np.asarray(samples, dtype=float)):
             if abs(evaluate(factor, chart.env(x))) <= 1e-12:
                 raise ConformalFactorError(x)
-    coeffs = tuple(Binary("*", factor, c) for c in chart.eta_coefficients)
+    coeffs = tuple(factor * c for c in chart.eta_coefficients)
     return ContactChart(chart.coordinates, coeffs)
 
 

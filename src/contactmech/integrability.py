@@ -42,8 +42,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .expressions import (
-    Binary,
-    Const,
     EvaluationDomainError,
     Expr,
     evaluate,
@@ -677,12 +675,9 @@ def _generators(symp_system: SympSystem, M: np.ndarray) -> list[Expr]:
         for c, coeff in enumerate(row):
             if coeff == 0.0:
                 continue
-            piece = (
-                symp_system.integrals[c]
-                if coeff == 1.0
-                else Binary("*", Const(float(coeff)), symp_system.integrals[c])
-            )
-            term = piece if term is None else Binary("+", term, piece)
+            F = symp_system.integrals[c]
+            piece = F if coeff == 1.0 else float(coeff) * F
+            term = piece if term is None else term + piece
         gens.append(term)
     return gens
 

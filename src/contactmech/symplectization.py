@@ -13,6 +13,8 @@ As in `geometry`, omega, theta, the Liouville field and the lifted
 fields are computed for points with any leading axes: `lift_check`
 takes its points as one stack and measures each identity in one array
 pass, and the single-point methods run the same code on one point.
+On standard-form bases the lifted field is this module's closed-form
+template, run by the same three callers as geometry's.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .expressions import Binary, Expr, Unary, Var, gradient_evaluator, parse
+from .expressions import Const, Expr, Var, gradient_evaluator
 from .geometry import (
     ContactChart,
     ContactSystem,
@@ -35,6 +37,7 @@ from .geometry import (
     _norm,
     _pairs,
     _solve,
+    _stacked,
     _System,
 )
 
@@ -92,10 +95,8 @@ class SympChart(_Chart):
         self.coordinates = base.coordinates + (fiber,)
         self.dim = base.dim + 1
         # r * eta_a, kept as expressions for introspection and printing
-        self.theta_coefficients = tuple(
-            Binary("*", Var(fiber), c) for c in base.eta_coefficients
-        ) + (parse("0"),)
-        self._closed_field = _standard_field_floats if base.darboux else None
+        self.theta_coefficients = (*(Var(fiber) * c for c in base.eta_coefficients), Const(0.0))
+        self._closed_field = _darboux_field if base.darboux else None
 
     def point(self, x) -> np.ndarray:
         x = super().point(x)
@@ -113,7 +114,7 @@ class SympChart(_Chart):
     def lift_function(self, f: Expr | str) -> Expr:
         """Degree-1 lift f^S = -(r * f) of a base function."""
         f = self.base.function(f)
-        return Unary("neg", Binary("*", Var(self.fiber), f))
+        return -(Var(self.fiber) * f)
 
     def project_vector(self, v) -> np.ndarray:
         """Push a tangent vector down to the base (drop the fiber slot)."""
@@ -191,13 +192,13 @@ class SympChart(_Chart):
         """
         return self._fields(self.point(x), value, grad)
 
-    def _fields(self, xs: np.ndarray, values, grads: np.ndarray, coframes=None) -> np.ndarray:
+    def _fields(self, xs: np.ndarray, values, grads: np.ndarray, coframes=None, omega=None):
         """Fields of functions with values and gradients at points xs (..., dim).
 
         Shapes: values (...) and grads (..., dim), or (..., k) and
         (..., k, dim) for k functions at each point; the fields have the
-        shape of grads.  `coframes` is the base's _coframes at xs when
-        already known.  General bases solve omega^T X = dF, checked to
+        shape of grads.  `coframes` (the base's _coframes) and `omega` at
+        xs may be given.  General bases solve omega^T X = dF, checked to
         1e-10 (relative to dF); a homogeneous F is checked against
         theta(X_F) = F to 1e-8 (relative to F and X_F).  The first
         failing function raises, with the solve checked first.
@@ -205,18 +206,22 @@ class SympChart(_Chart):
         base = self.base
         x = xs if grads.ndim == xs.ndim else xs[..., None, :]
         if base.darboux:
-            eta = base._etas(xs[..., :-1])
-            X = _standard_field(base.n, x, values, grads)
+            n = base.n
+            X = _stacked(self._closed_field, n, x, values, grads)
+            pairing = x[..., -1] * (X[..., 2 * n] - _dot(x[..., n : 2 * n], X[..., :n]))
         else:
             eta, deta = base._coframes(xs[..., :-1]) if coframes is None else coframes
-            omegaT = self._omegas(xs, eta, deta)[0].swapaxes(-1, -2)
+            if omega is None:
+                omega = self._omegas(xs, eta, deta)[0]
+            omegaT = omega.swapaxes(-1, -2)
             if x is not xs:
                 omegaT = omegaT[..., None, :, :]
             X = _solve(omegaT, grads)
             solve_resid = _norm(_matvec(omegaT, X) - grads)
             solve_bad = _exceeds(solve_resid, _RESIDUAL_TOL, vectors=(grads,))
-        theta = self._thetas(xs, eta)
-        gap = abs(_dot(theta if x is xs else theta[..., None, :], X) - values)
+            theta = self._thetas(xs, eta)
+            pairing = _dot(theta if x is xs else theta[..., None, :], X)
+        gap = abs(pairing - values)
         theta_bad = _exceeds(gap, 1e-8, (values,), (X,))
         if _first(theta_bad) is not None:  # the identity binds homogeneous F only
             homogeneity = abs(x[..., -1] * grads[..., -1] - values)
@@ -233,40 +238,25 @@ class SympChart(_Chart):
             )
         return X
 
-    def field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
-        """X_F at x and its tangent map DX_F(x) dx on the k columns of dx.
+    def _field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
+        """X_F at x and its tangent map DX_F(x) dx on the k columns of dx, on a general base.
 
-        From F's value, gradient and Hessian at x.  Standard-form bases
-        differentiate the closed form, whose X is not checked here (as in
-        field_evaluator); otherwise the solve omega^T X = dF gives
-        dX = omega^-T (d dF - d omega^T X), with d omega from r and the
-        Hessians of the base coframe's coefficients.
+        From F's value, gradient and Hessian at x.  The solve
+        omega^T X = dF gives dX = omega^-T (d dF - d omega^T X), with
+        d omega from r and the Hessians of the base coframe's coefficients.
         """
         dgrad = hessian @ dx
         r, dr = x[-1], dx[-1]
-        if self.base.darboux:
-            n = self.base.n
-            X = _standard_field(n, x, value, grad)
-            p, dp = x[n : 2 * n], dx[n : 2 * n]
-            dX = np.empty_like(dgrad)  # first the numerators over r
-            dX[:n] = -dgrad[n : 2 * n]
-            dX[n : 2 * n] = dgrad[:n] + p[:, None] * dgrad[2 * n] + grad[2 * n] * dp
-            dX[2 * n] = -(p @ dgrad[n : 2 * n] + grad[n : 2 * n] @ dp)
-            over_r = X[:-1].copy()  # the terms of X divided by r
-            over_r[-1] -= grad[-1]
-            dX[:-1] = (dX[:-1] - over_r[:, None] * dr) / r
-            dX[2 * n] += dgrad[-1]
-            dX[-1] = -dgrad[2 * n]
-            return X, dX
         eta, deta = coframe = self.base.coframe_at(x[:-1])
-        X = self._fields(x, value, grad, coframe)
+        omega = self._omegas(x, eta, deta)[0]
+        X = self._fields(x, value, grad, coframe, omega)
         d_eta, d_deta = self.base._coframe_tangent(x[:-1], dx[:-1])
         Xb, Xr = X[:-1], X[-1]
         domega_T_X = np.empty_like(dgrad)
         domega_T_X[:-1] = (-np.outer(deta.T @ Xb, dr) - r * np.einsum("jab,a->bj", d_deta, Xb)
                            - Xr * d_eta)
         domega_T_X[-1] = Xb @ d_eta
-        return X, np.linalg.solve(self._omegas(x, eta, deta)[0].T, dgrad - domega_T_X)
+        return X, np.linalg.solve(omega.T, dgrad - domega_T_X)
 
     def poisson_bracket_at(self, F: Expr | str, G: Expr | str, x) -> float:
         """Poisson bracket {F, G} = X_F(G) of the potential theta."""
@@ -280,35 +270,14 @@ class SympChart(_Chart):
         return f"SympChart({self.base!r}, fiber={self.fiber!r})"
 
 
-def _standard_field(n: int, x: np.ndarray, value, grad: np.ndarray) -> np.ndarray:
-    # closed form for theta = r(dz - p dq): the solve of X^a omega_ab = dF_b,
-    # broadcast like geometry._standard_field; value is unused: the
-    # signature is geometry._standard_field's
-    x, g = x.T, grad.T
-    r, p, Fp = x[-1], x[n : 2 * n], g[n : 2 * n]
-    X = np.empty(grad.shape)
-    XT = X.T
-    XT[:n] = -Fp / r
-    XT[n : 2 * n] = (g[:n] + p * g[2 * n]) / r
-    XT[2 * n] = g[2 * n + 1] - _dot(p.T, Fp.T).T / r
-    XT[2 * n + 1] = -g[2 * n]
-    return X
+def _darboux_field(n: int, x, value, grad, dot) -> list:
+    """Components of X_F for theta = r(dz - p_i dq^i), in coordinate order.
 
-
-def _standard_field_floats(n: int, x, value: float, grad) -> list[float]:
-    # _standard_field over float sequences, in its float operations and
-    # order (see geometry._standard_field_floats for p @ Fp); the
-    # signature is geometry's, so field_evaluator calls either alike
-    r = x[-1]
-    Fz = grad[2 * n]
-    X = [-Fp / r for Fp in grad[n : 2 * n]]
-    X += [(Fq + p * Fz) / r for Fq, p in zip(grad[:n], x[n : 2 * n])]
-    pairing = 0.0
-    for p, Fp in zip(x[n : 2 * n], grad[n : 2 * n]):
-        pairing += p * Fp
-    X.append(grad[2 * n + 1] - pairing / r)
-    X.append(-Fz)
-    return X
+    The solve of X^a omega_ab = dF_b, called like geometry._darboux_field.
+    """
+    r, p, Fp, Fz = x[-1], x[n : 2 * n], grad[n : 2 * n], grad[2 * n]
+    return [*[-u / r for u in Fp], *[(Fq + pi * Fz) / r for Fq, pi in zip(grad[:n], p)],
+            grad[2 * n + 1] - dot(p, Fp) / r, -Fz]
 
 
 class SympSystem(_System):
@@ -368,7 +337,8 @@ def lift_check(symp: SympSystem, points) -> LiftReport:
     |theta(X_F) - F| for every lifted integral F; and
     |{f^S, g^S} + r {f, g}| for every pair, with the Jacobi bracket of
     the base system.  The points run as one stack: the base coframe runs
-    once per point, for omega, theta, the lifted fields and the base jets.
+    once per point, for omega, theta, the lifted fields and the base jets,
+    and omega is built once per stack.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = _in_sample_order(lambda xs: _lift_values(symp, xs), points)
@@ -388,7 +358,7 @@ def _lift_values(symp: SympSystem, xs) -> tuple[float, ...]:
     theta = chart._thetas(xs, coframes[0])
     liouville = chart._liouville(xs, omega, theta)[1]
     values, grads = symp.gradient_stack(xs)
-    fields = chart._fields(xs, values, grads, coframes)
+    fields = chart._fields(xs, values, grads, coframes, omega)
     r = xs[:, -1, None]
     homogeneity = np.abs(r * grads[..., -1] - values)
     pairing = np.abs(_dot(theta[:, None], fields) - values)

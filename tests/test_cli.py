@@ -290,6 +290,24 @@ def test_count_flags_reject_values_below_one(capsys, points_file):
         assert captured.err.startswith("error: ") and "at least 1" in captured.err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("command", ["check", "coisotropy", "action-angle"])
+def test_tolerance_must_be_finite_and_positive(capsys, points_file, command, value):
+    # an infinite tolerance passed every check of the non-involutive system
+    extra = {
+        "check": [NON5],
+        "coisotropy": [NON5, "--lambda", "1,1,1"],
+        "action-angle": [PZ, "--section", "graph-z", "--points", points_file],
+    }[command]
+    argv = [command, *extra, f"--tolerance={value}"]
+    _assert_input_error(capsys, argv, "--tolerance must be finite and positive")
+
+
+def test_small_positive_tolerance_is_accepted(capsys):
+    code, report, _ = run_cli(capsys, "check", INV5, "--samples", "5", "--tolerance=1e-300")
+    assert code == 0 and report["checks"][1]["tolerance"] == 1e-300
+
+
 # ---------------------------------------------------------------------------
 # symplectize-verify
 # ---------------------------------------------------------------------------
@@ -370,6 +388,35 @@ def test_action_angle_nonfinite_point_is_input_error(capsys, tmp_path):
     path.write_text('{"points": [[1.0, 1.0, 1.0], [NaN, 1, 1]]}')
     argv = ["action-angle", PZ, "--section", "graph-z", "--points", str(path)]
     _assert_input_error(capsys, argv, "point 1", "non-finite")
+
+
+@pytest.mark.parametrize(
+    "r", ['"abc"', "null", "[1]", "true", "-1", "0", "NaN", "Infinity", "-Infinity",
+          "1" + "0" * 400],
+)
+def test_action_angle_bad_fiber_default_is_input_error(capsys, tmp_path, r):
+    path = tmp_path / "points.json"
+    path.write_text('{"points": [[0.3, 1.2, 0.8]], "r": %s}' % r)
+    argv = ["action-angle", PZ, "--section", "graph-z", "--points", str(path)]
+    _assert_input_error(capsys, argv, "r in ", "must be a finite positive number")
+
+
+@pytest.mark.parametrize("fiber", ["0", "-1.5", "-0.0"])
+def test_action_angle_lifted_row_off_the_fiber_is_input_error(capsys, tmp_path, fiber):
+    path = tmp_path / "points.json"
+    path.write_text('{"points": [[0.3, 1.2, 0.8], [-1.0, 0.7, 1.5, %s]]}' % fiber)
+    argv = ["action-angle", PZ, "--section", "graph-z", "--points", str(path)]
+    _assert_input_error(capsys, argv, "point 1", "non-positive fiber")
+
+
+def test_action_angle_integer_fiber_default_lifts_base_rows(capsys, tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text('{"points": [[0.3, 1.2, 0.8]], "r": 2}')
+    code, report, _ = run_cli(
+        capsys, "action-angle", PZ, "--section", "graph-z", "--points", str(path)
+    )
+    assert code == 0
+    assert report["points"][0]["point"] == [0.3, 1.2, 0.8, 2.0]
 
 
 def test_action_angle_failing_section_skips_points(capsys, tmp_path, points_file):

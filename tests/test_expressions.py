@@ -21,6 +21,7 @@ from contactmech.expressions import (
     evaluate,
     free_variables,
     gradient_evaluator,
+    gradient_kernel,
     parse,
     to_string,
 )
@@ -394,3 +395,124 @@ def test_kernels_compile_lazily_once_per_expression_and_names():
     again.values_and_gradients(x)
     again.chart.coframe_at(x)
     assert compiled().misses == 7 and compiled().hits == 5
+
+
+# ---------------------------------------------------------------------------
+# Tree arithmetic
+# ---------------------------------------------------------------------------
+
+def _derivative_by_constructors(node, name):
+    """expressions._derivative's tangent rules spelled with explicit constructors."""
+    if isinstance(node, Const):
+        return None
+    if isinstance(node, Var):
+        return Const(1.0 if node.name == name else 0.0)
+    if isinstance(node, Power):
+        du = _derivative_by_constructors(node.base, name)
+        if du is None:
+            return None
+        c = node.exponent
+        return Binary("*", du, Binary("*", Const(c), Power(node.base, c - 1.0)))
+    if isinstance(node, Unary):
+        u, op = node.arg, node.op
+        du = _derivative_by_constructors(u, name)
+        if du is None:
+            return None
+        return {
+            "neg": lambda: Unary("neg", du),
+            "exp": lambda: Binary("*", du, node),
+            "log": lambda: Binary("/", du, u),
+            "sqrt": lambda: Binary("/", du, Binary("*", Const(2.0), node)),
+            "sin": lambda: Binary("*", du, Unary("cos", u)),
+            "cos": lambda: Binary("*", Unary("neg", du), Unary("sin", u)),
+            "tanh": lambda: Binary("*", du, Binary("-", Const(1.0), Binary("*", node, node))),
+        }[op]()
+    u, v, op = node.lhs, node.rhs, node.op
+    du, dv = _derivative_by_constructors(u, name), _derivative_by_constructors(v, name)
+    if du is None and dv is None:
+        return None
+    if op == "+":
+        return dv if du is None else du if dv is None else Binary("+", du, dv)
+    if op == "-":
+        if du is None:
+            return Unary("neg", dv)
+        return du if dv is None else Binary("-", du, dv)
+    if op == "*":
+        if du is None:
+            return Binary("*", dv, u)
+        if dv is None:
+            return Binary("*", du, v)
+        return Binary("+", Binary("*", u, dv), Binary("*", du, v))
+    if du is None:
+        return Binary("/", Binary("*", Unary("neg", node), dv), v)
+    if dv is None:
+        return Binary("/", du, v)
+    return Binary("/", Binary("-", du, Binary("*", node, dv)), v)
+
+
+def _same_tree(built, explicit):
+    # == treats Const(0.0) and Const(-0.0) alike; the kernel signature does not
+    assert built == explicit
+    assert expressions._signature(built) == expressions._signature(explicit)
+
+
+def test_tree_arithmetic_builds_the_constructor_trees():
+    q, p, z = Var("q"), Var("p"), Var("z")
+    names = ("q", "p", "z")
+    cases = [
+        (q + p, Binary("+", q, p)),
+        (q - p, Binary("-", q, p)),
+        (q * p, Binary("*", q, p)),
+        (q / p, Binary("/", q, p)),
+        (-q, Unary("neg", q)),
+        (q + 2, Binary("+", q, Const(2.0))),
+        (q - 0.5, Binary("-", q, Const(0.5))),
+        (q * -0.0, Binary("*", q, Const(-0.0))),
+        (q / 4, Binary("/", q, Const(4.0))),
+        (2.5 + q, Binary("+", Const(2.5), q)),
+        (1 - q, Binary("-", Const(1.0), q)),
+        (-0.0 * q, Binary("*", Const(-0.0), q)),
+        (1.0 / q, Binary("/", Const(1.0), q)),
+        (np.float64(3.0) * q, Binary("*", Const(3.0), q)),
+        (0.0 + q * p, Binary("+", Const(0.0), Binary("*", q, p))),
+        (-(q + p * z) / z, Binary("/", Unary("neg", Binary("+", q, Binary("*", p, z))), z)),
+        (Unary("exp", q) * Power(p, 2.0), Binary("*", Unary("exp", q), Power(p, 2.0))),
+    ]
+    for built, explicit in cases:
+        _same_tree(built, explicit)
+        assert gradient_kernel(built, names) is gradient_kernel(explicit, names)
+    _same_tree(2 * q + p / 3 - -z, parse("2*q + p/3 - -z", names))
+
+
+def test_tree_arithmetic_rejects_other_operands():
+    q = Var("q")
+    for other in ("p", None, [1.0], np.array([1.0])):
+        with pytest.raises(TypeError):
+            q + other
+        with pytest.raises(TypeError):
+            other * q
+
+
+def _assert_derivatives_match(tree):
+    for name in ("q", "p", "z"):
+        built = expressions._derivative(tree, name)
+        explicit = _derivative_by_constructors(tree, name)
+        if explicit is None:
+            assert built is None
+        else:
+            _same_tree(built, explicit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_derivative_rules_build_the_constructor_trees(tree):
+    _assert_derivatives_match(tree)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["log(q * p) + sqrt(z)", "sqrt(q^2 + 1) / log(z + 2)", "tanh(q) * cos(p) - sin(-z)",
+     "(q - 2) / (p * z)", "2 / q - 3", "-(q^-1.5) + exp(p) * 0"],
+)
+def test_derivative_rules_build_the_constructor_trees_for_every_rule(source):
+    _assert_derivatives_match(parse(source, ("q", "p", "z")))

@@ -3,7 +3,8 @@
 The reference below is the array code of `flows` before the steppers
 moved to lists of floats: in-place array updates per stage, and field
 closures that return arrays (the gradient closure plus each module's
-NumPy `_standard_field`, or `field_from_gradient` on general coframes).
+closed form over arrays, `geometry._stacked`, or `field_from_gradient`
+on general coframes).
 The float steppers perform the same float operations in the same order,
 so at n = 1 the trajectories must be byte-equal.  At n = 2 NumPy's
 p @ g fuses a multiply-add that plain float code does not, so there the
@@ -17,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from contactmech import geometry, symplectization
+from contactmech import geometry
 from contactmech.expressions import EvaluationDomainError, gradient_evaluator
 from contactmech.flows import (
     _A,
@@ -33,7 +34,7 @@ from contactmech.flows import (
     integrate,
 )
 from contactmech.geometry import ContactChart, ContactSystem
-from contactmech.symplectization import SympChart, symplectize
+from contactmech.symplectization import symplectize
 
 REGION = {"q": (-2.0, 2.0), "p": (0.5, 2.0), "z": (0.5, 2.0)}
 RKF45 = IntegratorConfig()
@@ -57,13 +58,11 @@ def numpy_field_evaluator(system, f):
             return chart.field_from_gradient(x, value, grad)
 
         return general_field
-    module = symplectization if isinstance(chart, SympChart) else geometry
-    closed_field = module._standard_field
     n = (chart.dim - 1) // 2
 
     def field(x):
         value, grad = run(x)
-        return closed_field(n, x, value, grad)
+        return geometry._stacked(chart._closed_field, n, x, value, grad)
 
     return field
 

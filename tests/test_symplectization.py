@@ -279,3 +279,18 @@ def test_lift_check_runs_the_base_coframe_once_per_point(monkeypatch):
     )
     assert lift_check(symp, points).passed
     assert len(calls) == 50
+
+
+def test_lift_check_builds_omega_once_per_stack(monkeypatch):
+    # _lift_values hands its omega to the lifted field solve
+    cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
+    symp = cfg.symp_system()
+    points = symp.sample(np.random.default_rng(0), 50)
+    shapes = []
+    omegas = SympChart._omegas
+    monkeypatch.setattr(
+        SympChart, "_omegas",
+        lambda self, xs, eta, deta: shapes.append(xs.shape) or omegas(self, xs, eta, deta),
+    )
+    assert lift_check(symp, points).passed
+    assert shapes == [(50, 4)]
