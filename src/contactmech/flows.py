@@ -6,7 +6,9 @@ against abs_tol + rel_tol * |x| componentwise and propagates the
 fifth-order solution.  Both step a list of Python floats through the
 system's `field_evaluator` closure, which takes and returns float
 lists; at the state sizes here this is several times faster than NumPy
-arrays, whose per-call overhead dominates.  Trajectories record every
+arrays, whose per-call overhead dominates.  On standard-form charts the
+closure runs a closed form; on general coframes, one float elimination
+with the checks of `field_from_gradient`.  Trajectories record every
 accepted step, as arrays built once at the end; leaving the chart
 domain (a positivity guard crossing zero, or an expression domain error
 in the field) truncates the trajectory with an explicit status instead

@@ -6,7 +6,10 @@ when the coefficients are structurally those of the standard form
 dz - p_i dq^i the chart takes closed-form fast paths, otherwise every
 operator goes through the flat-map solve.  The closed-form field is one
 template, `_darboux_field`, run over float lists (flows), arrays (point
-stacks) and expression trees, whose kernels give its Jacobian.
+stacks) and expression trees, whose kernels give its Jacobian.  On
+general coframes the flow closure (`_float_field`) runs one float
+elimination, `_eliminator`, which yields det B, the Reeb field and
+B^-T df together, with the checks and errors of field_from_gradient.
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -34,6 +37,7 @@ and move the last bits of the reports.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -154,6 +158,53 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b[..., None])[..., 0]
 
 
+def _exceeds_float(resid: Sequence[float], tol: float, values=(), vectors=()) -> bool:
+    """`_exceeds` at one point, over floats, on the largest |r_i| of the residual resid.
+
+    As in NumPy's max, a NaN in resid or in a scale makes it False.
+    """
+    worst = max(map(abs, resid))
+    if not worst > tol or any(map(math.isnan, resid)):
+        return False
+    return all(worst > tol * abs(s) for s in (*values, *(u for w in vectors for u in w)))
+
+
+@functools.lru_cache(maxsize=None)
+def _eliminator(d: int, width: int) -> Callable[[Sequence[Sequence[float]]], tuple]:
+    """Gaussian elimination with partial pivoting on the float rows [A | b_1 .. b_k] of d equations.
+
+    The returned function takes the d rows of `width` = d + k entries and
+    returns det A, the product of the pivots signed by the row swaps, and
+    the solutions x_j of A x_j = b_j as lists; (0.0, None) when a pivot is
+    zero, as NumPy's det reads 0.0 there.  It is straight-line float code,
+    compiled once per shape: entry (i, j) is the local a<i>_<j>, and a row
+    swap is one tuple assignment.  At step k each row below k is swapped
+    into row k when its entry in column k is larger, so row k ends with
+    the largest; ties keep the earlier row.
+    """
+    def row(i: int, start: int) -> str:
+        return ", ".join(f"a{i}_{j}" for j in range(start, width))
+
+    lines = [f"    {''.join(f'({row(i, 0)},), ' for i in range(d))}= rows", "    det = 1.0"]
+    for k in range(d):
+        for i in range(k + 1, d):
+            lines += [f"    if abs(a{i}_{k}) > abs(a{k}_{k}):",
+                      f"        {row(k, k)}, {row(i, k)} = {row(i, k)}, {row(k, k)}",
+                      "        det = -det"]
+        lines += [f"    if a{k}_{k} == 0.0:", "        return 0.0, None", f"    det *= a{k}_{k}"]
+        for i in range(k + 1, d):
+            update = ", ".join(f"a{i}_{j} - m * a{k}_{j}" for j in range(k + 1, width))
+            lines += [f"    m = a{i}_{k} / a{k}_{k}", f"    {row(i, k + 1)}, = {update},"]
+    for c in range(d, width):
+        for i in reversed(range(d)):
+            terms = "".join(f" - a{i}_{j} * x{j}_{c}" for j in range(i + 1, d))
+            lines.append(f"    x{i}_{c} = (a{i}_{c}{terms}) / a{i}_{i}")
+    columns = ", ".join(f"[{', '.join(f'x{i}_{c}' for i in range(d))}]" for c in range(d, width))
+    namespace: dict = {}
+    exec("\n".join(["def eliminate(rows):", *lines, f"    return det, [{columns}]"]), namespace)
+    return namespace["eliminate"]
+
+
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first True entry of a mask in C order, or None."""
     if bad.ndim == 0:
@@ -208,7 +259,8 @@ class _Chart:
 
     A subclass sets `coordinates`, `dim` and `_closed_field` (its module's
     standard-form template `_darboux_field`, or None on general coframes)
-    and defines `field_from_gradient` and `_field_with_tangents`.
+    and defines `field_from_gradient`, `_field_with_tangents` and
+    `_float_field`.
     """
 
     coordinates: tuple[str, ...]
@@ -322,7 +374,11 @@ class ContactChart(_Chart):
         self.eta_coefficients = coeffs
         self.darboux = coeffs == standard
         self._closed_field = _darboux_field if self.darboux else None
-        self._coeff_grads = tuple(gradient_evaluator(c, names) for c in coeffs)
+
+    @functools.cached_property
+    def _coeff_kernels(self) -> tuple:
+        """The compiled gradient kernels of eta's coefficients, fetched at first use."""
+        return tuple(gradient_kernel(c, self.coordinates) for c in self.eta_coefficients)
 
     def env(self, x) -> dict[str, float]:
         return dict(zip(self.coordinates, map(float, x)))
@@ -343,11 +399,13 @@ class ContactChart(_Chart):
         x = self.point(x)
         if self.darboux:
             return self._coframes(x)
-        eta = np.empty(self.dim)
-        jac = np.empty((self.dim, self.dim))
-        for b, run in enumerate(self._coeff_grads):
-            eta[b], jac[:, b] = run(x)
-        return eta, jac - jac.T
+        eta, grads = self._float_coframe(x)
+        jac = np.array(grads)  # [b, a] = d_a eta_b
+        return np.array(eta), jac.T - jac
+
+    def _float_coframe(self, x) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+        """eta at x and the gradients of its coefficients, over floats, on a general coframe."""
+        return tuple(zip(*[kernel(x) for kernel in self._coeff_kernels]))
 
     def _etas(self, xs: np.ndarray) -> np.ndarray:
         """eta at points xs, shape (..., dim)."""
@@ -502,6 +560,46 @@ class ContactChart(_Chart):
                 f"at {xs[bad[: xs.ndim - 1]].tolist()}"
             )
         return X
+
+    def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
+        """Closure computing X_f over float lists on a general coframe, from f's gradient kernel.
+
+        One elimination on B^T augmented with [eta | df] gives the Reeb
+        field R and y = B^-T df, and X_f = y - (R(f) + f) R.  The closure
+        makes the checks of field_from_gradient, with the same errors: the
+        point's shape, det B, the Reeb residual and eta(X_f) = -f.
+        """
+        dim = self.dim
+        eliminate = _eliminator(dim, dim + 2)
+
+        def field(x) -> list[float]:
+            if len(x) != dim:
+                self.point(x)
+            value, grad = kernel(x)
+            eta, jac = self._float_coframe(x)
+            # row i: B^T_ij = (d_j eta_i - d_i eta_j) + eta_i eta_j over j, then eta_i, df_i
+            rows = [[*[u - v + ei * ej for u, v, ej in zip(gi, ci, eta)], ei, fi]
+                    for gi, ci, ei, fi in zip(jac, zip(*jac), eta, grad)]
+            det, columns = eliminate(rows)
+            if abs(det) <= _SINGULAR_DET:
+                raise ContactConditionError(self.point(x), det)
+            reeb, y = columns
+            resid = [_fdot(row, reeb) - e for row, e in zip(rows, eta)]  # _fdot stops at B^T
+            if _exceeds_float(resid, _RESIDUAL_TOL, vectors=(eta,)):
+                raise GeometryError(
+                    f"Reeb solve residual {max(map(abs, resid)):.3e} at {self.point(x).tolist()}"
+                )
+            c = _fdot(grad, reeb) + value
+            X = [u - c * r for u, r in zip(y, reeb)]
+            pairing = _fdot(eta, X) + value
+            if _exceeds_float((pairing,), 1e-8, (value,), (X,)):
+                raise GeometryError(
+                    f"field invariant eta(X_f) = -f violated by {abs(pairing):.3e} "
+                    f"at {self.point(x).tolist()}"
+                )
+            return X
+
+        return field
 
     def _jets(self, xs: np.ndarray, values: np.ndarray, grads: np.ndarray, coframes=None) -> Jets:
         """Jets of k functions with values (..., k) and gradients (..., k, dim) at xs.
@@ -752,22 +850,17 @@ class _System:
     def field_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
         """Closure computing X_f as a list of floats, for the flow integrators.
 
-        Standard-form charts run f's compiled gradient kernel and the
-        closed form over floats (`_fdot`), without per-call checks;
-        otherwise the closure runs field_from_gradient with every check.
+        The closure runs f's compiled gradient kernel.  Standard-form charts
+        then run the closed form over floats (`_fdot`), without per-call
+        checks; general coframes run the chart's `_float_field`, one float
+        elimination with the checks and errors of field_from_gradient.
         """
         f = self.resolve(f)
         chart = self.chart
         kernel = gradient_kernel(f, chart.coordinates)
         closed_field = chart._closed_field
         if closed_field is None:
-
-            def general_field(x) -> list[float]:
-                x = chart.point(x)
-                value, grad = kernel(x)
-                return chart.field_from_gradient(x, value, np.array(grad)).tolist()
-
-            return general_field
+            return chart._float_field(kernel)
         n = (chart.dim - 1) // 2
 
         def field(x) -> list[float]:

@@ -14,13 +14,14 @@ fields are computed for points with any leading axes: `lift_check`
 takes its points as one stack and measures each identity in one array
 pass, and the single-point methods run the same code on one point.
 On standard-form bases the lifted field is this module's closed-form
-template, run by the same three callers as geometry's.
+template, run by the same three callers as geometry's; on general bases
+the flow closure solves omega^T X = dF by geometry's float elimination.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +31,10 @@ from .geometry import (
     ContactSystem,
     _Chart,
     _dot,
+    _eliminator,
     _exceeds,
+    _exceeds_float,
+    _fdot,
     _first,
     _in_sample_order,
     _matvec,
@@ -53,6 +57,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
+_SINGULAR_OMEGA = 1e-12  # |det omega| at or below it raises SingularStructureError
 
 # (name, bound, test of value against bound) of each lift_check identity
 _LIFT_BOUNDS = (
@@ -152,7 +157,7 @@ class SympChart(_Chart):
         out[..., -1, :-1] = -eta
         out[..., :-1, -1] = eta
         det = np.linalg.det(out)
-        bad = _first(abs(det) <= 1e-12)
+        bad = _first(abs(det) <= _SINGULAR_OMEGA)
         if bad is not None:
             raise SingularStructureError(xs[bad], float(det[bad]))
         return out, det
@@ -223,10 +228,13 @@ class SympChart(_Chart):
             pairing = _dot(theta if x is xs else theta[..., None, :], X)
         gap = abs(pairing - values)
         theta_bad = _exceeds(gap, 1e-8, (values,), (X,))
-        if _first(theta_bad) is not None:  # the identity binds homogeneous F only
+        bad = _first(theta_bad)
+        if bad is not None:  # the identity binds homogeneous F only
             homogeneity = abs(x[..., -1] * grads[..., -1] - values)
             theta_bad &= ~_exceeds(homogeneity, _RESIDUAL_TOL, (values,))
-        bad = _first(theta_bad if base.darboux else solve_bad | theta_bad)
+            bad = _first(theta_bad)
+        if not base.darboux:
+            bad = _first(solve_bad | theta_bad)
         if bad is not None:
             where = xs[bad[: xs.ndim - 1]].tolist()
             if not base.darboux and solve_bad[bad]:
@@ -257,6 +265,49 @@ class SympChart(_Chart):
                            - Xr * d_eta)
         domega_T_X[-1] = Xb @ d_eta
         return X, np.linalg.solve(omega.T, dgrad - domega_T_X)
+
+    def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
+        """Closure computing X_F over float lists on a general base, from F's gradient kernel.
+
+        One elimination on omega^T augmented with [dF] gives X_F.  The
+        closure makes the checks of field_from_gradient, with the same
+        errors: the point's shape and fiber, det omega, the solve residual
+        and theta(X_F) = F for homogeneous F.
+        """
+        base, dim = self.base, self.dim
+        eliminate = _eliminator(dim, dim + 1)
+
+        def field(x) -> list[float]:
+            if len(x) != dim or x[-1] <= 0.0:
+                self.point(x)
+            value, grad = kernel(x)
+            r = x[-1]
+            eta, jac = base._float_coframe(x[:-1])
+            # row i < dim - 1: omega^T_ij = -r (d_j eta_i - d_i eta_j) over j, -eta_i, then dF_i;
+            # the last row: eta, 0, then dF_r
+            rows = [[*[-r * (u - v) for u, v in zip(gi, ci)], -ei, fi]
+                    for gi, ci, ei, fi in zip(jac, zip(*jac), eta, grad)]
+            rows.append([*eta, 0.0, grad[-1]])
+            det, columns = eliminate(rows)
+            if abs(det) <= _SINGULAR_OMEGA:
+                raise SingularStructureError(self.point(x), det)
+            (X,) = columns
+            resid = [_fdot(row, X) - g for row, g in zip(rows, grad)]  # _fdot stops at omega^T
+            if _exceeds_float(resid, _RESIDUAL_TOL, vectors=(grad,)):
+                raise SymplectizationError(
+                    f"field solve residual {max(map(abs, resid)):.3e} at {self.point(x).tolist()}"
+                )
+            gap = _fdot([r * e for e in eta], X) - value
+            # the identity binds homogeneous F only
+            if (_exceeds_float((gap,), 1e-8, (value,), (X,))
+                    and not _exceeds_float((r * grad[-1] - value,), _RESIDUAL_TOL, (value,))):
+                raise SymplectizationError(
+                    f"theta(X_F) = F violated by {abs(gap):.3e} for homogeneous F "
+                    f"at {self.point(x).tolist()}"
+                )
+            return X
+
+        return field
 
     def poisson_bracket_at(self, F: Expr | str, G: Expr | str, x) -> float:
         """Poisson bracket {F, G} = X_F(G) of the potential theta."""

@@ -3,12 +3,18 @@
 The reference below is the array code of `flows` before the steppers
 moved to lists of floats: in-place array updates per stage, and field
 closures that return arrays (the gradient closure plus each module's
-closed form over arrays, `geometry._stacked`, or `field_from_gradient`
-on general coframes).
+closed form over arrays, `geometry._stacked`, on standard-form charts).
 The float steppers perform the same float operations in the same order,
 so at n = 1 the trajectories must be byte-equal.  At n = 2 NumPy's
 p @ g fuses a multiply-add that plain float code does not, so there the
 two agree to round-off only.
+
+On general coframes the field closure is one float elimination
+(`_float_field`), which does not reproduce LAPACK's last bits.  The
+reference steppers step that same closure, wrapped to arrays, so that
+stepper parity stays bitwise there too; the tests at the end pin the
+closure to `field_from_gradient` (the LAPACK solves), its trajectories
+to those of a `field_from_gradient` closure, and its errors to theirs.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ from contactmech.flows import (
     IntegratorConfig,
     Trajectory,
     _error_norm,
+    _flow,
     integrate,
 )
-from contactmech.geometry import ContactChart, ContactSystem
-from contactmech.symplectization import symplectize
+from contactmech.geometry import ContactChart, ContactConditionError, ContactSystem
+from contactmech.symplectization import SingularStructureError, symplectize
 
 REGION = {"q": (-2.0, 2.0), "p": (0.5, 2.0), "z": (0.5, 2.0)}
 RKF45 = IntegratorConfig()
@@ -46,18 +53,16 @@ RK4 = IntegratorConfig(method="rk4", step=0.05)
 # ---------------------------------------------------------------------------
 
 def numpy_field_evaluator(system, f):
-    """The array field closure that the float closures replaced."""
+    """The array field closure that the float closures replaced.
+
+    On general coframes, the float closure itself wrapped to arrays.
+    """
+    if system.chart._closed_field is None:
+        float_field = system.field_evaluator(f)
+        return lambda x: np.array(float_field(x.tolist()))
     f = system.resolve(f)
     chart = system.chart
     run = gradient_evaluator(f, chart.coordinates)
-    if chart._closed_field is None:
-
-        def general_field(x):
-            x = chart.point(x)
-            value, grad = run(x)
-            return chart.field_from_gradient(x, value, grad)
-
-        return general_field
     n = (chart.dim - 1) // 2
 
     def field(x):
@@ -274,3 +279,160 @@ def test_float_steppers_match_numpy_steppers_at_n2(cfg, lifted):
             assert (got.status, got.detail) == (want.status, want.detail) == (COMPLETED, "")
             np.testing.assert_allclose(got.times, want.times, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(got.points, want.points, rtol=1e-14, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# General-coframe field closures against field_from_gradient
+# ---------------------------------------------------------------------------
+
+def lapack_field_evaluator(system, f):
+    """A float-list closure running field_from_gradient, the NumPy det and solves."""
+    chart = system.chart
+    run = gradient_evaluator(system.resolve(f), chart.coordinates)
+
+    def field(x):
+        x = chart.point(x)
+        value, grad = run(x)
+        return chart.field_from_gradient(x, value, grad).tolist()
+
+    return field
+
+
+def _general_n2_system():
+    # the standard form at n = 2 written as -1 * p_i, which takes the general solves
+    chart = ContactChart(ContactChart.standard(2).coordinates, ["-1*p1", "-1*p2", "0", "0", "1"])
+    return ContactSystem(chart, _cubic_system().integrals,
+                         {name: (0.5, 2.0) for name in chart.coordinates})
+
+
+def _non_contact_system():
+    chart = ContactChart(("q", "p", "z"), ["0", "0", "1"])
+    return ContactSystem(chart, ["p", "z"], REGION)
+
+
+def _raised(run, *args):
+    try:
+        run(*args)
+    except Exception as exc:  # the error itself is compared
+        return exc
+    raise AssertionError("no error raised")
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
+@pytest.mark.parametrize("name", ["rescaled", "general-n2"])
+def test_float_field_matches_field_from_gradient(name, lifted):
+    system = _rescaled_system() if name == "rescaled" else _general_n2_system()
+    if lifted:
+        system = symplectize(system)
+    chart = system.chart
+    assert chart._closed_field is None
+    rng = np.random.default_rng(22)
+    worst = 0.0
+    for x in system.sample(rng, 500):
+        for f in range(len(system.integrals)):
+            value, grad = gradient_evaluator(system.integrals[f], chart.coordinates)(x)
+            want = chart.field_from_gradient(x, value, grad)
+            got = np.array(system.field_evaluator(f)(x.tolist()))
+            worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("cfg", [RKF45, RK4], ids=["rkf45", "rk4"])
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
+def test_float_field_trajectories_match_field_from_gradient(lifted, cfg):
+    # the adaptive step sizes follow an error estimate that round-off moves
+    # by about 1e-7, so rkf45 compares endpoints; rk4 compares every point
+    system = _rescaled_system()
+    if lifted:
+        system = symplectize(system)
+    guards = tuple(system.positive_indices)
+    rng = np.random.default_rng(23)
+    for x0 in system.sample(rng, 3):
+        for f in range(len(system.integrals)):
+            got = integrate(system, f, x0, 1.5, cfg)
+            want = _flow(lapack_field_evaluator(system, f), x0.tolist(), 1.5, cfg, guards,
+                         system.coordinates)
+            assert got.status == want.status == COMPLETED
+            if cfg is RKF45:
+                got, want = got.points[-1], want.points[-1]
+            else:
+                assert got.times.tobytes() == want.times.tobytes()
+                got, want = got.points, want.points
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
+def test_float_field_raises_the_errors_of_field_from_gradient(lifted):
+    system = _non_contact_system()
+    x = [0.3, 1.2, 0.8]
+    if lifted:
+        system, x = symplectize(system), x + [1.5]
+    chart = system.chart
+    got = _raised(system.field_evaluator(0), x)
+    want = _raised(lapack_field_evaluator(system, 0), x)
+    assert isinstance(got, SingularStructureError if lifted else ContactConditionError)
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert got.point.tolist() == want.point.tolist() == x
+    assert got.det == pytest.approx(want.det, abs=1e-15)
+    # a point of the wrong length, and a fiber at zero
+    for bad in ([*x, 1.0], x[:-1]) + (([*x[:-1], 0.0],) if lifted else ()):
+        error = _raised(system.field_evaluator(0), bad)
+        assert type(error) is ValueError
+        assert str(error) == str(_raised(chart.point, bad))
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
+@pytest.mark.parametrize("slot", [0, -1], ids=["first", "last"])
+def test_float_field_and_field_from_gradient_agree_on_nan_gradients(lifted, slot):
+    system = _rescaled_system()
+    x = [0.3, 1.2, 0.8]
+    if lifted:
+        system, x = symplectize(system), x + [1.5]
+    chart = system.chart
+    grad = [1.0] * chart.dim
+    grad[slot] = math.nan
+    got = chart._float_field(lambda _: (0.7, tuple(grad)))(x)
+    with np.errstate(invalid="ignore"):
+        want = chart.field_from_gradient(x, 0.7, np.array(grad))
+    assert np.isnan(got).tolist() == np.isnan(want).tolist()
+    np.testing.assert_array_equal(np.nan_to_num(got), np.nan_to_num(want))
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 2), (3, 2), (4, 1), (5, 2), (6, 1)])
+def test_eliminator_matches_numpy(d, k):
+    rng = np.random.default_rng(d)
+    eliminate = geometry._eliminator(d, d + k)
+    for A in [rng.normal(size=(d, d)) for _ in range(20)] + [np.eye(d)[::-1]]:
+        b = rng.normal(size=(d, k))
+        det, columns = eliminate(np.hstack([A, b]).tolist())
+        assert det == pytest.approx(np.linalg.det(A), rel=1e-12)
+        np.testing.assert_allclose(np.array(columns).T, np.linalg.solve(A, b),
+                                   rtol=1e-10, atol=1e-12)
+    # the zero pivot comes after a row swap, and det still reads +0.0 as NumPy's does
+    singular = np.ones((d, d + k))
+    singular[:, :d] = 0.0 if d == 1 else 1.0
+    singular[1:2, :d] *= 2.0
+    det, columns = eliminate(singular.tolist())
+    assert (det, columns) == (0.0, None)
+    assert math.copysign(1.0, det) == math.copysign(1.0, np.linalg.det(singular[:, :d])) == 1.0
+
+
+def test_exceeds_float_reads_like_exceeds():
+    nan = math.nan
+    cases = [
+        ([1e-11, -2e-11], (), ()),
+        ([3e-10, 0.0], (), ()),
+        ([3e-10, 0.0], (5.0,), ()),
+        ([3e-10, 0.0], (), ([1.0, -4.0],)),
+        ([3e-9, 0.0], (2.0,), ([1.0, -4.0],)),
+        ([nan, 3e-10], (), ()),
+        ([3e-10, nan], (), ()),
+        ([3e-10], (nan,), ()),
+        ([3e-10], (), ([1.0, nan],)),
+        ([nan, 1e-12], (1.0,), ()),
+    ]
+    for resid, values, vectors in cases:
+        want = geometry._exceeds(geometry._norm(np.array(resid)), 1e-10, values,
+                                 [np.array(w) for w in vectors])
+        assert geometry._exceeds_float(resid, 1e-10, values, vectors) == bool(want)
