@@ -36,6 +36,7 @@ PZ = str(bundled_config_path("darboux-pz"))
 INV5 = str(bundled_config_path("darboux-5d-involutive"))
 NONINV5 = str(bundled_config_path("darboux-5d-noninvolutive"))
 POINTS = str(GOLDEN / "points-pz.json")
+RESCALED = str(GOLDEN / "rescaled-pz.json")
 
 CASES = {
     "integrate-pz-f0": ["integrate", PZ, "--f", "0", "--x0", "0.5,1.2,0.8", "--t", "1.5"],
@@ -46,13 +47,17 @@ CASES = {
                                 "--points", POINTS],
     "action-angle-pz-graph-p": ["action-angle", PZ, "--section", "graph-p",
                                 "--points", POINTS],
+    "integrate-rescaled-pz-f0": ["integrate", RESCALED, "--f", "0", "--x0", "0.5,1.2,0.8",
+                                 "--t", "1.5"],
+    "action-angle-rescaled-pz-graph-z": ["action-angle", RESCALED, "--section", "graph-z",
+                                         "--points", POINTS],
 }
 
 SAMPLED = {
     "pz": (PZ, "1,1"),
     "5d-involutive": (INV5, "1,1,1"),
     "5d-noninvolutive": (NONINV5, "1,1,1"),
-    "rescaled-pz": (str(GOLDEN / "rescaled-pz.json"), "1,1"),
+    "rescaled-pz": (RESCALED, "1,1"),
     "cubic-5d": (str(GOLDEN / "cubic-5d.json"), "1,1,1"),
 }
 for _label, (_path, _ray) in SAMPLED.items():
