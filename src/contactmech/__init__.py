@@ -20,7 +20,6 @@ from .expressions import (
     to_string,
     free_variables,
     evaluate,
-    eval_gradient,
     eval_jet2,
 )
 from .geometry import (
@@ -47,7 +46,6 @@ from .flows import (
     integrate,
     flow_map,
     group_action,
-    dissipation_residual,
 )
 from .integrability import (
     RayTarget,
@@ -62,7 +60,6 @@ from .integrability import (
     ray_project,
     coisotropy_check,
     tangency_check,
-    dissipative_map_check,
     verify_section,
     period_detect,
     angle_solve,

@@ -169,7 +169,6 @@ class SystemConfig:
     seed: int
     digest: str
     path: str = ""
-    raw: dict = field(default_factory=dict, repr=False)
     # built once by load_config; system() is its base
     _symp: SympSystem = field(init=False, repr=False, compare=False)
 
@@ -253,7 +252,6 @@ def _build(data: dict, digest: str, path: str) -> SystemConfig:
         seed=int(data.get("seed", 0)),
         digest=digest,
         path=path,
-        raw=data,
     )
     cfg._symp = symp
     return cfg

@@ -52,7 +52,6 @@ __all__ = [
     "to_string",
     "free_variables",
     "evaluate",
-    "eval_gradient",
     "gradient_evaluator",
     "gradient_kernel",
     "eval_jet2",
@@ -821,16 +820,6 @@ def gradient_evaluator(
         return value, np.array(grad)
 
     return run
-
-
-def eval_gradient(
-    node: Expr, names: Sequence[str], values: Sequence[float]
-) -> tuple[float, np.ndarray]:
-    """Value and gradient with respect to `names` in one forward pass.
-
-    Runs gradient_evaluator's compiled kernel; exact to round-off.
-    """
-    return gradient_evaluator(node, names)(values)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ __all__ = [
     "flow_map",
     "group_action",
     "variational_group_action",
-    "dissipation_residual",
 ]
 
 COMPLETED = "completed"
@@ -375,32 +374,3 @@ def variational_group_action(
             traj = _flow(field_fn, state.tolist(), float(t[idx]), cfg, guards, system.coordinates)
             state = _endpoint(traj, fs[idx])
     return state[:dim], state[dim:].reshape(-1, dim).T
-
-
-def dissipation_residual(system, h, f, trajectory: Trajectory) -> float:
-    """Max interior residual |d/dt (f along c) + R(h) * (f along c)|.
-
-    The time derivative is estimated by three-point differencing on the
-    (possibly nonuniform) trajectory grid, so the trajectory must be
-    dense enough for the quadratic truncation error to sit below the
-    tolerance being tested.
-    """
-    chart = system.chart
-    h = system.resolve(h)
-    f = system.resolve(f)
-    ts, xs = trajectory.times, trajectory.points
-    if len(ts) < 3:
-        raise ValueError("need at least three trajectory samples")
-    fv = np.array([chart.value_and_gradient(f, x)[0] for x in xs])
-    worst = 0.0
-    for k in range(1, len(ts) - 1):
-        h1 = ts[k] - ts[k - 1]
-        h2 = ts[k + 1] - ts[k]
-        dfdt = (
-            -h2 / (h1 * (h1 + h2)) * fv[k - 1]
-            + (h2 - h1) / (h1 * h2) * fv[k]
-            + h1 / (h2 * (h1 + h2)) * fv[k + 1]
-        )
-        resid = abs(dfdt + chart.reeb_derivative(h, xs[k]) * fv[k])
-        worst = max(worst, resid)
-    return worst

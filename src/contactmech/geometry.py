@@ -248,6 +248,20 @@ def _in_sample_order(stage: Callable, *stacks):
     raise error
 
 
+def _check_points(check: str, points, sample: Callable[[], np.ndarray] | None = None) -> np.ndarray:
+    """The points of a check as an array of rows, drawn by sample() when points is None.
+
+    No point at all raises ValueError naming the check, so that no verdict
+    passes without evidence.
+    """
+    if points is None:
+        points = sample()
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.size == 0:
+        raise ValueError(f"{check} needs at least one point, got none")
+    return points
+
+
 def _rows(stack, i: int):
     if isinstance(stack, Jets):
         return Jets._make(entry[i : i + 1] for entry in stack)
@@ -276,7 +290,7 @@ class _Chart:
         """A stack of points, shape (N, dim); `point` for each row."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ValueError(f"expected point of shape ({self.dim},), got {xs.shape[1:]}")
+            raise ValueError(f"expected points of shape (N, {self.dim}), got {xs.shape}")
         return xs
 
     def function(self, f: Expr | str) -> Expr:
@@ -391,9 +405,6 @@ class ContactChart(_Chart):
     def eta_at(self, x) -> np.ndarray:
         return self._etas(self.point(x))
 
-    def deta_at(self, x) -> np.ndarray:
-        return self.coframe_at(x)[1]
-
     def coframe_at(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(eta, d eta) at x, from one run of each coefficient kernel."""
         x = self.point(x)
@@ -460,16 +471,6 @@ class ContactChart(_Chart):
         if bad is not None:
             raise ContactConditionError(x[bad], float(det[bad]))
         return B
-
-    def flat_at(self, x, v) -> np.ndarray:
-        """Musical flat of a vector: (flat v)_b = v^a B_ab."""
-        v = np.asarray(v, dtype=float)
-        return self.flat_matrix_at(x).T @ v
-
-    def sharp_at(self, x, w) -> np.ndarray:
-        """Inverse of the flat map applied to a covector."""
-        w = np.asarray(w, dtype=float)
-        return np.linalg.solve(self.flat_matrix_at(x).T, w)
 
     # -- Reeb field ----------------------------------------------------------
 
@@ -631,14 +632,6 @@ class ContactChart(_Chart):
                 - (grad @ reeb + value) * deta)
         return X, np.linalg.solve(B.T, drhs - dBT(X))
 
-    def field_commutator_at(self, f: Expr | str, g: Expr | str, x) -> np.ndarray:
-        """Lie bracket [X_f, X_g] of two Hamiltonian fields."""
-        jets = self._pair_jets(f, g, x)
-        Xf, Xg = jets.fields
-        Jf = self.hamiltonian_field_jacobian_at(f, jets.point)
-        Jg = self.hamiltonian_field_jacobian_at(g, jets.point)
-        return Jg @ Xf - Jf @ Xg
-
     # -- brackets --------------------------------------------------------------
 
     def jacobi_bracket_at(self, f: Expr | str, g: Expr | str, x) -> float:
@@ -647,14 +640,11 @@ class ContactChart(_Chart):
         Both defining expressions are evaluated and must agree to 1e-10
         (relative to the value scale); the first is returned.
         """
-        return float(self.bracket_matrix(self._pair_jets(f, g, x))[0, 1])
-
-    def _pair_jets(self, f: Expr | str, g: Expr | str, x) -> Jets:
-        """Jets of f and g at x, the coframe evaluated once."""
         f, g = self.function(f), self.function(g)
         x = self.point(x)
         (fv, fg), (gv, gg) = self.value_and_gradient(f, x), self.value_and_gradient(g, x)
-        return self._jets(x, np.array([fv, gv]), np.array([fg, gg]))
+        jets = self._jets(x, np.array([fv, gv]), np.array([fg, gg]))
+        return float(self.bracket_matrix(jets)[0, 1])
 
     def bracket_matrix(self, jets: Jets) -> np.ndarray:
         """Antisymmetric matrices of the Jacobi brackets {f_a, f_b} of the jets.
@@ -679,23 +669,6 @@ class ContactChart(_Chart):
         out[..., a, b] = first
         out[..., b, a] = -first
         return out
-
-    def lambda_pairing_at(self, f: Expr | str, g: Expr | str, x) -> float:
-        """Bivector pairing Lambda(df, dg) = {f, g} + f R(g) - g R(f)."""
-        jets = self._pair_jets(f, g, x)
-        x = jets.point
-        coframe = self.coframe_at(x)
-        B = self.flat_matrix_at(x, coframe)
-        u, v = (np.linalg.solve(B.T, grad) for grad in jets.gradients)
-        value = float(-(u @ coframe[1] @ v))
-        (fv, gv), (rf, rg) = jets.values, jets.reeb
-        expected = float(self.bracket_matrix(jets)[0, 1]) + fv * rg - gv * rf
-        if _exceeds(abs(value - expected), _RESIDUAL_TOL, (value, expected)):
-            raise GeometryError(
-                f"Lambda pairing disagrees with bracket identity by "
-                f"{abs(value - expected):.3e} at {x.tolist()}"
-            )
-        return value
 
     def __repr__(self) -> str:
         kind = "standard" if self.darboux else "general"
@@ -912,33 +885,15 @@ class ContactSystem(_System):
             gradient_evaluator(f, chart.coordinates) for f in self.integrals
         )
 
-    def integral_jacobian(self, x) -> np.ndarray:
-        """Rows are the gradients of the integrals (the matrix TF)."""
-        return np.array([grad for _, grad in self.values_and_gradients(x)])
-
-    def jets_at(self, x) -> Jets:
-        """Values, gradients, fields and Reeb derivatives of the integrals."""
-        x = self.chart.point(x)
-        vgs = self.values_and_gradients(x)
-        values = np.array([value for value, _ in vgs])
-        return self.chart._jets(x, values, np.array([grad for _, grad in vgs]))
-
     def jet_stack(self, xs) -> Jets:
-        """jets_at on every row of xs, as one stack; errors in sample order."""
+        """Values, gradients, fields and Reeb derivatives of the integrals at the rows of xs.
+
+        One stack with a leading point axis; errors in sample order.
+        """
         return _in_sample_order(self._jet_stack, self.chart.points(xs))
 
     def _jet_stack(self, xs: np.ndarray, coframes=None) -> Jets:
         return self.chart._jets(xs, *self.gradient_stack(xs), coframes)
-
-    def bracket_matrix_at(self, x) -> np.ndarray:
-        """Brackets {f_a, f_b} of the integrals, each integral evaluated once."""
-        return self.chart.bracket_matrix(self.jets_at(x))
-
-    def conformal_rescale(self, factor: Expr | str, n_samples: int = 64, seed: int = 0):
-        """Chart with coframe scaled by `factor`, vetted on sampled points."""
-        factor = self.chart.function(factor)
-        samples = self.sample(np.random.default_rng(seed), n_samples)
-        return conformal_rescale(self.chart, factor, samples)
 
 
 def _bounds(bounds, names: Sequence[str], label: str, noun: str) -> np.ndarray:
@@ -1005,7 +960,7 @@ def contact_condition_check(
     chart: ContactChart, points: np.ndarray, threshold: float = 1e-8
 ) -> ContactConditionReport:
     """Minimum |det B| over sample points; passes above the threshold."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _check_points("contact_condition_check", points)
     dets = np.abs(_flat_det(*chart._coframes(chart.points(points)))[1])
     # NaN reads as no minimum, as in a loop keeping the first strict minimum
     dets = np.where(np.isnan(dets), np.inf, dets)

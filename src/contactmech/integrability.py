@@ -60,6 +60,7 @@ from .flows import (
 from .geometry import (
     ContactSystem,
     _bounds,
+    _check_points,
     _dot,
     _first,
     _first_max,
@@ -81,7 +82,6 @@ __all__ = [
     "RankReport",
     "CoisotropyReport",
     "TangencyReport",
-    "DissipativeMapReport",
     "SectionReport",
     "DarbouxReport",
     "involution_check",
@@ -89,7 +89,6 @@ __all__ = [
     "ray_project",
     "coisotropy_check",
     "tangency_check",
-    "dissipative_map_check",
     "verify_section",
     "period_detect",
     "angle_solve",
@@ -257,12 +256,8 @@ class TangencyReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class DissipativeMapReport:
-    coisotropy: CoisotropyReport
-    min_rank: int
-    required_rank: int
-    passed: bool
+def _sample(system: ContactSystem, count: int, seed: int | None) -> np.ndarray:
+    return system.sample(np.random.default_rng(seed), count)
 
 
 def involution_check(
@@ -273,9 +268,7 @@ def involution_check(
     points: np.ndarray | None = None,
 ) -> InvolutionReport:
     """Max |{f_a, f_b}| over sampled points and integral pairs."""
-    if points is None:
-        points = system.sample(np.random.default_rng(seed), n_samples)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _check_points("involution_check", points, lambda: _sample(system, n_samples, seed))
     return _in_sample_order(
         lambda xs: _involution(system, xs, system._jet_stack(xs), tolerance, seed), points
     )
@@ -313,9 +306,7 @@ def rank_check(
     points: np.ndarray | None = None,
 ) -> RankReport:
     """Min over samples of rank TF (SVD threshold relative to sigma_max)."""
-    if points is None:
-        points = system.sample(np.random.default_rng(seed), n_samples)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _check_points("rank_check", points, lambda: _sample(system, n_samples, seed))
     return _rank(system, points, system.gradient_stack(points)[1], tolerance, seed)
 
 
@@ -449,9 +440,9 @@ def coisotropy_check(
     totally antisymmetric, so repeated indices vanish identically and
     systems with fewer than three integrals pass vacuously.
     """
-    if points is None:
-        points = _ray_points(system, target, n_points, seed)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _check_points(
+        "coisotropy_check", points, lambda: _ray_points(system, target, n_points, seed)
+    )
     return _in_sample_order(
         lambda xs: _coisotropy(
             system, target, xs, system._jet_stack(xs), tolerance, membership_tolerance
@@ -510,9 +501,9 @@ def tangency_check(
     two-forms' kernel along the ray preimage, the involutive route to
     its coisotropy.
     """
-    if points is None:
-        points = _ray_points(system, target, n_points, seed)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _check_points(
+        "tangency_check", points, lambda: _ray_points(system, target, n_points, seed)
+    )
     return _tangency(system, points, system.jet_stack(points), tolerance)
 
 
@@ -540,36 +531,6 @@ def _tangency(system, points, jets, tolerance) -> TangencyReport:
         tolerance=tolerance,
         n_points=len(points),
         passed=bool(worst <= tolerance),
-    )
-
-
-def dissipative_map_check(
-    system: ContactSystem,
-    target: RayTarget,
-    points: np.ndarray | None = None,
-    n_points: int = 25,
-    tolerance: float = 1e-8,
-    seed: int | None = 0,
-) -> DissipativeMapReport:
-    """Coisotropy plus rank on the same ray points.
-
-    Together these certify the quotient construction that makes the
-    induced map on ray space well defined, the working criterion for
-    the dissipative analogue of a moment map.
-    """
-    if points is None:
-        points = _ray_points(system, target, n_points, seed)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    jets = system.jet_stack(points)
-    co = _in_sample_order(
-        lambda xs, jet: _coisotropy(system, target, xs, jet, tolerance), points, jets
-    )
-    rk = _rank(system, points, jets.gradients)
-    return DissipativeMapReport(
-        coisotropy=co,
-        min_rank=rk.min_rank,
-        required_rank=rk.required_rank,
-        passed=bool(co.passed and rk.passed),
     )
 
 
@@ -724,9 +685,9 @@ def angle_solve(
     if np.linalg.matrix_rank(M) < m:
         raise ValueError(f"basis matrix {M.tolist()} is singular")
     generators = _generators(symp_system, M)
-    # one gradient closure per generator serves the involution check and
-    # every Newton Jacobian, in the float operations of poisson_bracket_at
-    # and hamiltonian_field_at
+    # one gradient closure per generator serves the involution check,
+    # {g_a, g_b} = X_{g_a}(g_b), and every Newton Jacobian, the fields
+    # X_{g_a} at the current endpoint
     runs = [gradient_evaluator(G, chart.coordinates) for G in generators]
 
     F_x = symp_system.integral_values(x)
@@ -845,9 +806,7 @@ def darboux_verify(
     fiberwise constant, so the lift uses the fixed reference fiber r_ref.
     """
     symp = symplectize(system, r_range=(r_ref / 2.0, 2.0 * r_ref))
-    if points is None:
-        points = system.sample(np.random.default_rng(seed), n_points)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _check_points("darboux_verify", points, lambda: _sample(system, n_points, seed))
     cfg = config or IntegratorConfig()
     worst, where = 0.0, points[0]
     for xb in points:

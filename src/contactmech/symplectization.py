@@ -9,10 +9,10 @@ bracket {F, G} = X_F(G) satisfies {f^S, g^S} = -r {f, g} over the Jacobi
 bracket downstairs.  `lift_check` measures these identities on sampled
 points.
 
-As in `geometry`, omega, theta, the Liouville field and the lifted
-fields are computed for points with any leading axes: `lift_check`
-takes its points as one stack and measures each identity in one array
-pass, and the single-point methods run the same code on one point.
+As in `geometry`, omega, theta and the lifted fields are computed for
+points with any leading axes: `lift_check` takes its points as one
+stack and measures each identity in one array pass, and the
+single-point methods run the same code on one point.
 On standard-form bases the lifted field is this module's closed-form
 template, run by the same three callers as geometry's; on general bases
 the flow closure solves omega^T X = dF by geometry's float elimination.
@@ -25,11 +25,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .expressions import Const, Expr, Var, gradient_evaluator
+from .expressions import Expr, Var, gradient_evaluator
 from .geometry import (
     ContactChart,
     ContactSystem,
     _Chart,
+    _check_points,
     _dot,
     _eliminator,
     _exceeds,
@@ -99,8 +100,6 @@ class SympChart(_Chart):
         self.fiber = fiber
         self.coordinates = base.coordinates + (fiber,)
         self.dim = base.dim + 1
-        # r * eta_a, kept as expressions for introspection and printing
-        self.theta_coefficients = (*(Var(fiber) * c for c in base.eta_coefficients), Const(0.0))
         self._closed_field = _darboux_field if base.darboux else None
 
     def point(self, x) -> np.ndarray:
@@ -120,11 +119,6 @@ class SympChart(_Chart):
         """Degree-1 lift f^S = -(r * f) of a base function."""
         f = self.base.function(f)
         return -(Var(self.fiber) * f)
-
-    def project_vector(self, v) -> np.ndarray:
-        """Push a tangent vector down to the base (drop the fiber slot)."""
-        v = np.asarray(v, dtype=float)
-        return v[:-1]
 
     # -- structure tensors ----------------------------------------------------
 
@@ -161,30 +155,6 @@ class SympChart(_Chart):
         if bad is not None:
             raise SingularStructureError(xs[bad], float(det[bad]))
         return out, det
-
-    def liouville_field_at(self, x) -> np.ndarray:
-        """Field solving i_Delta omega = -theta; equals r d/dr here."""
-        x = self.point(x)
-        delta, resid = self._liouville(x, self.omega_at(x), self.theta_at(x))
-        if _exceeds(resid, _RESIDUAL_TOL, (x[-1],)):
-            raise SymplectizationError(
-                f"Liouville field deviates from r d/dr by {resid:.3e} at {x.tolist()}"
-            )
-        return delta
-
-    def _liouville(self, xs, omega, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Delta from i_Delta omega = -theta, and its largest deviation from r d/dr."""
-        delta = _solve(omega.swapaxes(-1, -2), -theta)
-        expected = np.zeros(xs.shape)
-        expected[..., -1] = xs[..., -1]
-        return delta, _norm(delta - expected)
-
-    def homogeneity_residual(self, F: Expr | str, x, degree: float = 1.0) -> float:
-        """|Delta(F) - degree * F| = |r dF/dr - degree * F|."""
-        F = self.function(F)
-        x = self.point(x)
-        value, grad = self.value_and_gradient(F, x)
-        return abs(x[-1] * grad[-1] - degree * value)
 
     # -- Hamiltonian structure --------------------------------------------------
 
@@ -309,14 +279,6 @@ class SympChart(_Chart):
 
         return field
 
-    def poisson_bracket_at(self, F: Expr | str, G: Expr | str, x) -> float:
-        """Poisson bracket {F, G} = X_F(G) of the potential theta."""
-        F, G = self.function(F), self.function(G)
-        x = self.point(x)
-        XF = self.hamiltonian_field_at(F, x)
-        _, gG = self.value_and_gradient(G, x)
-        return float(gG @ XF)
-
     def __repr__(self) -> str:
         return f"SympChart({self.base!r}, fiber={self.fiber!r})"
 
@@ -391,7 +353,7 @@ def lift_check(symp: SympSystem, points) -> LiftReport:
     once per point, for omega, theta, the lifted fields and the base jets,
     and omega is built once per stack.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _check_points("lift_check", points)
     values = _in_sample_order(lambda xs: _lift_values(symp, xs), points)
     checks = tuple(
         LiftCheck(name, value, bound, bool(test(value, bound)))
@@ -407,7 +369,10 @@ def _lift_values(symp: SympSystem, xs) -> tuple[float, ...]:
     coframes = chart.base._coframes(xs[:, :-1])
     omega, det = chart._omegas(xs, *coframes)
     theta = chart._thetas(xs, coframes[0])
-    liouville = chart._liouville(xs, omega, theta)[1]
+    # the Liouville field Delta solves i_Delta omega = -theta and must be r d/dr
+    delta = _solve(omega.swapaxes(-1, -2), -theta)
+    delta[:, -1] -= xs[:, -1]
+    liouville = _norm(delta)
     values, grads = symp.gradient_stack(xs)
     fields = chart._fields(xs, values, grads, coframes, omega)
     r = xs[:, -1, None]

@@ -33,6 +33,7 @@ from contactmech import (
     tangency_check,
 )
 from contactmech.flows import COMPLETED
+from identities import field_commutator, poisson_bracket
 
 
 def test_hamiltonian_fields_match_their_closed_forms(pz_system, pz_symp, rng):
@@ -151,7 +152,7 @@ def test_lifted_brackets_track_base_brackets_on_random_cubics(pz_system, pz_symp
         F = lifted_chart.lift_function(f)
         G = lifted_chart.lift_function(g)
         for xi in pz_symp.sample(rng, 100):
-            upstairs = lifted_chart.poisson_bracket_at(F, G, xi)
+            upstairs = poisson_bracket(lifted_chart, F, G, xi)
             downstairs = chart.jacobi_bracket_at(f, g, xi[:-1])
             worst = max(worst, abs(upstairs + xi[-1] * downstairs))
     assert worst < 1e-8
@@ -204,7 +205,7 @@ def test_bracket_satisfies_the_jacobi_structure_axioms(pz_system, rng):
     for ch in (chart, general):
         for f, g in itertools.combinations(funcs, 2):
             for x in points[::4]:
-                commutator = ch.field_commutator_at(f, g, x)
+                commutator = field_commutator(ch, f, g, x)
                 bracket = ch.jacobi_bracket_at(f, g, x)
                 assert abs(bracket + ch.eta_at(x) @ commutator) < 1e-6
 

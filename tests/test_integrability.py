@@ -5,7 +5,7 @@ import pytest
 
 from contactmech.config import load_config
 from contactmech.flows import FlowError, IntegratorConfig, group_action
-from contactmech.geometry import ContactChart, ContactSystem
+from contactmech.geometry import ContactChart, ContactSystem, contact_condition_check
 from contactmech.integrability import (
     IntegrabilityError,
     NewtonDivergenceError,
@@ -16,7 +16,6 @@ from contactmech.integrability import (
     angle_solve,
     coisotropy_check,
     darboux_verify,
-    dissipative_map_check,
     involution_check,
     period_detect,
     rank_check,
@@ -25,7 +24,7 @@ from contactmech.integrability import (
     verify_section,
     _darboux_covector,
 )
-from contactmech.symplectization import symplectize
+from contactmech.symplectization import lift_check, symplectize
 
 X4 = np.array([2.0, 3.0, 5.0, 1.0])
 RESCALED_PZ = Path(__file__).parent / "data" / "golden" / "rescaled-pz.json"
@@ -134,6 +133,37 @@ def test_verify_section_needs_a_sample(pz_config, pz_symp):
     # zero samples used to report sign 1 and pass without evaluating a point
     with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
         verify_section(pz_symp, pz_config.section("graph-z"), n_samples=0)
+
+
+def _on_no_points(system, symp, section):
+    """Each check on zero points: sampled zero times, and given no rows."""
+    target, none = _ray(1.0, 1.0), np.empty((0, system.dim))
+    return {
+        "contact_condition_check": [lambda: contact_condition_check(system.chart, none)],
+        "involution_check": [lambda: involution_check(system, n_samples=0),
+                             lambda: involution_check(system, points=none)],
+        "rank_check": [lambda: rank_check(system, n_samples=0),
+                       lambda: rank_check(system, points=[])],
+        "coisotropy_check": [lambda: coisotropy_check(system, target, n_points=0),
+                             lambda: coisotropy_check(system, target, points=none)],
+        "tangency_check": [lambda: tangency_check(system, target, n_points=0),
+                           lambda: tangency_check(system, target, points=none)],
+        "darboux_verify": [lambda: darboux_verify(system, section, n_points=0),
+                           lambda: darboux_verify(system, section, points=none)],
+        "lift_check": [lambda: lift_check(symp, np.empty((0, symp.dim)))],
+    }
+
+
+@pytest.mark.parametrize("check", [
+    "contact_condition_check", "involution_check", "rank_check", "coisotropy_check",
+    "tangency_check", "darboux_verify", "lift_check",
+])
+def test_checks_need_a_point(pz_config, pz_system, pz_symp, check):
+    # no point used to raise IndexError or NumPy's error on an empty argmax
+    calls = _on_no_points(pz_system, pz_symp, pz_config.section("graph-z"))[check]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{check} needs at least one point, got none$"):
+            call()
 
 
 def test_verify_section_rejects_escaping_fiber(pz_symp):
@@ -248,15 +278,6 @@ def test_coisotropy_rejects_off_ray_points(pz_system, rng):
     points = pz_system.sample(rng, 5)  # generic samples are off the ray
     with pytest.raises(IntegrabilityError):
         coisotropy_check(pz_system, _ray(3.0, 1.0), points=points)
-
-
-def test_dissipative_map_check(involutive5, noninvolutive5):
-    target = _ray(1.0, 1.0, 1.0)
-    good = dissipative_map_check(involutive5, target, n_points=6, seed=0)
-    assert good.passed
-    assert good.min_rank >= good.required_rank
-    bad = dissipative_map_check(noninvolutive5, target, n_points=6, seed=0)
-    assert not bad.passed
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import pytest
 from contactmech import cli
 from contactmech.config import bundled_config_path, load_config
 from contactmech.expressions import EvaluationDomainError
-from contactmech.geometry import ContactChart, ContactConditionError, ContactSystem
+from contactmech.geometry import ContactChart, ContactConditionError, ContactSystem, Jets
 from contactmech.integrability import (
     RayTarget,
     coisotropy_check,
@@ -159,21 +159,27 @@ def _reference_worst(system, points, values_at):
     return worst, key, where
 
 
+def _jets_and_brackets(system, x):
+    """The jets and bracket matrix of the integrals at the single point x."""
+    jets = system.jet_stack([x])
+    return Jets._make(entry[0] for entry in jets), system.chart.bracket_matrix(jets)[0]
+
+
 def _brackets(system, x):
-    bk = system.bracket_matrix_at(x)
+    bk = _jets_and_brackets(system, x)[1]
     m = len(bk)
     return [((a, b), bk[a, b]) for a in range(m) for b in range(a + 1, m)]
 
 
 def _cyclic_sums(system, x):
-    f, bk = system.jets_at(x).values, system.bracket_matrix_at(x)
-    m = len(f)
+    jets, bk = _jets_and_brackets(system, x)
+    f, m = jets.values, len(jets.values)
     return [((a, b, c), f[a] * bk[b, c] + f[c] * bk[a, b] + f[b] * bk[c, a])
             for a in range(m) for b in range(m) for c in range(m)]
 
 
 def _contractions(system, x):
-    jets = system.jets_at(x)
+    jets = _jets_and_brackets(system, x)[0]
     f, m = jets.values, len(jets.values)
     out = []
     for c in range(m):
