@@ -200,7 +200,7 @@ def test_bracket_satisfies_the_jacobi_structure_axioms(pz_system, rng):
             assert abs(lhs - rhs) < 1e-8
 
     # closed-form jets, then the same coframe as a general chart (its
-    # field Jacobians are central differences)
+    # field Jacobians are the tangent maps of the flat-map solve)
     general = ContactChart(chart.coordinates, ["-1 * p", "0", "1"])
     for ch in (chart, general):
         for f, g in itertools.combinations(funcs, 2):
