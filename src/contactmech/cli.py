@@ -112,6 +112,10 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
     return values
 
 
+def _cannot_write(path: str, exc: OSError) -> str:
+    return f"cannot write {path}: {exc.strerror or exc}"
+
+
 def _require_count(value: int, flag: str) -> None:
     if value < 1:
         raise ConfigError(f"{flag} must be at least 1, got {value}")
@@ -237,7 +241,10 @@ def cmd_integrate(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
         traj = integrate(system, system.integrals[args.f], x0, args.t, cfg.integrator)
     except StartPointError as exc:
         raise ConfigError(f"--x0: {exc}") from None
-    traj.write_csv(args.out, system.coordinates)
+    try:
+        traj.write_csv(args.out, system.coordinates)
+    except OSError as exc:
+        raise ConfigError(_cannot_write(args.out, exc)) from None
     report = _report_head(cfg, "integrate", seed)
     report.update(
         {
@@ -444,9 +451,13 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     text = render_report(report)
-    sys.stdout.write(text)
     if args.out and not getattr(args, "out_is_csv", False):
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: {_cannot_write(args.out, exc)}", file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code
 

@@ -7,9 +7,12 @@ dz - p_i dq^i the chart takes closed-form fast paths, otherwise every
 operator goes through the flat-map solve.  The closed-form field is one
 template, `_darboux_field`, run over float lists (flows), arrays (point
 stacks) and expression trees, whose kernels give its Jacobian.  On
-general coframes the flow closure (`_float_field`) runs one float
-elimination, `_eliminator`, which yields det B, the Reeb field and
-B^-T df together, with the checks and errors of field_from_gradient.
+general coframes the flow closure is a generated straight-line float
+program, `_field_program`, compiled once per chart kind and dimension at
+the first `field_evaluator` call: one inlined elimination yields det B,
+the Reeb field and B^-T df together, with the checks and errors of
+field_from_gradient.  The symplectization's lifted field is the same
+program's "lifted" kind.
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -169,40 +172,143 @@ def _exceeds_float(resid: Sequence[float], tol: float, values=(), vectors=()) ->
     return all(worst > tol * abs(s) for s in (*values, *(u for w in vectors for u in w)))
 
 
-@functools.lru_cache(maxsize=None)
-def _eliminator(d: int, width: int) -> Callable[[Sequence[Sequence[float]]], tuple]:
-    """Gaussian elimination with partial pivoting on the float rows [A | b_1 .. b_k] of d equations.
+def _sum(terms: Sequence[str]) -> str:
+    """Source of `_fdot`'s sum of the products `terms`: left to right from 0.0."""
+    return " + ".join(["0.0", *terms])
 
-    The returned function takes the d rows of `width` = d + k entries and
-    returns det A, the product of the pivots signed by the row swaps, and
-    the solutions x_j of A x_j = b_j as lists; (0.0, None) when a pivot is
-    zero, as NumPy's det reads 0.0 there.  It is straight-line float code,
-    compiled once per shape: entry (i, j) is the local a<i>_<j>, and a row
-    swap is one tuple assignment.  At step k each row below k is swapped
-    into row k when its entry in column k is larger, so row k ends with
-    the largest; ties keep the earlier row.
+
+def _checked(resid: Sequence[str], tol: float, values: str, vectors: str) -> str:
+    """Source of `_exceeds_float(resid, tol, values, vectors)` behind the pre-test max |r_i| <= tol.
+
+    The pre-test fails on a NaN residual, so `_exceeds_float` decides every
+    case that can raise.
     """
+    small = " and ".join(f"abs({r}) <= {tol!r}" for r in resid)
+    return f"not ({small}) and _exceeds_float(({', '.join(resid)},), {tol!r}, {values}, {vectors})"
+
+
+@functools.lru_cache(maxsize=None)
+def _field_program(kind: str, dim: int) -> Callable:
+    """The general-coframe field of a chart kind and dimension as one straight-line float program.
+
+    kind is "contact" (X_f on a contact chart of dimension dim) or "lifted"
+    (X_F on the symplectization of dimension dim, over a base of dim - 1).
+    The program is compiled at its first request and cached; the returned
+    `bind(kernel, coefficients, point)` takes f's gradient kernel, the
+    base's coefficient kernels and the chart's `point`, and returns the
+    field closure over float lists.  The closure unpacks the kernels'
+    results into locals, writes the entries of B^T (contact) or omega^T
+    (lifted) as locals, eliminates on copies of them and checks the solve
+    against the originals.  It makes the checks of field_from_gradient,
+    with the same errors: the point's shape (and fiber), det, the solve
+    residual and the pairing identity.
+
+    Elimination is Gaussian with partial pivoting on [A | b_1 .. b_k]:
+    entry (i, j) is the local a<i>_<j>, and a row swap is one tuple
+    assignment.  At step k each row below k is swapped into row k when its
+    entry in column k is larger, so row k ends with the largest; ties keep
+    the earlier row.  det A is the product of the pivots signed by the
+    swaps, and reads 0.0 at a zero pivot, as NumPy's det does.  Sums run
+    left to right from 0.0, as `_fdot`.  The source is compiled under the
+    file name "<contactmech KIND-field dim=DIM>", which profiles and
+    tracebacks show.
+    """
+    lifted = kind == "lifted"
+    d = dim - 1 if lifted else dim  # the base dimension
+    if lifted:
+        from .symplectization import (  # that module imports this one
+            _SINGULAR_OMEGA as singular_tol,
+            SingularStructureError as singular,
+            SymplectizationError as failure,
+        )
+    else:
+        singular_tol, singular, failure = _SINGULAR_DET, ContactConditionError, GeometryError
+
+    def names(prefix: str, count: int) -> str:
+        return ", ".join(f"{prefix}{i}" for i in range(count))
+
+    fiber_test = " or x[-1] <= 0.0" if lifted else ""
+    lines = [f"if len(x) != {dim}{fiber_test}:", "    point(x)",
+             f"value, ({names('g', dim)},) = kernel(x)"]
+    if lifted:
+        lines.append("r = x[-1]")
+    # e<i> = eta_i and j<i>_<j> = d_j eta_i; the base kernels read the first d entries of x
+    lines += [f"e{i}, ({names(f'j{i}_', d)},) = k{i}(x)" for i in range(d)]
+    # the matrix entries b<i>_<j> stay for the residual; a<i>_<j> are eliminated
+    for i in range(d):
+        if lifted:  # omega^T_ij = -r (d_j eta_i - d_i eta_j), then -eta_i
+            lines += [f"b{i}_{j} = -r * (j{i}_{j} - j{j}_{i})" for j in range(d)]
+            lines.append(f"b{i}_{d} = -e{i}")
+        else:  # B^T_ij = (d_j eta_i - d_i eta_j) + eta_i eta_j
+            lines += [f"b{i}_{j} = j{i}_{j} - j{j}_{i} + e{i} * e{j}" for j in range(d)]
+    if lifted:  # the last row of omega^T: eta, 0
+        lines += [f"b{d}_{j} = e{j}" for j in range(d)] + [f"b{d}_{d} = 0.0"]
+    # the right-hand sides: dF (lifted), or eta and df (contact)
+    sides = ["g"] if lifted else ["e", "g"]
+    for i in range(dim):
+        lines += [f"a{i}_{j} = b{i}_{j}" for j in range(dim)]
+        lines += [f"a{i}_{dim + c} = {side}{i}" for c, side in enumerate(sides)]
+
+    width = dim + len(sides)
+
     def row(i: int, start: int) -> str:
         return ", ".join(f"a{i}_{j}" for j in range(start, width))
 
-    lines = [f"    {''.join(f'({row(i, 0)},), ' for i in range(d))}= rows", "    det = 1.0"]
-    for k in range(d):
-        for i in range(k + 1, d):
-            lines += [f"    if abs(a{i}_{k}) > abs(a{k}_{k}):",
-                      f"        {row(k, k)}, {row(i, k)} = {row(i, k)}, {row(k, k)}",
-                      "        det = -det"]
-        lines += [f"    if a{k}_{k} == 0.0:", "        return 0.0, None", f"    det *= a{k}_{k}"]
-        for i in range(k + 1, d):
+    lines.append("det = 1.0")
+    for k in range(dim):
+        for i in range(k + 1, dim):
+            lines += [f"if abs(a{i}_{k}) > abs(a{k}_{k}):",
+                      f"    {row(k, k)}, {row(i, k)} = {row(i, k)}, {row(k, k)}",
+                      "    det = -det"]
+        lines += [f"if a{k}_{k} == 0.0:", "    raise singular(point(x), 0.0)", f"det *= a{k}_{k}"]
+        for i in range(k + 1, dim):
             update = ", ".join(f"a{i}_{j} - m * a{k}_{j}" for j in range(k + 1, width))
-            lines += [f"    m = a{i}_{k} / a{k}_{k}", f"    {row(i, k + 1)}, = {update},"]
-    for c in range(d, width):
-        for i in reversed(range(d)):
-            terms = "".join(f" - a{i}_{j} * x{j}_{c}" for j in range(i + 1, d))
-            lines.append(f"    x{i}_{c} = (a{i}_{c}{terms}) / a{i}_{i}")
-    columns = ", ".join(f"[{', '.join(f'x{i}_{c}' for i in range(d))}]" for c in range(d, width))
-    namespace: dict = {}
-    exec("\n".join(["def eliminate(rows):", *lines, f"    return det, [{columns}]"]), namespace)
-    return namespace["eliminate"]
+            lines += [f"m = a{i}_{k} / a{k}_{k}", f"{row(i, k + 1)}, = {update},"]
+    for c in range(dim, width):
+        for i in reversed(range(dim)):
+            terms = "".join(f" - a{i}_{j} * s{j}_{c}" for j in range(i + 1, dim))
+            lines.append(f"s{i}_{c} = (a{i}_{c}{terms}) / a{i}_{i}")
+    lines += [f"if abs(det) <= {singular_tol!r}:", "    raise singular(point(x), det)"]
+
+    resid = [f"u{i}" for i in range(dim)]
+    worst = f"{{max(map(abs, ({', '.join(resid)},))):.3e}}"
+    where = "at {point(x).tolist()}"
+    field = f"({names('X', dim)},)"
+    scale = f"(({names('g' if lifted else 'e', dim)},),)"  # dF or eta
+    if lifted:
+        # X solves omega^T X = dF
+        lines += [f"X{i} = s{i}_{dim}" for i in range(dim)]
+        lines += [f"u{i} = {_sum([f'b{i}_{j} * X{j}' for j in range(dim)])} - g{i}"
+                  for i in range(dim)]
+        lines += [f"if {_checked(resid, _RESIDUAL_TOL, '()', scale)}:",
+                  f"    raise failure(f'field solve residual {worst} {where}')",
+                  f"gap = {_sum([f'r * e{j} * X{j}' for j in range(d)])} - value",
+                  # the identity binds homogeneous F only
+                  f"if ({_checked(['gap'], 1e-8, '(value,)', f'({field},)')}"
+                  f" and not _exceeds_float((r * g{d} - value,), {_RESIDUAL_TOL!r}, (value,))):",
+                  "    raise failure(f'theta(X_F) = F violated by {abs(gap):.3e} "
+                  f"for homogeneous F {where}')"]
+    else:
+        # the Reeb field R solves B^T R = eta and y = B^-T df; X_f = y - (R(f) + f) R
+        lines += [f"u{i} = {_sum([f'b{i}_{j} * s{j}_{dim}' for j in range(dim)])} - e{i}"
+                  for i in range(dim)]
+        lines += [f"if {_checked(resid, _RESIDUAL_TOL, '()', scale)}:",
+                  f"    raise failure(f'Reeb solve residual {worst} {where}')",
+                  f"c = {_sum([f'g{j} * s{j}_{dim}' for j in range(dim)])} + value"]
+        lines += [f"X{i} = s{i}_{dim + 1} - c * s{i}_{dim}" for i in range(dim)]
+        lines += [f"pairing = {_sum([f'e{j} * X{j}' for j in range(dim)])} + value",
+                  f"if {_checked(['pairing'], 1e-8, '(value,)', f'({field},)')}:",
+                  "    raise failure(f'field invariant eta(X_f) = -f violated by "
+                  f"{{abs(pairing):.3e}} {where}')"]
+    lines.append(f"return [{names('X', dim)}]")
+    source = "\n".join(["def bind(kernel, coefficients, point):",
+                        f"    {names('k', d)}, = coefficients",
+                        "    def field(x):",
+                        *[f"        {line}" for line in lines],
+                        "    return field"])
+    namespace = {"_exceeds_float": _exceeds_float, "singular": singular, "failure": failure}
+    exec(compile(source, f"<contactmech {kind}-field dim={dim}>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
@@ -407,12 +513,7 @@ class ContactChart(_Chart):
 
     def coframe_at(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(eta, d eta) at x, from one run of each coefficient kernel."""
-        x = self.point(x)
-        if self.darboux:
-            return self._coframes(x)
-        eta, grads = self._float_coframe(x)
-        jac = np.array(grads)  # [b, a] = d_a eta_b
-        return np.array(eta), jac.T - jac
+        return self._coframes(self.point(x))
 
     def _float_coframe(self, x) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
         """eta at x and the gradients of its coefficients, over floats, on a general coframe."""
@@ -431,7 +532,7 @@ class ContactChart(_Chart):
     def _coframes(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(eta, d eta) at points xs, shapes (..., dim) and (..., dim, dim).
 
-        General coframes run coframe_at on each point.
+        General coframes run `_float_coframe` on each point.
         """
         if self.darboux:
             n = self.n
@@ -440,11 +541,11 @@ class ContactChart(_Chart):
             deta[..., i, n + i] = 1.0
             deta[..., n + i, i] = -1.0
             return self._etas(xs), deta
-        if xs.ndim == 1:
-            return self.coframe_at(xs)
-        rows = [self.coframe_at(x) for x in xs.reshape(-1, self.dim)]
+        rows = [self._float_coframe(x) for x in xs.reshape(-1, self.dim)]
         eta = np.array([eta for eta, _ in rows]).reshape(xs.shape)
-        return eta, np.array([deta for _, deta in rows]).reshape(xs.shape + (self.dim,))
+        # d_a eta_b at [..., b, a]
+        jac = np.array([jac for _, jac in rows]).reshape(xs.shape + (self.dim,))
+        return eta, jac.swapaxes(-1, -2) - jac
 
     def _coframe_tangent(self, x: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Derivatives of eta and d eta at x along the k columns of dx.
@@ -563,44 +664,13 @@ class ContactChart(_Chart):
         return X
 
     def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
-        """Closure computing X_f over float lists on a general coframe, from f's gradient kernel.
+        """X_f over float lists on a general coframe: `_field_program` bound to f's gradient kernel.
 
-        One elimination on B^T augmented with [eta | df] gives the Reeb
-        field R and y = B^-T df, and X_f = y - (R(f) + f) R.  The closure
-        makes the checks of field_from_gradient, with the same errors: the
-        point's shape, det B, the Reeb residual and eta(X_f) = -f.
+        The Reeb field R and y = B^-T df come from one elimination on B^T
+        augmented with [eta | df], and X_f = y - (R(f) + f) R, with the
+        checks and errors of field_from_gradient.
         """
-        dim = self.dim
-        eliminate = _eliminator(dim, dim + 2)
-
-        def field(x) -> list[float]:
-            if len(x) != dim:
-                self.point(x)
-            value, grad = kernel(x)
-            eta, jac = self._float_coframe(x)
-            # row i: B^T_ij = (d_j eta_i - d_i eta_j) + eta_i eta_j over j, then eta_i, df_i
-            rows = [[*[u - v + ei * ej for u, v, ej in zip(gi, ci, eta)], ei, fi]
-                    for gi, ci, ei, fi in zip(jac, zip(*jac), eta, grad)]
-            det, columns = eliminate(rows)
-            if abs(det) <= _SINGULAR_DET:
-                raise ContactConditionError(self.point(x), det)
-            reeb, y = columns
-            resid = [_fdot(row, reeb) - e for row, e in zip(rows, eta)]  # _fdot stops at B^T
-            if _exceeds_float(resid, _RESIDUAL_TOL, vectors=(eta,)):
-                raise GeometryError(
-                    f"Reeb solve residual {max(map(abs, resid)):.3e} at {self.point(x).tolist()}"
-                )
-            c = _fdot(grad, reeb) + value
-            X = [u - c * r for u, r in zip(y, reeb)]
-            pairing = _fdot(eta, X) + value
-            if _exceeds_float((pairing,), 1e-8, (value,), (X,)):
-                raise GeometryError(
-                    f"field invariant eta(X_f) = -f violated by {abs(pairing):.3e} "
-                    f"at {self.point(x).tolist()}"
-                )
-            return X
-
-        return field
+        return _field_program("contact", self.dim)(kernel, self._coeff_kernels, self.point)
 
     def _jets(self, xs: np.ndarray, values: np.ndarray, grads: np.ndarray, coframes=None) -> Jets:
         """Jets of k functions with values (..., k) and gradients (..., k, dim) at xs.
@@ -823,9 +893,12 @@ class _System:
     def field_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
         """Closure computing X_f as a list of floats, for the flow integrators.
 
-        The closure runs f's compiled gradient kernel.  Standard-form charts
-        then run the closed form over floats (`_fdot`), without per-call
-        checks; general coframes run the chart's `_float_field`, one float
+        Standard-form charts run f's compiled gradient kernel, then the
+        closed form over floats (`_fdot`), without per-call checks.  General
+        coframes return the chart's `_float_field`: the generated program
+        of the chart's kind and dimension (`_field_program`, compiled at
+        the first call and cached), bound to f's kernel, which runs that
+        kernel and the coefficient kernels in one straight-line
         elimination with the checks and errors of field_from_gradient.
         """
         f = self.resolve(f)

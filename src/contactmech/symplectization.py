@@ -15,7 +15,8 @@ stack and measures each identity in one array pass, and the
 single-point methods run the same code on one point.
 On standard-form bases the lifted field is this module's closed-form
 template, run by the same three callers as geometry's; on general bases
-the flow closure solves omega^T X = dF by geometry's float elimination.
+the flow closure solves omega^T X = dF with the "lifted" kind of
+geometry's generated field program, `_field_program`.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from .geometry import (
     _Chart,
     _check_points,
     _dot,
-    _eliminator,
     _exceeds,
-    _exceeds_float,
-    _fdot,
+    _field_program,
     _first,
     _in_sample_order,
     _matvec,
@@ -237,47 +236,14 @@ class SympChart(_Chart):
         return X, np.linalg.solve(omega.T, dgrad - domega_T_X)
 
     def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
-        """Closure computing X_F over float lists on a general base, from F's gradient kernel.
+        """X_F over float lists on a general base: geometry's `_field_program` bound to F's kernel.
 
-        One elimination on omega^T augmented with [dF] gives X_F.  The
-        closure makes the checks of field_from_gradient, with the same
-        errors: the point's shape and fiber, det omega, the solve residual
-        and theta(X_F) = F for homogeneous F.
+        The "lifted" program solves omega^T X = dF by one elimination and
+        makes the checks of field_from_gradient, with the same errors: the
+        point's shape and fiber, det omega, the solve residual and
+        theta(X_F) = F for homogeneous F.
         """
-        base, dim = self.base, self.dim
-        eliminate = _eliminator(dim, dim + 1)
-
-        def field(x) -> list[float]:
-            if len(x) != dim or x[-1] <= 0.0:
-                self.point(x)
-            value, grad = kernel(x)
-            r = x[-1]
-            eta, jac = base._float_coframe(x[:-1])
-            # row i < dim - 1: omega^T_ij = -r (d_j eta_i - d_i eta_j) over j, -eta_i, then dF_i;
-            # the last row: eta, 0, then dF_r
-            rows = [[*[-r * (u - v) for u, v in zip(gi, ci)], -ei, fi]
-                    for gi, ci, ei, fi in zip(jac, zip(*jac), eta, grad)]
-            rows.append([*eta, 0.0, grad[-1]])
-            det, columns = eliminate(rows)
-            if abs(det) <= _SINGULAR_OMEGA:
-                raise SingularStructureError(self.point(x), det)
-            (X,) = columns
-            resid = [_fdot(row, X) - g for row, g in zip(rows, grad)]  # _fdot stops at omega^T
-            if _exceeds_float(resid, _RESIDUAL_TOL, vectors=(grad,)):
-                raise SymplectizationError(
-                    f"field solve residual {max(map(abs, resid)):.3e} at {self.point(x).tolist()}"
-                )
-            gap = _fdot([r * e for e in eta], X) - value
-            # the identity binds homogeneous F only
-            if (_exceeds_float((gap,), 1e-8, (value,), (X,))
-                    and not _exceeds_float((r * grad[-1] - value,), _RESIDUAL_TOL, (value,))):
-                raise SymplectizationError(
-                    f"theta(X_F) = F violated by {abs(gap):.3e} for homogeneous F "
-                    f"at {self.point(x).tolist()}"
-                )
-            return X
-
-        return field
+        return _field_program("lifted", self.dim)(kernel, self.base._coeff_kernels, self.point)
 
     def __repr__(self) -> str:
         return f"SympChart({self.base!r}, fiber={self.fiber!r})"

@@ -275,6 +275,23 @@ def test_nonfinite_integrator_fields_are_input_errors(capsys, tmp_path, field, v
     _assert_input_error(capsys, argv, f"integrator {field} must be")
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "command", ["check", "coisotropy", "integrate", "symplectize-verify", "action-angle"]
+)
+def test_unwritable_out_is_input_error(capsys, tmp_path, points_file, command, target):
+    # --out in a missing directory, or at a directory, raised a traceback and exited 1
+    out = str(tmp_path / "absent" / "out") if target == "missing-dir" else str(tmp_path)
+    argv = {
+        "check": ["check", PZ, "--samples", "5"],
+        "coisotropy": ["coisotropy", PZ, "--lambda", "1,1", "--points", "3"],
+        "integrate": ["integrate", PZ, "--f", "1", "--x0", "2,3,5", "--t", "0.1"],
+        "symplectize-verify": ["symplectize-verify", PZ, "--samples", "5"],
+        "action-angle": ["action-angle", PZ, "--section", "graph-z", "--points", points_file],
+    }[command]
+    _assert_input_error(capsys, [*argv, "--out", out], f"error: cannot write {out}: ")
+
+
 def test_count_flags_reject_values_below_one(capsys, points_file):
     for argv in (
         ["check", PZ, "--samples", "0"],

@@ -9,23 +9,30 @@ so at n = 1 the trajectories must be byte-equal.  At n = 2 NumPy's
 p @ g fuses a multiply-add that plain float code does not, so there the
 two agree to round-off only.
 
-On general coframes the field closure is one float elimination
-(`_float_field`), which does not reproduce LAPACK's last bits.  The
-reference steppers step that same closure, wrapped to arrays, so that
-stepper parity stays bitwise there too; the tests at the end pin the
-closure to `field_from_gradient` (the LAPACK solves), its trajectories
-to those of a `field_from_gradient` closure, and its errors to theirs.
+On general coframes the field closure is a generated straight-line
+float program (`geometry._field_program`, bound by `_float_field`), one
+elimination that does not reproduce LAPACK's last bits.  The reference
+steppers step that same closure, wrapped to arrays, so that stepper
+parity stays bitwise there too.  The tests at the end pin the program
+bitwise, errors included, to the list closures it unrolls
+(`tests/float_fields.py`), and pin it to `field_from_gradient` (the
+LAPACK solves): its values, its trajectories and its errors.  They also
+pin when it is compiled: once per chart kind and dimension, at the first
+`field_evaluator` call, never while a config loads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contactmech import geometry
-from contactmech.expressions import EvaluationDomainError, gradient_evaluator
+from contactmech.config import load_config
+from contactmech.expressions import EvaluationDomainError, gradient_evaluator, gradient_kernel
 from contactmech.flows import (
     _A,
     _B4,
@@ -40,8 +47,14 @@ from contactmech.flows import (
     _flow,
     integrate,
 )
-from contactmech.geometry import ContactChart, ContactConditionError, ContactSystem
+from contactmech.geometry import (
+    ContactChart,
+    ContactConditionError,
+    ContactSystem,
+    conformal_rescale,
+)
 from contactmech.symplectization import SingularStructureError, symplectize
+from float_fields import _eliminator, reference_field
 
 REGION = {"q": (-2.0, 2.0), "p": (0.5, 2.0), "z": (0.5, 2.0)}
 RKF45 = IntegratorConfig()
@@ -399,10 +412,112 @@ def test_float_field_and_field_from_gradient_agree_on_nan_gradients(lifted, slot
     np.testing.assert_array_equal(np.nan_to_num(got), np.nan_to_num(want))
 
 
+def _general_system(name, lifted):
+    if name == "rescaled":
+        system = _rescaled_system()
+    else:
+        system = _general_n2_system()
+        if name == "dense-n2":
+            # a factor on every coordinate gives the Reeb field no zero
+            # entry, so that each sum of the program moves the result
+            chart = conformal_rescale(system.chart, "exp(0.3*q1 - 0.2*p2 + 0.1*z)")
+            system = ContactSystem(chart, system.integrals, system.region)
+    return symplectize(system) if lifted else system
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
+@pytest.mark.parametrize("name", ["rescaled", "general-n2", "dense-n2"])
+def test_field_program_matches_the_reference_bitwise(name, lifted):
+    system = _general_system(name, lifted)
+    chart = system.chart
+    points = system.sample(np.random.default_rng(31), 2000).tolist()
+    # a grid of a few values makes ties between pivot candidates
+    points += [list(x) for x in itertools.product((0.5, 1.0, 2.0), repeat=chart.dim)]
+    for f in system.integrals:
+        kernel = gradient_kernel(f, chart.coordinates)
+        got, want = chart._float_field(kernel), reference_field(chart, kernel)
+        for x in points:
+            assert _hex(got(x)) == _hex(want(x)), x
+    # a NaN gradient entry in the first and in the last slot
+    for slot in (0, -1):
+        grad = [1.0] * chart.dim
+        grad[slot] = math.nan
+        kernel = lambda _, grad=tuple(grad): (0.7, grad)  # noqa: E731
+        got, want = chart._float_field(kernel), reference_field(chart, kernel)
+        for x in points[:50]:
+            assert _hex(got(x)) == _hex(want(x)), (slot, x)
+
+
+def _degenerate_system(n, scale):
+    # scale 0: eta = dz, whose flat matrix eta eta^T has a zero pivot;
+    # a small scale gives a nonzero det under the singular threshold
+    names = ContactChart.standard(n).coordinates
+    eta = [f"-{scale}*{p}" for p in names[n : 2 * n]] + ["0"] * n + ["1"]
+    region = {name: (0.5, 2.0) for name in names}
+    return ContactSystem(ContactChart(names, eta), list(names[n:]), region)
+
+
+@pytest.mark.parametrize("scale", ["0", "1e-7"], ids=["zero-pivot", "small-det"])
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_field_program_raises_the_errors_of_the_reference(n, lifted, scale):
+    system = _degenerate_system(n, scale)
+    x = [0.3, 1.2, 0.8, 1.1, 0.9][: system.dim]
+    if lifted:
+        system, x = symplectize(system), x + [1.5]
+    chart = system.chart
+    kernel = gradient_kernel(system.integrals[0], chart.coordinates)
+    got = _raised(chart._float_field(kernel), x)
+    want = _raised(reference_field(chart, kernel), x)
+    assert isinstance(got, SingularStructureError if lifted else ContactConditionError)
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert got.point.tolist() == want.point.tolist() == x
+    assert got.det.hex() == want.det.hex()
+    assert (got.det == 0.0) == (scale == "0")
+    lapack = _raised(lapack_field_evaluator(system, 0), x)
+    assert type(lapack) is type(got)
+    assert lapack.point.tolist() == x
+    assert got.det == pytest.approx(lapack.det, rel=1e-6, abs=1e-300)
+
+
+def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluator():
+    # loading a config and building its systems compiles no field program
+    geometry._field_program.cache_clear()
+    cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
+    system, symp = cfg.system(), cfg.symp_system()
+    assert geometry._field_program.cache_info().misses == 0
+    x = [0.5, 1.2, 0.8]
+    for run, point in ((system, x), (symp, x + [1.5])):
+        first = run.field_evaluator(0)
+        assert geometry._field_program.cache_info().currsize == (1 if run is system else 2)
+        second = run.field_evaluator(1)
+        first(point), second(point)
+    info = geometry._field_program.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    # both integrals run the one program of their kind and dimension
+    assert first.__code__ is second.__code__
+    assert first.__code__.co_filename == "<contactmech lifted-field dim=4>"
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
+@pytest.mark.parametrize("name", ["rescaled", "general-n2"])
+def test_field_program_names_its_kind_and_dim(name, lifted):
+    system = _general_system(name, lifted)
+    kind = "lifted" if lifted else "contact"
+    field = system.field_evaluator(0)
+    assert field.__code__.co_filename == f"<contactmech {kind}-field dim={system.dim}>"
+    assert field.__code__.co_name == "field"
+
+
 @pytest.mark.parametrize("d, k", [(1, 1), (2, 2), (3, 2), (4, 1), (5, 2), (6, 1)])
 def test_eliminator_matches_numpy(d, k):
     rng = np.random.default_rng(d)
-    eliminate = geometry._eliminator(d, d + k)
+    eliminate = _eliminator(d, d + k)
     for A in [rng.normal(size=(d, d)) for _ in range(20)] + [np.eye(d)[::-1]]:
         b = rng.normal(size=(d, k))
         det, columns = eliminate(np.hstack([A, b]).tolist())

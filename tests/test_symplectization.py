@@ -269,9 +269,10 @@ def test_lift_check_runs_the_base_coframe_once_per_point(monkeypatch):
     symp = cfg.symp_system()
     points = symp.sample(np.random.default_rng(0), 50)
     calls = []
-    coframe_at = ContactChart.coframe_at
+    float_coframe = ContactChart._float_coframe
     monkeypatch.setattr(
-        ContactChart, "coframe_at", lambda self, x: calls.append(1) or coframe_at(self, x)
+        ContactChart, "_float_coframe",
+        lambda self, x: calls.append(1) or float_coframe(self, x),
     )
     assert lift_check(symp, points).passed
     assert len(calls) == 50
