@@ -25,6 +25,7 @@ from contactmech.geometry import (
 from contactmech.symplectization import (
     _SINGULAR_OMEGA,
     SingularStructureError,
+    SympChart,
     SymplectizationError,
 )
 
@@ -151,4 +152,4 @@ def lifted_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
 
 def reference_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
     """The reference closure of a general contact or symplectized chart."""
-    return (lifted_field if hasattr(chart, "base") else contact_field)(chart, kernel)
+    return (lifted_field if isinstance(chart, SympChart) else contact_field)(chart, kernel)

@@ -334,9 +334,7 @@ def _raised(run, *args):
 @pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
 @pytest.mark.parametrize("name", ["rescaled", "general-n2"])
 def test_float_field_matches_field_from_gradient(name, lifted):
-    system = _rescaled_system() if name == "rescaled" else _general_n2_system()
-    if lifted:
-        system = symplectize(system)
+    system = _general_system(name, lifted)
     chart = system.chart
     assert chart._closed_field is None
     rng = np.random.default_rng(22)
