@@ -91,15 +91,18 @@ def _report_head(cfg: SystemConfig, command: str, seed: int) -> dict:
 
 
 def _resolve_seed(arg_seed: int | None, cfg: SystemConfig) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
+    seed, source = arg_seed, "--seed"
+    if seed is None:
+        env = os.environ.get(SEED_ENV)
+        if env is None:
+            return cfg.seed
         try:
-            return int(env)
+            seed, source = int(env), SEED_ENV
         except ValueError:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}") from None
-    return cfg.seed
+    if seed < 0:  # as the config schema's minimum; NumPy's generators reject it
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
@@ -186,6 +189,8 @@ def cmd_coisotropy(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
         raise ConfigError(
             f"--lambda needs {len(system.integrals)} components, got {len(lam)}"
         )
+    if not lam.any():
+        raise ConfigError(f"--lambda must be a nonzero vector, got {args.ray!r}")
     target = RayTarget(lam)
     points = _ray_points(system, target, args.points, seed)
     # coisotropy and tangency share the points' jets

@@ -211,6 +211,28 @@ def test_nonfinite_lambda_is_input_error(capsys, value):
     _assert_input_error(capsys, ["coisotropy", PZ, "--lambda", value], "--lambda", "finite")
 
 
+def test_zero_lambda_is_input_error(capsys):
+    _assert_input_error(capsys, ["coisotropy", PZ, "--lambda=0,0"], "--lambda", "nonzero")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", PZ],
+    ["coisotropy", PZ, "--lambda", "1,1"],
+    ["symplectize-verify", PZ],
+    ["action-angle", PZ, "--section", "graph-z", "--points"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+def test_negative_seed_is_input_error(capsys, monkeypatch, points_file, argv, from_env):
+    # NumPy's generators reject a negative seed, as the config schema does
+    if argv[-1] == "--points":
+        argv = argv + [points_file]
+    if from_env:
+        monkeypatch.setenv(cli.SEED_ENV, "-1")
+        _assert_input_error(capsys, argv, cli.SEED_ENV, "non-negative", "-1")
+    else:
+        _assert_input_error(capsys, argv + ["--seed", "-1"], "--seed", "non-negative", "-1")
+
+
 @pytest.mark.parametrize("x0", ["nan,1,1", "1,inf,1"])
 def test_nonfinite_x0_is_input_error(capsys, tmp_path, x0):
     argv = ["integrate", PZ, "--f", "0", "--x0", x0, "--t", "1", "--out",
