@@ -7,12 +7,12 @@ dz - p_i dq^i the chart takes closed-form fast paths, otherwise every
 operator goes through the flat-map solve.  The closed-form field is one
 template, `_darboux_field`, run over float lists (flows), arrays (point
 stacks) and expression trees, whose kernels give its Jacobian.  On
-general coframes the flow closure is a generated straight-line float
-program, `_field_program`, compiled once per chart kind and dimension at
-the first `field_evaluator` call: one inlined elimination yields det B,
-the Reeb field and B^-T df together, with the checks and errors of
-field_from_gradient.  The symplectization's lifted field is the same
-program's "lifted" kind.
+general coframes every field comes from one generated straight-line
+float program, `_field_program`, per chart kind, dimension and number of
+functions: one elimination per point yields det B, the Reeb field and
+B^-T df of every function, with the checks and errors of
+field_from_gradient.  Flows and point stacks both run it, and the
+symplectization's lifted field is its "lifted" kind.
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -32,6 +32,8 @@ single-point methods (`hamiltonian_field_at`, `field_from_gradient`,
 `jacobi_bracket_at`, ...) run the same code on one point.
 
 Stacked det, solve and svd reproduce their per-matrix results bitwise.
+General-coframe fields take no LAPACK solve; the min |det| values of the
+reports are LAPACK's (`_flat_det` and the symplectization's `_omegas`).
 A dot product is the stacked-vector product `_dot`, which reproduces the
 1-D `@` bitwise; `np.einsum` and a matrix-vector `@` sum in other orders
 and move the last bits of the reports.
@@ -147,20 +149,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v over stacks; a stacked product reproduces the 2-D `M @ v` bitwise."""
-    if v.ndim == 1:
-        return M @ v
-    return (M @ v[..., None])[..., 0]
-
-
-def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with A x = b over stacks of matrices and vectors (NumPy 1 and 2 alike)."""
-    if b.ndim == 1:
-        return np.linalg.solve(A, b)
-    return np.linalg.solve(A, b[..., None])[..., 0]
-
-
 def _exceeds_float(resid: Sequence[float], tol: float, values=(), vectors=()) -> bool:
     """`_exceeds` at one point, over floats, on the largest |r_i| of the residual resid.
 
@@ -188,30 +176,38 @@ def _checked(resid: Sequence[str], tol: float, values: str, vectors: str) -> str
 
 
 @functools.lru_cache(maxsize=None)
-def _field_program(kind: str, dim: int) -> Callable:
-    """The general-coframe field of a chart kind and dimension as one straight-line float program.
+def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
+    """The general-coframe fields of m functions as one straight-line float program.
 
     kind is "contact" (X_f on a contact chart of dimension dim) or "lifted"
     (X_F on the symplectization of dimension dim, over a base of dim - 1).
-    The program is compiled at its first request and cached; the returned
-    `bind(kernel, coefficients, point)` takes f's gradient kernel, the
-    base's coefficient kernels and the chart's `point`, and returns the
-    field closure over float lists.  The closure unpacks the kernels'
-    results into locals, writes the entries of B^T (contact) or omega^T
-    (lifted) as locals, eliminates on copies of them and checks the solve
-    against the originals.  It makes the checks of field_from_gradient,
-    with the same errors: the point's shape (and fiber), det, the solve
-    residual and the pairing identity.
+    Compiled at its first request and cached, the program writes B^T
+    (contact) or omega^T (lifted) as locals, eliminates once on copies of
+    them augmented with [eta | df_1 .. df_m] or [dF_1 .. dF_m], and checks
+    the solves against the originals.  It makes the checks of
+    field_from_gradient, with the same errors: det, the Reeb residual
+    (contact), then function by function eta(X_f) = -f, or the solve
+    residual and theta(X_F) = F.
+
+    It returns the program's namespace.  Its `solve(point, x, values,
+    grads, coframe)` takes the floats of a point, of the m values and
+    gradients there and of the (base) `_float_coframe` (`point` is the
+    chart's, for the errors).  It returns one list: the components of the
+    m fields, then on the contact kind the m Reeb derivatives and the Reeb
+    field (at m = 0 the Reeb field alone).  At m = 1, `bind(kernel, coefficients, point)` returns the flow
+    closure over float lists, which checks the point and runs f's gradient
+    kernel and the coefficient kernels itself.
 
     Elimination is Gaussian with partial pivoting on [A | b_1 .. b_k]:
     entry (i, j) is the local a<i>_<j>, and a row swap is one tuple
     assignment.  At step k each row below k is swapped into row k when its
     entry in column k is larger, so row k ends with the largest; ties keep
     the earlier row.  det A is the product of the pivots signed by the
-    swaps, and reads 0.0 at a zero pivot, as NumPy's det does.  Sums run
-    left to right from 0.0, as `_fdot`.  The source is compiled under the
-    file name "<contactmech KIND-field dim=DIM>", which profiles and
-    tracebacks show.
+    swaps, and reads 0.0 at a zero pivot, as NumPy's det does.  No column
+    depends on the others, so each function gets the floats of m = 1.
+    Sums run left to right from 0.0, as `_fdot`.  The file name
+    "<contactmech KIND-field dim=DIM>", with " m=M" unless m = 1, shows in
+    profiles and tracebacks.
     """
     lifted = kind == "lifted"
     d = dim - 1 if lifted else dim  # the base dimension
@@ -227,13 +223,12 @@ def _field_program(kind: str, dim: int) -> Callable:
     def names(prefix: str, count: int) -> str:
         return ", ".join(f"{prefix}{i}" for i in range(count))
 
-    fiber_test = " or x[-1] <= 0.0" if lifted else ""
-    lines = [f"if len(x) != {dim}{fiber_test}:", "    point(x)",
-             f"value, ({names('g', dim)},) = kernel(x)"]
-    if lifted:
-        lines.append("r = x[-1]")
-    # e<i> = eta_i and j<i>_<j> = d_j eta_i; the base kernels read the first d entries of x
-    lines += [f"e{i}, ({names(f'j{i}_', d)},) = k{i}(x)" for i in range(d)]
+    def tup(prefix: str, count: int) -> str:
+        return f"({names(prefix, count)},)"
+
+    # e<i> = eta_i and j<i>_<j> = d_j eta_i; value<a> = f_a and g<a>_<i> = d_i f_a
+    grads = [f"g{a}_" for a in range(m)]
+    lines = []
     # the matrix entries b<i>_<j> stay for the residual; a<i>_<j> are eliminated
     for i in range(d):
         if lifted:  # omega^T_ij = -r (d_j eta_i - d_i eta_j), then -eta_i
@@ -243,8 +238,8 @@ def _field_program(kind: str, dim: int) -> Callable:
             lines += [f"b{i}_{j} = j{i}_{j} - j{j}_{i} + e{i} * e{j}" for j in range(d)]
     if lifted:  # the last row of omega^T: eta, 0
         lines += [f"b{d}_{j} = e{j}" for j in range(d)] + [f"b{d}_{d} = 0.0"]
-    # the right-hand sides: dF (lifted), or eta and df (contact)
-    sides = ["g"] if lifted else ["e", "g"]
+    # the right-hand sides: dF_a (lifted), or eta and df_a (contact)
+    sides = grads if lifted else ["e", *grads]
     for i in range(dim):
         lines += [f"a{i}_{j} = b{i}_{j}" for j in range(dim)]
         lines += [f"a{i}_{dim + c} = {side}{i}" for c, side in enumerate(sides)]
@@ -262,8 +257,8 @@ def _field_program(kind: str, dim: int) -> Callable:
                       "    det = -det"]
         lines += [f"if a{k}_{k} == 0.0:", "    raise singular(point(x), 0.0)", f"det *= a{k}_{k}"]
         for i in range(k + 1, dim):
-            update = ", ".join(f"a{i}_{j} - m * a{k}_{j}" for j in range(k + 1, width))
-            lines += [f"m = a{i}_{k} / a{k}_{k}", f"{row(i, k + 1)}, = {update},"]
+            update = ", ".join(f"a{i}_{j} - t * a{k}_{j}" for j in range(k + 1, width))
+            lines += [f"t = a{i}_{k} / a{k}_{k}", f"{row(i, k + 1)}, = {update},"]
     for c in range(dim, width):
         for i in reversed(range(dim)):
             terms = "".join(f" - a{i}_{j} * s{j}_{c}" for j in range(i + 1, dim))
@@ -273,42 +268,65 @@ def _field_program(kind: str, dim: int) -> Callable:
     resid = [f"u{i}" for i in range(dim)]
     worst = f"{{max(map(abs, ({', '.join(resid)},))):.3e}}"
     where = "at {point(x).tolist()}"
-    field = f"({names('X', dim)},)"
-    scale = f"(({names('g' if lifted else 'e', dim)},),)"  # dF or eta
-    if lifted:
-        # X solves omega^T X = dF
-        lines += [f"X{i} = s{i}_{dim}" for i in range(dim)]
-        lines += [f"u{i} = {_sum([f'b{i}_{j} * X{j}' for j in range(dim)])} - g{i}"
+    reeb, etas = [f"s{i}_{dim}" for i in range(dim)], tup("e", dim)
+    if not lifted:
+        # the Reeb field R solves B^T R = eta
+        lines += [f"u{i} = {_sum([f'b{i}_{j} * {reeb[j]}' for j in range(dim)])} - e{i}"
                   for i in range(dim)]
-        lines += [f"if {_checked(resid, _RESIDUAL_TOL, '()', scale)}:",
-                  f"    raise failure(f'field solve residual {worst} {where}')",
-                  f"gap = {_sum([f'r * e{j} * X{j}' for j in range(d)])} - value",
-                  # the identity binds homogeneous F only
-                  f"if ({_checked(['gap'], 1e-8, '(value,)', f'({field},)')}"
-                  f" and not _exceeds_float((r * g{d} - value,), {_RESIDUAL_TOL!r}, (value,))):",
-                  "    raise failure(f'theta(X_F) = F violated by {abs(gap):.3e} "
-                  f"for homogeneous F {where}')"]
-    else:
-        # the Reeb field R solves B^T R = eta and y = B^-T df; X_f = y - (R(f) + f) R
-        lines += [f"u{i} = {_sum([f'b{i}_{j} * s{j}_{dim}' for j in range(dim)])} - e{i}"
-                  for i in range(dim)]
-        lines += [f"if {_checked(resid, _RESIDUAL_TOL, '()', scale)}:",
-                  f"    raise failure(f'Reeb solve residual {worst} {where}')",
-                  f"c = {_sum([f'g{j} * s{j}_{dim}' for j in range(dim)])} + value"]
-        lines += [f"X{i} = s{i}_{dim + 1} - c * s{i}_{dim}" for i in range(dim)]
-        lines += [f"pairing = {_sum([f'e{j} * X{j}' for j in range(dim)])} + value",
-                  f"if {_checked(['pairing'], 1e-8, '(value,)', f'({field},)')}:",
-                  "    raise failure(f'field invariant eta(X_f) = -f violated by "
-                  f"{{abs(pairing):.3e}} {where}')"]
-    lines.append(f"return [{names('X', dim)}]")
-    source = "\n".join(["def bind(kernel, coefficients, point):",
-                        f"    {names('k', d)}, = coefficients",
-                        "    def field(x):",
-                        *[f"        {line}" for line in lines],
-                        "    return field"])
+        lines += [f"if {_checked(resid, _RESIDUAL_TOL, '()', f'({etas},)')}:",
+                  f"    raise failure(f'Reeb solve residual {worst} {where}')"]
+    for a, g in enumerate(grads):
+        X, value = [f"X{a}_{i}" for i in range(dim)], f"value{a}"
+        field = f"({tup(f'X{a}_', dim)},)"
+        if lifted:
+            # X_a solves omega^T X_a = dF_a
+            lines += [f"{X[i]} = s{i}_{dim + a}" for i in range(dim)]
+            lines += [f"u{i} = {_sum([f'b{i}_{j} * {X[j]}' for j in range(dim)])} - {g}{i}"
+                      for i in range(dim)]
+            lines += [f"if {_checked(resid, _RESIDUAL_TOL, '()', f'({tup(g, dim)},)')}:",
+                      f"    raise failure(f'field solve residual {worst} {where}')",
+                      f"gap = {_sum([f'r * e{j} * {X[j]}' for j in range(d)])} - {value}",
+                      # the identity binds homogeneous F only
+                      f"if ({_checked(['gap'], 1e-8, f'({value},)', field)}"
+                      f" and not _exceeds_float((r * {g}{d} - {value},), {_RESIDUAL_TOL!r}, "
+                      f"({value},))):",
+                      "    raise failure(f'theta(X_F) = F violated by {abs(gap):.3e} "
+                      f"for homogeneous F {where}')"]
+        else:
+            # y_a = B^-T df_a and X_a = y_a - (R(f_a) + f_a) R
+            lines += [f"rf{a} = {_sum([f'{g}{j} * {reeb[j]}' for j in range(dim)])}",
+                      f"c = rf{a} + {value}"]
+            lines += [f"{X[i]} = s{i}_{dim + 1 + a} - c * {reeb[i]}" for i in range(dim)]
+            lines += [f"pairing = {_sum([f'e{j} * {X[j]}' for j in range(dim)])} + {value}",
+                      f"if {_checked(['pairing'], 1e-8, f'({value},)', field)}:",
+                      "    raise failure(f'field invariant eta(X_f) = -f violated by "
+                      f"{{abs(pairing):.3e}} {where}')"]
+    fiber = ["r = x[-1]"] if lifted else []
+    coframes = "".join(f"{tup(f'j{i}_', d)}, " for i in range(d))
+    outputs = [f"X{a}_{i}" for a in range(m) for i in range(dim)]
+    if not lifted:
+        outputs += [f"rf{a}" for a in range(m)] + reeb
+    source = ["def solve(point, x, values, grads, coframe):",
+              f"    [{names('value', m)}] = values",
+              f"    [{', '.join(tup(g, dim) for g in grads)}] = grads",
+              *[f"    {line}" for line in [*fiber, f"{tup('e', d)}, ({coframes}) = coframe", *lines]],
+              f"    return [{', '.join(outputs)}]"]
+    if m == 1:  # the flow closure
+        fiber_test = " or x[-1] <= 0.0" if lifted else ""
+        preamble = [f"if len(x) != {dim}{fiber_test}:", "    point(x)",
+                    f"value0, {tup('g0_', dim)} = kernel(x)", *fiber,
+                    *[f"e{i}, {tup(f'j{i}_', d)} = k{i}(x)" for i in range(d)]]
+        source += ["def bind(kernel, coefficients, point):",
+                   f"    {names('k', d)}, = coefficients",
+                   "    def field(x):",
+                   *[f"        {line}" for line in [*preamble, *lines]],
+                   f"        return [{names('X0_', dim)}]",
+                   "    return field"]
     namespace = {"_exceeds_float": _exceeds_float, "singular": singular, "failure": failure}
-    exec(compile(source, f"<contactmech {kind}-field dim={dim}>", "exec"), namespace)
-    return namespace["bind"]
+    count = "" if m == 1 else f" m={m}"
+    exec(compile("\n".join(source), f"<contactmech {kind}-field dim={dim}{count}>", "exec"),
+         namespace)
+    return namespace
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
@@ -377,14 +395,16 @@ def _rows(stack, i: int):
 class _Chart:
     """Points, functions and Hamiltonian fields of contact and symplectized charts.
 
-    A subclass sets `coordinates`, `dim` and `_closed_field` (its module's
+    A subclass sets `coordinates`, `dim`, `_closed_field` (its module's
     standard-form template `_darboux_field`, or None on general coframes)
-    and defines `field_from_gradient`, `_field_with_tangents` and
-    `_float_field`.
+    and `_kind`, its kind of `_field_program`, and defines
+    `field_from_gradient`, `_field_with_tangents`, `_float_field` and
+    `_float_coframes`, the (base) `_float_coframe` of each point.
     """
 
     coordinates: tuple[str, ...]
     dim: int
+    _kind: str
 
     def point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -408,6 +428,29 @@ class _Chart:
 
     def value_and_gradient(self, f: Expr, x: np.ndarray) -> tuple[float, np.ndarray]:
         return gradient_evaluator(f, self.coordinates)(x)
+
+    def _solved(self, xs: np.ndarray, values, grads, coframes=None) -> list[np.ndarray]:
+        """The outputs of `_field_program` at points xs (..., dim) of a general coframe, as arrays.
+
+        values (..., m) and grads (..., m, dim) are those of m functions at
+        each point, or values (...) and grads (..., dim) those of one;
+        `coframes` is _float_coframes(xs) when already known.  The program
+        runs once per point, in row order.  It returns the fields, shaped
+        like grads, and on a contact chart the Reeb derivatives, shaped
+        like values, and the Reeb field (..., dim).
+        """
+        lead, dim = xs.shape[:-1], self.dim
+        values, grads = np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
+        count, m = math.prod(lead), 1 if grads.ndim == xs.ndim else values.shape[-1]
+        solve = _field_program(self._kind, dim, m)["solve"]
+        rows = [solve(self.point, x, v, g, c) for x, v, g, c in zip(
+            xs.reshape(count, dim).tolist(), values.reshape(count, m).tolist(),
+            grads.reshape(count, m, dim).tolist(),
+            self._float_coframes(xs) if coframes is None else coframes)]
+        shapes = (grads.shape, values.shape, lead + (dim,))[: 1 if self._kind == "lifted" else 3]
+        ends = np.cumsum([math.prod(shape[len(lead):]) for shape in shapes])
+        out = np.split(np.array(rows, dtype=float).reshape(count, ends[-1]), ends[:-1], axis=1)
+        return [part.reshape(shape) for part, shape in zip(out, shapes)]
 
     def hamiltonian_field_at(self, f: Expr | str, x) -> np.ndarray:
         """Hamiltonian field of f at x; see field_from_gradient."""
@@ -466,6 +509,8 @@ class ContactChart(_Chart):
             standard form dz - p_i dq^i.  The chart takes the closed forms
             (`darboux`) exactly when these are structurally the standard's.
     """
+
+    _kind = "contact"
 
     def __init__(self, coordinates: Sequence[str], eta: Sequence[Expr | str] | None = None):
         names = tuple(coordinates)
@@ -529,10 +574,15 @@ class ContactChart(_Chart):
         eta.T[-1] = 1.0
         return eta
 
-    def _coframes(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _float_coframes(self, xs: np.ndarray) -> list:
+        """`_float_coframe` at each point of xs (..., dim), in row order."""
+        return [self._float_coframe(x) for x in xs.reshape(-1, self.dim).tolist()]
+
+    def _coframes(self, xs: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """(eta, d eta) at points xs, shapes (..., dim) and (..., dim, dim).
 
-        General coframes run `_float_coframe` on each point.
+        General coframes stack their `_float_coframes(xs)`, `rows` when
+        already known.
         """
         if self.darboux:
             n = self.n
@@ -541,7 +591,8 @@ class ContactChart(_Chart):
             deta[..., i, n + i] = 1.0
             deta[..., n + i, i] = -1.0
             return self._etas(xs), deta
-        rows = [self._float_coframe(x) for x in xs.reshape(-1, self.dim)]
+        if rows is None:
+            rows = self._float_coframes(xs)
         eta = np.array([eta for eta, _ in rows]).reshape(xs.shape)
         # d_a eta_b at [..., b, a]
         jac = np.array([jac for _, jac in rows]).reshape(xs.shape + (self.dim,))
@@ -581,49 +632,16 @@ class ContactChart(_Chart):
             out = np.zeros(self.dim)
             out[-1] = 1.0
             return out
-        return self._frames(x)[2]
-
-    def _frames(self, xs: np.ndarray, coframes=None):
-        """(eta, B, Reeb field) at points xs; None on standard charts.
-
-        `coframes` is _coframes(xs) when already known.  A singular flat
-        matrix, or a Reeb solve residual above 1e-10 (relative to eta),
-        raises at the first such point.
-        """
-        if self.darboux:
-            return None
-        eta, deta = self._coframes(xs) if coframes is None else coframes
-        B = self.flat_matrix_at(xs, (eta, deta))
-        BT = B.swapaxes(-1, -2)
-        reeb = _solve(BT, eta)
-        resid = _norm(_matvec(BT, reeb) - eta)
-        bad = _first(_exceeds(resid, _RESIDUAL_TOL, vectors=(eta,)))
-        if bad is not None:
-            raise GeometryError(f"Reeb solve residual {resid[bad]:.3e} at {xs[bad].tolist()}")
-        return eta, B, reeb
-
-    @staticmethod
-    def _per_function(xs: np.ndarray, grads: np.ndarray, frames):
-        """Points and frames with an axis for the functions, when grads has one."""
-        if grads.ndim == xs.ndim:
-            return xs, frames
-        if frames is not None:
-            eta, B, reeb = frames
-            frames = eta[..., None, :], B[..., None, :, :], reeb[..., None, :]
-        return xs[..., None, :], frames
-
-    def _reeb_derivatives(self, xs: np.ndarray, grads: np.ndarray, frames) -> np.ndarray:
-        """R(f) of functions with gradients grads (..., dim) at points xs."""
-        if frames is None:
-            return grads[..., -1]
-        return _dot(grads, self._per_function(xs, grads, frames)[1][2])
+        return self._solved(x, np.empty(0), np.empty((0, self.dim)))[2]
 
     def reeb_derivative(self, f: Expr | str, x) -> float:
         """R(f), the Reeb derivative of a function."""
         f = self.function(f)
         x = self.point(x)
-        _, grad = self.value_and_gradient(f, x)
-        return float(self._reeb_derivatives(x, grad, self._frames(x)))
+        value, grad = self.value_and_gradient(f, x)
+        if self.darboux:
+            return float(grad[-1])
+        return float(self._solved(x, value, grad)[1])
 
     # -- Hamiltonian fields ----------------------------------------------------
 
@@ -634,27 +652,21 @@ class ContactChart(_Chart):
         otherwise flat(X_f) = df - (R(f) + f) eta is solved directly.
         """
         x = self.point(x)
-        return self._fields(x, value, grad, self._frames(x))
+        if self.darboux:
+            return self._fields(x, value, grad)
+        return self._solved(x, value, grad)[0]
 
-    def _fields(self, xs: np.ndarray, values, grads: np.ndarray, frames) -> np.ndarray:
-        """Fields of functions with values and gradients at points xs (..., dim).
+    def _fields(self, xs: np.ndarray, values, grads: np.ndarray) -> np.ndarray:
+        """Closed-form fields of functions with values and gradients at points xs (..., dim).
 
-        Shapes: values (...) and grads (..., dim), or (..., k) and
-        (..., k, dim) for k functions at each point; the fields have the
-        shape of grads.  Each field is checked against eta(X_f) = -f to
-        1e-8 (relative to f and X_f); the first failing one raises.
+        Shapes as in `_solved`.  Each field is checked against
+        eta(X_f) = -f to 1e-8 (relative to f and X_f); the first failing
+        one raises.
         """
-        x, frames = self._per_function(xs, grads, frames)
-        if frames is None:
-            n = self.n
-            X = _stacked(self._closed_field, n, x, values, grads)
-            pairing = X[..., -1] - _dot(x[..., n : 2 * n], X[..., :n])
-        else:
-            eta, B, reeb = frames
-            rhs = grads - (_dot(grads, reeb) + values)[..., None] * eta
-            X = _solve(B.swapaxes(-1, -2), rhs)
-            pairing = _dot(eta, X)
-        resid = abs(pairing + values)
+        x = xs if grads.ndim == xs.ndim else xs[..., None, :]
+        n = self.n
+        X = _stacked(self._closed_field, n, x, values, grads)
+        resid = abs(X[..., -1] - _dot(x[..., n : 2 * n], X[..., :n]) + values)
         bad = _first(_exceeds(resid, 1e-8, (values,), (X,)))
         if bad is not None:
             raise GeometryError(
@@ -664,22 +676,20 @@ class ContactChart(_Chart):
         return X
 
     def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
-        """X_f over float lists on a general coframe: `_field_program` bound to f's gradient kernel.
-
-        The Reeb field R and y = B^-T df come from one elimination on B^T
-        augmented with [eta | df], and X_f = y - (R(f) + f) R, with the
-        checks and errors of field_from_gradient.
-        """
-        return _field_program("contact", self.dim)(kernel, self._coeff_kernels, self.point)
+        """X_f over float lists on a general coframe: `_field_program`'s flow closure for f."""
+        program = _field_program("contact", self.dim, 1)
+        return program["bind"](kernel, self._coeff_kernels, self.point)
 
     def _jets(self, xs: np.ndarray, values: np.ndarray, grads: np.ndarray, coframes=None) -> Jets:
         """Jets of k functions with values (..., k) and gradients (..., k, dim) at xs.
 
-        `coframes` is _coframes(xs) when already known.
+        `coframes` is _float_coframes(xs) on a general coframe when
+        already known.
         """
-        frames = self._frames(xs, coframes)
-        fields = self._fields(xs, values, grads, frames)
-        return Jets(xs, values, grads, fields, self._reeb_derivatives(xs, grads, frames))
+        if self.darboux:
+            return Jets(xs, values, grads, self._fields(xs, values, grads), grads[..., -1])
+        fields, reeb, _ = self._solved(xs, values, grads, coframes)
+        return Jets(xs, values, grads, fields, reeb)
 
     def _field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
         """X_f at x and its tangent map DX_f(x) dx on the k columns of dx, on a general coframe.
@@ -689,8 +699,10 @@ class ContactChart(_Chart):
         dX = B^-T (d rhs - dB^T X) with dB from the Hessians of eta's
         coefficients (the Reeb field is differentiated the same way).
         """
-        eta, B, reeb = frame = self._frames(x)
-        X = self._fields(x, value, grad, frame)
+        rows = self._float_coframes(x)
+        eta, two_form = self._coframes(x, rows)
+        B = two_form + np.outer(eta, eta)
+        X, rf, reeb = self._solved(x, value, grad, rows)
         dvalue, dgrad = grad @ dx, hessian @ dx
         deta, ddeta = self._coframe_tangent(x, dx)
 
@@ -699,7 +711,7 @@ class ContactChart(_Chart):
 
         dreeb = np.linalg.solve(B.T, deta - dBT(reeb))
         drhs = (dgrad - np.outer(eta, reeb @ dgrad + grad @ dreeb + dvalue)
-                - (grad @ reeb + value) * deta)
+                - (rf + value) * deta)
         return X, np.linalg.solve(B.T, drhs - dBT(X))
 
     # -- brackets --------------------------------------------------------------
@@ -895,11 +907,8 @@ class _System:
 
         Standard-form charts run f's compiled gradient kernel, then the
         closed form over floats (`_fdot`), without per-call checks.  General
-        coframes return the chart's `_float_field`: the generated program
-        of the chart's kind and dimension (`_field_program`, compiled at
-        the first call and cached), bound to f's kernel, which runs that
-        kernel and the coefficient kernels in one straight-line
-        elimination with the checks and errors of field_from_gradient.
+        coframes return the chart's `_float_field`, the flow closure of
+        `_field_program`, with the checks and errors of field_from_gradient.
         """
         f = self.resolve(f)
         chart = self.chart

@@ -15,7 +15,7 @@ stack and measures each identity in one array pass, and the
 single-point methods run the same code on one point.
 On standard-form bases the lifted field is this module's closed-form
 template, run by the same three callers as geometry's; on general bases
-the flow closure solves omega^T X = dF with the "lifted" kind of
+every lifted field solves omega^T X = dF with the "lifted" kind of
 geometry's generated field program, `_field_program`.
 """
 
@@ -37,10 +37,8 @@ from .geometry import (
     _field_program,
     _first,
     _in_sample_order,
-    _matvec,
     _norm,
     _pairs,
-    _solve,
     _stacked,
     _System,
 )
@@ -90,6 +88,8 @@ class SympChart(_Chart):
     Coordinates are the base coordinates followed by the fiber r > 0.
     """
 
+    _kind = "lifted"
+
     def __init__(self, base: ContactChart, fiber: str = "r"):
         if fiber in base.coordinates:
             raise ValueError(f"fiber name {fiber!r} collides with a base coordinate")
@@ -118,6 +118,10 @@ class SympChart(_Chart):
         """Degree-1 lift f^S = -(r * f) of a base function."""
         f = self.base.function(f)
         return -(Var(self.fiber) * f)
+
+    def _float_coframes(self, xs: np.ndarray) -> list:
+        """The base's `_float_coframe` at each point of xs (..., dim), in row order."""
+        return self.base._float_coframes(xs[..., :-1])
 
     # -- structure tensors ----------------------------------------------------
 
@@ -166,35 +170,22 @@ class SympChart(_Chart):
         """
         return self._fields(self.point(x), value, grad)
 
-    def _fields(self, xs: np.ndarray, values, grads: np.ndarray, coframes=None, omega=None):
+    def _fields(self, xs: np.ndarray, values, grads: np.ndarray, coframes=None):
         """Fields of functions with values and gradients at points xs (..., dim).
 
-        Shapes: values (...) and grads (..., dim), or (..., k) and
-        (..., k, dim) for k functions at each point; the fields have the
-        shape of grads.  `coframes` (the base's _coframes) and `omega` at
-        xs may be given.  General bases solve omega^T X = dF, checked to
-        1e-10 (relative to dF); a homogeneous F is checked against
-        theta(X_F) = F to 1e-8 (relative to F and X_F).  The first
-        failing function raises, with the solve checked first.
+        Shapes as in `_solved`.  General bases run `_solved`, the lifted
+        `_field_program`: omega^T X = dF is solved and checked to 1e-10
+        (relative to dF), then a homogeneous F is checked against
+        theta(X_F) = F to 1e-8 (relative to F and X_F), function by
+        function.  The first failing function raises.
         """
         base = self.base
+        if not base.darboux:
+            return self._solved(xs, values, grads, coframes)[0]
         x = xs if grads.ndim == xs.ndim else xs[..., None, :]
-        if base.darboux:
-            n = base.n
-            X = _stacked(self._closed_field, n, x, values, grads)
-            pairing = x[..., -1] * (X[..., 2 * n] - _dot(x[..., n : 2 * n], X[..., :n]))
-        else:
-            eta, deta = base._coframes(xs[..., :-1]) if coframes is None else coframes
-            if omega is None:
-                omega = self._omegas(xs, eta, deta)[0]
-            omegaT = omega.swapaxes(-1, -2)
-            if x is not xs:
-                omegaT = omegaT[..., None, :, :]
-            X = _solve(omegaT, grads)
-            solve_resid = _norm(_matvec(omegaT, X) - grads)
-            solve_bad = _exceeds(solve_resid, _RESIDUAL_TOL, vectors=(grads,))
-            theta = self._thetas(xs, eta)
-            pairing = _dot(theta if x is xs else theta[..., None, :], X)
+        n = base.n
+        X = _stacked(self._closed_field, n, x, values, grads)
+        pairing = x[..., -1] * (X[..., 2 * n] - _dot(x[..., n : 2 * n], X[..., :n]))
         gap = abs(pairing - values)
         theta_bad = _exceeds(gap, 1e-8, (values,), (X,))
         bad = _first(theta_bad)
@@ -202,16 +193,10 @@ class SympChart(_Chart):
             homogeneity = abs(x[..., -1] * grads[..., -1] - values)
             theta_bad &= ~_exceeds(homogeneity, _RESIDUAL_TOL, (values,))
             bad = _first(theta_bad)
-        if not base.darboux:
-            bad = _first(solve_bad | theta_bad)
         if bad is not None:
-            where = xs[bad[: xs.ndim - 1]].tolist()
-            if not base.darboux and solve_bad[bad]:
-                raise SymplectizationError(
-                    f"field solve residual {solve_resid[bad]:.3e} at {where}"
-                )
             raise SymplectizationError(
-                f"theta(X_F) = F violated by {gap[bad]:.3e} for homogeneous F at {where}"
+                f"theta(X_F) = F violated by {gap[bad]:.3e} for homogeneous F "
+                f"at {xs[bad[: xs.ndim - 1]].tolist()}"
             )
         return X
 
@@ -224,9 +209,10 @@ class SympChart(_Chart):
         """
         dgrad = hessian @ dx
         r, dr = x[-1], dx[-1]
-        eta, deta = coframe = self.base.coframe_at(x[:-1])
+        rows = self._float_coframes(x)
+        eta, deta = self.base._coframes(x[:-1], rows)
         omega = self._omegas(x, eta, deta)[0]
-        X = self._fields(x, value, grad, coframe, omega)
+        X = self._fields(x, value, grad, rows)
         d_eta, d_deta = self.base._coframe_tangent(x[:-1], dx[:-1])
         Xb, Xr = X[:-1], X[-1]
         domega_T_X = np.empty_like(dgrad)
@@ -236,14 +222,9 @@ class SympChart(_Chart):
         return X, np.linalg.solve(omega.T, dgrad - domega_T_X)
 
     def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
-        """X_F over float lists on a general base: geometry's `_field_program` bound to F's kernel.
-
-        The "lifted" program solves omega^T X = dF by one elimination and
-        makes the checks of field_from_gradient, with the same errors: the
-        point's shape and fiber, det omega, the solve residual and
-        theta(X_F) = F for homogeneous F.
-        """
-        return _field_program("lifted", self.dim)(kernel, self.base._coeff_kernels, self.point)
+        """X_F over float lists on a general base: `_field_program`'s lifted flow closure for F."""
+        program = _field_program("lifted", self.dim, 1)
+        return program["bind"](kernel, self.base._coeff_kernels, self.point)
 
     def __repr__(self) -> str:
         return f"SympChart({self.base!r}, fiber={self.fiber!r})"
@@ -330,21 +311,22 @@ def lift_check(symp: SympSystem, points) -> LiftReport:
 
 def _lift_values(symp: SympSystem, xs) -> tuple[float, ...]:
     """The five lift_check values over a stack of points, in _LIFT_BOUNDS order."""
-    chart = symp.chart
+    chart, base = symp.chart, symp.chart.base
     xs = chart.points(xs)
-    coframes = chart.base._coframes(xs[:, :-1])
-    omega, det = chart._omegas(xs, *coframes)
-    theta = chart._thetas(xs, coframes[0])
+    rows = None if base.darboux else base._float_coframes(xs[:, :-1])
+    eta, deta = base._coframes(xs[:, :-1], rows)
+    omega, det = chart._omegas(xs, eta, deta)
+    theta = chart._thetas(xs, eta)
     # the Liouville field Delta solves i_Delta omega = -theta and must be r d/dr
-    delta = _solve(omega.swapaxes(-1, -2), -theta)
+    delta = np.linalg.solve(omega.swapaxes(-1, -2), -theta[..., None])[..., 0]
     delta[:, -1] -= xs[:, -1]
     liouville = _norm(delta)
     values, grads = symp.gradient_stack(xs)
-    fields = chart._fields(xs, values, grads, coframes, omega)
+    fields = chart._fields(xs, values, grads, rows)
     r = xs[:, -1, None]
     homogeneity = np.abs(r * grads[..., -1] - values)
     pairing = np.abs(_dot(theta[:, None], fields) - values)
-    brackets = symp.base.chart.bracket_matrix(symp.base._jet_stack(xs[:, :-1], coframes))
+    brackets = base.bracket_matrix(symp.base._jet_stack(xs[:, :-1], rows))
     a, b = _pairs(values.shape[1])
     upstairs = _dot(fields[:, a], grads[:, b])
     correspondence = np.abs(upstairs + r * brackets[:, a, b])

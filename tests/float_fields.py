@@ -1,12 +1,19 @@
-"""Reference general-coframe field closures over float lists.
+"""References for the general-coframe fields, and the systems they run on.
 
-`geometry._field_program` compiles each chart kind's field into one
-straight-line program.  The closures below are the list code that
-program unrolls: rows built with `zip`, one call to `_eliminator`, and
-residual and pairing sums through `geometry._fdot`.  The compiled
-programs must return their floats bitwise and raise their errors, so the
-list code is kept here, away from the library, as the reference the
-differential tests compare against.
+`geometry._field_program` compiles each chart kind's fields into one
+straight-line program, the library's one general-coframe solver.  Two
+references are kept here, away from the library:
+
+* the float-list closures that program unrolls for flows: rows built
+  with `zip`, one call to `_eliminator`, and residual and pairing sums
+  through `geometry._fdot`.  The program must return their floats
+  bitwise and raise their errors.
+* the stacked NumPy solves that point stacks ran before the program
+  (`lapack_frames`, `lapack_contact_fields`, `lapack_lifted_fields`):
+  det, solve and residual by LAPACK, with the same checks and errors.
+  LAPACK's elimination is not ours, so the program agrees with them to
+  round-off only; they keep the comparisons of the program with an
+  independent solve from turning into comparisons with itself.
 """
 
 from __future__ import annotations
@@ -14,20 +21,34 @@ from __future__ import annotations
 import functools
 from typing import Callable, Sequence
 
+import numpy as np
+
 from contactmech.geometry import (
     _RESIDUAL_TOL,
     _SINGULAR_DET,
+    ContactChart,
     ContactConditionError,
+    ContactSystem,
     GeometryError,
+    Jets,
+    _dot,
+    _exceeds,
     _exceeds_float,
     _fdot,
+    _first,
+    _norm,
+    _pairs,
+    conformal_rescale,
 )
 from contactmech.symplectization import (
     _SINGULAR_OMEGA,
     SingularStructureError,
     SympChart,
     SymplectizationError,
+    symplectize,
 )
+
+REGION = {"q": (-2.0, 2.0), "p": (0.5, 2.0), "z": (0.5, 2.0)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,3 +174,177 @@ def lifted_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
 def reference_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
     """The reference closure of a general contact or symplectized chart."""
     return (lifted_field if isinstance(chart, SympChart) else contact_field)(chart, kernel)
+
+
+# ---------------------------------------------------------------------------
+# The LAPACK reference: stacked NumPy solves
+# ---------------------------------------------------------------------------
+
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v over stacks; a stacked product reproduces the 2-D `M @ v` bitwise."""
+    if v.ndim == 1:
+        return M @ v
+    return (M @ v[..., None])[..., 0]
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b over stacks of matrices and vectors (NumPy 1 and 2 alike)."""
+    if b.ndim == 1:
+        return np.linalg.solve(A, b)
+    return np.linalg.solve(A, b[..., None])[..., 0]
+
+
+def lapack_frames(chart: ContactChart, xs: np.ndarray, coframes=None):
+    """(eta, B, Reeb field) at points xs (..., dim) of a general contact chart.
+
+    `coframes` is chart._coframes(xs) when already known.  A singular flat
+    matrix (`flat_matrix_at`, LAPACK's det), or a Reeb solve residual
+    above 1e-10 (relative to eta), raises at the first such point.
+    """
+    eta, deta = chart._coframes(xs) if coframes is None else coframes
+    B = chart.flat_matrix_at(xs, (eta, deta))
+    BT = B.swapaxes(-1, -2)
+    reeb = _solve(BT, eta)
+    resid = _norm(_matvec(BT, reeb) - eta)
+    bad = _first(_exceeds(resid, _RESIDUAL_TOL, vectors=(eta,)))
+    if bad is not None:
+        raise GeometryError(f"Reeb solve residual {resid[bad]:.3e} at {xs[bad].tolist()}")
+    return eta, B, reeb
+
+
+def lapack_contact_fields(chart: ContactChart, xs: np.ndarray, values, grads: np.ndarray,
+                          frames=None) -> tuple[np.ndarray, np.ndarray]:
+    """Fields and Reeb derivatives at points xs of a general contact chart.
+
+    Shapes as in `ContactChart._solved`; `frames` is lapack_frames(xs)
+    when already known.  flat(X_f) = df - (R(f) + f) eta is solved, and
+    each field is checked against eta(X_f) = -f to 1e-8 (relative to f
+    and X_f); the first failing one raises.
+    """
+    eta, B, reeb = lapack_frames(chart, xs) if frames is None else frames
+    if grads.ndim != xs.ndim:  # a function axis
+        eta, B, reeb = eta[..., None, :], B[..., None, :, :], reeb[..., None, :]
+    rf = _dot(grads, reeb)
+    X = _solve(B.swapaxes(-1, -2), grads - (rf + values)[..., None] * eta)
+    resid = abs(_dot(eta, X) + values)
+    bad = _first(_exceeds(resid, 1e-8, (values,), (X,)))
+    if bad is not None:
+        raise GeometryError(
+            f"field invariant eta(X_f) = -f violated by {resid[bad]:.3e} "
+            f"at {xs[bad[: xs.ndim - 1]].tolist()}"
+        )
+    return X, rf
+
+
+def lapack_lifted_fields(chart: SympChart, xs: np.ndarray, values, grads: np.ndarray,
+                         coframes=None, omega=None) -> np.ndarray:
+    """Fields at points xs of the symplectization of a general base.
+
+    Shapes as in `ContactChart._solved`; `coframes` (the base's
+    _coframes) and `omega` at xs may be given.  omega^T X = dF is solved
+    and checked to 1e-10 (relative to dF); a homogeneous F is checked
+    against theta(X_F) = F to 1e-8 (relative to F and X_F).  The first
+    failing function raises, with the solve checked first.
+    """
+    eta, deta = chart.base._coframes(xs[..., :-1]) if coframes is None else coframes
+    if omega is None:
+        omega = chart._omegas(xs, eta, deta)[0]
+    omegaT, theta, x = omega.swapaxes(-1, -2), chart._thetas(xs, eta), xs
+    if grads.ndim != xs.ndim:  # a function axis
+        omegaT, theta, x = omegaT[..., None, :, :], theta[..., None, :], xs[..., None, :]
+    X = _solve(omegaT, grads)
+    solve_resid = _norm(_matvec(omegaT, X) - grads)
+    solve_bad = _exceeds(solve_resid, _RESIDUAL_TOL, vectors=(grads,))
+    gap = abs(_dot(theta, X) - values)
+    theta_bad = _exceeds(gap, 1e-8, (values,), (X,))
+    if _first(theta_bad) is not None:  # the identity binds homogeneous F only
+        homogeneity = abs(x[..., -1] * grads[..., -1] - values)
+        theta_bad &= ~_exceeds(homogeneity, _RESIDUAL_TOL, (values,))
+    bad = _first(solve_bad | theta_bad)
+    if bad is not None:
+        where = xs[bad[: xs.ndim - 1]].tolist()
+        if solve_bad[bad]:
+            raise SymplectizationError(f"field solve residual {solve_resid[bad]:.3e} at {where}")
+        raise SymplectizationError(
+            f"theta(X_F) = F violated by {gap[bad]:.3e} for homogeneous F at {where}"
+        )
+    return X
+
+
+def lapack_field(chart, x, value, grad) -> np.ndarray:
+    """field_from_gradient of a general contact or symplectized chart by the NumPy solves."""
+    x = chart.point(x)
+    if isinstance(chart, SympChart):
+        return lapack_lifted_fields(chart, x, value, grad)
+    return lapack_contact_fields(chart, x, value, grad)[0]
+
+
+def lapack_jets(system: ContactSystem, xs: np.ndarray, coframes=None) -> Jets:
+    """`jet_stack` of a general contact system by the NumPy solves."""
+    values, grads = system.gradient_stack(xs)
+    frames = lapack_frames(system.chart, xs, coframes)
+    return Jets(xs, values, grads, *lapack_contact_fields(system.chart, xs, values, grads, frames))
+
+
+def lapack_lift_values(symp, xs: np.ndarray) -> tuple[float, ...]:
+    """The five `lift_check` values of a general base by the NumPy solves."""
+    chart, base = symp.chart, symp.chart.base
+    coframes = base._coframes(xs[:, :-1])
+    omega, det = chart._omegas(xs, *coframes)
+    theta = chart._thetas(xs, coframes[0])
+    delta = _solve(omega.swapaxes(-1, -2), -theta)
+    delta[:, -1] -= xs[:, -1]
+    values, grads = symp.gradient_stack(xs)
+    fields = lapack_lifted_fields(chart, xs, values, grads, coframes, omega)
+    brackets = base.bracket_matrix(lapack_jets(symp.base, xs[:, :-1], coframes))
+    a, b = _pairs(values.shape[1])
+    r = xs[:, -1, None]
+    residuals = (_norm(delta), r * grads[..., -1] - values, _dot(theta[:, None], fields) - values,
+                 _dot(fields[:, a], grads[:, b]) + r * brackets[:, a, b])
+    return (float(np.abs(det).min()), *(float(np.abs(v).max()) for v in residuals))
+
+
+# ---------------------------------------------------------------------------
+# General-coframe systems
+# ---------------------------------------------------------------------------
+
+def _rescaled_system():
+    # eta' = exp(q/3) eta with the integrals scaled alike: a general coframe
+    # with the fields of darboux-pz
+    chart = ContactChart(("q", "p", "z"), ["-exp(q/3)*p", "0", "exp(q/3)"])
+    return ContactSystem(chart, ["exp(q/3)*p", "exp(q/3)*z"], REGION, positive=["p", "z"])
+
+
+def _cubic_system():
+    # functions of P = p + grad S(q), S quadratic, are in involution; the
+    # integrals of a generated cubic-5d config have this shape
+    P1 = "(p1 + 0.31*q1 + 0.17*q2)"
+    P2 = "(p2 + 0.17*q1 + 0.42*q2)"
+    integrals = [
+        f"1.1*{P1}^1 + 0.7*{P1}^3",
+        f"0.9*{P2}^1 + 1.3*{P2}^2",
+        f"1.2*{P1}^1*{P2}^2 + 0.8*{P1}^2 + 0.6*{P2}^3",
+    ]
+    coords = ("q1", "q2", "p1", "p2", "z")
+    return ContactSystem(ContactChart.standard(2), integrals,
+                         {name: (0.5, 2.0) for name in coords})
+
+
+def _general_n2_system():
+    # the standard form at n = 2 written as -1 * p_i, which takes the general solves
+    chart = ContactChart(ContactChart.standard(2).coordinates, ["-1*p1", "-1*p2", "0", "0", "1"])
+    return ContactSystem(chart, _cubic_system().integrals,
+                         {name: (0.5, 2.0) for name in chart.coordinates})
+
+
+def _general_system(name, lifted):
+    if name == "rescaled":
+        system = _rescaled_system()
+    else:
+        system = _general_n2_system()
+        if name == "dense-n2":
+            # a factor on every coordinate gives the Reeb field no zero
+            # entry, so that each sum of the program moves the result
+            chart = conformal_rescale(system.chart, "exp(0.3*q1 - 0.2*p2 + 0.1*z)")
+            system = ContactSystem(chart, system.integrals, system.region)
+    return symplectize(system) if lifted else system

@@ -8,20 +8,26 @@ from run to run.
 
 The sampled reports (`check`, `coisotropy` on the ray (1, ..., 1) and
 `symplectize-verify`) run on the three bundled configs, on
-`rescaled-pz.json` (a general coframe: eta = exp(q/3)(dz - p dq)) and on
-`cubic-5d.json` (n = 2, written once by `perfbench/inputs.cubic_config`,
-whose bracket and lift residuals move with the order of float
-operations).
+`rescaled-pz.json` (a general coframe: eta = exp(q/3)(dz - p dq), whose
+fields come from the generated field program, `geometry._field_program`,
+and whose round-off residuals follow its elimination, not LAPACK's) and
+on `cubic-5d.json` (n = 2, written once by
+`perfbench/inputs.cubic_config`, whose bracket and lift residuals move
+with the order of float operations).
 
 Regenerate the goldens only for an intended report change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the files whose bytes change, and prints each JSON leaf
+that changed, old -> new, so that the change can be checked leaf by leaf.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -94,16 +100,41 @@ def test_report_bytes_match_golden(name, tmp_path):
         assert csv == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def _leaves(value, path: str = ""):
+    """(path, JSON text) of each leaf of a parsed JSON value, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, json.dumps(value)
+
+
+def _changed_leaves(old: str, new: str) -> list[str]:
+    """"path: old -> new" for each leaf that differs between two JSON reports."""
+    before, after = dict(_leaves(json.loads(old))), dict(_leaves(json.loads(new)))
+    return [f"{path}: {before.get(path, 'absent')} -> {after.get(path, 'absent')}"
+            for path in {**before, **after} if before.get(path) != after.get(path)]
+
+
 def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
             code, report, csv = run_case(name, Path(tmp))
             if code != EXIT_CODES.get(name, 0):
                 raise SystemExit(f"{name} exited {code}")
-            (GOLDEN / f"{name}.json").write_text(report)
-            if csv is not None:
+            path = GOLDEN / f"{name}.json"
+            old = path.read_text() if path.exists() else None
+            if report != old:
+                path.write_text(report)
+                print(f"wrote {path.name}")
+                for line in [] if old is None else _changed_leaves(old, report):
+                    print(f"  {line}")
+            if csv is not None and (GOLDEN / f"{name}.csv").read_bytes() != csv:
                 (GOLDEN / f"{name}.csv").write_bytes(csv)
-            print(f"wrote {name}")
+                print(f"wrote {name}.csv")
 
 
 if __name__ == "__main__":

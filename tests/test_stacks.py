@@ -5,7 +5,8 @@ points and runs each check as one array pass.  These tests pin what a
 per-point loop gave:
 
 * every stacked row equals the single-point methods bitwise (`==`, no
-  tolerance), on the five configs of the golden reports;
+  tolerance), on the five configs of the golden reports and on a general
+  coframe at n = 2;
 * a failing stack raises the error of the first failing point in sample
   order, with the exit code and message the CLI gave before the stacks
   (recorded from the per-point code);
@@ -32,6 +33,8 @@ from contactmech.integrability import (
     involution_check,
     tangency_check,
 )
+from contactmech.symplectization import symplectize
+from float_fields import _general_system
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CONFIGS = {
@@ -68,10 +71,15 @@ def _assert_rows_match_single_points(system, symp, points):
             assert np.array_equal(fields[i, a], symp.chart.hamiltonian_field_at(F, x))
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(CONFIGS) + ["dense-n2"])
 def test_stacked_rows_equal_single_points(name):
-    cfg = load_config(CONFIGS[name])
-    system, symp = cfg.system(), cfg.symp_system()
+    # dense-n2 (from float_fields) is a general coframe at n = 2
+    if name in CONFIGS:
+        cfg = load_config(CONFIGS[name])
+        system, symp = cfg.system(), cfg.symp_system()
+    else:
+        system = _general_system(name, False)
+        symp = symplectize(system)
     points = system.sample(np.random.default_rng(2024), 64)
     _assert_rows_match_single_points(system, symp, points)
     _assert_rows_match_single_points(system, symp, points[:1])

@@ -15,9 +15,13 @@ elimination that does not reproduce LAPACK's last bits.  The reference
 steppers step that same closure, wrapped to arrays, so that stepper
 parity stays bitwise there too.  The tests at the end pin the program
 bitwise, errors included, to the list closures it unrolls
-(`tests/float_fields.py`), and pin it to `field_from_gradient` (the
-LAPACK solves): its values, its trajectories and its errors.  They also
-pin when it is compiled: once per chart kind and dimension, at the first
+(`tests/float_fields.py`).  The program is also the library's
+`field_from_gradient` and point-stack solver, so they pin it to the
+LAPACK reference kept in `tests/float_fields.py` (the stacked NumPy
+solves it replaced) rather than to the library: a flow's values,
+trajectories and errors, and a point stack's jets, brackets, lifted
+fields and `lift_check` values to 1e-12.  They also pin when it is
+compiled: once per chart kind and dimension, at the first
 `field_evaluator` call, never while a config loads.
 """
 
@@ -47,16 +51,21 @@ from contactmech.flows import (
     _flow,
     integrate,
 )
-from contactmech.geometry import (
-    ContactChart,
-    ContactConditionError,
-    ContactSystem,
-    conformal_rescale,
+from contactmech.geometry import ContactChart, ContactConditionError, ContactSystem
+from contactmech.symplectization import SingularStructureError, _lift_values, symplectize
+from float_fields import (
+    REGION,
+    _cubic_system,
+    _eliminator,
+    _general_system,
+    _rescaled_system,
+    lapack_field,
+    lapack_jets,
+    lapack_lift_values,
+    lapack_lifted_fields,
+    reference_field,
 )
-from contactmech.symplectization import SingularStructureError, symplectize
-from float_fields import _eliminator, reference_field
 
-REGION = {"q": (-2.0, 2.0), "p": (0.5, 2.0), "z": (0.5, 2.0)}
 RKF45 = IntegratorConfig()
 RK4 = IntegratorConfig(method="rk4", step=0.05)
 
@@ -192,28 +201,6 @@ def reference_integrate(system, f, x0, t_final, cfg):
 # Systems
 # ---------------------------------------------------------------------------
 
-def _rescaled_system():
-    # eta' = exp(q/3) eta with the integrals scaled alike: a general coframe
-    # with the fields of darboux-pz
-    chart = ContactChart(("q", "p", "z"), ["-exp(q/3)*p", "0", "exp(q/3)"])
-    return ContactSystem(chart, ["exp(q/3)*p", "exp(q/3)*z"], REGION, positive=["p", "z"])
-
-
-def _cubic_system():
-    # functions of P = p + grad S(q), S quadratic, are in involution; the
-    # integrals of a generated cubic-5d config have this shape
-    P1 = "(p1 + 0.31*q1 + 0.17*q2)"
-    P2 = "(p2 + 0.17*q1 + 0.42*q2)"
-    integrals = [
-        f"1.1*{P1}^1 + 0.7*{P1}^3",
-        f"0.9*{P2}^1 + 1.3*{P2}^2",
-        f"1.2*{P1}^1*{P2}^2 + 0.8*{P1}^2 + 0.6*{P2}^3",
-    ]
-    coords = ("q1", "q2", "p1", "p2", "z")
-    return ContactSystem(ContactChart.standard(2), integrals,
-                         {name: (0.5, 2.0) for name in coords})
-
-
 @pytest.fixture(scope="module")
 def systems(pz_system, pz_symp):
     rescaled = _rescaled_system()
@@ -295,27 +282,20 @@ def test_float_steppers_match_numpy_steppers_at_n2(cfg, lifted):
 
 
 # ---------------------------------------------------------------------------
-# General-coframe field closures against field_from_gradient
+# General-coframe fields against the LAPACK reference of field_from_gradient
 # ---------------------------------------------------------------------------
 
 def lapack_field_evaluator(system, f):
-    """A float-list closure running field_from_gradient, the NumPy det and solves."""
+    """A float-list closure running the LAPACK reference of field_from_gradient."""
     chart = system.chart
     run = gradient_evaluator(system.resolve(f), chart.coordinates)
 
     def field(x):
         x = chart.point(x)
         value, grad = run(x)
-        return chart.field_from_gradient(x, value, grad).tolist()
+        return lapack_field(chart, x, value, grad).tolist()
 
     return field
-
-
-def _general_n2_system():
-    # the standard form at n = 2 written as -1 * p_i, which takes the general solves
-    chart = ContactChart(ContactChart.standard(2).coordinates, ["-1*p1", "-1*p2", "0", "0", "1"])
-    return ContactSystem(chart, _cubic_system().integrals,
-                         {name: (0.5, 2.0) for name in chart.coordinates})
 
 
 def _non_contact_system():
@@ -342,7 +322,7 @@ def test_float_field_matches_field_from_gradient(name, lifted):
     for x in system.sample(rng, 500):
         for f in range(len(system.integrals)):
             value, grad = gradient_evaluator(system.integrals[f], chart.coordinates)(x)
-            want = chart.field_from_gradient(x, value, grad)
+            want = lapack_field(chart, x, value, grad)
             got = np.array(system.field_evaluator(f)(x.tolist()))
             worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
     assert worst <= 1e-13
@@ -405,22 +385,36 @@ def test_float_field_and_field_from_gradient_agree_on_nan_gradients(lifted, slot
     grad[slot] = math.nan
     got = chart._float_field(lambda _: (0.7, tuple(grad)))(x)
     with np.errstate(invalid="ignore"):
-        want = chart.field_from_gradient(x, 0.7, np.array(grad))
+        want = lapack_field(chart, x, 0.7, np.array(grad))
     assert np.isnan(got).tolist() == np.isnan(want).tolist()
     np.testing.assert_array_equal(np.nan_to_num(got), np.nan_to_num(want))
 
 
-def _general_system(name, lifted):
-    if name == "rescaled":
-        system = _rescaled_system()
-    else:
-        system = _general_n2_system()
-        if name == "dense-n2":
-            # a factor on every coordinate gives the Reeb field no zero
-            # entry, so that each sum of the program moves the result
-            chart = conformal_rescale(system.chart, "exp(0.3*q1 - 0.2*p2 + 0.1*z)")
-            system = ContactSystem(chart, system.integrals, system.region)
-    return symplectize(system) if lifted else system
+def _assert_close(got, want):
+    # 1e-12 relative to the largest entry, or absolute below 1
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+
+
+@pytest.mark.parametrize("name", ["rescaled", "general-n2", "dense-n2"])
+def test_point_stacks_match_the_lapack_reference(name):
+    # at n = 2 the contact elimination carries four right-hand sides: eta
+    # and the gradients of the three integrals
+    system = _general_system(name, False)
+    symp, chart = symplectize(system), system.chart
+    rng = np.random.default_rng(32)
+    xs = system.sample(rng, 40)
+    got, want = system.jet_stack(xs), lapack_jets(system, xs)
+    for entry in ("fields", "reeb"):
+        _assert_close(getattr(got, entry), getattr(want, entry))
+    _assert_close(chart.bracket_matrix(got), chart.bracket_matrix(want))
+    lifted = symp.sample(rng, 40)
+    values, grads = symp.gradient_stack(lifted)
+    _assert_close(symp.chart._fields(lifted, values, grads),
+                  lapack_lifted_fields(symp.chart, lifted, values, grads))
+    for got_value, want_value in zip(_lift_values(symp, lifted), lapack_lift_values(symp, lifted)):
+        _assert_close(got_value, want_value)
 
 
 def _hex(values):

@@ -279,7 +279,8 @@ def test_lift_check_runs_the_base_coframe_once_per_point(monkeypatch):
 
 
 def test_lift_check_builds_omega_once_per_stack(monkeypatch):
-    # _lift_values hands its omega to the lifted field solve
+    # one omega serves the min |det| and the Liouville solve; the lifted
+    # fields write omega^T in the field program, from the same base coframe
     cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
     symp = cfg.symp_system()
     points = symp.sample(np.random.default_rng(0), 50)
