@@ -701,7 +701,7 @@ class ContactChart(_Chart):
         """
         rows = self._float_coframes(x)
         eta, two_form = self._coframes(x, rows)
-        B = two_form + np.outer(eta, eta)
+        B = _flat(eta, two_form)
         X, rf, reeb = self._solved(x, value, grad, rows)
         dvalue, dgrad = grad @ dx, hessian @ dx
         deta, ddeta = self._coframe_tangent(x, dx)
@@ -815,9 +815,14 @@ def _closed_kernels(template, key: _KernelKey) -> tuple:
     return tuple(gradient_kernel(c, names) for c in components)
 
 
+def _flat(eta: np.ndarray, deta: np.ndarray) -> np.ndarray:
+    """Flat matrices B = d eta + eta eta^T of coframes."""
+    return deta + eta[..., :, None] * eta[..., None, :]
+
+
 def _flat_det(eta: np.ndarray, deta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat matrices B = d eta + eta eta^T of coframes, and their determinants."""
-    B = deta + eta[..., :, None] * eta[..., None, :]
+    """Flat matrices of coframes, and their determinants."""
+    B = _flat(eta, deta)
     return B, np.linalg.det(B)
 
 

@@ -132,9 +132,10 @@ def _regenerate() -> None:
                 print(f"wrote {path.name}")
                 for line in [] if old is None else _changed_leaves(old, report):
                     print(f"  {line}")
-            if csv is not None and (GOLDEN / f"{name}.csv").read_bytes() != csv:
-                (GOLDEN / f"{name}.csv").write_bytes(csv)
-                print(f"wrote {name}.csv")
+            csv_path = GOLDEN / f"{name}.csv"
+            if csv is not None and (not csv_path.exists() or csv_path.read_bytes() != csv):
+                csv_path.write_bytes(csv)
+                print(f"wrote {csv_path.name}")
 
 
 if __name__ == "__main__":
