@@ -33,7 +33,8 @@ single-point methods (`hamiltonian_field_at`, `field_from_gradient`,
 
 Stacked det, solve and svd reproduce their per-matrix results bitwise.
 General-coframe fields take no LAPACK solve; the min |det| values of the
-reports are LAPACK's (`_flat_det` and the symplectization's `_omegas`).
+reports are LAPACK's (`np.linalg.det` of `_flat`, and the symplectization's
+`_omegas`).
 A dot product is the stacked-vector product `_dot`, which reproduces the
 1-D `@` bitwise; `np.einsum` and a matrix-vector `@` sum in other orders
 and move the last bits of the reports.
@@ -618,7 +619,8 @@ class ContactChart(_Chart):
         """
         x = np.asarray(x, dtype=float)
         x = self.point(x) if x.ndim == 1 else self.points(x)
-        B, det = _flat_det(*(self._coframes(x) if coframe is None else coframe))
+        B = _flat(*(self._coframes(x) if coframe is None else coframe))
+        det = np.linalg.det(B)
         bad = _first(abs(det) <= _SINGULAR_DET)
         if bad is not None:
             raise ContactConditionError(x[bad], float(det[bad]))
@@ -818,12 +820,6 @@ def _closed_kernels(template, key: _KernelKey) -> tuple:
 def _flat(eta: np.ndarray, deta: np.ndarray) -> np.ndarray:
     """Flat matrices B = d eta + eta eta^T of coframes."""
     return deta + eta[..., :, None] * eta[..., None, :]
-
-
-def _flat_det(eta: np.ndarray, deta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat matrices of coframes, and their determinants."""
-    B = _flat(eta, deta)
-    return B, np.linalg.det(B)
 
 
 def _standard_coefficients(names: Sequence[str]) -> tuple[Expr, ...]:
@@ -1048,7 +1044,7 @@ def contact_condition_check(
 ) -> ContactConditionReport:
     """Minimum |det B| over sample points; passes above the threshold."""
     points = _check_points("contact_condition_check", points)
-    dets = np.abs(_flat_det(*chart._coframes(chart.points(points)))[1])
+    dets = np.abs(np.linalg.det(_flat(*chart._coframes(chart.points(points)))))
     # NaN reads as no minimum, as in a loop keeping the first strict minimum
     dets = np.where(np.isnan(dets), np.inf, dets)
     i = dets.argmin()
