@@ -6,22 +6,26 @@ against abs_tol + rel_tol * |x| componentwise and propagates the
 fifth-order solution.  Both step a list of Python floats through the
 system's `field_evaluator` closure, which takes and returns float
 lists; at the state sizes here this is several times faster than NumPy
-arrays, whose per-call overhead dominates.  On standard-form charts the
-closure runs a closed form; on general coframes, one float elimination
-with the checks of `field_from_gradient`.  Trajectories record every
-accepted step, as arrays built once at the end; leaving the chart
-domain (a positivity guard crossing zero, or an expression domain error
-in the field) truncates the trajectory with an explicit status instead
-of raising.
+arrays, whose per-call overhead dominates.  An adaptive step is one
+generated straight-line function per state size, `_step_program`
+("<contactmech rkf45-step dim=D>"), which calls the closure six times.
+On standard-form charts the closure is the closed form compiled from its
+template ("<contactmech closed-field dim=D>"); on general coframes, one
+float elimination with the checks of `field_from_gradient`.
+Trajectories record every accepted step, as arrays built once at the
+end; leaving the chart domain (a positivity guard crossing zero, or an
+expression domain error in the field) truncates the trajectory with an
+explicit status instead of raising.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -224,37 +228,39 @@ def _run_rk4(field_fn, x, T, cfg, guards, names) -> Trajectory:
     return _trajectory(times, points, COMPLETED)
 
 
-def _rkf_step(field_fn, x, h):
-    """(fourth-order, fifth-order) Fehlberg solutions after a step h from x."""
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = (
-        [h * a for a in row] for row in _A[1:]
-    )
-    k0 = field_fn(x)
-    k1 = field_fn([u + a10 * v0 for u, v0 in zip(x, k0)])
-    k2 = field_fn([u + a20 * v0 + a21 * v1 for u, v0, v1 in zip(x, k0, k1)])
-    k3 = field_fn([u + a30 * v0 + a31 * v1 + a32 * v2
-                   for u, v0, v1, v2 in zip(x, k0, k1, k2)])
-    k4 = field_fn([u + a40 * v0 + a41 * v1 + a42 * v2 + a43 * v3
-                   for u, v0, v1, v2, v3 in zip(x, k0, k1, k2, k3)])
-    k5 = field_fn([u + a50 * v0 + a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4
-                   for u, v0, v1, v2, v3, v4 in zip(x, k0, k1, k2, k3, k4)])
-    # the zero weights stay in: they decide signs of zero and spread NaNs
-    b0, b1, b2, b3, b4, b5 = (h * b for b in _B4)
-    c0, c1, c2, c3, c4, c5 = (h * c for c in _B5)
-    ks = list(zip(x, k0, k1, k2, k3, k4, k5))
-    x4 = [u + b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5
-          for u, v0, v1, v2, v3, v4, v5 in ks]
-    x5 = [u + c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3 + c4 * v4 + c5 * v5
-          for u, v0, v1, v2, v3, v4, v5 in ks]
-    return x4, x5
+@functools.lru_cache(maxsize=None)
+def _step_program(dim: int) -> Callable:
+    """`step(field, x, h, abs_tol, rel_tol)`: one Fehlberg step over dim floats, straight-line.
 
+    It calls field six times and returns the fifth-order solution x5 and the
+    error norm max_i |x5_i - x4_i| / (abs_tol + rel_tol max(|x_i|, |x5_i|)),
+    NaN if a term is, so that a NaN rejects the step (max() keeps a NaN only
+    in first place).  Stage s forms x_i + (h a_s0) k0_i + ... left to right;
+    x4 and x5 keep the zero weights, which decide signs of zero and spread
+    NaNs.  Compiled at the first flow of each state size, under the file
+    name "<contactmech rkf45-step dim=DIM>".
+    """
+    def sums(i: int, weights: str, stages: int) -> str:
+        return f"x{i}" + "".join(f" + {weights}{j} * k{j}_{i}" for j in range(stages))
 
-def _error_norm(x, x4, x5, abs_tol: float, rel_tol: float) -> float:
-    """max_i |x5_i - x4_i| / (abs_tol + rel_tol max(|x_i|, |x5_i|)); NaN if a term is."""
-    terms = [abs(w - v) / (abs_tol + rel_tol * max(abs(u), abs(w)))
-             for u, v, w in zip(x, x4, x5)]
-    # max() keeps a NaN only in first place, and a NaN norm must reject the step
-    return math.nan if any(map(math.isnan, terms)) else max(terms)
+    def row(prefix: str) -> str:
+        return ", ".join(f"{prefix}{i}" for i in range(dim))
+
+    weights = [*((f"a{s}_", a) for s, a in enumerate(_A)), ("b", _B4), ("c", _B5)]
+    lines = [f"{name}{j} = h * {w!r}" for name, ws in weights for j, w in enumerate(ws)]
+    lines.append(f"{row('x')}, = x")
+    for s in range(6):
+        stage = f"[{', '.join(sums(i, f'a{s}_', s) for i in range(dim))}]" if s else "x"
+        lines.append(f"{row(f'k{s}_')}, = field({stage})")
+    for i in range(dim):
+        lines += [f"y{i} = {sums(i, 'c', 6)}", f"e{i} = abs(y{i} - ({sums(i, 'b', 6)})) / "
+                  f"(abs_tol + rel_tol * max(abs(x{i}), abs(y{i})))"]
+    nan = " or ".join(f"e{i} != e{i}" for i in range(dim))
+    source = ["def step(field, x, h, abs_tol, rel_tol):", *[f"    {line}" for line in lines],
+              f"    return [{row('y')}], nan if {nan} else max(({row('e')},))"]
+    namespace = {"nan": math.nan}
+    exec(compile("\n".join(source), f"<contactmech rkf45-step dim={dim}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _run_rkf45(field_fn, x, T, cfg, guards, names) -> Trajectory:
@@ -267,10 +273,11 @@ def _run_rkf45(field_fn, x, T, cfg, guards, names) -> Trajectory:
     times, points = [0.0], [x]
     t = 0.0
     accepted = 0
+    step = _step_program(len(x))
     while span - t > eps_end:
         h_step = min(h, span - t)
         try:
-            x4, x5 = _rkf_step(field_fn, x, sign * h_step)
+            x5, err_norm = step(field_fn, x, sign * h_step, cfg.abs_tol, cfg.rel_tol)
         except EvaluationDomainError as exc:
             h = 0.5 * h_step
             if h < cfg.min_step:
@@ -281,7 +288,6 @@ def _run_rkf45(field_fn, x, T, cfg, guards, names) -> Trajectory:
             if h < cfg.min_step:
                 return _trajectory(times, points, STEP_FAILURE, "non-finite step")
             continue
-        err_norm = _error_norm(x, x4, x5, cfg.abs_tol, cfg.rel_tol)
         if err_norm <= 1.0:
             t += h_step
             x = x5

@@ -5,14 +5,14 @@ contact one-form eta.  Coordinates are ordered (q_1..q_n, p_1..p_n, z);
 when the coefficients are structurally those of the standard form
 dz - p_i dq^i the chart takes closed-form fast paths, otherwise every
 operator goes through the flat-map solve.  The closed-form field is one
-template, `_darboux_field`, run over float lists (flows), arrays (point
-stacks) and expression trees, whose kernels give its Jacobian.  On
-general coframes every field comes from one generated straight-line
-float program, `_field_program`, per chart kind, dimension and number of
-functions: one elimination per point yields det B, the Reeb field and
-B^-T df of every function, with the checks and errors of
-field_from_gradient.  Flows and point stacks both run it, and the
-symplectization's lifted field is its "lifted" kind.
+template, `_darboux_field`, run over source symbols (the flow closure
+that `_closed_program` compiles), arrays (point stacks) and expression
+trees, whose kernels give its Jacobian.  On general coframes every field
+comes from one generated straight-line float program, `_field_program`,
+per chart kind, dimension and number of functions: one elimination per
+point yields det B, the Reeb field and B^-T df of every function, with
+the checks and errors of field_from_gradient.  Flows and point stacks
+both run it, and the symplectization's lifted field is its "lifted" kind.
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -55,7 +55,6 @@ from .expressions import (
     Var,
     _derivative,
     _KernelKey,
-    eval_jet2,
     evaluate,
     free_variables,
     gradient_evaluator,
@@ -546,6 +545,11 @@ class ContactChart(_Chart):
         """The compiled gradient kernels of eta's coefficients, fetched at first use."""
         return tuple(gradient_kernel(c, self.coordinates) for c in self.eta_coefficients)
 
+    @functools.cached_property
+    def _coeff_jets(self) -> tuple:
+        """The compiled second-order kernels (`jet2_kernel`) of eta's coefficients."""
+        return tuple(jet2_kernel(c, self.coordinates) for c in self.eta_coefficients)
+
     def env(self, x) -> dict[str, float]:
         return dict(zip(self.coordinates, map(float, x)))
 
@@ -605,9 +609,9 @@ class ContactChart(_Chart):
         Shapes (dim, k) and (k, dim, dim), from the Hessians of eta's
         coefficients.
         """
-        jets = [eval_jet2(c, self.coordinates, x) for c in self.eta_coefficients]
-        jac = np.array([jet.gradient for jet in jets])  # [b, a] = d_a eta_b
-        hessians = np.array([jet.hessian for jet in jets])
+        _, jac, rows = map(np.array, zip(*[jet(x) for jet in self._coeff_jets]))
+        # [b, a] = d_a eta_b; the rows' lower triangles, mirrored as eval_jet2 does
+        hessians = np.tril(rows) + np.tril(rows, -1).swapaxes(-1, -2)
         djac = np.einsum("bac,cj->jab", hessians, dx)
         return jac @ dx, djac - djac.transpose(0, 2, 1)
 
@@ -808,6 +812,41 @@ def _fdot(a, b):
     return total
 
 
+def _source_operator(op: str, reflected: bool = False) -> Callable:
+    def method(self, other):
+        return _Source(f"({other} {op} {self})" if reflected else f"({self} {op} {other})")
+
+    return method
+
+
+class _Source(str):
+    """Source text of a float expression; the template's operators extend it, parenthesized."""
+
+    __add__, __sub__, __mul__, __truediv__ = map(_source_operator, "+-*/")
+    __radd__, __rsub__, __rmul__, __rtruediv__ = (_source_operator(op, True) for op in "+-*/")
+
+    def __neg__(self):
+        return _Source(f"(-{self})")
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_program(template, dim: int) -> Callable:
+    """`bind(kernel)`: the flow closure of a standard-form template on dim coordinates.
+
+    The template runs once over `_Source` symbols with `_fdot`, so the closure
+    makes the float operations of the template over floats, in their order.
+    Compiled at its first `field_evaluator`, as "<contactmech closed-field dim=DIM>".
+    """
+    xs, grad = [_Source(f"x{i}") for i in range(dim)], [_Source(f"g{i}") for i in range(dim)]
+    components = template((dim - 1) // 2, xs, _Source("value"), grad, _fdot)
+    source = ["def bind(kernel):", "    def field(x):",
+              f"        value, ({', '.join(grad)},) = kernel(x)", f"        {', '.join(xs)}, = x",
+              f"        return [{', '.join(components)}]", "    return field"]
+    namespace: dict = {}
+    exec(compile("\n".join(source), f"<contactmech closed-field dim={dim}>", "exec"), namespace)
+    return namespace["bind"]
+
+
 @functools.lru_cache(maxsize=512)
 def _closed_kernels(template, key: _KernelKey) -> tuple:
     """Kernels of a template's components on key's tree: values X_f^i, gradients DX_f rows."""
@@ -907,23 +946,16 @@ class _System:
         """Closure computing X_f as a list of floats, for the flow integrators.
 
         Standard-form charts run f's compiled gradient kernel, then the
-        closed form over floats (`_fdot`), without per-call checks.  General
+        closed form as `_closed_program` compiled it, without per-call
+        checks: the floats of the template over floats (`_fdot`).  General
         coframes return the chart's `_float_field`, the flow closure of
         `_field_program`, with the checks and errors of field_from_gradient.
         """
-        f = self.resolve(f)
         chart = self.chart
-        kernel = gradient_kernel(f, chart.coordinates)
-        closed_field = chart._closed_field
-        if closed_field is None:
+        kernel = gradient_kernel(self.resolve(f), chart.coordinates)
+        if chart._closed_field is None:
             return chart._float_field(kernel)
-        n = (chart.dim - 1) // 2
-
-        def field(x) -> list[float]:
-            value, grad = kernel(x)
-            return closed_field(n, x, value, grad, _fdot)
-
-        return field
+        return _closed_program(chart._closed_field, chart.dim)(kernel)
 
     def variational_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
         """The chart's closure for the variational equation of X_f (`_Chart._variational`)."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contactmech.config import load_config
+from contactmech.expressions import eval_jet2
 from contactmech.flows import FlowError, IntegratorConfig, group_action
 from contactmech.geometry import ContactChart, ContactSystem, contact_condition_check
 from contactmech.integrability import (
@@ -479,6 +480,33 @@ def test_exact_covector_matches_finite_differences(pz_config, config_path, name)
         exact, target = _darboux_covector(symp, section, xb, 1.0, IntegratorConfig(), None)
         assert np.max(np.abs(exact - _finite_difference_covector(symp, section, xb))) < 1e-6
         assert np.max(np.abs(exact - target)) < 1e-8
+
+
+def _eval_jet2_coframe_tangent(chart, x, dx):
+    # ContactChart._coframe_tangent as it was before it bound its kernels
+    jets = [eval_jet2(c, chart.coordinates, x) for c in chart.eta_coefficients]
+    jac = np.array([jet.gradient for jet in jets])
+    djac = np.einsum("bac,cj->jab", np.array([jet.hessian for jet in jets]), dx)
+    return jac @ dx, djac - djac.transpose(0, 2, 1)
+
+
+def test_coframe_tangent_keeps_the_floats_of_eval_jet2(monkeypatch):
+    # the bound jet kernels give eval_jet2's symmetrized Hessians bitwise, so
+    # the darboux_verify residual on rescaled-pz does not move in any bit;
+    # the second chart's Hessian rows are not symmetric in their last bits
+    cfg = load_config(RESCALED_PZ)
+    system, section = cfg.system(), cfg.section("graph-z")
+    skewed = ContactChart(("q", "p", "z"), ["-exp(q*p/3)*sin(z)", "0", "exp(q/3)*cos(p*z)"])
+    rng = np.random.default_rng(6)
+    for chart in (system.chart, skewed):
+        for x in system.sample(rng, 50):
+            dx = rng.normal(size=(3, 4))
+            got, want = chart._coframe_tangent(x, dx), _eval_jet2_coframe_tangent(chart, x, dx)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    points = system.sample(rng, 2)
+    got = darboux_verify(system, section, points=points).max_residual
+    monkeypatch.setattr(ContactChart, "_coframe_tangent", _eval_jet2_coframe_tangent)
+    assert got.hex() == darboux_verify(system, section, points=points).max_residual.hex()
 
 
 # ---------------------------------------------------------------------------

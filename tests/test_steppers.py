@@ -9,6 +9,13 @@ so at n = 1 the trajectories must be byte-equal.  At n = 2 NumPy's
 p @ g fuses a multiply-add that plain float code does not, so there the
 two agree to round-off only.
 
+The adaptive step is a generated straight-line function per state size
+(`flows._step_program`), and on standard-form charts the field closure
+is the template compiled once per template and dimension
+(`geometry._closed_program`).  The step must match the float-list
+Fehlberg step and error norm it unrolls, kept below, and the closure
+the template run over floats (`_fdot`), both bitwise.
+
 On general coframes the field closure is a generated straight-line
 float program (`geometry._field_program`, bound by `_float_field`), one
 elimination that does not reproduce LAPACK's last bits.  The reference
@@ -34,9 +41,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactmech import geometry
-from contactmech.config import load_config
-from contactmech.expressions import EvaluationDomainError, gradient_evaluator, gradient_kernel
+from contactmech import geometry, symplectization
+from contactmech.config import bundled_config_path, load_config
+from contactmech.expressions import (
+    EvaluationDomainError,
+    Var,
+    gradient_evaluator,
+    gradient_kernel,
+)
 from contactmech.flows import (
     _A,
     _B4,
@@ -47,8 +59,8 @@ from contactmech.flows import (
     STEP_FAILURE,
     IntegratorConfig,
     Trajectory,
-    _error_norm,
     _flow,
+    _step_program,
     integrate,
 )
 from contactmech.geometry import ContactChart, ContactConditionError, ContactSystem
@@ -191,6 +203,42 @@ def _run_rkf45(field_fn, x0, T, cfg, guards, names):
     return Trajectory(np.array(times), np.array(points), COMPLETED)
 
 
+# The float-list Fehlberg step and error norm that `flows._step_program`
+# unrolls: the generated step must return their x5 and norm bitwise.
+
+def float_rkf_step(field_fn, x, h):
+    """(fourth-order, fifth-order) Fehlberg solutions after a step h from x."""
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = (
+        [h * a for a in row] for row in _A[1:]
+    )
+    k0 = field_fn(x)
+    k1 = field_fn([u + a10 * v0 for u, v0 in zip(x, k0)])
+    k2 = field_fn([u + a20 * v0 + a21 * v1 for u, v0, v1 in zip(x, k0, k1)])
+    k3 = field_fn([u + a30 * v0 + a31 * v1 + a32 * v2
+                   for u, v0, v1, v2 in zip(x, k0, k1, k2)])
+    k4 = field_fn([u + a40 * v0 + a41 * v1 + a42 * v2 + a43 * v3
+                   for u, v0, v1, v2, v3 in zip(x, k0, k1, k2, k3)])
+    k5 = field_fn([u + a50 * v0 + a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4
+                   for u, v0, v1, v2, v3, v4 in zip(x, k0, k1, k2, k3, k4)])
+    # the zero weights stay in: they decide signs of zero and spread NaNs
+    b0, b1, b2, b3, b4, b5 = (h * b for b in _B4)
+    c0, c1, c2, c3, c4, c5 = (h * c for c in _B5)
+    ks = list(zip(x, k0, k1, k2, k3, k4, k5))
+    x4 = [u + b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5
+          for u, v0, v1, v2, v3, v4, v5 in ks]
+    x5 = [u + c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3 + c4 * v4 + c5 * v5
+          for u, v0, v1, v2, v3, v4, v5 in ks]
+    return x4, x5
+
+
+def float_error_norm(x, x4, x5, abs_tol: float, rel_tol: float) -> float:
+    """max_i |x5_i - x4_i| / (abs_tol + rel_tol max(|x_i|, |x5_i|)); NaN if a term is."""
+    terms = [abs(w - v) / (abs_tol + rel_tol * max(abs(u), abs(w)))
+             for u, v, w in zip(x, x4, x5)]
+    # max() keeps a NaN only in first place, and a NaN norm must reject the step
+    return math.nan if any(map(math.isnan, terms)) else max(terms)
+
+
 def reference_integrate(system, f, x0, t_final, cfg):
     run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
     return run(numpy_field_evaluator(system, f), np.array(x0, dtype=float), float(t_final),
@@ -235,11 +283,73 @@ def test_float_steppers_are_byte_equal_to_numpy_steppers(systems, name, cfg):
                 assert_byte_equal(got, want)
 
 
+def _step_fields(systems, name):
+    """A sampler of start states and the field closures of one state size."""
+    if name == "variational":  # darboux-pz's point and three tangents: 12 floats
+        system = systems["darboux-pz"]
+        fields = [system.variational_evaluator(f) for f in range(2)]
+        return (lambda rng: [*system.sample(rng, 1)[0], *rng.normal(size=9)]), fields
+    system = _cubic_system() if name == "cubic-n2" else systems[name]
+    fields = [system.field_evaluator(f) for f in range(len(system.integrals))]
+    return (lambda rng: system.sample(rng, 1)[0].tolist()), fields
+
+
+@pytest.mark.parametrize("name", ["darboux-pz", "darboux-pz-symp", "rescaled", "rescaled-symp",
+                                  "cubic-n2", "variational"])
+def test_step_program_matches_the_float_reference_bitwise(systems, name):
+    # steps up to 0.3 give norms on both sides of 1 (below it on cubic-n2)
+    sample, fields = _step_fields(systems, name)
+    rng = np.random.default_rng(24)
+    tols = (RKF45.abs_tol, RKF45.rel_tol)
+    for k in range(600):
+        x, h, field = sample(rng), float(rng.uniform(-0.3, 0.3)), fields[k % len(fields)]
+        x4, x5 = float_rkf_step(field, x, h)
+        got, norm = _step_program(len(x))(field, x, h, *tols)
+        assert (_hex(got), norm.hex()) == (_hex(x5), float_error_norm(x, x4, x5, *tols).hex())
+
+
+def _stages(ks):
+    """A stub field that returns the stages ks in turn."""
+    stages = iter(ks)
+    return lambda x: next(stages)
+
+
+def test_step_program_keeps_the_zero_weights():
+    # stages of signed zeros, one entry a NaN, an infinity or a zero: the zero
+    # weights decide the sign of a zero sum and spread NaNs, as in the reference
+    rng = np.random.default_rng(27)
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    tols = (RKF45.abs_tol, RKF45.rel_tol)
+    for _ in range(2000):
+        x, *ks = [[math.copysign(0.0, s) for s in rng.normal(size=3)] for _ in range(7)]
+        ks[rng.integers(6)][rng.integers(3)] = specials[rng.integers(5)]
+        h = float(rng.choice([-0.5, 0.5]))
+        x4, x5 = float_rkf_step(_stages(ks), x, h)
+        got, norm = _step_program(3)(_stages(ks), x, h, *tols)
+        assert (_hex(got), norm.hex()) == (_hex(x5), float_error_norm(x, x4, x5, *tols).hex())
+
+
 def test_nan_error_norm_rejects_the_step():
     # a bare max() would return 0.0 here, and the step would be accepted
     x = [1.0, 2.0, 3.0]
-    assert math.isnan(_error_norm(x, [1.0, math.nan, 3.0], x, 1e-12, 1e-10))
-    assert _error_norm(x, [1.0, 2.0, 3.0 + 3e-10], x, 1e-12, 1e-10) <= 1.0
+    assert math.isnan(float_error_norm(x, [1.0, math.nan, 3.0], x, 1e-12, 1e-10))
+    assert float_error_norm(x, [1.0, 2.0, 3.0 + 3e-10], x, 1e-12, 1e-10) <= 1.0
+    # the generated step: at h = 10 these middle entries of k2, k3 and k4
+    # overflow the middle x4 sum to inf and then add -inf, while x5 stays
+    # finite; every later stage is the zero field
+
+    def field():
+        middle = iter([0.0, 0.0, 1.7e307, 1.7e307, 0.95e308])
+        return lambda x: [0.0, next(middle, 0.0), 0.0]
+
+    x5, norm = _step_program(3)(field(), [0.0, 0.0, 0.0], 10.0, 1e-12, 1e-10)
+    assert all(map(math.isfinite, x5)) and x5[1] != 0.0
+    assert math.isnan(norm)
+    # a flow rejects that first step, of h = 10, and accepts 1.0 next
+    traj = _flow(field(), [0.0, 0.0, 0.0], 1000.0, RKF45, (), ("a", "b", "c"))
+    assert traj.completed
+    assert traj.times[1] == 1.0
+    assert not traj.points.any()
 
 
 @pytest.mark.parametrize("cfg", [RKF45, RK4], ids=["rkf45", "rk4"])
@@ -478,11 +588,28 @@ def test_field_program_raises_the_errors_of_the_reference(n, lifted, scale):
 
 
 def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluator():
-    # loading a config and building its systems compiles no field program
-    geometry._field_program.cache_clear()
+    # loading a config and building its systems compiles no field program,
+    # no closed-form field and no step
+    programs = (geometry._field_program, geometry._closed_program, _step_program)
+    for program in programs:
+        program.cache_clear()
     cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
     system, symp = cfg.system(), cfg.symp_system()
-    assert geometry._field_program.cache_info().misses == 0
+    pz = load_config(bundled_config_path("darboux-pz"))
+    pz_system, pz_symp = pz.system(), pz.symp_system()
+    assert [program.cache_info().misses for program in programs] == [0, 0, 0]
+    # the closed form compiles at the first field_evaluator of its template and
+    # dimension, the step at the first flow of its state size
+    for run, name in ((pz_system, "closed-field dim=3"), (pz_symp, "closed-field dim=4")):
+        first, second = run.field_evaluator(0), run.field_evaluator(1)
+        assert first.__code__ is second.__code__
+        assert first.__code__.co_filename == f"<contactmech {name}>"
+    assert geometry._closed_program.cache_info()[:2] == (2, 2)  # (hits, misses)
+    assert _step_program.cache_info().misses == 0
+    integrate(pz_system, 0, [0.5, 1.2, 0.8], 0.5)
+    integrate(pz_system, 1, [0.5, 1.2, 0.8], 0.5)
+    assert _step_program.cache_info()[:2] == (1, 1)
+    assert _step_program(3).__code__.co_filename == "<contactmech rkf45-step dim=3>"
     x = [0.5, 1.2, 0.8]
     for run, point in ((system, x), (symp, x + [1.5])):
         first = run.field_evaluator(0)
@@ -504,6 +631,40 @@ def test_field_program_names_its_kind_and_dim(name, lifted):
     field = system.field_evaluator(0)
     assert field.__code__.co_filename == f"<contactmech {kind}-field dim={system.dim}>"
     assert field.__code__.co_name == "field"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("module", [geometry, symplectization], ids=["contact", "lifted"])
+def test_closed_program_matches_the_template_bitwise(module, n):
+    # the compiled flow closure against the template over floats (`_fdot`),
+    # with -0.0 in a quarter of the entries; the fiber r stays positive
+    template, dim = module._darboux_field, 2 * n + 1 + (module is symplectization)
+    field = geometry._closed_program(template, dim)
+    rng = np.random.default_rng(26)
+    signed_zeros = 0
+    for _ in range(500):
+        x, grad = rng.normal(size=(2, dim)) * (rng.random((2, dim)) > 0.25)
+        x, grad, value = x.tolist(), tuple(-grad), -float(rng.normal()) * (rng.random() > 0.25)
+        if module is symplectization:
+            x[-1] = abs(x[-1]) + 0.5
+        want = template(n, x, value, grad, geometry._fdot)
+        assert _hex(field(lambda _: (value, grad))(x)) == _hex(want)
+        signed_zeros += _hex([*x, *grad, value]).count("-0x0.0p+0")
+    assert signed_zeros > 200
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
+def test_closed_program_propagates_a_domain_error(pz_system, lifted):
+    # the kernel's error leaves the closure as it is, for the flow to truncate on
+    system = symplectize(pz_system) if lifted else pz_system
+    chart = system.chart
+
+    def kernel(x):
+        raise EvaluationDomainError("log of non-positive", Var("q"))
+
+    field = geometry._closed_program(chart._closed_field, chart.dim)(kernel)
+    with pytest.raises(EvaluationDomainError, match="log of non-positive in 'q'"):
+        field([0.5] * chart.dim)
 
 
 @pytest.mark.parametrize("d, k", [(1, 1), (2, 2), (3, 2), (4, 1), (5, 2), (6, 1)])
