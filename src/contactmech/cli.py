@@ -192,7 +192,7 @@ def cmd_coisotropy(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     if not lam.any():
         raise ConfigError(f"--lambda must be a nonzero vector, got {args.ray!r}")
     target = RayTarget(lam)
-    points = _ray_points(system, target, args.points, seed)
+    points, attempts, failures = _ray_points(system, target, args.points, seed)
     # coisotropy and tangency share the points' jets
     jets = system.jet_stack(points)
     co = _in_sample_order(
@@ -225,6 +225,8 @@ def cmd_coisotropy(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     report.update(
         {
             "ray": lam,
+            "ray_attempts": attempts,
+            "ray_failures": failures,
             "checks": checks,
             "checks_agree": co.passed == tan.passed,
             "passed": passed,

@@ -149,13 +149,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _max_abs(values: Sequence[float]) -> float:
+    """np.max(np.abs(values)) over floats: NaN when an entry is NaN, unlike Python's max."""
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
+
+
 def _exceeds_float(resid: Sequence[float], tol: float, values=(), vectors=()) -> bool:
     """`_exceeds` at one point, over floats, on the largest |r_i| of the residual resid.
 
     As in NumPy's max, a NaN in resid or in a scale makes it False.
     """
-    worst = max(map(abs, resid))
-    if not worst > tol or any(map(math.isnan, resid)):
+    worst = _max_abs(resid)
+    if not worst > tol:
         return False
     return all(worst > tol * abs(s) for s in (*values, *(u for w in vectors for u in w)))
 
@@ -173,6 +178,36 @@ def _checked(resid: Sequence[str], tol: float, values: str, vectors: str) -> str
     """
     small = " and ".join(f"abs({r}) <= {tol!r}" for r in resid)
     return f"not ({small}) and _exceeds_float(({', '.join(resid)},), {tol!r}, {values}, {vectors})"
+
+
+def _eliminate(dim: int, width: int, pivot: Callable[[int], list[str]]) -> list[str]:
+    """Source of Gaussian elimination with partial pivoting on locals a<i>_<j>: [A | b_dim ..].
+
+    A row swap is one tuple assignment.  At step k each row below k is
+    swapped into row k when its entry in column k is larger, so row k ends
+    with the largest; ties keep the earlier row.  The lines pivot(k) then
+    test the pivot a<k>_<k>.  det is det A, the product of the pivots signed
+    by the swaps, and s<i>_<c> solves A s_c = b_c.
+    """
+
+    def row(i: int, start: int) -> str:
+        return ", ".join(f"a{i}_{j}" for j in range(start, width))
+
+    lines = ["det = 1.0"]
+    for k in range(dim):
+        for i in range(k + 1, dim):
+            lines += [f"if abs(a{i}_{k}) > abs(a{k}_{k}):",
+                      f"    {row(k, k)}, {row(i, k)} = {row(i, k)}, {row(k, k)}",
+                      "    det = -det"]
+        lines += [*pivot(k), f"det *= a{k}_{k}"]
+        for i in range(k + 1, dim):
+            update = ", ".join(f"a{i}_{j} - t * a{k}_{j}" for j in range(k + 1, width))
+            lines += [f"t = a{i}_{k} / a{k}_{k}", f"{row(i, k + 1)}, = {update},"]
+    for c in range(dim, width):
+        for i in reversed(range(dim)):
+            terms = "".join(f" - a{i}_{j} * s{j}_{c}" for j in range(i + 1, dim))
+            lines.append(f"s{i}_{c} = (a{i}_{c}{terms}) / a{i}_{i}")
+    return lines
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,12 +233,8 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     closure over float lists, which checks the point and runs f's gradient
     kernel and the coefficient kernels itself.
 
-    Elimination is Gaussian with partial pivoting on [A | b_1 .. b_k]:
-    entry (i, j) is the local a<i>_<j>, and a row swap is one tuple
-    assignment.  At step k each row below k is swapped into row k when its
-    entry in column k is larger, so row k ends with the largest; ties keep
-    the earlier row.  det A is the product of the pivots signed by the
-    swaps, and reads 0.0 at a zero pivot, as NumPy's det does.  No column
+    Elimination is `_eliminate`'s on [A | b_1 .. b_k]; a zero pivot
+    raises, so det A reads 0.0 there, as NumPy's det does.  No column
     depends on the others, so each function gets the floats of m = 1.
     Sums run left to right from 0.0, as `_fdot`.  The file name
     "<contactmech KIND-field dim=DIM>", with " m=M" unless m = 1, shows in
@@ -244,25 +275,8 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
         lines += [f"a{i}_{j} = b{i}_{j}" for j in range(dim)]
         lines += [f"a{i}_{dim + c} = {side}{i}" for c, side in enumerate(sides)]
 
-    width = dim + len(sides)
-
-    def row(i: int, start: int) -> str:
-        return ", ".join(f"a{i}_{j}" for j in range(start, width))
-
-    lines.append("det = 1.0")
-    for k in range(dim):
-        for i in range(k + 1, dim):
-            lines += [f"if abs(a{i}_{k}) > abs(a{k}_{k}):",
-                      f"    {row(k, k)}, {row(i, k)} = {row(i, k)}, {row(k, k)}",
-                      "    det = -det"]
-        lines += [f"if a{k}_{k} == 0.0:", "    raise singular(point(x), 0.0)", f"det *= a{k}_{k}"]
-        for i in range(k + 1, dim):
-            update = ", ".join(f"a{i}_{j} - t * a{k}_{j}" for j in range(k + 1, width))
-            lines += [f"t = a{i}_{k} / a{k}_{k}", f"{row(i, k + 1)}, = {update},"]
-    for c in range(dim, width):
-        for i in reversed(range(dim)):
-            terms = "".join(f" - a{i}_{j} * s{j}_{c}" for j in range(i + 1, dim))
-            lines.append(f"s{i}_{c} = (a{i}_{c}{terms}) / a{i}_{i}")
+    lines += _eliminate(dim, dim + len(sides),
+                        lambda k: [f"if a{k}_{k} == 0.0:", "    raise singular(point(x), 0.0)"])
     lines += [f"if abs(det) <= {singular_tol!r}:", "    raise singular(point(x), det)"]
 
     resid = [f"u{i}" for i in range(dim)]
@@ -923,18 +937,21 @@ class _System:
         x = self.chart.point(x)
         return [run(x) for run in self._gradients]
 
+    @functools.cached_property
+    def _kernels(self) -> tuple:
+        """The integrals' compiled gradient kernels, fetched at first use."""
+        return tuple(gradient_kernel(f, self.coordinates) for f in self.integrals)
+
     def gradient_stack(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Values (N, m) and gradients (N, m, dim) of the integrals at the rows of xs.
 
-        Each integral's gradient closure runs once per row, in row order.
+        Each integral's kernel runs once per row, in row order, on floats.
         """
         xs = self.chart.points(xs)
-        values = np.empty((len(xs), len(self._gradients)))
-        grads = np.empty(values.shape + (self.dim,))
-        for x, value, grad in zip(xs, values, grads):
-            for a, run in enumerate(self._gradients):
-                value[a], grad[a] = run(x)
-        return values, grads
+        jets = [kernel(x) for x in xs.tolist() for kernel in self._kernels]
+        shape = (len(xs), len(self.integrals))
+        return (np.array([v for v, _ in jets]).reshape(shape),
+                np.array([g for _, g in jets]).reshape(shape + (self.dim,)))
 
     def integral_values(self, x) -> np.ndarray:
         return np.array([value for value, _ in self.values_and_gradients(x)])

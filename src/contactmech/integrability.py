@@ -36,6 +36,7 @@ denominator is the section's declared index, else argmax |A_a|.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -62,11 +63,15 @@ from .geometry import (
     _bounds,
     _check_points,
     _dot,
+    _eliminate,
+    _fdot,
     _first,
     _first_max,
     _in_sample_order,
+    _max_abs,
     _norm,
     _pairs,
+    _sum,
 )
 from .symplectization import SympSystem, symplectize
 
@@ -344,6 +349,33 @@ def _membership(target: RayTarget, F: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _norm(F - r_star[..., None] * lam), r_star
 
 
+@functools.lru_cache(maxsize=None)
+def _ray_step_program(m: int, dim: int) -> Callable:
+    """`step(TF, g, lam)`, ray_project's least-norm step, as "<contactmech ray-step m=M dim=DIM>".
+
+    With J = [TF | -Lambda] and g = F - r Lambda, it solves J J^T y = -g by
+    `_eliminate` and returns J^T y, or None at a pivot of at most 1e-8 times
+    the largest diagonal entry, where J is (nearly) rank-deficient.
+    """
+    rows = "".join(f"({''.join(f't{a}_{k}, ' for k in range(dim))}), " for a in range(m))
+    lines = [f"{rows}= TF",
+             *(f"{''.join(f'{v}{a}, ' for a in range(m))}= {v}" for v in ("g", "lam"))]
+    for i in range(m):  # the augmented matrix [J J^T | -g], mirrored below the diagonal
+        lines += [f"a{i}_{j} = a{j}_{i}" for j in range(i)]
+        for j in range(i, m):
+            lines.append(f"a{i}_{j} = {_sum([f't{i}_{k} * t{j}_{k}' for k in range(dim)])}"
+                         f" + lam{i} * lam{j}")
+        lines.append(f"a{i}_{m} = -g{i}")
+    lines.append(f"tiny = 1e-8 * max(({''.join(f'a{i}_{i}, ' for i in range(m))}))")
+    lines += _eliminate(m, m + 1, lambda k: [f"if abs(a{k}_{k}) <= tiny:", "    return None"])
+    dx = [_sum([f"t{a}_{k} * s{a}_{m}" for a in range(m)]) for k in range(dim)]
+    dr = _sum([f"lam{a} * s{a}_{m}" for a in range(m)])
+    source = "\n    ".join(["def step(TF, g, lam):", *lines, f"return [{', '.join(dx)}, -({dr})]"])
+    namespace: dict = {}
+    exec(compile(source, f"<contactmech ray-step m={m} dim={dim}>", "exec"), namespace)
+    return namespace["step"]
+
+
 def ray_project(
     system: ContactSystem,
     target: RayTarget,
@@ -354,40 +386,42 @@ def ray_project(
     """Gauss-Newton solve of F(x) = r * Lambda with r > 0.
 
     Returns the landed point and scale.  The step solves the
-    underdetermined linearization by least norm and is halved on
-    residual increase.
+    underdetermined linearization [TF | -Lambda] (dx, dr) = r Lambda - F by
+    least norm, through J J^T over floats (`_ray_step_program`), or by
+    np.linalg.lstsq where J is (nearly) rank-deficient.  It is halved on
+    residual increase; a NaN residual is never converged nor a decrease.
     """
-    lam = target.direction
-    x = system.chart.point(seed_point)
-
-    def values_and_jacobian(xv):
-        jet = system.values_and_gradients(xv)
-        return np.array([v for v, _ in jet]), np.array([grad for _, grad in jet])
-
-    F, TF = values_and_jacobian(x)
-    r = max(float(F @ lam / (lam @ lam)), 1e-3)
-    g = F - r * lam
-    gn = float(np.max(np.abs(g)))
+    lam = target.direction.tolist()
+    x = system.chart.point(seed_point).tolist()
+    kernels, step = system._kernels, _ray_step_program(len(lam), len(x))
+    jet = [kernel(x) for kernel in kernels]
+    r = max(_fdot([v for v, _ in jet], lam) / _fdot(lam, lam), 1e-3)
+    g = [v - r * c for (v, _), c in zip(jet, lam)]
+    gn, converged = _max_abs(g), tolerance * max(1.0, _max_abs(lam))
     for _ in range(max_iter):
-        if gn <= tolerance * max(1.0, float(np.max(np.abs(lam)))):
+        if gn <= converged:
             if r <= 0.0:
                 raise RayProjectionError(f"landed at nonpositive scale r = {r:.3e}")
-            return x, r
-        J = np.hstack([TF, -lam[:, None]])
-        step, *_ = np.linalg.lstsq(J, -g, rcond=None)
+            return np.array(x), r
+        TF = [grad for _, grad in jet]
+        delta = step(TF, g, lam)
+        if delta is None:
+            J = np.hstack([TF, -np.array(lam)[:, None]])
+            delta = np.linalg.lstsq(J, -np.array(g), rcond=None)[0].tolist()
+        *dx, dr = delta
         lam_step = 1.0
         for _ in range(25):
-            x_try = x + lam_step * step[:-1]
-            r_try = r + lam_step * step[-1]
+            x_try = [u + lam_step * du for u, du in zip(x, dx)]
+            r_try = r + lam_step * dr
             try:
-                F_try, TF_try = values_and_jacobian(x_try)
+                jet_try = [kernel(x_try) for kernel in kernels]
             except EvaluationDomainError:
                 lam_step *= 0.5
                 continue
-            g_try = F_try - r_try * lam
-            gn_try = float(np.max(np.abs(g_try)))
+            g_try = [v - r_try * c for (v, _), c in zip(jet_try, lam)]
+            gn_try = _max_abs(g_try)
             if gn_try < gn:
-                x, r, g, gn, TF = x_try, r_try, g_try, gn_try, TF_try
+                x, r, g, gn, jet = x_try, r_try, g_try, gn_try, jet_try
                 break
             lam_step *= 0.5
         else:
@@ -402,7 +436,8 @@ def _ray_points(
     target: RayTarget,
     n_points: int,
     seed: int | None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, int]:
+    """Ray points from region samples, and the ray_project calls made and failed."""
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     attempts = 0
@@ -421,7 +456,7 @@ def _ray_points(
         raise RayProjectionError(
             f"only {len(found)} of {n_points} ray points found from region samples"
         )
-    return np.array(found)
+    return np.array(found), attempts, attempts - len(found)
 
 
 def coisotropy_check(
@@ -441,7 +476,7 @@ def coisotropy_check(
     systems with fewer than three integrals pass vacuously.
     """
     points = _check_points(
-        "coisotropy_check", points, lambda: _ray_points(system, target, n_points, seed)
+        "coisotropy_check", points, lambda: _ray_points(system, target, n_points, seed)[0]
     )
     return _in_sample_order(
         lambda xs: _coisotropy(
@@ -502,7 +537,7 @@ def tangency_check(
     its coisotropy.
     """
     points = _check_points(
-        "tangency_check", points, lambda: _ray_points(system, target, n_points, seed)
+        "tangency_check", points, lambda: _ray_points(system, target, n_points, seed)[0]
     )
     return _tangency(system, points, system.jet_stack(points), tolerance)
 

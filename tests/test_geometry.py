@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from contactmech.config import load_config
 from contactmech.expressions import Const, EvaluationDomainError, parse
 from contactmech.geometry import (
     ConformalFactorError,
@@ -386,6 +389,19 @@ def test_system_resolve_forms(pz_system):
 def test_system_integral_values_and_jacobian(pz_system):
     assert np.array_equal(pz_system.integral_values(X0), [3.0, 5.0])
     assert np.array_equal(pz_system.gradient_stack([X0])[1][0], [[0, 1, 0], [0, 0, 1]])
+
+
+def test_gradient_stack_has_the_floats_of_values_and_gradients(pz_system, pz_symp, rng):
+    # the stack runs the kernels on float rows, values_and_gradients on arrays
+    cubic = load_config(Path(__file__).parent / "data" / "golden" / "cubic-5d.json")
+    for system in (pz_system, pz_symp, cubic.system(), cubic.symp_system()):
+        xs = system.sample(rng, 30)
+        values, grads = system.gradient_stack(xs)
+        jets = [system.values_and_gradients(x) for x in xs]
+        assert values.tobytes() == np.array([[v for v, _ in row] for row in jets]).tobytes()
+        assert grads.tobytes() == np.array([[g for _, g in row] for row in jets]).tobytes()
+    assert [a.shape for a in cubic.system().gradient_stack(np.empty((0, 5)))] == [(0, 3),
+                                                                               (0, 3, 5)]
 
 
 def test_field_evaluator_matches_field(pz_system, rng):

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactmech import geometry, symplectization
+from contactmech import geometry, integrability, symplectization
 from contactmech.config import bundled_config_path, load_config
 from contactmech.expressions import (
     EvaluationDomainError,
@@ -589,15 +589,16 @@ def test_field_program_raises_the_errors_of_the_reference(n, lifted, scale):
 
 def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluator():
     # loading a config and building its systems compiles no field program,
-    # no closed-form field and no step
-    programs = (geometry._field_program, geometry._closed_program, _step_program)
+    # no closed-form field, no step and no ray step
+    programs = (geometry._field_program, geometry._closed_program, _step_program,
+                integrability._ray_step_program)
     for program in programs:
         program.cache_clear()
     cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
     system, symp = cfg.system(), cfg.symp_system()
     pz = load_config(bundled_config_path("darboux-pz"))
     pz_system, pz_symp = pz.system(), pz.symp_system()
-    assert [program.cache_info().misses for program in programs] == [0, 0, 0]
+    assert [program.cache_info().misses for program in programs] == [0, 0, 0, 0]
     # the closed form compiles at the first field_evaluator of its template and
     # dimension, the step at the first flow of its state size
     for run, name in ((pz_system, "closed-field dim=3"), (pz_symp, "closed-field dim=4")):
