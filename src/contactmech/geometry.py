@@ -8,11 +8,13 @@ operator goes through the flat-map solve.  The closed-form field is one
 template, `_darboux_field`, run over source symbols (the flow closure
 that `_closed_program` compiles), arrays (point stacks) and expression
 trees, whose kernels give its Jacobian.  On general coframes every field
-comes from one generated straight-line float program, `_field_program`,
-per chart kind, dimension and number of functions: one elimination per
-point yields det B, the Reeb field and B^-T df of every function, with
-the checks and errors of field_from_gradient.  Flows and point stacks
-both run it, and the symplectization's lifted field is its "lifted" kind.
+and field tangent comes from one generated straight-line float program
+per chart kind and dimension: `_field_program`, one elimination per
+point for det B, the Reeb field and B^-T df of m functions, with the
+checks and errors of field_from_gradient, run by flows and point
+stacks; and `_variational_program`, its lines for one function and then
+one more elimination per tangent for DX_f dx.  The symplectization's
+lifted field is their "lifted" kind.  None takes a LAPACK solve.
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -31,13 +33,12 @@ The private stack methods take any leading shape, none included, so the
 single-point methods (`hamiltonian_field_at`, `field_from_gradient`,
 `jacobi_bracket_at`, ...) run the same code on one point.
 
-Stacked det, solve and svd reproduce their per-matrix results bitwise.
-General-coframe fields take no LAPACK solve; the min |det| values of the
-reports are LAPACK's (`np.linalg.det` of `_flat`, and the symplectization's
-`_omegas`).
-A dot product is the stacked-vector product `_dot`, which reproduces the
-1-D `@` bitwise; `np.einsum` and a matrix-vector `@` sum in other orders
-and move the last bits of the reports.
+Stacked det, solve and svd reproduce their per-matrix results bitwise;
+the min |det| values of the reports are LAPACK's (`np.linalg.det` of
+`_flat`, and the symplectization's `_omegas`).  A dot product is the
+stacked-vector product `_dot`, which reproduces the 1-D `@` bitwise;
+`np.einsum` and a matrix-vector `@` sum in other orders and move the
+last bits of the reports.
 """
 
 from __future__ import annotations
@@ -210,6 +211,14 @@ def _eliminate(dim: int, width: int, pivot: Callable[[int], list[str]]) -> list[
     return lines
 
 
+def _names(prefix: str, count: int) -> str:
+    return ", ".join(f"{prefix}{i}" for i in range(count))
+
+
+def _tup(prefix: str, count: int) -> str:
+    return f"({_names(prefix, count)},)"
+
+
 @functools.lru_cache(maxsize=None)
 def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     """The general-coframe fields of m functions as one straight-line float program.
@@ -229,9 +238,11 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     gradients there and of the (base) `_float_coframe` (`point` is the
     chart's, for the errors).  It returns one list: the components of the
     m fields, then on the contact kind the m Reeb derivatives and the Reeb
-    field (at m = 0 the Reeb field alone).  At m = 1, `bind(kernel, coefficients, point)` returns the flow
-    closure over float lists, which checks the point and runs f's gradient
-    kernel and the coefficient kernels itself.
+    field (at m = 0 the Reeb field alone).  At m = 1, `bind(kernel,
+    coefficients, point)` returns the flow closure over float lists, which
+    checks the point and runs f's gradient kernel and the coefficient
+    kernels itself.  `lines` holds its source lines at one point, on
+    which `_variational_program` builds.
 
     Elimination is `_eliminate`'s on [A | b_1 .. b_k]; a zero pivot
     raises, so det A reads 0.0 there, as NumPy's det does.  No column
@@ -250,12 +261,6 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
         )
     else:
         singular_tol, singular, failure = _SINGULAR_DET, ContactConditionError, GeometryError
-
-    def names(prefix: str, count: int) -> str:
-        return ", ".join(f"{prefix}{i}" for i in range(count))
-
-    def tup(prefix: str, count: int) -> str:
-        return f"({names(prefix, count)},)"
 
     # e<i> = eta_i and j<i>_<j> = d_j eta_i; value<a> = f_a and g<a>_<i> = d_i f_a
     grads = [f"g{a}_" for a in range(m)]
@@ -282,7 +287,7 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     resid = [f"u{i}" for i in range(dim)]
     worst = f"{{max(map(abs, ({', '.join(resid)},))):.3e}}"
     where = "at {point(x).tolist()}"
-    reeb, etas = [f"s{i}_{dim}" for i in range(dim)], tup("e", dim)
+    reeb, etas = [f"s{i}_{dim}" for i in range(dim)], _tup("e", dim)
     if not lifted:
         # the Reeb field R solves B^T R = eta
         lines += [f"u{i} = {_sum([f'b{i}_{j} * {reeb[j]}' for j in range(dim)])} - e{i}"
@@ -291,13 +296,13 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
                   f"    raise failure(f'Reeb solve residual {worst} {where}')"]
     for a, g in enumerate(grads):
         X, value = [f"X{a}_{i}" for i in range(dim)], f"value{a}"
-        field = f"({tup(f'X{a}_', dim)},)"
+        field = f"({_tup(f'X{a}_', dim)},)"
         if lifted:
             # X_a solves omega^T X_a = dF_a
             lines += [f"{X[i]} = s{i}_{dim + a}" for i in range(dim)]
             lines += [f"u{i} = {_sum([f'b{i}_{j} * {X[j]}' for j in range(dim)])} - {g}{i}"
                       for i in range(dim)]
-            lines += [f"if {_checked(resid, _RESIDUAL_TOL, '()', f'({tup(g, dim)},)')}:",
+            lines += [f"if {_checked(resid, _RESIDUAL_TOL, '()', f'({_tup(g, dim)},)')}:",
                       f"    raise failure(f'field solve residual {worst} {where}')",
                       f"gap = {_sum([f'r * e{j} * {X[j]}' for j in range(d)])} - {value}",
                       # the identity binds homogeneous F only
@@ -316,31 +321,108 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
                       "    raise failure(f'field invariant eta(X_f) = -f violated by "
                       f"{{abs(pairing):.3e}} {where}')"]
     fiber = ["r = x[-1]"] if lifted else []
-    coframes = "".join(f"{tup(f'j{i}_', d)}, " for i in range(d))
+    coframes = "".join(f"{_tup(f'j{i}_', d)}, " for i in range(d))
     outputs = [f"X{a}_{i}" for a in range(m) for i in range(dim)]
     if not lifted:
         outputs += [f"rf{a}" for a in range(m)] + reeb
     source = ["def solve(point, x, values, grads, coframe):",
-              f"    [{names('value', m)}] = values",
-              f"    [{', '.join(tup(g, dim) for g in grads)}] = grads",
-              *[f"    {line}" for line in [*fiber, f"{tup('e', d)}, ({coframes}) = coframe", *lines]],
+              f"    [{_names('value', m)}] = values",
+              f"    [{', '.join(_tup(g, dim) for g in grads)}] = grads",
+              *[f"    {line}" for line in [*fiber, f"{_tup('e', d)}, ({coframes}) = coframe", *lines]],
               f"    return [{', '.join(outputs)}]"]
     if m == 1:  # the flow closure
         fiber_test = " or x[-1] <= 0.0" if lifted else ""
         preamble = [f"if len(x) != {dim}{fiber_test}:", "    point(x)",
-                    f"value0, {tup('g0_', dim)} = kernel(x)", *fiber,
-                    *[f"e{i}, {tup(f'j{i}_', d)} = k{i}(x)" for i in range(d)]]
+                    f"value0, {_tup('g0_', dim)} = kernel(x)", *fiber,
+                    *[f"e{i}, {_tup(f'j{i}_', d)} = k{i}(x)" for i in range(d)]]
         source += ["def bind(kernel, coefficients, point):",
-                   f"    {names('k', d)}, = coefficients",
+                   f"    {_names('k', d)}, = coefficients",
                    "    def field(x):",
                    *[f"        {line}" for line in [*preamble, *lines]],
-                   f"        return [{names('X0_', dim)}]",
+                   f"        return [{_names('X0_', dim)}]",
                    "    return field"]
-    namespace = {"_exceeds_float": _exceeds_float, "singular": singular, "failure": failure}
+    namespace = {"_exceeds_float": _exceeds_float, "singular": singular, "failure": failure,
+                 "lines": lines}
     count = "" if m == 1 else f" m={m}"
     exec(compile("\n".join(source), f"<contactmech {kind}-field dim={dim}{count}>", "exec"),
          namespace)
     return namespace
+
+
+@functools.lru_cache(maxsize=None)
+def _variational_program(kind: str, dim: int) -> Callable:
+    """`bind(jet, coefficients, point)`: the variational closure of X_f on a general coframe.
+
+    The closure maps the float list x, dx_1 .. dx_k to X_f(x), DX_f(x) dx_1
+    .. DX_f(x) dx_k.  It runs the lines of `_field_program(kind, dim, 1)`,
+    checks and errors included, once on the `jet2_kernel`s of f and of
+    eta's coefficients (whose Hessians it mirrors from their lower
+    triangles, as eval_jet2 does).  Per tangent it eliminates again on a
+    copy of B^T (omega^T), without the pivot tests the field's elimination
+    made; with df' = Hess f dx and c = R(f) + f it solves
+        B^T [dR | Y] = [d eta - dB^T R | df' - c d eta - dB^T X],
+        DX_f dx = Y - (R . df' + df . dR + df(dx)) R,   or
+        omega^T DX_F dx = df' - d omega^T X.
+    Compiled at its first request as "<contactmech KIND-variational dim=DIM>".
+    """
+    namespace = dict(_field_program(kind, dim, 1))  # with the names its lines use
+    lifted = kind == "lifted"
+    d = dim - 1 if lifted else dim
+
+    def col(prefix: str, count: int = dim) -> list[str]:
+        return [f"{prefix}{i}" for i in range(count)]
+
+    def dot(u: Sequence[str], v: Sequence[str]) -> str:
+        return _sum([f"{a} * {b}" for a, b in zip(u, v)])
+
+    def rows(prefix: str, count: int) -> str:  # the unpacking target of a jet's Hessian rows
+        return "(" + "".join(f"{_tup(f'{prefix}{i}_', count)}, " for i in range(count)) + ")"
+
+    dx, dg, X, R = map(col, ("dx", "dg", "X0_", "R"))
+    solved = [f"s{i}_{dim}" for i in range(dim)]  # dR, or DX_F dx
+    tangent = [f"dg{i} = {dot(col(f'h{i}_'), dx)}" for i in range(dim)]
+    tangent += [f"de{i} = {dot(col(f'j{i}_', d), dx)}" for i in range(d)]
+    tangent += [f"dj{i}_{a} = {dot([f'he{i}_{max(a, c)}_{min(a, c)}' for c in range(d)], dx)}"
+                for i in range(d) for a in range(d)]
+    if lifted:  # the entries of d omega^T
+        tangent += [f"db{i}_{j} = -dx{d} * (j{i}_{j} - j{j}_{i}) - r * (dj{i}_{j} - dj{j}_{i})"
+                    for i in range(d) for j in range(d)]
+        tangent += [*(f"db{i}_{d} = -de{i}" for i in range(d)),
+                    *(f"db{d}_{j} = de{j}" for j in range(d)), f"db{d}_{d} = 0.0"]
+    else:  # the entries of dB^T
+        tangent += [f"db{i}_{j} = dj{i}_{j} - dj{j}_{i} + de{i} * e{j} + e{i} * de{j}"
+                    for i in range(d) for j in range(d)]
+    # the right-hand sides, with the entries of dB^T v (d omega^T v) from rows db<i>_
+    sides = [[f"dg{i} - ({dot(col(f'db{i}_'), X)})" for i in range(dim)]] if lifted else [
+        [f"de{i} - ({dot(col(f'db{i}_'), R)})" for i in range(dim)],
+        [f"dg{i} - c * de{i} - ({dot(col(f'db{i}_'), X)})" for i in range(dim)]]
+    for i in range(dim):
+        tangent += [f"a{i}_{j} = b{i}_{j}" for j in range(dim)]
+        tangent += [f"a{i}_{dim + c} = {side[i]}" for c, side in enumerate(sides)]
+    tangent += _eliminate(dim, dim + len(sides), lambda k: [])
+    if not lifted:
+        tangent.append(f"w = {dot(R + col('g0_') + col('g0_'), dg + solved + dx)}")
+    outputs = solved if lifted else [f"s{i}_{dim + 1} - w * R{i}" for i in range(dim)]
+    fiber_test = " or x[-1] <= 0.0" if lifted else ""
+    body = [f"x = state[:{dim}]", f"if len(x) != {dim}{fiber_test}:", "    point(x)",
+            f"value0, {_tup('g0_', dim)}, {rows('h', dim)} = jet(x)",
+            *(["r = x[-1]"] if lifted else []),
+            *[f"e{i}, {_tup(f'j{i}_', d)}, {rows(f'he{i}_', d)} = k{i}(x)" for i in range(d)],
+            *namespace["lines"],
+            # R: the tangents' eliminations overwrite s<i>_<dim>
+            *([] if lifted else [f"{', '.join(R)}, = {', '.join(solved)},"]),
+            f"out = [{', '.join(X)}]",
+            f"for start in range({dim}, len(state), {dim}):",
+            f"    {', '.join(dx)}, = state[start : start + {dim}]",
+            *[f"    {line}" for line in tangent],
+            f"    out += [{', '.join(outputs)}]",
+            "return out"]
+    source = ["def bind(jet, coefficients, point):", f"    {_names('k', d)}, = coefficients",
+              "    def variational(state):", *[f"        {line}" for line in body],
+              "    return variational"]
+    exec(compile("\n".join(source), f"<contactmech {kind}-variational dim={dim}>", "exec"),
+         namespace)
+    return namespace["bind"]
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
@@ -410,15 +492,16 @@ class _Chart:
     """Points, functions and Hamiltonian fields of contact and symplectized charts.
 
     A subclass sets `coordinates`, `dim`, `_closed_field` (its module's
-    standard-form template `_darboux_field`, or None on general coframes)
-    and `_kind`, its kind of `_field_program`, and defines
-    `field_from_gradient`, `_field_with_tangents`, `_float_field` and
-    `_float_coframes`, the (base) `_float_coframe` of each point.
+    standard-form template `_darboux_field`, or None on general coframes),
+    `_kind`, its kind of `_field_program` and `_variational_program`, and
+    `_eta_chart`, the ContactChart whose eta these read (itself or the
+    symplectization's base), and defines `field_from_gradient`.
     """
 
     coordinates: tuple[str, ...]
     dim: int
     _kind: str
+    _eta_chart: "ContactChart"
 
     def point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -466,6 +549,11 @@ class _Chart:
         out = np.split(np.array(rows, dtype=float).reshape(count, ends[-1]), ends[:-1], axis=1)
         return [part.reshape(shape) for part, shape in zip(out, shapes)]
 
+    def _float_coframes(self, xs: np.ndarray) -> list:
+        """`_eta_chart`'s `_float_coframe` at each (base) point of xs (..., dim), in row order."""
+        d = self._eta_chart.dim
+        return [self._eta_chart._float_coframe(x) for x in xs[..., :d].reshape(-1, d).tolist()]
+
     def hamiltonian_field_at(self, f: Expr | str, x) -> np.ndarray:
         """Hamiltonian field of f at x; see field_from_gradient."""
         f = self.function(f)
@@ -485,8 +573,8 @@ class _Chart:
         The state is x followed by k tangent vectors dx_1..dx_k; the
         closure returns X_f(x) followed by DX_f(x) dx_1..DX_f(x) dx_k.  On
         standard-form charts the kernels of the closed-form components
-        give X_f(x) and the rows of DX_f(x); otherwise f's compiled
-        second-order jet feeds _field_with_tangents.
+        give X_f(x) and the rows of DX_f(x); otherwise it is the chart
+        kind's `_variational_program`.
         """
         dim = self.dim
         if self._closed_field is not None:
@@ -499,18 +587,13 @@ class _Chart:
                 return [*X, *[_fdot(row, dx) for dx in tangents for row in rows]]
 
             return closed
-        jet = jet2_kernel(f, self.coordinates)
+        bind = _variational_program(self._kind, dim)
+        return bind(jet2_kernel(f, self.coordinates), self._eta_chart._coeff_jets, self.point)
 
-        def field(state) -> list[float]:
-            x = state[:dim]
-            value, grad, rows = jet(x)
-            tangents = np.array(state[dim:]).reshape(-1, dim).T
-            X, dX = self._field_with_tangents(
-                np.array(x), value, np.array(grad), np.array(rows), tangents
-            )
-            return np.concatenate((X, dX.T.ravel())).tolist()
-
-        return field
+    def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
+        """X_f over float lists on a general coframe: `_field_program`'s closure for f's kernel."""
+        program = _field_program(self._kind, self.dim, 1)
+        return program["bind"](kernel, self._eta_chart._coeff_kernels, self.point)
 
 
 class ContactChart(_Chart):
@@ -525,6 +608,7 @@ class ContactChart(_Chart):
     """
 
     _kind = "contact"
+    _eta_chart = property(lambda self: self)
 
     def __init__(self, coordinates: Sequence[str], eta: Sequence[Expr | str] | None = None):
         names = tuple(coordinates)
@@ -593,10 +677,6 @@ class ContactChart(_Chart):
         eta.T[-1] = 1.0
         return eta
 
-    def _float_coframes(self, xs: np.ndarray) -> list:
-        """`_float_coframe` at each point of xs (..., dim), in row order."""
-        return [self._float_coframe(x) for x in xs.reshape(-1, self.dim).tolist()]
-
     def _coframes(self, xs: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """(eta, d eta) at points xs, shapes (..., dim) and (..., dim, dim).
 
@@ -616,18 +696,6 @@ class ContactChart(_Chart):
         # d_a eta_b at [..., b, a]
         jac = np.array([jac for _, jac in rows]).reshape(xs.shape + (self.dim,))
         return eta, jac.swapaxes(-1, -2) - jac
-
-    def _coframe_tangent(self, x: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Derivatives of eta and d eta at x along the k columns of dx.
-
-        Shapes (dim, k) and (k, dim, dim), from the Hessians of eta's
-        coefficients.
-        """
-        _, jac, rows = map(np.array, zip(*[jet(x) for jet in self._coeff_jets]))
-        # [b, a] = d_a eta_b; the rows' lower triangles, mirrored as eval_jet2 does
-        hessians = np.tril(rows) + np.tril(rows, -1).swapaxes(-1, -2)
-        djac = np.einsum("bac,cj->jab", hessians, dx)
-        return jac @ dx, djac - djac.transpose(0, 2, 1)
 
     def flat_matrix_at(self, x, coframe=None) -> np.ndarray:
         """B = d eta + eta eta^T at a point, or at each row of a stack (N, dim).
@@ -695,11 +763,6 @@ class ContactChart(_Chart):
             )
         return X
 
-    def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
-        """X_f over float lists on a general coframe: `_field_program`'s flow closure for f."""
-        program = _field_program("contact", self.dim, 1)
-        return program["bind"](kernel, self._coeff_kernels, self.point)
-
     def _jets(self, xs: np.ndarray, values: np.ndarray, grads: np.ndarray, coframes=None) -> Jets:
         """Jets of k functions with values (..., k) and gradients (..., k, dim) at xs.
 
@@ -710,29 +773,6 @@ class ContactChart(_Chart):
             return Jets(xs, values, grads, self._fields(xs, values, grads), grads[..., -1])
         fields, reeb, _ = self._solved(xs, values, grads, coframes)
         return Jets(xs, values, grads, fields, reeb)
-
-    def _field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
-        """X_f at x and its tangent map DX_f(x) dx on the k columns of dx, on a general coframe.
-
-        From f's value, gradient and Hessian at x.  The tangent map is the
-        derivative of the solve B^T X = rhs of field_from_gradient, giving
-        dX = B^-T (d rhs - dB^T X) with dB from the Hessians of eta's
-        coefficients (the Reeb field is differentiated the same way).
-        """
-        rows = self._float_coframes(x)
-        eta, two_form = self._coframes(x, rows)
-        B = _flat(eta, two_form)
-        X, rf, reeb = self._solved(x, value, grad, rows)
-        dvalue, dgrad = grad @ dx, hessian @ dx
-        deta, ddeta = self._coframe_tangent(x, dx)
-
-        def dBT(v):  # (dB)^T v per column, dB = d(d eta) + d eta eta^T + eta d eta^T
-            return np.einsum("jab,a->bj", ddeta, v) + np.outer(eta, v @ deta) + (eta @ v) * deta
-
-        dreeb = np.linalg.solve(B.T, deta - dBT(reeb))
-        drhs = (dgrad - np.outer(eta, reeb @ dgrad + grad @ dreeb + dvalue)
-                - (rf + value) * deta)
-        return X, np.linalg.solve(B.T, drhs - dBT(X))
 
     # -- brackets --------------------------------------------------------------
 

@@ -402,6 +402,8 @@ def ray_project(
         if gn <= converged:
             if r <= 0.0:
                 raise RayProjectionError(f"landed at nonpositive scale r = {r:.3e}")
+            if r * _max_abs(lam) <= converged:  # at the apex: r Lambda is 0 within tolerance
+                raise RayProjectionError(f"landed at the apex F = 0 (scale r = {r:.3e})")
             return np.array(x), r
         TF = [grad for _, grad in jet]
         delta = step(TF, g, lam)

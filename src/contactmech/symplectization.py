@@ -16,13 +16,14 @@ single-point methods run the same code on one point.
 On standard-form bases the lifted field is this module's closed-form
 template, run by the same three callers as geometry's; on general bases
 every lifted field solves omega^T X = dF with the "lifted" kind of
-geometry's generated field program, `_field_program`.
+geometry's generated field program, `_field_program`, and its tangents
+solve omega^T dX = d(dF) - d omega^T X in `_variational_program`.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .geometry import (
     _check_points,
     _dot,
     _exceeds,
-    _field_program,
     _first,
     _in_sample_order,
     _norm,
@@ -95,7 +95,7 @@ class SympChart(_Chart):
             raise ValueError(f"fiber name {fiber!r} collides with a base coordinate")
         if not fiber.isidentifier():
             raise ValueError(f"fiber name {fiber!r} is not an identifier")
-        self.base = base
+        self.base = self._eta_chart = base
         self.fiber = fiber
         self.coordinates = base.coordinates + (fiber,)
         self.dim = base.dim + 1
@@ -118,10 +118,6 @@ class SympChart(_Chart):
         """Degree-1 lift f^S = -(r * f) of a base function."""
         f = self.base.function(f)
         return -(Var(self.fiber) * f)
-
-    def _float_coframes(self, xs: np.ndarray) -> list:
-        """The base's `_float_coframe` at each point of xs (..., dim), in row order."""
-        return self.base._float_coframes(xs[..., :-1])
 
     # -- structure tensors ----------------------------------------------------
 
@@ -199,32 +195,6 @@ class SympChart(_Chart):
                 f"at {xs[bad[: xs.ndim - 1]].tolist()}"
             )
         return X
-
-    def _field_with_tangents(self, x, value, grad, hessian, dx) -> tuple[np.ndarray, np.ndarray]:
-        """X_F at x and its tangent map DX_F(x) dx on the k columns of dx, on a general base.
-
-        From F's value, gradient and Hessian at x.  The solve
-        omega^T X = dF gives dX = omega^-T (d dF - d omega^T X), with
-        d omega from r and the Hessians of the base coframe's coefficients.
-        """
-        dgrad = hessian @ dx
-        r, dr = x[-1], dx[-1]
-        rows = self._float_coframes(x)
-        eta, deta = self.base._coframes(x[:-1], rows)
-        omega = self._omegas(x, eta, deta)[0]
-        X = self._fields(x, value, grad, rows)
-        d_eta, d_deta = self.base._coframe_tangent(x[:-1], dx[:-1])
-        Xb, Xr = X[:-1], X[-1]
-        domega_T_X = np.empty_like(dgrad)
-        domega_T_X[:-1] = (-np.outer(deta.T @ Xb, dr) - r * np.einsum("jab,a->bj", d_deta, Xb)
-                           - Xr * d_eta)
-        domega_T_X[-1] = Xb @ d_eta
-        return X, np.linalg.solve(omega.T, dgrad - domega_T_X)
-
-    def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
-        """X_F over float lists on a general base: `_field_program`'s lifted flow closure for F."""
-        program = _field_program("lifted", self.dim, 1)
-        return program["bind"](kernel, self.base._coeff_kernels, self.point)
 
     def __repr__(self) -> str:
         return f"SympChart({self.base!r}, fiber={self.fiber!r})"

@@ -14,6 +14,12 @@ references are kept here, away from the library:
   LAPACK's elimination is not ours, so the program agrees with them to
   round-off only; they keep the comparisons of the program with an
   independent solve from turning into comparisons with itself.
+* the variational closure's NumPy tangent solves that ran before the
+  library's generated `geometry._variational_program`
+  (`lapack_variational`): the fields by the solves above, and the
+  tangents dX = B^-T (d rhs - dB^T X), or omega^-T (d dF - d omega^T X),
+  by two `np.linalg.solve`s and `np.einsum` over the coefficients'
+  Hessians.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from contactmech.expressions import jet2_kernel
 from contactmech.geometry import (
     _RESIDUAL_TOL,
     _SINGULAR_DET,
@@ -305,6 +312,81 @@ def lapack_lift_values(symp, xs: np.ndarray) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
+# The LAPACK reference of the variational closure
+# ---------------------------------------------------------------------------
+
+def _coframe_tangent(chart: ContactChart, x: np.ndarray, dx: np.ndarray):
+    """Derivatives of eta and d eta at x along the k columns of dx, shapes (dim, k) and (k, dim, dim).
+
+    From the Hessians of eta's coefficients, their rows' lower triangles
+    mirrored as eval_jet2 does.
+    """
+    _, jac, rows = map(np.array, zip(*[jet(x) for jet in chart._coeff_jets]))
+    hessians = np.tril(rows) + np.tril(rows, -1).swapaxes(-1, -2)
+    djac = np.einsum("bac,cj->jab", hessians, dx)  # [j, a, b] = d_a eta_b along dx_j
+    return jac @ dx, djac - djac.transpose(0, 2, 1)
+
+
+def contact_tangents(chart: ContactChart, x, value, grad, hessian, dx):
+    """X_f at x and DX_f(x) dx on the k columns of dx, on a general contact coframe.
+
+    The derivative of the solve B^T X = rhs of field_from_gradient:
+    dX = B^-T (d rhs - dB^T X), with dB from the Hessians of eta's
+    coefficients and the Reeb field differentiated the same way.
+    """
+    eta, B, reeb = lapack_frames(chart, x)
+    X, rf = lapack_contact_fields(chart, x, value, grad, (eta, B, reeb))
+    dvalue, dgrad = grad @ dx, hessian @ dx
+    deta, ddeta = _coframe_tangent(chart, x, dx)
+
+    def dBT(v):  # (dB)^T v per column, dB = d(d eta) + d eta eta^T + eta d eta^T
+        return np.einsum("jab,a->bj", ddeta, v) + np.outer(eta, v @ deta) + (eta @ v) * deta
+
+    dreeb = np.linalg.solve(B.T, deta - dBT(reeb))
+    drhs = dgrad - np.outer(eta, reeb @ dgrad + grad @ dreeb + dvalue) - (rf + value) * deta
+    return X, np.linalg.solve(B.T, drhs - dBT(X))
+
+
+def lifted_tangents(chart: SympChart, x, value, grad, hessian, dx):
+    """X_F at x and DX_F(x) dx on the k columns of dx, on the symplectization of a general base.
+
+    The solve omega^T X = dF gives dX = omega^-T (d dF - d omega^T X),
+    with d omega from r and the Hessians of the base coframe's
+    coefficients.
+    """
+    dgrad, r, dr = hessian @ dx, x[-1], dx[-1]
+    eta, deta = chart.base._coframes(x[:-1])
+    omega = chart._omegas(x, eta, deta)[0]
+    X = lapack_lifted_fields(chart, x, value, grad, (eta, deta), omega)
+    d_eta, d_deta = _coframe_tangent(chart.base, x[:-1], dx[:-1])
+    Xb, Xr = X[:-1], X[-1]
+    domega_T_X = np.empty_like(dgrad)
+    domega_T_X[:-1] = (-np.outer(deta.T @ Xb, dr) - r * np.einsum("jab,a->bj", d_deta, Xb)
+                       - Xr * d_eta)
+    domega_T_X[-1] = Xb @ d_eta
+    return X, np.linalg.solve(omega.T, dgrad - domega_T_X)
+
+
+def lapack_variational(chart, f) -> Callable[[Sequence[float]], list[float]]:
+    """`_Chart._variational`'s closure on a general coframe by the NumPy solves.
+
+    The state is x followed by k tangents; f's Hessian rows are those of
+    its `jet2_kernel`, as computed.
+    """
+    dim, jet = chart.dim, jet2_kernel(f, chart.coordinates)
+    tangents_of = lifted_tangents if isinstance(chart, SympChart) else contact_tangents
+
+    def field(state) -> list[float]:
+        x = chart.point(state[:dim])
+        value, grad, rows = jet(x)
+        tangents = np.array(state[dim:]).reshape(-1, dim).T
+        X, dX = tangents_of(chart, x, value, np.array(grad), np.array(rows), tangents)
+        return np.concatenate((X, dX.T.ravel())).tolist()
+
+    return field
+
+
+# ---------------------------------------------------------------------------
 # General-coframe systems
 # ---------------------------------------------------------------------------
 
@@ -348,3 +430,12 @@ def _general_system(name, lifted):
             chart = conformal_rescale(system.chart, "exp(0.3*q1 - 0.2*p2 + 0.1*z)")
             system = ContactSystem(chart, system.integrals, system.region)
     return symplectize(system) if lifted else system
+
+
+def _degenerate_system(n, scale):
+    # scale 0: eta = dz, whose flat matrix eta eta^T has a zero pivot;
+    # a small scale gives a nonzero det under the singular threshold
+    names = ContactChart.standard(n).coordinates
+    eta = [f"-{scale}*{p}" for p in names[n : 2 * n]] + ["0"] * n + ["1"]
+    region = {name: (0.5, 2.0) for name in names}
+    return ContactSystem(ContactChart(names, eta), list(names[n:]), region)

@@ -32,9 +32,12 @@ def lstsq_ray_project(system, target, seed_point, tolerance=1e-10, max_iter=50):
     g = F - r * lam
     gn = float(np.max(np.abs(g)))
     for _ in range(max_iter):
-        if gn <= tolerance * max(1.0, float(np.max(np.abs(lam)))):
+        converged = tolerance * max(1.0, float(np.max(np.abs(lam))))
+        if gn <= converged:
             if r <= 0.0:
                 raise RayProjectionError(f"landed at nonpositive scale r = {r:.3e}")
+            if r * float(np.max(np.abs(lam))) <= converged:
+                raise RayProjectionError(f"landed at the apex F = 0 (scale r = {r:.3e})")
             return x, r
         J = np.hstack([TF, -lam[:, None]])
         step, *_ = np.linalg.lstsq(J, -g, rcond=None)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from contactmech.config import load_config
-from contactmech.expressions import eval_jet2
 from contactmech.flows import FlowError, IntegratorConfig, group_action
-from contactmech.geometry import ContactChart, ContactSystem, contact_condition_check
+from contactmech.geometry import ContactChart, ContactSystem, _Chart, contact_condition_check
 from contactmech.integrability import (
     IntegrabilityError,
     NewtonDivergenceError,
@@ -26,6 +25,7 @@ from contactmech.integrability import (
     _darboux_covector,
 )
 from contactmech.symplectization import lift_check, symplectize
+from float_fields import lapack_variational
 
 X4 = np.array([2.0, 3.0, 5.0, 1.0])
 RESCALED_PZ = Path(__file__).parent / "data" / "golden" / "rescaled-pz.json"
@@ -482,31 +482,18 @@ def test_exact_covector_matches_finite_differences(pz_config, config_path, name)
         assert np.max(np.abs(exact - target)) < 1e-8
 
 
-def _eval_jet2_coframe_tangent(chart, x, dx):
-    # ContactChart._coframe_tangent as it was before it bound its kernels
-    jets = [eval_jet2(c, chart.coordinates, x) for c in chart.eta_coefficients]
-    jac = np.array([jet.gradient for jet in jets])
-    djac = np.einsum("bac,cj->jab", np.array([jet.hessian for jet in jets]), dx)
-    return jac @ dx, djac - djac.transpose(0, 2, 1)
-
-
-def test_coframe_tangent_keeps_the_floats_of_eval_jet2(monkeypatch):
-    # the bound jet kernels give eval_jet2's symmetrized Hessians bitwise, so
-    # the darboux_verify residual on rescaled-pz does not move in any bit;
-    # the second chart's Hessian rows are not symmetric in their last bits
+def test_darboux_verify_residual_keeps_to_the_lapack_tangents(monkeypatch):
+    # rescaled-pz is a general coframe, so its angle covectors come from the
+    # generated variational program; the NumPy tangent solves it replaced
+    # (`lapack_variational`) must give the same residual to 1e-12
     cfg = load_config(RESCALED_PZ)
     system, section = cfg.system(), cfg.section("graph-z")
-    skewed = ContactChart(("q", "p", "z"), ["-exp(q*p/3)*sin(z)", "0", "exp(q/3)*cos(p*z)"])
-    rng = np.random.default_rng(6)
-    for chart in (system.chart, skewed):
-        for x in system.sample(rng, 50):
-            dx = rng.normal(size=(3, 4))
-            got, want = chart._coframe_tangent(x, dx), _eval_jet2_coframe_tangent(chart, x, dx)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    points = system.sample(rng, 2)
+    points = system.sample(np.random.default_rng(6), 4)
     got = darboux_verify(system, section, points=points).max_residual
-    monkeypatch.setattr(ContactChart, "_coframe_tangent", _eval_jet2_coframe_tangent)
-    assert got.hex() == darboux_verify(system, section, points=points).max_residual.hex()
+    monkeypatch.setattr(_Chart, "_variational", lapack_variational)
+    want = darboux_verify(system, section, points=points).max_residual
+    assert 0.0 < want < 1e-5
+    assert abs(got - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

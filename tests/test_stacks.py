@@ -120,8 +120,8 @@ FAILURES = [
      "numerical failure: flat matrix is singular at [0.8701448475755365, "
      "0.6317071082430643, -0.9945229996597038] (det 5.862e-31)"),
     (SINGULAR_ROTATION, ["coisotropy", "--lambda", "1,1"], 3,
-     "numerical failure: flat matrix is singular at [1.1583793071657997, "
-     "-0.49595895295508674, -0.9180529521276106] (det 5.673e-41)"),
+     "numerical failure: flat matrix is singular at [0.9956879688322516, "
+     "-1.003326974261574, 0.45931089285988813] (det 2.548e-35)"),
     (SINGULAR_ROTATION, ["symplectize-verify"], 3,
      "numerical failure: omega is singular at [0.6265404784005448, "
      "0.8255111545554434, 0.21327155153435973, 1.5942448414759975] (det 4.334e-22)"),

@@ -68,6 +68,7 @@ from contactmech.symplectization import SingularStructureError, _lift_values, sy
 from float_fields import (
     REGION,
     _cubic_system,
+    _degenerate_system,
     _eliminator,
     _general_system,
     _rescaled_system,
@@ -552,15 +553,6 @@ def test_field_program_matches_the_reference_bitwise(name, lifted):
         got, want = chart._float_field(kernel), reference_field(chart, kernel)
         for x in points[:50]:
             assert _hex(got(x)) == _hex(want(x)), (slot, x)
-
-
-def _degenerate_system(n, scale):
-    # scale 0: eta = dz, whose flat matrix eta eta^T has a zero pivot;
-    # a small scale gives a nonzero det under the singular threshold
-    names = ContactChart.standard(n).coordinates
-    eta = [f"-{scale}*{p}" for p in names[n : 2 * n]] + ["0"] * n + ["1"]
-    region = {name: (0.5, 2.0) for name in names}
-    return ContactSystem(ContactChart(names, eta), list(names[n:]), region)
 
 
 @pytest.mark.parametrize("scale", ["0", "1e-7"], ids=["zero-pivot", "small-det"])
