@@ -133,7 +133,6 @@ class Trajectory:
 
 
 # Fehlberg tableau
-_C = (0.0, 1.0 / 4.0, 3.0 / 8.0, 12.0 / 13.0, 1.0, 1.0 / 2.0)
 _A = (
     (),
     (1.0 / 4.0,),

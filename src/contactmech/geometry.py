@@ -7,13 +7,14 @@ dz - p_i dq^i the chart takes closed-form fast paths, otherwise every
 operator goes through the flat-map solve.  The closed-form field is one
 template, `_darboux_field`, run over source symbols (the flow closure
 that `_closed_program` compiles), arrays (point stacks) and expression
-trees, whose kernels give its Jacobian.  On general coframes every field
-and field tangent comes from one generated straight-line float program
-per chart kind and dimension: `_field_program`, one elimination per
-point for det B, the Reeb field and B^-T df of m functions, with the
-checks and errors of field_from_gradient, run by flows and point
-stacks; and `_variational_program`, its lines for one function and then
-one more elimination per tangent for DX_f dx.  The symplectization's
+trees, whose kernels give its Jacobian; no caller re-checks
+eta(X_f) = -f, which holds for it identically.  On general coframes
+every field and field tangent comes from one generated straight-line
+float program per chart kind and dimension: `_field_program`, one
+elimination per point for det B, the Reeb field and B^-T df of m
+functions, with its checks and errors, run by flows and point stacks;
+and `_variational_program`, its lines for one function and then one
+more elimination per tangent for DX_f dx.  The symplectization's
 lifted field is their "lifted" kind.  None takes a LAPACK solve.
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
@@ -471,14 +472,17 @@ def _in_sample_order(stage: Callable, *stacks):
 def _check_points(check: str, points, sample: Callable[[], np.ndarray] | None = None) -> np.ndarray:
     """The points of a check as an array of rows, drawn by sample() when points is None.
 
-    No point at all raises ValueError naming the check, so that no verdict
-    passes without evidence.
+    No point at all, or a non-finite one, raises ValueError naming the
+    check, so that no verdict passes without evidence.
     """
     if points is None:
         points = sample()
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         raise ValueError(f"{check} needs at least one point, got none")
+    bad = _first(~np.isfinite(points).all(axis=-1))
+    if bad is not None:
+        raise ValueError(f"{check} needs finite points, got {points[bad].tolist()}")
     return points
 
 
@@ -495,7 +499,9 @@ class _Chart:
     standard-form template `_darboux_field`, or None on general coframes),
     `_kind`, its kind of `_field_program` and `_variational_program`, and
     `_eta_chart`, the ContactChart whose eta these read (itself or the
-    symplectization's base), and defines `field_from_gradient`.
+    symplectization's base).  The fields (`field_from_gradient`,
+    `_fields`) are this class's: the template on standard-form charts,
+    the kind's field program otherwise.
     """
 
     coordinates: tuple[str, ...]
@@ -554,6 +560,24 @@ class _Chart:
         d = self._eta_chart.dim
         return [self._eta_chart._float_coframe(x) for x in xs[..., :d].reshape(-1, d).tolist()]
 
+    def field_from_gradient(self, x, value: float, grad) -> np.ndarray:
+        """Hamiltonian field at x of a function with the given value and gradient; see `_fields`."""
+        return self._fields(self.point(x), value, np.asarray(grad, dtype=float))
+
+    def _fields(self, xs: np.ndarray, values, grads: np.ndarray, coframes=None) -> np.ndarray:
+        """Fields of functions with values and gradients at points xs (..., dim).
+
+        Shapes and `coframes` as in `_solved`.  General coframes return
+        `_solved`'s fields, with every check and error of `_field_program`.
+        Standard-form charts run the closed form `_closed_field` over
+        arrays, unchecked like the flow closure of `_closed_program`:
+        eta(X_f) = -f and theta(X_F) = F hold there identically.
+        """
+        if self._closed_field is None:
+            return self._solved(xs, values, grads, coframes)[0]
+        x = xs if grads.ndim == xs.ndim else xs[..., None, :]
+        return _stacked(self._closed_field, (self.dim - 1) // 2, x, values, grads)
+
     def hamiltonian_field_at(self, f: Expr | str, x) -> np.ndarray:
         """Hamiltonian field of f at x; see field_from_gradient."""
         f = self.function(f)
@@ -564,7 +588,8 @@ class _Chart:
     def hamiltonian_field_jacobian_at(self, f: Expr | str, x) -> np.ndarray:
         """Jacobian d_a X_f^i, rows i, columns a: `_variational` on the unit vectors e_a."""
         dim = self.dim
-        state = self._variational(self.function(f))([*self.point(x), *np.eye(dim).ravel()])
+        run = self._variational(self.function(f))
+        state = run([*self.point(x).tolist(), *np.eye(dim).ravel().tolist()])
         return np.reshape(state[dim:], (dim, dim)).T
 
     def _variational(self, f: Expr) -> Callable[[Sequence[float]], list[float]]:
@@ -732,36 +757,6 @@ class ContactChart(_Chart):
         return float(self._solved(x, value, grad)[1])
 
     # -- Hamiltonian fields ----------------------------------------------------
-
-    def field_from_gradient(self, x, value: float, grad: np.ndarray) -> np.ndarray:
-        """Contact Hamiltonian field X_f, with eta(X_f) = -f, from f's value and grad.
-
-        Standard-form charts use the closed form (`_darboux_field`);
-        otherwise flat(X_f) = df - (R(f) + f) eta is solved directly.
-        """
-        x = self.point(x)
-        if self.darboux:
-            return self._fields(x, value, grad)
-        return self._solved(x, value, grad)[0]
-
-    def _fields(self, xs: np.ndarray, values, grads: np.ndarray) -> np.ndarray:
-        """Closed-form fields of functions with values and gradients at points xs (..., dim).
-
-        Shapes as in `_solved`.  Each field is checked against
-        eta(X_f) = -f to 1e-8 (relative to f and X_f); the first failing
-        one raises.
-        """
-        x = xs if grads.ndim == xs.ndim else xs[..., None, :]
-        n = self.n
-        X = _stacked(self._closed_field, n, x, values, grads)
-        resid = abs(X[..., -1] - _dot(x[..., n : 2 * n], X[..., :n]) + values)
-        bad = _first(_exceeds(resid, 1e-8, (values,), (X,)))
-        if bad is not None:
-            raise GeometryError(
-                f"field invariant eta(X_f) = -f violated by {resid[bad]:.3e} "
-                f"at {xs[bad[: xs.ndim - 1]].tolist()}"
-            )
-        return X
 
     def _jets(self, xs: np.ndarray, values: np.ndarray, grads: np.ndarray, coframes=None) -> Jets:
         """Jets of k functions with values (..., k) and gradients (..., k, dim) at xs.

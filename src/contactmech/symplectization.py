@@ -14,10 +14,12 @@ points with any leading axes: `lift_check` takes its points as one
 stack and measures each identity in one array pass, and the
 single-point methods run the same code on one point.
 On standard-form bases the lifted field is this module's closed-form
-template, run by the same three callers as geometry's; on general bases
-every lifted field solves omega^T X = dF with the "lifted" kind of
+template, run by the same three callers as geometry's and not re-checked
+(theta(X_F) = F holds for it identically on homogeneous F); on general
+bases every lifted field solves omega^T X = dF with the "lifted" kind of
 geometry's generated field program, `_field_program`, and its tangents
 solve omega^T dX = d(dF) - d omega^T X in `_variational_program`.
+`SympChart` takes its field methods from geometry's `_Chart`.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ from .geometry import (
     _Chart,
     _check_points,
     _dot,
-    _exceeds,
     _first,
     _in_sample_order,
     _norm,
     _pairs,
-    _stacked,
     _System,
 )
 
@@ -54,7 +54,6 @@ __all__ = [
     "lift_check",
 ]
 
-_RESIDUAL_TOL = 1e-10
 _SINGULAR_OMEGA = 1e-12  # |det omega| at or below it raises SingularStructureError
 
 # (name, bound, test of value against bound) of each lift_check identity
@@ -154,47 +153,6 @@ class SympChart(_Chart):
         if bad is not None:
             raise SingularStructureError(xs[bad], float(det[bad]))
         return out, det
-
-    # -- Hamiltonian structure --------------------------------------------------
-
-    def field_from_gradient(self, x, value: float, grad: np.ndarray) -> np.ndarray:
-        """Symplectic Hamiltonian field, X^a omega_ab = (dF)_b, from F's value and grad.
-
-        For degree-1 homogeneous F the identity theta(X_F) = F is checked.
-        Standard-form bases use a closed-form solve; otherwise omega and
-        theta come from one run of the base coframe.
-        """
-        return self._fields(self.point(x), value, grad)
-
-    def _fields(self, xs: np.ndarray, values, grads: np.ndarray, coframes=None):
-        """Fields of functions with values and gradients at points xs (..., dim).
-
-        Shapes as in `_solved`.  General bases run `_solved`, the lifted
-        `_field_program`: omega^T X = dF is solved and checked to 1e-10
-        (relative to dF), then a homogeneous F is checked against
-        theta(X_F) = F to 1e-8 (relative to F and X_F), function by
-        function.  The first failing function raises.
-        """
-        base = self.base
-        if not base.darboux:
-            return self._solved(xs, values, grads, coframes)[0]
-        x = xs if grads.ndim == xs.ndim else xs[..., None, :]
-        n = base.n
-        X = _stacked(self._closed_field, n, x, values, grads)
-        pairing = x[..., -1] * (X[..., 2 * n] - _dot(x[..., n : 2 * n], X[..., :n]))
-        gap = abs(pairing - values)
-        theta_bad = _exceeds(gap, 1e-8, (values,), (X,))
-        bad = _first(theta_bad)
-        if bad is not None:  # the identity binds homogeneous F only
-            homogeneity = abs(x[..., -1] * grads[..., -1] - values)
-            theta_bad &= ~_exceeds(homogeneity, _RESIDUAL_TOL, (values,))
-            bad = _first(theta_bad)
-        if bad is not None:
-            raise SymplectizationError(
-                f"theta(X_F) = F violated by {gap[bad]:.3e} for homogeneous F "
-                f"at {xs[bad[: xs.ndim - 1]].tolist()}"
-            )
-        return X
 
     def __repr__(self) -> str:
         return f"SympChart({self.base!r}, fiber={self.fiber!r})"

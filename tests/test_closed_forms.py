@@ -1,14 +1,16 @@
-"""Kernel Jacobians of the Darboux closed forms against the hand derivations.
+"""Fields and kernel Jacobians of the Darboux closed forms against the hand derivations.
 
-On standard-form charts `hamiltonian_field_jacobian_at` and
-`variational_evaluator` take X_f and DX_f from the gradient kernels of the
-closed-form components (`geometry._closed_kernels`).  They must match the
-hand-derived tangent maps of `darboux_tangents` to 1e-14 relative, at the
-points the golden reports sample: contact charts at n = 1 and n = 2 and
-their symplectizations.  A Jacobian or field is relative to its largest
-entry.  A tangent DX_f dx can cancel to rounding noise, so it is relative
-to the size of the terms the derivations sum: the largest row of
-|DX_f| |dx|, plus |X_f| |dx| from the quotient rule of the lifted one.
+On standard-form charts `field_from_gradient` and the point stacks
+(`_Chart._fields`) run the closed-form template over arrays, unchecked, and
+`hamiltonian_field_jacobian_at` and `variational_evaluator` take X_f and
+DX_f from the gradient kernels of the closed-form components
+(`geometry._closed_kernels`).  They must match the hand derivations of
+`darboux_tangents` to 1e-14 relative, at the points the golden reports
+sample: contact charts at n = 1 and n = 2 and their symplectizations.  A
+Jacobian or field is relative to its largest entry.  A tangent DX_f dx can
+cancel to rounding noise, so it is relative to the size of the terms the
+derivations sum: the largest row of |DX_f| |dx|, plus |X_f| |dx| from the
+quotient rule of the lifted one.
 """
 
 from __future__ import annotations
@@ -18,10 +20,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from darboux_tangents import contact_field_with_tangents, lifted_field_with_tangents
+from darboux_tangents import (
+    contact_field,
+    contact_field_with_tangents,
+    lifted_field,
+    lifted_field_with_tangents,
+)
 
 from contactmech.config import bundled_config_path, load_config
 from contactmech.expressions import eval_jet2
+from contactmech.geometry import ContactChart
+from contactmech.symplectization import SympChart
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CONFIGS = {
@@ -60,6 +69,30 @@ def _assert_close(actual, expected, scale=None):
     actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
     scale = np.max(np.abs(expected)) if scale is None else scale
     assert np.max(np.abs(actual - expected)) <= TOLERANCE * scale, (actual, expected)
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "lifted"])
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_fields_match_the_hand_derivation(name, lifted):
+    system, points = _systems(name, lifted)
+    chart, n = system.chart, (system.dim - 1) // 2
+    values, grads = system.gradient_stack(points)
+    stack = chart._fields(np.array(points), values, grads)
+    for x, row_values, row_grads, row_fields in zip(points, values, grads, stack):
+        for value, grad, X in zip(row_values, row_grads, row_fields):
+            want = lifted_field(n, x, grad) if lifted else contact_field(n, x, value, grad)
+            _assert_close(chart.field_from_gradient(x, value, grad), want)
+            _assert_close(X, want)
+
+
+def test_lifted_field_at_a_large_fiber_is_the_hand_derivation():
+    # F = r dF/dr holds exactly here; a re-check of theta(X_F) = F on the
+    # template's output used to raise on its own rounding (1.1e-7 at r = 2e9)
+    chart = SympChart(ContactChart.standard(1))
+    x, grad = np.array([0.5, 1629.51, 1.0, 2032079900.0]), np.array([0.0, 563793.0, 0.0, 0.0])
+    want = lifted_field(1, x, grad)
+    assert np.array_equal(chart.field_from_gradient(x, 0.0, grad), want)
+    assert np.array_equal(chart._fields(x[None], np.zeros((1, 1)), grad[None, None])[0, 0], want)
 
 
 @pytest.mark.parametrize("lifted", [False, True], ids=["contact", "lifted"])

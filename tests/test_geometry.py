@@ -13,6 +13,7 @@ from contactmech.geometry import (
     conformal_rescale,
     contact_condition_check,
 )
+from contactmech.symplectization import SympChart
 from identities import field_commutator, lambda_pairing
 
 X0 = np.array([2.0, 3.0, 5.0])
@@ -136,6 +137,20 @@ def test_fast_and_general_paths_agree(chart, general_chart, rng):
         assert chart.jacobi_bracket_at(f, g, x) == pytest.approx(
             general_chart.jacobi_bracket_at(f, g, x), abs=1e-9
         )
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "lifted"])
+@pytest.mark.parametrize("kind", ["darboux", "general"])
+def test_field_from_gradient_takes_float_sequences(chart, general_chart, kind, lifted):
+    # a list gradient used to raise AttributeError on standard-form charts
+    ch = chart if kind == "darboux" else general_chart
+    ch = SympChart(ch) if lifted else ch
+    x = [*X0, 1.5][: ch.dim]
+    f = ch.function("-r * (q * p + z^2)" if lifted else "q * p + z^2")
+    value, grad = ch.value_and_gradient(f, np.array(x))
+    want = ch.field_from_gradient(np.array(x), value, grad)
+    assert np.array_equal(ch.field_from_gradient(x, value, grad.tolist()), want)
+    assert np.array_equal(ch.field_from_gradient(tuple(x), value, tuple(grad)), want)
 
 
 # ---------------------------------------------------------------------------

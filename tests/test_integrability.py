@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,10 @@ def test_verify_section_needs_a_sample(pz_config, pz_symp):
         verify_section(pz_symp, pz_config.section("graph-z"), n_samples=0)
 
 
+CHECKS = ["contact_condition_check", "involution_check", "rank_check", "coisotropy_check",
+          "tangency_check", "darboux_verify", "lift_check"]
+
+
 def _on_no_points(system, symp, section):
     """Each check on zero points: sampled zero times, and given no rows."""
     target, none = _ray(1.0, 1.0), np.empty((0, system.dim))
@@ -155,16 +160,35 @@ def _on_no_points(system, symp, section):
     }
 
 
-@pytest.mark.parametrize("check", [
-    "contact_condition_check", "involution_check", "rank_check", "coisotropy_check",
-    "tangency_check", "darboux_verify", "lift_check",
-])
+@pytest.mark.parametrize("check", CHECKS)
 def test_checks_need_a_point(pz_config, pz_system, pz_symp, check):
     # no point used to raise IndexError or NumPy's error on an empty argmax
     calls = _on_no_points(pz_system, pz_symp, pz_config.section("graph-z"))[check]
     for call in calls:
         with pytest.raises(ValueError, match=f"^{check} needs at least one point, got none$"):
             call()
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_checks_need_finite_points(pz_config, pz_system, pz_symp, check):
+    # a NaN point used to make every check but darboux_verify pass
+    rows = [[0.5, 1.0, 1.0], [np.nan, 1.0, 1.0], [1.0, np.inf, 1.0]]
+    if check == "lift_check":
+        rows = [[*row, 1.0] for row in rows]
+    target, section = _ray(1.0, 1.0), pz_config.section("graph-z")
+    calls = {
+        "contact_condition_check": lambda xs: contact_condition_check(pz_system.chart, xs),
+        "involution_check": lambda xs: involution_check(pz_system, points=xs),
+        "rank_check": lambda xs: rank_check(pz_system, points=xs),
+        "coisotropy_check": lambda xs: coisotropy_check(pz_system, target, points=xs),
+        "tangency_check": lambda xs: tangency_check(pz_system, target, points=xs),
+        "darboux_verify": lambda xs: darboux_verify(pz_system, section, points=xs),
+        "lift_check": lambda xs: lift_check(pz_symp, xs),
+    }
+    message = re.escape(f"{check} needs finite points, got {rows[1]}")
+    for xs in (rows[1], np.array(rows)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            calls[check](xs)
 
 
 def test_verify_section_rejects_escaping_fiber(pz_symp):
