@@ -451,8 +451,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = _resolve_seed(args.seed, cfg)
         report, code = args.func(cfg, args, seed)
-    except (ConfigError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ExpressionError, MemoryError) as exc:  # a count too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (GeometryError, SymplectizationError, IntegrabilityError, FlowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ time.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -35,6 +36,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
+
+from ._programs import program
 
 __all__ = [
     "Const",
@@ -360,6 +363,7 @@ def free_variables(node: Expr) -> frozenset[str]:
 # checks reject, so the kernels call them directly and attach the messages
 _LOG_DOMAIN = "log of a nonpositive value"
 _SQRT_DOMAIN = "sqrt of a negative value"
+_compiles = itertools.count()  # numbers the kernels' file names "<contactmech kernel N>"
 
 
 def _log(x: float) -> float:
@@ -648,13 +652,9 @@ def _compile(node: Expr, names: tuple[str, ...]):
     else:
         entries = "".join(f"{source.text(e)}, " for e in tangent)
         result = f"{value}, ({entries})"
-    code = "\n".join(
-        ["def kernel(values):", "    try:"]
-        + [f"        {line}" for line in source.lines]
-        + [f"        return {result}",
-           "    except (ArithmeticError, ValueError) as exc:",
-           "        raise _domain_error(exc) from None"]
-    )
+    lines = ["def kernel(values):", "    try:", *[f"        {line}" for line in source.lines],
+             f"        return {result}", "    except (ArithmeticError, ValueError) as exc:",
+             "        raise _domain_error(exc) from None"]
     namespace = {
         "_domain_error": functools.partial(_domain_error, source.errors),
         "_eval": _eval,
@@ -662,8 +662,7 @@ def _compile(node: Expr, names: tuple[str, ...]):
         **{f"_{name}": getattr(math, name) for name in FUNCTIONS},
         **source.globals,
     }
-    exec(code, namespace)
-    return namespace["kernel"]
+    return program(f"<contactmech kernel {next(_compiles)}>", lines, namespace, "kernel")
 
 
 def _domain_error(errors, exc: Exception) -> Exception:

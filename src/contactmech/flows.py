@@ -9,9 +9,9 @@ lists; at the state sizes here this is several times faster than NumPy
 arrays, whose per-call overhead dominates.  An adaptive step is one
 generated straight-line function per state size, `_step_program`
 ("<contactmech rkf45-step dim=D>"), which calls the closure six times.
-On standard-form charts the closure is the closed form compiled from its
-template ("<contactmech closed-field dim=D>"); on general coframes, one
-float elimination with the checks of `field_from_gradient`.
+The closure is a compiled closed form on standard-form charts, else one
+checked float elimination; `_programs.program` compiles each, so a
+traceback through them shows the generated line.
 Trajectories record every accepted step, as arrays built once at the
 end; leaving the chart domain (a positivity guard crossing zero, or an
 expression domain error in the field) truncates the trajectory with an
@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._programs import _names, program
 from .expressions import EvaluationDomainError
 
 __all__ = [
@@ -242,24 +243,19 @@ def _step_program(dim: int) -> Callable:
     def sums(i: int, weights: str, stages: int) -> str:
         return f"x{i}" + "".join(f" + {weights}{j} * k{j}_{i}" for j in range(stages))
 
-    def row(prefix: str) -> str:
-        return ", ".join(f"{prefix}{i}" for i in range(dim))
-
     weights = [*((f"a{s}_", a) for s, a in enumerate(_A)), ("b", _B4), ("c", _B5)]
     lines = [f"{name}{j} = h * {w!r}" for name, ws in weights for j, w in enumerate(ws)]
-    lines.append(f"{row('x')}, = x")
+    lines.append(f"{_names('x', dim)}, = x")
     for s in range(6):
         stage = f"[{', '.join(sums(i, f'a{s}_', s) for i in range(dim))}]" if s else "x"
-        lines.append(f"{row(f'k{s}_')}, = field({stage})")
+        lines.append(f"{_names(f'k{s}_', dim)}, = field({stage})")
     for i in range(dim):
         lines += [f"y{i} = {sums(i, 'c', 6)}", f"e{i} = abs(y{i} - ({sums(i, 'b', 6)})) / "
                   f"(abs_tol + rel_tol * max(abs(x{i}), abs(y{i})))"]
     nan = " or ".join(f"e{i} != e{i}" for i in range(dim))
     source = ["def step(field, x, h, abs_tol, rel_tol):", *[f"    {line}" for line in lines],
-              f"    return [{row('y')}], nan if {nan} else max(({row('e')},))"]
-    namespace = {"nan": math.nan}
-    exec(compile("\n".join(source), f"<contactmech rkf45-step dim={dim}>", "exec"), namespace)
-    return namespace["step"]
+              f"    return [{_names('y', dim)}], nan if {nan} else max(({_names('e', dim)},))"]
+    return program(f"<contactmech rkf45-step dim={dim}>", source, {"nan": math.nan}, "step")
 
 
 def _run_rkf45(field_fn, x, T, cfg, guards, names) -> Trajectory:

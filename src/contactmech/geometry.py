@@ -9,13 +9,13 @@ template, `_darboux_field`, run over source symbols (the flow closure
 that `_closed_program` compiles), arrays (point stacks) and expression
 trees, whose kernels give its Jacobian; no caller re-checks
 eta(X_f) = -f, which holds for it identically.  On general coframes
-every field and field tangent comes from one generated straight-line
-float program per chart kind and dimension: `_field_program`, one
+every field and field tangent comes from a generated float program per
+chart kind ("lifted" upstairs) and dimension: `_field_program`, one
 elimination per point for det B, the Reeb field and B^-T df of m
 functions, with its checks and errors, run by flows and point stacks;
 and `_variational_program`, its lines for one function and then one
-more elimination per tangent for DX_f dx.  The symplectization's
-lifted field is their "lifted" kind.  None takes a LAPACK solve.
+more elimination per tangent for DX_f dx.  None takes a LAPACK solve.
+`_programs` holds their emitters, and its `program` compiles all three.
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -51,6 +51,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from ._programs import _checked, _eliminate, _fdot, _names, _Source, _sum, _tup, program
 from .expressions import (
     Const,
     Expr,
@@ -165,59 +166,6 @@ def _exceeds_float(resid: Sequence[float], tol: float, values=(), vectors=()) ->
     if not worst > tol:
         return False
     return all(worst > tol * abs(s) for s in (*values, *(u for w in vectors for u in w)))
-
-
-def _sum(terms: Sequence[str]) -> str:
-    """Source of `_fdot`'s sum of the products `terms`: left to right from 0.0."""
-    return " + ".join(["0.0", *terms])
-
-
-def _checked(resid: Sequence[str], tol: float, values: str, vectors: str) -> str:
-    """Source of `_exceeds_float(resid, tol, values, vectors)` behind the pre-test max |r_i| <= tol.
-
-    The pre-test fails on a NaN residual, so `_exceeds_float` decides every
-    case that can raise.
-    """
-    small = " and ".join(f"abs({r}) <= {tol!r}" for r in resid)
-    return f"not ({small}) and _exceeds_float(({', '.join(resid)},), {tol!r}, {values}, {vectors})"
-
-
-def _eliminate(dim: int, width: int, pivot: Callable[[int], list[str]]) -> list[str]:
-    """Source of Gaussian elimination with partial pivoting on locals a<i>_<j>: [A | b_dim ..].
-
-    A row swap is one tuple assignment.  At step k each row below k is
-    swapped into row k when its entry in column k is larger, so row k ends
-    with the largest; ties keep the earlier row.  The lines pivot(k) then
-    test the pivot a<k>_<k>.  det is det A, the product of the pivots signed
-    by the swaps, and s<i>_<c> solves A s_c = b_c.
-    """
-
-    def row(i: int, start: int) -> str:
-        return ", ".join(f"a{i}_{j}" for j in range(start, width))
-
-    lines = ["det = 1.0"]
-    for k in range(dim):
-        for i in range(k + 1, dim):
-            lines += [f"if abs(a{i}_{k}) > abs(a{k}_{k}):",
-                      f"    {row(k, k)}, {row(i, k)} = {row(i, k)}, {row(k, k)}",
-                      "    det = -det"]
-        lines += [*pivot(k), f"det *= a{k}_{k}"]
-        for i in range(k + 1, dim):
-            update = ", ".join(f"a{i}_{j} - t * a{k}_{j}" for j in range(k + 1, width))
-            lines += [f"t = a{i}_{k} / a{k}_{k}", f"{row(i, k + 1)}, = {update},"]
-    for c in range(dim, width):
-        for i in reversed(range(dim)):
-            terms = "".join(f" - a{i}_{j} * s{j}_{c}" for j in range(i + 1, dim))
-            lines.append(f"s{i}_{c} = (a{i}_{c}{terms}) / a{i}_{i}")
-    return lines
-
-
-def _names(prefix: str, count: int) -> str:
-    return ", ".join(f"{prefix}{i}" for i in range(count))
-
-
-def _tup(prefix: str, count: int) -> str:
-    return f"({_names(prefix, count)},)"
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,8 +293,7 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     namespace = {"_exceeds_float": _exceeds_float, "singular": singular, "failure": failure,
                  "lines": lines}
     count = "" if m == 1 else f" m={m}"
-    exec(compile("\n".join(source), f"<contactmech {kind}-field dim={dim}{count}>", "exec"),
-         namespace)
+    program(f"<contactmech {kind}-field dim={dim}{count}>", source, namespace, "solve")
     return namespace
 
 
@@ -421,9 +368,7 @@ def _variational_program(kind: str, dim: int) -> Callable:
     source = ["def bind(jet, coefficients, point):", f"    {_names('k', d)}, = coefficients",
               "    def variational(state):", *[f"        {line}" for line in body],
               "    return variational"]
-    exec(compile("\n".join(source), f"<contactmech {kind}-variational dim={dim}>", "exec"),
-         namespace)
-    return namespace["bind"]
+    return program(f"<contactmech {kind}-variational dim={dim}>", source, namespace, "bind")
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
@@ -853,31 +798,6 @@ def _stacked(template, n: int, x: np.ndarray, value, grad: np.ndarray) -> np.nda
     return X
 
 
-def _fdot(a, b):
-    """a . b over floats or trees, summed left to right from 0.0 (`_dot`'s bits at length 1)."""
-    total = 0.0
-    for u, v in zip(a, b):
-        total += u * v
-    return total
-
-
-def _source_operator(op: str, reflected: bool = False) -> Callable:
-    def method(self, other):
-        return _Source(f"({other} {op} {self})" if reflected else f"({self} {op} {other})")
-
-    return method
-
-
-class _Source(str):
-    """Source text of a float expression; the template's operators extend it, parenthesized."""
-
-    __add__, __sub__, __mul__, __truediv__ = map(_source_operator, "+-*/")
-    __radd__, __rsub__, __rmul__, __rtruediv__ = (_source_operator(op, True) for op in "+-*/")
-
-    def __neg__(self):
-        return _Source(f"(-{self})")
-
-
 @functools.lru_cache(maxsize=None)
 def _closed_program(template, dim: int) -> Callable:
     """`bind(kernel)`: the flow closure of a standard-form template on dim coordinates.
@@ -891,9 +811,7 @@ def _closed_program(template, dim: int) -> Callable:
     source = ["def bind(kernel):", "    def field(x):",
               f"        value, ({', '.join(grad)},) = kernel(x)", f"        {', '.join(xs)}, = x",
               f"        return [{', '.join(components)}]", "    return field"]
-    namespace: dict = {}
-    exec(compile("\n".join(source), f"<contactmech closed-field dim={dim}>", "exec"), namespace)
-    return namespace["bind"]
+    return program(f"<contactmech closed-field dim={dim}>", source, {}, "bind")
 
 
 @functools.lru_cache(maxsize=512)

@@ -42,6 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._programs import _eliminate, _fdot, _sum, program
 from .expressions import (
     EvaluationDomainError,
     Expr,
@@ -63,15 +64,12 @@ from .geometry import (
     _bounds,
     _check_points,
     _dot,
-    _eliminate,
-    _fdot,
     _first,
     _first_max,
     _in_sample_order,
     _max_abs,
     _norm,
     _pairs,
-    _sum,
 )
 from .symplectization import SympSystem, symplectize
 
@@ -370,10 +368,9 @@ def _ray_step_program(m: int, dim: int) -> Callable:
     lines += _eliminate(m, m + 1, lambda k: [f"if abs(a{k}_{k}) <= tiny:", "    return None"])
     dx = [_sum([f"t{a}_{k} * s{a}_{m}" for a in range(m)]) for k in range(dim)]
     dr = _sum([f"lam{a} * s{a}_{m}" for a in range(m)])
-    source = "\n    ".join(["def step(TF, g, lam):", *lines, f"return [{', '.join(dx)}, -({dr})]"])
-    namespace: dict = {}
-    exec(compile(source, f"<contactmech ray-step m={m} dim={dim}>", "exec"), namespace)
-    return namespace["step"]
+    source = ["def step(TF, g, lam):", *[f"    {line}" for line in lines],
+              f"    return [{', '.join(dx)}, -({dr})]"]
+    return program(f"<contactmech ray-step m={m} dim={dim}>", source, {}, "step")
 
 
 def ray_project(

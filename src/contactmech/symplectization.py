@@ -16,9 +16,9 @@ single-point methods run the same code on one point.
 On standard-form bases the lifted field is this module's closed-form
 template, run by the same three callers as geometry's and not re-checked
 (theta(X_F) = F holds for it identically on homogeneous F); on general
-bases every lifted field solves omega^T X = dF with the "lifted" kind of
-geometry's generated field program, `_field_program`, and its tangents
-solve omega^T dX = d(dF) - d omega^T X in `_variational_program`.
+bases every lifted field solves omega^T X = dF, and its tangents
+omega^T dX = d(dF) - d omega^T X, in the "lifted" kind of geometry's
+`_field_program` and `_variational_program`, compiled by `_programs`.
 `SympChart` takes its field methods from geometry's `_Chart`.
 """
 

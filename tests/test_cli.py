@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactmech import cli
+from contactmech import cli, geometry
 from contactmech.config import bundled_config_path
 
 PZ = str(bundled_config_path("darboux-pz"))
@@ -312,6 +312,22 @@ def test_unwritable_out_is_input_error(capsys, tmp_path, points_file, command, t
         "action-angle": ["action-angle", PZ, "--section", "graph-z", "--points", points_file],
     }[command]
     _assert_input_error(capsys, [*argv, "--out", out], f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", PZ, "--samples", "5"],
+    ["coisotropy", PZ, "--lambda", "1,1", "--points", "3"],
+    ["symplectize-verify", PZ, "--samples", "5"],
+])
+@pytest.mark.parametrize("message", ["Unable to allocate 2.18 TiB", ""])
+def test_out_of_memory_is_input_error(capsys, monkeypatch, argv, message):
+    # a --samples or --points too large to allocate raised NumPy's
+    # _ArrayMemoryError and exited 1, the code of a failed check
+    def sample(self, rng, count):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(geometry._System, "sample", sample)
+    _assert_input_error(capsys, argv, f"error: {message or 'out of memory'}")
 
 
 def test_count_flags_reject_values_below_one(capsys, points_file):
