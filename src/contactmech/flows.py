@@ -6,16 +6,25 @@ against abs_tol + rel_tol * |x| componentwise and propagates the
 fifth-order solution.  Both step a list of Python floats through the
 system's `field_evaluator` closure, which takes and returns float
 lists; at the state sizes here this is several times faster than NumPy
-arrays, whose per-call overhead dominates.  An adaptive step is one
-generated straight-line function per state size, `_step_program`
-("<contactmech rkf45-step dim=D>"), which calls the closure six times.
-The closure is a compiled closed form on standard-form charts, else one
-checked float elimination; `_programs.program` compiles each, so a
-traceback through them shows the generated line.
+arrays, whose per-call overhead dominates.  A step is one generated
+straight-line function per state size: `_step_program`
+("<contactmech rkf45-step dim=D>") calls the closure six times,
+`_rk4_program` ("<contactmech rk4-step dim=D>") four.  The closure is a
+compiled closed form on standard-form charts, else one checked float
+elimination; `_programs.program` compiles each, so a traceback through
+them shows the generated line.
 Trajectories record every accepted step, as arrays built once at the
 end; leaving the chart domain (a positivity guard crossing zero, or an
 expression domain error in the field) truncates the trajectory with an
 explicit status instead of raising.
+
+Compositions of flows run one loop, `_compose`, over closures that its
+caller binds: `group_action` binds `field_evaluator`,
+`variational_group_action` `variational_evaluator`, and
+`integrability.angle_solve` binds its generators' closures once per
+solve.  It checks each flow as `integrate` does and keeps the states as
+float lists; it builds a Trajectory only for the FlowError of a flow
+that stops early.
 """
 
 from __future__ import annotations
@@ -173,10 +182,7 @@ def integrate(system, f, x0, t_final: float, config: IntegratorConfig | None = N
     if x0.shape != (system.dim,):
         raise ValueError(f"expected start point of shape ({system.dim},), got {x0.shape}")
     x = x0.tolist()
-    bad = _guard_violation(x, guards, names)
-    if bad is not None:
-        raise StartPointError(f"start point outside domain: {bad}")
-
+    _check_start(x, guards, names)
     return _flow(field_fn, x, float(t_final), cfg, guards, names)
 
 
@@ -185,14 +191,25 @@ def _check_time(t: float) -> None:
         raise ValueError(f"flow time must be finite, got {t}")
 
 
+def _check_start(x: Sequence[float], guards: Sequence[int], names: Sequence[str]) -> None:
+    bad = _guard_violation(x, guards, names)
+    if bad is not None:
+        raise StartPointError(f"start point outside domain: {bad}")
+
+
 def _flow(field_fn, x, T, cfg, guards, names) -> Trajectory:
+    return _trajectory(*_run(field_fn, x, T, cfg, guards, names))
+
+
+def _run(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
+    """The flow's accepted times and points as lists, its status and detail."""
     if T == 0.0:
-        return Trajectory(np.zeros(1), np.array([x]), COMPLETED)
+        return [0.0], [x], COMPLETED, ""
     run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
     return run(field_fn, x, T, cfg, guards, names)
 
 
-def _trajectory(times: list, points: list, status: str, detail: str = "") -> Trajectory:
+def _trajectory(times: list, points: list, status: str, detail: str) -> Trajectory:
     return Trajectory(np.array(times), np.array(points), status, detail)
 
 
@@ -201,31 +218,50 @@ def _trajectory(times: list, points: list, status: str, detail: str = "") -> Tra
 # operations of the in-place array updates they replace.
 
 
-def _run_rk4(field_fn, x, T, cfg, guards, names) -> Trajectory:
+@functools.lru_cache(maxsize=None)
+def _rk4_program(dim: int) -> Callable:
+    """`step(field, x, h, half, sixth)`: one classic RK4 step over dim floats, straight-line.
+
+    It calls field four times, at x_i + half * k1_i, x_i + half * k2_i and
+    x_i + h * k3_i after x, and returns x_i + sixth * (k1_i + 2.0 * k2_i +
+    2.0 * k3_i + k4_i), summed left to right.  Compiled at the first rk4
+    flow of each state size, as "<contactmech rk4-step dim=DIM>".
+    """
+    def stage(weight: str, k: str) -> str:
+        return f"[{', '.join(f'x{i} + {weight} * {k}{i}' for i in range(dim))}]"
+
+    combined = ", ".join(f"x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+                         for i in range(dim))
+    source = ["def step(field, x, h, half, sixth):", f"    {_names('x', dim)}, = x",
+              f"    {_names('k1_', dim)}, = field(x)",
+              f"    {_names('k2_', dim)}, = field({stage('half', 'k1_')})",
+              f"    {_names('k3_', dim)}, = field({stage('half', 'k2_')})",
+              f"    {_names('k4_', dim)}, = field({stage('h', 'k3_')})",
+              f"    return [{combined}]"]
+    return program(f"<contactmech rk4-step dim={dim}>", source, {}, "step")
+
+
+def _run_rk4(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
     n_steps = max(1, math.ceil(abs(T) / cfg.step))
     h = T / n_steps
     half, sixth = 0.5 * h, h / 6.0
     times, points = [0.0], [x]
     t = 0.0
+    step = _rk4_program(len(x))
     for accepted in range(n_steps):
         if accepted == cfg.max_steps:
-            return _trajectory(times, points, MAX_STEPS, f"{accepted} steps")
+            return times, points, MAX_STEPS, f"{accepted} steps"
         try:
-            k1 = field_fn(x)
-            k2 = field_fn([u + half * v for u, v in zip(x, k1)])
-            k3 = field_fn([u + half * v for u, v in zip(x, k2)])
-            k4 = field_fn([u + h * v for u, v in zip(x, k3)])
+            x = step(field_fn, x, h, half, sixth)
         except EvaluationDomainError as exc:
-            return _trajectory(times, points, EXITED_DOMAIN, str(exc))
-        x = [u + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-             for u, v1, v2, v3, v4 in zip(x, k1, k2, k3, k4)]
+            return times, points, EXITED_DOMAIN, str(exc)
         t += h
         bad = _guard_violation(x, guards, names)
         if bad is not None:
-            return _trajectory(times, points, EXITED_DOMAIN, bad)
+            return times, points, EXITED_DOMAIN, bad
         times.append(t)
         points.append(x)
-    return _trajectory(times, points, COMPLETED)
+    return times, points, COMPLETED, ""
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,7 +294,7 @@ def _step_program(dim: int) -> Callable:
     return program(f"<contactmech rkf45-step dim={dim}>", source, {"nan": math.nan}, "step")
 
 
-def _run_rkf45(field_fn, x, T, cfg, guards, names) -> Trajectory:
+def _run_rkf45(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
     sign = 1.0 if T > 0 else -1.0
     span = abs(T)
     # endpoint clamping must not trip the min-step failure, so the
@@ -276,33 +312,33 @@ def _run_rkf45(field_fn, x, T, cfg, guards, names) -> Trajectory:
         except EvaluationDomainError as exc:
             h = 0.5 * h_step
             if h < cfg.min_step:
-                return _trajectory(times, points, EXITED_DOMAIN, str(exc))
+                return times, points, EXITED_DOMAIN, str(exc)
             continue
         if not all(map(math.isfinite, x5)):
             h = 0.5 * h_step
             if h < cfg.min_step:
-                return _trajectory(times, points, STEP_FAILURE, "non-finite step")
+                return times, points, STEP_FAILURE, "non-finite step"
             continue
         if err_norm <= 1.0:
             t += h_step
             x = x5
             bad = _guard_violation(x, guards, names)
             if bad is not None:
-                return _trajectory(times, points, EXITED_DOMAIN, bad)
+                return times, points, EXITED_DOMAIN, bad
             times.append(sign * t)
             points.append(x)
             accepted += 1
             if accepted >= cfg.max_steps:
-                return _trajectory(times, points, MAX_STEPS, f"{accepted} steps")
+                return times, points, MAX_STEPS, f"{accepted} steps"
             factor = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2)
             h = min(max(h, h_step) * factor, cfg.max_step)
         else:
             h = h_step * max(0.1, 0.9 * err_norm ** -0.2)
             if h < cfg.min_step:
-                return _trajectory(times, points, STEP_FAILURE, f"step collapsed to {h:.3e}")
+                return times, points, STEP_FAILURE, f"step collapsed to {h:.3e}"
     if times[-1] != sign * span:
         times[-1] = sign * span
-    return _trajectory(times, points, COMPLETED)
+    return times, points, COMPLETED, ""
 
 
 def flow_map(system, f, x0, t: float, config: IntegratorConfig | None = None) -> np.ndarray:
@@ -312,11 +348,35 @@ def flow_map(system, f, x0, t: float, config: IntegratorConfig | None = None) ->
 
 def _endpoint(traj: Trajectory, f) -> np.ndarray:
     if not traj.completed:
-        raise FlowError(
-            f"flow of {f!r} stopped at t = {traj.times[-1]:.6g} ({traj.status}: {traj.detail})",
-            traj,
-        )
+        raise _stopped(traj, f)
     return traj.endpoint()
+
+
+def _stopped(traj: Trajectory, f) -> FlowError:
+    return FlowError(
+        f"flow of {f!r} stopped at t = {traj.times[-1]:.6g} ({traj.status}: {traj.detail})", traj
+    )
+
+
+def _compose(bind: Callable, fs: Sequence, t: Sequence[float], x: list, cfg: IntegratorConfig,
+             guards: Sequence[int], names: Sequence[str]) -> list:
+    """Phi(t; x) over a float list: the flow of closure bind(idx) for time t[idx], last index first.
+
+    Zero times are skipped.  Each flow checks like `integrate`: its time
+    (ValueError), then, after binding its closure, its start point
+    (StartPointError).  A flow that stops early raises FlowError naming
+    fs[idx]; only then is its Trajectory built.
+    """
+    for idx in range(len(fs) - 1, -1, -1):
+        if t[idx] != 0.0:
+            _check_time(t[idx])
+            field_fn = bind(idx)
+            _check_start(x, guards, names)
+            times, points, status, detail = _run(field_fn, x, t[idx], cfg, guards, names)
+            if status != COMPLETED:
+                raise _stopped(_trajectory(times, points, status, detail), fs[idx])
+            x = points[-1]
+    return x
 
 
 def group_action(
@@ -329,16 +389,20 @@ def group_action(
     """Commuting composition of integral flows; index 0 is applied last.
 
     Phi(t_0..t_n; x) = phi^0_{t_0} after phi^1_{t_1} after ... phi^n_{t_n}(x).
+    Each flow of nonzero time is checked as `integrate` checks its start;
+    one that stops early raises FlowError.
     """
     fs = list(integrals) if integrals is not None else list(system.integrals)
     t = np.asarray(t, dtype=float)
     if len(t) != len(fs):
         raise ValueError(f"need {len(fs)} times, got {len(t)}")
     x = np.asarray(x0, dtype=float)
-    for idx in range(len(fs) - 1, -1, -1):
-        if t[idx] != 0.0:
-            x = flow_map(system, fs[idx], x, float(t[idx]), config)
-    return x
+    if x.shape != (system.dim,):
+        raise ValueError(f"expected start point of shape ({system.dim},), got {x.shape}")
+    guards = tuple(getattr(system, "positive_indices", ()))
+    x = _compose(lambda idx: system.field_evaluator(fs[idx]), fs, t.tolist(), x.tolist(),
+                 config or IntegratorConfig(), guards, system.coordinates)
+    return np.array(x)
 
 
 def variational_group_action(
@@ -356,22 +420,18 @@ def variational_group_action(
     so the tangents share the stages and accepted steps of the flow
     (internal differentiation).  The error control covers the tangents
     too.  Returns the endpoint and the carried tangents as columns; a
-    truncated flow raises FlowError and a non-finite time ValueError.
+    truncated flow raises FlowError, a non-finite time ValueError and a
+    start state that is non-finite or outside a guard StartPointError.
     """
     fs = list(integrals) if integrals is not None else list(system.integrals)
     t = np.asarray(t, dtype=float)
     if len(t) != len(fs):
         raise ValueError(f"need {len(fs)} times, got {len(t)}")
-    for time in t:
-        _check_time(time)
-    cfg = config or IntegratorConfig()
     guards = tuple(getattr(system, "positive_indices", ()))
     dim = system.dim
     tangents = np.asarray(tangents, dtype=float)
     state = np.concatenate([np.asarray(x0, dtype=float), tangents.T.ravel()])
-    for idx in range(len(fs) - 1, -1, -1):
-        if t[idx] != 0.0:
-            field_fn = system.variational_evaluator(fs[idx])
-            traj = _flow(field_fn, state.tolist(), float(t[idx]), cfg, guards, system.coordinates)
-            state = _endpoint(traj, fs[idx])
+    state = np.array(_compose(lambda idx: system.variational_evaluator(fs[idx]), fs, t.tolist(),
+                              state.tolist(), config or IntegratorConfig(), guards,
+                              system.coordinates))
     return state[:dim], state[dim:].reshape(-1, dim).T

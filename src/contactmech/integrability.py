@@ -54,8 +54,8 @@ from .expressions import (
 from .flows import (
     FlowError,
     IntegratorConfig,
+    _compose,
     flow_map,
-    group_action,
     integrate,
     variational_group_action,
 )
@@ -198,7 +198,9 @@ class ActionAngleResult:
     y and A are indexed like the system integrals.  A_tilde lists
     -A_j / A_d for j != d in index order, d the denominator index.
     M_matrix is the basis whose rows weight the integrals into the
-    generators; residual and iterations describe the Newton solve.
+    generators; residual and iterations describe the Newton solve, and
+    failed_trials counts its line-search trials whose flow raised and
+    were halved.
     """
 
     y: np.ndarray
@@ -210,6 +212,7 @@ class ActionAngleResult:
     residual: float
     iterations: int
     converged: bool
+    failed_trials: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +703,20 @@ def angle_solve(
     The generators must be in involution at x
     (|{g_a, g_b}| <= 1e-8 max(1, |F(x)|)), otherwise
     IntegrabilityError names the offending pair.  Steps halve up to 20
-    times on residual increase; a step that finds no decrease raises
-    NewtonDivergenceError.  The convergence target is newton_tolerance
-    or the integrator's own error floor (rel_tol times the point scale),
-    whichever is larger: the flow map cannot be resolved below its
-    truncation error.
+    times on residual increase, or when a trial flow raises FlowError,
+    ValueError or EvaluationDomainError (counted in `failed_trials`); a
+    step that finds no decrease raises NewtonDivergenceError.  The
+    convergence target is newton_tolerance or the integrator's own error
+    floor (rel_tol times the point scale), whichever is larger: the flow
+    map cannot be resolved below its truncation error; a NaN residual
+    never converges.
+
+    The loop runs on lists of floats.  The m generator field closures are
+    bound once per solve, through `symp_system.field_evaluator`; the
+    Jacobian columns are those closures at the endpoint, and every trial
+    flows them through `flows._compose`, which checks each flow as
+    `integrate` does (time, start point, early stop).  Only the step
+    itself, `np.linalg.lstsq` on the m columns, runs in LAPACK.
 
     Actions are A = M f(x_base) with the base integrals f; the relabeling
     denominator comes from the section (fallback: argmax |A_a|).
@@ -713,15 +725,17 @@ def angle_solve(
     x = chart.point(x)
     cfg = config or IntegratorConfig()
     m = len(symp_system.integrals)
-    M = np.eye(m) if basis is None else np.asarray(basis, dtype=float)
-    if M.shape != (m, m):
-        raise ValueError(f"basis must be {m} x {m}")
-    if np.linalg.matrix_rank(M) < m:
-        raise ValueError(f"basis matrix {M.tolist()} is singular")
+    if basis is None:
+        M = np.eye(m)
+    else:
+        M = np.asarray(basis, dtype=float)
+        if M.shape != (m, m):
+            raise ValueError(f"basis must be {m} x {m}")
+        if np.linalg.matrix_rank(M) < m:
+            raise ValueError(f"basis matrix {M.tolist()} is singular")
     generators = _generators(symp_system, M)
-    # one gradient closure per generator serves the involution check,
-    # {g_a, g_b} = X_{g_a}(g_b), and every Newton Jacobian, the fields
-    # X_{g_a} at the current endpoint
+    # the involution check takes {g_a, g_b} = X_{g_a}(g_b) from one gradient
+    # closure per generator
     runs = [gradient_evaluator(G, chart.coordinates) for G in generators]
 
     F_x = symp_system.integral_values(x)
@@ -741,21 +755,32 @@ def angle_solve(
     else:
         s = int(sign)
         base = section.chi_at(s * F_x)
+        if base.shape != (symp_system.dim,):
+            raise SectionError(
+                f"section {section.name!r} has {len(base)} components, "
+                f"chart needs {symp_system.dim}"
+            )
         if base[-1] <= 0.0:
             raise SectionError(
                 f"section {section.name!r} leaves the chart at the base point"
             )
 
-    def phi(y: np.ndarray, start: np.ndarray) -> np.ndarray:
-        return group_action(symp_system, y, start, cfg, integrals=generators)
+    fields = [symp_system.field_evaluator(G) for G in generators]
+    guards = symp_system.positive_indices
+
+    def phi(y: list, start: list) -> list:
+        return _compose(fields.__getitem__, generators, y, start, cfg, guards, chart.coordinates)
 
     scale = max(1.0, float(np.max(np.abs(x))))
     target = max(newton_tolerance, 10.0 * cfg.rel_tol * scale)
 
-    y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
-    end = phi(y, base)
-    gn = float(np.max(np.abs(end - x)))
-    iterations = 0
+    xs = x.tolist()
+    y = [0.0] * m if y0 is None else np.asarray(y0, dtype=float).tolist()
+    if len(y) != m:
+        raise ValueError(f"need {m} times, got {len(y)}")
+    end = phi(y, base.tolist())
+    gn = _max_abs([e - u for e, u in zip(end, xs)])
+    iterations = failed = 0
     while not gn <= target:  # a NaN residual must not read as converged
         if iterations >= max_iter:
             raise NewtonDivergenceError(
@@ -764,20 +789,19 @@ def angle_solve(
                 iterations,
             )
         iterations += 1
-        # the generator fields at the endpoint, one stack with a function axis
-        end = chart.point(end)
-        vgs = [run(end) for run in runs]
-        J = chart._fields(end, np.array([v for v, _ in vgs]), np.array([g for _, g in vgs])).T
-        delta, *_ = np.linalg.lstsq(J, x - end, rcond=None)
+        # the endpoint keeps the fiber positive: the base has it, and every
+        # flow guards it
+        J = np.array([field(end) for field in fields]).T
+        delta = np.linalg.lstsq(J, x - end, rcond=None)[0].tolist()
         lam = 1.0
         for _ in range(21):
-            y_try = y + lam * delta
             try:
-                end_try = phi(lam * delta, end)
+                end_try = phi([lam * d for d in delta], end)
             except (FlowError, ValueError, EvaluationDomainError):
+                failed += 1
                 lam *= 0.5
                 continue
-            gn_try = float(np.max(np.abs(end_try - x)))
+            gn_try = _max_abs([e - u for e, u in zip(end_try, xs)])
             if gn_try <= (1.0 - 1e-4 * lam) * gn:
                 break
             lam *= 0.5
@@ -787,7 +811,8 @@ def angle_solve(
                 gn,
                 iterations,
             )
-        y, end, gn = y_try, end_try, gn_try
+        y = [u + lam * d for u, d in zip(y, delta)]
+        end, gn = end_try, gn_try
 
     f_base = symp_system.base.integral_values(x[:-1])
     A = M @ f_base
@@ -801,7 +826,7 @@ def angle_solve(
         )
     A_tilde = np.array([-A[j] / A[d] for j in range(m) if j != d])
     return ActionAngleResult(
-        y=y,
+        y=np.array(y),
         A=A,
         A_tilde=A_tilde,
         denominator_index=d,
@@ -810,6 +835,7 @@ def angle_solve(
         residual=gn,
         iterations=iterations,
         converged=True,
+        failed_trials=failed,
     )
 
 

@@ -1,0 +1,148 @@
+"""The angle solve on floats against the NumPy Newton loop it replaced.
+
+`integrability.angle_solve` binds the generator field closures once per
+solve and runs its damped Newton loop on lists of floats, flowing each
+trial through `flows._compose`.  The loop it replaced is the reference in
+`tests/angle_reference.py`.  Both take the step from `np.linalg.lstsq`
+on the same Jacobian, so every result must be byte-equal, and every
+failure the same exception with the same message.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import angle_reference
+from angle_reference import numpy_angle_solve
+from contactmech import integrability
+from contactmech.config import load_config
+from contactmech.flows import FlowError, IntegratorConfig
+from contactmech.geometry import ContactChart, ContactSystem
+from contactmech.integrability import SectionSpec, angle_solve
+from contactmech.symplectization import symplectize
+from test_acceptance import N2_POINTS, N2_SECTION, N2_SYSTEMS
+
+X4 = np.array([2.0, 3.0, 5.0, 1.0])
+RESCALED_PZ = Path(__file__).parent / "data" / "golden" / "rescaled-pz.json"
+# RK4's flow map is only a group action to its truncation error, which the
+# Newton target, 10 rel_tol times the point scale, must stay above
+RK4 = IntegratorConfig(method="rk4", step=0.05, rel_tol=1e-6)
+
+
+def _outcome(solve, *args, **kwargs):
+    """The result's fields as bytes, or the type and message of the error raised."""
+    try:
+        sol = solve(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome
+        return type(exc), str(exc)
+    return (sol.y.tobytes(), float(sol.residual).hex(), sol.iterations, sol.sign,
+            sol.A.tobytes(), sol.A_tilde.tobytes(), sol.denominator_index,
+            sol.M_matrix.tobytes(), sol.converged)
+
+
+def assert_same(symp, section, x, **kwargs):
+    got = _outcome(angle_solve, symp, section, x, **kwargs)
+    assert got == _outcome(numpy_angle_solve, symp, section, x, **kwargs)
+    return got
+
+
+@pytest.mark.parametrize("name", ["graph-z", "graph-p"])
+def test_darboux_solves_are_byte_equal(pz_config, pz_symp, name):
+    section = pz_config.section(name)
+    for x in pz_symp.sample(np.random.default_rng(30), 60):
+        assert isinstance(assert_same(pz_symp, section, x)[0], bytes)
+
+
+def test_rescaled_solves_are_byte_equal():
+    config = load_config(RESCALED_PZ)
+    symp, section = config.symp_system(), config.section("graph-z")
+    for x in symp.sample(np.random.default_rng(31), 20):
+        assert isinstance(assert_same(symp, section, x)[0], bytes)
+
+
+@pytest.mark.parametrize("name", sorted(N2_SYSTEMS))
+def test_n2_solves_are_byte_equal(name):
+    symp = symplectize(ContactSystem(ContactChart.standard(2), N2_SYSTEMS[name][0]))
+    for x in N2_POINTS:
+        assert isinstance(assert_same(symp, N2_SECTION, np.append(x, 1.0))[0], bytes)
+
+
+def test_basis_sign_warm_start_and_rk4_are_byte_equal(pz_config, pz_symp):
+    section = pz_config.section("graph-z")
+    M = np.array([[1.0, 1.0], [0.0, 1.0]])
+    rng = np.random.default_rng(32)
+    for x in pz_symp.sample(rng, 10):
+        sign = angle_solve(pz_symp, section, x).sign
+        for kwargs in ({"basis": M}, {"sign": sign}, {"y0": rng.normal(0.0, 0.5, 2)},
+                       {"basis": M, "sign": sign, "y0": [0.3, -0.2]}, {"config": RK4}):
+            assert isinstance(assert_same(pz_symp, section, x, **kwargs)[0], bytes)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"y0": [0.1, 0.2, 0.3]}, ValueError),
+    ({"y0": [np.nan, 0.0]}, ValueError),
+    ({"max_iter": 1}, integrability.NewtonDivergenceError),
+    ({"x": [np.nan, 3.0, 5.0, 1.0]}, integrability.NewtonDivergenceError),
+    ({"x": [2.0, np.nan, 5.0, 1.0]}, integrability.SectionError),
+], ids=["y0-length", "y0-nan", "max-iter-1", "nan-q", "nan-p"])
+def test_failures_raise_the_same_error(pz_config, pz_symp, kwargs, error):
+    x = kwargs.pop("x", X4)
+    got = assert_same(pz_symp, pz_config.section("graph-z"), x, **kwargs)
+    assert got[0] is error, got
+
+
+def test_a_given_sign_rejects_a_section_of_the_wrong_size(pz_symp):
+    # the float loop pairs the endpoint with x by position, so a short base
+    # must not reach it
+    section = SectionSpec("short", ("L1", "L2"), ("0", "L1 / L2", "L2"),
+                          {"L1": (0.5, 2.0), "L2": (0.5, 2.0)})
+    with pytest.raises(integrability.SectionError, match="has 3 components, chart needs 4"):
+        angle_solve(pz_symp, section, X4, sign=-1)
+
+
+def _failing_second_call(function):
+    """function, except that its second call raises FlowError."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise FlowError("forced trial failure")
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
+def test_a_failing_trial_is_counted_and_halved(monkeypatch, pz_config, pz_symp):
+    # the first group action is Phi(0; base), the second the first trial
+    section = pz_config.section("graph-z")
+    assert angle_solve(pz_symp, section, X4).failed_trials == 0
+    monkeypatch.setattr(integrability, "_compose",
+                        _failing_second_call(integrability._compose))
+    monkeypatch.setattr(angle_reference, "numpy_group_action",
+                        _failing_second_call(angle_reference.numpy_group_action))
+    got = angle_solve(pz_symp, section, X4)
+    want = numpy_angle_solve(pz_symp, section, X4)
+    assert got.failed_trials == 1
+    assert got.y.tobytes() == want.y.tobytes()
+    assert (got.residual, got.iterations) == (want.residual, want.iterations)
+
+
+def test_solves_bind_their_closures_through_field_evaluator(monkeypatch, pz_config, pz_symp):
+    # one closure per generator, bound once per solve; the flows and the
+    # Jacobian columns call them
+    bound, calls = [], []
+    original = type(pz_symp).field_evaluator
+
+    def counting(self, f):
+        field = original(self, f)
+        bound.append(f)
+        return lambda x: calls.append(None) or field(x)
+
+    monkeypatch.setattr(type(pz_symp), "field_evaluator", counting)
+    sol = angle_solve(pz_symp, pz_config.section("graph-z"), X4)
+    assert len(bound) == 2
+    assert sol.iterations > 0 and len(calls) > 2 * sol.iterations

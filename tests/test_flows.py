@@ -10,6 +10,7 @@ from contactmech.flows import (
     STEP_FAILURE,
     FlowError,
     IntegratorConfig,
+    StartPointError,
     Trajectory,
     flow_map,
     group_action,
@@ -213,6 +214,16 @@ def test_group_action_skips_zero_times(pz_system):
 def test_group_action_length_check(pz_system):
     with pytest.raises(ValueError):
         group_action(pz_system, np.array([1.0]), X0)
+
+
+def test_group_actions_check_each_start_point(pz_system):
+    # p is guarded positive; the first flow of nonzero time checks its start
+    start = np.array([2.0, -1.0, 5.0])
+    with pytest.raises(StartPointError, match="coordinate p reached"):
+        group_action(pz_system, [0.3, 0.0], start)
+    with pytest.raises(StartPointError, match="coordinate p reached"):
+        variational_group_action(pz_system, [0.3, 0.0], start, np.eye(3))
+    assert np.array_equal(group_action(pz_system, [0.0, 0.0], start), start)
 
 
 def test_group_action_with_explicit_generators(pz_system):
