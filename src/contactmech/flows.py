@@ -6,13 +6,12 @@ against abs_tol + rel_tol * |x| componentwise and propagates the
 fifth-order solution.  Both step a list of Python floats through the
 system's `field_evaluator` closure, which takes and returns float
 lists; at the state sizes here this is several times faster than NumPy
-arrays, whose per-call overhead dominates.  A step is one generated
-straight-line function per state size: `_step_program`
-("<contactmech rkf45-step dim=D>") calls the closure six times,
-`_rk4_program` ("<contactmech rk4-step dim=D>") four.  The closure is a
-compiled closed form on standard-form charts, else one checked float
-elimination; `_programs.program` compiles each, so a traceback through
-them shows the generated line.
+arrays, whose per-call overhead dominates.  An adaptive step is one
+generated straight-line function per state size, `_step_program`
+("<contactmech rkf45-step dim=D>"), which calls the closure six times.
+The closure is a compiled closed form on standard-form charts, else one
+checked float elimination; `_programs.program` compiles each, so a
+traceback through them shows the generated line.
 Trajectories record every accepted step, as arrays built once at the
 end; leaving the chart domain (a positivity guard crossing zero, or an
 expression domain error in the field) truncates the trajectory with an
@@ -218,43 +217,24 @@ def _trajectory(times: list, points: list, status: str, detail: str) -> Trajecto
 # operations of the in-place array updates they replace.
 
 
-@functools.lru_cache(maxsize=None)
-def _rk4_program(dim: int) -> Callable:
-    """`step(field, x, h, half, sixth)`: one classic RK4 step over dim floats, straight-line.
-
-    It calls field four times, at x_i + half * k1_i, x_i + half * k2_i and
-    x_i + h * k3_i after x, and returns x_i + sixth * (k1_i + 2.0 * k2_i +
-    2.0 * k3_i + k4_i), summed left to right.  Compiled at the first rk4
-    flow of each state size, as "<contactmech rk4-step dim=DIM>".
-    """
-    def stage(weight: str, k: str) -> str:
-        return f"[{', '.join(f'x{i} + {weight} * {k}{i}' for i in range(dim))}]"
-
-    combined = ", ".join(f"x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-                         for i in range(dim))
-    source = ["def step(field, x, h, half, sixth):", f"    {_names('x', dim)}, = x",
-              f"    {_names('k1_', dim)}, = field(x)",
-              f"    {_names('k2_', dim)}, = field({stage('half', 'k1_')})",
-              f"    {_names('k3_', dim)}, = field({stage('half', 'k2_')})",
-              f"    {_names('k4_', dim)}, = field({stage('h', 'k3_')})",
-              f"    return [{combined}]"]
-    return program(f"<contactmech rk4-step dim={dim}>", source, {}, "step")
-
-
 def _run_rk4(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
     n_steps = max(1, math.ceil(abs(T) / cfg.step))
     h = T / n_steps
     half, sixth = 0.5 * h, h / 6.0
     times, points = [0.0], [x]
     t = 0.0
-    step = _rk4_program(len(x))
     for accepted in range(n_steps):
         if accepted == cfg.max_steps:
             return times, points, MAX_STEPS, f"{accepted} steps"
         try:
-            x = step(field_fn, x, h, half, sixth)
+            k1 = field_fn(x)
+            k2 = field_fn([u + half * v for u, v in zip(x, k1)])
+            k3 = field_fn([u + half * v for u, v in zip(x, k2)])
+            k4 = field_fn([u + h * v for u, v in zip(x, k3)])
         except EvaluationDomainError as exc:
             return times, points, EXITED_DOMAIN, str(exc)
+        x = [u + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+             for u, v1, v2, v3, v4 in zip(x, k1, k2, k3, k4)]
         t += h
         bad = _guard_violation(x, guards, names)
         if bad is not None:
@@ -427,6 +407,8 @@ def variational_group_action(
     t = np.asarray(t, dtype=float)
     if len(t) != len(fs):
         raise ValueError(f"need {len(fs)} times, got {len(t)}")
+    for time in t:
+        _check_time(time)
     guards = tuple(getattr(system, "positive_indices", ()))
     dim = system.dim
     tangents = np.asarray(tangents, dtype=float)

@@ -65,7 +65,6 @@ def test_every_builder_has_its_source_readable():
         geometry._variational_program("lifted", 4),
         geometry._closed_program(symplectization._darboux_field, 4),
         flows._step_program(3),
-        flows._rk4_program(3),
         integrability._ray_step_program(2, 3),
     ]
     for function in functions:

@@ -60,7 +60,6 @@ from contactmech.flows import (
     IntegratorConfig,
     Trajectory,
     _flow,
-    _rk4_program,
     _step_program,
     integrate,
 )
@@ -329,43 +328,6 @@ def test_step_program_keeps_the_zero_weights():
         x4, x5 = float_rkf_step(_stages(ks), x, h)
         got, norm = _step_program(3)(_stages(ks), x, h, *tols)
         assert (_hex(got), norm.hex()) == (_hex(x5), float_error_norm(x, x4, x5, *tols).hex())
-
-
-# The float-list RK4 step that `flows._rk4_program` unrolls: the generated
-# step must form the same stages and return the same state bitwise.
-
-def float_rk4_step(field_fn, x, h):
-    half, sixth = 0.5 * h, h / 6.0
-    k1 = field_fn(x)
-    k2 = field_fn([u + half * v for u, v in zip(x, k1)])
-    k3 = field_fn([u + half * v for u, v in zip(x, k2)])
-    k4 = field_fn([u + h * v for u, v in zip(x, k3)])
-    return [u + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-            for u, v1, v2, v3, v4 in zip(x, k1, k2, k3, k4)]
-
-
-def test_rk4_program_keeps_signed_zeros_and_specials():
-    # stages of signed zeros, one entry a NaN, an infinity or a zero: the
-    # stage inputs and the state decide signs of zero and spread NaNs and
-    # infinities as the list comprehensions did
-    rng = np.random.default_rng(28)
-    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
-
-    def recording(ks, seen):
-        stages = iter(ks)
-        return lambda x: seen.append(list(x)) or next(stages)
-
-    for _ in range(2000):
-        x, *ks = [[math.copysign(0.0, s) for s in rng.normal(size=3)] for _ in range(5)]
-        ks[rng.integers(4)][rng.integers(3)] = specials[rng.integers(5)]
-        if rng.random() < 0.3:
-            x[rng.integers(3)] = specials[rng.integers(5)]
-        h = float(rng.choice([-0.5, 0.5, -0.0]))
-        want_seen, got_seen = [], []
-        want = float_rk4_step(recording(ks, want_seen), x, h)
-        got = _rk4_program(3)(recording(ks, got_seen), x, h, 0.5 * h, h / 6.0)
-        assert [_hex(s) for s in got_seen] == [_hex(s) for s in want_seen]
-        assert _hex(got) == _hex(want)
 
 
 def test_nan_error_norm_rejects_the_step():
