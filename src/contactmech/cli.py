@@ -15,6 +15,10 @@ rerun with the same config and seed is byte-identical; wall time goes to
 stderr.  Exit codes: 0 pass, 1 a check failed, 2 bad input, 3 numerical
 failure.  The seed is resolved as --seed, else the CONTACTMECH_SEED
 environment variable, else the config seed.
+
+Check, section and solved-point entries are the library's records, each
+field under its _KEYS name (see _entry), so a new record field shows in
+the report unless left out; `integrate` and a failed solve are by hand.
 """
 
 from __future__ import annotations
@@ -75,6 +79,17 @@ def _clean(obj: Any) -> Any:
 
 def render_report(report: dict) -> str:
     return json.dumps(_clean(report), sort_keys=True, indent=2) + "\n"
+
+
+# report key of each renamed field of a library record; None leaves the field out
+_KEYS = {"n_samples": "samples", "n_points": "points", "max_abs_sum": "max_abs_cyclic_sum",
+         "seed": None, "residual_plus": None, "residual_minus": None}
+
+
+def _entry(record, **keys: str | None) -> dict[str, Any]:
+    """A record's fields under their names in keys, else in _KEYS; None leaves one out."""
+    keys = {**_KEYS, **keys}
+    return {keys.get(f, f): v for f, v in record._asdict().items() if keys.get(f, f) is not None}
 
 
 def _report_head(cfg: SystemConfig, command: str, seed: int) -> dict:
@@ -147,32 +162,9 @@ def cmd_check(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     )
     rk = _rank(system, points, jets.gradients, seed=seed)
     checks = [
-        {
-            "name": "contact-condition",
-            "passed": cond.passed,
-            "min_abs_det": cond.min_abs_det,
-            "threshold": cond.threshold,
-            "worst_point": cond.worst_point,
-            "samples": cond.n_points,
-        },
-        {
-            "name": "involution",
-            "passed": inv.passed,
-            "max_abs_bracket": inv.max_abs_bracket,
-            "tolerance": inv.tolerance,
-            "worst_pair": list(inv.worst_pair),
-            "worst_point": inv.worst_point,
-            "samples": inv.n_samples,
-        },
-        {
-            "name": "rank",
-            "passed": rk.passed,
-            "min_rank": rk.min_rank,
-            "required_rank": rk.required_rank,
-            "tolerance": rk.tolerance,
-            "worst_point": rk.worst_point,
-            "samples": rk.n_samples,
-        },
+        {"name": "contact-condition", **_entry(cond, n_points="samples")},
+        {"name": "involution", **_entry(inv)},
+        {"name": "rank", **_entry(rk)},
     ]
     passed = all(c["passed"] for c in checks)
     report = _report_head(cfg, "check", seed)
@@ -199,27 +191,7 @@ def cmd_coisotropy(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
         lambda xs, jet: _coisotropy(system, target, xs, jet, args.tolerance), points, jets
     )
     tan = _tangency(system, points, jets, args.tolerance)
-    checks = [
-        {
-            "name": "coisotropy",
-            "passed": co.passed,
-            "max_abs_cyclic_sum": co.max_abs_sum,
-            "max_membership_residual": co.max_membership_residual,
-            "worst_triple": list(co.worst_triple),
-            "worst_point": co.worst_point,
-            "tolerance": co.tolerance,
-            "points": co.n_points,
-        },
-        {
-            "name": "tangency",
-            "passed": tan.passed,
-            "max_abs_contraction": tan.max_abs_contraction,
-            "worst_triple": list(tan.worst_triple),
-            "worst_point": tan.worst_point,
-            "tolerance": tan.tolerance,
-            "points": tan.n_points,
-        },
-    ]
+    checks = [{"name": "coisotropy", **_entry(co)}, {"name": "tangency", **_entry(tan)}]
     passed = co.passed and tan.passed
     report = _report_head(cfg, "coisotropy", seed)
     report.update(
@@ -270,17 +242,15 @@ def cmd_integrate(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
 
 
 # report keys of a lifted check's value and bound, where not the residual's
-_LIFT_KEYS = {"omega-nondegenerate": ("min_abs_det", "threshold")}
+_LIFT_KEYS = {"omega-nondegenerate": {"value": "min_abs_det", "bound": "threshold"}}
+_RESIDUAL_KEYS = {"value": "max_residual", "bound": "tolerance"}
 
 
 def cmd_symplectize_verify(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     _require_count(args.samples, "--samples")
     symp = cfg.symp_system()
     lift = lift_check(symp, symp.sample(np.random.default_rng(seed), args.samples))
-    checks = []
-    for c in lift.checks:
-        value_key, bound_key = _LIFT_KEYS.get(c.name, ("max_residual", "tolerance"))
-        checks.append({"name": c.name, "passed": c.passed, value_key: c.value, bound_key: c.bound})
+    checks = [_entry(c, **_LIFT_KEYS.get(c.name, _RESIDUAL_KEYS)) for c in lift.checks]
     report = _report_head(cfg, "symplectize-verify", seed)
     report.update({"checks": checks, "samples": args.samples, "passed": lift.passed})
     return report, 0 if lift.passed else 1
@@ -348,30 +318,12 @@ def cmd_action_angle(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
             failures += 1
             entry.update({"converged": False, "error": str(exc)})
         else:
-            entry.update(
-                {
-                    "converged": True,
-                    "y": sol.y,
-                    "A": sol.A,
-                    "A_tilde": sol.A_tilde,
-                    "denominator_index": sol.denominator_index,
-                    "residual": sol.residual,
-                    "iterations": sol.iterations,
-                }
-            )
+            entry.update(_entry(sol, M_matrix=None, sign=None, failed_trials=None))
         results.append(entry)
     report = _report_head(cfg, "action-angle", seed)
     report.update(
         {
-            "section": {
-                "name": sec_report.name,
-                "passed": sec_report.passed,
-                "sign": sec_report.sign,
-                "max_target_residual": sec_report.max_target_residual,
-                "max_horizontality": sec_report.max_horizontality,
-                "tolerance": sec_report.tolerance,
-                "samples": sec_report.n_samples,
-            },
+            "section": _entry(sec_report),
             "points": results,
             "passed": bool(sec_report.passed and failures == 0),
         }

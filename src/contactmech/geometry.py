@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -1032,8 +1031,7 @@ def conformal_rescale(
     return ContactChart(chart.coordinates, coeffs)
 
 
-@dataclass(frozen=True)
-class ContactConditionReport:
+class ContactConditionReport(NamedTuple):
     min_abs_det: float
     worst_point: np.ndarray
     threshold: float

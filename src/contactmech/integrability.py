@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,6 +136,9 @@ class RayTarget:
         )
         if self.direction.ndim != 1 or not np.any(self.direction):
             raise ValueError("ray direction must be a nonzero vector")
+        # a non-finite direction fails every membership test, which then passes
+        if not np.isfinite(self.direction).all():
+            raise ValueError(f"ray direction must be finite, got {self.direction.tolist()}")
 
 
 class SectionSpec:
@@ -177,22 +180,27 @@ class SectionSpec:
         self.denominator_index = denominator_index
         self._grads = tuple(gradient_evaluator(c, self.params) for c in comps)
 
-    def chi_at(self, lam) -> np.ndarray:
+    def _parameters(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
-        env = dict(zip(self.params, map(float, lam)))
+        if lam.shape != (len(self.params),):
+            raise ValueError(f"section {self.name!r} takes {len(self.params)} parameters, got {lam}")
+        return lam
+
+    def chi_at(self, lam) -> np.ndarray:
+        env = dict(zip(self.params, map(float, self._parameters(lam))))
         return np.array([evaluate(c, env) for c in self.components])
 
     def chi_jacobian_at(self, lam) -> np.ndarray:
         """Columns are d chi / d Lambda_a; shape (components, params)."""
-        lam = np.asarray(lam, dtype=float)
+        lam = self._parameters(lam)
         out = np.empty((len(self.components), len(self.params)))
         for A, run in enumerate(self._grads):
             out[A] = run(lam)[1]
         return out
 
 
-@dataclass(frozen=True)
-class ActionAngleResult:
+# report records are NamedTuples, as in symplectization; the CLI prints their _asdict()
+class ActionAngleResult(NamedTuple):
     """Solved angle coordinates and action data at one query point.
 
     y and A are indexed like the system integrals.  A_tilde lists
@@ -219,8 +227,7 @@ class ActionAngleResult:
 # Sampled checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvolutionReport:
+class InvolutionReport(NamedTuple):
     max_abs_bracket: float
     worst_pair: tuple[int, int]
     worst_point: np.ndarray
@@ -230,8 +237,7 @@ class InvolutionReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     min_rank: int
     required_rank: int
     worst_point: np.ndarray
@@ -241,8 +247,7 @@ class RankReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class CoisotropyReport:
+class CoisotropyReport(NamedTuple):
     max_abs_sum: float
     worst_triple: tuple[int, int, int]
     worst_point: np.ndarray
@@ -252,8 +257,7 @@ class CoisotropyReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class TangencyReport:
+class TangencyReport(NamedTuple):
     max_abs_contraction: float
     worst_triple: tuple[int, int, int]
     worst_point: np.ndarray
@@ -575,8 +579,7 @@ def _tangency(system, points, jets, tolerance) -> TangencyReport:
 # Sections and angle coordinates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectionReport:
+class SectionReport(NamedTuple):
     name: str
     sign: int
     max_target_residual: float
@@ -707,9 +710,11 @@ def angle_solve(
     ValueError or EvaluationDomainError (counted in `failed_trials`); a
     step that finds no decrease raises NewtonDivergenceError.  The
     convergence target is newton_tolerance or the integrator's own error
-    floor (rel_tol times the point scale), whichever is larger: the flow
+    floor (10 rel_tol times the point scale), whichever is larger: the flow
     map cannot be resolved below its truncation error; a NaN residual
-    never converges.
+    never converges.  The floor assumes the adaptive RKF45: under
+    method="rk4", whose fixed-step map is a group action only to its
+    truncation error, set rel_tol to that accuracy (1e-6 at step 0.05).
 
     The loop runs on lists of floats.  The m generator field closures are
     bound once per solve, through `symp_system.field_evaluator`; the
@@ -839,8 +844,7 @@ def angle_solve(
     )
 
 
-@dataclass(frozen=True)
-class DarbouxReport:
+class DarbouxReport(NamedTuple):
     max_residual: float
     worst_point: np.ndarray
     tolerance: float
@@ -928,6 +932,10 @@ def period_detect(
     return distance; each is refined by golden-section bracketing.
     Returns None when no return distance dips below the tolerance.
     """
+    if not 0.0 < t_max < np.inf:
+        raise ValueError(f"period_detect t_max must be finite and positive, got {t_max}")
+    if scan_points < 1:
+        raise ValueError(f"period_detect scan_points must be at least 1, got {scan_points}")
     x0 = np.asarray(x0, dtype=float)
     scan_cfg = config or IntegratorConfig(max_step=t_max / scan_points)
     traj = integrate(system, f, x0, t_max, scan_cfg)

@@ -42,6 +42,8 @@ PZ = str(bundled_config_path("darboux-pz"))
 INV5 = str(bundled_config_path("darboux-5d-involutive"))
 NONINV5 = str(bundled_config_path("darboux-5d-noninvolutive"))
 POINTS = str(GOLDEN / "points-pz.json")
+# the middle row has z < 0, so graph-z's base point chi(-F(x)) has r = z < 0
+UNCOVERED = str(GOLDEN / "points-pz-uncovered.json")
 RESCALED = str(GOLDEN / "rescaled-pz.json")
 
 CASES = {
@@ -53,6 +55,8 @@ CASES = {
                                 "--points", POINTS],
     "action-angle-pz-graph-p": ["action-angle", PZ, "--section", "graph-p",
                                 "--points", POINTS],
+    "action-angle-pz-graph-z-uncovered": ["action-angle", PZ, "--section", "graph-z",
+                                          "--points", UNCOVERED],
     "integrate-rescaled-pz-f0": ["integrate", RESCALED, "--f", "0", "--x0", "0.5,1.2,0.8",
                                  "--t", "1.5"],
     "action-angle-rescaled-pz-graph-z": ["action-angle", RESCALED, "--section", "graph-z",
@@ -71,8 +75,10 @@ for _label, (_path, _ray) in SAMPLED.items():
     CASES[f"coisotropy-{_label}"] = ["coisotropy", _path, "--lambda", _ray]
     CASES[f"symplectize-verify-{_label}"] = ["symplectize-verify", _path]
 
-# exit code of each case, 0 unless listed: the non-involutive system fails
-EXIT_CODES = {"check-5d-noninvolutive": 1, "coisotropy-5d-noninvolutive": 1}
+# exit code of each case, 0 unless listed: the non-involutive system fails,
+# and a point whose solve fails is a numerical failure
+EXIT_CODES = {"check-5d-noninvolutive": 1, "coisotropy-5d-noninvolutive": 1,
+              "action-angle-pz-graph-z-uncovered": 3}
 
 _CSV_ENTRY = re.compile(r'^(  "csv": ).*?(,?)$', re.MULTILINE)
 

@@ -66,6 +66,14 @@ def test_ray_target_rejects_zero():
         RayTarget(np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ray_target_rejects_a_nonfinite_direction(bad):
+    # such a direction fails every membership comparison, so coisotropy_check
+    # passed a point that lies off every ray
+    with pytest.raises(ValueError, match="ray direction must be finite"):
+        RayTarget([bad, 1.0])
+
+
 def test_section_spec_validation():
     dom = {"L1": (0.5, 2.0), "L2": (0.5, 2.0)}
     with pytest.raises(ValueError):
@@ -92,6 +100,15 @@ def test_section_chi_and_jacobian(pz_config):
     J = section.chi_jacobian_at(lam)
     want = np.array([[0.0, 0.0], [0.2, -3.0 / 25.0], [0.0, 0.0], [0.0, 1.0]])
     assert np.allclose(J, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [[1.0], [1.0, 2.0, 99.0], [[1.0, 2.0]]])
+def test_section_rejects_parameters_of_the_wrong_size(pz_config, lam):
+    # an extra parameter was ignored, a missing one raised from the evaluator
+    section = pz_config.section("graph-z")
+    for method in (section.chi_at, section.chi_jacobian_at):
+        with pytest.raises(ValueError, match="section 'graph-z' takes 2 parameters"):
+            method(lam)
 
 
 def test_verify_bundled_sections(pz_config, pz_symp):
@@ -536,6 +553,17 @@ def test_period_detect_none_for_translation(pz_system):
 
 def test_period_detect_respects_horizon(rotation_system):
     assert period_detect(rotation_system, 0, np.array([1.0, 0.0, 1.0]), 5.0) is None
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0, np.nan, np.inf])
+def test_period_detect_rejects_a_bad_horizon(rotation_system, t_max):
+    with pytest.raises(ValueError, match="t_max must be finite and positive"):
+        period_detect(rotation_system, 0, np.array([1.0, 0.0, 1.0]), t_max)
+
+
+def test_period_detect_rejects_an_empty_scan(rotation_system):
+    with pytest.raises(ValueError, match="scan_points must be at least 1"):
+        period_detect(rotation_system, 0, np.array([1.0, 0.0, 1.0]), 10.0, scan_points=0)
 
 
 def test_period_detect_raises_on_truncated_scan(rotation_system):
