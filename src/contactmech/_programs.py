@@ -81,7 +81,7 @@ def _tup(prefix: str, count: int) -> str:
 
 
 def _fdot(a, b):
-    """a . b over floats or trees, summed left to right from 0.0 (`_dot`'s bits at length 1)."""
+    """a . b over floats, sources or pairs, left to right from 0.0 (`_dot`'s bits at length 1)."""
     total = 0.0
     for u, v in zip(a, b):
         total += u * v
@@ -103,3 +103,34 @@ class _Source(str):
 
     def __neg__(self):
         return _Source(f"(-{self})")
+
+
+class _Dual:
+    """A forward-mode pair of `_Source` symbols, value a and tangent b, by the kernels' rules.
+
+    Its operands are pairs, or the float 0.0 that `_fdot` starts from.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, other):
+        return _Dual(self.a + other.a, self.b + other.b)
+
+    def __radd__(self, other):
+        return _Dual(other + self.a, self.b)
+
+    def __sub__(self, other):
+        return _Dual(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+
+    def __truediv__(self, other):
+        q = self.a / other.a
+        return _Dual(q, (self.b - q * other.b) / other.a)
+
+    def __neg__(self):
+        return _Dual(-self.a, -self.b)

@@ -41,6 +41,7 @@ from .flows import COMPLETED, EXITED_DOMAIN, FlowError, StartPointError, integra
 from .geometry import GeometryError, _in_sample_order, contact_condition_check
 from .integrability import (
     IntegrabilityError,
+    NewtonDivergenceError,
     RayTarget,
     _coisotropy,
     _involution,
@@ -64,21 +65,10 @@ __all__ = [
 SEED_ENV = "CONTACTMECH_SEED"
 
 
-def _clean(obj: Any) -> Any:
-    """Make report values JSON-serializable and deterministic."""
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 def render_report(report: dict) -> str:
-    return json.dumps(_clean(report), sort_keys=True, indent=2) + "\n"
+    # json prints np.float64, a float subclass, as a float; the default turns arrays and
+    # other NumPy scalars into lists and Python numbers
+    return json.dumps(report, sort_keys=True, indent=2, default=lambda v: v.tolist()) + "\n"
 
 
 # report key of each renamed field of a library record; None leaves the field out
@@ -317,6 +307,8 @@ def cmd_action_angle(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
         except (IntegrabilityError, FlowError, ValueError) as exc:
             failures += 1
             entry.update({"converged": False, "error": str(exc)})
+            if isinstance(exc, NewtonDivergenceError):  # where the Newton loop gave up
+                entry.update({"residual": exc.residual, "iterations": exc.iterations})
         else:
             entry.update(_entry(sol, M_matrix=None, sign=None, failed_trials=None))
         results.append(entry)

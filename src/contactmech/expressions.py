@@ -8,9 +8,8 @@ the same tree, and evaluated over plain floats; + - * / and unary minus
 on nodes build the same trees in code.  Exact derivatives come from
 straight-line float kernels compiled from the tree: forward-mode dual
 arithmetic unrolled into one float per tangent entry, raising their own
-EvaluationDomainError.  Hessian rows are the gradients of the kernels
-of the first partial derivatives, which are built as trees by the same
-tangent rules, without symbolic simplification.
+EvaluationDomainError.  A jet kernel carries the Hessian's lower
+triangle through the same pass, without symbolic simplification.
 
 Grammar (EBNF, whitespace insignificant):
 
@@ -448,7 +447,7 @@ def evaluate(node: Expr, env: Mapping[str, float]) -> float:
 # ---------------------------------------------------------------------------
 
 class _KernelSource:
-    """Straight-line Python source computing one tree's value and gradient.
+    """Straight-line Python source computing one tree's value and gradient, or its jet.
 
     The code is forward-mode dual arithmetic (value a, tangent b) unrolled:
     each node with a variable below it becomes a value local plus one
@@ -460,14 +459,25 @@ class _KernelSource:
     becomes a line that reruns `_eval` on it and so raises its error at
     its place in evaluation order.
 
+    A jet source writes the same lines and carries each node's Hessian
+    lower triangle, one entry per pair (i, j), i >= j, of `pairs`, by the
+    sum, product, quotient and chain rules on the tangent entries, in the
+    float operations of a nested dual pass seeding x_j inside and x_i
+    outside.  Entries known to be zero (None) drop their terms, which at
+    finite values add only signed zeros.  A tangent that is not finite
+    where its node's value is raises "overflow".
+
     `errors` maps the index of each line that can raise to the message
     (None: the exception's own, as math's "math range error") and the
     node of the EvaluationDomainError it stands for.
     """
 
-    def __init__(self, names: tuple[str, ...]):
+    def __init__(self, names: tuple[str, ...], jet: bool = False):
         self.index = {name: k for k, name in enumerate(names)}
         self.n = len(names)
+        self.pairs = [(i, j) for i in range(self.n) for j in range(i + 1)] if jet else None
+        self.zero = [None] * len(self.pairs) if jet else None  # a Var's Hessian
+        self.none = [None] * self.n  # a constant's tangent
         self.lines = [f"x{k} = float(values[{k}])" for k in range(self.n)]
         self.errors: dict[int, tuple[str | None, Expr]] = {}
         self.globals: dict[str, object] = {}
@@ -492,6 +502,10 @@ class _KernelSource:
         self.lines.append(f"{name} = {source}")
         return name
 
+    def named(self, e, prefix: str = "t"):
+        """Entry e, as a new local where it is source text other than a name."""
+        return e if not isinstance(e, str) or e.isidentifier() else self.local(e, prefix)
+
     def blame(self, node: Expr, message: str | None = None, start: int | None = None):
         """Errors raised from line `start` on (default: the last line) are node's."""
         end = len(self.lines)
@@ -500,7 +514,7 @@ class _KernelSource:
 
     def fail(self, node: Expr):
         self.lines.append(f"_eval({self.bind(node, '_n')}, {{}})")
-        return math.nan, None
+        return math.nan, None, None
 
     def binary(self, x, op: str, y):
         if not isinstance(x, str) and not isinstance(y, str):
@@ -511,34 +525,67 @@ class _KernelSource:
         return f"({self.text(x)} {op} {self.text(y)})"
 
     def neg(self, x):
-        return -x if not isinstance(x, str) else f"(-{x})"
+        return f"(-{x})" if isinstance(x, str) else x if x is None else -x
 
-    def tangent(self, entries) -> list:
-        return [e if not isinstance(e, str) or e.isidentifier() else self.local(e)
-                for e in entries]
+    # arithmetic on entries of which None is zero: a constant's, or known zeros of a jet
+    def plus(self, x, y):
+        return y if x is None else x if y is None else self.binary(x, "+", y)
+
+    def minus(self, x, y):
+        return self.plus(x, self.neg(y)) if x is None or y is None else self.binary(x, "-", y)
+
+    def times(self, x, y):
+        return None if x is None or y is None else self.binary(x, "*", y)
+
+    def over(self, x, y):
+        return None if x is None else self.binary(x, "/", y)
+
+    def known(self, tangent) -> list:
+        """tangent (None: a constant's) with each entry known to be zero as None."""
+        return [e if isinstance(e, str) or e != 0.0 else None for e in tangent or self.none]
+
+    def finish(self, node: Expr, v: str, t: list, rule, message: str | None = None):
+        """The node's (value, tangent, Hessian), t as locals, blamed with message if given.
+
+        A jet source checks t; its Hessian entry k is rule(T, i, j, k) for
+        pair k = (i, j), T being t as `known` gives it.
+        """
+        start = len(self.lines)
+        t = [self.named(e) for e in t]
+        if message:
+            self.blame(node, message, start)
+        if self.pairs is None:
+            return v, t, None
+        # float arithmetic overflows to inf silently: a tangent that is not
+        # finite where the value is raises
+        checks = " + ".join(f"({e} - {e})" for e in t if isinstance(e, str))
+        if checks:
+            self.lines.append(f"if {checks} and {v} - {v} == 0.0: raise OverflowError")
+            self.blame(node, "overflow")
+        T = self.known(t)
+        return v, t, [self.named(rule(T, i, j, k), "h") for k, (i, j) in enumerate(self.pairs)]
 
     def emit(self, node: Expr):
-        """(value, tangent entries), or (float, None) for a variable-free node."""
+        """(value, tangent, Hessian entries or None outside a jet), or (float, None, None)."""
         if isinstance(node, Const):
-            return node.value, None
+            return node.value, None, None
         if isinstance(node, Var):
             k = self.index.get(node.name)
             if k is None:
                 return self.fail(node)
-            return f"x{k}", [1.0 if j == k else 0.0 for j in range(self.n)]
+            return f"x{k}", [1.0 if j == k else 0.0 for j in range(self.n)], self.zero
         if isinstance(node, Binary):
-            a, ta = self.emit(node.lhs)
-            b, tb = self.emit(node.rhs)
-            if ta is None and tb is None:
+            lhs, rhs = self.emit(node.lhs), self.emit(node.rhs)
+            if lhs[1] is None and rhs[1] is None:
                 return self.fold(node)
-            return self.emit_binary(node, a, ta, b, tb)
+            return self.emit_binary(node, *lhs, *rhs)
         if isinstance(node, Unary):
-            a, ta = self.emit(node.arg)
+            a, ta, ha = self.emit(node.arg)
             if ta is None:
                 return self.fold(node)
-            return self.emit_unary(node, a, ta)
+            return self.emit_unary(node, a, ta, ha)
         if isinstance(node, Power):
-            a, ta = self.emit(node.base)
+            a, ta, ha = self.emit(node.base)
             if ta is None:
                 return self.fold(node)
             c = node.exponent
@@ -548,12 +595,17 @@ class _KernelSource:
             self.guard_pow(node, a, c - 1.0)
             d = self.local(f"{self.text(c)} * _pow({a}, {self.text(c - 1.0)})")
             self.blame(node)
-            return v, self.tangent(self.binary(x, "*", d) for x in ta)
+            if self.pairs is not None:  # the derivative of d / c
+                self.guard_pow(node, a, c - 2.0)
+                e = self.local(f"{self.text(c - 1.0)} * _pow({a}, {self.text(c - 2.0)})")
+                self.blame(node)
+            da = self.known(ta)
+            return self.chain(node, v, ta, ha, d, lambda T, j: self.times(self.times(da[j], e), c))
         raise TypeError(f"not an expression node: {node!r}")
 
     def fold(self, node: Expr):
         try:
-            return _eval(node, {}), None
+            return _eval(node, {}), None, None
         except ExpressionError:
             return self.fail(node)
 
@@ -566,46 +618,18 @@ class _KernelSource:
                 self.lines.append(f"if {a} {test} 0.0: raise ValueError")
                 self.blame(node, str(exc))
 
-    def emit_binary(self, node: Binary, a, ta, b, tb):
+    def emit_binary(self, node: Binary, a, ta, ha, b, tb, hb):
         op = node.op
         A, B = self.text(a), self.text(b)
-        if op == "+":
-            # float + dual adds in the dual's order: its value comes first
-            v = self.local(f"{B} + {A}" if ta is None else f"{A} + {B}", "v")
-            if ta is None:
-                t = tb
-            elif tb is None:
-                t = ta
-            else:
-                t = [self.binary(x, "+", y) for x, y in zip(ta, tb)]
-        elif op == "-":
-            v = self.local(f"{A} - {B}", "v")
-            if ta is None:
-                t = [self.neg(y) for y in tb]
-            elif tb is None:
-                t = ta
-            else:
-                t = [self.binary(x, "-", y) for x, y in zip(ta, tb)]
-        elif op == "*":
-            v = self.local(f"{B} * {A}" if ta is None else f"{A} * {B}", "v")
-            if ta is None:
-                t = [self.binary(y, "*", a) for y in tb]
-            elif tb is None:
-                t = [self.binary(x, "*", b) for x in ta]
-            else:
-                t = [self.binary(self.binary(a, "*", y), "+", self.binary(x, "*", b))
-                     for x, y in zip(ta, tb)]
-        else:
-            v = self.local(f"{A} / {B}", "v")
+        # float + dual and float * dual run in the dual's order: its value comes first
+        v = self.local(f"{B} {op} {A}" if ta is None and op in "+*" else f"{A} {op} {B}", "v")
+        if op == "/":
             self.blame(node, "division by zero")
-            if ta is None:
-                nq = self.local(f"-{v}")
-                t = [self.binary(self.binary(nq, "*", y), "/", b) for y in tb]
-            elif tb is None:
-                t = [self.binary(x, "/", b) for x in ta]
-            else:
-                t = [self.binary(self.binary(x, "-", self.binary(v, "*", y)), "/", b)
-                     for x, y in zip(ta, tb)]
+        # an operand without a tangent contributes no term
+        rule = {"+": self.plus, "-": self.minus,
+                "*": lambda x, y: self.plus(self.times(a, y), self.times(x, b)),
+                "/": lambda x, y: self.over(self.minus(x, self.times(v, y)), b)}[op]
+        t = [rule(x, y) for x, y in zip(ta or self.none, tb or self.none)]
         # float arithmetic overflows to inf silently: an infinite value is an
         # error where both operands are finite, which also rules out NaN;
         # a non-finite operand propagates
@@ -613,45 +637,71 @@ class _KernelSource:
             finite = "".join(f" and {x} - {x} == 0.0" for x in (a, b) if isinstance(x, str))
             self.lines.append(f"if {v} - {v}{finite}: raise OverflowError")
             self.blame(node, "overflow")
-        return v, self.tangent(t)
+        da, db, ha, hb = self.known(ta), self.known(tb), ha or self.zero, hb or self.zero
+        if op in "+-":
+            return self.finish(node, v, t, lambda T, i, j, k: rule(ha[k], hb[k]))
+        if op == "*":
+            return self.finish(node, v, t, lambda T, i, j, k: self.plus(
+                self.plus(self.times(a, hb[k]), self.times(da[j], db[i])),
+                self.plus(self.times(da[i], db[j]), self.times(ha[k], b))))
+        return self.finish(node, v, t, lambda T, i, j, k: self.over(self.minus(
+            self.minus(ha[k], self.plus(self.times(v, hb[k]), self.times(T[j], db[i]))),
+            self.times(T[i], db[j])), b))
 
-    def emit_unary(self, node: Unary, a: str, ta: list):
-        op = node.op
+    def chain(self, node: Expr, v: str, ta: list, ha, d, dd, negate: bool = False):
+        """`finish` for the tangent b * d, b = ta or -ta, as a nested pass has it.
+
+        The Hessian entry is b_i dd(T, j) + h d, where dd(T, j) is d's own
+        tangent entry j by the inner seed and h the operand's entry.
+        """
+        b = [self.neg(x) for x in ta] if negate else ta
+        db = self.known(b)
+        h = [self.neg(e) for e in ha or ()] if negate else ha
+        return self.finish(node, v, [self.binary(x, "*", d) for x in b], lambda T, i, j, k:
+                           self.plus(self.times(db[i], dd(T, j)), self.times(h[k], d)))
+
+    def emit_unary(self, node: Unary, a: str, ta: list, ha):
+        op, da = node.op, self.known(ta)
         if op == "neg":
-            return self.local(f"-{a}", "v"), self.tangent(self.neg(x) for x in ta)
+            return self.finish(node, self.local(f"-{a}", "v"), [self.neg(x) for x in ta],
+                               lambda T, i, j, k: self.neg(ha[k]))
         v = self.local(f"_{op}({a})", "v")
         self.blame(node, {"log": _LOG_DOMAIN, "sqrt": _SQRT_DOMAIN}.get(op))
-        if op == "exp":
-            t = [self.binary(x, "*", v) for x in ta]
-        elif op == "log":
-            t = [self.binary(x, "/", a) for x in ta]
-        elif op == "sqrt":
+        if op in ("log", "sqrt"):  # the tangent ta / d, and d's own tangent
             # sqrt(0) makes this denominator 0 and each division raise
-            d = self.local(f"2.0 * {v}")
-            start = len(self.lines)
-            tangent = self.tangent(self.binary(x, "/", d) for x in ta)
-            self.blame(node, "sqrt derivative at zero", start)
-            return v, tangent
-        elif op == "sin":
+            d = a if op == "log" else self.local(f"2.0 * {v}")
+            dd = (lambda T, j: da[j]) if op == "log" else (lambda T, j: self.times(T[j], 2.0))
+            return self.finish(node, v, [self.binary(x, "/", d) for x in ta], lambda T, i, j, k:
+                               self.over(self.minus(ha[k], self.times(T[i], dd(T, j))), d),
+                               "sqrt derivative at zero" if op == "sqrt" else None)
+        if op == "exp":
+            return self.chain(node, v, ta, ha, v, lambda T, j: T[j])
+        if op == "sin":
             c = self.local(f"_cos({a})")
-            t = [self.binary(x, "*", c) for x in ta]
-        elif op == "cos":
+            return self.chain(node, v, ta, ha, c, lambda T, j: self.times(self.neg(da[j]), v))
+        if op == "cos":
             s = self.local(f"_sin({a})")
-            t = [self.binary(self.neg(x), "*", s) for x in ta]
-        else:  # tanh
-            d = self.local(f"1.0 - {v} * {v}")
-            t = [self.binary(x, "*", d) for x in ta]
-        return v, self.tangent(t)
+            return self.chain(node, v, ta, ha, s, lambda T, j: self.times(da[j], v), negate=True)
+        d = self.local(f"1.0 - {v} * {v}")  # tanh
+        return self.chain(node, v, ta, ha, d, lambda T, j: self.neg(
+            self.plus(self.times(v, T[j]), self.times(T[j], v))))
 
 
-def _compile(node: Expr, names: tuple[str, ...]):
-    source = _KernelSource(names)
-    value, tangent = source.emit(node)
+def _compile(node: Expr, names: tuple[str, ...], jet: bool = False):
+    source = _KernelSource(names, jet)
+    value, tangent, hessian = source.emit(node)
+    n = len(names)
     if tangent is None:
-        result = f"{source.text(float(value))}, ({'0.0, ' * len(names)})"
-    else:
-        entries = "".join(f"{source.text(e)}, " for e in tangent)
-        result = f"{value}, ({entries})"
+        value, tangent = source.text(float(value)), [0.0] * n
+
+    def listed(entries) -> str:
+        return "".join(f"{source.text(0.0 if e is None else e)}, " for e in entries)
+
+    result = f"{value}, ({listed(tangent)})"
+    if jet:  # the Hessian rows, mirrored from the lower triangle
+        entry = dict(zip(source.pairs, hessian or source.zero))
+        rows = (listed(entry[max(i, j), min(i, j)] for j in range(n)) for i in range(n))
+        result += ", [" + "".join(f"({row}), " for row in rows) + "]"
     lines = ["def kernel(values):", "    try:", *[f"        {line}" for line in source.lines],
              f"        return {result}", "    except (ArithmeticError, ValueError) as exc:",
              "        raise _domain_error(exc) from None"]
@@ -673,65 +723,6 @@ def _domain_error(errors, exc: Exception) -> Exception:
         return exc
     message, node = entry
     return EvaluationDomainError(message or str(exc), node)
-
-
-def _derivative(node: Expr, name: str) -> Expr | None:
-    """d node / d name as a tree; None where no variable lies below.
-
-    Each rule is the kernels' tangent rule for the node, operand order and
-    float operands included, so the kernel of the result runs the float
-    operations of a second-order dual pass.
-    """
-    if isinstance(node, Const):
-        return None
-    if isinstance(node, Var):
-        return Const(1.0 if node.name == name else 0.0)
-    if isinstance(node, Power):
-        du = _derivative(node.base, name)
-        if du is None:
-            return None
-        c = node.exponent
-        return du * (c * Power(node.base, c - 1.0))
-    if isinstance(node, Unary):
-        u, op = node.arg, node.op
-        du = _derivative(u, name)
-        if du is None:
-            return None
-        if op == "neg":
-            return -du
-        if op == "exp":
-            return du * node
-        if op == "log":
-            return du / u
-        if op == "sqrt":
-            return du / (2.0 * node)
-        if op == "sin":
-            return du * Unary("cos", u)
-        if op == "cos":
-            return -du * Unary("sin", u)
-        return du * (1.0 - node * node)
-    u, v, op = node.lhs, node.rhs, node.op
-    du, dv = _derivative(u, name), _derivative(v, name)
-    if du is None and dv is None:
-        return None
-    # a variable-free operand contributes no tangent term
-    if op == "+":
-        return dv if du is None else du if dv is None else du + dv
-    if op == "-":
-        if du is None:
-            return -dv
-        return du if dv is None else du - dv
-    if op == "*":
-        if du is None:
-            return dv * u
-        if dv is None:
-            return du * v
-        return u * dv + du * v
-    if du is None:
-        return -node * dv / v
-    if dv is None:
-        return du / v
-    return (du - node * dv) / v
 
 
 def _exact(value: float):
@@ -771,16 +762,8 @@ class _KernelKey:
 
 
 @functools.lru_cache(maxsize=512)
-def _kernel(key: _KernelKey):
-    return _compile(key.node, key.names)
-
-
-@functools.lru_cache(maxsize=512)
-def _partial_kernels(key: _KernelKey) -> tuple:
-    """The kernel of df/dx_i for each name x_i; its gradient is Hessian row i."""
-    return tuple(
-        _compile(_derivative(key.node, name) or Const(0.0), key.names) for name in key.names
-    )
+def _kernel(key: _KernelKey, jet: bool = False):
+    return _compile(key.node, key.names, jet)
 
 
 def gradient_kernel(
@@ -833,32 +816,18 @@ class Jet2:
 def jet2_kernel(
     node: Expr, names: Sequence[str]
 ) -> "Callable[[Sequence[float]], tuple[float, tuple[float, ...], list[tuple[float, ...]]]]":
-    """Compiled kernels computing (value, gradient, Hessian rows) as floats.
+    """Compiled kernel computing (value, gradient, Hessian rows) as floats.
 
-    Row i is the gradient of the memoised kernel of df/dx_i (see
-    `_derivative`), as computed: eval_jet2 symmetrizes the rows, this
-    closure does not.  The kernels are fetched now, once.
+    gradient_kernel's pass carrying the Hessian's lower triangle (see
+    `_KernelSource`), memoised per (tree, names), fetched now: its rows are
+    mirrored, and it also raises "overflow" where a node's first derivative
+    is not finite although its value is.
     """
-    key = _KernelKey(node, tuple(names))
-    kernel, partials = _kernel(key), _partial_kernels(key)
-
-    def run(values):
-        value, grad = kernel(values)
-        return value, grad, [partial(values)[1] for partial in partials]
-
-    return run
+    return _kernel(_KernelKey(node, tuple(names)), True)
 
 
 def eval_jet2(node: Expr, names: Sequence[str], values: Sequence[float]) -> Jet2:
-    """Value, gradient, and Hessian from compiled kernels.
-
-    f's kernel gives the value and gradient.  Row i of the Hessian is the
-    gradient of the memoised kernel of df/dx_i (see `_derivative`), taken
-    on and below the diagonal and mirrored above it.  Besides f's own
-    domain errors, a second derivative that overflows raises "overflow"
-    naming a subtree of df/dx_i.
-    """
+    """Value, gradient, and Hessian from the compiled jet2_kernel."""
     value, grad, rows = jet2_kernel(node, names)(values)
-    rows = np.array(rows, dtype=float).reshape(len(grad), len(grad))
-    hessian = np.tril(rows) + np.tril(rows, -1).T
-    return Jet2(value=float(value), gradient=np.array(grad), hessian=hessian)
+    return Jet2(value=float(value), gradient=np.array(grad),
+                hessian=np.array(rows, dtype=float).reshape(len(grad), len(grad)))

@@ -21,9 +21,9 @@ Compositions of flows run one loop, `_compose`, over closures that its
 caller binds: `group_action` binds `field_evaluator`,
 `variational_group_action` `variational_evaluator`, and
 `integrability.angle_solve` binds its generators' closures once per
-solve.  It checks each flow as `integrate` does and keeps the states as
-float lists; it builds a Trajectory only for the FlowError of a flow
-that stops early.
+solve.  It checks every time before the first flow, then each flow as
+`integrate` does, and keeps the states as float lists; it builds a
+Trajectory only for the FlowError of a flow that stops early.
 """
 
 from __future__ import annotations
@@ -342,14 +342,15 @@ def _compose(bind: Callable, fs: Sequence, t: Sequence[float], x: list, cfg: Int
              guards: Sequence[int], names: Sequence[str]) -> list:
     """Phi(t; x) over a float list: the flow of closure bind(idx) for time t[idx], last index first.
 
-    Zero times are skipped.  Each flow checks like `integrate`: its time
-    (ValueError), then, after binding its closure, its start point
-    (StartPointError).  A flow that stops early raises FlowError naming
-    fs[idx]; only then is its Trajectory built.
+    Every time is checked before the first flow (ValueError), and zero
+    times are skipped.  Each flow checks its start point like `integrate`,
+    after binding its closure (StartPointError).  A flow that stops early
+    raises FlowError naming fs[idx]; only then is its Trajectory built.
     """
+    for time in t:
+        _check_time(time)
     for idx in range(len(fs) - 1, -1, -1):
         if t[idx] != 0.0:
-            _check_time(t[idx])
             field_fn = bind(idx)
             _check_start(x, guards, names)
             times, points, status, detail = _run(field_fn, x, t[idx], cfg, guards, names)
@@ -369,8 +370,9 @@ def group_action(
     """Commuting composition of integral flows; index 0 is applied last.
 
     Phi(t_0..t_n; x) = phi^0_{t_0} after phi^1_{t_1} after ... phi^n_{t_n}(x).
-    Each flow of nonzero time is checked as `integrate` checks its start;
-    one that stops early raises FlowError.
+    A non-finite time raises ValueError before any flow.  Each flow of
+    nonzero time is checked as `integrate` checks its start; one that
+    stops early raises FlowError.
     """
     fs = list(integrals) if integrals is not None else list(system.integrals)
     t = np.asarray(t, dtype=float)
@@ -407,8 +409,6 @@ def variational_group_action(
     t = np.asarray(t, dtype=float)
     if len(t) != len(fs):
         raise ValueError(f"need {len(fs)} times, got {len(t)}")
-    for time in t:
-        _check_time(time)
     guards = tuple(getattr(system, "positive_indices", ()))
     dim = system.dim
     tangents = np.asarray(tangents, dtype=float)

@@ -5,17 +5,17 @@ contact one-form eta.  Coordinates are ordered (q_1..q_n, p_1..p_n, z);
 when the coefficients are structurally those of the standard form
 dz - p_i dq^i the chart takes closed-form fast paths, otherwise every
 operator goes through the flat-map solve.  The closed-form field is one
-template, `_darboux_field`, run over source symbols (the flow closure
-that `_closed_program` compiles), arrays (point stacks) and expression
-trees, whose kernels give its Jacobian; no caller re-checks
-eta(X_f) = -f, which holds for it identically.  On general coframes
-every field and field tangent comes from a generated float program per
-chart kind ("lifted" upstairs) and dimension: `_field_program`, one
-elimination per point for det B, the Reeb field and B^-T df of m
-functions, with its checks and errors, run by flows and point stacks;
-and `_variational_program`, its lines for one function and then one
-more elimination per tangent for DX_f dx.  None takes a LAPACK solve.
-`_programs` holds their emitters, and its `program` compiles all three.
+template, `_darboux_field`, run over arrays (point stacks) and over
+forward-mode pairs of source symbols, which `_closed_program` compiles
+into the flow closure and, on f's jet kernel, the variational closure;
+no caller re-checks eta(X_f) = -f, which holds for it identically.  On
+general coframes every field and tangent comes from a generated float
+program per chart kind ("lifted" upstairs) and dimension:
+`_field_program`, one elimination per point for det B, the Reeb field
+and B^-T df of m functions, with its checks and errors, run by flows
+and point stacks; and `_variational_program`, its lines for one function,
+then one more elimination per tangent for DX_f dx.  None takes a LAPACK
+solve; `_programs` holds their emitters and compiles them (`program`).
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -50,13 +50,11 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._programs import _checked, _eliminate, _fdot, _names, _Source, _sum, _tup, program
+from ._programs import _checked, _Dual, _eliminate, _fdot, _names, _Source, _sum, _tup, program
 from .expressions import (
     Const,
     Expr,
     Var,
-    _derivative,
-    _KernelKey,
     evaluate,
     free_variables,
     gradient_evaluator,
@@ -296,6 +294,11 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     return namespace
 
 
+def _matrix(prefix: str, count: int) -> str:
+    """The rows of locals <prefix><i>_<j>, i, j < count: the unpacking target of a jet's Hessian."""
+    return "(" + "".join(f"{_tup(f'{prefix}{i}_', count)}, " for i in range(count)) + ")"
+
+
 @functools.lru_cache(maxsize=None)
 def _variational_program(kind: str, dim: int) -> Callable:
     """`bind(jet, coefficients, point)`: the variational closure of X_f on a general coframe.
@@ -303,8 +306,7 @@ def _variational_program(kind: str, dim: int) -> Callable:
     The closure maps the float list x, dx_1 .. dx_k to X_f(x), DX_f(x) dx_1
     .. DX_f(x) dx_k.  It runs the lines of `_field_program(kind, dim, 1)`,
     checks and errors included, once on the `jet2_kernel`s of f and of
-    eta's coefficients (whose Hessians it mirrors from their lower
-    triangles, as eval_jet2 does).  Per tangent it eliminates again on a
+    eta's coefficients.  Per tangent it eliminates again on a
     copy of B^T (omega^T), without the pivot tests the field's elimination
     made; with df' = Hess f dx and c = R(f) + f it solves
         B^T [dR | Y] = [d eta - dB^T R | df' - c d eta - dB^T X],
@@ -322,15 +324,11 @@ def _variational_program(kind: str, dim: int) -> Callable:
     def dot(u: Sequence[str], v: Sequence[str]) -> str:
         return _sum([f"{a} * {b}" for a, b in zip(u, v)])
 
-    def rows(prefix: str, count: int) -> str:  # the unpacking target of a jet's Hessian rows
-        return "(" + "".join(f"{_tup(f'{prefix}{i}_', count)}, " for i in range(count)) + ")"
-
     dx, dg, X, R = map(col, ("dx", "dg", "X0_", "R"))
     solved = [f"s{i}_{dim}" for i in range(dim)]  # dR, or DX_F dx
     tangent = [f"dg{i} = {dot(col(f'h{i}_'), dx)}" for i in range(dim)]
     tangent += [f"de{i} = {dot(col(f'j{i}_', d), dx)}" for i in range(d)]
-    tangent += [f"dj{i}_{a} = {dot([f'he{i}_{max(a, c)}_{min(a, c)}' for c in range(d)], dx)}"
-                for i in range(d) for a in range(d)]
+    tangent += [f"dj{i}_{a} = {dot(col(f'he{i}_{a}_', d), dx)}" for i in range(d) for a in range(d)]
     if lifted:  # the entries of d omega^T
         tangent += [f"db{i}_{j} = -dx{d} * (j{i}_{j} - j{j}_{i}) - r * (dj{i}_{j} - dj{j}_{i})"
                     for i in range(d) for j in range(d)]
@@ -352,9 +350,9 @@ def _variational_program(kind: str, dim: int) -> Callable:
     outputs = solved if lifted else [f"s{i}_{dim + 1} - w * R{i}" for i in range(dim)]
     fiber_test = " or x[-1] <= 0.0" if lifted else ""
     body = [f"x = state[:{dim}]", f"if len(x) != {dim}{fiber_test}:", "    point(x)",
-            f"value0, {_tup('g0_', dim)}, {rows('h', dim)} = jet(x)",
+            f"value0, {_tup('g0_', dim)}, {_matrix('h', dim)} = jet(x)",
             *(["r = x[-1]"] if lifted else []),
-            *[f"e{i}, {_tup(f'j{i}_', d)}, {rows(f'he{i}_', d)} = k{i}(x)" for i in range(d)],
+            *[f"e{i}, {_tup(f'j{i}_', d)}, {_matrix(f'he{i}_', d)} = k{i}(x)" for i in range(d)],
             *namespace["lines"],
             # R: the tangents' eliminations overwrite s<i>_<dim>
             *([] if lifted else [f"{', '.join(R)}, = {', '.join(solved)},"]),
@@ -540,24 +538,16 @@ class _Chart:
         """Closure for the variational equation of X_f, over float lists.
 
         The state is x followed by k tangent vectors dx_1..dx_k; the
-        closure returns X_f(x) followed by DX_f(x) dx_1..DX_f(x) dx_k.  On
-        standard-form charts the kernels of the closed-form components
-        give X_f(x) and the rows of DX_f(x); otherwise it is the chart
+        closure returns X_f(x) followed by DX_f(x) dx_1..DX_f(x) dx_k.  It
+        is a generated program bound to f's `jet2_kernel`: on standard-form
+        charts `_closed_program`'s variational closure, otherwise the chart
         kind's `_variational_program`.
         """
-        dim = self.dim
+        jet = jet2_kernel(f, self.coordinates)
         if self._closed_field is not None:
-            kernels = _closed_kernels(self._closed_field, _KernelKey(f, self.coordinates))
-
-            def closed(state) -> list[float]:
-                x = state[:dim]
-                X, rows = zip(*[kernel(x) for kernel in kernels])
-                tangents = [state[j : j + dim] for j in range(dim, len(state), dim)]
-                return [*X, *[_fdot(row, dx) for dx in tangents for row in rows]]
-
-            return closed
-        bind = _variational_program(self._kind, dim)
-        return bind(jet2_kernel(f, self.coordinates), self._eta_chart._coeff_jets, self.point)
+            return _closed_program(self._closed_field, self.dim, True)(jet)
+        bind = _variational_program(self._kind, self.dim)
+        return bind(jet, self._eta_chart._coeff_jets, self.point)
 
     def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
         """X_f over float lists on a general coframe: `_field_program`'s closure for f's kernel."""
@@ -798,28 +788,37 @@ def _stacked(template, n: int, x: np.ndarray, value, grad: np.ndarray) -> np.nda
 
 
 @functools.lru_cache(maxsize=None)
-def _closed_program(template, dim: int) -> Callable:
+def _closed_program(template, dim: int, variational: bool = False) -> Callable:
     """`bind(kernel)`: the flow closure of a standard-form template on dim coordinates.
 
-    The template runs once over `_Source` symbols with `_fdot`, so the closure
-    makes the float operations of the template over floats, in their order.
-    Compiled at its first `field_evaluator`, as "<contactmech closed-field dim=DIM>".
+    The template runs once over forward-mode pairs (`_Dual`) of `_Source`
+    symbols: x with dx, f with df(dx) and df with Hess f dx.  The closure
+    makes the float operations of its values over floats, in their order;
+    compiled at the first `field_evaluator`, as "<contactmech closed-field
+    dim=DIM>".  With variational true, `bind` takes f's `jet2_kernel`, and
+    the closure maps the float list x, dx_1 .. dx_k to that X_f(x) and the
+    tangents DX_f(x) dx_j; compiled at the first `variational_evaluator`,
+    as "<contactmech closed-variational dim=DIM>".
     """
-    xs, grad = [_Source(f"x{i}") for i in range(dim)], [_Source(f"g{i}") for i in range(dim)]
-    components = template((dim - 1) // 2, xs, _Source("value"), grad, _fdot)
-    source = ["def bind(kernel):", "    def field(x):",
-              f"        value, ({', '.join(grad)},) = kernel(x)", f"        {', '.join(xs)}, = x",
-              f"        return [{', '.join(components)}]", "    return field"]
-    return program(f"<contactmech closed-field dim={dim}>", source, {}, "bind")
-
-
-@functools.lru_cache(maxsize=512)
-def _closed_kernels(template, key: _KernelKey) -> tuple:
-    """Kernels of a template's components on key's tree: values X_f^i, gradients DX_f rows."""
-    names = key.names
-    grad = [_derivative(key.node, name) or Const(0.0) for name in names]
-    components = template((len(names) - 1) // 2, [*map(Var, names)], key.node, grad, _fdot)
-    return tuple(gradient_kernel(c, names) for c in components)
+    x, g = ([_Dual(_Source(f"{v}{i}"), _Source(f"d{v}{i}")) for i in range(dim)] for v in "xg")
+    X = template((dim - 1) // 2, x, _Dual(_Source("value"), _Source("dvalue")), g, _fdot)
+    values = ", ".join(c.a for c in X)
+    if not variational:
+        body = [f"value, {_tup('g', dim)} = kernel(x)", f"{_names('x', dim)}, = x",
+                f"return [{values}]"]
+    else:  # x is the state; the kernel reads its first dim entries, the point
+        tangent = [f"{_names('dx', dim)}, = x[start : start + {dim}]",
+                   f"dvalue = {_sum([f'g{j} * dx{j}' for j in range(dim)])}",
+                   *[f"dg{i} = {_sum([f'h{i}_{j} * dx{j}' for j in range(dim)])}"
+                     for i in range(dim)], f"out += [{', '.join(c.b for c in X)}]"]
+        body = [f"value, {_tup('g', dim)}, {_matrix('h', dim)} = kernel(x)",
+                f"{_names('x', dim)}, = x[:{dim}]", f"out = [{values}]",
+                f"for start in range({dim}, len(x), {dim}):", *[f"    {line}" for line in tangent],
+                "return out"]
+    kind = "variational" if variational else "field"
+    source = ["def bind(kernel):", f"    def {kind}(x):", *[f"        {line}" for line in body],
+              f"    return {kind}"]
+    return program(f"<contactmech closed-{kind} dim={dim}>", source, {}, "bind")
 
 
 def _flat(eta: np.ndarray, deta: np.ndarray) -> np.ndarray:

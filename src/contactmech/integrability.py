@@ -719,9 +719,9 @@ def angle_solve(
     The loop runs on lists of floats.  The m generator field closures are
     bound once per solve, through `symp_system.field_evaluator`; the
     Jacobian columns are those closures at the endpoint, and every trial
-    flows them through `flows._compose`, which checks each flow as
-    `integrate` does (time, start point, early stop).  Only the step
-    itself, `np.linalg.lstsq` on the m columns, runs in LAPACK.
+    flows them through `flows._compose`, which checks every time first,
+    then each flow as `integrate` does (start point, early stop).  Only
+    the step itself, `np.linalg.lstsq` on the m columns, runs in LAPACK.
 
     Actions are A = M f(x_base) with the base integrals f; the relabeling
     denominator comes from the section (fallback: argmax |A_a|).

@@ -2,16 +2,22 @@
 
 On standard-form charts the library writes each closed-form field once, as
 a template (`_darboux_field` in `geometry` and `symplectization`), and
-takes its Jacobian from the gradient kernels of the template's components
-built as expression trees.  The derivations below differentiate the same
-closed forms by hand, from f's value, gradient and Hessian; they are kept
-here, away from the library, as the independent oracle the kernel
-Jacobians and variational tangents are compared against.
+takes its tangents from the template run once over forward-mode pairs
+(`geometry._closed_program`'s variational closure).  The derivations
+below differentiate the same closed forms by hand, from f's value,
+gradient and Hessian; they are kept here, away from the library, as the
+independent oracle the Jacobians and variational tangents are compared
+against.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
+
+from contactmech.expressions import eval_jet2
+from contactmech.symplectization import SympChart
 
 
 def contact_field(n: int, x, value: float, grad):
@@ -63,3 +69,24 @@ def lifted_field_with_tangents(n: int, x, grad, hessian, dx):
     dX[2 * n] += dgrad[-1]
     dX[-1] = -dgrad[2 * n]
     return X, dX
+
+
+def hand_variational(chart, f) -> Callable[[Sequence[float]], list[float]]:
+    """`_Chart._variational`'s closure on a standard-form chart by the hand derivations.
+
+    The state is x followed by k tangents; f's value, gradient and Hessian
+    come from `eval_jet2`.
+    """
+    dim, n = chart.dim, (chart.dim - 1) // 2
+
+    def field(state) -> list[float]:
+        x = chart.point(state[:dim])
+        jet = eval_jet2(f, chart.coordinates, x)
+        tangents = np.array(state[dim:]).reshape(-1, dim).T
+        if isinstance(chart, SympChart):
+            X, dX = lifted_field_with_tangents(n, x, jet.gradient, jet.hessian, tangents)
+        else:
+            X, dX = contact_field_with_tangents(n, x, jet.value, jet.gradient, jet.hessian, tangents)
+        return np.concatenate((X, dX.T.ravel())).tolist()
+
+    return field

@@ -491,6 +491,28 @@ def test_action_angle_failing_section_skips_points(capsys, tmp_path, points_file
     assert report["points"] == []
 
 
+def test_action_angle_stalled_solve_reports_its_residual_and_iterations(capsys, tmp_path):
+    # fixed-step RK4 at the default rel_tol stalls above the Newton target here
+    data = json.loads(bundled_config_path("darboux-pz").read_text())
+    data["integrator"] = {"method": "rk4", "step": 0.05}
+    cfg = tmp_path / "darboux-pz-rk4.json"
+    cfg.write_text(json.dumps(data))
+    point = [0.7464555526652927, 1.95834805002281, 1.9502453691526827, 1.5069476334740801]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [point]}))
+    code, report, _ = run_cli(
+        capsys, "action-angle", str(cfg), "--section", "graph-z", "--points", str(path)
+    )
+    assert code == 3
+    [row] = report["points"]
+    assert row["converged"] is False
+    assert row["error"] == "stalled at residual 2.710e-09 after 5 iterations"
+    assert row["iterations"] == 5
+    # the residual comes through LAPACK's lstsq step
+    assert row["residual"] == pytest.approx(2.709769963971098e-09, rel=1e-6)
+    assert sorted(row) == ["converged", "error", "index", "iterations", "point", "residual"]
+
+
 # ---------------------------------------------------------------------------
 # Determinism and packaging
 # ---------------------------------------------------------------------------

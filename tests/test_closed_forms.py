@@ -1,16 +1,18 @@
-"""Fields and kernel Jacobians of the Darboux closed forms against the hand derivations.
+"""Fields and Jacobians of the Darboux closed forms against the hand derivations.
 
 On standard-form charts `field_from_gradient` and the point stacks
 (`_Chart._fields`) run the closed-form template over arrays, unchecked, and
 `hamiltonian_field_jacobian_at` and `variational_evaluator` take X_f and
-DX_f from the gradient kernels of the closed-form components
-(`geometry._closed_kernels`).  They must match the hand derivations of
+DX_f from the template's closed variational program over f's jet kernel
+(`geometry._closed_program`).  They must match the hand derivations of
 `darboux_tangents` to 1e-14 relative, at the points the golden reports
 sample: contact charts at n = 1 and n = 2 and their symplectizations.  A
 Jacobian or field is relative to its largest entry.  A tangent DX_f dx can
 cancel to rounding noise, so it is relative to the size of the terms the
 derivations sum: the largest row of |DX_f| |dx|, plus |X_f| |dx| from the
-quotient rule of the lifted one.
+quotient rule of the lifted one.  Written with a coframe that is not
+structurally the standard form, darboux-pz takes the general solves, which
+must agree with the closed forms to 1e-12.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from darboux_tangents import (
 
 from contactmech.config import bundled_config_path, load_config
 from contactmech.expressions import eval_jet2
+from contactmech.integrability import darboux_verify
 from contactmech.geometry import ContactChart
 from contactmech.symplectization import SympChart
 
@@ -126,3 +129,39 @@ def test_variational_tangents_match_the_hand_derivation(name, lifted):
                 scale = np.max(np.abs(J) @ dx) + np.max(np.abs(X)) * np.max(dx)
                 _assert_close(out[dim * (j + 1) : dim * (j + 2)], dX[:, j], scale)
 
+
+
+@pytest.fixture(scope="module")
+def general_pz(tmp_path_factory):
+    # darboux-pz with eta = dz - p dq spelled so that the chart takes the
+    # general-coframe solves
+    data = json.loads(CONFIGS["darboux-pz"].read_text())
+    data["eta"] = ["-p", "0*q", "1+0*q"]
+    path = tmp_path_factory.mktemp("general") / "general-pz.json"
+    path.write_text(json.dumps(data))
+    return load_config(path)
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "lifted"])
+def test_variational_tangents_match_the_general_solve(general_pz, lifted):
+    closed, points = _systems("darboux-pz", lifted)
+    general = general_pz.symp_system() if lifted else general_pz.system()
+    assert closed.chart._closed_field is not None and general.chart._closed_field is None
+    rng = np.random.default_rng(8)
+    for a in range(len(closed.integrals)):
+        runs = closed.variational_evaluator(a), general.variational_evaluator(a)
+        for x in points:
+            state = [*x.tolist(), *rng.normal(size=2 * closed.dim).tolist()]
+            got, want = (np.array(run(state)) for run in runs)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("section", ["graph-z", "graph-p"])
+def test_darboux_verify_matches_the_general_solve(general_pz, section):
+    cfg = load_config(CONFIGS["darboux-pz"])
+    points = cfg.system().sample(np.random.default_rng(5), 6)
+    for x in points:
+        closed, general = (darboux_verify(c.system(), c.section(section), points=x[None])
+                           for c in (cfg, general_pz))
+        assert 0.0 < closed.max_residual < 1e-5
+        assert abs(closed.max_residual - general.max_residual) <= 1e-12

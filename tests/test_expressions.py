@@ -182,8 +182,8 @@ def test_gradient_implementations_agree(tree):
         value, grad = gradient_evaluator(tree, names)(point)
         jet = eval_jet2(tree, names, point)
     except EvaluationDomainError as exc:
-        # the kernels of the first partials check their own arithmetic for
-        # overflow, where the walk lets a second derivative become non-finite
+        # the jet kernel raises where a first derivative overflows, where
+        # the walk lets a second derivative become non-finite
         assert ref is None or (
             str(exc).startswith("overflow") and not np.isfinite(ref.hessian).all()
         ), exc
@@ -362,11 +362,11 @@ def test_overflow_is_a_domain_error():
 
 def test_jet2_raises_where_a_second_derivative_overflows():
     # at 1e-155, f = 1/x is finite and the tangent -1/x^2 overflows to -inf
-    # without raising; the kernel of df/dx checks that arithmetic itself,
-    # where the nested-dual walk returns an infinite Hessian
+    # without raising; the jet kernel checks each node's tangent against its
+    # value, where the nested-dual walk returns an infinite Hessian
     tree = parse("1 / x")
     assert dual_jet2(tree, ("x",), (1e-155,)).hessian[0, 0] == math.inf
-    with pytest.raises(EvaluationDomainError, match=r"^overflow in '-\(1.0 / x\) \* 1.0 / x'$"):
+    with pytest.raises(EvaluationDomainError, match=r"^overflow in '1.0 / x'$"):
         eval_jet2(tree, ("x",), (1e-155,))
 
 
@@ -399,55 +399,6 @@ def test_kernels_compile_lazily_once_per_expression_and_names():
 # ---------------------------------------------------------------------------
 # Tree arithmetic
 # ---------------------------------------------------------------------------
-
-def _derivative_by_constructors(node, name):
-    """expressions._derivative's tangent rules spelled with explicit constructors."""
-    if isinstance(node, Const):
-        return None
-    if isinstance(node, Var):
-        return Const(1.0 if node.name == name else 0.0)
-    if isinstance(node, Power):
-        du = _derivative_by_constructors(node.base, name)
-        if du is None:
-            return None
-        c = node.exponent
-        return Binary("*", du, Binary("*", Const(c), Power(node.base, c - 1.0)))
-    if isinstance(node, Unary):
-        u, op = node.arg, node.op
-        du = _derivative_by_constructors(u, name)
-        if du is None:
-            return None
-        return {
-            "neg": lambda: Unary("neg", du),
-            "exp": lambda: Binary("*", du, node),
-            "log": lambda: Binary("/", du, u),
-            "sqrt": lambda: Binary("/", du, Binary("*", Const(2.0), node)),
-            "sin": lambda: Binary("*", du, Unary("cos", u)),
-            "cos": lambda: Binary("*", Unary("neg", du), Unary("sin", u)),
-            "tanh": lambda: Binary("*", du, Binary("-", Const(1.0), Binary("*", node, node))),
-        }[op]()
-    u, v, op = node.lhs, node.rhs, node.op
-    du, dv = _derivative_by_constructors(u, name), _derivative_by_constructors(v, name)
-    if du is None and dv is None:
-        return None
-    if op == "+":
-        return dv if du is None else du if dv is None else Binary("+", du, dv)
-    if op == "-":
-        if du is None:
-            return Unary("neg", dv)
-        return du if dv is None else Binary("-", du, dv)
-    if op == "*":
-        if du is None:
-            return Binary("*", dv, u)
-        if dv is None:
-            return Binary("*", du, v)
-        return Binary("+", Binary("*", u, dv), Binary("*", du, v))
-    if du is None:
-        return Binary("/", Binary("*", Unary("neg", node), dv), v)
-    if dv is None:
-        return Binary("/", du, v)
-    return Binary("/", Binary("-", du, Binary("*", node, dv)), v)
-
 
 def _same_tree(built, explicit):
     # == treats Const(0.0) and Const(-0.0) alike; the kernel signature does not
@@ -490,28 +441,3 @@ def test_tree_arithmetic_rejects_other_operands():
             q + other
         with pytest.raises(TypeError):
             other * q
-
-
-def _assert_derivatives_match(tree):
-    for name in ("q", "p", "z"):
-        built = expressions._derivative(tree, name)
-        explicit = _derivative_by_constructors(tree, name)
-        if explicit is None:
-            assert built is None
-        else:
-            _same_tree(built, explicit)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_TREES)
-def test_derivative_rules_build_the_constructor_trees(tree):
-    _assert_derivatives_match(tree)
-
-
-@pytest.mark.parametrize(
-    "source",
-    ["log(q * p) + sqrt(z)", "sqrt(q^2 + 1) / log(z + 2)", "tanh(q) * cos(p) - sin(-z)",
-     "(q - 2) / (p * z)", "2 / q - 3", "-(q^-1.5) + exp(p) * 0"],
-)
-def test_derivative_rules_build_the_constructor_trees_for_every_rule(source):
-    _assert_derivatives_match(parse(source, ("q", "p", "z")))

@@ -59,6 +59,8 @@ def test_nonfinite_time_is_rejected(pz_system, t):
     # every time is checked before the first flow, here one that truncates
     with pytest.raises(ValueError, match="flow time must be finite"):
         variational_group_action(pz_system, [t, 1.0], X0, np.eye(3), IntegratorConfig(max_steps=2))
+    with pytest.raises(ValueError, match="flow time must be finite"):
+        group_action(pz_system, [t, 1.0], X0, IntegratorConfig(max_steps=2))
 
 
 def test_zero_time_is_a_single_row(pz_system):

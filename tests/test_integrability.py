@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactmech.config import load_config
+from contactmech.config import bundled_config_path, load_config
 from contactmech.flows import FlowError, IntegratorConfig, group_action
 from contactmech.geometry import ContactChart, ContactSystem, _Chart, contact_condition_check
 from contactmech.integrability import (
@@ -26,6 +26,7 @@ from contactmech.integrability import (
     _darboux_covector,
 )
 from contactmech.symplectization import lift_check, symplectize
+from darboux_tangents import hand_variational
 from float_fields import lapack_variational
 
 X4 = np.array([2.0, 3.0, 5.0, 1.0])
@@ -533,6 +534,21 @@ def test_darboux_verify_residual_keeps_to_the_lapack_tangents(monkeypatch):
     got = darboux_verify(system, section, points=points).max_residual
     monkeypatch.setattr(_Chart, "_variational", lapack_variational)
     want = darboux_verify(system, section, points=points).max_residual
+    assert 0.0 < want < 1e-5
+    assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("section", ["graph-z", "graph-p"])
+def test_darboux_verify_residual_keeps_to_the_hand_tangents(monkeypatch, section):
+    # darboux-pz is a standard-form chart, so its angle covectors come from
+    # the generated closed variational program; the hand derivations of
+    # `darboux_tangents` must give the same residual to 1e-12
+    cfg = load_config(bundled_config_path("darboux-pz"))
+    system, spec = cfg.system(), cfg.section(section)
+    points = system.sample(np.random.default_rng(6), 4)
+    got = darboux_verify(system, spec, points=points).max_residual
+    monkeypatch.setattr(_Chart, "_variational", hand_variational)
+    want = darboux_verify(system, spec, points=points).max_residual
     assert 0.0 < want < 1e-5
     assert abs(got - want) <= 1e-12
 

@@ -64,6 +64,7 @@ def test_every_builder_has_its_source_readable():
         geometry._field_program("contact", 3, 1)["solve"],
         geometry._variational_program("lifted", 4),
         geometry._closed_program(symplectization._darboux_field, 4),
+        geometry._closed_program(symplectization._darboux_field, 4, True),
         flows._step_program(3),
         integrability._ray_step_program(2, 3),
     ]
