@@ -16,6 +16,11 @@ stderr.  Exit codes: 0 pass, 1 a check failed, 2 bad input, 3 numerical
 failure.  The seed is resolved as --seed, else the CONTACTMECH_SEED
 environment variable, else the config seed.
 
+`main` reads the config file on every call but builds its SystemConfig
+once per file content and path, so later calls in one process on the
+same bytes reuse its systems, with their bound kernels; an edited file
+is built anew, and a file that fails to build fails on every call.
+
 Check, section and solved-point entries are the library's records, each
 field under its _KEYS name (see _entry), so a new record field shows in
 the report unless left out; `integrate` and a failed solve are by hand.
@@ -35,7 +40,8 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, SystemConfig, load_config
+from . import config
+from .config import ConfigError, SystemConfig
 from .expressions import ExpressionError
 from .flows import COMPLETED, EXITED_DOMAIN, FlowError, StartPointError, integrate
 from .geometry import GeometryError, _in_sample_order, contact_condition_check
@@ -249,8 +255,8 @@ def cmd_symplectize_verify(cfg: SystemConfig, args, seed: int) -> tuple[dict, in
 def _load_points(path: str, dim: int) -> tuple[list[np.ndarray], float]:
     """Read query points; rows may be base (dim) or lifted (dim + 1)."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_bytes())
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or bytes no codec reads
         raise ConfigError(f"cannot read points file {path}: {exc}") from exc
     r_default = 1.0
     if isinstance(data, dict):
@@ -388,11 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's configs by (file bytes, path), so calls on the same bytes share one build;
+# no command mutates a config, its systems or its sections
+_CACHED_CONFIGS = 8
+_config = functools.lru_cache(maxsize=_CACHED_CONFIGS)(config._from_bytes)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = load_config(args.config)
+        path = Path(args.config)  # read on every call, so an edited file is built anew
+        cfg = _config(config._read(path), str(path))
         seed = _resolve_seed(args.seed, cfg)
         report, code = args.func(cfg, args, seed)
     except (ConfigError, ExpressionError, MemoryError) as exc:  # a count too large to allocate

@@ -260,21 +260,29 @@ def _build(data: dict, digest: str, path: str) -> SystemConfig:
 def load_config(path: str | Path) -> SystemConfig:
     """Load, schema-validate, and cross-check a system configuration."""
     path = Path(path)
+    return _from_bytes(_read(path), path)
+
+
+def _read(path: Path) -> bytes:
     try:
-        blob = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def _from_bytes(blob: bytes, path: str | Path) -> SystemConfig:
+    """A new SystemConfig from a config file's bytes; path names it in errors and reports."""
     digest = hashlib.sha256(blob).hexdigest()
     try:
         data = json.loads(blob)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for bytes no codec reads
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not _conforms(data, SCHEMA):
         _reject(data, path)
     return _build(data, digest, str(path))
 
 
-def _reject(data, path: Path) -> None:
+def _reject(data, path: str | Path) -> None:
     """Raise jsonschema's best-matching error; return if it finds none."""
     import jsonschema
 

@@ -85,8 +85,8 @@ class IntegratorConfig:
     max_steps: hard cap on accepted steps.
 
     step, rel_tol, abs_tol and min_step must be finite and positive,
-    max_step positive (infinity allowed) and max_steps at least 1;
-    anything else raises ValueError.
+    max_step positive (infinity allowed) and at least min_step, and
+    max_steps at least 1; anything else raises ValueError.
     """
 
     method: str = "rkf45"
@@ -106,6 +106,9 @@ class IntegratorConfig:
                 raise ValueError(f"integrator {name} must be finite and positive, got {value}")
         if not self.max_step > 0.0:
             raise ValueError(f"integrator max_step must be positive, got {self.max_step}")
+        if self.min_step > self.max_step:  # every rejected step would end the flow
+            raise ValueError(
+                f"integrator min_step {self.min_step} exceeds max_step {self.max_step}")
         if not self.max_steps >= 1:
             raise ValueError(f"integrator max_steps must be at least 1, got {self.max_steps}")
 

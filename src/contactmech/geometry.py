@@ -105,9 +105,13 @@ _SINGULAR_DET = 1e-12
 _RESIDUAL_TOL = 1e-10
 
 
-def _as_expr(f: Expr | str, names: Sequence[str]) -> Expr:
+def _as_expr(f: Expr | str, names: Sequence[str], what: str) -> Expr:
+    """f as a tree over names: the parser rejects a string's unknown names, a walk a tree's."""
     if isinstance(f, str):
         return parse(f, names)
+    extra = free_variables(f) - set(names)
+    if extra:
+        raise ValueError(f"{what} uses unknown names {sorted(extra)}")
     return f
 
 
@@ -465,11 +469,7 @@ class _Chart:
         return xs
 
     def function(self, f: Expr | str) -> Expr:
-        f = _as_expr(f, self.coordinates)
-        extra = free_variables(f) - set(self.coordinates)
-        if extra:
-            raise ValueError(f"function uses unknown names {sorted(extra)}")
-        return f
+        return _as_expr(f, self.coordinates, "function")
 
     def value_and_gradient(self, f: Expr, x: np.ndarray) -> tuple[float, np.ndarray]:
         return gradient_evaluator(f, self.coordinates)(x)
@@ -588,11 +588,7 @@ class ContactChart(_Chart):
         else:
             if len(eta) != self.dim:
                 raise ValueError(f"eta needs {self.dim} coefficients, got {len(eta)}")
-            coeffs = tuple(_as_expr(c, names) for c in eta)
-            for c in coeffs:
-                extra = free_variables(c) - set(names)
-                if extra:
-                    raise ValueError(f"eta coefficient uses unknown names {sorted(extra)}")
+            coeffs = tuple(_as_expr(c, names, "eta coefficient") for c in eta)
         self.eta_coefficients = coeffs
         self.darboux = coeffs == standard
         self._closed_field = _darboux_field if self.darboux else None

@@ -47,9 +47,7 @@ from .expressions import (
     EvaluationDomainError,
     Expr,
     evaluate,
-    free_variables,
     gradient_evaluator,
-    parse,
 )
 from .flows import (
     FlowError,
@@ -61,6 +59,7 @@ from .flows import (
 )
 from .geometry import (
     ContactSystem,
+    _as_expr,
     _bounds,
     _check_points,
     _dot,
@@ -166,19 +165,14 @@ class SectionSpec:
         self.params = tuple(params)
         if len(set(self.params)) != len(self.params):
             raise ValueError("section parameter names must be unique")
-        comps = []
-        for c in components:
-            c = parse(c, self.params) if isinstance(c, str) else c
-            extra = free_variables(c) - set(self.params)
-            if extra:
-                raise ValueError(f"section component uses unknown names {sorted(extra)}")
-            comps.append(c)
-        self.components = tuple(comps)
+        self.components = tuple(
+            _as_expr(c, self.params, "section component") for c in components
+        )
         self.domain = _bounds(domain, self.params, "section domain", "parameters")
         if denominator_index is not None and not 0 <= denominator_index < len(self.params):
             raise ValueError(f"denominator index {denominator_index} out of range")
         self.denominator_index = denominator_index
-        self._grads = tuple(gradient_evaluator(c, self.params) for c in comps)
+        self._grads = tuple(gradient_evaluator(c, self.params) for c in self.components)
 
     def _parameters(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from contactmech import cli, geometry
-from contactmech.config import bundled_config_path
+from contactmech.config import bundled_config_path, load_config
 
 PZ = str(bundled_config_path("darboux-pz"))
 INV5 = str(bundled_config_path("darboux-5d-involutive"))
@@ -87,6 +88,16 @@ def test_invalid_config_is_input_error(capsys, tmp_path):
     missing = cli.main(["check", str(tmp_path / "absent.json")])
     assert missing == 2
     capsys.readouterr()
+
+
+NOT_UTF8 = [b'{"name": "x\xff"}', b'\xff\xfe{"points": [[1.0, 1.0, 1.0]]}']
+
+
+@pytest.mark.parametrize("blob", NOT_UTF8, ids=["stray-byte", "utf16-bom"])
+def test_config_that_is_not_utf8_is_input_error(capsys, tmp_path, blob):
+    path = tmp_path / "bad.json"
+    path.write_bytes(blob)
+    _assert_input_error(capsys, ["check", str(path)], f"config {path} is not valid JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +308,20 @@ def test_nonfinite_integrator_fields_are_input_errors(capsys, tmp_path, field, v
     _assert_input_error(capsys, argv, f"integrator {field} must be")
 
 
+@pytest.mark.parametrize("command", ["integrate", "action-angle"])
+def test_min_step_above_max_step_is_input_error(capsys, tmp_path, points_file, command):
+    # every rejected RKF45 step would end the flow as a collapsed step
+    data = json.loads(bundled_config_path("darboux-pz").read_text())
+    data["integrator"] = {"min_step": 1.0, "max_step": 0.1}
+    path = tmp_path / "integrator.json"
+    path.write_text(json.dumps(data))
+    argv = {"integrate": ["integrate", str(path), "--f", "1", "--x0", "2,3,5", "--t", "1",
+                          "--out", str(tmp_path / "t.csv")],
+            "action-angle": ["action-angle", str(path), "--section", "graph-z",
+                             "--points", points_file]}[command]
+    _assert_input_error(capsys, argv, "min_step 1.0 exceeds max_step 0.1")
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
 @pytest.mark.parametrize(
     "command", ["check", "coisotropy", "integrate", "symplectize-verify", "action-angle"]
@@ -438,6 +463,14 @@ def test_action_angle_bad_points_file(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("blob", NOT_UTF8, ids=["stray-byte", "utf16-bom"])
+def test_action_angle_points_file_that_is_not_utf8_is_input_error(capsys, tmp_path, blob):
+    path = tmp_path / "points.json"
+    path.write_bytes(blob)
+    argv = ["action-angle", PZ, "--section", "graph-z", "--points", str(path)]
+    _assert_input_error(capsys, argv, f"cannot read points file {path}")
+
+
 def test_action_angle_nonfinite_point_is_input_error(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"points": [[1.0, 1.0, 1.0], [NaN, 1, 1]]}')
@@ -569,3 +602,76 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert cached == fresh
     assert [code for code, _, _ in cached] == [0, 2, 0, 0]
     assert "--lambda" in cached[1][2]
+
+
+# ---------------------------------------------------------------------------
+# Configs built once per file content
+# ---------------------------------------------------------------------------
+
+def test_interleaved_reports_on_cached_configs_match_fresh_runs(capsys):
+    # one process alternates the four sampled commands and two seeds on one
+    # config; seed 42 must give the goldens, seed 7 a fresh interpreter's bytes
+    from test_golden import CASES, GOLDEN
+
+    names = ["check-pz", "coisotropy-pz", "symplectize-verify-pz", "action-angle-pz-graph-z"]
+    fresh = {}
+    for name in names:
+        cmd = [sys.executable, "-m", "contactmech.cli", *CASES[name], "--seed", "7"]
+        fresh[name] = subprocess.run(cmd, capture_output=True, check=True).stdout.decode()
+    cli._config.cache_clear()
+    for seed in ("42", "7", "42"):
+        for name in names if seed == "7" else names[::-1]:
+            assert cli.main([*CASES[name], "--seed", seed]) == 0
+            out = capsys.readouterr().out
+            want = (GOLDEN / f"{name}.json").read_text() if seed == "42" else fresh[name]
+            assert out == want, (name, seed)
+    assert cli._config.cache_info()[:2] == (11, 1)  # (hits, misses)
+
+
+def test_an_edited_config_is_rebuilt(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    data = json.loads(Path(INV5).read_text())
+    path.write_text(json.dumps(data))
+    code, before, _ = run_cli(capsys, "check", str(path), "--samples", "5")
+    assert code == 0 and before["passed"] is True
+    data["integrals"] = ["q1", "p1", "z"]  # darboux-5d-noninvolutive's
+    path.write_text(json.dumps(data))
+    code, after, _ = run_cli(capsys, "check", str(path), "--samples", "5")
+    assert code == 1 and after["passed"] is False
+    assert after["config"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert after["config"]["sha256"] != before["config"]["sha256"]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"n": "one"}, "invalid at n"),
+    ({"integrals": ["w", "z"]}, "unknown symbol 'w'"),
+], ids=["schema", "expression"])
+def test_a_bad_config_fails_on_every_call(capsys, tmp_path, bad, message):
+    # a valid file at the same path was built first; a failed build is not cached
+    path = tmp_path / "system.json"
+    valid = Path(PZ).read_bytes()
+    path.write_bytes(valid)
+    code, first, _ = run_cli(capsys, "check", str(path), "--samples", "5")
+    assert code == 0
+    path.write_text(json.dumps({**json.loads(valid), **bad}))
+    for _ in range(2):
+        _assert_input_error(capsys, ["check", str(path), "--samples", "5"], message)
+    path.write_bytes(valid)
+    assert run_cli(capsys, "check", str(path), "--samples", "5")[:2] == (0, first)
+
+
+def test_identical_bytes_at_two_paths_report_their_own_file(capsys, tmp_path):
+    reports = {}
+    for name in ("a.json", "b.json"):
+        (tmp_path / name).write_bytes(Path(PZ).read_bytes())
+        _, reports[name], _ = run_cli(capsys, "check", str(tmp_path / name), "--samples", "5")
+    assert [r["config"]["file"] for r in reports.values()] == ["a.json", "b.json"]
+    reports["b.json"]["config"]["file"] = "a.json"
+    assert reports["a.json"] == reports["b.json"]
+
+
+def test_load_config_builds_anew_on_every_call():
+    first, second = load_config(PZ), load_config(PZ)
+    assert first is not second
+    assert first.symp_system() is not second.symp_system()
+    assert first.system() is not second.system()

@@ -41,6 +41,12 @@ def test_config_rejects_bad_values(field, value):
         IntegratorConfig(**{field: value})
 
 
+def test_config_rejects_min_step_above_max_step():
+    with pytest.raises(ValueError, match="min_step 1.0 exceeds max_step 0.1"):
+        IntegratorConfig(min_step=1.0, max_step=0.1)
+    assert IntegratorConfig(min_step=0.1, max_step=0.1).max_step == 0.1
+
+
 def test_config_allows_unbounded_max_step():
     assert IntegratorConfig(max_step=np.inf).max_step == np.inf
 
