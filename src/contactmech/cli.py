@@ -23,7 +23,8 @@ is built anew, and a file that fails to build fails on every call.
 
 Check, section and solved-point entries are the library's records, each
 field under its _KEYS name (see _entry), so a new record field shows in
-the report unless left out; `integrate` and a failed solve are by hand.
+the report unless left out; `integrate`, a failed solve and every point's
+`converged` flag are by hand.
 """
 
 from __future__ import annotations
@@ -316,7 +317,8 @@ def cmd_action_angle(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
             if isinstance(exc, NewtonDivergenceError):  # where the Newton loop gave up
                 entry.update({"residual": exc.residual, "iterations": exc.iterations})
         else:
-            entry.update(_entry(sol, M_matrix=None, sign=None, failed_trials=None))
+            entry.update(_entry(sol, M_matrix=None, sign=None, failed_trials=None),
+                         converged=True)
         results.append(entry)
     report = _report_head(cfg, "action-angle", seed)
     report.update(

@@ -86,8 +86,6 @@ SCHEMA: dict[str, Any] = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "method": {"enum": ["rkf45", "rk4"]},
-                "step": {"type": "number", "exclusiveMinimum": 0},
                 "rel_tol": {"type": "number", "exclusiveMinimum": 0},
                 "abs_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_step": {"type": "number", "exclusiveMinimum": 0},

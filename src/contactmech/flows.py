@@ -1,13 +1,12 @@
 """Flow integration for contact and symplectic Hamiltonian fields.
 
-Two integrators: classic fixed-step RK4 and the adaptive Fehlberg 4(5)
-pair.  The adaptive stepper controls the 4th/5th-order difference
-against abs_tol + rel_tol * |x| componentwise and propagates the
-fifth-order solution.  Both step a list of Python floats through the
-system's `field_evaluator` closure, which takes and returns float
-lists; at the state sizes here this is several times faster than NumPy
-arrays, whose per-call overhead dominates.  An adaptive step is one
-generated straight-line function per state size, `_step_program`
+One integrator, the adaptive Fehlberg 4(5) pair.  It controls the
+4th/5th-order difference against abs_tol + rel_tol * |x| componentwise
+and propagates the fifth-order solution.  It steps a list of Python
+floats through the system's `field_evaluator` closure, which takes and
+returns float lists; at the state sizes here this is several times
+faster than NumPy arrays, whose per-call overhead dominates.  A step is
+one generated straight-line function per state size, `_step_program`
 ("<contactmech rkf45-step dim=D>"), which calls the closure six times.
 The closure is a compiled closed form on standard-form charts, else one
 checked float elimination; `_programs.program` compiles each, so a
@@ -77,20 +76,16 @@ class StartPointError(ValueError):
 class IntegratorConfig:
     """Integrator settings.
 
-    method: "rkf45" (adaptive, default) or "rk4" (fixed step).
-    step: fixed step size for rk4.
-    rel_tol/abs_tol: per-step error control for rkf45.
+    rel_tol/abs_tol: per-step error control.
     max_step: upper bound on the adaptive step (also the output density).
     min_step: collapse threshold; going below it is a step failure.
     max_steps: hard cap on accepted steps.
 
-    step, rel_tol, abs_tol and min_step must be finite and positive,
+    rel_tol, abs_tol and min_step must be finite and positive,
     max_step positive (infinity allowed) and at least min_step, and
     max_steps at least 1; anything else raises ValueError.
     """
 
-    method: str = "rkf45"
-    step: float = 1e-2
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = np.inf
@@ -98,9 +93,7 @@ class IntegratorConfig:
     max_steps: int = 200_000
 
     def __post_init__(self):
-        if self.method not in ("rkf45", "rk4"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        for name in ("step", "rel_tol", "abs_tol", "min_step"):
+        for name in ("rel_tol", "abs_tol", "min_step"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"integrator {name} must be finite and positive, got {value}")
@@ -203,48 +196,8 @@ def _flow(field_fn, x, T, cfg, guards, names) -> Trajectory:
     return _trajectory(*_run(field_fn, x, T, cfg, guards, names))
 
 
-def _run(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
-    """The flow's accepted times and points as lists, its status and detail."""
-    if T == 0.0:
-        return [0.0], [x], COMPLETED, ""
-    run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
-    return run(field_fn, x, T, cfg, guards, names)
-
-
 def _trajectory(times: list, points: list, status: str, detail: str) -> Trajectory:
     return Trajectory(np.array(times), np.array(points), status, detail)
-
-
-# The steppers carry the state as a list of floats.  Each stage forms
-# x_i + (h a_0) k0_i + (h a_1) k1_i + ... left to right, the float
-# operations of the in-place array updates they replace.
-
-
-def _run_rk4(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
-    n_steps = max(1, math.ceil(abs(T) / cfg.step))
-    h = T / n_steps
-    half, sixth = 0.5 * h, h / 6.0
-    times, points = [0.0], [x]
-    t = 0.0
-    for accepted in range(n_steps):
-        if accepted == cfg.max_steps:
-            return times, points, MAX_STEPS, f"{accepted} steps"
-        try:
-            k1 = field_fn(x)
-            k2 = field_fn([u + half * v for u, v in zip(x, k1)])
-            k3 = field_fn([u + half * v for u, v in zip(x, k2)])
-            k4 = field_fn([u + h * v for u, v in zip(x, k3)])
-        except EvaluationDomainError as exc:
-            return times, points, EXITED_DOMAIN, str(exc)
-        x = [u + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-             for u, v1, v2, v3, v4 in zip(x, k1, k2, k3, k4)]
-        t += h
-        bad = _guard_violation(x, guards, names)
-        if bad is not None:
-            return times, points, EXITED_DOMAIN, bad
-        times.append(t)
-        points.append(x)
-    return times, points, COMPLETED, ""
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,7 +230,10 @@ def _step_program(dim: int) -> Callable:
     return program(f"<contactmech rkf45-step dim={dim}>", source, {"nan": math.nan}, "step")
 
 
-def _run_rkf45(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
+def _run(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
+    """The flow's accepted times and points as lists, its status and detail."""
+    if T == 0.0:
+        return [0.0], [x], COMPLETED, ""
     sign = 1.0 if T > 0 else -1.0
     span = abs(T)
     # endpoint clamping must not trip the min-step failure, so the

@@ -545,7 +545,7 @@ class _Chart:
         """
         jet = jet2_kernel(f, self.coordinates)
         if self._closed_field is not None:
-            return _closed_program(self._closed_field, self.dim, True)(jet)
+            return _closed_program(self._closed_field, self.dim, True)(jet, self.point)
         bind = _variational_program(self._kind, self.dim)
         return bind(jet, self._eta_chart._coeff_jets, self.point)
 
@@ -785,7 +785,7 @@ def _stacked(template, n: int, x: np.ndarray, value, grad: np.ndarray) -> np.nda
 
 @functools.lru_cache(maxsize=None)
 def _closed_program(template, dim: int, variational: bool = False) -> Callable:
-    """`bind(kernel)`: the flow closure of a standard-form template on dim coordinates.
+    """`bind(kernel, point)`: the flow closure of a standard-form template on dim coordinates.
 
     The template runs once over forward-mode pairs (`_Dual`) of `_Source`
     symbols: x with dx, f with df(dx) and df with Hess f dx.  The closure
@@ -794,26 +794,32 @@ def _closed_program(template, dim: int, variational: bool = False) -> Callable:
     dim=DIM>".  With variational true, `bind` takes f's `jet2_kernel`, and
     the closure maps the float list x, dx_1 .. dx_k to that X_f(x) and the
     tangents DX_f(x) dx_j; compiled at the first `variational_evaluator`,
-    as "<contactmech closed-variational dim=DIM>".
+    as "<contactmech closed-variational dim=DIM>".  Like the general
+    programs, the field closure sends a point of other than dim floats, and
+    the variational closure a state of fewer, to `point`, the chart's shape
+    ValueError; neither tests the fiber sign.
     """
     x, g = ([_Dual(_Source(f"{v}{i}"), _Source(f"d{v}{i}")) for i in range(dim)] for v in "xg")
     X = template((dim - 1) // 2, x, _Dual(_Source("value"), _Source("dvalue")), g, _fdot)
     values = ", ".join(c.a for c in X)
     if not variational:
-        body = [f"value, {_tup('g', dim)} = kernel(x)", f"{_names('x', dim)}, = x",
+        body = [f"if len(x) != {dim}:", "    point(x)",
+                f"value, {_tup('g', dim)} = kernel(x)", f"{_names('x', dim)}, = x",
                 f"return [{values}]"]
     else:  # x is the state; the kernel reads its first dim entries, the point
         tangent = [f"{_names('dx', dim)}, = x[start : start + {dim}]",
                    f"dvalue = {_sum([f'g{j} * dx{j}' for j in range(dim)])}",
                    *[f"dg{i} = {_sum([f'h{i}_{j} * dx{j}' for j in range(dim)])}"
                      for i in range(dim)], f"out += [{', '.join(c.b for c in X)}]"]
-        body = [f"value, {_tup('g', dim)}, {_matrix('h', dim)} = kernel(x)",
+        # the point x[:dim] is short exactly when the state is
+        body = [f"if len(x) < {dim}:", "    point(x)",
+                f"value, {_tup('g', dim)}, {_matrix('h', dim)} = kernel(x)",
                 f"{_names('x', dim)}, = x[:{dim}]", f"out = [{values}]",
                 f"for start in range({dim}, len(x), {dim}):", *[f"    {line}" for line in tangent],
                 "return out"]
     kind = "variational" if variational else "field"
-    source = ["def bind(kernel):", f"    def {kind}(x):", *[f"        {line}" for line in body],
-              f"    return {kind}"]
+    source = ["def bind(kernel, point):", f"    def {kind}(x):",
+              *[f"        {line}" for line in body], f"    return {kind}"]
     return program(f"<contactmech closed-{kind} dim={dim}>", source, {}, "bind")
 
 
@@ -907,19 +913,19 @@ class _System:
         return self.chart.hamiltonian_field_at(self.resolve(f), x)
 
     def field_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
-        """Closure computing X_f as a list of floats, for the flow integrators.
+        """Closure computing X_f as a list of floats, for the flow integrator.
 
         Standard-form charts run f's compiled gradient kernel, then the
-        closed form as `_closed_program` compiled it, without per-call
-        checks: the floats of the template over floats (`_fdot`).  General
-        coframes return the chart's `_float_field`, the flow closure of
-        `_field_program`, with the checks and errors of field_from_gradient.
+        closed form as `_closed_program` compiled it, checking only the
+        point's length: the floats of the template over floats (`_fdot`).
+        General coframes return the chart's `_float_field`, the flow closure
+        of `_field_program`, with the checks and errors of field_from_gradient.
         """
         chart = self.chart
         kernel = gradient_kernel(self.resolve(f), chart.coordinates)
         if chart._closed_field is None:
             return chart._float_field(kernel)
-        return _closed_program(chart._closed_field, chart.dim)(kernel)
+        return _closed_program(chart._closed_field, chart.dim)(kernel, chart.point)
 
     def variational_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
         """The chart's closure for the variational equation of X_f (`_Chart._variational`)."""

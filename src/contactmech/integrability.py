@@ -213,7 +213,6 @@ class ActionAngleResult(NamedTuple):
     sign: int
     residual: float
     iterations: int
-    converged: bool
     failed_trials: int = 0
 
 
@@ -706,9 +705,7 @@ def angle_solve(
     convergence target is newton_tolerance or the integrator's own error
     floor (10 rel_tol times the point scale), whichever is larger: the flow
     map cannot be resolved below its truncation error; a NaN residual
-    never converges.  The floor assumes the adaptive RKF45: under
-    method="rk4", whose fixed-step map is a group action only to its
-    truncation error, set rel_tol to that accuracy (1e-6 at step 0.05).
+    never converges.
 
     The loop runs on lists of floats.  The m generator field closures are
     bound once per solve, through `symp_system.field_evaluator`; the
@@ -833,7 +830,6 @@ def angle_solve(
         sign=s,
         residual=gn,
         iterations=iterations,
-        converged=True,
         failed_trials=failed,
     )
 

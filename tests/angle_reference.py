@@ -122,4 +122,4 @@ def numpy_angle_solve(symp_system, section, x, config=None, basis=None, sign=Non
         )
     A_tilde = np.array([-A[j] / A[d] for j in range(m) if j != d])
     return ActionAngleResult(y=y, A=A, A_tilde=A_tilde, denominator_index=d, M_matrix=M,
-                             sign=s, residual=gn, iterations=iterations, converged=True)
+                             sign=s, residual=gn, iterations=iterations)

@@ -27,9 +27,8 @@ from test_acceptance import N2_POINTS, N2_SECTION, N2_SYSTEMS
 
 X4 = np.array([2.0, 3.0, 5.0, 1.0])
 RESCALED_PZ = Path(__file__).parent / "data" / "golden" / "rescaled-pz.json"
-# RK4's flow map is only a group action to its truncation error, which the
-# Newton target, 10 rel_tol times the point scale, must stay above
-RK4 = IntegratorConfig(method="rk4", step=0.05, rel_tol=1e-6)
+# a loose rel_tol raises the Newton target, 10 rel_tol times the point scale
+LOOSE = IntegratorConfig(rel_tol=1e-6)
 
 
 def _outcome(solve, *args, **kwargs):
@@ -40,7 +39,7 @@ def _outcome(solve, *args, **kwargs):
         return type(exc), str(exc)
     return (sol.y.tobytes(), float(sol.residual).hex(), sol.iterations, sol.sign,
             sol.A.tobytes(), sol.A_tilde.tobytes(), sol.denominator_index,
-            sol.M_matrix.tobytes(), sol.converged)
+            sol.M_matrix.tobytes())
 
 
 def assert_same(symp, section, x, **kwargs):
@@ -70,14 +69,14 @@ def test_n2_solves_are_byte_equal(name):
         assert isinstance(assert_same(symp, N2_SECTION, np.append(x, 1.0))[0], bytes)
 
 
-def test_basis_sign_warm_start_and_rk4_are_byte_equal(pz_config, pz_symp):
+def test_basis_sign_warm_start_and_config_are_byte_equal(pz_config, pz_symp):
     section = pz_config.section("graph-z")
     M = np.array([[1.0, 1.0], [0.0, 1.0]])
     rng = np.random.default_rng(32)
     for x in pz_symp.sample(rng, 10):
         sign = angle_solve(pz_symp, section, x).sign
         for kwargs in ({"basis": M}, {"sign": sign}, {"y0": rng.normal(0.0, 0.5, 2)},
-                       {"basis": M, "sign": sign, "y0": [0.3, -0.2]}, {"config": RK4}):
+                       {"basis": M, "sign": sign, "y0": [0.3, -0.2]}, {"config": LOOSE}):
             assert isinstance(assert_same(pz_symp, section, x, **kwargs)[0], bytes)
 
 

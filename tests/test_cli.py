@@ -294,18 +294,28 @@ def test_nonfinite_config_bounds_are_input_errors(capsys, tmp_path, points_file,
 @pytest.mark.parametrize(
     "field, value",
     [("rel_tol", "nan"), ("abs_tol", "nan"), ("min_step", "nan"), ("max_step", "nan"),
-     ("rel_tol", "inf"), ("abs_tol", "inf"), ("min_step", "inf"), ("step", "inf")],
+     ("rel_tol", "inf"), ("abs_tol", "inf"), ("min_step", "inf")],
 )
 def test_nonfinite_integrator_fields_are_input_errors(capsys, tmp_path, field, value):
     # JSON Schema's exclusiveMinimum lets NaN and Infinity through
     data = json.loads(bundled_config_path("darboux-pz").read_text())
-    data["integrator"] = {"method": "rk4" if field == "step" else "rkf45",
-                          field: float(value)}
+    data["integrator"] = {field: float(value)}
     path = tmp_path / "integrator.json"
     path.write_text(json.dumps(data))
     argv = ["integrate", str(path), "--f", "1", "--x0", "2,3,5", "--t", "1",
             "--out", str(tmp_path / "t.csv")]
     _assert_input_error(capsys, argv, f"integrator {field} must be")
+
+
+@pytest.mark.parametrize("field, value", [("method", "rk4"), ("step", 0.01)])
+def test_removed_integrator_fields_are_input_errors(capsys, tmp_path, field, value):
+    # RKF45 is the only integrator: its config has no method or fixed step
+    data = json.loads(bundled_config_path("darboux-pz").read_text())
+    data["integrator"] = {field: value}
+    path = tmp_path / "integrator.json"
+    path.write_text(json.dumps(data))
+    _assert_input_error(capsys, ["check", str(path)], "invalid at integrator",
+                        f"'{field}' was unexpected")
 
 
 @pytest.mark.parametrize("command", ["integrate", "action-angle"])
@@ -525,10 +535,11 @@ def test_action_angle_failing_section_skips_points(capsys, tmp_path, points_file
 
 
 def test_action_angle_stalled_solve_reports_its_residual_and_iterations(capsys, tmp_path):
-    # fixed-step RK4 at the default rel_tol stalls above the Newton target here
+    # with one accepted step per flow, no trial of the first Newton step's
+    # line search lowers the residual
     data = json.loads(bundled_config_path("darboux-pz").read_text())
-    data["integrator"] = {"method": "rk4", "step": 0.05}
-    cfg = tmp_path / "darboux-pz-rk4.json"
+    data["integrator"] = {"max_steps": 1}
+    cfg = tmp_path / "darboux-pz-one-step.json"
     cfg.write_text(json.dumps(data))
     point = [0.7464555526652927, 1.95834805002281, 1.9502453691526827, 1.5069476334740801]
     path = tmp_path / "points.json"
@@ -539,10 +550,10 @@ def test_action_angle_stalled_solve_reports_its_residual_and_iterations(capsys, 
     assert code == 3
     [row] = report["points"]
     assert row["converged"] is False
-    assert row["error"] == "stalled at residual 2.710e-09 after 5 iterations"
-    assert row["iterations"] == 5
+    assert row["error"] == "stalled at residual 1.432e+00 after 1 iterations"
+    assert row["iterations"] == 1
     # the residual comes through LAPACK's lstsq step
-    assert row["residual"] == pytest.approx(2.709769963971098e-09, rel=1e-6)
+    assert row["residual"] == pytest.approx(1.431970010264339, rel=1e-6)
     assert sorted(row) == ["converged", "error", "index", "iterations", "point", "residual"]
 
 
