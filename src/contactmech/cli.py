@@ -317,8 +317,8 @@ def cmd_action_angle(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
             if isinstance(exc, NewtonDivergenceError):  # where the Newton loop gave up
                 entry.update({"residual": exc.residual, "iterations": exc.iterations})
         else:
-            entry.update(_entry(sol, M_matrix=None, sign=None, failed_trials=None),
-                         converged=True)
+            entry.update(_entry(sol, M_matrix=None, sign=None, failed_trials=None,
+                                lstsq_steps=None), converged=True)
         results.append(entry)
     report = _report_head(cfg, "action-angle", seed)
     report.update(

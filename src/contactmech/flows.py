@@ -151,8 +151,7 @@ _B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 
 
 
 def _guard_violation(x: Sequence[float], guards: Sequence[int], names: Sequence[str]) -> str | None:
-    if not all(map(math.isfinite, x)):
-        return "non-finite state"
+    """The first guarded coordinate of x at or below 0, as a status detail, or None."""
     for i in guards:
         if x[i] <= 0.0:
             return f"coordinate {names[i]} reached {x[i]:.3e}"
@@ -187,7 +186,8 @@ def _check_time(t: float) -> None:
 
 
 def _check_start(x: Sequence[float], guards: Sequence[int], names: Sequence[str]) -> None:
-    bad = _guard_violation(x, guards, names)
+    finite = all(map(math.isfinite, x))
+    bad = _guard_violation(x, guards, names) if finite else "non-finite state"
     if bad is not None:
         raise StartPointError(f"start point outside domain: {bad}")
 
@@ -260,7 +260,7 @@ def _run(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
             continue
         if err_norm <= 1.0:
             t += h_step
-            x = x5
+            x = x5  # finite, as tested above
             bad = _guard_violation(x, guards, names)
             if bad is not None:
                 return times, points, EXITED_DOMAIN, bad
@@ -361,8 +361,9 @@ def variational_group_action(
     so the tangents share the stages and accepted steps of the flow
     (internal differentiation).  The error control covers the tangents
     too.  Returns the endpoint and the carried tangents as columns; a
-    truncated flow raises FlowError, a non-finite time ValueError and a
-    start state that is non-finite or outside a guard StartPointError.
+    truncated flow raises FlowError; a non-finite time, or x0 or tangents
+    of another shape than (dim,) and (dim, k), ValueError; and a start
+    state that is non-finite or outside a guard StartPointError.
     """
     fs = list(integrals) if integrals is not None else list(system.integrals)
     t = np.asarray(t, dtype=float)
@@ -370,8 +371,13 @@ def variational_group_action(
         raise ValueError(f"need {len(fs)} times, got {len(t)}")
     guards = tuple(getattr(system, "positive_indices", ()))
     dim = system.dim
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (dim,):
+        raise ValueError(f"expected start point of shape ({dim},), got {x0.shape}")
     tangents = np.asarray(tangents, dtype=float)
-    state = np.concatenate([np.asarray(x0, dtype=float), tangents.T.ravel()])
+    if tangents.ndim != 2 or len(tangents) != dim:
+        raise ValueError(f"expected tangents of shape ({dim}, k), got {tangents.shape}")
+    state = np.concatenate([x0, tangents.T.ravel()])
     state = np.array(_compose(lambda idx: system.variational_evaluator(fs[idx]), fs, t.tolist(),
                               state.tolist(), config or IntegratorConfig(), guards,
                               system.coordinates))

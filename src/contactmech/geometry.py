@@ -308,7 +308,8 @@ def _variational_program(kind: str, dim: int) -> Callable:
     """`bind(jet, coefficients, point)`: the variational closure of X_f on a general coframe.
 
     The closure maps the float list x, dx_1 .. dx_k to X_f(x), DX_f(x) dx_1
-    .. DX_f(x) dx_k.  It runs the lines of `_field_program(kind, dim, 1)`,
+    .. DX_f(x) dx_k; a state whose length is not a multiple of dim goes to
+    the chart's `point`.  It runs the lines of `_field_program(kind, dim, 1)`,
     checks and errors included, once on the `jet2_kernel`s of f and of
     eta's coefficients.  Per tangent it eliminates again on a
     copy of B^T (omega^T), without the pivot tests the field's elimination
@@ -353,7 +354,8 @@ def _variational_program(kind: str, dim: int) -> Callable:
         tangent.append(f"w = {dot(R + col('g0_') + col('g0_'), dg + solved + dx)}")
     outputs = solved if lifted else [f"s{i}_{dim + 1} - w * R{i}" for i in range(dim)]
     fiber_test = " or x[-1] <= 0.0" if lifted else ""
-    body = [f"x = state[:{dim}]", f"if len(x) != {dim}{fiber_test}:", "    point(x)",
+    body = [f"x = state[:{dim}]", f"if len(state) % {dim}:", "    point(state)",
+            f"if len(x) != {dim}{fiber_test}:", "    point(x)",
             f"value0, {_tup('g0_', dim)}, {_matrix('h', dim)} = jet(x)",
             *(["r = x[-1]"] if lifted else []),
             *[f"e{i}, {_tup(f'j{i}_', d)}, {_matrix(f'he{i}_', d)} = k{i}(x)" for i in range(d)],
@@ -796,8 +798,9 @@ def _closed_program(template, dim: int, variational: bool = False) -> Callable:
     tangents DX_f(x) dx_j; compiled at the first `variational_evaluator`,
     as "<contactmech closed-variational dim=DIM>".  Like the general
     programs, the field closure sends a point of other than dim floats, and
-    the variational closure a state of fewer, to `point`, the chart's shape
-    ValueError; neither tests the fiber sign.
+    the variational closure a state of fewer or of a length that is not a
+    multiple of dim, to `point`, the chart's shape ValueError; neither tests
+    the fiber sign.
     """
     x, g = ([_Dual(_Source(f"{v}{i}"), _Source(f"d{v}{i}")) for i in range(dim)] for v in "xg")
     X = template((dim - 1) // 2, x, _Dual(_Source("value"), _Source("dvalue")), g, _fdot)
@@ -812,7 +815,7 @@ def _closed_program(template, dim: int, variational: bool = False) -> Callable:
                    *[f"dg{i} = {_sum([f'h{i}_{j} * dx{j}' for j in range(dim)])}"
                      for i in range(dim)], f"out += [{', '.join(c.b for c in X)}]"]
         # the point x[:dim] is short exactly when the state is
-        body = [f"if len(x) < {dim}:", "    point(x)",
+        body = [f"if len(x) < {dim} or len(x) % {dim}:", "    point(x)",
                 f"value, {_tup('g', dim)}, {_matrix('h', dim)} = kernel(x)",
                 f"{_names('x', dim)}, = x[:{dim}]", f"out = [{values}]",
                 f"for start in range({dim}, len(x), {dim}):", *[f"    {line}" for line in tangent],

@@ -42,12 +42,13 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._programs import _eliminate, _fdot, _sum, program
+from ._programs import _eliminate, _fdot, _sum, _tup, program
 from .expressions import (
     EvaluationDomainError,
     Expr,
     evaluate,
     gradient_evaluator,
+    gradient_kernel,
 )
 from .flows import (
     FlowError,
@@ -200,9 +201,10 @@ class ActionAngleResult(NamedTuple):
     y and A are indexed like the system integrals.  A_tilde lists
     -A_j / A_d for j != d in index order, d the denominator index.
     M_matrix is the basis whose rows weight the integrals into the
-    generators; residual and iterations describe the Newton solve, and
+    generators; residual and iterations describe the Newton solve,
     failed_trials counts its line-search trials whose flow raised and
-    were halved.
+    were halved, and lstsq_steps its steps that fell back to
+    np.linalg.lstsq because the generator fields were (nearly) dependent.
     """
 
     y: np.ndarray
@@ -214,6 +216,7 @@ class ActionAngleResult(NamedTuple):
     residual: float
     iterations: int
     failed_trials: int = 0
+    lstsq_steps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -347,30 +350,64 @@ def _membership(target: RayTarget, F: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _norm(F - r_star[..., None] * lam), r_star
 
 
+def _gram_step(name: str, signature: str, head: list[str], m: int, n: int,
+               rhs: Sequence[str], out: Sequence[str]) -> Callable:
+    """Compile `def step(<signature>)`, a Gram solve over m float vectors of length n.
+
+    The lines head unpack the arguments into the entries v<a>_<k> of the
+    vectors and the names that rhs and out read.  The step forms the
+    augmented matrix [V V^T | rhs], each entry v_i . v_j summed as `_fdot`
+    sums, solves it by `_eliminate` into s<a>_<m> and returns [out], or None
+    at a pivot of at most 1e-8 times the largest diagonal entry, where the
+    vectors are (nearly) linearly dependent.
+    """
+    lines = list(head)
+    for i in range(m):  # mirrored below the diagonal
+        lines += [f"a{i}_{j} = a{j}_{i}" for j in range(i)]
+        lines += [f"a{i}_{j} = {_sum([f'v{i}_{k} * v{j}_{k}' for k in range(n)])}"
+                  for j in range(i, m)]
+        lines.append(f"a{i}_{m} = {rhs[i]}")
+    lines.append(f"tiny = 1e-8 * max(({''.join(f'a{i}_{i}, ' for i in range(m))}))")
+    lines += _eliminate(m, m + 1, lambda k: [f"if abs(a{k}_{k}) <= tiny:", "    return None"])
+    source = [f"def step({signature}):", *[f"    {line}" for line in lines],
+              f"    return [{', '.join(out)}]"]
+    return program(name, source, {}, "step")
+
+
+def _vectors(name: str, m: int, n: int) -> str:
+    """Source unpacking m vectors of n floats from name into the locals v<a>_<k>."""
+    rows = "".join(f"{_tup(f'v{a}_', n)}, " for a in range(m))
+    return f"{rows}= {name}"
+
+
 @functools.lru_cache(maxsize=None)
 def _ray_step_program(m: int, dim: int) -> Callable:
     """`step(TF, g, lam)`, ray_project's least-norm step, as "<contactmech ray-step m=M dim=DIM>".
 
     With J = [TF | -Lambda] and g = F - r Lambda, it solves J J^T y = -g by
-    `_eliminate` and returns J^T y, or None at a pivot of at most 1e-8 times
-    the largest diagonal entry, where J is (nearly) rank-deficient.
+    `_gram_step` on the rows (TF_a, Lambda_a), whose Gram matrix is J J^T,
+    and returns J^T y, or None where J is (nearly) rank-deficient.
     """
-    rows = "".join(f"({''.join(f't{a}_{k}, ' for k in range(dim))}), " for a in range(m))
-    lines = [f"{rows}= TF",
-             *(f"{''.join(f'{v}{a}, ' for a in range(m))}= {v}" for v in ("g", "lam"))]
-    for i in range(m):  # the augmented matrix [J J^T | -g], mirrored below the diagonal
-        lines += [f"a{i}_{j} = a{j}_{i}" for j in range(i)]
-        for j in range(i, m):
-            lines.append(f"a{i}_{j} = {_sum([f't{i}_{k} * t{j}_{k}' for k in range(dim)])}"
-                         f" + lam{i} * lam{j}")
-        lines.append(f"a{i}_{m} = -g{i}")
-    lines.append(f"tiny = 1e-8 * max(({''.join(f'a{i}_{i}, ' for i in range(m))}))")
-    lines += _eliminate(m, m + 1, lambda k: [f"if abs(a{k}_{k}) <= tiny:", "    return None"])
-    dx = [_sum([f"t{a}_{k} * s{a}_{m}" for a in range(m)]) for k in range(dim)]
-    dr = _sum([f"lam{a} * s{a}_{m}" for a in range(m)])
-    source = ["def step(TF, g, lam):", *[f"    {line}" for line in lines],
-              f"    return [{', '.join(dx)}, -({dr})]"]
-    return program(f"<contactmech ray-step m={m} dim={dim}>", source, {}, "step")
+    head = [_vectors("TF", m, dim), f"{_tup('g', m)} = g",
+            f"{''.join(f'v{a}_{dim}, ' for a in range(m))}= lam"]  # Lambda ends each row
+    dx = [_sum([f"v{a}_{k} * s{a}_{m}" for a in range(m)]) for k in range(dim + 1)]
+    return _gram_step(f"<contactmech ray-step m={m} dim={dim}>", "TF, g, lam", head, m, dim + 1,
+                      [f"-g{a}" for a in range(m)], [*dx[:-1], f"-({dx[-1]})"])
+
+
+@functools.lru_cache(maxsize=None)
+def _angle_step_program(m: int, dim: int) -> Callable:
+    """`step(X, r)`, angle_solve's Newton step, as "<contactmech angle-step m=M dim=DIM>".
+
+    The m vectors X are the columns of J, the generator fields at the
+    endpoint, and r = x - endpoint.  It solves the normal equations
+    (J^T J) delta = J^T r by `_gram_step` and returns delta, or None where
+    J is (nearly) rank-deficient.
+    """
+    rhs = [_sum([f"v{a}_{k} * r{k}" for k in range(dim)]) for a in range(m)]
+    head = [_vectors("X", m, dim), f"{_tup('r', dim)} = r"]
+    return _gram_step(f"<contactmech angle-step m={m} dim={dim}>", "X, r", head, m, dim, rhs,
+                      [f"s{a}_{m}" for a in range(m)])
 
 
 def ray_project(
@@ -653,8 +690,9 @@ def _detect_sign(
             continue
         if not np.isfinite(candidate).all():
             continue
-        F_c = symp_system.integral_values(candidate)
-        if float(np.max(np.abs(F_c - F_x))) <= 1e-6 * scale:
+        point = candidate.tolist()
+        F_c = [kernel(point)[0] for kernel in symp_system._kernels]
+        if _max_abs([u - v for u, v in zip(F_c, F_x.tolist())]) <= 1e-6 * scale:
             return s, candidate
     raise SectionError(
         f"section {section.name!r} does not cover the ray of F = {F_x.tolist()}"
@@ -707,12 +745,17 @@ def angle_solve(
     map cannot be resolved below its truncation error; a NaN residual
     never converges.
 
-    The loop runs on lists of floats.  The m generator field closures are
+    The solve runs on lists of floats.  F(x) and the base integrals come
+    from their gradient kernels.  The m generator field closures are
     bound once per solve, through `symp_system.field_evaluator`; the
-    Jacobian columns are those closures at the endpoint, and every trial
-    flows them through `flows._compose`, which checks every time first,
-    then each flow as `integrate` does (start point, early stop).  Only
-    the step itself, `np.linalg.lstsq` on the m columns, runs in LAPACK.
+    involution check pairs them with the generators' gradient kernels at
+    x, the Jacobian columns are those closures at the endpoint, and every
+    trial flows them through `flows._compose`, which checks every time
+    first, then each flow as `integrate` does (start point, early stop).
+    The step solves the normal equations (J^T J) delta = J^T (x - endpoint)
+    in a generated program (`_angle_step_program`); only where J is
+    (nearly) rank-deficient does it fall back to `np.linalg.lstsq`,
+    counted in `lstsq_steps`.
 
     Actions are A = M f(x_base) with the base integrals f; the relabeling
     denominator comes from the section (fallback: argmax |A_a|).
@@ -730,20 +773,21 @@ def angle_solve(
         if np.linalg.matrix_rank(M) < m:
             raise ValueError(f"basis matrix {M.tolist()} is singular")
     generators = _generators(symp_system, M)
-    # the involution check takes {g_a, g_b} = X_{g_a}(g_b) from one gradient
-    # closure per generator
-    runs = [gradient_evaluator(G, chart.coordinates) for G in generators]
-
-    F_x = symp_system.integral_values(x)
+    fields = [symp_system.field_evaluator(G) for G in generators]
+    xs = x.tolist()
+    F_x = np.array([kernel(xs)[0] for kernel in symp_system._kernels])
+    # the involution check takes {g_a, g_b} = X_{g_a}(g_b) from the field
+    # closures and the generators' gradient kernels
     bracket_tol = 1e-8 * max(1.0, float(np.max(np.abs(F_x))))
+    grads = [gradient_kernel(G, chart.coordinates)(xs)[1] for G in generators]
     for a in range(m - 1):
-        field_a = chart.field_from_gradient(x, *runs[a](x))
+        field_a = fields[a](xs)
         for b in range(a + 1, m):
-            bracket = float(runs[b](x)[1] @ field_a)
+            bracket = _fdot(grads[b], field_a)
             if abs(bracket) > bracket_tol:
                 raise IntegrabilityError(
                     f"generators {a} and {b} are not in involution at "
-                    f"{x.tolist()} (|{{g_{a}, g_{b}}}| = {abs(bracket):.3e})"
+                    f"{xs} (|{{g_{a}, g_{b}}}| = {abs(bracket):.3e})"
                 )
 
     if sign is None:
@@ -761,8 +805,8 @@ def angle_solve(
                 f"section {section.name!r} leaves the chart at the base point"
             )
 
-    fields = [symp_system.field_evaluator(G) for G in generators]
     guards = symp_system.positive_indices
+    step = _angle_step_program(m, len(xs))
 
     def phi(y: list, start: list) -> list:
         return _compose(fields.__getitem__, generators, y, start, cfg, guards, chart.coordinates)
@@ -770,13 +814,12 @@ def angle_solve(
     scale = max(1.0, float(np.max(np.abs(x))))
     target = max(newton_tolerance, 10.0 * cfg.rel_tol * scale)
 
-    xs = x.tolist()
     y = [0.0] * m if y0 is None else np.asarray(y0, dtype=float).tolist()
     if len(y) != m:
         raise ValueError(f"need {m} times, got {len(y)}")
     end = phi(y, base.tolist())
     gn = _max_abs([e - u for e, u in zip(end, xs)])
-    iterations = failed = 0
+    iterations = failed = fallbacks = 0
     while not gn <= target:  # a NaN residual must not read as converged
         if iterations >= max_iter:
             raise NewtonDivergenceError(
@@ -787,8 +830,12 @@ def angle_solve(
         iterations += 1
         # the endpoint keeps the fiber positive: the base has it, and every
         # flow guards it
-        J = np.array([field(end) for field in fields]).T
-        delta = np.linalg.lstsq(J, x - end, rcond=None)[0].tolist()
+        columns = [field(end) for field in fields]
+        residual = [u - e for u, e in zip(xs, end)]
+        delta = step(columns, residual)
+        if delta is None:
+            fallbacks += 1
+            delta = np.linalg.lstsq(np.transpose(columns), residual, rcond=None)[0].tolist()
         lam = 1.0
         for _ in range(21):
             try:
@@ -810,7 +857,7 @@ def angle_solve(
         y = [u + lam * d for u, d in zip(y, delta)]
         end, gn = end_try, gn_try
 
-    f_base = symp_system.base.integral_values(x[:-1])
+    f_base = np.array([kernel(xs[:-1])[0] for kernel in symp_system.base._kernels])
     A = M @ f_base
     if section.denominator_index is not None:
         d = section.denominator_index
@@ -831,6 +878,7 @@ def angle_solve(
         residual=gn,
         iterations=iterations,
         failed_trials=failed,
+        lstsq_steps=fallbacks,
     )
 
 

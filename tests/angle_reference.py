@@ -6,8 +6,10 @@ flows through `flows._compose`.  The loop it replaced is kept here: the
 residuals and the Newton Jacobian as arrays (`chart.point`, the
 generators' gradient closures and `chart._fields`), and every flow of the
 group action through `flows.flow_map`, which checks and integrates each
-flow anew.  Both take the step from `np.linalg.lstsq` on the same J, so
-the solved angles, residual and iterations must agree bitwise.
+flow anew.  Both take the step from the same generated normal-equation
+program (`integrability._angle_step_program`) on the same J, falling back
+to `np.linalg.lstsq` where it finds J (nearly) rank-deficient, so the
+solved angles, residual, iterations and fallback count must agree bitwise.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from contactmech.integrability import (
     IntegrabilityError,
     NewtonDivergenceError,
     SectionError,
+    _angle_step_program,
     _detect_sign,
     _generators,
 )
@@ -83,7 +86,7 @@ def numpy_angle_solve(symp_system, section, x, config=None, basis=None, sign=Non
     y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
     end = phi(y, base)
     gn = float(np.max(np.abs(end - x)))
-    iterations = 0
+    iterations = lstsq_steps = 0
     while not gn <= target:
         if iterations >= max_iter:
             raise NewtonDivergenceError(
@@ -93,7 +96,11 @@ def numpy_angle_solve(symp_system, section, x, config=None, basis=None, sign=Non
         end = chart.point(end)
         vgs = [run(end) for run in runs]
         J = chart._fields(end, np.array([v for v, _ in vgs]), np.array([g for _, g in vgs])).T
-        delta, *_ = np.linalg.lstsq(J, x - end, rcond=None)
+        delta = _angle_step_program(m, len(x))(J.T.tolist(), (x - end).tolist())
+        if delta is None:
+            delta, *_ = np.linalg.lstsq(J, x - end, rcond=None)
+            lstsq_steps += 1
+        delta = np.array(delta)
         lam = 1.0
         for _ in range(21):
             y_try = y + lam * delta
@@ -122,4 +129,4 @@ def numpy_angle_solve(symp_system, section, x, config=None, basis=None, sign=Non
         )
     A_tilde = np.array([-A[j] / A[d] for j in range(m) if j != d])
     return ActionAngleResult(y=y, A=A, A_tilde=A_tilde, denominator_index=d, M_matrix=M,
-                             sign=s, residual=gn, iterations=iterations)
+                             sign=s, residual=gn, iterations=iterations, lstsq_steps=lstsq_steps)

@@ -3,9 +3,12 @@
 `integrability.angle_solve` binds the generator field closures once per
 solve and runs its damped Newton loop on lists of floats, flowing each
 trial through `flows._compose`.  The loop it replaced is the reference in
-`tests/angle_reference.py`.  Both take the step from `np.linalg.lstsq`
-on the same Jacobian, so every result must be byte-equal, and every
-failure the same exception with the same message.
+`tests/angle_reference.py`.  Both take the step from the same generated
+normal-equation program (`integrability._angle_step_program`) on the same
+Jacobian, and from `np.linalg.lstsq` only where that program finds the
+Jacobian (nearly) rank-deficient, so every result must be byte-equal, and
+every failure the same exception with the same message.  The program
+itself is checked against `lstsq` on seeded well-conditioned Jacobians.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import angle_reference
 from angle_reference import numpy_angle_solve
 from contactmech import integrability
 from contactmech.config import load_config
-from contactmech.flows import FlowError, IntegratorConfig
+from contactmech.flows import FlowError, IntegratorConfig, group_action
 from contactmech.geometry import ContactChart, ContactSystem
-from contactmech.integrability import SectionSpec, angle_solve
+from contactmech.integrability import SectionSpec, _angle_step_program, angle_solve
 from contactmech.symplectization import symplectize
 from test_acceptance import N2_POINTS, N2_SECTION, N2_SYSTEMS
 
@@ -39,7 +42,7 @@ def _outcome(solve, *args, **kwargs):
         return type(exc), str(exc)
     return (sol.y.tobytes(), float(sol.residual).hex(), sol.iterations, sol.sign,
             sol.A.tobytes(), sol.A_tilde.tobytes(), sol.denominator_index,
-            sol.M_matrix.tobytes())
+            sol.M_matrix.tobytes(), sol.lstsq_steps)
 
 
 def assert_same(symp, section, x, **kwargs):
@@ -52,7 +55,8 @@ def assert_same(symp, section, x, **kwargs):
 def test_darboux_solves_are_byte_equal(pz_config, pz_symp, name):
     section = pz_config.section(name)
     for x in pz_symp.sample(np.random.default_rng(30), 60):
-        assert isinstance(assert_same(pz_symp, section, x)[0], bytes)
+        got = assert_same(pz_symp, section, x)
+        assert isinstance(got[0], bytes) and got[-1] == 0  # no lstsq fallback
 
 
 def test_rescaled_solves_are_byte_equal():
@@ -145,3 +149,45 @@ def test_solves_bind_their_closures_through_field_evaluator(monkeypatch, pz_conf
     sol = angle_solve(pz_symp, pz_config.section("graph-z"), X4)
     assert len(bound) == 2
     assert sol.iterations > 0 and len(calls) > 2 * sol.iterations
+
+
+@pytest.mark.parametrize("m, dim", [(2, 4), (2, 6), (3, 4), (3, 6)])
+def test_step_program_is_the_least_squares_step(m, dim):
+    rng = np.random.default_rng(40 + 10 * m + dim)
+    step = _angle_step_program(m, dim)
+    assert step.__code__.co_filename == f"<contactmech angle-step m={m} dim={dim}>"
+    for _ in range(50):
+        # J = U diag(sigma) V^T, singular values in [1, 3] times one scale
+        U = np.linalg.qr(rng.normal(size=(dim, m)))[0]
+        V = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        J = U * rng.uniform(1.0, 3.0, m) @ V.T * 10.0 ** rng.uniform(-3.0, 3.0)
+        r = rng.normal(size=dim)
+        got = np.array(step(J.T.tolist(), r.tolist()))
+        want = np.linalg.lstsq(J, r, rcond=None)[0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_step_program_refuses_nearly_dependent_columns():
+    # the second pivot is 1e-10 of the largest diagonal entry, then 1e-6
+    step, r = _angle_step_program(2, 4), [0.5, -1.0, 2.0, 0.25]
+    assert step([(1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)], r) is None
+    assert step([(1.0, 0.0, 0.0, 0.0), (1.0, 1e-5, 0.0, 0.0)], r) is None
+    assert step([(1.0, 0.0, 0.0, 0.0), (1.0, 1e-3, 0.0, 0.0)], r) is not None
+
+
+def test_a_rank_deficient_step_lands_through_lstsq_and_is_counted():
+    # f0 = f1 = p: the two generator fields are equal everywhere; the
+    # section lies on the diagonal ray F = (L1, L1), which the lifted
+    # integrals -r p reach at r = L1
+    symp = symplectize(ContactSystem(ContactChart.standard(1), ["p", "p"]))
+    section = SectionSpec("diagonal", ("L1", "L2"), ("0", "-1", "1", "L1"),
+                          {"L1": (0.5, 2.0), "L2": (0.5, 2.0)})
+    x = group_action(symp, [0.3, 0.4], [0.0, -1.0, 1.0, 1.5])
+    columns = [symp.field_evaluator(0)(x.tolist())] * 2
+    assert _angle_step_program(2, 4)(columns, [0.7, 0.0, 0.0, 0.0]) is None
+    got = assert_same(symp, section, x)
+    sol = angle_solve(symp, section, x)
+    assert sol.lstsq_steps == sol.iterations == 1 and got[-1] == 1
+    # lstsq's least-norm step splits the total time 0.7 evenly
+    assert np.allclose(sol.y, [0.35, 0.35], rtol=0.0, atol=1e-12)
+    assert sol.residual <= 1e-10

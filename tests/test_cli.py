@@ -552,7 +552,7 @@ def test_action_angle_stalled_solve_reports_its_residual_and_iterations(capsys, 
     assert row["converged"] is False
     assert row["error"] == "stalled at residual 1.432e+00 after 1 iterations"
     assert row["iterations"] == 1
-    # the residual comes through LAPACK's lstsq step
+    # the residual's last digits follow the round-off of the generated Newton step
     assert row["residual"] == pytest.approx(1.431970010264339, rel=1e-6)
     assert sorted(row) == ["converged", "error", "index", "iterations", "point", "residual"]
 

@@ -210,6 +210,32 @@ def test_group_action_length_check(pz_system):
         group_action(pz_system, np.array([1.0]), X0)
 
 
+@pytest.mark.parametrize("x0, tangents", [
+    ([0.3, 1.2], np.eye(3)),
+    ([0.3, 1.2, 0.8, 1.0], np.eye(3)),
+    (X0, np.eye(2)),
+    (X0, np.ones(3)),
+    (X0, np.ones((3, 1, 1))),
+], ids=["short-x0", "long-x0", "tangents-of-2", "one-tangent-flat", "tangents-3d"])
+def test_variational_group_action_checks_its_shapes(pz_system, x0, tangents):
+    # these raised a bare unpacking error from the variational closure
+    with pytest.raises(ValueError) as got:
+        variational_group_action(pz_system, [0.3, 1.2], x0, tangents)
+    if len(x0) != 3:
+        with pytest.raises(ValueError) as want:
+            group_action(pz_system, [0.3, 1.2], x0)
+        assert str(got.value) == str(want.value) == (
+            f"expected start point of shape (3,), got ({len(x0)},)")
+    else:
+        assert str(got.value) == f"expected tangents of shape (3, k), got {tangents.shape}"
+
+
+def test_variational_group_action_takes_no_tangents(pz_system):
+    x, carried = variational_group_action(pz_system, [0.3, 1.2], X0, np.empty((3, 0)))
+    assert x.tolist() == group_action(pz_system, [0.3, 1.2], X0).tolist()
+    assert carried.shape == (3, 0)
+
+
 def test_group_actions_check_each_start_point(pz_system):
     # p is guarded positive; the first flow of nonzero time checks its start
     start = np.array([2.0, -1.0, 5.0])

@@ -67,6 +67,7 @@ def test_every_builder_has_its_source_readable():
         geometry._closed_program(symplectization._darboux_field, 4, True),
         flows._step_program(3),
         integrability._ray_step_program(2, 3),
+        integrability._angle_step_program(2, 4),
     ]
     for function in functions:
         source = inspect.getsource(function)

@@ -121,6 +121,22 @@ def test_variational_program_checks_the_point_as_field_evaluator(pz_system, pz_s
                 assert str(got) == str(want)
 
 
+def test_variational_closures_send_a_partial_tangent_to_point(pz_system, pz_symp):
+    # a state of x and part of a tangent raised a bare unpacking error
+    for system in (pz_system, pz_symp, _general_system("rescaled", False),
+                   _general_system("rescaled", True)):
+        dim = system.dim
+        run = system.variational_evaluator(0)
+        point = [0.3, 1.2, 0.8, 1.5][:dim]
+        assert len(run(point + [1.0] * dim)) == 2 * dim
+        for extra in (1, dim - 1, dim + 1):
+            state = point + [1.0] * extra
+            got = _raised(run, state)
+            assert type(got) is ValueError
+            assert str(got) == str(_raised(system.chart.point, state))
+            assert str(got) == f"expected point of shape ({dim},), got ({len(state)},)"
+
+
 @pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
 def test_a_jet_domain_error_truncates_the_variational_flow(lifted):
     # the field of exp(q/3) * p drives q up at unit speed from 1 into q >= 2,
