@@ -56,6 +56,7 @@ __all__ = [
     "evaluate",
     "gradient_evaluator",
     "gradient_kernel",
+    "fused_kernel",
     "eval_jet2",
     "jet2_kernel",
 ]
@@ -470,6 +471,11 @@ class _KernelSource:
     `errors` maps the index of each line that can raise to the message
     (None: the exception's own, as math's "math range error") and the
     node of the EvaluationDomainError it stands for.
+
+    `emit` writes each subtree once: a later subtree with the same
+    `_signature`, in the same tree or in a later tree of a fused kernel,
+    reuses the locals of the first.  Its checks ran at that first use,
+    where a kernel per tree would first have raised, on the same floats.
     """
 
     def __init__(self, names: tuple[str, ...], jet: bool = False):
@@ -482,6 +488,7 @@ class _KernelSource:
         self.errors: dict[int, tuple[str | None, Expr]] = {}
         self.globals: dict[str, object] = {}
         self.count = 0
+        self.emitted: dict = {}  # _signature -> emit's output
 
     def bind(self, obj, prefix: str) -> str:
         name = f"{prefix}{len(self.globals)}"
@@ -574,6 +581,13 @@ class _KernelSource:
             if k is None:
                 return self.fail(node)
             return f"x{k}", [1.0 if j == k else 0.0 for j in range(self.n)], self.zero
+        key = _signature(node)
+        out = self.emitted.get(key)
+        if out is None:
+            out = self.emitted[key] = self.emit_node(node)
+        return out
+
+    def emit_node(self, node: Expr):
         if isinstance(node, Binary):
             lhs, rhs = self.emit(node.lhs), self.emit(node.rhs)
             if lhs[1] is None and rhs[1] is None:
@@ -687,21 +701,39 @@ class _KernelSource:
             self.plus(self.times(v, T[j]), self.times(T[j], v))))
 
 
-def _compile(node: Expr, names: tuple[str, ...], jet: bool = False):
+def _compile(nodes: tuple[Expr, ...], names: tuple[str, ...], jet: bool = False,
+             fused: bool = False):
+    """The kernel of trees `nodes` over `names`: one straight-line source for all of them.
+
+    A fused kernel returns one flat tuple: per tree its value, gradient
+    and, in a jet, the Hessian rows mirrored from the lower triangle.
+    Otherwise the one tree's (value, gradient tuple[, Hessian rows]).
+    """
     source = _KernelSource(names, jet)
-    value, tangent, hessian = source.emit(node)
     n = len(names)
-    if tangent is None:
-        value, tangent = source.text(float(value)), [0.0] * n
 
     def listed(entries) -> str:
         return "".join(f"{source.text(0.0 if e is None else e)}, " for e in entries)
 
-    result = f"{value}, ({listed(tangent)})"
-    if jet:  # the Hessian rows, mirrored from the lower triangle
+    def entries(node: Expr) -> tuple:
+        """The tree's value, gradient and Hessian rows (none outside a jet), emitted now."""
+        value, tangent, hessian = source.emit(node)
+        if tangent is None:
+            value, tangent = float(value), [0.0] * n
+        if not jet:
+            return value, tangent, []
         entry = dict(zip(source.pairs, hessian or source.zero))
-        rows = (listed(entry[max(i, j), min(i, j)] for j in range(n)) for i in range(n))
-        result += ", [" + "".join(f"({row}), " for row in rows) + "]"
+        return value, tangent, [[entry[max(i, j), min(i, j)] for j in range(n)] for i in range(n)]
+
+    trees = [entries(node) for node in nodes]  # emitted in order
+    if fused:
+        result = "(" + "".join(listed([value, *tangent, *itertools.chain(*rows)])
+                               for value, tangent, rows in trees) + ")"
+    else:
+        [(value, tangent, rows)] = trees
+        result = f"{source.text(value)}, ({listed(tangent)})"
+        if jet:
+            result += ", [" + "".join(f"({listed(row)}), " for row in rows) + "]"
     lines = ["def kernel(values):", "    try:", *[f"        {line}" for line in source.lines],
              f"        return {result}", "    except (ArithmeticError, ValueError) as exc:",
              "        raise _domain_error(exc) from None"]
@@ -744,14 +776,14 @@ def _signature(node: Expr):
 
 
 class _KernelKey:
-    """Memo key of a compiled kernel: the tree's signature and the names."""
+    """Memo key of a compiled kernel: the trees' signatures and the names."""
 
-    __slots__ = ("node", "names", "signature", "hash")
+    __slots__ = ("nodes", "names", "signature", "hash")
 
-    def __init__(self, node: Expr, names: tuple[str, ...]):
-        self.node = node
+    def __init__(self, nodes: tuple[Expr, ...], names: tuple[str, ...]):
+        self.nodes = nodes
         self.names = names
-        self.signature = (_signature(node), names)
+        self.signature = (tuple(map(_signature, nodes)), names)
         self.hash = hash(self.signature)
 
     def __hash__(self) -> int:
@@ -762,8 +794,8 @@ class _KernelKey:
 
 
 @functools.lru_cache(maxsize=512)
-def _kernel(key: _KernelKey, jet: bool = False):
-    return _compile(key.node, key.names, jet)
+def _kernel(key: _KernelKey, jet: bool = False, fused: bool = False):
+    return _compile(key.nodes, key.names, jet, fused)
 
 
 def gradient_kernel(
@@ -772,15 +804,33 @@ def gradient_kernel(
     """Compiled kernel computing (value, gradient as a float tuple) at given values.
 
     The tree is compiled now into straight-line float code, memoised per
-    (tree, names), that runs forward-mode dual arithmetic over floats.  The
-    kernel raises EvaluationDomainError itself, naming the subtree that
-    failed: the line that raised maps to the node that emitted it, so a
-    call without errors runs no extra checks.  A binary node whose value
-    is infinite although both operands are finite raises "overflow";
-    otherwise non-finite values propagate.  Loops over floats (the flow
-    integrators) call the kernel directly.
+    (tree, names), that runs forward-mode dual arithmetic over floats and
+    computes a repeated subtree once.  The kernel raises
+    EvaluationDomainError itself, naming the subtree that failed: the line
+    that raised maps to the node that emitted it, so a call without errors
+    runs no extra checks.  A binary node whose value is infinite although
+    both operands are finite raises "overflow"; otherwise non-finite values
+    propagate.  Loops over floats (the flow integrators) call the kernel
+    directly.  It is the one-tree case of `fused_kernel`'s compiler, with
+    the gradient as a tuple of its own; code that needs several trees at
+    a point calls their fused kernel once instead.
     """
-    return _kernel(_KernelKey(node, tuple(names)))
+    return _kernel(_KernelKey((node,), tuple(names)))
+
+
+def fused_kernel(
+    nodes: Sequence[Expr], names: Sequence[str], jet: bool = False
+) -> "Callable[[Sequence[float]], tuple[float, ...]]":
+    """Compiled kernel of all the trees at once, returning one flat float tuple.
+
+    Per tree, in order: the value, the gradient and, with jet true, the
+    Hessian rows of `jet2_kernel`, each entry bitwise that kernel's.  The
+    kernel converts the inputs once and emits a subtree shared within or
+    across trees once; it raises the EvaluationDomainError that calling
+    the trees' own kernels in order would raise first.  Memoised per
+    (trees, names), fetched now.
+    """
+    return _kernel(_KernelKey(tuple(nodes), tuple(names)), jet, True)
 
 
 def gradient_evaluator(
@@ -823,7 +873,7 @@ def jet2_kernel(
     mirrored, and it also raises "overflow" where a node's first derivative
     is not finite although its value is.
     """
-    return _kernel(_KernelKey(node, tuple(names)), True)
+    return _kernel(_KernelKey((node,), tuple(names)), True)
 
 
 def eval_jet2(node: Expr, names: Sequence[str], values: Sequence[float]) -> Jet2:

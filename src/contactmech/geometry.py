@@ -57,6 +57,7 @@ from .expressions import (
     Var,
     evaluate,
     free_variables,
+    fused_kernel,
     gradient_evaluator,
     gradient_kernel,
     jet2_kernel,
@@ -190,9 +191,9 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     m fields, then on the contact kind the m Reeb derivatives and the Reeb
     field (at m = 0 the Reeb field alone).  At m = 1, `bind(kernel,
     coefficients, point)` returns the flow closure over float lists, which
-    checks the point and runs f's gradient kernel and the coefficient
-    kernels itself.  `lines` holds its source lines at one point, on
-    which `_variational_program` builds.
+    checks the point and runs f's gradient kernel and the fused kernel of
+    eta's coefficients (`_coeff_kernel`) itself.  `lines` holds its
+    source lines at one point, on which `_variational_program` builds.
 
     Elimination is `_eliminate`'s on [A | b_1 .. b_k]; a zero pivot
     raises, so det A reads 0.0 there, as NumPy's det does.  No column
@@ -271,22 +272,21 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
                       "    raise failure(f'field invariant eta(X_f) = -f violated by "
                       f"{{abs(pairing):.3e}} {where}')"]
     fiber = ["r = x[-1]"] if lifted else []
-    coframes = "".join(f"{_tup(f'j{i}_', d)}, " for i in range(d))
+    coframe = _coframe_names(d)
     outputs = [f"X{a}_{i}" for a in range(m) for i in range(dim)]
     if not lifted:
         outputs += [f"rf{a}" for a in range(m)] + reeb
     source = ["def solve(point, x, values, grads, coframe):",
               f"    [{_names('value', m)}] = values",
               f"    [{', '.join(_tup(g, dim) for g in grads)}] = grads",
-              *[f"    {line}" for line in [*fiber, f"{_tup('e', d)}, ({coframes}) = coframe", *lines]],
+              *[f"    {line}" for line in [*fiber, f"{coframe} = coframe", *lines]],
               f"    return [{', '.join(outputs)}]"]
     if m == 1:  # the flow closure
         fiber_test = " or x[-1] <= 0.0" if lifted else ""
         preamble = [f"if len(x) != {dim}{fiber_test}:", "    point(x)",
                     f"value0, {_tup('g0_', dim)} = kernel(x)", *fiber,
-                    *[f"e{i}, {_tup(f'j{i}_', d)} = k{i}(x)" for i in range(d)]]
+                    f"{coframe} = coefficients(x)"]
         source += ["def bind(kernel, coefficients, point):",
-                   f"    {_names('k', d)}, = coefficients",
                    "    def field(x):",
                    *[f"        {line}" for line in [*preamble, *lines]],
                    f"        return [{_names('X0_', dim)}]",
@@ -303,6 +303,19 @@ def _matrix(prefix: str, count: int) -> str:
     return "(" + "".join(f"{_tup(f'{prefix}{i}_', count)}, " for i in range(count)) + ")"
 
 
+def _coframe_names(d: int, jet: bool = False) -> str:
+    """The unpacking target of the fused kernel of eta's d coefficients (`_coeff_kernel`).
+
+    Per coefficient i: e<i> = eta_i, j<i>_<a> = d_a eta_i and, in a jet
+    (`_coeff_jet`), he<i>_<a>_<b> = d_a d_b eta_i.
+    """
+    def entries(i: int) -> list[str]:
+        hessian = [f"he{i}_{a}_{b}" for a in range(d) for b in range(d)] if jet else []
+        return [f"e{i}", *(f"j{i}_{a}" for a in range(d)), *hessian]
+
+    return "".join(f"{name}, " for i in range(d) for name in entries(i))
+
+
 @functools.lru_cache(maxsize=None)
 def _variational_program(kind: str, dim: int) -> Callable:
     """`bind(jet, coefficients, point)`: the variational closure of X_f on a general coframe.
@@ -310,8 +323,9 @@ def _variational_program(kind: str, dim: int) -> Callable:
     The closure maps the float list x, dx_1 .. dx_k to X_f(x), DX_f(x) dx_1
     .. DX_f(x) dx_k; a state whose length is not a multiple of dim goes to
     the chart's `point`.  It runs the lines of `_field_program(kind, dim, 1)`,
-    checks and errors included, once on the `jet2_kernel`s of f and of
-    eta's coefficients.  Per tangent it eliminates again on a
+    checks and errors included, once on f's `jet2_kernel` and the fused
+    jet kernel of eta's coefficients (`_coeff_jet`), in which a constant
+    coefficient is literals.  Per tangent it eliminates again on a
     copy of B^T (omega^T), without the pivot tests the field's elimination
     made; with df' = Hess f dx and c = R(f) + f it solves
         B^T [dR | Y] = [d eta - dB^T R | df' - c d eta - dB^T X],
@@ -358,7 +372,7 @@ def _variational_program(kind: str, dim: int) -> Callable:
             f"if len(x) != {dim}{fiber_test}:", "    point(x)",
             f"value0, {_tup('g0_', dim)}, {_matrix('h', dim)} = jet(x)",
             *(["r = x[-1]"] if lifted else []),
-            *[f"e{i}, {_tup(f'j{i}_', d)}, {_matrix(f'he{i}_', d)} = k{i}(x)" for i in range(d)],
+            f"{_coframe_names(d, True)}= coefficients(x)",
             *namespace["lines"],
             # R: the tangents' eliminations overwrite s<i>_<dim>
             *([] if lifted else [f"{', '.join(R)}, = {', '.join(solved)},"]),
@@ -368,9 +382,8 @@ def _variational_program(kind: str, dim: int) -> Callable:
             *[f"    {line}" for line in tangent],
             f"    out += [{', '.join(outputs)}]",
             "return out"]
-    source = ["def bind(jet, coefficients, point):", f"    {_names('k', d)}, = coefficients",
-              "    def variational(state):", *[f"        {line}" for line in body],
-              "    return variational"]
+    source = ["def bind(jet, coefficients, point):", "    def variational(state):",
+              *[f"        {line}" for line in body], "    return variational"]
     return program(f"<contactmech {kind}-variational dim={dim}>", source, namespace, "bind")
 
 
@@ -549,12 +562,12 @@ class _Chart:
         if self._closed_field is not None:
             return _closed_program(self._closed_field, self.dim, True)(jet, self.point)
         bind = _variational_program(self._kind, self.dim)
-        return bind(jet, self._eta_chart._coeff_jets, self.point)
+        return bind(jet, self._eta_chart._coeff_jet, self.point)
 
     def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
         """X_f over float lists on a general coframe: `_field_program`'s closure for f's kernel."""
         program = _field_program(self._kind, self.dim, 1)
-        return program["bind"](kernel, self._eta_chart._coeff_kernels, self.point)
+        return program["bind"](kernel, self._eta_chart._coeff_kernel, self.point)
 
 
 class ContactChart(_Chart):
@@ -596,14 +609,14 @@ class ContactChart(_Chart):
         self._closed_field = _darboux_field if self.darboux else None
 
     @functools.cached_property
-    def _coeff_kernels(self) -> tuple:
-        """The compiled gradient kernels of eta's coefficients, fetched at first use."""
-        return tuple(gradient_kernel(c, self.coordinates) for c in self.eta_coefficients)
+    def _coeff_kernel(self) -> Callable:
+        """The `fused_kernel` of eta's coefficients, fetched at first use."""
+        return fused_kernel(self.eta_coefficients, self.coordinates)
 
     @functools.cached_property
-    def _coeff_jets(self) -> tuple:
-        """The compiled second-order kernels (`jet2_kernel`) of eta's coefficients."""
-        return tuple(jet2_kernel(c, self.coordinates) for c in self.eta_coefficients)
+    def _coeff_jet(self) -> Callable:
+        """The fused jet kernel (`fused_kernel` with jet) of eta's coefficients."""
+        return fused_kernel(self.eta_coefficients, self.coordinates, True)
 
     def env(self, x) -> dict[str, float]:
         return dict(zip(self.coordinates, map(float, x)))
@@ -617,12 +630,12 @@ class ContactChart(_Chart):
         return self._etas(self.point(x))
 
     def coframe_at(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(eta, d eta) at x, from one run of each coefficient kernel."""
+        """(eta, d eta) at x, from one run of the coefficients' fused kernel."""
         return self._coframes(self.point(x))
 
-    def _float_coframe(self, x) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-        """eta at x and the gradients of its coefficients, over floats, on a general coframe."""
-        return tuple(zip(*[kernel(x) for kernel in self._coeff_kernels]))
+    def _float_coframe(self, x) -> tuple[float, ...]:
+        """eta_i at x and the gradient of eta_i, for each i in turn, as floats: one kernel call."""
+        return self._coeff_kernel(x)
 
     def _etas(self, xs: np.ndarray) -> np.ndarray:
         """eta at points xs, shape (..., dim)."""
@@ -649,10 +662,10 @@ class ContactChart(_Chart):
             return self._etas(xs), deta
         if rows is None:
             rows = self._float_coframes(xs)
-        eta = np.array([eta for eta, _ in rows]).reshape(xs.shape)
-        # d_a eta_b at [..., b, a]
-        jac = np.array([jac for _, jac in rows]).reshape(xs.shape + (self.dim,))
-        return eta, jac.swapaxes(-1, -2) - jac
+        # eta_b at [..., b, 0] and d_a eta_b at [..., b, 1 + a]; eta copied as in gradient_stack
+        flat = np.array(rows).reshape(xs.shape + (self.dim + 1,))
+        jac = flat[..., 1:]
+        return np.ascontiguousarray(flat[..., 0]), jac.swapaxes(-1, -2) - jac
 
     def flat_matrix_at(self, x, coframe=None) -> np.ndarray:
         """B = d eta + eta eta^T at a point, or at each row of a stack (N, dim).
@@ -894,23 +907,27 @@ class _System:
         return [run(x) for run in self._gradients]
 
     @functools.cached_property
-    def _kernels(self) -> tuple:
-        """The integrals' compiled gradient kernels, fetched at first use."""
-        return tuple(gradient_kernel(f, self.coordinates) for f in self.integrals)
+    def _fused(self) -> Callable:
+        """The integrals' `fused_kernel`, fetched at first use: f_a and df_a in turn, flat."""
+        return fused_kernel(self.integrals, self.coordinates)
 
     def gradient_stack(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Values (N, m) and gradients (N, m, dim) of the integrals at the rows of xs.
 
-        Each integral's kernel runs once per row, in row order, on floats.
+        The fused kernel runs once per row, in row order, on floats.
         """
         xs = self.chart.points(xs)
-        jets = [kernel(x) for x in xs.tolist() for kernel in self._kernels]
-        shape = (len(xs), len(self.integrals))
-        return (np.array([v for v, _ in jets]).reshape(shape),
-                np.array([g for _, g in jets]).reshape(shape + (self.dim,)))
+        kernel, flat = self._fused, []
+        for x in xs.tolist():
+            flat += kernel(x)
+        jets = np.array(flat).reshape(len(xs), len(self.integrals), self.dim + 1)
+        # copies: BLAS sums a strided vector of four or more entries in
+        # another order, which would move the last bits of `_dot`s
+        return np.ascontiguousarray(jets[..., 0]), np.ascontiguousarray(jets[..., 1:])
 
     def integral_values(self, x) -> np.ndarray:
-        return np.array([value for value, _ in self.values_and_gradients(x)])
+        """The integrals' values at x, from one call of the fused kernel."""
+        return np.array(self._fused(self.chart.point(x).tolist())[:: self.dim + 1])
 
     def hamiltonian_field_at(self, f: FunctionLike, x) -> np.ndarray:
         return self.chart.hamiltonian_field_at(self.resolve(f), x)

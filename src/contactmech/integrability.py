@@ -427,10 +427,11 @@ def ray_project(
     """
     lam = target.direction.tolist()
     x = system.chart.point(seed_point).tolist()
-    kernels, step = system._kernels, _ray_step_program(len(lam), len(x))
-    jet = [kernel(x) for kernel in kernels]
-    r = max(_fdot([v for v, _ in jet], lam) / _fdot(lam, lam), 1e-3)
-    g = [v - r * c for (v, _), c in zip(jet, lam)]
+    m, width = len(lam), len(x) + 1  # the fused kernel gives f_a, df_a per integral
+    kernel, step = system._fused, _ray_step_program(m, len(x))
+    jet = kernel(x)
+    r = max(_fdot(jet[::width], lam) / _fdot(lam, lam), 1e-3)
+    g = [v - r * c for v, c in zip(jet[::width], lam)]
     gn, converged = _max_abs(g), tolerance * max(1.0, _max_abs(lam))
     for _ in range(max_iter):
         if gn <= converged:
@@ -439,7 +440,7 @@ def ray_project(
             if r * _max_abs(lam) <= converged:  # at the apex: r Lambda is 0 within tolerance
                 raise RayProjectionError(f"landed at the apex F = 0 (scale r = {r:.3e})")
             return np.array(x), r
-        TF = [grad for _, grad in jet]
+        TF = [jet[a * width + 1 : (a + 1) * width] for a in range(m)]
         delta = step(TF, g, lam)
         if delta is None:
             J = np.hstack([TF, -np.array(lam)[:, None]])
@@ -450,11 +451,11 @@ def ray_project(
             x_try = [u + lam_step * du for u, du in zip(x, dx)]
             r_try = r + lam_step * dr
             try:
-                jet_try = [kernel(x_try) for kernel in kernels]
+                jet_try = kernel(x_try)
             except EvaluationDomainError:
                 lam_step *= 0.5
                 continue
-            g_try = [v - r_try * c for (v, _), c in zip(jet_try, lam)]
+            g_try = [v - r_try * c for v, c in zip(jet_try[::width], lam)]
             gn_try = _max_abs(g_try)
             if gn_try < gn:
                 x, r, g, gn, jet = x_try, r_try, g_try, gn_try, jet_try
@@ -690,8 +691,7 @@ def _detect_sign(
             continue
         if not np.isfinite(candidate).all():
             continue
-        point = candidate.tolist()
-        F_c = [kernel(point)[0] for kernel in symp_system._kernels]
+        F_c = symp_system._fused(candidate.tolist())[:: symp_system.dim + 1]
         if _max_abs([u - v for u, v in zip(F_c, F_x.tolist())]) <= 1e-6 * scale:
             return s, candidate
     raise SectionError(
@@ -746,12 +746,13 @@ def angle_solve(
     never converges.
 
     The solve runs on lists of floats.  F(x) and the base integrals come
-    from their gradient kernels.  The m generator field closures are
-    bound once per solve, through `symp_system.field_evaluator`; the
-    involution check pairs them with the generators' gradient kernels at
-    x, the Jacobian columns are those closures at the endpoint, and every
-    trial flows them through `flows._compose`, which checks every time
-    first, then each flow as `integrate` does (start point, early stop).
+    from one call each of the systems' fused kernels.  The m generator
+    field closures are bound once per solve, through
+    `symp_system.field_evaluator`; the involution check pairs them with
+    the generators' gradient kernels at x, the Jacobian columns are those
+    closures at the endpoint, and every trial flows them through
+    `flows._compose`, which checks every time first, then each flow as
+    `integrate` does (start point, early stop).
     The step solves the normal equations (J^T J) delta = J^T (x - endpoint)
     in a generated program (`_angle_step_program`); only where J is
     (nearly) rank-deficient does it fall back to `np.linalg.lstsq`,
@@ -775,7 +776,7 @@ def angle_solve(
     generators = _generators(symp_system, M)
     fields = [symp_system.field_evaluator(G) for G in generators]
     xs = x.tolist()
-    F_x = np.array([kernel(xs)[0] for kernel in symp_system._kernels])
+    F_x = np.array(symp_system._fused(xs)[:: len(xs) + 1])
     # the involution check takes {g_a, g_b} = X_{g_a}(g_b) from the field
     # closures and the generators' gradient kernels
     bracket_tol = 1e-8 * max(1.0, float(np.max(np.abs(F_x))))
@@ -857,7 +858,7 @@ def angle_solve(
         y = [u + lam * d for u, d in zip(y, delta)]
         end, gn = end_try, gn_try
 
-    f_base = np.array([kernel(xs[:-1])[0] for kernel in symp_system.base._kernels])
+    f_base = np.array(symp_system.base._fused(xs[:-1])[:: len(xs)])
     A = M @ f_base
     if section.denominator_index is not None:
         d = section.denominator_index

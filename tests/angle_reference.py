@@ -57,7 +57,7 @@ def numpy_angle_solve(symp_system, section, x, config=None, basis=None, sign=Non
     generators = _generators(symp_system, M)
     runs = [gradient_evaluator(G, chart.coordinates) for G in generators]
 
-    F_x = symp_system.integral_values(x)
+    F_x = np.array([value for value, _ in symp_system.values_and_gradients(x)])
     bracket_tol = 1e-8 * max(1.0, float(np.max(np.abs(F_x))))
     for a in range(m - 1):
         field_a = chart.field_from_gradient(x, *runs[a](x))
@@ -119,7 +119,7 @@ def numpy_angle_solve(symp_system, section, x, config=None, basis=None, sign=Non
             )
         y, end, gn = y_try, end_try, gn_try
 
-    f_base = symp_system.base.integral_values(x[:-1])
+    f_base = np.array([value for value, _ in symp_system.base.values_and_gradients(x[:-1])])
     A = M @ f_base
     d = section.denominator_index if section.denominator_index is not None else int(
         np.argmax(np.abs(A)))

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from contactmech.expressions import jet2_kernel
+from contactmech.expressions import gradient_kernel, jet2_kernel
 from contactmech.geometry import (
     _RESIDUAL_TOL,
     _SINGULAR_DET,
@@ -56,6 +56,11 @@ from contactmech.symplectization import (
 )
 
 REGION = {"q": (-2.0, 2.0), "p": (0.5, 2.0), "z": (0.5, 2.0)}
+
+
+def _float_coframe(chart: ContactChart, x):
+    """eta at x and the gradients of its coefficients, from each coefficient's own kernel."""
+    return tuple(zip(*[gradient_kernel(c, chart.coordinates)(x) for c in chart.eta_coefficients]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,7 +114,7 @@ def contact_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
         if len(x) != dim:
             chart.point(x)
         value, grad = kernel(x)
-        eta, jac = chart._float_coframe(x)
+        eta, jac = _float_coframe(chart, x)
         # row i: B^T_ij = (d_j eta_i - d_i eta_j) + eta_i eta_j over j, then eta_i, df_i
         rows = [[*[u - v + ei * ej for u, v, ej in zip(gi, ci, eta)], ei, fi]
                 for gi, ci, ei, fi in zip(jac, zip(*jac), eta, grad)]
@@ -150,7 +155,7 @@ def lifted_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
             chart.point(x)
         value, grad = kernel(x)
         r = x[-1]
-        eta, jac = base._float_coframe(x[:-1])
+        eta, jac = _float_coframe(base, x[:-1])
         # row i < dim - 1: omega^T_ij = -r (d_j eta_i - d_i eta_j) over j, -eta_i, then dF_i;
         # the last row: eta, 0, then dF_r
         rows = [[*[-r * (u - v) for u, v in zip(gi, ci)], -ei, fi]
@@ -321,7 +326,8 @@ def _coframe_tangent(chart: ContactChart, x: np.ndarray, dx: np.ndarray):
     From the Hessians of eta's coefficients, their rows' lower triangles
     mirrored as eval_jet2 does.
     """
-    _, jac, rows = map(np.array, zip(*[jet(x) for jet in chart._coeff_jets]))
+    jets = [jet2_kernel(c, chart.coordinates)(x) for c in chart.eta_coefficients]
+    _, jac, rows = map(np.array, zip(*jets))
     hessians = np.tril(rows) + np.tril(rows, -1).swapaxes(-1, -2)
     djac = np.einsum("bac,cj->jab", hessians, dx)  # [j, a, b] = d_a eta_b along dx_j
     return jac @ dx, djac - djac.transpose(0, 2, 1)

@@ -384,16 +384,21 @@ def test_kernels_compile_lazily_once_per_expression_and_names():
     system.values_and_gradients(x)
     system.values_and_gradients(x)
     assert compiled().misses == 2
+    # eta's three coefficients compile into one fused kernel
     system.chart.coframe_at(x)
-    assert compiled().misses == 5
+    assert compiled().misses == 3
     # the lifted integrals are new expressions in the names (q, p, z, r)
     symp.values_and_gradients(np.append(x, 1.5))
-    assert compiled().misses == 7
+    assert compiled().misses == 5
     # equal trees in equal names share the memoised kernels
     again = ContactSystem(ContactChart(names, eta), integrals, region)
     again.values_and_gradients(x)
     again.chart.coframe_at(x)
-    assert compiled().misses == 7 and compiled().hits == 5
+    assert compiled().misses == 5 and compiled().hits == 3
+    # the integrals' fused kernel compiles once, at the first stack
+    system.gradient_stack(x[None])
+    again.gradient_stack(x[None])
+    assert compiled().misses == 6 and compiled().hits == 4
 
 
 # ---------------------------------------------------------------------------

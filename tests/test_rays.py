@@ -19,7 +19,7 @@ import pytest
 
 from contactmech import cli, integrability
 from contactmech.config import bundled_config_path, load_config
-from contactmech.expressions import EvaluationDomainError
+from contactmech.expressions import EvaluationDomainError, gradient_kernel
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.integrability import (
     RayProjectionError,
@@ -120,10 +120,10 @@ def test_rank_deficient_step_is_lstsq_and_lands_bitwise():
 def test_kernels_bind_and_the_step_compiles_at_the_first_projection():
     _ray_step_program.cache_clear()
     system = load_config(CONFIGS["rescaled-pz"]).system()
-    assert "_kernels" not in vars(system) and _ray_step_program.cache_info().misses == 0
+    assert "_fused" not in vars(system) and _ray_step_program.cache_info().misses == 0
     ray_project(system, RayTarget([1.0, 1.0]), [0.5, 1.2, 0.8])
     ray_project(system, RayTarget([1.0, 1.0]), [0.3, 1.0, 1.5])
-    assert "_kernels" in vars(system)
+    assert "_fused" in vars(system)
     assert _ray_step_program.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
@@ -147,10 +147,16 @@ def test_step_program_is_the_least_norm_step():
     lambda kernel, x: (kernel(x)[0], (math.nan,) * 3),
 ], ids=["value-off-seed", "everywhere", "gradient"])
 def test_nan_kernel_raises_and_never_lands(stub, monkeypatch):
-    # the second integral's kernel is replaced by stub(kernel, x)
+    # the second integral's entries of the fused kernel are replaced by
+    # stub(kernel, x), kernel being that integral's own
     system = ContactSystem(ContactChart.standard(1), ["p", "z"])
-    first, second = system._kernels
-    monkeypatch.setattr(system, "_kernels", (first, lambda x: stub(second, x)))
+    fused, second = system._fused, gradient_kernel(system.integrals[1], system.coordinates)
+
+    def stubbed(x):
+        value, grad = stub(second, x)
+        return fused(x)[: system.dim + 1] + (value, *grad)
+
+    monkeypatch.setattr(system, "_fused", stubbed)
     with pytest.raises(RayProjectionError, match="no convergence onto the ray"):
         ray_project(system, RayTarget([1.0, 1.0]), [0.0, 1.0, 2.0])
 
