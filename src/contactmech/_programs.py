@@ -3,13 +3,26 @@
 `program` compiles every generated function under a file name "<contactmech ...>", which
 profiles show, and keeps its source in `linecache` while the function lives, so
 tracebacks, pdb and `inspect.getsource` show its lines.
+
+A float program has a row-block twin, named "<contactmech ... rows>", that runs the same
+lines once over NumPy columns, one entry per row; `in_blocks` runs a twin over a stack
+block by block and sends a block it cannot vouch for to the float program, row by row.
 """
 
+import ast
+import functools
 import linecache
 import weakref
 from typing import Callable, Sequence
 
-__all__ = ["program"]
+import numpy as np
+
+__all__ = ["program", "in_blocks"]
+
+# rows per pass of a row-block program: its arrays stay this short on large stacks
+_BLOCK = 512
+# a shorter stack runs the float program: a twin's NumPy calls cost more than its rows
+_MIN_ROWS = 32
 
 
 def program(name: str, lines: Sequence[str], namespace: dict, entry: str) -> Callable:
@@ -134,3 +147,105 @@ class _Dual:
 
     def __neg__(self):
         return _Dual(-self.a, -self.b)
+
+
+def in_blocks(twin: Callable | None, row: Callable, width: int, *stacks: np.ndarray) -> np.ndarray:
+    """A program's `width` outputs at each row of stacks, as one C-contiguous (count, width) array.
+
+    The stacks share a leading axis of count rows.  Each block of at most
+    `_BLOCK` rows goes to twin, the program's row-block twin, with that axis
+    moved last (the columns), and twin returns the outputs (width, rows), or
+    None where it cannot vouch for them.  A block where it returns None,
+    raises ArithmeticError or ValueError or gives a non-finite output runs
+    through row(*entries) instead, the float program, on each row's floats
+    in row order: there every value is the float program's and every error
+    is raised at its row.  So does a block of fewer than `_MIN_ROWS` rows,
+    and every block when twin is None.  NumPy's warnings stay inside the
+    twin, whose failing rows the float program reruns.
+    """
+    parts = []
+    for start in range(0, len(stacks[0]), _BLOCK):
+        block = [stack[start : start + _BLOCK] for stack in stacks]
+        out = None
+        if twin is not None and len(block[0]) >= _MIN_ROWS:
+            with np.errstate(all="ignore"):
+                try:
+                    out = twin(*(entries.transpose(*range(1, entries.ndim), 0)
+                                 for entries in block))
+                except (ArithmeticError, ValueError):
+                    pass
+        if out is not None and np.isfinite(out).all():
+            parts.append(out.T)
+        else:
+            floats = [row(*entries) for entries in zip(*(entries.tolist() for entries in block))]
+            parts.append(np.array(floats, dtype=float).reshape(-1, width))
+    if len(parts) == 1:
+        return np.ascontiguousarray(parts[0])
+    return np.concatenate(parts) if parts else np.empty((0, width))
+
+
+def _columns(lines: Sequence[str]) -> list[str]:
+    """Float program lines as lines over NumPy columns, one entry per row.
+
+    Arithmetic and comparisons stay as they are; `and`, `or` and `not`
+    become `&`, `|` and `~` on the masks the comparisons give.  A check
+    `if a and b ...: raise ...` becomes `return None` where a & b ... holds
+    at any row (`_count`), so that the block goes to the float program; its
+    operands are taken in turn, as `and` takes them, and a later one is
+    skipped once no row is left.  Any other `if c:` is a pivot swap of assignments: they
+    run as they are where c holds at every row, not at all where it holds
+    at none, and otherwise each takes its new value in the rows where c
+    holds (`_where`, NumPy's `where`) and keeps the old one elsewhere.
+    """
+    tree = _Columns().visit(ast.parse("\n".join(lines)))
+    return ast.unparse(ast.fix_missing_locations(tree)).splitlines()
+
+
+def _load(name: str) -> ast.Name:
+    return ast.Name(name, ast.Load())
+
+
+def _count(mask: ast.expr) -> ast.Call:
+    """The rows where mask holds, by `_count`: NumPy's `count_nonzero`, cheaper than `any`."""
+    return ast.Call(_load("_count"), [mask], [])
+
+
+def _conjuncts(test: ast.expr) -> list[ast.expr]:
+    """The operands of a chain of `and`s, nested ones included."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return [term for value in test.values for term in _conjuncts(value)]
+    return [test]
+
+
+class _Columns(ast.NodeTransformer):
+    def visit_BoolOp(self, node: ast.BoolOp) -> ast.expr:
+        op = ast.BitAnd() if isinstance(node.op, ast.And) else ast.BitOr()
+        return functools.reduce(lambda a, b: ast.BinOp(a, op, b), map(self.visit, node.values))
+
+    def visit_UnaryOp(self, node: ast.UnaryOp) -> ast.expr:
+        operand = self.visit(node.operand)
+        return ast.UnaryOp(ast.Invert() if isinstance(node.op, ast.Not) else node.op, operand)
+
+    def visit_If(self, node: ast.If) -> ast.stmt | list[ast.stmt]:
+        if isinstance(node.body[0], ast.Raise):  # _m: the rows where the terms so far hold
+            *first, last = map(self.visit, _conjuncts(node.test))
+            mask = _load("_m")
+            tests = [_count(ast.NamedExpr(ast.Name("_m", ast.Store()),
+                                          ast.BinOp(mask, ast.BitAnd(), term) if k else term))
+                     for k, term in enumerate(first)]
+            tests.append(_count(ast.BinOp(mask, ast.BitAnd(), last) if first else last))
+            test = ast.BoolOp(ast.And(), tests) if first else tests[0]
+            return ast.If(test, [ast.Return(ast.Constant(None))], [])
+        taken = []
+        for stmt in node.body:
+            [target] = stmt.targets
+            targets = target.elts if isinstance(target, ast.Tuple) else [target]
+            values = stmt.value.elts if isinstance(stmt.value, ast.Tuple) else [stmt.value]
+            where = [ast.Call(_load("_where"), [_load("_w"), self.visit(value), _load(name.id)], [])
+                     for name, value in zip(targets, values)]
+            value = ast.Tuple(where, ast.Load()) if isinstance(target, ast.Tuple) else where[0]
+            taken.append(ast.Assign([target], value))
+        every = ast.Compare(ast.NamedExpr(ast.Name("_k", ast.Store()), _count(_load("_w"))),
+                            [ast.Eq()], [ast.Attribute(_load("_w"), "size", ast.Load())])
+        return [ast.Assign([ast.Name("_w", ast.Store())], self.visit(node.test)),
+                ast.If(every, node.body, [ast.If(_load("_k"), taken, [])])]

@@ -151,9 +151,13 @@ def cmd_check(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
     _require_tolerance(args.tolerance)
     system = cfg.system()
     points = system.sample(np.random.default_rng(seed), args.samples)
-    cond = contact_condition_check(system.chart, points)
+    # the contact condition and the jets share a general coframe's rows
+    chart = system.chart
+    rows = None if chart.darboux else chart._float_coframes(points)
+    cond = contact_condition_check(chart, points, rows=rows)
     # involution and rank share the points' jets
-    jets = system.jet_stack(points)
+    stacks = (points,) if rows is None else (points, rows)
+    jets = _in_sample_order(system._jet_stack, *stacks)
     inv = _in_sample_order(
         lambda xs, jet: _involution(system, xs, jet, args.tolerance, seed), points, jets
     )

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from ._programs import program
+from ._programs import _names, program
 
 __all__ = [
     "Const",
@@ -57,6 +57,7 @@ __all__ = [
     "gradient_evaluator",
     "gradient_kernel",
     "fused_kernel",
+    "fused_rows",
     "eval_jet2",
     "jet2_kernel",
 ]
@@ -727,8 +728,9 @@ def _compile(nodes: tuple[Expr, ...], names: tuple[str, ...], jet: bool = False,
 
     trees = [entries(node) for node in nodes]  # emitted in order
     if fused:
-        result = "(" + "".join(listed([value, *tangent, *itertools.chain(*rows)])
-                               for value, tangent, rows in trees) + ")"
+        flat = [e for value, tangent, rows in trees
+                for e in (value, *tangent, *itertools.chain(*rows))]
+        result = f"({listed(flat)})"
     else:
         [(value, tangent, rows)] = trees
         result = f"{source.text(value)}, ({listed(tangent)})"
@@ -744,7 +746,19 @@ def _compile(nodes: tuple[Expr, ...], names: tuple[str, ...], jet: bool = False,
         **{f"_{name}": getattr(math, name) for name in FUNCTIONS},
         **source.globals,
     }
-    return program(f"<contactmech kernel {next(_compiles)}>", lines, namespace, "kernel")
+    kernel = program(f"<contactmech kernel {next(_compiles)}>", lines, namespace, "kernel")
+    if fused and not jet:  # for its row-block twin (`fused_rows`)
+        kernel.emitted = n, source.lines, source.globals, [
+            source.text(0.0 if e is None else e) for e in flat]
+    return kernel
+
+
+def _each(function: Callable) -> Callable:
+    """function (math's) entry by entry over a column, with constant further arguments."""
+    def column(a, *args):
+        return np.fromiter(map(function, a.tolist(), *map(itertools.repeat, args)), float, len(a))
+
+    return column
 
 
 def _domain_error(errors, exc: Exception) -> Exception:
@@ -831,6 +845,47 @@ def fused_kernel(
     (trees, names), fetched now.
     """
     return _kernel(_KernelKey(tuple(nodes), tuple(names)), jet, True)
+
+
+@functools.lru_cache(maxsize=512)
+def fused_rows(kernel: Callable) -> "Callable[[np.ndarray], np.ndarray | None]":
+    """The row-block twin of a `fused_kernel` (not a jet): its lines once over NumPy columns.
+
+    The twin maps the coordinates as columns, values (n, N), to the
+    kernel's outputs at each of the N rows, (outputs, N), bitwise the
+    kernel's at that row.  + - * / and sqrt run as ufuncs, whose floats are
+    correctly rounded, hence the kernel's; exp, log, sin, cos, tanh and pow
+    call math entry by entry.  The twin drops the kernel's checks and
+    returns None unless every input and every local is finite at every
+    row, where none of them can fire: a check fires only where a local is
+    not finite, where a divisor is zero, which leaves a quotient local that
+    is not finite (the emitter writes each quotient by a column as a line
+    of its own; one by the constant 0.0 raises in the twin too), or where a
+    math call raises, as the twin's call does too.  `_programs.in_blocks` runs such a block through the kernel row by
+    row.  Compiled from the lines the kernel's emitter wrote, at the first
+    request, as "<contactmech kernel N rows>".
+    """
+    n, source, bound, outputs = kernel.emitted
+    body = [line for line in source[n:] if not line.startswith("if ")]
+    assigned = [line.split(" = ", 1)[0] for line in body]
+    columns = [f"x{k}" for k in range(n)] + [name for name in assigned if name.isidentifier()]
+    # a constant output, as a column of its own
+    fixed = list(dict.fromkeys(e for e in outputs if e not in columns))
+    take = [(columns + fixed).index(e) for e in outputs]
+    every = "".join(f"{name}, " for name in columns)
+    every += "".join(f"_full(values.shape[1:], {e}), " for e in fixed)
+    lines = ["def rows(values):", f"    {_names('x', n)}, = values",
+             *[f"    {line}" for line in body], f"    every = _array(({every}))",
+             "    if _isfinite(every).all():", "        return every[_take]"]
+    namespace = {
+        "_eval": _eval, "_array": np.array, "_full": np.full, "_isfinite": np.isfinite,
+        "_take": np.array(take, dtype=np.intp), "_sqrt": np.sqrt,
+        **{f"_{name}": _each(getattr(math, name)) for name in FUNCTIONS if name != "sqrt"},
+        "_pow": _each(math.pow),
+        **bound,
+    }
+    name = kernel.__code__.co_filename.replace(">", " rows>")
+    return program(name, lines, namespace, "rows")
 
 
 def gradient_evaluator(

@@ -13,9 +13,11 @@ general coframes every field and tangent comes from a generated float
 program per chart kind ("lifted" upstairs) and dimension:
 `_field_program`, one elimination per point for det B, the Reeb field
 and B^-T df of m functions, with its checks and errors, run by flows
-and point stacks; and `_variational_program`, its lines for one function,
-then one more elimination per tangent for DX_f dx.  None takes a LAPACK
-solve; `_programs` holds their emitters and compiles them (`program`).
+and single points; its row-block twin `_field_rows`, the same lines
+over NumPy columns, run by point stacks; and `_variational_program`,
+its lines for one function, then one more elimination per tangent for
+DX_f dx.  None takes a LAPACK solve; `_programs` holds their emitters
+and compiles them (`program`).
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -32,7 +34,13 @@ failing row; `_in_sample_order` makes a multi-row stage raise the error
 of the first failing point in sample order, as a per-point loop would.
 The private stack methods take any leading shape, none included, so the
 single-point methods (`hamiltonian_field_at`, `field_from_gradient`,
-`jacobi_bracket_at`, ...) run the same code on one point.
+`jacobi_bracket_at`, ...) run the same code on one point.  A stack makes
+its generated programs' work (the integrals' and eta's fused kernels,
+the general field program) one NumPy pass per block of rows, through
+each program's row-block twin (`_programs.in_blocks`): a block the twin
+cannot vouch for, and a single point, run the float program row by row,
+so every value is the float program's and every error its first
+failing row's.
 
 Stacked det, solve and svd reproduce their per-matrix results bitwise;
 the min |det| values of the reports are LAPACK's (`np.linalg.det` of
@@ -50,7 +58,19 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._programs import _checked, _Dual, _eliminate, _fdot, _names, _Source, _sum, _tup, program
+from ._programs import (
+    _checked,
+    _columns,
+    _Dual,
+    _eliminate,
+    _fdot,
+    _names,
+    _Source,
+    _sum,
+    _tup,
+    in_blocks,
+    program,
+)
 from .expressions import (
     Const,
     Expr,
@@ -58,6 +78,7 @@ from .expressions import (
     evaluate,
     free_variables,
     fused_kernel,
+    fused_rows,
     gradient_evaluator,
     gradient_kernel,
     jet2_kernel,
@@ -193,7 +214,8 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     coefficients, point)` returns the flow closure over float lists, which
     checks the point and runs f's gradient kernel and the fused kernel of
     eta's coefficients (`_coeff_kernel`) itself.  `lines` holds its
-    source lines at one point, on which `_variational_program` builds.
+    source lines at one point, on which `_variational_program` builds, and
+    `body` and `result` those of `solve`, on which `_field_rows` builds.
 
     Elimination is `_eliminate`'s on [A | b_1 .. b_k]; a zero pivot
     raises, so det A reads 0.0 there, as NumPy's det does.  No column
@@ -276,11 +298,12 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     outputs = [f"X{a}_{i}" for a in range(m) for i in range(dim)]
     if not lifted:
         outputs += [f"rf{a}" for a in range(m)] + reeb
+    body = [f"[{_names('value', m)}] = values",
+            f"[{', '.join(_tup(g, dim) for g in grads)}] = grads",
+            *fiber, f"{coframe} = coframe", *lines]
+    result = f"[{', '.join(outputs)}]"
     source = ["def solve(point, x, values, grads, coframe):",
-              f"    [{_names('value', m)}] = values",
-              f"    [{', '.join(_tup(g, dim) for g in grads)}] = grads",
-              *[f"    {line}" for line in [*fiber, f"{coframe} = coframe", *lines]],
-              f"    return [{', '.join(outputs)}]"]
+              *[f"    {line}" for line in [*body, f"return {result}"]]]
     if m == 1:  # the flow closure
         fiber_test = " or x[-1] <= 0.0" if lifted else ""
         preamble = [f"if len(x) != {dim}{fiber_test}:", "    point(x)",
@@ -292,10 +315,46 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
                    f"        return [{_names('X0_', dim)}]",
                    "    return field"]
     namespace = {"_exceeds_float": _exceeds_float, "singular": singular, "failure": failure,
-                 "lines": lines}
+                 "lines": lines, "body": body, "result": result}
     count = "" if m == 1 else f" m={m}"
     program(f"<contactmech {kind}-field dim={dim}{count}>", source, namespace, "solve")
     return namespace
+
+
+@functools.lru_cache(maxsize=None)
+def _field_rows(kind: str, dim: int, m: int) -> Callable:
+    """The row-block twin of `_field_program(kind, dim, m)`'s solve, over NumPy columns.
+
+    `rows(x, values, grads, coframe)` takes solve's arguments with the
+    point axis last, a column per float (x (dim, N) and so on), and
+    returns solve's outputs at each of the N points, (outputs, N),
+    bitwise solve's there: it runs solve's lines as `_columns` renders
+    them, with + - * / and abs as ufuncs, whose floats are correctly
+    rounded, each pivot swap taken per row, and each check as
+    `_exceeds_rows` makes `_exceeds_float`'s.  Where a check fails at
+    any point it returns None, and `in_blocks` reruns the block through
+    solve point by point, which raises that point's error.  Compiled at
+    the first stack, as "<contactmech KIND-field dim=DIM[ m=M] rows>".
+    """
+    field = _field_program(kind, dim, m)
+    lines = ["def rows(x, values, grads, coframe):",
+             *[f"    {line}" for line in _columns(field["body"])],
+             f"    return _array({field['result']})"]
+    namespace = {"_exceeds_float": _exceeds_rows, "_where": np.where, "_array": np.array,
+                 "_count": np.count_nonzero}
+    count = "" if m == 1 else f" m={m}"
+    return program(f"<contactmech {kind}-field dim={dim}{count} rows>", lines, namespace, "rows")
+
+
+def _exceeds_rows(resid, tol: float, values=(), vectors=()) -> np.ndarray:
+    """`_exceeds_float` at each row of columns: its value, row by row, as a mask."""
+    worst = abs(resid[0])
+    for r in resid[1:]:
+        worst = np.maximum(worst, abs(r))  # NaN where any |r_i| is, as `_max_abs`
+    out = worst > tol
+    for s in (*values, *(u for w in vectors for u in w)):
+        out &= worst > tol * abs(s)
+    return out
 
 
 def _matrix(prefix: str, count: int) -> str:
@@ -494,28 +553,40 @@ class _Chart:
 
         values (..., m) and grads (..., m, dim) are those of m functions at
         each point, or values (...) and grads (..., dim) those of one;
-        `coframes` is _float_coframes(xs) when already known.  The program
-        runs once per point, in row order.  It returns the fields, shaped
-        like grads, and on a contact chart the Reeb derivatives, shaped
-        like values, and the Reeb field (..., dim).
+        `coframes` is _float_coframes(xs) when already known, computed
+        first otherwise.  A stack runs the program's row-block twin
+        (`_field_rows`) once per block of rows; a block with a failing
+        point or of few rows, and a single point, run the program itself
+        (`in_blocks`), so every value is the program's at its point and
+        every error is raised at the first failing point.  It returns the fields, shaped like
+        grads, and on a contact chart the Reeb derivatives, shaped like
+        values, and the Reeb field (..., dim).
         """
         lead, dim = xs.shape[:-1], self.dim
         values, grads = np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
         count, m = math.prod(lead), 1 if grads.ndim == xs.ndim else values.shape[-1]
-        solve = _field_program(self._kind, dim, m)["solve"]
-        rows = [solve(self.point, x, v, g, c) for x, v, g, c in zip(
-            xs.reshape(count, dim).tolist(), values.reshape(count, m).tolist(),
-            grads.reshape(count, m, dim).tolist(),
-            self._float_coframes(xs) if coframes is None else coframes)]
+        if coframes is None:
+            coframes = self._float_coframes(xs)
+        solve = functools.partial(_field_program(self._kind, dim, m)["solve"], self.point)
         shapes = (grads.shape, values.shape, lead + (dim,))[: 1 if self._kind == "lifted" else 3]
         ends = np.cumsum([math.prod(shape[len(lead):]) for shape in shapes])
-        out = np.split(np.array(rows, dtype=float).reshape(count, ends[-1]), ends[:-1], axis=1)
-        return [part.reshape(shape) for part, shape in zip(out, shapes)]
+        out = in_blocks(_field_rows(self._kind, dim, m) if lead else None, solve, int(ends[-1]),
+                        xs.reshape(count, dim), values.reshape(count, m),
+                        grads.reshape(count, m, dim), coframes)
+        parts = np.split(out, ends[:-1], axis=1)
+        return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
-    def _float_coframes(self, xs: np.ndarray) -> list:
-        """`_eta_chart`'s `_float_coframe` at each (base) point of xs (..., dim), in row order."""
-        d = self._eta_chart.dim
-        return [self._eta_chart._float_coframe(x) for x in xs[..., :d].reshape(-1, d).tolist()]
+    def _float_coframes(self, xs: np.ndarray) -> np.ndarray:
+        """`_eta_chart`'s `_float_coframe` floats at each (base) point of xs (..., dim), as rows.
+
+        A stack runs the twin of eta's fused kernel (`_coeff_rows`) once per
+        block of rows, and a block it cannot vouch for, as a single point,
+        runs `_float_coframe` row by row (`in_blocks`).
+        """
+        chart = self._eta_chart
+        d = chart.dim
+        twin = chart._coeff_rows if xs.ndim > 1 else None
+        return in_blocks(twin, chart._float_coframe, d * (d + 1), xs[..., :d].reshape(-1, d))
 
     def field_from_gradient(self, x, value: float, grad) -> np.ndarray:
         """Hamiltonian field at x of a function with the given value and gradient; see `_fields`."""
@@ -614,6 +685,11 @@ class ContactChart(_Chart):
         return fused_kernel(self.eta_coefficients, self.coordinates)
 
     @functools.cached_property
+    def _coeff_rows(self) -> Callable:
+        """The row-block twin (`fused_rows`) of `_coeff_kernel`."""
+        return fused_rows(self._coeff_kernel)
+
+    @functools.cached_property
     def _coeff_jet(self) -> Callable:
         """The fused jet kernel (`fused_kernel` with jet) of eta's coefficients."""
         return fused_kernel(self.eta_coefficients, self.coordinates, True)
@@ -650,7 +726,7 @@ class ContactChart(_Chart):
     def _coframes(self, xs: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """(eta, d eta) at points xs, shapes (..., dim) and (..., dim, dim).
 
-        General coframes stack their `_float_coframes(xs)`, `rows` when
+        General coframes reshape their `_float_coframes(xs)`, `rows` when
         already known.
         """
         if self.darboux:
@@ -663,7 +739,7 @@ class ContactChart(_Chart):
         if rows is None:
             rows = self._float_coframes(xs)
         # eta_b at [..., b, 0] and d_a eta_b at [..., b, 1 + a]; eta copied as in gradient_stack
-        flat = np.array(rows).reshape(xs.shape + (self.dim + 1,))
+        flat = rows.reshape(xs.shape + (self.dim + 1,))
         jac = flat[..., 1:]
         return np.ascontiguousarray(flat[..., 0]), jac.swapaxes(-1, -2) - jac
 
@@ -911,16 +987,25 @@ class _System:
         """The integrals' `fused_kernel`, fetched at first use: f_a and df_a in turn, flat."""
         return fused_kernel(self.integrals, self.coordinates)
 
+    @functools.cached_property
+    def _fused_rows(self) -> Callable:
+        """The row-block twin (`fused_rows`) of the integrals' fused kernel, at first use."""
+        return fused_rows(fused_kernel(self.integrals, self.coordinates))
+
     def gradient_stack(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Values (N, m) and gradients (N, m, dim) of the integrals at the rows of xs.
 
-        The fused kernel runs once per row, in row order, on floats.
+        The fused kernel's row-block twin runs once per block of rows, and
+        a block it cannot vouch for runs the kernel row by row
+        (`in_blocks`): each row's floats are the kernel's at that row, and
+        the first failing row raises the kernel's error.
         """
         xs = self.chart.points(xs)
-        kernel, flat = self._fused, []
-        for x in xs.tolist():
-            flat += kernel(x)
-        jets = np.array(flat).reshape(len(xs), len(self.integrals), self.dim + 1)
+        m, width = len(self.integrals), self.dim + 1
+        # each program is fetched when a block first runs on it
+        flat = in_blocks(lambda columns: self._fused_rows(columns), lambda x: self._fused(x),
+                         m * width, xs)
+        jets = flat.reshape(len(xs), m, width)
         # copies: BLAS sums a strided vector of four or more entries in
         # another order, which would move the last bits of `_dot`s
         return np.ascontiguousarray(jets[..., 0]), np.ascontiguousarray(jets[..., 1:])
@@ -1061,11 +1146,15 @@ class ContactConditionReport(NamedTuple):
 
 
 def contact_condition_check(
-    chart: ContactChart, points: np.ndarray, threshold: float = 1e-8
+    chart: ContactChart, points: np.ndarray, threshold: float = 1e-8, rows=None
 ) -> ContactConditionReport:
-    """Minimum |det B| over sample points; passes above the threshold."""
+    """Minimum |det B| over sample points; passes above the threshold.
+
+    rows is chart._float_coframes(points) on a general coframe when
+    already known, as for the jets of the same points.
+    """
     points = _check_points("contact_condition_check", points)
-    dets = np.abs(np.linalg.det(_flat(*chart._coframes(chart.points(points)))))
+    dets = np.abs(np.linalg.det(_flat(*chart._coframes(chart.points(points), rows))))
     # NaN reads as no minimum, as in a loop keeping the first strict minimum
     dets = np.where(np.isnan(dets), np.inf, dets)
     i = dets.argmin()

@@ -749,7 +749,8 @@ def angle_solve(
     from one call each of the systems' fused kernels.  The m generator
     field closures are bound once per solve, through
     `symp_system.field_evaluator`; the involution check pairs them with
-    the generators' gradient kernels at x, the Jacobian columns are those
+    the generators' gradients at x (with the identity basis, the fused
+    kernel's from the call for F(x)), the Jacobian columns are those
     closures at the endpoint, and every trial flows them through
     `flows._compose`, which checks every time first, then each flow as
     `integrate` does (start point, early stop).
@@ -776,11 +777,16 @@ def angle_solve(
     generators = _generators(symp_system, M)
     fields = [symp_system.field_evaluator(G) for G in generators]
     xs = x.tolist()
-    F_x = np.array(symp_system._fused(xs)[:: len(xs) + 1])
+    flat = symp_system._fused(xs)
+    F_x = np.array(flat[:: len(xs) + 1])
     # the involution check takes {g_a, g_b} = X_{g_a}(g_b) from the field
-    # closures and the generators' gradient kernels
+    # closures and the generators' gradients: with the identity basis the
+    # integrals', from that call of the fused kernel
     bracket_tol = 1e-8 * max(1.0, float(np.max(np.abs(F_x))))
-    grads = [gradient_kernel(G, chart.coordinates)(xs)[1] for G in generators]
+    if basis is None:
+        grads = [flat[a * (len(xs) + 1) + 1 : (a + 1) * (len(xs) + 1)] for a in range(m)]
+    else:
+        grads = [gradient_kernel(G, chart.coordinates)(xs)[1] for G in generators]
     for a in range(m - 1):
         field_a = fields[a](xs)
         for b in range(a + 1, m):

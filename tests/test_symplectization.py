@@ -264,18 +264,23 @@ def test_lift_check_reports_every_identity(pz_system, factor):
 
 
 def test_lift_check_runs_the_base_coframe_once_per_point(monkeypatch):
-    # for omega, theta, the lifted fields and the base jets together
+    # for omega, theta, the lifted fields and the base jets together: the
+    # row-block twin of eta's fused kernel sees each base point once, and
+    # no point runs the kernel on its own
     cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
     symp = cfg.symp_system()
+    base = symp.chart.base
     points = symp.sample(np.random.default_rng(0), 50)
-    calls = []
+    blocks, calls = [], []
+    twin = base._coeff_rows
+    monkeypatch.setattr(base, "_coeff_rows", lambda columns: blocks.append(columns.T) or twin(columns))
     float_coframe = ContactChart._float_coframe
     monkeypatch.setattr(
         ContactChart, "_float_coframe",
         lambda self, x: calls.append(1) or float_coframe(self, x),
     )
     assert lift_check(symp, points).passed
-    assert len(calls) == 50
+    assert len(blocks) == 1 and np.array_equal(blocks[0], points[:, :-1]) and calls == []
 
 
 def test_lift_check_builds_omega_once_per_stack(monkeypatch):
