@@ -605,15 +605,15 @@ class _KernelSource:
                 return self.fold(node)
             c = node.exponent
             self.guard_pow(node, a, c)
-            v = self.local(f"_pow({a}, {self.text(c)})", "v")
-            self.blame(node)
+            v = a  # a^1: math.pow(a, 1.0) is a at every float a
+            if c != 1.0:
+                v = self.local(f"_pow({a}, {self.text(c)})", "v")
+                self.blame(node)
             self.guard_pow(node, a, c - 1.0)
-            d = self.local(f"{self.text(c)} * _pow({a}, {self.text(c - 1.0)})")
-            self.blame(node)
+            d = self.scaled_pow(node, c, a, c - 1.0)
             if self.pairs is not None:  # the derivative of d / c
                 self.guard_pow(node, a, c - 2.0)
-                e = self.local(f"{self.text(c - 1.0)} * _pow({a}, {self.text(c - 2.0)})")
-                self.blame(node)
+                e = self.scaled_pow(node, c - 1.0, a, c - 2.0)
             da = self.known(ta)
             return self.chain(node, v, ta, ha, d, lambda T, j: self.times(self.times(da[j], e), c))
         raise TypeError(f"not an expression node: {node!r}")
@@ -623,6 +623,20 @@ class _KernelSource:
             return _eval(node, {}), None, None
         except ExpressionError:
             return self.fail(node)
+
+    def scaled_pow(self, node: Power, factor: float, a: str, c: float):
+        """factor * a^c, a derivative factor of node: a new local blamed on node, or a float.
+
+        math.pow(a, 1.0) is a and math.pow(a, 0.0) is 1.0 at every float a,
+        ±0, ±inf and NaN included, and neither raises: there the power is
+        written as a, and as the known 1.0, which folds with the factor.
+        """
+        power = a if c == 1.0 else 1.0 if c == 0.0 else f"_pow({a}, {self.text(c)})"
+        entry = self.binary(factor, "*", power)
+        if isinstance(entry, str):
+            entry = self.local(entry)
+            self.blame(node)
+        return entry
 
     def guard_pow(self, node: Power, a: str, exponent: float) -> None:
         # _powc's checks at a known exponent: one per base it rejects
@@ -709,12 +723,15 @@ def _compile(nodes: tuple[Expr, ...], names: tuple[str, ...], jet: bool = False,
     A fused kernel returns one flat tuple: per tree its value, gradient
     and, in a jet, the Hessian rows mirrored from the lower triangle.
     Otherwise the one tree's (value, gradient tuple[, Hessian rows]).
+    A kernel that is not a jet keeps what its emitter wrote as `emitted`:
+    the number of names, the lines, the bound constants, the source of
+    each flat output and the lines' error entries.
     """
     source = _KernelSource(names, jet)
     n = len(names)
 
-    def listed(entries) -> str:
-        return "".join(f"{source.text(0.0 if e is None else e)}, " for e in entries)
+    def listed(texts) -> str:
+        return "".join(f"{text}, " for text in texts)
 
     def entries(node: Expr) -> tuple:
         """The tree's value, gradient and Hessian rows (none outside a jet), emitted now."""
@@ -727,29 +744,31 @@ def _compile(nodes: tuple[Expr, ...], names: tuple[str, ...], jet: bool = False,
         return value, tangent, [[entry[max(i, j), min(i, j)] for j in range(n)] for i in range(n)]
 
     trees = [entries(node) for node in nodes]  # emitted in order
+    # per tree its value, gradient and Hessian rows, as source text
+    flat = [source.text(0.0 if e is None else e) for value, tangent, rows in trees
+            for e in (value, *tangent, *itertools.chain(*rows))]
     if fused:
-        flat = [e for value, tangent, rows in trees
-                for e in (value, *tangent, *itertools.chain(*rows))]
         result = f"({listed(flat)})"
     else:
-        [(value, tangent, rows)] = trees
-        result = f"{source.text(value)}, ({listed(tangent)})"
+        result = f"{flat[0]}, ({listed(flat[1 : n + 1])})"
         if jet:
-            result += ", [" + "".join(f"({listed(row)}), " for row in rows) + "]"
+            result += ", [" + "".join(f"({listed(flat[k : k + n])}), "
+                                      for k in range(n + 1, len(flat), n)) + "]"
     lines = ["def kernel(values):", "    try:", *[f"        {line}" for line in source.lines],
              f"        return {result}", "    except (ArithmeticError, ValueError) as exc:",
              "        raise _domain_error(exc) from None"]
     namespace = {
-        "_domain_error": functools.partial(_domain_error, source.errors),
+        # line i of source.lines is line i + 3 of the kernel, after "def kernel" and "try:"
+        "_domain_error": functools.partial(
+            _domain_error, {i + 3: entry for i, entry in source.errors.items()}),
         "_eval": _eval,
         "_pow": math.pow,
         **{f"_{name}": getattr(math, name) for name in FUNCTIONS},
         **source.globals,
     }
     kernel = program(f"<contactmech kernel {next(_compiles)}>", lines, namespace, "kernel")
-    if fused and not jet:  # for its row-block twin (`fused_rows`)
-        kernel.emitted = n, source.lines, source.globals, [
-            source.text(0.0 if e is None else e) for e in flat]
+    if not jet:  # for its row-block twin (`fused_rows`) and the inlined flow steps
+        kernel.emitted = n, source.lines, source.globals, flat, source.errors
     return kernel
 
 
@@ -762,9 +781,12 @@ def _each(function: Callable) -> Callable:
 
 
 def _domain_error(errors, exc: Exception) -> Exception:
-    """The EvaluationDomainError of the kernel line that raised exc, else exc."""
-    # line i of _KernelSource.lines follows "def kernel" and "try:"
-    entry = errors.get(exc.__traceback__.tb_lineno - 3)
+    """The EvaluationDomainError of the program line that raised exc, else exc.
+
+    errors maps a line number of the program to the message and node of
+    a `_KernelSource` error entry.
+    """
+    entry = errors.get(exc.__traceback__.tb_lineno)
     if entry is None:
         return exc
     message, node = entry
@@ -824,10 +846,11 @@ def gradient_kernel(
     that raised maps to the node that emitted it, so a call without errors
     runs no extra checks.  A binary node whose value is infinite although
     both operands are finite raises "overflow"; otherwise non-finite values
-    propagate.  Loops over floats (the flow integrators) call the kernel
-    directly.  It is the one-tree case of `fused_kernel`'s compiler, with
-    the gradient as a tuple of its own; code that needs several trees at
-    a point calls their fused kernel once instead.
+    propagate.  Loops over floats call the kernel directly; the flow steps
+    of standard-form charts write its lines into their own
+    (`geometry._closed_step`).  It is the one-tree case of `fused_kernel`'s
+    compiler, with the gradient as a tuple of its own; code that needs
+    several trees at a point calls their fused kernel once instead.
     """
     return _kernel(_KernelKey((node,), tuple(names)))
 
@@ -865,7 +888,7 @@ def fused_rows(kernel: Callable) -> "Callable[[np.ndarray], np.ndarray | None]":
     row.  Compiled from the lines the kernel's emitter wrote, at the first
     request, as "<contactmech kernel N rows>".
     """
-    n, source, bound, outputs = kernel.emitted
+    n, source, bound, outputs, _ = kernel.emitted
     body = [line for line in source[n:] if not line.startswith("if ")]
     assigned = [line.split(" = ", 1)[0] for line in body]
     columns = [f"x{k}" for k in range(n)] + [name for name in assigned if name.isidentifier()]

@@ -3,24 +3,28 @@
 One integrator, the adaptive Fehlberg 4(5) pair.  It controls the
 4th/5th-order difference against abs_tol + rel_tol * |x| componentwise
 and propagates the fifth-order solution.  It steps a list of Python
-floats through the system's `field_evaluator` closure, which takes and
-returns float lists; at the state sizes here this is several times
-faster than NumPy arrays, whose per-call overhead dominates.  A step is
-one generated straight-line function per state size, `_step_program`
-("<contactmech rkf45-step dim=D>"), which calls the closure six times.
-The closure is a compiled closed form on standard-form charts, else one
-checked float elimination; `_programs.program` compiles each, so a
-traceback through them shows the generated line.
+floats; at the state sizes here this is several times faster than NumPy
+arrays, whose per-call overhead dominates.  A step is one generated
+straight-line function, written by `_fehlberg` with the lines of each of
+its six stages left to a stage renderer, and bound to one field, which
+the flow loop `_run` calls as step(x, h, abs_tol, rel_tol).  The
+system's `_step` lookup gives it: on standard-form charts
+`geometry._closed_step`, which writes f's gradient kernel and the closed
+form into every stage, so that a step makes one Python call; elsewhere
+`_step_program` ("<contactmech rkf45-step dim=D>"), whose stages call the
+`field_evaluator` closure, one checked float elimination, six times, as
+the variational closures are called.  `_programs.program` compiles each,
+so a traceback through them shows the generated line.
 Trajectories record every accepted step, as arrays built once at the
 end; leaving the chart domain (a positivity guard crossing zero, or an
 expression domain error in the field) truncates the trajectory with an
 explicit status instead of raising.
 
-Compositions of flows run one loop, `_compose`, over closures that its
-caller binds: `group_action` binds `field_evaluator`,
-`variational_group_action` `variational_evaluator`, and
-`integrability.angle_solve` binds its generators' closures once per
-solve.  It checks every time before the first flow, then each flow as
+Compositions of flows run one loop, `_compose`, over bound steps that
+its caller binds: `group_action` through the system's `_step`,
+`variational_group_action` on `variational_evaluator`, and
+`integrability.angle_solve` binds its generators' steps once per solve.
+It checks every time before the first flow, then each flow as
 `integrate` does, and keeps the states as float lists; it builds a
 Trajectory only for the FlowError of a flow that stops early.
 """
@@ -169,7 +173,7 @@ def integrate(system, f, x0, t_final: float, config: IntegratorConfig | None = N
     """
     _check_time(t_final)
     cfg = config or IntegratorConfig()
-    field_fn = system.field_evaluator(f)
+    step = system._step(f)
     guards = tuple(getattr(system, "positive_indices", ()))
     names = system.coordinates
     x0 = np.asarray(x0, dtype=float)
@@ -177,7 +181,7 @@ def integrate(system, f, x0, t_final: float, config: IntegratorConfig | None = N
         raise ValueError(f"expected start point of shape ({system.dim},), got {x0.shape}")
     x = x0.tolist()
     _check_start(x, guards, names)
-    return _flow(field_fn, x, float(t_final), cfg, guards, names)
+    return _trajectory(*_run(step, x, float(t_final), cfg, guards, names))
 
 
 def _check_time(t: float) -> None:
@@ -193,45 +197,72 @@ def _check_start(x: Sequence[float], guards: Sequence[int], names: Sequence[str]
 
 
 def _flow(field_fn, x, T, cfg, guards, names) -> Trajectory:
-    return _trajectory(*_run(field_fn, x, T, cfg, guards, names))
+    """The flow of the field closure field_fn from the float list x over [0, T]."""
+    return _trajectory(*_run(_calling(field_fn, len(x)), x, T, cfg, guards, names))
 
 
 def _trajectory(times: list, points: list, status: str, detail: str) -> Trajectory:
     return Trajectory(np.array(times), np.array(points), status, detail)
 
 
-@functools.lru_cache(maxsize=None)
-def _step_program(dim: int) -> Callable:
-    """`step(field, x, h, abs_tol, rel_tol)`: one Fehlberg step over dim floats, straight-line.
+def _fehlberg(name: str, args: str, dim: int, stage: Callable, namespace: dict) -> Callable:
+    """Compile `def step(<args>)`: one Fehlberg step over the dim floats of x, straight-line.
 
-    It calls field six times and returns the fifth-order solution x5 and the
-    error norm max_i |x5_i - x4_i| / (abs_tol + rel_tol max(|x_i|, |x5_i|)),
-    NaN if a term is, so that a NaN rejects the step (max() keeps a NaN only
-    in first place).  Stage s forms x_i + (h a_s0) k0_i + ... left to right;
-    x4 and x5 keep the zero weights, which decide signs of zero and spread
-    NaNs.  Compiled at the first flow of each state size, under the file
-    name "<contactmech rkf45-step dim=DIM>".
+    The lines stage(s, inputs, line) compute stage s, assigning k<s>_<i> for
+    each coordinate i from the stage's state, inputs[i]: the source of
+    x_i + (h a_s0) k0_i + ... left to right, x<i> at s = 0.  `line` is the
+    file line number of the first line that stage writes.  The step returns
+    the fifth-order solution x5 and the error norm
+    max_i |x5_i - x4_i| / (abs_tol + rel_tol max(|x_i|, |x5_i|)), NaN if a
+    term is, so that a NaN rejects the step (max() keeps a NaN only in first
+    place); x4 and x5 keep the zero weights, which decide signs of zero and
+    spread NaNs.  The lines run in namespace, compiled as file `name`.
     """
     def sums(i: int, weights: str, stages: int) -> str:
         return f"x{i}" + "".join(f" + {weights}{j} * k{j}_{i}" for j in range(stages))
 
     weights = [*((f"a{s}_", a) for s, a in enumerate(_A)), ("b", _B4), ("c", _B5)]
-    lines = [f"{name}{j} = h * {w!r}" for name, ws in weights for j, w in enumerate(ws)]
-    lines.append(f"{_names('x', dim)}, = x")
+    lines = [f"def step({args}):", *(f"    {name}{j} = h * {w!r}" for name, ws in weights
+                                     for j, w in enumerate(ws)), f"    {_names('x', dim)}, = x"]
     for s in range(6):
-        stage = f"[{', '.join(sums(i, f'a{s}_', s) for i in range(dim))}]" if s else "x"
-        lines.append(f"{_names(f'k{s}_', dim)}, = field({stage})")
+        inputs = [sums(i, f"a{s}_", s) for i in range(dim)]
+        lines += [f"    {line}" for line in stage(s, inputs, len(lines) + 1)]
     for i in range(dim):
-        lines += [f"y{i} = {sums(i, 'c', 6)}", f"e{i} = abs(y{i} - ({sums(i, 'b', 6)})) / "
+        lines += [f"    y{i} = {sums(i, 'c', 6)}", f"    e{i} = abs(y{i} - ({sums(i, 'b', 6)})) / "
                   f"(abs_tol + rel_tol * max(abs(x{i}), abs(y{i})))"]
     nan = " or ".join(f"e{i} != e{i}" for i in range(dim))
-    source = ["def step(field, x, h, abs_tol, rel_tol):", *[f"    {line}" for line in lines],
-              f"    return [{_names('y', dim)}], nan if {nan} else max(({_names('e', dim)},))"]
-    return program(f"<contactmech rkf45-step dim={dim}>", source, {"nan": math.nan}, "step")
+    lines.append(f"    return [{_names('y', dim)}], nan if {nan} else max(({_names('e', dim)},))")
+    return program(name, lines, {**namespace, "nan": math.nan}, "step")
 
 
-def _run(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
-    """The flow's accepted times and points as lists, its status and detail."""
+def _call_stage(s: int, inputs: Sequence[str], line: int) -> list[str]:
+    """The stage of `_step_program`: one call of the field closure on the stage's state."""
+    state = "x" if s == 0 else f"[{', '.join(inputs)}]"
+    return [f"{_names(f'k{s}_', len(inputs))}, = field({state})"]
+
+
+@functools.lru_cache(maxsize=None)
+def _step_program(dim: int) -> Callable:
+    """`step(field, x, h, abs_tol, rel_tol)`: the `_fehlberg` step that calls field six times.
+
+    field maps a float list to the field there as a float list.  Compiled
+    at the first flow of each state size that takes it, under the file name
+    "<contactmech rkf45-step dim=DIM>".
+    """
+    return _fehlberg(f"<contactmech rkf45-step dim={dim}>", "field, x, h, abs_tol, rel_tol", dim,
+                     _call_stage, {})
+
+
+def _calling(field_fn: Callable, dim: int) -> Callable:
+    """The bound step `step(x, h, abs_tol, rel_tol)` of `_step_program` that calls field_fn."""
+    return functools.partial(_step_program(dim), field_fn)
+
+
+def _run(step, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
+    """The flow's accepted times and points as lists, its status and detail.
+
+    step(x, h, abs_tol, rel_tol) is a bound Fehlberg step (`_fehlberg`).
+    """
     if T == 0.0:
         return [0.0], [x], COMPLETED, ""
     sign = 1.0 if T > 0 else -1.0
@@ -243,11 +274,10 @@ def _run(field_fn, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
     times, points = [0.0], [x]
     t = 0.0
     accepted = 0
-    step = _step_program(len(x))
     while span - t > eps_end:
         h_step = min(h, span - t)
         try:
-            x5, err_norm = step(field_fn, x, sign * h_step, cfg.abs_tol, cfg.rel_tol)
+            x5, err_norm = step(x, sign * h_step, cfg.abs_tol, cfg.rel_tol)
         except EvaluationDomainError as exc:
             h = 0.5 * h_step
             if h < cfg.min_step:
@@ -299,20 +329,20 @@ def _stopped(traj: Trajectory, f) -> FlowError:
 
 def _compose(bind: Callable, fs: Sequence, t: Sequence[float], x: list, cfg: IntegratorConfig,
              guards: Sequence[int], names: Sequence[str]) -> list:
-    """Phi(t; x) over a float list: the flow of closure bind(idx) for time t[idx], last index first.
+    """Phi(t; x) over a float list: the flow of step bind(idx) for time t[idx], last index first.
 
     Every time is checked before the first flow (ValueError), and zero
     times are skipped.  Each flow checks its start point like `integrate`,
-    after binding its closure (StartPointError).  A flow that stops early
+    after binding its step (StartPointError).  A flow that stops early
     raises FlowError naming fs[idx]; only then is its Trajectory built.
     """
     for time in t:
         _check_time(time)
     for idx in range(len(fs) - 1, -1, -1):
         if t[idx] != 0.0:
-            field_fn = bind(idx)
+            step = bind(idx)
             _check_start(x, guards, names)
-            times, points, status, detail = _run(field_fn, x, t[idx], cfg, guards, names)
+            times, points, status, detail = _run(step, x, t[idx], cfg, guards, names)
             if status != COMPLETED:
                 raise _stopped(_trajectory(times, points, status, detail), fs[idx])
             x = points[-1]
@@ -341,7 +371,7 @@ def group_action(
     if x.shape != (system.dim,):
         raise ValueError(f"expected start point of shape ({system.dim},), got {x.shape}")
     guards = tuple(getattr(system, "positive_indices", ()))
-    x = _compose(lambda idx: system.field_evaluator(fs[idx]), fs, t.tolist(), x.tolist(),
+    x = _compose(lambda idx: system._step(fs[idx]), fs, t.tolist(), x.tolist(),
                  config or IntegratorConfig(), guards, system.coordinates)
     return np.array(x)
 
@@ -377,8 +407,9 @@ def variational_group_action(
     tangents = np.asarray(tangents, dtype=float)
     if tangents.ndim != 2 or len(tangents) != dim:
         raise ValueError(f"expected tangents of shape ({dim}, k), got {tangents.shape}")
-    state = np.concatenate([x0, tangents.T.ravel()])
-    state = np.array(_compose(lambda idx: system.variational_evaluator(fs[idx]), fs, t.tolist(),
-                              state.tolist(), config or IntegratorConfig(), guards,
+    state = np.concatenate([x0, tangents.T.ravel()]).tolist()
+    width = len(state)
+    state = np.array(_compose(lambda idx: _calling(system.variational_evaluator(fs[idx]), width),
+                              fs, t.tolist(), state, config or IntegratorConfig(), guards,
                               system.coordinates))
     return state[:dim], state[dim:].reshape(-1, dim).T

@@ -7,8 +7,9 @@ dz - p_i dq^i the chart takes closed-form fast paths, otherwise every
 operator goes through the flat-map solve.  The closed-form field is one
 template, `_darboux_field`, run over arrays (point stacks) and over
 forward-mode pairs of source symbols, which `_closed_program` compiles
-into the flow closure and, on f's jet kernel, the variational closure;
-no caller re-checks eta(X_f) = -f, which holds for it identically.  On
+into the field closure and, on f's jet kernel, the variational closure,
+and `_closed_step` writes into every stage of a flow step; no caller
+re-checks eta(X_f) = -f, which holds for it identically.  On
 general coframes every field and tangent comes from a generated float
 program per chart kind ("lifted" upstairs) and dimension:
 `_field_program`, one elimination per point for det B, the Reeb field
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -75,6 +77,7 @@ from .expressions import (
     Const,
     Expr,
     Var,
+    _domain_error,
     evaluate,
     free_variables,
     fused_kernel,
@@ -84,6 +87,7 @@ from .expressions import (
     jet2_kernel,
     parse,
 )
+from .flows import _calling, _fehlberg
 
 __all__ = [
     "GeometryError",
@@ -876,13 +880,15 @@ def _stacked(template, n: int, x: np.ndarray, value, grad: np.ndarray) -> np.nda
 
 @functools.lru_cache(maxsize=None)
 def _closed_program(template, dim: int, variational: bool = False) -> Callable:
-    """`bind(kernel, point)`: the flow closure of a standard-form template on dim coordinates.
+    """`bind(kernel, point)`: the field closure of a standard-form template on dim coordinates.
 
     The template runs once over forward-mode pairs (`_Dual`) of `_Source`
     symbols: x with dx, f with df(dx) and df with Hess f dx.  The closure
     makes the float operations of its values over floats, in their order;
     compiled at the first `field_evaluator`, as "<contactmech closed-field
-    dim=DIM>".  With variational true, `bind` takes f's `jet2_kernel`, and
+    dim=DIM>".  The angle solves call it for their Jacobian columns; a
+    flow takes `_closed_step`, whose stages make the same operations
+    inline.  With variational true, `bind` takes f's `jet2_kernel`, and
     the closure maps the float list x, dx_1 .. dx_k to that X_f(x) and the
     tangents DX_f(x) dx_j; compiled at the first `variational_evaluator`,
     as "<contactmech closed-variational dim=DIM>".  Like the general
@@ -913,6 +919,56 @@ def _closed_program(template, dim: int, variational: bool = False) -> Callable:
     source = ["def bind(kernel, point):", f"    def {kind}(x):",
               *[f"        {line}" for line in body], f"    return {kind}"]
     return program(f"<contactmech closed-{kind} dim={dim}>", source, {}, "bind")
+
+
+# a local of a gradient kernel's lines: a coordinate x<k>, or a t<i> or v<i> of `_KernelSource`
+_KERNEL_LOCAL = re.compile(r"\b[xtv]\d+\b")
+
+
+@functools.lru_cache(maxsize=512)
+def _closed_step(template, kernel) -> Callable:
+    """`step(x, h, abs_tol, rel_tol)`: the Fehlberg step of X_f on a standard-form chart, inlined.
+
+    kernel is f's `gradient_kernel`.  Each of the six stages of the
+    `flows._fehlberg` step writes, under its own local names, the kernel's
+    lines (`_KernelSource`, without its input conversions) on the stage's
+    state, in a try block of its own whose failing line maps to its
+    EvaluationDomainError as in the kernel, and then the values of
+    `_closed_program`'s field closure: the template over `_Source` symbols
+    of the stage's state and the kernel's outputs.  So the step makes the
+    float operations of `flows._step_program` calling that closure, in
+    their order, and raises its errors, uncaught ones included (such as
+    ZeroDivisionError at r = 0 upstairs), without a call per stage.
+    Memoised per template and kernel, hence per tree signature as the
+    kernel is, and compiled at the first flow of the tree, under the file
+    name "<contactmech rkf45-step dim=DIM kernel N>" of the kernel's N.
+    """
+    dim, lines, _, outputs, errors = kernel.emitted
+    failures = {}  # a line of the step -> the kernel's error entry of the line it copies
+
+    def stage(s: int, inputs: list[str], line: int) -> list[str]:
+        state = inputs if s == 0 else [f"s{s}x{i}" for i in range(dim)]
+        out = [f"{name} = {value}" for name, value in zip(state, inputs)] if s else []
+
+        def local(match) -> str:
+            name = match[0]
+            return state[int(name[1:])] if name[0] == "x" else f"s{s}{name}"
+
+        body = [_KERNEL_LOCAL.sub(local, text) for text in lines[dim:]]
+        if body:
+            out.append("try:")
+            failures.update((line + len(out) + i, errors[k])
+                            for i, k in enumerate(range(dim, len(lines))) if k in errors)
+            out += [*(f"    {text}" for text in body),
+                    "except (ArithmeticError, ValueError) as exc:",
+                    "    raise _domain_error(exc) from None"]
+        value, *grad = (_Source(_KERNEL_LOCAL.sub(local, text)) for text in outputs)
+        X = template((dim - 1) // 2, [_Source(name) for name in state], value, grad, _fdot)
+        return out + [f"k{s}_{i} = {component}" for i, component in enumerate(X)]
+
+    name = kernel.__code__.co_filename.replace("<contactmech", f"<contactmech rkf45-step dim={dim}")
+    namespace = {**kernel.__globals__, "_domain_error": functools.partial(_domain_error, failures)}
+    return _fehlberg(name, "x, h, abs_tol, rel_tol", dim, stage, namespace)
 
 
 def _flat(eta: np.ndarray, deta: np.ndarray) -> np.ndarray:
@@ -1017,20 +1073,54 @@ class _System:
     def hamiltonian_field_at(self, f: FunctionLike, x) -> np.ndarray:
         return self.chart.hamiltonian_field_at(self.resolve(f), x)
 
+    @functools.cached_property
+    def _bound(self) -> dict:
+        """`_own`'s memo: (kind, integral index) -> what was bound for it."""
+        return {}
+
+    def _own(self, kind: str, f: FunctionLike, bind: Callable[[Expr], Callable]) -> Callable:
+        """bind(f's tree), kept per system where f is an integral, by its index or its tree."""
+        if not isinstance(f, int):
+            f = next((a for a, tree in enumerate(self.integrals) if tree is f), f)
+            if not isinstance(f, int):
+                return bind(self.resolve(f))
+        key = kind, f
+        if key not in self._bound:
+            self._bound[key] = bind(self.resolve(f))
+        return self._bound[key]
+
     def field_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
-        """Closure computing X_f as a list of floats, for the flow integrator.
+        """Closure computing X_f as a list of floats: the Jacobian columns of the angle solves.
 
         Standard-form charts run f's compiled gradient kernel, then the
         closed form as `_closed_program` compiled it, checking only the
         point's length: the floats of the template over floats (`_fdot`).
         General coframes return the chart's `_float_field`, the flow closure
         of `_field_program`, with the checks and errors of field_from_gradient.
+        The system's own integrals get the closure bound at their first call.
         """
+        return self._own("field", f, self._field)
+
+    def _field(self, tree: Expr) -> Callable[[Sequence[float]], list[float]]:
         chart = self.chart
-        kernel = gradient_kernel(self.resolve(f), chart.coordinates)
+        kernel = gradient_kernel(tree, chart.coordinates)
         if chart._closed_field is None:
             return chart._float_field(kernel)
         return _closed_program(chart._closed_field, chart.dim)(kernel, chart.point)
+
+    def _step(self, f: FunctionLike) -> Callable:
+        """The bound Fehlberg step `step(x, h, abs_tol, rel_tol)` of X_f, for `flows._run`.
+
+        Standard-form charts take `_closed_step`, f's kernel and the closed
+        form inlined in every stage, bound at the first call for the
+        system's own integrals.  General coframes call the closure of
+        `field_evaluator` in each stage (`flows._step_program`).
+        """
+        chart = self.chart
+        if chart._closed_field is None:
+            return _calling(self.field_evaluator(f), chart.dim)
+        return self._own("step", f, lambda tree: _closed_step(
+            chart._closed_field, gradient_kernel(tree, chart.coordinates)))
 
     def variational_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
         """The chart's closure for the variational equation of X_f (`_Chart._variational`)."""

@@ -678,13 +678,13 @@ def verify_section(
 
 
 def _detect_sign(
-    symp_system: SympSystem, section: SectionSpec, F_x: np.ndarray
+    symp_system: SympSystem, section: SectionSpec, F_x: Sequence[float]
 ) -> tuple[int, np.ndarray]:
-    """Find s with F(chi(s * F_x)) = F_x and a positive fiber."""
-    scale = max(1.0, float(np.max(np.abs(F_x))))
+    """Find s with F(chi(s * F_x)) = F_x and a positive fiber; F_x holds floats."""
+    scale = max(1.0, _max_abs(F_x))
     for s in (1, -1):
         try:
-            candidate = section.chi_at(s * F_x)
+            candidate = section.chi_at([s * v for v in F_x])
         except EvaluationDomainError:
             continue
         if candidate.shape != (symp_system.dim,) or candidate[-1] <= 0.0:
@@ -692,10 +692,10 @@ def _detect_sign(
         if not np.isfinite(candidate).all():
             continue
         F_c = symp_system._fused(candidate.tolist())[:: symp_system.dim + 1]
-        if _max_abs([u - v for u, v in zip(F_c, F_x.tolist())]) <= 1e-6 * scale:
+        if _max_abs([u - v for u, v in zip(F_c, F_x)]) <= 1e-6 * scale:
             return s, candidate
     raise SectionError(
-        f"section {section.name!r} does not cover the ray of F = {F_x.tolist()}"
+        f"section {section.name!r} does not cover the ray of F = {list(map(float, F_x))}"
     )
 
 
@@ -747,13 +747,15 @@ def angle_solve(
 
     The solve runs on lists of floats.  F(x) and the base integrals come
     from one call each of the systems' fused kernels.  The m generator
-    field closures are bound once per solve, through
-    `symp_system.field_evaluator`; the involution check pairs them with
-    the generators' gradients at x (with the identity basis, the fused
-    kernel's from the call for F(x)), the Jacobian columns are those
-    closures at the endpoint, and every trial flows them through
-    `flows._compose`, which checks every time first, then each flow as
-    `integrate` does (start point, early stop).
+    field closures and flow steps are bound once per solve, through
+    `symp_system.field_evaluator` and `symp_system._step`, which keep
+    those of the system's own integrals, the identity basis's generators;
+    the involution check pairs the closures with the generators' gradients
+    at x (with the identity basis, the fused kernel's from the call for
+    F(x)), the Jacobian columns are those closures at the endpoint, and
+    every trial flows the steps through `flows._compose`, which checks
+    every time first, then each flow as `integrate` does (start point,
+    early stop).
     The step solves the normal equations (J^T J) delta = J^T (x - endpoint)
     in a generated program (`_angle_step_program`); only where J is
     (nearly) rank-deficient does it fall back to `np.linalg.lstsq`,
@@ -774,15 +776,16 @@ def angle_solve(
             raise ValueError(f"basis must be {m} x {m}")
         if np.linalg.matrix_rank(M) < m:
             raise ValueError(f"basis matrix {M.tolist()} is singular")
-    generators = _generators(symp_system, M)
+    generators = list(symp_system.integrals) if basis is None else _generators(symp_system, M)
     fields = [symp_system.field_evaluator(G) for G in generators]
+    steps = [symp_system._step(G) for G in generators]
     xs = x.tolist()
     flat = symp_system._fused(xs)
-    F_x = np.array(flat[:: len(xs) + 1])
+    F_x = list(flat[:: len(xs) + 1])
     # the involution check takes {g_a, g_b} = X_{g_a}(g_b) from the field
     # closures and the generators' gradients: with the identity basis the
     # integrals', from that call of the fused kernel
-    bracket_tol = 1e-8 * max(1.0, float(np.max(np.abs(F_x))))
+    bracket_tol = 1e-8 * max(1.0, _max_abs(F_x))
     if basis is None:
         grads = [flat[a * (len(xs) + 1) + 1 : (a + 1) * (len(xs) + 1)] for a in range(m)]
     else:
@@ -801,7 +804,7 @@ def angle_solve(
         s, base = _detect_sign(symp_system, section, F_x)
     else:
         s = int(sign)
-        base = section.chi_at(s * F_x)
+        base = section.chi_at([s * v for v in F_x])
         if base.shape != (symp_system.dim,):
             raise SectionError(
                 f"section {section.name!r} has {len(base)} components, "
@@ -816,9 +819,9 @@ def angle_solve(
     step = _angle_step_program(m, len(xs))
 
     def phi(y: list, start: list) -> list:
-        return _compose(fields.__getitem__, generators, y, start, cfg, guards, chart.coordinates)
+        return _compose(steps.__getitem__, generators, y, start, cfg, guards, chart.coordinates)
 
-    scale = max(1.0, float(np.max(np.abs(x))))
+    scale = max(1.0, _max_abs(xs))
     target = max(newton_tolerance, 10.0 * cfg.rel_tol * scale)
 
     y = [0.0] * m if y0 is None else np.asarray(y0, dtype=float).tolist()

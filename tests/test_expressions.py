@@ -1,4 +1,7 @@
+import inspect
+import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -342,6 +345,47 @@ def test_compiled_kernel_domain_errors(source, x, message):
         with pytest.raises(EvaluationDomainError) as err:
             run(np.array([x]))
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("source, pows", [("q^1", 0), ("(q + p)^1 * z", 0), ("q^2 * z", 1)])
+def test_first_powers_call_no_pow(source, pows):
+    # math.pow(a, 1.0) is a and math.pow(a, 0.0) is 1.0 at every float a,
+    # ±0, ±inf and NaN included, so the kernels write a^1 as a and the
+    # derivative's 1.0 * a^0 as the known 1.0 (a^2's derivative as 2.0 * a,
+    # its second derivative's 1.0 * a^0 as 1.0); every value stays the dual
+    # walk's, in the kernel, the jet kernel and the kernel's row-block twin,
+    # and the jet keeps a^1's a^-1 and its error at a = 0.  The nested-dual
+    # Hessian is compared at finite points: elsewhere the walk adds the terms
+    # of known zeros that the jet kernel drops
+    names = ("q", "p", "z")
+    tree = parse(source)
+    kernel, jet = gradient_kernel(tree, names), expressions.jet2_kernel(tree, names)
+    twin = expressions.fused_rows(expressions.fused_kernel([tree], names))
+    assert inspect.getsource(kernel).count("_pow(") == pows
+    assert inspect.getsource(twin).count("_pow(") == pows
+    assert inspect.getsource(jet).count("_pow(") == 1
+    walk = dual_gradient(tree, names)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.0]
+    points = [list(point) for point in itertools.product(specials, repeat=3)]
+    finite = [point for point in points if all(map(math.isfinite, point))]
+    for point in points:
+        assert _outcome(kernel, point) == _outcome(walk, point)
+        try:
+            want = dual_jet2(tree, names, point)
+        except EvaluationDomainError as exc:
+            with pytest.raises(EvaluationDomainError, match=re.escape(str(exc))):
+                jet(point)
+            continue
+        value, grad, rows = jet(point)
+        assert _outcome(lambda x: (value, grad), point) == _outcome(walk, point)
+        if point in finite:  # the walk's signed zeros may differ, as its terms do
+            assert np.array_equal(rows, want.hessian)
+    got = twin(np.array(finite).T)
+    assert got is not None
+    for row, point in zip(got.T.tolist(), finite):
+        assert _outcome(lambda x: (row[0], row[1:]), point) == _outcome(walk, point)
+    with np.errstate(all="ignore"):  # as `_programs.in_blocks` runs a twin
+        assert twin(np.array(points).T) is None  # infinities and NaNs go to the kernel
 
 
 def test_overflow_is_a_domain_error():

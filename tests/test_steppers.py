@@ -555,26 +555,29 @@ def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluat
     # loading a config and building its systems compiles no field program,
     # no closed-form field, no step and no ray step
     programs = (geometry._field_program, geometry._closed_program, _step_program,
-                integrability._ray_step_program)
+                geometry._closed_step, integrability._ray_step_program)
     for program in programs:
         program.cache_clear()
     cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
     system, symp = cfg.system(), cfg.symp_system()
     pz = load_config(bundled_config_path("darboux-pz"))
     pz_system, pz_symp = pz.system(), pz.symp_system()
-    assert [program.cache_info().misses for program in programs] == [0, 0, 0, 0]
+    assert [program.cache_info().misses for program in programs] == [0, 0, 0, 0, 0]
     # the closed form compiles at the first field_evaluator of its template and
-    # dimension, the step at the first flow of its state size
+    # dimension; a standard-form flow takes no call step, but the inlined step
+    # of its integral's tree, at the first flow of that tree, bound once per
+    # system for its own integrals
     for run, name in ((pz_system, "closed-field dim=3"), (pz_symp, "closed-field dim=4")):
         first, second = run.field_evaluator(0), run.field_evaluator(1)
         assert first.__code__ is second.__code__
         assert first.__code__.co_filename == f"<contactmech {name}>"
     assert geometry._closed_program.cache_info()[:2] == (2, 2)  # (hits, misses)
+    assert geometry._closed_step.cache_info().misses == 0
+    for f in (0, 1, 0):
+        integrate(pz_system, f, [0.5, 1.2, 0.8], 0.5)
+    assert geometry._closed_step.cache_info()[:2] == (0, 2)
+    assert pz_system._step(1).__code__.co_filename.startswith("<contactmech rkf45-step dim=3 ")
     assert _step_program.cache_info().misses == 0
-    integrate(pz_system, 0, [0.5, 1.2, 0.8], 0.5)
-    integrate(pz_system, 1, [0.5, 1.2, 0.8], 0.5)
-    assert _step_program.cache_info()[:2] == (1, 1)
-    assert _step_program(3).__code__.co_filename == "<contactmech rkf45-step dim=3>"
     x = [0.5, 1.2, 0.8]
     for run, point in ((system, x), (symp, x + [1.5])):
         first = run.field_evaluator(0)
@@ -586,6 +589,13 @@ def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluat
     # both integrals run the one program of their kind and dimension
     assert first.__code__ is second.__code__
     assert first.__code__.co_filename == "<contactmech lifted-field dim=4>"
+    # a general-coframe flow calls the field closure from the step of its
+    # state size, compiled at the first flow
+    assert _step_program.cache_info().misses == 0
+    integrate(system, 0, x, 0.5)
+    integrate(system, 1, x, 0.5)
+    assert _step_program.cache_info()[:2] == (1, 1)
+    assert _step_program(3).__code__.co_filename == "<contactmech rkf45-step dim=3>"
 
 
 @pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
