@@ -182,9 +182,10 @@ def cmd_coisotropy(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
         raise ConfigError(
             f"--lambda needs {len(system.integrals)} components, got {len(lam)}"
         )
-    if not lam.any():
-        raise ConfigError(f"--lambda must be a nonzero vector, got {args.ray!r}")
-    target = RayTarget(lam)
+    try:
+        target = RayTarget(lam)
+    except ValueError as exc:  # a zero direction, or one whose square underflows
+        raise ConfigError(f"--lambda: {exc}") from None
     points, attempts, failures = _ray_points(system, target, args.points, seed)
     # coisotropy and tangency share the points' jets
     jets = system.jet_stack(points)

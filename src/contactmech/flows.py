@@ -11,10 +11,10 @@ the flow loop `_run` calls as step(x, h, abs_tol, rel_tol).  The
 system's `_step` lookup gives it: on standard-form charts
 `geometry._closed_step`, which writes f's gradient kernel and the closed
 form into every stage, so that a step makes one Python call; elsewhere
-`_step_program` ("<contactmech rkf45-step dim=D>"), whose stages call the
-`field_evaluator` closure, one checked float elimination, six times, as
-the variational closures are called.  `_programs.program` compiles each,
-so a traceback through them shows the generated line.
+`_step_program` ("<contactmech rkf45-step dim=D[ spread]>"), whose
+stages call f's flat field program on their floats (general coframes)
+or the variational closure on a float list.  `_programs.program`
+compiles each, so a traceback through them shows the generated line.
 Trajectories record every accepted step, as arrays built once at the
 end; leaving the chart domain (a positivity guard crossing zero, or an
 expression domain error in the field) truncates the trajectory with an
@@ -235,22 +235,21 @@ def _fehlberg(name: str, args: str, dim: int, stage: Callable, namespace: dict) 
     return program(name, lines, {**namespace, "nan": math.nan}, "step")
 
 
-def _call_stage(s: int, inputs: Sequence[str], line: int) -> list[str]:
-    """The stage of `_step_program`: one call of the field closure on the stage's state."""
-    state = "x" if s == 0 else f"[{', '.join(inputs)}]"
-    return [f"{_names(f'k{s}_', len(inputs))}, = field({state})"]
-
-
 @functools.lru_cache(maxsize=None)
-def _step_program(dim: int) -> Callable:
+def _step_program(dim: int, spread: bool = False) -> Callable:
     """`step(field, x, h, abs_tol, rel_tol)`: the `_fehlberg` step that calls field six times.
 
-    field maps a float list to the field there as a float list.  Compiled
-    at the first flow of each state size that takes it, under the file name
-    "<contactmech rkf45-step dim=DIM>".
+    field maps a float list to the field there as a float list, or with
+    spread true the stage's floats, as arguments, to a sequence
+    (`geometry._flat_field`).  Compiled at the first flow of each state
+    size that takes it, as "<contactmech rkf45-step dim=DIM[ spread]>".
     """
-    return _fehlberg(f"<contactmech rkf45-step dim={dim}>", "field, x, h, abs_tol, rel_tol", dim,
-                     _call_stage, {})
+    def stage(s: int, inputs: Sequence[str], line: int) -> list[str]:
+        state = ", ".join(inputs) if spread else "x" if s == 0 else f"[{', '.join(inputs)}]"
+        return [f"{_names(f'k{s}_', dim)}, = field({state})"]
+
+    name = f"<contactmech rkf45-step dim={dim}{' spread' if spread else ''}>"
+    return _fehlberg(name, "field, x, h, abs_tol, rel_tol", dim, stage, {})
 
 
 def _calling(field_fn: Callable, dim: int) -> Callable:

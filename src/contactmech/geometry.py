@@ -13,12 +13,13 @@ re-checks eta(X_f) = -f, which holds for it identically.  On
 general coframes every field and tangent comes from a generated float
 program per chart kind ("lifted" upstairs) and dimension:
 `_field_program`, one elimination per point for det B, the Reeb field
-and B^-T df of m functions, with its checks and errors, run by flows
-and single points; its row-block twin `_field_rows`, the same lines
-over NumPy columns, run by point stacks; and `_variational_program`,
-its lines for one function, then one more elimination per tangent for
-DX_f dx.  None takes a LAPACK solve; `_programs` holds their emitters
-and compiles them (`program`).
+and B^-T df of m functions, with its checks and errors, run by single
+points; its row-block twin `_field_rows` over NumPy columns, run by
+point stacks; `_flat_field`, its lines for one function after the fused
+kernel of f and eta's coefficients, run by flows and `field_evaluator`;
+and `_variational_program`, those lines, then one more elimination per
+tangent for DX_f dx.  None takes a LAPACK solve; `_programs` holds their
+emitters and compiles them (`program`).
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -87,7 +88,7 @@ from .expressions import (
     jet2_kernel,
     parse,
 )
-from .flows import _calling, _fehlberg
+from .flows import _fehlberg, _step_program
 
 __all__ = [
     "GeometryError",
@@ -214,11 +215,9 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     gradients there and of the (base) `_float_coframe` (`point` is the
     chart's, for the errors).  It returns one list: the components of the
     m fields, then on the contact kind the m Reeb derivatives and the Reeb
-    field (at m = 0 the Reeb field alone).  At m = 1, `bind(kernel,
-    coefficients, point)` returns the flow closure over float lists, which
-    checks the point and runs f's gradient kernel and the fused kernel of
-    eta's coefficients (`_coeff_kernel`) itself.  `lines` holds its
-    source lines at one point, on which `_variational_program` builds, and
+    field (at m = 0 the Reeb field alone).  `lines` holds its source
+    lines at one point, on which `_flat_field` (flows and
+    `field_evaluator`, at m = 1) and `_variational_program` build, and
     `body` and `result` those of `solve`, on which `_field_rows` builds.
 
     Elimination is `_eliminate`'s on [A | b_1 .. b_k]; a zero pivot
@@ -297,32 +296,57 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
                       f"if {_checked(['pairing'], 1e-8, f'({value},)', field)}:",
                       "    raise failure(f'field invariant eta(X_f) = -f violated by "
                       f"{{abs(pairing):.3e}} {where}')"]
-    fiber = ["r = x[-1]"] if lifted else []
-    coframe = _coframe_names(d)
     outputs = [f"X{a}_{i}" for a in range(m) for i in range(dim)]
     if not lifted:
         outputs += [f"rf{a}" for a in range(m)] + reeb
     body = [f"[{_names('value', m)}] = values",
             f"[{', '.join(_tup(g, dim) for g in grads)}] = grads",
-            *fiber, f"{coframe} = coframe", *lines]
+            *(["r = x[-1]"] if lifted else []), f"{_coframe_names(d)} = coframe", *lines]
     result = f"[{', '.join(outputs)}]"
     source = ["def solve(point, x, values, grads, coframe):",
               *[f"    {line}" for line in [*body, f"return {result}"]]]
-    if m == 1:  # the flow closure
-        fiber_test = " or x[-1] <= 0.0" if lifted else ""
-        preamble = [f"if len(x) != {dim}{fiber_test}:", "    point(x)",
-                    f"value0, {_tup('g0_', dim)} = kernel(x)", *fiber,
-                    f"{coframe} = coefficients(x)"]
-        source += ["def bind(kernel, coefficients, point):",
-                   "    def field(x):",
-                   *[f"        {line}" for line in [*preamble, *lines]],
-                   f"        return [{_names('X0_', dim)}]",
-                   "    return field"]
     namespace = {"_exceeds_float": _exceeds_float, "singular": singular, "failure": failure,
                  "lines": lines, "body": body, "result": result}
     count = "" if m == 1 else f" m={m}"
     program(f"<contactmech {kind}-field dim={dim}{count}>", source, namespace, "solve")
     return namespace
+
+
+@functools.lru_cache(maxsize=512)
+def _flat_field(kind: str, kernel: Callable) -> Callable:
+    """`field(x0, .., x<dim-1>)`: X_f at a point as a tuple, for flows and `field_evaluator`.
+
+    kernel is the fused kernel of f and eta's coefficients (`_Chart._flat`).
+    The program runs the lifted kind's fiber test, the kernel's lines in a
+    try block that raises its EvaluationDomainError, then the lines of
+    `_field_program(kind, dim, 1)` on its outputs (lifted: less eta's
+    r-derivatives): that solve's floats and errors, in one call.  Compiled
+    as "<contactmech KIND-field dim=DIM kernel N>".
+    """
+    dim, lines, _, outputs, errors = kernel.emitted
+    lifted = kind == "lifted"
+    d = dim - 1 if lifted else dim
+    field = _field_program(kind, dim, 1)
+    # f's value and gradient, then eta_i and its gradient over the d base coordinates
+    taken = [*outputs[: dim + 1],
+             *(e for i in range(1, d + 1) for e in outputs[i * (dim + 1) : i * (dim + 1) + d + 1])]
+    names = ["value0", *(f"g0_{i}" for i in range(dim)), *_coframe_names(d).split(", ")[:-1]]
+    source = ["def field(*x):", f"    {_names('x', dim)}, = x"]
+    if lifted:  # SympChart.point's test and error
+        source += [f"    if x{d} <= 0.0:",
+                   f"        raise ValueError(f'fiber coordinate must be positive, got {{x{d}}}')"]
+    failures = {len(source) + 2 + k - dim: errors[k] for k in errors}
+    if len(lines) > dim:
+        source += ["    try:", *(f"        {line}" for line in lines[dim:]),
+                   "    except (ArithmeticError, ValueError) as exc:",
+                   "        raise _domain_error(exc) from None"]
+    source += [*(f"    {name} = {value}" for name, value in zip(names, taken)),
+               *([f"    r = x{d}"] if lifted else []),
+               *(f"    {line}" for line in field["lines"]), f"    return {_tup('X0_', dim)}"]
+    namespace = {**kernel.__globals__, **field, "point": np.array,
+                 "_domain_error": functools.partial(_domain_error, failures)}
+    name = kernel.__code__.co_filename.replace("<contactmech", f"<contactmech {kind}-field dim={dim}")
+    return program(name, source, namespace, "field")
 
 
 @functools.lru_cache(maxsize=None)
@@ -639,10 +663,10 @@ class _Chart:
         bind = _variational_program(self._kind, self.dim)
         return bind(jet, self._eta_chart._coeff_jet, self.point)
 
-    def _float_field(self, kernel) -> Callable[[Sequence[float]], list[float]]:
-        """X_f over float lists on a general coframe: `_field_program`'s closure for f's kernel."""
-        program = _field_program(self._kind, self.dim, 1)
-        return program["bind"](kernel, self._eta_chart._coeff_kernel, self.point)
+    def _flat(self, f: Expr) -> Callable:
+        """The `_flat_field` program of X_f on a general coframe."""
+        coefficients = self._eta_chart.eta_coefficients
+        return _flat_field(self._kind, fused_kernel((f, *coefficients), self.coordinates))
 
 
 class ContactChart(_Chart):
@@ -1095,30 +1119,40 @@ class _System:
         Standard-form charts run f's compiled gradient kernel, then the
         closed form as `_closed_program` compiled it, checking only the
         point's length: the floats of the template over floats (`_fdot`).
-        General coframes return the chart's `_float_field`, the flow closure
-        of `_field_program`, with the checks and errors of field_from_gradient.
-        The system's own integrals get the closure bound at their first call.
+        General coframes return a list adapter over f's flat field program
+        (`_Chart._flat`), the one its flows' steps call, with the checks and
+        errors of field_from_gradient; a point of other than dim entries
+        goes to the chart's `point`.  The system's own integrals get the
+        closure bound at their first call.
         """
         return self._own("field", f, self._field)
 
     def _field(self, tree: Expr) -> Callable[[Sequence[float]], list[float]]:
         chart = self.chart
-        kernel = gradient_kernel(tree, chart.coordinates)
-        if chart._closed_field is None:
-            return chart._float_field(kernel)
-        return _closed_program(chart._closed_field, chart.dim)(kernel, chart.point)
+        if chart._closed_field is not None:
+            kernel = gradient_kernel(tree, chart.coordinates)
+            return _closed_program(chart._closed_field, chart.dim)(kernel, chart.point)
+        field, dim, point = chart._flat(tree), chart.dim, chart.point
+
+        def run(x: Sequence[float]) -> list[float]:
+            if len(x) != dim:
+                point(x)
+            return [*field(*map(float, x))]
+        return run
 
     def _step(self, f: FunctionLike) -> Callable:
         """The bound Fehlberg step `step(x, h, abs_tol, rel_tol)` of X_f, for `flows._run`.
 
         Standard-form charts take `_closed_step`, f's kernel and the closed
-        form inlined in every stage, bound at the first call for the
-        system's own integrals.  General coframes call the closure of
-        `field_evaluator` in each stage (`flows._step_program`).
+        form inlined in every stage; general coframes the spread
+        `flows._step_program`, whose stages call the chart's `_flat`
+        program of f on their floats.  Either is bound at the first call
+        for the system's own integrals.
         """
         chart = self.chart
         if chart._closed_field is None:
-            return _calling(self.field_evaluator(f), chart.dim)
+            step = _step_program(chart.dim, True)
+            return self._own("step", f, lambda tree: functools.partial(step, chart._flat(tree)))
         return self._own("step", f, lambda tree: _closed_step(
             chart._closed_field, gradient_kernel(tree, chart.coordinates)))
 

@@ -37,12 +37,13 @@ denominator is the section's declared index, else argmax |A_a|.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._programs import _eliminate, _fdot, _sum, _tup, program
+from ._programs import _eliminate, _fdot, _names, _sum, _tup, program
 from .expressions import (
     EvaluationDomainError,
     Expr,
@@ -139,6 +140,9 @@ class RayTarget:
         # a non-finite direction fails every membership test, which then passes
         if not np.isfinite(self.direction).all():
             raise ValueError(f"ray direction must be finite, got {self.direction.tolist()}")
+        lam = self.direction.tolist()
+        if _fdot(lam, lam) == 0.0:  # ray_project divides by it
+            raise ValueError(f"ray direction {lam} has squared norm 0.0 in floats; rescale it")
 
 
 class SectionSpec:
@@ -350,28 +354,21 @@ def _membership(target: RayTarget, F: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _norm(F - r_star[..., None] * lam), r_star
 
 
-def _gram_step(name: str, signature: str, head: list[str], m: int, n: int,
-               rhs: Sequence[str], out: Sequence[str]) -> Callable:
-    """Compile `def step(<signature>)`, a Gram solve over m float vectors of length n.
+def _gram(m: int, n: int, rhs: Sequence[str], refuse: str) -> list[str]:
+    """Source solving [V V^T | rhs] into s<a>_<m> for m float vectors v<a>_<k> of length n.
 
-    The lines head unpack the arguments into the entries v<a>_<k> of the
-    vectors and the names that rhs and out read.  The step forms the
-    augmented matrix [V V^T | rhs], each entry v_i . v_j summed as `_fdot`
-    sums, solves it by `_eliminate` into s<a>_<m> and returns [out], or None
-    at a pivot of at most 1e-8 times the largest diagonal entry, where the
-    vectors are (nearly) linearly dependent.
+    Each entry v_i . v_j is summed as `_fdot` sums, and the elimination is
+    `_eliminate`'s.  At a pivot of at most 1e-8 times the largest diagonal
+    entry, where the vectors are (nearly) dependent, it runs line `refuse`.
     """
-    lines = list(head)
+    lines = []
     for i in range(m):  # mirrored below the diagonal
         lines += [f"a{i}_{j} = a{j}_{i}" for j in range(i)]
         lines += [f"a{i}_{j} = {_sum([f'v{i}_{k} * v{j}_{k}' for k in range(n)])}"
                   for j in range(i, m)]
         lines.append(f"a{i}_{m} = {rhs[i]}")
     lines.append(f"tiny = 1e-8 * max(({''.join(f'a{i}_{i}, ' for i in range(m))}))")
-    lines += _eliminate(m, m + 1, lambda k: [f"if abs(a{k}_{k}) <= tiny:", "    return None"])
-    source = [f"def step({signature}):", *[f"    {line}" for line in lines],
-              f"    return [{', '.join(out)}]"]
-    return program(name, source, {}, "step")
+    return lines + _eliminate(m, m + 1, lambda k: [f"if abs(a{k}_{k}) <= tiny:", f"    {refuse}"])
 
 
 def _vectors(name: str, m: int, n: int) -> str:
@@ -381,33 +378,78 @@ def _vectors(name: str, m: int, n: int) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _ray_step_program(m: int, dim: int) -> Callable:
-    """`step(TF, g, lam)`, ray_project's least-norm step, as "<contactmech ray-step m=M dim=DIM>".
-
-    With J = [TF | -Lambda] and g = F - r Lambda, it solves J J^T y = -g by
-    `_gram_step` on the rows (TF_a, Lambda_a), whose Gram matrix is J J^T,
-    and returns J^T y, or None where J is (nearly) rank-deficient.
-    """
-    head = [_vectors("TF", m, dim), f"{_tup('g', m)} = g",
-            f"{''.join(f'v{a}_{dim}, ' for a in range(m))}= lam"]  # Lambda ends each row
-    dx = [_sum([f"v{a}_{k} * s{a}_{m}" for a in range(m)]) for k in range(dim + 1)]
-    return _gram_step(f"<contactmech ray-step m={m} dim={dim}>", "TF, g, lam", head, m, dim + 1,
-                      [f"-g{a}" for a in range(m)], [*dx[:-1], f"-({dx[-1]})"])
-
-
-@functools.lru_cache(maxsize=None)
 def _angle_step_program(m: int, dim: int) -> Callable:
     """`step(X, r)`, angle_solve's Newton step, as "<contactmech angle-step m=M dim=DIM>".
 
     The m vectors X are the columns of J, the generator fields at the
     endpoint, and r = x - endpoint.  It solves the normal equations
-    (J^T J) delta = J^T r by `_gram_step` and returns delta, or None where
+    (J^T J) delta = J^T r by `_gram` and returns delta, or None where
     J is (nearly) rank-deficient.
     """
     rhs = [_sum([f"v{a}_{k} * r{k}" for k in range(dim)]) for a in range(m)]
-    head = [_vectors("X", m, dim), f"{_tup('r', dim)} = r"]
-    return _gram_step(f"<contactmech angle-step m={m} dim={dim}>", "X, r", head, m, dim, rhs,
-                      [f"s{a}_{m}" for a in range(m)])
+    lines = [_vectors("X", m, dim), f"{_tup('r', dim)} = r", *_gram(m, dim, rhs, "return None")]
+    source = ["def step(X, r):", *[f"    {line}" for line in lines],
+              f"    return [{', '.join(f's{a}_{m}' for a in range(m))}]"]
+    return program(f"<contactmech angle-step m={m} dim={dim}>", source, {}, "step")
+
+
+class _Refused(Exception):
+    """The Gram step of a ray projection met a (nearly) rank-deficient J."""
+
+
+def _lstsq_step(TF: Sequence[Sequence[float]], lam: Sequence[float], g: Sequence[float]) -> list:
+    """The least-norm (dx, dr) of [TF | -Lambda] (dx, dr) = -g by np.linalg.lstsq."""
+    J = np.hstack([TF, -np.array(lam)[:, None]])
+    return np.linalg.lstsq(J, -np.array(g), rcond=None)[0].tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _ray_program(m: int, dim: int) -> Callable:
+    """`project(kernel, x, lam, converged, max_iter)`: ray_project's Gauss-Newton loop.
+
+    On float locals, from r = max(F . Lambda / Lambda . Lambda, 1e-3): the
+    step (dx, dr) = J^T y, J J^T y = -(F - r Lambda) by `_gram` on the rows
+    (TF_a, Lambda_a) of J (`_lstsq_step` where it refuses), halved up to 25
+    times past the fused kernel's EvaluationDomainError or a residual that
+    does not decrease.  Returns (x, r, residual), x None where a line search
+    fails or max_iter iterations pass.  As "<contactmech ray-project m=M dim=DIM>".
+    """
+    def largest(names: list[str]) -> str:  # `_max_abs`: NaN if any entry is
+        nan = " or ".join(f"{u} != {u}" for u in names)
+        return f"nan if {nan} else max(({''.join(f'abs({u}), ' for u in names)}))"
+
+    lam = [f"v{a}_{dim}" for a in range(m)]  # Lambda ends each row v<a>_ of J
+    rows = "".join(f"{_tup(f'v{a}_', dim)}, " for a in range(m))  # TF
+    dx = [_sum([f"v{a}_{k} * s{a}_{m}" for a in range(m)]) for k in range(dim + 1)]
+    # a trial overwrites TF, which only an accepted trial's next step reads
+    jet, trial = ("".join(f"{f}{a}, {_names(f'v{a}_', dim)}, " for a in range(m)) for f in "fF")
+    search = [*(f"y{k} = x{k} + step * d{k}" for k in range(dim)), "rt = r + step * dr",
+              "try:", f"    {trial}= kernel([{_names('y', dim)}])",
+              "except EvaluationDomainError:", "    step *= 0.5", "    continue",
+              *(f"h{a} = F{a} - rt * {lam[a]}" for a in range(m)),
+              f"hn = {largest([f'h{a}' for a in range(m)])}",
+              "if hn < gn:",
+              *(f"    x{k} = y{k}" for k in range(dim)), "    r = rt",
+              *(f"    g{a} = h{a}" for a in range(m)), "    gn = hn", "    break", "step *= 0.5"]
+    loop = ["if gn <= converged:", f"    return [{_names('x', dim)}], r, gn", "try:",
+            *(f"    {line}" for line in _gram(m, dim + 1, [f"-g{a}" for a in range(m)],
+                                              "raise _Refused")),
+            *(f"    d{k} = {dx[k]}" for k in range(dim)), f"    dr = -({dx[dim]})",
+            "except _Refused:",
+            f"    {_names('d', dim)}, dr = _lstsq_step(({rows}), [{', '.join(lam)}], "
+            f"[{_names('g', m)}])",
+            "step = 1.0", "for _ in range(25):", *(f"    {line}" for line in search),
+            "else:", "    break"]
+    body = [f"{_names('x', dim)}, = x", f"{', '.join(lam)}, = lam", f"{jet}= kernel(x)",
+            f"r = max(({_sum([f'f{a} * {lam[a]}' for a in range(m)])}) / "
+            f"({_sum([f'{u} * {u}' for u in lam])}), 0.001)",
+            *(f"g{a} = f{a} - r * {lam[a]}" for a in range(m)),
+            f"gn = {largest([f'g{a}' for a in range(m)])}",
+            "for _ in range(max_iter):", *(f"    {line}" for line in loop), "return None, r, gn"]
+    source = ["def project(kernel, x, lam, converged, max_iter):", *(f"    {line}" for line in body)]
+    namespace = {"EvaluationDomainError": EvaluationDomainError, "_Refused": _Refused,
+                 "_lstsq_step": _lstsq_step, "nan": math.nan}
+    return program(f"<contactmech ray-project m={m} dim={dim}>", source, namespace, "project")
 
 
 def ray_project(
@@ -421,51 +463,25 @@ def ray_project(
 
     Returns the landed point and scale.  The step solves the
     underdetermined linearization [TF | -Lambda] (dx, dr) = r Lambda - F by
-    least norm, through J J^T over floats (`_ray_step_program`), or by
-    np.linalg.lstsq where J is (nearly) rank-deficient.  It is halved on
-    residual increase; a NaN residual is never converged nor a decrease.
+    least norm, through J J^T over floats, or by np.linalg.lstsq where J is
+    (nearly) rank-deficient.  It is halved on residual increase; a NaN
+    residual is never converged nor a decrease.  The loop is one generated
+    program (`_ray_program`) that calls `system._fused` at every point.
     """
     lam = target.direction.tolist()
     x = system.chart.point(seed_point).tolist()
-    m, width = len(lam), len(x) + 1  # the fused kernel gives f_a, df_a per integral
-    kernel, step = system._fused, _ray_step_program(m, len(x))
-    jet = kernel(x)
-    r = max(_fdot(jet[::width], lam) / _fdot(lam, lam), 1e-3)
-    g = [v - r * c for v, c in zip(jet[::width], lam)]
-    gn, converged = _max_abs(g), tolerance * max(1.0, _max_abs(lam))
-    for _ in range(max_iter):
-        if gn <= converged:
-            if r <= 0.0:
-                raise RayProjectionError(f"landed at nonpositive scale r = {r:.3e}")
-            if r * _max_abs(lam) <= converged:  # at the apex: r Lambda is 0 within tolerance
-                raise RayProjectionError(f"landed at the apex F = 0 (scale r = {r:.3e})")
-            return np.array(x), r
-        TF = [jet[a * width + 1 : (a + 1) * width] for a in range(m)]
-        delta = step(TF, g, lam)
-        if delta is None:
-            J = np.hstack([TF, -np.array(lam)[:, None]])
-            delta = np.linalg.lstsq(J, -np.array(g), rcond=None)[0].tolist()
-        *dx, dr = delta
-        lam_step = 1.0
-        for _ in range(25):
-            x_try = [u + lam_step * du for u, du in zip(x, dx)]
-            r_try = r + lam_step * dr
-            try:
-                jet_try = kernel(x_try)
-            except EvaluationDomainError:
-                lam_step *= 0.5
-                continue
-            g_try = [v - r_try * c for v, c in zip(jet_try[::width], lam)]
-            gn_try = _max_abs(g_try)
-            if gn_try < gn:
-                x, r, g, gn, jet = x_try, r_try, g_try, gn_try, jet_try
-                break
-            lam_step *= 0.5
-        else:
-            break
-    raise RayProjectionError(
-        f"no convergence onto the ray (residual {gn:.3e} after {max_iter} iterations)"
-    )
+    top = _max_abs(lam)
+    converged = tolerance * max(1.0, top)
+    x, r, gn = _ray_program(len(lam), len(x))(system._fused, x, lam, converged, max_iter)
+    if x is None:
+        raise RayProjectionError(
+            f"no convergence onto the ray (residual {gn:.3e} after {max_iter} iterations)"
+        )
+    if r <= 0.0:
+        raise RayProjectionError(f"landed at nonpositive scale r = {r:.3e}")
+    if r * top <= converged:  # at the apex: r Lambda is 0 within tolerance
+        raise RayProjectionError(f"landed at the apex F = 0 (scale r = {r:.3e})")
+    return np.array(x), r
 
 
 def _ray_points(

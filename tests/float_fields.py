@@ -1,13 +1,17 @@
 """References for the general-coframe fields, and the systems they run on.
 
 `geometry._field_program` compiles each chart kind's fields into one
-straight-line program, the library's one general-coframe solver.  Two
-references are kept here, away from the library:
+straight-line program, the library's one general-coframe solver.  The
+references kept here, away from the library:
 
 * the float-list closures that program unrolls for flows: rows built
   with `zip`, one call to `_eliminator`, and residual and pairing sums
   through `geometry._fdot`.  The program must return their floats
   bitwise and raise their errors.
+* `solve_field`, the program's solve fed by f's kernel and eta's
+  coefficient kernel called apart: the flat field programs
+  (`geometry._flat_field`) write those kernels' lines and solve's into
+  one program, and must return its floats and raise its errors.
 * the stacked NumPy solves that point stacks ran before the program
   (`lapack_frames`, `lapack_contact_fields`, `lapack_lifted_fields`):
   det, solve and residual by LAPACK, with the same checks and errors.
@@ -42,6 +46,7 @@ from contactmech.geometry import (
     _exceeds,
     _exceeds_float,
     _fdot,
+    _field_program,
     _first,
     _norm,
     _pairs,
@@ -186,6 +191,27 @@ def lifted_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
 def reference_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
     """The reference closure of a general contact or symplectized chart."""
     return (lifted_field if isinstance(chart, SympChart) else contact_field)(chart, kernel)
+
+
+def solve_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
+    """X_f over float lists from the solve of `geometry._field_program(kind, dim, 1)`.
+
+    The closure checks the point's shape and, on the lifted kind, its
+    fiber, then calls f's kernel and the fused kernel of eta's coefficients
+    (`_float_coframe`) each on its own and passes their floats to solve:
+    the float operations and errors that the library's flat field program
+    (`geometry._flat_field`) makes in one call.
+    """
+    solve, dim = _field_program(chart._kind, chart.dim, 1)["solve"], chart.dim
+    lifted = isinstance(chart, SympChart)
+
+    def field(x) -> list[float]:
+        if len(x) != dim or (lifted and x[-1] <= 0.0):
+            chart.point(x)
+        value, grad = kernel(x)
+        return solve(chart.point, x, [value], [grad], chart._eta_chart._float_coframe(x))[:dim]
+
+    return field
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,8 @@ def test_a_failing_trial_is_counted_and_halved(monkeypatch, pz_config, pz_symp):
 def test_solves_bind_their_closures_through_field_evaluator(monkeypatch, pz_config, pz_symp):
     # one closure per generator, bound once per solve; the involution check
     # calls the first m - 1 once and each Newton iteration all m, for the
-    # Jacobian columns; the flows call none, their steps inline the field
+    # Jacobian columns; the flows call none: on darboux-pz their steps inline
+    # the field, on rescaled-pz they call its flat program
     bound, calls = [], []
     original = type(pz_symp).field_evaluator
 
@@ -147,10 +148,15 @@ def test_solves_bind_their_closures_through_field_evaluator(monkeypatch, pz_conf
         return lambda x: calls.append(None) or field(x)
 
     monkeypatch.setattr(type(pz_symp), "field_evaluator", counting)
-    sol = angle_solve(pz_symp, pz_config.section("graph-z"), X4)
-    m = len(pz_symp.integrals)
-    assert len(bound) == m == 2
-    assert sol.iterations > 0 and len(calls) == m * sol.iterations + (m - 1)
+    rescaled = load_config(RESCALED_PZ)
+    symp = rescaled.symp_system()
+    for config, system, x in ((pz_config, pz_symp, X4),
+                              (rescaled, symp, symp.sample(np.random.default_rng(31), 1)[0])):
+        bound.clear(), calls.clear()
+        sol = angle_solve(system, config.section("graph-z"), x)
+        m = len(system.integrals)
+        assert len(bound) == m == 2
+        assert sol.iterations > 0 and len(calls) == m * sol.iterations + (m - 1)
 
 
 @pytest.mark.parametrize("m, dim", [(2, 4), (2, 6), (3, 4), (3, 6)])

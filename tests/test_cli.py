@@ -226,6 +226,12 @@ def test_zero_lambda_is_input_error(capsys):
     _assert_input_error(capsys, ["coisotropy", PZ, "--lambda=0,0"], "--lambda", "nonzero")
 
 
+@pytest.mark.parametrize("value", ["1e-200,1e-200", "5e-324,5e-324"])
+def test_underflowing_lambda_is_input_error(capsys, value):
+    _assert_input_error(capsys, ["coisotropy", PZ, "--lambda", value], "--lambda",
+                        "squared norm 0.0", "rescale it")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", PZ],
     ["coisotropy", PZ, "--lambda", "1,1"],

@@ -1,4 +1,4 @@
-"""Inlined flow steps on standard-form charts against the step that calls the field closure.
+"""Inlined and flat flow steps against the step that calls a field closure.
 
 On a standard-form (Darboux) chart a flow takes `geometry._closed_step`:
 one Fehlberg step with f's gradient kernel and the closed-form field
@@ -8,6 +8,13 @@ fifth-order solution and error norm, bitwise where they are not NaN
 (`flows._run` rejects every non-finite x5, so NaN bits never reach a
 result), the same errors, and the same trajectories.  Both steps are
 bound as `flows._run` takes them: `step(x, h, abs_tol, rel_tol)`.
+
+On a general coframe a flow takes the spread `flows._step_program`,
+whose stages call the flat field program of f (`geometry._flat_field`)
+on their floats: the fused kernel of f and eta's coefficients and the
+solve lines of `geometry._field_program` in one call.  It must make the float
+operations, errors and trajectories of `flows._step_program` calling
+the solve with the kernels called apart (`float_fields.solve_field`).
 """
 
 from __future__ import annotations
@@ -20,11 +27,12 @@ import pytest
 
 from contactmech import _programs, expressions, flows, geometry, integrability
 from contactmech.config import bundled_config_path, load_config
-from contactmech.expressions import EvaluationDomainError, parse
+from contactmech.expressions import EvaluationDomainError, gradient_kernel, parse
 from contactmech.flows import IntegratorConfig, _calling, _compose, _flow, group_action, integrate
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.integrability import darboux_verify
 from contactmech.symplectization import symplectize
+from float_fields import solve_field
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CONFIGS = [bundled_config_path("darboux-pz"), bundled_config_path("darboux-5d-involutive"),
@@ -191,3 +199,89 @@ def test_a_second_darboux_verify_compiles_no_program(monkeypatch, pz_config, pz_
     second = darboux_verify(pz_system, section, points=points)
     assert compiled == []
     assert second.max_residual == first.max_residual and second.passed
+
+
+def _general_systems(name):
+    """The contact system of a general coframe and its symplectization."""
+    if name == "rescaled-pz":
+        system = load_config(GOLDEN / "rescaled-pz.json").system()
+    else:  # sqrt fails at q < 0 and log at z <= -1; the flat matrix is singular at z = 0
+        chart = ContactChart(("q", "p", "z"), ["-sqrt(q)*p", "0", "log(z+1)"])
+        system = ContactSystem(chart, ["p * z", "q + z"],
+                               {"q": (0.1, 2.0), "p": (0.5, 2.0), "z": (0.5, 2.0)})
+    return [system, symplectize(system)]
+
+
+def _solve_steps(system, f):
+    """(the flat step, the step calling the solve with the kernels called apart) of X_f."""
+    kernel = gradient_kernel(system.resolve(f), system.coordinates)
+    return system._step(f), _calling(solve_field(system.chart, kernel), system.dim)
+
+
+GENERAL = ["rescaled-pz", "domain-coframe"]
+
+
+@pytest.mark.parametrize("name", GENERAL)
+def test_flat_step_is_the_calling_step(name):
+    rng = np.random.default_rng(64)
+    for system in _general_systems(name):
+        integrals = system.integrals
+        generator = 2.0 * integrals[0] - 0.5 * integrals[-1]
+        outcomes = {"error": 0, "finite": 0}
+        for f in [*range(len(integrals)), generator]:
+            flat, calling = _solve_steps(system, f)
+            assert flat.func.__code__.co_filename.endswith(" spread>")
+            for x in _states(system, rng, 150):
+                h = float(rng.uniform(-0.6, 0.6))
+                got, want = _outcome(flat, x, h), _outcome(calling, x, h)
+                assert_same(got, want)
+                finite = isinstance(want, list) and all(map(math.isfinite, want))
+                outcomes["finite" if finite else "error"] += isinstance(want, tuple) or finite
+        assert outcomes["finite"] > 200, outcomes
+        # rescaled-pz fails only at a fiber r <= 0
+        assert outcomes["error"] > (100 if name == "domain-coframe" else 0), outcomes
+
+
+def _result(call):
+    """call(), or the type and message of its error: a singular flat matrix stops a flow."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", GENERAL)
+def test_flat_step_trajectories_are_the_calling_steps(name):
+    rng = np.random.default_rng(65)
+    cfg = IntegratorConfig(max_step=0.2)
+    outcomes = set()
+    for system in _general_systems(name):
+        guards, names, dim = tuple(system.positive_indices), system.coordinates, system.dim
+        fs = system.integrals
+        fields = [lambda idx=idx: solve_field(system.chart, gradient_kernel(fs[idx], names))
+                  for idx in range(len(fs))]
+        for x0 in system.sample(rng, 2):
+            for f in range(len(fs)):
+                for t in (1.3, -2.5):
+                    got = _result(lambda: integrate(system, f, x0, t, cfg))
+                    want = _result(lambda: _flow(fields[f](), x0.tolist(), t, cfg, guards, names))
+                    if isinstance(want, tuple):
+                        assert got == want
+                        outcomes.add(want[0])
+                        continue
+                    assert (got.status, got.detail) == (want.status, want.detail)
+                    assert got.times.tobytes() == want.times.tobytes()
+                    assert got.points.tobytes() == want.points.tobytes()
+                    outcomes.add(got.status)
+            times = rng.uniform(-0.8, 0.8, len(fs)).tolist()
+            got = _result(lambda: group_action(system, times, x0, cfg).tolist())
+            want = _result(lambda: _compose(lambda idx: _calling(fields[idx](), dim), fs, times,
+                                            x0.tolist(), cfg, guards, names))
+            assert got == want if isinstance(want, tuple) else _hexes(got) == _hexes(want)
+    assert flows.COMPLETED in outcomes
+    if name == "domain-coframe":
+        assert flows.EXITED_DOMAIN in outcomes and len(outcomes) > 2, outcomes
+
+
+def _hexes(values):
+    return [v.hex() for v in values]

@@ -59,6 +59,8 @@ CASES = {
                                           "--points", UNCOVERED],
     "integrate-rescaled-pz-f0": ["integrate", RESCALED, "--f", "0", "--x0", "0.5,1.2,0.8",
                                  "--t", "1.5"],
+    "integrate-rescaled-pz-f1": ["integrate", RESCALED, "--f", "1", "--x0", "0.5,1.2,0.8",
+                                 "--t", "2.0"],
     "action-angle-rescaled-pz-graph-z": ["action-angle", RESCALED, "--section", "graph-z",
                                          "--points", POINTS],
 }

@@ -75,6 +75,14 @@ def test_ray_target_rejects_a_nonfinite_direction(bad):
         RayTarget([bad, 1.0])
 
 
+@pytest.mark.parametrize("tiny", [1e-200, 5e-324])
+def test_ray_target_rejects_a_direction_whose_square_underflows(tiny):
+    # Lambda . Lambda is 0.0 in floats, and ray_project divides by it
+    with pytest.raises(ValueError, match="squared norm 0.0 in floats; rescale it"):
+        RayTarget([tiny, tiny])
+    RayTarget([tiny, 1.0])  # a direction with one entry of ordinary size stands
+
+
 def test_section_spec_validation():
     dom = {"L1": (0.5, 2.0), "L2": (0.5, 2.0)}
     with pytest.raises(ValueError):

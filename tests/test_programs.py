@@ -45,7 +45,7 @@ def test_field_program_traceback_shows_the_failing_line():
     system = ContactSystem(conformal_rescale(ContactChart.standard(1), "0.001"), ["p", "z"])
     field = system.field_evaluator("p")
     text = _formatted(ContactConditionError, lambda: field([0.1, 1.0, 1.0]))
-    assert 'File "<contactmech contact-field dim=3>"' in text
+    assert 'File "<contactmech contact-field dim=3 kernel ' in text
     assert "raise singular(point(x), det)" in text
 
 
@@ -59,14 +59,17 @@ def test_kernel_traceback_names_the_kernel_and_shows_a_line():
 
 
 def test_every_builder_has_its_source_readable():
+    general = ContactSystem(conformal_rescale(ContactChart.standard(1), "exp(q)"), ["p", "z"])
     functions = [
         expressions.gradient_kernel(parse("q * p - z"), ("q", "p", "z")),
         geometry._field_program("contact", 3, 1)["solve"],
+        general.chart._flat(general.integrals[0]),
+        flows._step_program(3, True),
         geometry._variational_program("lifted", 4),
         geometry._closed_program(symplectization._darboux_field, 4),
         geometry._closed_program(symplectization._darboux_field, 4, True),
         flows._step_program(3),
-        integrability._ray_step_program(2, 3),
+        integrability._ray_program(2, 3),
         integrability._angle_step_program(2, 4),
     ]
     for function in functions:

@@ -1,16 +1,22 @@
-"""Ray projection: the float loop against the NumPy/lstsq reference.
+"""Ray projection: the generated loop against its float and NumPy/lstsq references.
 
-`integrability.ray_project` takes each Gauss-Newton step from the
-generated least-norm program (`_ray_step_program`), and from
-`np.linalg.lstsq` only where J J^T is (nearly) singular.  The loop it
-replaced is the reference in `tests/ray_reference.py`.
+`integrability.ray_project` runs one generated Gauss-Newton program per
+integral count and dimension (`_ray_program`), which takes each step
+from the least-norm Gram solve it writes in (`_gram`), and from
+`np.linalg.lstsq` only where J J^T is (nearly) singular.  The float-list
+loop it unrolls and the NumPy loop before that are the references in
+`tests/ray_reference.py`: the first bitwise, errors included, the
+second to round-off.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import math
+import random
+import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -18,17 +24,17 @@ import numpy as np
 import pytest
 
 from contactmech import cli, integrability
-from contactmech.config import bundled_config_path, load_config
+from contactmech.config import SystemConfig, bundled_config_path, load_config
 from contactmech.expressions import EvaluationDomainError, gradient_kernel
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.integrability import (
     RayProjectionError,
     RayTarget,
     _ray_points,
-    _ray_step_program,
+    _ray_program,
     ray_project,
 )
-from ray_reference import lstsq_ray_project
+from ray_reference import float_ray_project, lstsq_ray_project, ray_step
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CONFIGS = {
@@ -49,6 +55,57 @@ RAYS = [
     ("rescaled-pz", (1.0, 1.0)), ("rescaled-pz", (1.0, -1.0)), ("rescaled-pz", (-1.0, 2.0)),
     ("cubic-5d", (1.0, 1.0, 1.0)), ("cubic-5d", (3.0, 0.2, 1.0)),
 ]
+
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+def _cubic_configs(directory: Path, count: int) -> list[Path]:
+    """count cubic-5d configs as the benchmark generates them, written to directory."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng, paths = random.Random("ray-program"), []
+    for k in range(count):
+        paths.append(directory / f"cubic-5d-{k}.json")
+        paths[-1].write_text(json.dumps(inputs.cubic_config(rng)))
+    return paths
+
+
+def _outcome(project, system, target, seed, max_iter=50):
+    """(the landing's coordinates and r, as hex), or the error's type and message."""
+    try:
+        x, r = project(system, target, seed, max_iter=max_iter)
+    except (RayProjectionError, EvaluationDomainError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in x.tolist()], r.hex()
+
+
+def test_ray_program_is_the_float_loop_bitwise(tmp_path):
+    # seeds in the box and scattered beyond it, on rays with negative entries
+    # too; a short max_iter stops some solves after a decrease that converged
+    systems = [load_config(CONFIGS[name]).system() for name in
+               ("pz", "5d-involutive", "5d-noninvolutive", "rescaled-pz")]
+    systems += [load_config(path).system() for path in _cubic_configs(tmp_path, 3)]
+    rays = {2: [(1.0, 1.0), (1.0, -1.0), (-1.0, 2.0)],
+            3: [(1.0, 1.0, 1.0), (1.0, -1.0, 0.5), (3.0, 0.2, 1.0), (-1.0, 2.0, 2.0)]}
+    rng = np.random.default_rng(8)
+    seen = {"landed": 0}
+    for system in systems:
+        for ray in rays[len(system.integrals)]:
+            target = RayTarget(ray)
+            seeds = system.sample(rng, 60)
+            seeds[30:] += rng.normal(0.0, 1.0, seeds[30:].shape)
+            for k, seed in enumerate(seeds):
+                max_iter = 2 if k % 10 == 9 else 50
+                got = _outcome(ray_project, system, target, seed, max_iter)
+                want = _outcome(float_ray_project, system, target, seed, max_iter)
+                assert got == want, (system.integrals, ray, seed.tolist())
+                kind = "landed" if isinstance(want[0], list) else re.split(" [(=]", want[1])[0]
+                seen[kind] = seen.get(kind, 0) + 1
+    assert seen["landed"] > 500, seen
+    failures = {"no convergence onto the ray", "landed at the apex F", "landed at nonpositive scale r"}
+    assert failures <= seen.keys(), seen
 
 
 def _landing(project, system, target, seed):
@@ -103,7 +160,7 @@ def test_rank_deficient_step_is_lstsq_and_lands_bitwise():
     # and below p = 1e-3 the start r = 1e-3 is off the ray, so one step runs
     system = ContactSystem(ContactChart.standard(1), ["p", "p"])
     target = RayTarget([1.0, 1.0])
-    step = _ray_step_program(2, 3)
+    step = ray_step(2, 3)  # the least-norm step that the loop writes in
     assert step([(0.0, 1.0, 0.0), (0.0, 1.0, 0.0)], [0.5, 0.5], [1.0, 1.0]) is None
     for seed in ([0.3, -5e-4, 1.0], [-1.2, 2e-4, 0.7], [0.0, 9e-4, -2.0]):
         (x, r), (x_ref, r_ref) = (project(system, target, seed)
@@ -118,20 +175,22 @@ def test_rank_deficient_step_is_lstsq_and_lands_bitwise():
 
 
 def test_kernels_bind_and_the_step_compiles_at_the_first_projection():
-    _ray_step_program.cache_clear()
+    _ray_program.cache_clear()
     system = load_config(CONFIGS["rescaled-pz"]).system()
-    assert "_fused" not in vars(system) and _ray_step_program.cache_info().misses == 0
+    assert "_fused" not in vars(system) and _ray_program.cache_info().misses == 0
     ray_project(system, RayTarget([1.0, 1.0]), [0.5, 1.2, 0.8])
     ray_project(system, RayTarget([1.0, 1.0]), [0.3, 1.0, 1.5])
     assert "_fused" in vars(system)
-    assert _ray_step_program.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert _ray_program.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_step_program_is_the_least_norm_step():
+    # the loop's least-norm step, compiled on its own, against lstsq
     rng = np.random.default_rng(3)
     for m, dim in ((2, 3), (3, 5)):
-        step = _ray_step_program(m, dim)
-        assert step.__code__.co_filename == f"<contactmech ray-step m={m} dim={dim}>"
+        assert (_ray_program(m, dim).__code__.co_filename
+                == f"<contactmech ray-project m={m} dim={dim}>")
+        step = ray_step(m, dim)
         for _ in range(50):
             TF, g, lam = rng.normal(size=(m, dim)), rng.normal(size=m), rng.normal(size=m)
             want = np.linalg.lstsq(np.hstack([TF, -lam[:, None]]), -g, rcond=None)[0]
@@ -159,6 +218,25 @@ def test_nan_kernel_raises_and_never_lands(stub, monkeypatch):
     monkeypatch.setattr(system, "_fused", stubbed)
     with pytest.raises(RayProjectionError, match="no convergence onto the ray"):
         ray_project(system, RayTarget([1.0, 1.0]), [0.0, 1.0, 2.0])
+
+
+def test_a_step_without_decrease_is_halved_to_the_end(monkeypatch):
+    # constant integrals: J = [0 | -Lambda] is rank-deficient, lstsq steps by
+    # (0, 0), and every trial's residual equals the current one, which is
+    # not a decrease: the line search halves 25 times and the solve stops
+    system = ContactSystem(ContactChart.standard(1), ["p", "z"])
+    calls = []
+
+    def constant(x):
+        calls.append(x)
+        return (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(system, "_fused", constant)
+    for project in (ray_project, float_ray_project):
+        calls.clear()
+        with pytest.raises(RayProjectionError, match=r"residual 4\.000e-01 after 50 iter"):
+            project(system, RayTarget([1.0, 2.0]), [0.3, 1.0, 1.5])
+        assert len(calls) == 26  # the seed, then 25 trials of one line search
 
 
 def test_ray_attempts_count_the_ray_project_calls(monkeypatch):

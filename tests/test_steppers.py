@@ -46,6 +46,7 @@ from contactmech.config import bundled_config_path, load_config
 from contactmech.expressions import (
     EvaluationDomainError,
     Var,
+    fused_kernel,
     gradient_evaluator,
     gradient_kernel,
 )
@@ -77,6 +78,7 @@ from float_fields import (
     lapack_lift_values,
     lapack_lifted_fields,
     reference_field,
+    solve_field,
 )
 
 RKF45 = IntegratorConfig()
@@ -466,7 +468,9 @@ def test_float_field_and_field_from_gradient_agree_on_nan_gradients(lifted, slot
     chart = system.chart
     grad = [1.0] * chart.dim
     grad[slot] = math.nan
-    got = chart._float_field(lambda _: (0.7, tuple(grad)))(x)
+    # no tree's kernel gives this gradient: the lines of the flat field
+    # programs run on it through field_from_gradient, the program's solve
+    got = chart.field_from_gradient(x, 0.7, grad)
     with np.errstate(invalid="ignore"):
         want = lapack_field(chart, x, 0.7, np.array(grad))
     assert np.isnan(got).tolist() == np.isnan(want).tolist()
@@ -514,15 +518,16 @@ def test_field_program_matches_the_reference_bitwise(name, lifted):
     points += [list(x) for x in itertools.product((0.5, 1.0, 2.0), repeat=chart.dim)]
     for f in system.integrals:
         kernel = gradient_kernel(f, chart.coordinates)
-        got, want = chart._float_field(kernel), reference_field(chart, kernel)
+        got, want = system.field_evaluator(f), reference_field(chart, kernel)
         for x in points:
             assert _hex(got(x)) == _hex(want(x)), x
-    # a NaN gradient entry in the first and in the last slot
+    # a NaN gradient entry in the first and in the last slot, which no
+    # tree's kernel gives: the solve whose lines the flat programs run
     for slot in (0, -1):
         grad = [1.0] * chart.dim
         grad[slot] = math.nan
         kernel = lambda _, grad=tuple(grad): (0.7, grad)  # noqa: E731
-        got, want = chart._float_field(kernel), reference_field(chart, kernel)
+        got, want = solve_field(chart, kernel), reference_field(chart, kernel)
         for x in points[:50]:
             assert _hex(got(x)) == _hex(want(x)), (slot, x)
 
@@ -537,7 +542,7 @@ def test_field_program_raises_the_errors_of_the_reference(n, lifted, scale):
         system, x = symplectize(system), x + [1.5]
     chart = system.chart
     kernel = gradient_kernel(system.integrals[0], chart.coordinates)
-    got = _raised(chart._float_field(kernel), x)
+    got = _raised(system.field_evaluator(0), x)
     want = _raised(reference_field(chart, kernel), x)
     assert isinstance(got, SingularStructureError if lifted else ContactConditionError)
     assert type(got) is type(want)
@@ -553,16 +558,16 @@ def test_field_program_raises_the_errors_of_the_reference(n, lifted, scale):
 
 def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluator():
     # loading a config and building its systems compiles no field program,
-    # no closed-form field, no step and no ray step
+    # no closed-form field, no step and no ray program
     programs = (geometry._field_program, geometry._closed_program, _step_program,
-                geometry._closed_step, integrability._ray_step_program)
+                geometry._closed_step, geometry._flat_field, integrability._ray_program)
     for program in programs:
         program.cache_clear()
     cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
     system, symp = cfg.system(), cfg.symp_system()
     pz = load_config(bundled_config_path("darboux-pz"))
     pz_system, pz_symp = pz.system(), pz.symp_system()
-    assert [program.cache_info().misses for program in programs] == [0, 0, 0, 0, 0]
+    assert [program.cache_info().misses for program in programs] == [0] * len(programs)
     # the closed form compiles at the first field_evaluator of its template and
     # dimension; a standard-form flow takes no call step, but the inlined step
     # of its integral's tree, at the first flow of that tree, bound once per
@@ -578,6 +583,8 @@ def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluat
     assert geometry._closed_step.cache_info()[:2] == (0, 2)
     assert pz_system._step(1).__code__.co_filename.startswith("<contactmech rkf45-step dim=3 ")
     assert _step_program.cache_info().misses == 0
+    # a general coframe compiles its kind's solve lines once per dimension,
+    # and a flat program per integral at its first field_evaluator
     x = [0.5, 1.2, 0.8]
     for run, point in ((system, x), (symp, x + [1.5])):
         first = run.field_evaluator(0)
@@ -586,25 +593,44 @@ def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluat
         first(point), second(point)
     info = geometry._field_program.cache_info()
     assert (info.misses, info.hits) == (2, 2)
-    # both integrals run the one program of their kind and dimension
-    assert first.__code__ is second.__code__
-    assert first.__code__.co_filename == "<contactmech lifted-field dim=4>"
-    # a general-coframe flow calls the field closure from the step of its
-    # state size, compiled at the first flow
+    assert geometry._flat_field.cache_info()[:2] == (0, 4)
+    names = [symp.chart._flat(f).__code__.co_filename for f in symp.integrals]
+    assert names[0] != names[1]
+    assert all(name.startswith("<contactmech lifted-field dim=4 kernel ") for name in names)
+    # a general-coframe flow calls its flat program from the spread step of
+    # its state size, compiled at the first flow, bound once per system
     assert _step_program.cache_info().misses == 0
-    integrate(system, 0, x, 0.5)
-    integrate(system, 1, x, 0.5)
-    assert _step_program.cache_info()[:2] == (1, 1)
-    assert _step_program(3).__code__.co_filename == "<contactmech rkf45-step dim=3>"
+    for f in (0, 1, 0):
+        integrate(system, f, x, 0.5)
+    assert _step_program.cache_info()[:2] == (2, 1)
+    assert system._step(0) is system._step(0)
+    assert system._step(0).args == (system.chart._flat(system.integrals[0]),)
+    assert system._step(0).func.__code__.co_filename == "<contactmech rkf45-step dim=3 spread>"
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
+def test_field_evaluator_takes_any_point_as_floats(lifted):
+    # integers and NumPy floats reach the flat program as Python floats:
+    # integer arithmetic on p = 2^53 + 1 would keep the bit that float(p) drops
+    system = _general_system("rescaled", lifted)
+    field = system.field_evaluator("p - z")
+    x = [1, 2**53 + 1, 3] + ([2] if lifted else [])
+    want = field([float(v) for v in x])
+    for point in (x, np.array(x, dtype=float), tuple(np.array(x, dtype=float))):
+        got = field(point)
+        assert all(type(v) is float for v in got) and _hex(got) == _hex(want)
 
 
 @pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
 @pytest.mark.parametrize("name", ["rescaled", "general-n2"])
 def test_field_program_names_its_kind_and_dim(name, lifted):
     system = _general_system(name, lifted)
-    kind = "lifted" if lifted else "contact"
-    field = system.field_evaluator(0)
-    assert field.__code__.co_filename == f"<contactmech {kind}-field dim={system.dim}>"
+    chart, kind = system.chart, "lifted" if lifted else "contact"
+    tree = system.integrals[0]
+    kernel = fused_kernel((tree, *chart._eta_chart.eta_coefficients), chart.coordinates)
+    field = chart._flat(tree)
+    assert field.__code__.co_filename == kernel.__code__.co_filename.replace(
+        "<contactmech", f"<contactmech {kind}-field dim={system.dim}")
     assert field.__code__.co_name == "field"
 
 
