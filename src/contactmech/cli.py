@@ -12,14 +12,20 @@ Subcommands (each takes a config JSON as first argument):
 
 Reports are canonical JSON on stdout (sorted keys, no timestamps), so a
 rerun with the same config and seed is byte-identical; wall time goes to
-stderr.  Exit codes: 0 pass, 1 a check failed, 2 bad input, 3 numerical
-failure.  The seed is resolved as --seed, else the CONTACTMECH_SEED
-environment variable, else the config seed.
+stderr.  `render_report` is the only encoder: it writes the bytes of
+json.dumps(sort_keys=True, indent=2) without json's generator chain.
+Exit codes: 0 pass, 1 a check failed, 2 bad input, 3 numerical failure.
+The seed is resolved as --seed, else the CONTACTMECH_SEED environment
+variable, else the config seed.
 
 `main` reads the config file on every call but builds its SystemConfig
-once per file content and path, so later calls in one process on the
+once per file content and path (as pathlib spells it, so ./x.json and
+x.json share one build), so later calls in one process on the
 same bytes reuse its systems, with their bound kernels; an edited file
 is built anew, and a file that fails to build fails on every call.
+`main` parses a command's arguments with that command's own parser and
+falls back to the full parser, for its messages, on anything else.  A
+config or points file nested too deeply for json exits 2, as invalid JSON.
 
 Check, section and solved-point entries are the library's records, each
 field under its _KEYS name (see _entry), so a new record field shows in
@@ -35,6 +41,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
@@ -70,12 +77,43 @@ __all__ = [
 ]
 
 SEED_ENV = "CONTACTMECH_SEED"
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
 
 
 def render_report(report: dict) -> str:
-    # json prints np.float64, a float subclass, as a float; the default turns arrays and
-    # other NumPy scalars into lists and Python numbers
-    return json.dumps(report, sort_keys=True, indent=2, default=lambda v: v.tolist()) + "\n"
+    """The text of json.dumps(report, sort_keys=True, indent=2) + "\\n", for str keys."""
+    out: list[str] = []
+    _write(report, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append value's JSON text to out, testing types in json's order; pad begins its line."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):  # np.float64 too
+        text = float.__repr__(value)
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append("[]" if sep == "[" else pad + "]")
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{"
+        for key in sorted(value):
+            out.append(sep + inner + _quote(key) + ": ")
+            _write(value[key], inner, out)
+            sep = ","
+        out.append("{}" if sep == "{" else pad + "}")
+    else:  # arrays and the other NumPy scalars, as json's default=lambda v: v.tolist()
+        _write(value.tolist(), pad, out)
 
 
 # report key of each renamed field of a library record; None leaves the field out
@@ -95,7 +133,7 @@ def _report_head(cfg: SystemConfig, command: str, seed: int) -> dict:
         "command": command,
         "config": {
             "name": cfg.name,
-            "file": Path(cfg.path).name,
+            "file": _file_name(cfg.path),
             "sha256": cfg.digest,
         },
         "seed": seed,
@@ -262,7 +300,7 @@ def _load_points(path: str, dim: int) -> tuple[list[np.ndarray], float]:
     """Read query points; rows may be base (dim) or lifted (dim + 1)."""
     try:
         data = json.loads(Path(path).read_bytes())
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or bytes no codec reads
+    except (OSError, ValueError, RecursionError) as exc:  # not JSON, no codec, too deep
         raise ConfigError(f"cannot read points file {path}: {exc}") from exc
     r_default = 1.0
     if isinstance(data, dict):
@@ -351,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's parser by name, for _parse
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("config", help="system configuration JSON")
@@ -405,14 +444,29 @@ def build_parser() -> argparse.ArgumentParser:
 # no command mutates a config, its systems or its sections
 _CACHED_CONFIGS = 8
 _config = functools.lru_cache(maxsize=_CACHED_CONFIGS)(config._from_bytes)
+# pathlib's spelling of a config argument, and a config's file name, built once per path
+_spelling = functools.lru_cache(maxsize=_CACHED_CONFIGS)(lambda arg: str(Path(arg)))
+_file_name = functools.lru_cache(maxsize=_CACHED_CONFIGS)(lambda path: Path(path).name)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The full parser's Namespace, from argv[0]'s own parser when that reads argv[1:]."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     started = time.perf_counter()
     try:
-        path = Path(args.config)  # read on every call, so an edited file is built anew
-        cfg = _config(config._read(path), str(path))
+        path = _spelling(args.config)  # read on every call, so an edited file is built anew
+        cfg = _config(config._read(path), path)
         seed = _resolve_seed(args.seed, cfg)
         report, code = args.func(cfg, args, seed)
     except (ConfigError, ExpressionError, MemoryError) as exc:  # a count too large to allocate

@@ -261,9 +261,10 @@ def load_config(path: str | Path) -> SystemConfig:
     return _from_bytes(_read(path), path)
 
 
-def _read(path: Path) -> bytes:
+def _read(path: str | Path) -> bytes:
     try:
-        return path.read_bytes()
+        with open(path, "rb") as file:  # as Path.read_bytes reads, from a str too
+            return file.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
@@ -273,7 +274,7 @@ def _from_bytes(blob: bytes, path: str | Path) -> SystemConfig:
     digest = hashlib.sha256(blob).hexdigest()
     try:
         data = json.loads(blob)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for bytes no codec reads
+    except (ValueError, RecursionError) as exc:  # not JSON, bytes no codec reads, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not _conforms(data, SCHEMA):
         _reject(data, path)

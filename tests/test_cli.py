@@ -1,8 +1,10 @@
 import hashlib
 import json
+import random
 import re
 import subprocess
 import sys
+from http import HTTPStatus
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +80,29 @@ def test_check_writes_report_file(capsys, tmp_path):
     text = capsys.readouterr().out
     assert again == 0
     assert out.read_text() == text
+
+
+@pytest.mark.parametrize("tail", ["/./absent.json", "/absent.json/", "/.", "/bad.json/."])
+def test_config_error_messages_spell_the_path_as_pathlib(capsys, tmp_path, tail):
+    # pathlib drops '.' parts and trailing slashes in the message and in the error it quotes
+    (tmp_path / "bad.json").write_text("{")
+    given, path = str(tmp_path) + tail, Path(str(tmp_path) + tail)
+    try:
+        json.loads(path.read_bytes())
+    except OSError as exc:
+        expected = f"error: cannot read config {path}: {exc}\n"
+    except ValueError as exc:
+        expected = f"error: config {path} is not valid JSON: {exc}\n"
+    assert cli.main(["check", given]) == 2
+    assert capsys.readouterr() == ("", expected)
+
+
+def test_a_config_path_reads_as_pathlib_reads_it(capsys, tmp_path):
+    # a trailing slash or '.' part names the file, as it does to pathlib
+    (tmp_path / "system.json").write_bytes(Path(PZ).read_bytes())
+    for given in [f"{tmp_path}/system.json/", f"{tmp_path}/./system.json/."]:
+        code, report, _ = run_cli(capsys, "check", given, "--samples", "3")
+        assert code == 0 and report["config"]["file"] == "system.json"
 
 
 def test_invalid_config_is_input_error(capsys, tmp_path):
@@ -487,6 +512,19 @@ def test_action_angle_points_file_that_is_not_utf8_is_input_error(capsys, tmp_pa
     _assert_input_error(capsys, argv, f"cannot read points file {path}")
 
 
+@pytest.mark.parametrize("kind", ["config", "points"])
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, kind):
+    # json.loads raises RecursionError here, not ValueError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    if kind == "config":
+        argv, message = ["check", str(path)], f"config {path} is not valid JSON"
+    else:
+        argv = ["action-angle", PZ, "--section", "graph-z", "--points", str(path)]
+        message = f"cannot read points file {path}"
+    _assert_input_error(capsys, argv, message)
+
+
 def test_action_angle_nonfinite_point_is_input_error(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"points": [[1.0, 1.0, 1.0], [NaN, 1, 1]]}')
@@ -621,6 +659,96 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert "--lambda" in cached[1][2]
 
 
+def _json_report(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, default=lambda v: v.tolist()) + "\n"
+
+
+def test_rendered_golden_reports_match_json(monkeypatch, tmp_path):
+    from test_golden import CASES, run_case
+
+    reports, render = [], cli.render_report
+    monkeypatch.setattr(cli, "render_report", lambda r: reports.append(r) or render(r))
+    for name in sorted(CASES):
+        run_case(name, tmp_path)
+    assert len(reports) == len(CASES)
+    for report in reports:
+        assert render(report) == _json_report(report)
+
+
+# json's special cases: non-finite and extreme floats, big ints, an int subclass whose repr
+# is no number, float subclasses, the NumPy values its default turns into lists or numbers,
+# and strings it escapes
+LEAVES = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, 1e16, 2**64 + 1,
+          -(2**70), True, False, None, HTTPStatus.OK, np.float64(-0.0), np.float64(np.nan),
+          np.float32(0.1), np.int64(-7), np.bool_(True), np.array(2.5), np.array([1.0, np.inf]),
+          np.arange(6.0).reshape(2, 3), np.zeros(0), 'q"uo\\te', "\x00\x1f\n\t\x7f",
+          "é ∂ 😀", ""]
+
+
+def _tree(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(5 if depth < 4 else 2)
+    if kind == 0:
+        return rng.choice(LEAVES)
+    if kind == 1:
+        return rng.choice([rng.gauss(0, 1) * 10.0 ** rng.randint(-320, 308),
+                           rng.randint(-(2**80), 2**80), rng.randint(-9, 9)])
+    items = [_tree(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 2:
+        return items
+    if kind == 3:
+        return tuple(items)
+    return {rng.choice(["a", "b", 'k"', "\\", "\n", "é", "", "Z"]) + str(i): item
+            for i, item in enumerate(items)}
+
+
+def test_renderer_matches_json_on_random_trees():
+    rng = random.Random(20231)
+    for _ in range(2000):
+        tree = _tree(rng)
+        assert cli.render_report(tree) == _json_report(tree), tree
+
+
+# argv run through main with the command dispatch and with the full parser alone;
+# OUT is a path in the test's directory
+PARSE_TABLE = {
+    "empty": [],
+    "version": ["--version"],
+    "help": ["-h"],
+    "check-help": ["check", "-h"],
+    "unknown-command": ["verify", PZ],
+    "no-config": ["check"],
+    "unknown-flag": ["check", PZ, "--bogus"],
+    "extra-argument": ["check", PZ, "extra"],
+    "flag-after-version": ["check", PZ, "--samples", "3", "--version"],
+    "bad-int": ["check", PZ, "--samples", "x"],
+    "abbreviation": ["check", PZ, "--samp", "5"],
+    "no-lambda": ["coisotropy", PZ],
+    "lambda-equals": ["coisotropy", PZ, "--lambda=-1,1", "--points", "3"],
+    "lambda-space": ["coisotropy", PZ, "--lambda", "-1,1"],
+    "double-dash": ["check", "--samples", "3", "--", PZ],
+    "integrate": ["integrate", PZ, "--seed", "3", "--f", "1", "--x0=0.5,1.2,0.8", "--t",
+                  "0.5", "--out", "OUT"],
+    "report-out": ["symplectize-verify", PZ, "--samples", "3", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("name", PARSE_TABLE)
+def test_command_dispatch_parses_as_the_full_parser(capsys, monkeypatch, tmp_path, name):
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in PARSE_TABLE[name]]
+
+    def outcome(parse):
+        seen = []
+        monkeypatch.setattr(cli, "_parse", lambda a: seen.append(parse(a)) or seen[-1])
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, re.sub(r"elapsed \d+\.\d+s\n", "", err), [vars(a) for a in seen]
+
+    assert outcome(cli._parse) == outcome(lambda a: cli.build_parser().parse_args(a))
+
+
 # ---------------------------------------------------------------------------
 # Configs built once per file content
 # ---------------------------------------------------------------------------
@@ -685,6 +813,16 @@ def test_identical_bytes_at_two_paths_report_their_own_file(capsys, tmp_path):
     assert [r["config"]["file"] for r in reports.values()] == ["a.json", "b.json"]
     reports["b.json"]["config"]["file"] = "a.json"
     assert reports["a.json"] == reports["b.json"]
+
+
+def test_spellings_of_one_path_build_it_once(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "system.json").write_bytes(Path(PZ).read_bytes())
+    cli._config.cache_clear()
+    for given in ["system.json", "./system.json", "system.json/", f"{tmp_path}/./system.json"]:
+        code, report, _ = run_cli(capsys, "check", given, "--samples", "3")
+        assert code == 0 and report["config"]["file"] == "system.json"
+    assert cli._config.cache_info()[:2] == (2, 2)  # (hits, misses): relative, then absolute
 
 
 def test_load_config_builds_anew_on_every_call():
