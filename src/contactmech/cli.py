@@ -165,8 +165,9 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
     return values
 
 
-def _cannot_write(path: str, exc: OSError) -> str:
-    return f"cannot write {path}: {exc.strerror or exc}"
+def _cannot_write(path: str, exc: OSError | ValueError) -> str:
+    """The error line of an unwritable path; a path with a NUL byte raises ValueError."""
+    return f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}"
 
 
 def _require_count(value: int, flag: str) -> None:
@@ -262,7 +263,7 @@ def cmd_integrate(cfg: SystemConfig, args, seed: int) -> tuple[dict, int]:
         raise ConfigError(f"--x0: {exc}") from None
     try:
         traj.write_csv(args.out, system.coordinates)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(_cannot_write(args.out, exc)) from None
     report = _report_head(cfg, "integrate", seed)
     report.update(
@@ -479,7 +480,7 @@ def main(argv=None) -> int:
     if args.out and not getattr(args, "out_is_csv", False):
         try:
             Path(args.out).write_text(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {_cannot_write(args.out, exc)}", file=sys.stderr)
             return 2
     sys.stdout.write(text)

@@ -265,7 +265,7 @@ def _read(path: str | Path) -> bytes:
     try:
         with open(path, "rb") as file:  # as Path.read_bytes reads, from a str too
             return file.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

@@ -27,6 +27,14 @@ its caller binds: `group_action` through the system's `_step`,
 It checks every time before the first flow, then each flow as
 `integrate` does, and keeps the states as float lists; it builds a
 Trajectory only for the FlowError of a flow that stops early.
+
+Both run the same flow loop, `_run`, and differ only in the first step
+it proposes.  A trajectory records every accepted step, so `integrate`
+ramps up from 1% of the span (`_ramp`) and its output keeps that
+density.  A composition returns only its endpoint, so each of its flows
+proposes the whole span (capped by max_step): the error control then
+accepts it in one step, as it does a translation, which RKF45
+integrates exactly, or rejects and shrinks it as for any other step.
 """
 
 from __future__ import annotations
@@ -81,7 +89,8 @@ class IntegratorConfig:
     """Integrator settings.
 
     rel_tol/abs_tol: per-step error control.
-    max_step: upper bound on the adaptive step (also the output density).
+    max_step: upper bound on the adaptive step; for `integrate` also the
+    output density (a composition records no trajectory).
     min_step: collapse threshold; going below it is a step failure.
     max_steps: hard cap on accepted steps.
 
@@ -181,7 +190,8 @@ def integrate(system, f, x0, t_final: float, config: IntegratorConfig | None = N
         raise ValueError(f"expected start point of shape ({system.dim},), got {x0.shape}")
     x = x0.tolist()
     _check_start(x, guards, names)
-    return _trajectory(*_run(step, x, float(t_final), cfg, guards, names))
+    t_final = float(t_final)
+    return _trajectory(*_run(step, x, t_final, _ramp(t_final, cfg), cfg, guards, names))
 
 
 def _check_time(t: float) -> None:
@@ -198,7 +208,13 @@ def _check_start(x: Sequence[float], guards: Sequence[int], names: Sequence[str]
 
 def _flow(field_fn, x, T, cfg, guards, names) -> Trajectory:
     """The flow of the field closure field_fn from the float list x over [0, T]."""
-    return _trajectory(*_run(_calling(field_fn, len(x)), x, T, cfg, guards, names))
+    return _trajectory(*_run(_calling(field_fn, len(x)), x, T, _ramp(T, cfg), cfg, guards, names))
+
+
+def _ramp(T: float, cfg: IntegratorConfig) -> float:
+    """`integrate`'s first step proposal: 1% of the span, at least 1e-4, at most max_step."""
+    span = abs(T)
+    return min(span, cfg.max_step, max(1e-4, 0.01 * span))
 
 
 def _trajectory(times: list, points: list, status: str, detail: str) -> Trajectory:
@@ -257,10 +273,14 @@ def _calling(field_fn: Callable, dim: int) -> Callable:
     return functools.partial(_step_program(dim), field_fn)
 
 
-def _run(step, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
+def _run(step, x, T, h, cfg, guards, names) -> tuple[list, list, str, str]:
     """The flow's accepted times and points as lists, its status and detail.
 
-    step(x, h, abs_tol, rel_tol) is a bound Fehlberg step (`_fehlberg`).
+    step(x, h, abs_tol, rel_tol) is a bound Fehlberg step (`_fehlberg`),
+    and h > 0 the first step proposal: `integrate` ramps up from
+    `_ramp`, `_compose` proposes the whole span.  From there the error
+    control grows an accepted step by at most 5x, up to max_step, shrinks
+    a rejected one by at most 10x, and halves one that fails.
     """
     if T == 0.0:
         return [0.0], [x], COMPLETED, ""
@@ -269,7 +289,6 @@ def _run(step, x, T, cfg, guards, names) -> tuple[list, list, str, str]:
     # endpoint clamping must not trip the min-step failure, so the
     # proposal h and the executed (possibly clamped) step are separate
     eps_end = 4.0 * sys.float_info.epsilon * span
-    h = min(span, cfg.max_step, max(1e-4, 0.01 * span))
     times, points = [0.0], [x]
     t = 0.0
     accepted = 0
@@ -330,9 +349,11 @@ def _compose(bind: Callable, fs: Sequence, t: Sequence[float], x: list, cfg: Int
              guards: Sequence[int], names: Sequence[str]) -> list:
     """Phi(t; x) over a float list: the flow of step bind(idx) for time t[idx], last index first.
 
-    Every time is checked before the first flow (ValueError), and zero
-    times are skipped.  Each flow checks its start point like `integrate`,
-    after binding its step (StartPointError).  A flow that stops early
+    Each flow first proposes one step over its whole time, at most
+    max_step; only its endpoint is kept.  Every time is checked before
+    the first flow (ValueError), and zero times are skipped.  Each flow
+    checks its start point like `integrate`, after binding its step
+    (StartPointError).  A flow that stops early
     raises FlowError naming fs[idx]; only then is its Trajectory built.
     """
     for time in t:
@@ -341,7 +362,8 @@ def _compose(bind: Callable, fs: Sequence, t: Sequence[float], x: list, cfg: Int
         if t[idx] != 0.0:
             step = bind(idx)
             _check_start(x, guards, names)
-            times, points, status, detail = _run(step, x, t[idx], cfg, guards, names)
+            times, points, status, detail = _run(step, x, t[idx], min(abs(t[idx]), cfg.max_step),
+                                                 cfg, guards, names)
             if status != COMPLETED:
                 raise _stopped(_trajectory(times, points, status, detail), fs[idx])
             x = points[-1]
@@ -358,7 +380,10 @@ def group_action(
     """Commuting composition of integral flows; index 0 is applied last.
 
     Phi(t_0..t_n; x) = phi^0_{t_0} after phi^1_{t_1} after ... phi^n_{t_n}(x).
-    A non-finite time raises ValueError before any flow.  Each flow of
+    Each flow starts from a whole-span step proposal (`_compose`), where
+    `flow_map` ramps up as `integrate` does, so the two agree to the
+    integrator's tolerance, not bitwise.  A non-finite time raises
+    ValueError before any flow.  Each flow of
     nonzero time is checked as `integrate` checks its start; one that
     stops early raises FlowError.
     """

@@ -771,7 +771,8 @@ def angle_solve(
     F(x)), the Jacobian columns are those closures at the endpoint, and
     every trial flows the steps through `flows._compose`, which checks
     every time first, then each flow as `integrate` does (start point,
-    early stop).
+    early stop), and starts each flow from one step over its whole time:
+    Newton's small final increments are then mostly single steps.
     The step solves the normal equations (J^T J) delta = J^T (x - endpoint)
     in a generated program (`_angle_step_program`); only where J is
     (nearly) rank-deficient does it fall back to `np.linalg.lstsq`,

@@ -5,10 +5,12 @@ solve and runs its damped Newton loop on lists of floats, composing the
 flows through `flows._compose`.  The loop it replaced is kept here: the
 residuals and the Newton Jacobian as arrays (`chart.point`, the
 generators' gradient closures and `chart._fields`), and every flow of the
-group action through `flows.flow_map`, which checks and integrates each
-flow anew.  Both take the step from the same generated normal-equation
-program (`integrability._angle_step_program`) on the same J, falling back
-to `np.linalg.lstsq` where it finds J (nearly) rank-deficient, so the
+group action through the NumPy reference stepper of `test_steppers` on
+the generator's float field closure, each flow first proposing its whole
+span as one step, as the library's compositions do.  Both take the step
+from the same generated normal-equation program
+(`integrability._angle_step_program`) on the same J, falling back to
+`np.linalg.lstsq` where it finds J (nearly) rank-deficient, so the
 solved angles, residual, iterations and fallback count must agree bitwise.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from contactmech.expressions import EvaluationDomainError, gradient_evaluator
-from contactmech.flows import FlowError, IntegratorConfig, flow_map
+from contactmech.flows import FlowError, IntegratorConfig
 from contactmech.integrability import (
     ActionAngleResult,
     IntegrabilityError,
@@ -27,18 +29,40 @@ from contactmech.integrability import (
     _detect_sign,
     _generators,
 )
+from test_steppers import _guard_violation, _run_rkf45
 
 
 def numpy_group_action(system, t, x0, config=None, integrals=None):
-    """The composition of flows, index 0 last, each through `flow_map`."""
+    """The composition of flows, index 0 last, each a whole-span reference flow.
+
+    A non-finite time (before any flow) or a start point off the domain
+    raises ValueError, a flow that stops early FlowError, each with the
+    library's message.
+    """
     fs = list(integrals) if integrals is not None else list(system.integrals)
     t = np.asarray(t, dtype=float)
     if len(t) != len(fs):
         raise ValueError(f"need {len(fs)} times, got {len(t)}")
+    cfg = config or IntegratorConfig()
+    guards = tuple(system.positive_indices)
     x = np.asarray(x0, dtype=float)
+    for T in t.tolist():
+        if not np.isfinite(T):
+            raise ValueError(f"flow time must be finite, got {T}")
     for idx in range(len(fs) - 1, -1, -1):
-        if t[idx] != 0.0:
-            x = flow_map(system, fs[idx], x, float(t[idx]), config)
+        T = float(t[idx])
+        if T == 0.0:
+            continue
+        bad = _guard_violation(x, guards, system.coordinates)
+        if bad is not None:
+            raise ValueError(f"start point outside domain: {bad}")
+        field = system.field_evaluator(fs[idx])
+        traj = _run_rkf45(lambda y: np.array(field(y.tolist())), x, T, cfg, guards,
+                          system.coordinates, whole_span=True)
+        if not traj.completed:
+            raise FlowError(f"flow of {fs[idx]!r} stopped at t = {traj.times[-1]:.6g} "
+                            f"({traj.status}: {traj.detail})", traj)
+        x = traj.endpoint()
     return x
 
 

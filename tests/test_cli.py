@@ -380,6 +380,23 @@ def test_unwritable_out_is_input_error(capsys, tmp_path, points_file, command, t
     _assert_input_error(capsys, [*argv, "--out", out], f"error: cannot write {out}: ")
 
 
+# a path with a NUL byte makes open() raise ValueError, not OSError; it
+# raised a traceback and exited 1, where --points already exits 2
+
+def test_a_config_path_with_a_nul_byte_is_input_error(capsys):
+    _assert_input_error(capsys, ["check", "a\0b"], "cannot read config a\0b: embedded null byte")
+
+
+def test_a_report_out_path_with_a_nul_byte_is_input_error(capsys):
+    argv = ["check", PZ, "--samples", "5", "--out", "a\0b"]
+    _assert_input_error(capsys, argv, "cannot write a\0b: embedded null byte")
+
+
+def test_an_integrate_csv_path_with_a_nul_byte_is_input_error(capsys):
+    argv = ["integrate", PZ, "--f", "1", "--x0", "2,3,5", "--t", "0.1", "--out", "a\0b"]
+    _assert_input_error(capsys, argv, "cannot write a\0b: embedded null byte")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", PZ, "--samples", "5"],
     ["coisotropy", PZ, "--lambda", "1,1", "--points", "3"],

@@ -18,8 +18,10 @@ from contactmech.flows import (
     variational_group_action,
 )
 from contactmech.geometry import ContactChart, ContactSystem
+from contactmech.integrability import angle_solve
 from contactmech.symplectization import symplectize
 from identities import dissipation_residual
+from test_acceptance import N2_SECTION, N2_SYSTEMS
 
 X0 = np.array([2.0, 3.0, 5.0])
 
@@ -203,6 +205,79 @@ def test_group_action_skips_zero_times(pz_system):
     got = group_action(pz_system, np.array([0.3, 0.0]), X0)
     assert np.allclose(got, flow_map(pz_system, "p", X0, 0.3), atol=1e-12)
     assert np.array_equal(group_action(pz_system, np.zeros(2), X0), X0)
+
+
+def _spied_steps(monkeypatch, system) -> list:
+    """The h of every step call the system's bound steps make from now on."""
+    calls, bind = [], system._step
+
+    def spying(f):
+        step = bind(f)
+        return lambda x, h, *tols: calls.append(h) or step(x, h, *tols)
+
+    monkeypatch.setattr(system, "_step", spying)
+    return calls
+
+
+def test_a_composed_translation_flow_is_one_step(monkeypatch, pz_system):
+    # RKF45 integrates the flow of p, a unit-speed translation in q, exactly:
+    # a composition proposes its whole span and takes it in one step call,
+    # while integrate records its ramp from 1% of the span
+    calls = _spied_steps(monkeypatch, pz_system)
+    assert group_action(pz_system, [1.3, 0.0], X0).tolist() == [3.3, 3.0, 5.0]
+    assert calls == [1.3]
+    calls.clear()
+    traj = integrate(pz_system, "p", X0, 1.3)
+    assert traj.times.tolist() == [0.0, 0.013000000000000001, 0.078, 0.403, 1.3]
+    assert len(calls) == 4
+    # max_step still caps a composition's steps
+    calls.clear()
+    group_action(pz_system, [1.3, 0.0], X0, IntegratorConfig(max_step=0.5))
+    assert calls == [0.5, 0.5, 1.3 - 1.0]
+
+
+@pytest.mark.parametrize("t", [8.0, -3.0])
+def test_a_rejected_whole_span_step_shrinks_to_the_closed_form(monkeypatch, pz_system, t):
+    # the flow of z scales (p, z) by exp(-t); no step of the whole span holds
+    calls = _spied_steps(monkeypatch, pz_system)
+    got = group_action(pz_system, [0.0, t], X0)
+    assert calls[0] == t and abs(calls[1]) < abs(t)
+    want = np.array([2.0, 3.0 * np.exp(-t), 5.0 * np.exp(-t)])
+    assert np.max(np.abs(got - want) / want) < 1e-8
+
+
+# Closed-form angle coordinates: (q, -log z) on graph-z and (q - z/p,
+# -log p) on graph-p for darboux-pz, and the N2_SYSTEMS angles at n = 2.
+# With the 1%-of-span ramp before every composed flow, the worst errors
+# over these points were 1.08e-9 (graph-z), 1.15e-9 (graph-p), 9.34e-10
+# (standard) and 9.52e-10 (twin); the whole-span start must stay below
+# 1.5e-9 on each.
+ANGLE_ERROR_BOUND = 1.5e-9
+
+
+@pytest.mark.parametrize("name", ["graph-z", "graph-p"])
+def test_darboux_angles_match_their_closed_forms(pz_config, pz_symp, name):
+    section = pz_config.section(name)
+    worst = 0.0
+    for x in pz_symp.sample(np.random.default_rng(70), 300):
+        q, p, z, _ = x
+        want = [q, -np.log(z)] if name == "graph-z" else [q - z / p, -np.log(p)]
+        worst = max(worst, float(np.max(np.abs(angle_solve(pz_symp, section, x).y - want))))
+    assert worst < ANGLE_ERROR_BOUND
+
+
+@pytest.mark.parametrize("name", sorted(N2_SYSTEMS))
+def test_n2_angles_match_their_closed_forms(name):
+    integrals, last_angle = N2_SYSTEMS[name]
+    symp = symplectize(ContactSystem(ContactChart.standard(2), integrals))
+    rng = np.random.default_rng(72)
+    points = np.column_stack([rng.uniform(-1.0, 1.0, (100, 2)), rng.uniform(0.6, 1.9, (100, 3))])
+    worst = 0.0
+    for x in points:
+        q1, q2, _, _, z = x
+        sol = angle_solve(symp, N2_SECTION, np.append(x, 1.0))
+        worst = max(worst, float(np.max(np.abs(sol.y - [q1, q2, last_angle(q1, q2, z)]))))
+    assert worst < ANGLE_ERROR_BOUND
 
 
 def test_group_action_length_check(pz_system):

@@ -138,11 +138,12 @@ def _rkf_step(field_fn, x, h):
     return x4, x5
 
 
-def _run_rkf45(field_fn, x0, T, cfg, guards, names):
+def _run_rkf45(field_fn, x0, T, cfg, guards, names, whole_span=False):
+    """The RKF45 flow; its first step proposal is the whole span if whole_span, else 1% of it."""
     sign = 1.0 if T > 0 else -1.0
     span = abs(T)
     eps_end = 4.0 * np.finfo(float).eps * span
-    h = min(span, cfg.max_step, max(1e-4, 0.01 * span))
+    h = min(span, cfg.max_step) if whole_span else min(span, cfg.max_step, max(1e-4, 0.01 * span))
     times, points = [0.0], [x0.copy()]
     x, t = x0, 0.0
     accepted = 0
