@@ -94,7 +94,7 @@ def _tup(prefix: str, count: int) -> str:
 
 
 def _fdot(a, b):
-    """a . b over floats, sources or pairs, left to right from 0.0 (`_dot`'s bits at length 1)."""
+    """a . b over floats, arrays, sources or pairs, left to right from 0.0 (`_dot`'s bits)."""
     total = 0.0
     for u, v in zip(a, b):
         total += u * v

@@ -462,6 +462,11 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _complain(kind: str, message: str) -> None:
+    """Print "kind: message" to stderr, a NUL byte (which a path may hold) spelled \\x00."""
+    print(f"{kind}: " + message.replace("\0", "\\x00"), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     started = time.perf_counter()
@@ -471,17 +476,17 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args.seed, cfg)
         report, code = args.func(cfg, args, seed)
     except (ConfigError, ExpressionError, MemoryError) as exc:  # a count too large to allocate
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _complain("error", str(exc) or "out of memory")
         return 2
     except (GeometryError, SymplectizationError, IntegrabilityError, FlowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _complain("numerical failure", str(exc))
         return 3
     text = render_report(report)
     if args.out and not getattr(args, "out_is_csv", False):
         try:
             Path(args.out).write_text(text)
         except (OSError, ValueError) as exc:
-            print(f"error: {_cannot_write(args.out, exc)}", file=sys.stderr)
+            _complain("error", _cannot_write(args.out, exc))
             return 2
     sys.stdout.write(text)
     print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)

@@ -44,12 +44,12 @@ cannot vouch for, and a single point, run the float program row by row,
 so every value is the float program's and every error its first
 failing row's.
 
-Stacked det, solve and svd reproduce their per-matrix results bitwise;
-the min |det| values of the reports are LAPACK's (`np.linalg.det` of
-`_flat`, and the symplectization's `_omegas`).  A dot product is the
-stacked-vector product `_dot`, which reproduces the 1-D `@` bitwise;
-`np.einsum` and a matrix-vector `@` sum in other orders and move the
-last bits of the reports.
+Every dot product of a report sums left to right from 0.0, as `_fdot`
+and the generated programs sum: `_dot` over stacks, and `_fdot` itself
+in the closed template over arrays, so no report's last bits depend on
+the BLAS build.  Stacked det reproduces the per-matrix det bitwise; the
+min |det| values of the reports are LAPACK's (`np.linalg.det` of
+`_flat`, and the symplectization's `_omegas`).
 """
 
 from __future__ import annotations
@@ -171,13 +171,8 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over the last axis, broadcast over the leading axes.
-
-    The stacked-vector product reproduces the 1-D `a @ b` bitwise.
-    """
-    if a.ndim == b.ndim == 1:
-        return a @ b
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """a . b over the last axis, broadcast: left to right, + 0.0 for +0.0 zero sums, as `_fdot`."""
+    return np.add.accumulate(a * b, axis=-1)[..., -1] + 0.0
 
 
 def _max_abs(values: Sequence[float]) -> float:
@@ -766,10 +761,10 @@ class ContactChart(_Chart):
             return self._etas(xs), deta
         if rows is None:
             rows = self._float_coframes(xs)
-        # eta_b at [..., b, 0] and d_a eta_b at [..., b, 1 + a]; eta copied as in gradient_stack
+        # eta_b at [..., b, 0] and d_a eta_b at [..., b, 1 + a]
         flat = rows.reshape(xs.shape + (self.dim + 1,))
         jac = flat[..., 1:]
-        return np.ascontiguousarray(flat[..., 0]), jac.swapaxes(-1, -2) - jac
+        return flat[..., 0], jac.swapaxes(-1, -2) - jac
 
     def flat_matrix_at(self, x, coframe=None) -> np.ndarray:
         """B = d eta + eta eta^T at a point, or at each row of a stack (N, dim).
@@ -896,7 +891,7 @@ def _stacked(template, n: int, x: np.ndarray, value, grad: np.ndarray) -> np.nda
     X = np.empty(grad.shape)
     XT = X.T
     value = value.T if isinstance(value, np.ndarray) else value
-    components = template(n, x.T, value, grad.T, lambda a, b: _dot(a.T, b.T).T)
+    components = template(n, x.T, value, grad.T, _fdot)
     for i, component in enumerate(components):
         XT[i] = component
     return X
@@ -1086,9 +1081,7 @@ class _System:
         flat = in_blocks(lambda columns: self._fused_rows(columns), lambda x: self._fused(x),
                          m * width, xs)
         jets = flat.reshape(len(xs), m, width)
-        # copies: BLAS sums a strided vector of four or more entries in
-        # another order, which would move the last bits of `_dot`s
-        return np.ascontiguousarray(jets[..., 0]), np.ascontiguousarray(jets[..., 1:])
+        return jets[..., 0], jets[..., 1:]
 
     def integral_values(self, x) -> np.ndarray:
         """The integrals' values at x, from one call of the fused kernel."""

@@ -350,7 +350,7 @@ def _rank(system, points, jacobians, tolerance=1e-8, seed=None) -> RankReport:
 def _membership(target: RayTarget, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares ray residual and the fitted scale r* of integral values F (..., m)."""
     lam = target.direction
-    r_star = _dot(F, lam) / (lam @ lam)
+    r_star = _dot(F, lam) / _fdot(lam, lam)
     return _norm(F - r_star[..., None] * lam), r_star
 
 
@@ -602,8 +602,8 @@ def _tangency(system, points, jets, tolerance) -> TangencyReport:
     then c, then pairs a < b.
     """
     f = jets.values
-    # rates[:, c, b] = X_c(f_b), the matrix-vector product gradients @ X_c
-    rates = (jets.gradients[:, None] @ jets.fields[..., None])[..., 0]
+    # rates[:, c, b] = X_c(f_b)
+    rates = _dot(jets.gradients[:, None], jets.fields[:, :, None])
     a, b = _pairs(f.shape[1])
     contractions = np.abs(f[:, None, a] * rates[:, :, b] - f[:, None, b] * rates[:, :, a])
     worst, at = _first_max(contractions)
@@ -672,7 +672,7 @@ def verify_section(
         F = symp_system.integral_values(point)
         res_plus = max(res_plus, float(np.max(np.abs(F - lam))))
         res_minus = max(res_minus, float(np.max(np.abs(F + lam))))
-        pullback = symp_system.chart.theta_at(point) @ section.chi_jacobian_at(lam)
+        pullback = _dot(symp_system.chart.theta_at(point), section.chi_jacobian_at(lam).T)
         horiz = max(horiz, float(np.max(np.abs(pullback))))
     if res_plus <= tolerance:
         sign = 1
@@ -885,7 +885,7 @@ def angle_solve(
         end, gn = end_try, gn_try
 
     f_base = np.array(symp_system.base._fused(xs[:-1])[:: len(xs)])
-    A = M @ f_base
+    A = _dot(M, f_base)
     if section.denominator_index is not None:
         d = section.denominator_index
     else:
@@ -972,9 +972,10 @@ def _darboux_covector(symp, section, xb, r_ref, cfg, basis) -> tuple[np.ndarray,
     )
     dF = np.array([grad[:-1] for _, grad in vgs])
     J = np.column_stack([symp.hamiltonian_field_at(G, x) for G in generators])
-    grad_y, *_ = np.linalg.lstsq(J, np.eye(len(x))[:, :-1] - carried @ dF, rcond=None)
+    rhs = np.eye(len(x))[:, :-1] - _dot(carried[:, None], dF.T)
+    grad_y, *_ = np.linalg.lstsq(J, rhs, rcond=None)
     d = center.denominator_index
-    covector = np.insert(-center.A_tilde, d, 1.0) @ grad_y
+    covector = _dot(np.insert(-center.A_tilde, d, 1.0), grad_y.T)
     return covector, -symp.base.chart.eta_at(xb) / center.A[d]
 
 

@@ -235,7 +235,7 @@ def test_integrate_argument_validation(capsys, tmp_path):
 def _assert_input_error(capsys, argv, *fragments):
     assert cli.main(argv) == 2, argv
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "" and "\0" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     for fragment in fragments:
@@ -383,18 +383,27 @@ def test_unwritable_out_is_input_error(capsys, tmp_path, points_file, command, t
 # a path with a NUL byte makes open() raise ValueError, not OSError; it
 # raised a traceback and exited 1, where --points already exits 2
 
+# the error line spells the NUL byte \x00, so that a terminal or a log shows the whole path
 def test_a_config_path_with_a_nul_byte_is_input_error(capsys):
-    _assert_input_error(capsys, ["check", "a\0b"], "cannot read config a\0b: embedded null byte")
+    assert cli.main(["check", "a\0b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read config a\\x00b: embedded null byte\n"
 
 
 def test_a_report_out_path_with_a_nul_byte_is_input_error(capsys):
     argv = ["check", PZ, "--samples", "5", "--out", "a\0b"]
-    _assert_input_error(capsys, argv, "cannot write a\0b: embedded null byte")
+    _assert_input_error(capsys, argv, "cannot write a\\x00b: embedded null byte")
 
 
 def test_an_integrate_csv_path_with_a_nul_byte_is_input_error(capsys):
     argv = ["integrate", PZ, "--f", "1", "--x0", "2,3,5", "--t", "0.1", "--out", "a\0b"]
-    _assert_input_error(capsys, argv, "cannot write a\0b: embedded null byte")
+    _assert_input_error(capsys, argv, "cannot write a\\x00b: embedded null byte")
+
+
+def test_a_points_path_with_a_nul_byte_is_input_error(capsys):
+    argv = ["action-angle", PZ, "--section", "graph-z", "--points", "a\0b"]
+    _assert_input_error(capsys, argv, "cannot read points file a\\x00b: embedded null byte")
 
 
 @pytest.mark.parametrize("argv", [

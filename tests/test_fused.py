@@ -198,7 +198,8 @@ def test_a_stack_fails_at_the_per_tree_loops_row(monkeypatch):
 
 def test_stacked_values_dot_as_the_per_tree_arrays():
     # at m >= 4 BLAS sums a strided column in another order than a
-    # contiguous one: the stack's arrays must be contiguous copies
+    # contiguous one; `_dot` sums in one order, so strided operands dot
+    # as contiguous copies do
     chart = ContactChart.standard(3)
     integrals = ["p1 * q2 + z", "p2 - q3 * p1", "exp(q1 / 4) * p3", "z * z + q1"]
     system = ContactSystem(chart, integrals, dict.fromkeys(chart.coordinates, (0.5, 2.0)))
@@ -208,7 +209,10 @@ def test_stacked_values_dot_as_the_per_tree_arrays():
     kernels = [gradient_kernel(f, system.coordinates) for f in system.integrals]
     want = np.array([[kernel(x)[0] for kernel in kernels] for x in xs.tolist()])
     assert _bits(_dot(values, lam)) == _bits(_dot(want, lam))
-    assert values.flags.c_contiguous and grads.flags.c_contiguous
+    strided = np.stack([values, values], axis=-1)[..., 0]
+    assert _bits(_dot(strided, lam)) == _bits(_dot(np.ascontiguousarray(values), lam))
+    rates = _dot(grads, np.ascontiguousarray(grads[:, ::-1]))
+    assert rates.tobytes() == _dot(np.ascontiguousarray(grads), grads[:, ::-1]).tobytes()
 
 
 @pytest.mark.parametrize("path", [bundled_config_path("darboux-pz"), GOLDEN / "cubic-5d.json",

@@ -26,7 +26,14 @@ import pytest
 from contactmech import cli
 from contactmech.config import bundled_config_path, load_config
 from contactmech.expressions import EvaluationDomainError
-from contactmech.geometry import ContactChart, ContactConditionError, ContactSystem, Jets
+from contactmech.geometry import (
+    ContactChart,
+    ContactConditionError,
+    ContactSystem,
+    Jets,
+    _dot,
+    _fdot,
+)
 from contactmech.integrability import (
     RayTarget,
     coisotropy_check,
@@ -34,7 +41,7 @@ from contactmech.integrability import (
     tangency_check,
 )
 from contactmech.symplectization import symplectize
-from float_fields import _general_system
+from float_fields import _cubic_system, _general_system
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CONFIGS = {
@@ -83,6 +90,51 @@ def test_stacked_rows_equal_single_points(name):
     points = system.sample(np.random.default_rng(2024), 64)
     _assert_rows_match_single_points(system, symp, points)
     _assert_rows_match_single_points(system, symp, points[:1])
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "lifted"])
+def test_one_field_per_point_at_n2(lifted):
+    # the closed template over arrays sums its dot product as the compiled
+    # closure does, left to right from 0.0 (`_fdot`), not as BLAS would
+    system = _cubic_system()
+    if lifted:
+        system = symplectize(system)
+    points = system.sample(np.random.default_rng(2026), 300)
+    for f in range(len(system.integrals)):
+        run = system.field_evaluator(f)
+        for x in points:
+            want = np.array(run(x.tolist()))
+            assert system.hamiltonian_field_at(f, x).tobytes() == want.tobytes(), (f, x)
+
+
+def _fdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_fdot` of the last axes of a and b (broadcast), entry by entry, over floats."""
+    a, b = np.broadcast_arrays(a, b)
+    out = [_fdot(u, v) for u, v in zip(a.reshape(-1, a.shape[-1]).tolist(),
+                                        b.reshape(-1, b.shape[-1]).tolist())]
+    return np.array(out).reshape(a.shape[:-1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 and inf - inf
+def test_dot_is_fdot_bitwise():
+    rng = np.random.default_rng(8)
+    for length in (1, 2, 3, 4, 5, 8, 17):
+        a, b = rng.normal(size=(2, 40, length)) * np.exp(rng.normal(scale=8, size=(2, 40, length)))
+        c = rng.normal(size=(length, 40)).T
+        # stacked, single, strided, transposed and broadcast operands
+        for u, v in ((a, b), (a[0], b[0]), (a[::2], c[1::2]), (a[:, None], b[None, :5])):
+            assert _dot(u, v).tobytes() == _fdots(u, v).tobytes()
+    # sums of zeros, starting with -0.0 or not: _fdot's sum is +0.0
+    zeros = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+    ones = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
+    assert _dot(zeros, ones).tobytes() == _fdots(zeros, ones).tobytes()
+    assert np.signbit(_dot(zeros, ones)).tolist() == [False] * 4
+    # exact cancellation, and NaN and infinite entries
+    special = np.array([[1.0, -1.0, 0.0], [np.inf, 1.0, -np.inf], [np.nan, 2.0, 3.0],
+                        [1.0, np.inf, 1.0], [0.0, np.inf, 1.0], [1e308, 1e308, -1e308]])
+    weights = np.array([[1.0, 1.0, 5.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+                        [1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [10.0, 10.0, 10.0]])
+    assert _dot(special, weights).tobytes() == _fdots(special, weights).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,34 @@ def test_liouville_field_at_reference(pz_symp):
     assert check.value <= 1e-12 and check.passed
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_liouville_field_is_exact_on_a_standard_form_base(n):
+    # Delta is the closed template's field of value 0 and differential
+    # -theta: (0, .., 0, r), with no round-off
+    chart = ContactChart.standard(n)
+    integrals = [*chart.coordinates[n : 2 * n], "z"]
+    system = ContactSystem(chart, integrals, dict.fromkeys(chart.coordinates, (-2.0, 2.0)))
+    symp = symplectize(system)
+    check = lift_check(symp, symp.sample(np.random.default_rng(4), 50)).checks[1]
+    assert check.name == "liouville-field" and check.value == 0.0 and check.passed
+
+
+def test_a_singular_omega_raises_before_any_field_solve(monkeypatch):
+    # eta = dz: omega is singular everywhere, and the field program would
+    # raise too; the det of _omegas must raise first, at the first point
+    base = ContactChart(("q", "p", "z"), ["0", "0", "1"])
+    symp = symplectize(ContactSystem(base, ["p", "z"], dict.fromkeys(base.coordinates, (0.5, 2.0))))
+    calls = []
+    fields = SympChart._fields
+    monkeypatch.setattr(SympChart, "_fields",
+                        lambda self, *args: calls.append(1) or fields(self, *args))
+    points = symp.sample(np.random.default_rng(0), 5)
+    with pytest.raises(SingularStructureError) as caught:
+        lift_check(symp, points)
+    assert calls == []
+    assert np.array_equal(caught.value.point, points[0]) and caught.value.det == 0.0
+
+
 def test_liouville_contraction_recovers_theta(schart, rng):
     # Delta = r d/dr fills the first slot: omega(Delta, .) = -theta
     for _ in range(5):
@@ -284,8 +312,8 @@ def test_lift_check_runs_the_base_coframe_once_per_point(monkeypatch):
 
 
 def test_lift_check_builds_omega_once_per_stack(monkeypatch):
-    # one omega serves the min |det| and the Liouville solve; the lifted
-    # fields write omega^T in the field program, from the same base coframe
+    # one omega serves the min |det|; the lifted fields and the Liouville
+    # field write omega^T in the field program, from the same base coframe
     cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
     symp = cfg.symp_system()
     points = symp.sample(np.random.default_rng(0), 50)
