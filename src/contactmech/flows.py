@@ -8,13 +8,12 @@ arrays, whose per-call overhead dominates.  A step is one generated
 straight-line function, written by `_fehlberg` with the lines of each of
 its six stages left to a stage renderer, and bound to one field, which
 the flow loop `_run` calls as step(x, h, abs_tol, rel_tol).  The
-system's `_step` lookup gives it: on standard-form charts
-`geometry._closed_step`, which writes f's gradient kernel and the closed
-form into every stage, so that a step makes one Python call; elsewhere
-`_step_program` ("<contactmech rkf45-step dim=D[ spread]>"), whose
-stages call f's flat field program on their floats (general coframes)
-or the variational closure on a float list.  `_programs.program`
-compiles each, so a traceback through them shows the generated line.
+system's `_step` lookup gives it: `geometry._field_step`, which writes
+f's kernel and the field lines of its chart into every stage, so that a
+step makes one Python call on every chart; the variational flows take
+`_step_program` ("<contactmech rkf45-step dim=D>"), whose stages call
+the variational closure on a float list.  `_programs.program` compiles
+each, so a traceback through them shows the generated line.
 Trajectories record every accepted step, as arrays built once at the
 end; leaving the chart domain (a positivity guard crossing zero, or an
 expression domain error in the field) truncates the trajectory with an
@@ -224,48 +223,50 @@ def _trajectory(times: list, points: list, status: str, detail: str) -> Trajecto
 def _fehlberg(name: str, args: str, dim: int, stage: Callable, namespace: dict) -> Callable:
     """Compile `def step(<args>)`: one Fehlberg step over the dim floats of x, straight-line.
 
-    The lines stage(s, inputs, line) compute stage s, assigning k<s>_<i> for
-    each coordinate i from the stage's state, inputs[i]: the source of
-    x_i + (h a_s0) k0_i + ... left to right, x<i> at s = 0.  `line` is the
-    file line number of the first line that stage writes.  The step returns
-    the fifth-order solution x5 and the error norm
+    The step unpacks x into z<i>, and the lines stage(s, inputs, line)
+    compute stage s, assigning k<s>_<i> for each coordinate i from the
+    stage's state, inputs[i]: the source of z_i + (h a_s0) k0_i + ... left
+    to right, z<i> at s = 0.  `line` is the file line number of the first
+    line that stage writes.  The weights h a_sj, h b4_j and h c5_j are the
+    locals ha<s>_<j>, hb<j> and hc<j>, which no kernel or field line
+    writes.  The step returns the fifth-order solution x5 and the error norm
     max_i |x5_i - x4_i| / (abs_tol + rel_tol max(|x_i|, |x5_i|)), NaN if a
     term is, so that a NaN rejects the step (max() keeps a NaN only in first
     place); x4 and x5 keep the zero weights, which decide signs of zero and
     spread NaNs.  The lines run in namespace, compiled as file `name`.
     """
     def sums(i: int, weights: str, stages: int) -> str:
-        return f"x{i}" + "".join(f" + {weights}{j} * k{j}_{i}" for j in range(stages))
+        return f"z{i}" + "".join(f" + {weights}{j} * k{j}_{i}" for j in range(stages))
 
-    weights = [*((f"a{s}_", a) for s, a in enumerate(_A)), ("b", _B4), ("c", _B5)]
+    weights = [*((f"ha{s}_", a) for s, a in enumerate(_A)), ("hb", _B4), ("hc", _B5)]
     lines = [f"def step({args}):", *(f"    {name}{j} = h * {w!r}" for name, ws in weights
-                                     for j, w in enumerate(ws)), f"    {_names('x', dim)}, = x"]
+                                     for j, w in enumerate(ws)), f"    {_names('z', dim)}, = x"]
     for s in range(6):
-        inputs = [sums(i, f"a{s}_", s) for i in range(dim)]
+        inputs = [sums(i, f"ha{s}_", s) for i in range(dim)]
         lines += [f"    {line}" for line in stage(s, inputs, len(lines) + 1)]
     for i in range(dim):
-        lines += [f"    y{i} = {sums(i, 'c', 6)}", f"    e{i} = abs(y{i} - ({sums(i, 'b', 6)})) / "
-                  f"(abs_tol + rel_tol * max(abs(x{i}), abs(y{i})))"]
+        lines += [f"    y{i} = {sums(i, 'hc', 6)}",
+                  f"    e{i} = abs(y{i} - ({sums(i, 'hb', 6)})) / "
+                  f"(abs_tol + rel_tol * max(abs(z{i}), abs(y{i})))"]
     nan = " or ".join(f"e{i} != e{i}" for i in range(dim))
     lines.append(f"    return [{_names('y', dim)}], nan if {nan} else max(({_names('e', dim)},))")
     return program(name, lines, {**namespace, "nan": math.nan}, "step")
 
 
 @functools.lru_cache(maxsize=None)
-def _step_program(dim: int, spread: bool = False) -> Callable:
+def _step_program(dim: int) -> Callable:
     """`step(field, x, h, abs_tol, rel_tol)`: the `_fehlberg` step that calls field six times.
 
-    field maps a float list to the field there as a float list, or with
-    spread true the stage's floats, as arguments, to a sequence
-    (`geometry._flat_field`).  Compiled at the first flow of each state
-    size that takes it, as "<contactmech rkf45-step dim=DIM[ spread]>".
+    field maps a float list to the field there as a float list.  Compiled
+    at the first flow of each state size that takes it, as
+    "<contactmech rkf45-step dim=DIM>".
     """
     def stage(s: int, inputs: Sequence[str], line: int) -> list[str]:
-        state = ", ".join(inputs) if spread else "x" if s == 0 else f"[{', '.join(inputs)}]"
+        state = "x" if s == 0 else f"[{', '.join(inputs)}]"
         return [f"{_names(f'k{s}_', dim)}, = field({state})"]
 
-    name = f"<contactmech rkf45-step dim={dim}{' spread' if spread else ''}>"
-    return _fehlberg(name, "field, x, h, abs_tol, rel_tol", dim, stage, {})
+    return _fehlberg(f"<contactmech rkf45-step dim={dim}>", "field, x, h, abs_tol, rel_tol", dim,
+                     stage, {})
 
 
 def _calling(field_fn: Callable, dim: int) -> Callable:

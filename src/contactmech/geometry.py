@@ -6,20 +6,22 @@ when the coefficients are structurally those of the standard form
 dz - p_i dq^i the chart takes closed-form fast paths, otherwise every
 operator goes through the flat-map solve.  The closed-form field is one
 template, `_darboux_field`, run over arrays (point stacks) and over
-forward-mode pairs of source symbols, which `_closed_program` compiles
-into the field closure and, on f's jet kernel, the variational closure,
-and `_closed_step` writes into every stage of a flow step; no caller
-re-checks eta(X_f) = -f, which holds for it identically.  On
-general coframes every field and tangent comes from a generated float
-program per chart kind ("lifted" upstairs) and dimension:
-`_field_program`, one elimination per point for det B, the Reeb field
-and B^-T df of m functions, with its checks and errors, run by single
-points; its row-block twin `_field_rows` over NumPy columns, run by
-point stacks; `_flat_field`, its lines for one function after the fused
-kernel of f and eta's coefficients, run by flows and `field_evaluator`;
-and `_variational_program`, those lines, then one more elimination per
-tangent for DX_f dx.  None takes a LAPACK solve; `_programs` holds their
-emitters and compiles them (`program`).
+source symbols: over forward-mode pairs of them `_closed_program`
+compiles it, on f's jet kernel, into the variational closure; no caller
+re-checks eta(X_f) = -f, which holds for it identically.  On general
+coframes every field and tangent comes from a generated float program
+per chart kind ("lifted" upstairs) and dimension: `_field_program`, one
+elimination per point for det B, the Reeb field and B^-T df of m
+functions, with its checks and errors, run by single points; its
+row-block twin `_field_rows` over NumPy columns, run by point stacks;
+and `_variational_program`, its lines, then one more elimination per
+tangent for DX_f dx.  One emitter, `_field_source`, writes X_f at a
+state's floats on every chart: f's kernel lines, then the template over
+source symbols or the field program's lines for one function.  Its
+lines make the `field_evaluator` closure (`_field_evaluator`) and every
+stage of a flow step (`_field_step`), one Python call each.  None takes
+a LAPACK solve; `_programs` holds the emitters' helpers and compiles
+every program (`program`).
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -88,7 +89,7 @@ from .expressions import (
     jet2_kernel,
     parse,
 )
-from .flows import _fehlberg, _step_program
+from .flows import _fehlberg
 
 __all__ = [
     "GeometryError",
@@ -140,6 +141,14 @@ def _as_expr(f: Expr | str, names: Sequence[str], what: str) -> Expr:
     if extra:
         raise ValueError(f"{what} uses unknown names {sorted(extra)}")
     return f
+
+
+def _point(x, dim: int) -> np.ndarray:
+    """x as a float array of shape (dim,), else ValueError: `_Chart.point`'s shape check."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise ValueError(f"expected point of shape ({dim},), got {x.shape}")
+    return x
 
 
 def _exceeds(resid, tol: float, values=(), vectors=()):
@@ -211,9 +220,9 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     chart's, for the errors).  It returns one list: the components of the
     m fields, then on the contact kind the m Reeb derivatives and the Reeb
     field (at m = 0 the Reeb field alone).  `lines` holds its source
-    lines at one point, on which `_flat_field` (flows and
-    `field_evaluator`, at m = 1) and `_variational_program` build, and
-    `body` and `result` those of `solve`, on which `_field_rows` builds.
+    lines at one point, on which `_field_source` (at m = 1) and
+    `_variational_program` build, and `body` and `result` those of
+    `solve`, on which `_field_rows` builds.
 
     Elimination is `_eliminate`'s on [A | b_1 .. b_k]; a zero pivot
     raises, so det A reads 0.0 there, as NumPy's det does.  No column
@@ -305,43 +314,6 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     count = "" if m == 1 else f" m={m}"
     program(f"<contactmech {kind}-field dim={dim}{count}>", source, namespace, "solve")
     return namespace
-
-
-@functools.lru_cache(maxsize=512)
-def _flat_field(kind: str, kernel: Callable) -> Callable:
-    """`field(x0, .., x<dim-1>)`: X_f at a point as a tuple, for flows and `field_evaluator`.
-
-    kernel is the fused kernel of f and eta's coefficients (`_Chart._flat`).
-    The program runs the lifted kind's fiber test, the kernel's lines in a
-    try block that raises its EvaluationDomainError, then the lines of
-    `_field_program(kind, dim, 1)` on its outputs (lifted: less eta's
-    r-derivatives): that solve's floats and errors, in one call.  Compiled
-    as "<contactmech KIND-field dim=DIM kernel N>".
-    """
-    dim, lines, _, outputs, errors = kernel.emitted
-    lifted = kind == "lifted"
-    d = dim - 1 if lifted else dim
-    field = _field_program(kind, dim, 1)
-    # f's value and gradient, then eta_i and its gradient over the d base coordinates
-    taken = [*outputs[: dim + 1],
-             *(e for i in range(1, d + 1) for e in outputs[i * (dim + 1) : i * (dim + 1) + d + 1])]
-    names = ["value0", *(f"g0_{i}" for i in range(dim)), *_coframe_names(d).split(", ")[:-1]]
-    source = ["def field(*x):", f"    {_names('x', dim)}, = x"]
-    if lifted:  # SympChart.point's test and error
-        source += [f"    if x{d} <= 0.0:",
-                   f"        raise ValueError(f'fiber coordinate must be positive, got {{x{d}}}')"]
-    failures = {len(source) + 2 + k - dim: errors[k] for k in errors}
-    if len(lines) > dim:
-        source += ["    try:", *(f"        {line}" for line in lines[dim:]),
-                   "    except (ArithmeticError, ValueError) as exc:",
-                   "        raise _domain_error(exc) from None"]
-    source += [*(f"    {name} = {value}" for name, value in zip(names, taken)),
-               *([f"    r = x{d}"] if lifted else []),
-               *(f"    {line}" for line in field["lines"]), f"    return {_tup('X0_', dim)}"]
-    namespace = {**kernel.__globals__, **field, "point": np.array,
-                 "_domain_error": functools.partial(_domain_error, failures)}
-    name = kernel.__code__.co_filename.replace("<contactmech", f"<contactmech {kind}-field dim={dim}")
-    return program(name, source, namespace, "field")
 
 
 @functools.lru_cache(maxsize=None)
@@ -553,10 +525,7 @@ class _Chart:
     _eta_chart: "ContactChart"
 
     def point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
-        return x
+        return _point(x, self.dim)
 
     def points(self, xs) -> np.ndarray:
         """A stack of points, shape (N, dim); `point` for each row."""
@@ -621,8 +590,8 @@ class _Chart:
         Shapes and `coframes` as in `_solved`.  General coframes return
         `_solved`'s fields, with every check and error of `_field_program`.
         Standard-form charts run the closed form `_closed_field` over
-        arrays, unchecked like the flow closure of `_closed_program`:
-        eta(X_f) = -f and theta(X_F) = F hold there identically.
+        arrays, unchecked like `_field_source`'s lines for it: eta(X_f) =
+        -f and theta(X_F) = F hold there identically.
         """
         if self._closed_field is None:
             return self._solved(xs, values, grads, coframes)[0]
@@ -654,14 +623,20 @@ class _Chart:
         """
         jet = jet2_kernel(f, self.coordinates)
         if self._closed_field is not None:
-            return _closed_program(self._closed_field, self.dim, True)(jet, self.point)
+            return _closed_program(self._closed_field, self.dim)(jet, self.point)
         bind = _variational_program(self._kind, self.dim)
         return bind(jet, self._eta_chart._coeff_jet, self.point)
 
-    def _flat(self, f: Expr) -> Callable:
-        """The `_flat_field` program of X_f on a general coframe."""
-        coefficients = self._eta_chart.eta_coefficients
-        return _flat_field(self._kind, fused_kernel((f, *coefficients), self.coordinates))
+    def _field_key(self, f: Expr) -> tuple:
+        """(kind, `_closed_field`, kernel): the memo key of X_f's `_field_source` programs.
+
+        The kernel is f's `gradient_kernel` on standard-form charts, else the
+        fused kernel of f and eta's coefficients.
+        """
+        if self._closed_field is not None:
+            return self._kind, self._closed_field, gradient_kernel(f, self.coordinates)
+        kernel = fused_kernel((f, *self._eta_chart.eta_coefficients), self.coordinates)
+        return self._kind, None, kernel
 
 
 class ContactChart(_Chart):
@@ -898,96 +873,135 @@ def _stacked(template, n: int, x: np.ndarray, value, grad: np.ndarray) -> np.nda
 
 
 @functools.lru_cache(maxsize=None)
-def _closed_program(template, dim: int, variational: bool = False) -> Callable:
-    """`bind(kernel, point)`: the field closure of a standard-form template on dim coordinates.
+def _closed_program(template, dim: int) -> Callable:
+    """`bind(jet, point)`: the variational closure of a standard-form template on dim coordinates.
 
     The template runs once over forward-mode pairs (`_Dual`) of `_Source`
-    symbols: x with dx, f with df(dx) and df with Hess f dx.  The closure
-    makes the float operations of its values over floats, in their order;
-    compiled at the first `field_evaluator`, as "<contactmech closed-field
-    dim=DIM>".  The angle solves call it for their Jacobian columns; a
-    flow takes `_closed_step`, whose stages make the same operations
-    inline.  With variational true, `bind` takes f's `jet2_kernel`, and
-    the closure maps the float list x, dx_1 .. dx_k to that X_f(x) and the
-    tangents DX_f(x) dx_j; compiled at the first `variational_evaluator`,
-    as "<contactmech closed-variational dim=DIM>".  Like the general
-    programs, the field closure sends a point of other than dim floats, and
-    the variational closure a state of fewer or of a length that is not a
-    multiple of dim, to `point`, the chart's shape ValueError; neither tests
-    the fiber sign.
+    symbols: x with dx, f with df(dx) and df with Hess f dx.  `bind` takes
+    f's `jet2_kernel`, and the closure maps the float list x, dx_1 .. dx_k
+    to X_f(x) and the tangents DX_f(x) dx_j, making the float operations
+    of their values over floats, in their order.  Like
+    `_variational_program`, it sends a state of fewer or of a length that is
+    not a multiple of dim floats to `point`, the chart's shape ValueError;
+    it does not test the fiber sign.  Compiled at the first
+    `variational_evaluator`, as "<contactmech closed-variational dim=DIM>".
     """
     x, g = ([_Dual(_Source(f"{v}{i}"), _Source(f"d{v}{i}")) for i in range(dim)] for v in "xg")
     X = template((dim - 1) // 2, x, _Dual(_Source("value"), _Source("dvalue")), g, _fdot)
-    values = ", ".join(c.a for c in X)
-    if not variational:
-        body = [f"if len(x) != {dim}:", "    point(x)",
-                f"value, {_tup('g', dim)} = kernel(x)", f"{_names('x', dim)}, = x",
-                f"return [{values}]"]
-    else:  # x is the state; the kernel reads its first dim entries, the point
-        tangent = [f"{_names('dx', dim)}, = x[start : start + {dim}]",
-                   f"dvalue = {_sum([f'g{j} * dx{j}' for j in range(dim)])}",
-                   *[f"dg{i} = {_sum([f'h{i}_{j} * dx{j}' for j in range(dim)])}"
-                     for i in range(dim)], f"out += [{', '.join(c.b for c in X)}]"]
-        # the point x[:dim] is short exactly when the state is
-        body = [f"if len(x) < {dim} or len(x) % {dim}:", "    point(x)",
-                f"value, {_tup('g', dim)}, {_matrix('h', dim)} = kernel(x)",
-                f"{_names('x', dim)}, = x[:{dim}]", f"out = [{values}]",
-                f"for start in range({dim}, len(x), {dim}):", *[f"    {line}" for line in tangent],
-                "return out"]
-    kind = "variational" if variational else "field"
-    source = ["def bind(kernel, point):", f"    def {kind}(x):",
-              *[f"        {line}" for line in body], f"    return {kind}"]
-    return program(f"<contactmech closed-{kind} dim={dim}>", source, {}, "bind")
+    tangent = [f"{_names('dx', dim)}, = x[start : start + {dim}]",
+               f"dvalue = {_sum([f'g{j} * dx{j}' for j in range(dim)])}",
+               *[f"dg{i} = {_sum([f'h{i}_{j} * dx{j}' for j in range(dim)])}"
+                 for i in range(dim)], f"out += [{', '.join(c.b for c in X)}]"]
+    # x is the state; the kernel reads its first dim entries, the point, which
+    # is short exactly when the state is
+    body = [f"if len(x) < {dim} or len(x) % {dim}:", "    point(x)",
+            f"value, {_tup('g', dim)}, {_matrix('h', dim)} = jet(x)",
+            f"{_names('x', dim)}, = x[:{dim}]", f"out = [{', '.join(c.a for c in X)}]",
+            f"for start in range({dim}, len(x), {dim}):", *[f"    {line}" for line in tangent],
+            "return out"]
+    source = ["def bind(jet, point):", "    def variational(x):",
+              *[f"        {line}" for line in body], "    return variational"]
+    return program(f"<contactmech closed-variational dim={dim}>", source, {}, "bind")
 
 
-# a local of a gradient kernel's lines: a coordinate x<k>, or a t<i> or v<i> of `_KernelSource`
-_KERNEL_LOCAL = re.compile(r"\b[xtv]\d+\b")
+def _field_source(kind: str, template, kernel, start: int) -> tuple[list[str], dict, list[str]]:
+    """X_f at the floats x0 .. x<dim-1>: source lines, their error entries, X_f's components.
+
+    kernel is f's kernel as `_Chart._field_key` gives it: on standard-form
+    charts (template, the chart's `_closed_field`, not None) f's
+    `gradient_kernel`, otherwise the fused kernel of f and eta's
+    coefficients.  The lines are the lifted kind's fiber test (general
+    coframes: `SympChart.point`'s), the kernel's lines after its input
+    conversions in a try block that raises their EvaluationDomainError,
+    then the field.  On standard-form charts X_f is the template over
+    `_Source` symbols of the state and the kernel's outputs, as source
+    text; otherwise the lines of `_field_program(kind, dim, 1)` on the
+    kernel's outputs (lifted: less eta's r-derivatives), with `point(x)`
+    spelled as the state, and X_f is its locals X0_<i>.  start is the file
+    line number of the first line; the error entries map the line numbers
+    of the kernel lines that can raise to the kernel's entries for them.
+    """
+    dim, lines, _, outputs, errors = kernel.emitted
+    lifted = kind == "lifted"
+    d = dim - 1 if lifted else dim
+    source = []
+    if lifted and template is None:
+        source += [f"if x{d} <= 0.0:",
+                   f"    raise ValueError(f'fiber coordinate must be positive, got {{x{d}}}')"]
+    failures = {}
+    if len(lines) > dim:
+        source.append("try:")
+        failures = {start + len(source) + k - dim: errors[k] for k in errors}
+        source += [*(f"    {line}" for line in lines[dim:]),
+                   "except (ArithmeticError, ValueError) as exc:",
+                   "    raise _domain_error(exc) from None"]
+    if template is not None:
+        value, *grad = map(_Source, outputs)
+        return source, failures, template((dim - 1) // 2, [_Source(f"x{i}") for i in range(dim)],
+                                          value, grad, _fdot)
+    # f's value and gradient, then eta_i and its gradient over the d base coordinates
+    taken = [*outputs[: dim + 1],
+             *(e for i in range(1, d + 1) for e in outputs[i * (dim + 1) : i * (dim + 1) + d + 1])]
+    names = ["value0", *(f"g0_{i}" for i in range(dim)), *_coframe_names(d).split(", ")[:-1]]
+    state = f"point({_tup('x', dim)})"
+    source += [*(f"{name} = {value}" for name, value in zip(names, taken)),
+               *([f"r = x{d}"] if lifted else []),
+               *(line.replace("point(x)", state) for line in _field_program(kind, dim, 1)["lines"])]
+    return source, failures, [f"X0_{i}" for i in range(dim)]
+
+
+def _namespace(kind: str, template, kernel, failures: dict) -> dict:
+    """The globals of a `_field_source` program: the kernel's, and on general coframes solve's."""
+    solve = {} if template is not None else _field_program(kind, kernel.emitted[0], 1)
+    return {**kernel.__globals__, **solve, "point": np.array, "_point": _point,
+            "_domain_error": functools.partial(_domain_error, failures)}
 
 
 @functools.lru_cache(maxsize=512)
-def _closed_step(template, kernel) -> Callable:
-    """`step(x, h, abs_tol, rel_tol)`: the Fehlberg step of X_f on a standard-form chart, inlined.
+def _field_evaluator(kind: str, template, kernel) -> Callable:
+    """`field(values)`: X_f at a point as a float list, for `_System.field_evaluator`.
 
-    kernel is f's `gradient_kernel`.  Each of the six stages of the
-    `flows._fehlberg` step writes, under its own local names, the kernel's
-    lines (`_KernelSource`, without its input conversions) on the stage's
-    state, in a try block of its own whose failing line maps to its
-    EvaluationDomainError as in the kernel, and then the values of
-    `_closed_program`'s field closure: the template over `_Source` symbols
-    of the stage's state and the kernel's outputs.  So the step makes the
-    float operations of `flows._step_program` calling that closure, in
-    their order, and raises its errors, uncaught ones included (such as
-    ZeroDivisionError at r = 0 upstairs), without a call per stage.
-    Memoised per template and kernel, hence per tree signature as the
-    kernel is, and compiled at the first flow of the tree, under the file
-    name "<contactmech rkf45-step dim=DIM kernel N>" of the kernel's N.
+    One program: a point of other than dim entries goes to `_point`, the
+    chart's shape ValueError; the kernel's input conversions make its
+    entries floats; then the `_field_source` lines, with their checks and
+    errors.  Memoised per chart kind and kernel, hence per tree signature,
+    and compiled as "<contactmech KIND-field dim=DIM kernel N>".
     """
-    dim, lines, _, outputs, errors = kernel.emitted
+    dim, lines = kernel.emitted[:2]
+    source = ["def field(values):", f"    if len(values) != {dim}:",
+              f"        _point(values, {dim})", *(f"    {line}" for line in lines[:dim])]
+    body, failures, X = _field_source(kind, template, kernel, len(source) + 1)
+    source += [*(f"    {line}" for line in body), f"    return [{', '.join(X)}]"]
+    name = kernel.__code__.co_filename.replace("<contactmech",
+                                               f"<contactmech {kind}-field dim={dim}")
+    return program(name, source, _namespace(kind, template, kernel, failures), "field")
+
+
+@functools.lru_cache(maxsize=512)
+def _field_step(kind: str, template, kernel) -> Callable:
+    """`step(x, h, abs_tol, rel_tol)`: the Fehlberg step of X_f, for `_System._step`.
+
+    Each of the six stages of the `flows._fehlberg` step assigns its state
+    to x0 .. x<dim-1> and writes the `_field_source` lines there, whose
+    kernel lines map their errors per stage.  So the step makes the float
+    operations of `flows._step_program` calling `_field_evaluator`'s
+    closure, in their order, and raises its errors, uncaught ones included
+    (such as ZeroDivisionError at r = 0 on a standard-form symplectization),
+    in one call.  Memoised per chart kind and kernel, and compiled at the
+    first flow of the tree, as "<contactmech rkf45-step dim=DIM kernel N>".
+    """
+    dim = kernel.emitted[0]
     failures = {}  # a line of the step -> the kernel's error entry of the line it copies
 
     def stage(s: int, inputs: list[str], line: int) -> list[str]:
-        state = inputs if s == 0 else [f"s{s}x{i}" for i in range(dim)]
-        out = [f"{name} = {value}" for name, value in zip(state, inputs)] if s else []
-
-        def local(match) -> str:
-            name = match[0]
-            return state[int(name[1:])] if name[0] == "x" else f"s{s}{name}"
-
-        body = [_KERNEL_LOCAL.sub(local, text) for text in lines[dim:]]
-        if body:
-            out.append("try:")
-            failures.update((line + len(out) + i, errors[k])
-                            for i, k in enumerate(range(dim, len(lines))) if k in errors)
-            out += [*(f"    {text}" for text in body),
-                    "except (ArithmeticError, ValueError) as exc:",
-                    "    raise _domain_error(exc) from None"]
-        value, *grad = (_Source(_KERNEL_LOCAL.sub(local, text)) for text in outputs)
-        X = template((dim - 1) // 2, [_Source(name) for name in state], value, grad, _fdot)
-        return out + [f"k{s}_{i} = {component}" for i, component in enumerate(X)]
+        body, errors, X = _field_source(kind, template, kernel, line + 1)
+        failures.update(errors)
+        return [f"{_names('x', dim)}, = {', '.join(inputs)},", *body,
+                f"{_names(f'k{s}_', dim)}, = {', '.join(X)},"]
 
     name = kernel.__code__.co_filename.replace("<contactmech", f"<contactmech rkf45-step dim={dim}")
-    namespace = {**kernel.__globals__, "_domain_error": functools.partial(_domain_error, failures)}
-    return _fehlberg(name, "x, h, abs_tol, rel_tol", dim, stage, namespace)
+    return _fehlberg(name, "x, h, abs_tol, rel_tol", dim, stage,
+                     _namespace(kind, template, kernel, failures))
 
 
 def _flat(eta: np.ndarray, deta: np.ndarray) -> np.ndarray:
@@ -1109,45 +1123,23 @@ class _System:
     def field_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
         """Closure computing X_f as a list of floats: the Jacobian columns of the angle solves.
 
-        Standard-form charts run f's compiled gradient kernel, then the
-        closed form as `_closed_program` compiled it, checking only the
-        point's length: the floats of the template over floats (`_fdot`).
-        General coframes return a list adapter over f's flat field program
-        (`_Chart._flat`), the one its flows' steps call, with the checks and
-        errors of field_from_gradient; a point of other than dim entries
-        goes to the chart's `point`.  The system's own integrals get the
-        closure bound at their first call.
+        The chart's `_field_evaluator` program of f: f's kernel and the field
+        lines inlined, with the checks and errors of field_from_gradient on
+        general coframes; on standard-form charts the floats of the template
+        over floats (`_fdot`), unchecked.  A point of other than dim entries
+        raises the chart's shape ValueError.  The system's own integrals get
+        the closure bound at their first call.
         """
-        return self._own("field", f, self._field)
-
-    def _field(self, tree: Expr) -> Callable[[Sequence[float]], list[float]]:
-        chart = self.chart
-        if chart._closed_field is not None:
-            kernel = gradient_kernel(tree, chart.coordinates)
-            return _closed_program(chart._closed_field, chart.dim)(kernel, chart.point)
-        field, dim, point = chart._flat(tree), chart.dim, chart.point
-
-        def run(x: Sequence[float]) -> list[float]:
-            if len(x) != dim:
-                point(x)
-            return [*field(*map(float, x))]
-        return run
+        return self._own("field", f, lambda tree: _field_evaluator(*self.chart._field_key(tree)))
 
     def _step(self, f: FunctionLike) -> Callable:
         """The bound Fehlberg step `step(x, h, abs_tol, rel_tol)` of X_f, for `flows._run`.
 
-        Standard-form charts take `_closed_step`, f's kernel and the closed
-        form inlined in every stage; general coframes the spread
-        `flows._step_program`, whose stages call the chart's `_flat`
-        program of f on their floats.  Either is bound at the first call
-        for the system's own integrals.
+        The chart's `_field_step` of f, whose every stage inlines f's kernel
+        and the field lines: one Python call per step on every chart.  It is
+        bound at the first call for the system's own integrals.
         """
-        chart = self.chart
-        if chart._closed_field is None:
-            step = _step_program(chart.dim, True)
-            return self._own("step", f, lambda tree: functools.partial(step, chart._flat(tree)))
-        return self._own("step", f, lambda tree: _closed_step(
-            chart._closed_field, gradient_kernel(tree, chart.coordinates)))
+        return self._own("step", f, lambda tree: _field_step(*self.chart._field_key(tree)))
 
     def variational_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
         """The chart's closure for the variational equation of X_f (`_Chart._variational`)."""

@@ -9,8 +9,8 @@ references kept here, away from the library:
   through `geometry._fdot`.  The program must return their floats
   bitwise and raise their errors.
 * `solve_field`, the program's solve fed by f's kernel and eta's
-  coefficient kernel called apart: the flat field programs
-  (`geometry._flat_field`) write those kernels' lines and solve's into
+  coefficient kernel called apart: the field closures and flow steps
+  (`geometry._field_source`) write those kernels' lines and solve's into
   one program, and must return its floats and raise its errors.
 * the stacked NumPy solves that point stacks ran before the program
   (`lapack_frames`, `lapack_contact_fields`, `lapack_lifted_fields`):
@@ -199,8 +199,8 @@ def solve_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
     The closure checks the point's shape and, on the lifted kind, its
     fiber, then calls f's kernel and the fused kernel of eta's coefficients
     (`_float_coframe`) each on its own and passes their floats to solve:
-    the float operations and errors that the library's flat field program
-    (`geometry._flat_field`) makes in one call.
+    the float operations and errors that the library's field closure
+    (`geometry._field_evaluator`) makes in one call.
     """
     solve, dim = _field_program(chart._kind, chart.dim, 1)["solve"], chart.dim
     lifted = isinstance(chart, SympChart)

@@ -137,8 +137,7 @@ def test_a_failing_trial_is_counted_and_halved(monkeypatch, pz_config, pz_symp):
 def test_solves_bind_their_closures_through_field_evaluator(monkeypatch, pz_config, pz_symp):
     # one closure per generator, bound once per solve; the involution check
     # calls the first m - 1 once and each Newton iteration all m, for the
-    # Jacobian columns; the flows call none: on darboux-pz their steps inline
-    # the field, on rescaled-pz they call its flat program
+    # Jacobian columns; the flows call none: their steps inline the field
     bound, calls = [], []
     original = type(pz_symp).field_evaluator
 

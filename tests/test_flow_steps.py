@@ -1,20 +1,23 @@
-"""Inlined and flat flow steps against the step that calls a field closure.
+"""Inlined flow steps against the step that calls a field closure.
 
-On a standard-form (Darboux) chart a flow takes `geometry._closed_step`:
-one Fehlberg step with f's gradient kernel and the closed-form field
-written into each of its six stages.  It must make the float operations
-of `flows._step_program` calling the `field_evaluator` closure: the same
+On every chart a flow takes `geometry._field_step`: one Fehlberg step
+with f's kernel and the field lines written into each of its six stages.
+
+On a standard-form (Darboux) chart the kernel is f's gradient kernel and
+the field the closed form.  The step must make the float operations of
+`flows._step_program` calling the `field_evaluator` closure: the same
 fifth-order solution and error norm, bitwise where they are not NaN
 (`flows._run` rejects every non-finite x5, so NaN bits never reach a
 result), the same errors, and the same trajectories.  Both steps are
 bound as `flows._run` takes them: `step(x, h, abs_tol, rel_tol)`.
 
-On a general coframe a flow takes the spread `flows._step_program`,
-whose stages call the flat field program of f (`geometry._flat_field`)
-on their floats: the fused kernel of f and eta's coefficients and the
-solve lines of `geometry._field_program` in one call.  It must make the float
-operations, errors and trajectories of `flows._step_program` calling
-the solve with the kernels called apart (`float_fields.solve_field`).
+On a general coframe the kernel is the fused kernel of f and eta's
+coefficients and the field the solve lines of `geometry._field_program`.
+The step must make the float operations, errors and trajectories of
+`flows._step_program` calling the solve with the kernels called apart
+(`float_fields.solve_field`).  The n = 2 coframes (dims 5 and 6) meet
+the most overlap between the local names of the step, the kernel and
+the elimination.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from contactmech.flows import IntegratorConfig, _calling, _compose, _flow, group
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.integrability import darboux_verify
 from contactmech.symplectization import symplectize
-from float_fields import solve_field
+from float_fields import _general_system, solve_field
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CONFIGS = [bundled_config_path("darboux-pz"), bundled_config_path("darboux-5d-involutive"),
@@ -203,6 +206,8 @@ def test_a_second_darboux_verify_compiles_no_program(monkeypatch, pz_config, pz_
 
 def _general_systems(name):
     """The contact system of a general coframe and its symplectization."""
+    if name in ("general-n2", "dense-n2"):
+        return [_general_system(name, False), _general_system(name, True)]
     if name == "rescaled-pz":
         system = load_config(GOLDEN / "rescaled-pz.json").system()
     else:  # sqrt fails at q < 0 and log at z <= -1; the flat matrix is singular at z = 0
@@ -218,7 +223,7 @@ def _solve_steps(system, f):
     return system._step(f), _calling(solve_field(system.chart, kernel), system.dim)
 
 
-GENERAL = ["rescaled-pz", "domain-coframe"]
+GENERAL = ["rescaled-pz", "domain-coframe", "general-n2", "dense-n2"]
 
 
 @pytest.mark.parametrize("name", GENERAL)
@@ -230,7 +235,8 @@ def test_flat_step_is_the_calling_step(name):
         outcomes = {"error": 0, "finite": 0}
         for f in [*range(len(integrals)), generator]:
             flat, calling = _solve_steps(system, f)
-            assert flat.func.__code__.co_filename.endswith(" spread>")
+            assert flat.__code__.co_filename.startswith(
+                f"<contactmech rkf45-step dim={system.dim} kernel ")
             for x in _states(system, rng, 150):
                 h = float(rng.uniform(-0.6, 0.6))
                 got, want = _outcome(flat, x, h), _outcome(calling, x, h)
@@ -238,8 +244,9 @@ def test_flat_step_is_the_calling_step(name):
                 finite = isinstance(want, list) and all(map(math.isfinite, want))
                 outcomes["finite" if finite else "error"] += isinstance(want, tuple) or finite
         assert outcomes["finite"] > 200, outcomes
-        # rescaled-pz fails only at a fiber r <= 0
-        assert outcomes["error"] > (100 if name == "domain-coframe" else 0), outcomes
+        # the n = 2 coframes fail only upstairs, at a fiber r <= 0
+        if name in ("rescaled-pz", "domain-coframe") or system.dim % 2 == 0:
+            assert outcomes["error"] > (100 if name == "domain-coframe" else 0), outcomes
 
 
 def _result(call):

@@ -13,7 +13,9 @@ fields come from the generated field program, `geometry._field_program`,
 and whose round-off residuals follow its elimination, not LAPACK's) and
 on `cubic-5d.json` (n = 2, written once by
 `perfbench/inputs.cubic_config`, whose bracket and lift residuals move
-with the order of float operations).
+with the order of float operations).  `dense-n2.json`, an n = 2 general
+coframe with no zero entry in its Reeb field, has an `integrate` golden,
+whose every step runs the general-coframe field lines.
 
 Regenerate the goldens only for an intended report change:
 
@@ -45,6 +47,9 @@ POINTS = str(GOLDEN / "points-pz.json")
 # the middle row has z < 0, so graph-z's base point chi(-F(x)) has r = z < 0
 UNCOVERED = str(GOLDEN / "points-pz-uncovered.json")
 RESCALED = str(GOLDEN / "rescaled-pz.json")
+# the n = 2 standard form under the conformal factor exp(0.3*q1 - 0.2*p2 + 0.1*z), with
+# cubic-5d-style integrals: every entry of its Reeb field is nonzero
+DENSE = str(GOLDEN / "dense-n2.json")
 
 CASES = {
     "integrate-pz-f0": ["integrate", PZ, "--f", "0", "--x0", "0.5,1.2,0.8", "--t", "1.5"],
@@ -63,6 +68,8 @@ CASES = {
                                  "--t", "2.0"],
     "action-angle-rescaled-pz-graph-z": ["action-angle", RESCALED, "--section", "graph-z",
                                          "--points", POINTS],
+    "integrate-dense-n2-f2": ["integrate", DENSE, "--f", "2", "--x0", "0.6,1.1,0.9,1.4,1.3",
+                              "--t", "0.3"],
 }
 
 SAMPLED = {

@@ -46,7 +46,7 @@ def test_field_program_traceback_shows_the_failing_line():
     field = system.field_evaluator("p")
     text = _formatted(ContactConditionError, lambda: field([0.1, 1.0, 1.0]))
     assert 'File "<contactmech contact-field dim=3 kernel ' in text
-    assert "raise singular(point(x), det)" in text
+    assert "raise singular(point((x0, x1, x2,)), det)" in text
 
 
 def test_kernel_traceback_names_the_kernel_and_shows_a_line():
@@ -60,14 +60,16 @@ def test_kernel_traceback_names_the_kernel_and_shows_a_line():
 
 def test_every_builder_has_its_source_readable():
     general = ContactSystem(conformal_rescale(ContactChart.standard(1), "exp(q)"), ["p", "z"])
+    standard = symplectization.symplectize(ContactSystem(ContactChart.standard(1), ["p", "z"]))
     functions = [
         expressions.gradient_kernel(parse("q * p - z"), ("q", "p", "z")),
         geometry._field_program("contact", 3, 1)["solve"],
-        general.chart._flat(general.integrals[0]),
-        flows._step_program(3, True),
+        general.field_evaluator(0),
+        general._step(0),
+        standard.field_evaluator(0),
+        standard._step(0),
         geometry._variational_program("lifted", 4),
         geometry._closed_program(symplectization._darboux_field, 4),
-        geometry._closed_program(symplectization._darboux_field, 4, True),
         flows._step_program(3),
         integrability._ray_program(2, 3),
         integrability._angle_step_program(2, 4),

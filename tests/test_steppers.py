@@ -9,15 +9,16 @@ so at n = 1 the trajectories must be byte-equal.  At n = 2 NumPy's
 p @ g fuses a multiply-add that plain float code does not, so there the
 two agree to round-off only.
 
-The adaptive step is a generated straight-line function per state size
-(`flows._step_program`), and on standard-form charts the field closure
-is the template compiled once per template and dimension
-(`geometry._closed_program`).  The step must match the float-list
-Fehlberg step and error norm it unrolls, kept below, and the closure
-the template run over floats (`_fdot`), both bitwise.
+The adaptive step that calls a closure is a generated straight-line
+function per state size (`flows._step_program`), and on standard-form
+charts the field closure writes f's kernel and the template's lines
+over source symbols (`geometry._field_source`).  The step must match
+the float-list Fehlberg step and error norm it unrolls, kept below, and
+the template's lines the template run over floats (`_fdot`), each
+bitwise.
 
-On general coframes the field closure is a generated straight-line
-float program (`geometry._field_program`, bound by `_float_field`), one
+On general coframes the field closure runs the lines of a generated
+straight-line float program (`geometry._field_program`), one
 elimination that does not reproduce LAPACK's last bits.  The reference
 steppers step that same closure, wrapped to arrays, so that stepper
 parity stays bitwise there too.  The tests at the end pin the program
@@ -29,7 +30,8 @@ solves it replaced) rather than to the library: a flow's values,
 trajectories and errors, and a point stack's jets, brackets, lifted
 fields and `lift_check` values to 1e-12.  They also pin when it is
 compiled: once per chart kind and dimension, at the first
-`field_evaluator` call, never while a config loads.
+`field_evaluator` call, never while a config loads; and each field
+closure and step once per chart kind and kernel, at its first use.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,10 +48,10 @@ from contactmech import geometry, integrability, symplectization
 from contactmech.config import bundled_config_path, load_config
 from contactmech.expressions import (
     EvaluationDomainError,
-    Var,
     fused_kernel,
     gradient_evaluator,
     gradient_kernel,
+    parse,
 )
 from contactmech.flows import (
     _A,
@@ -469,8 +472,8 @@ def test_float_field_and_field_from_gradient_agree_on_nan_gradients(lifted, slot
     chart = system.chart
     grad = [1.0] * chart.dim
     grad[slot] = math.nan
-    # no tree's kernel gives this gradient: the lines of the flat field
-    # programs run on it through field_from_gradient, the program's solve
+    # no tree's kernel gives this gradient: the lines of the field closures
+    # run on it through field_from_gradient, the program's solve
     got = chart.field_from_gradient(x, 0.7, grad)
     with np.errstate(invalid="ignore"):
         want = lapack_field(chart, x, 0.7, np.array(grad))
@@ -523,7 +526,7 @@ def test_field_program_matches_the_reference_bitwise(name, lifted):
         for x in points:
             assert _hex(got(x)) == _hex(want(x)), x
     # a NaN gradient entry in the first and in the last slot, which no
-    # tree's kernel gives: the solve whose lines the flat programs run
+    # tree's kernel gives: the solve whose lines the field closures run
     for slot in (0, -1):
         grad = [1.0] * chart.dim
         grad[slot] = math.nan
@@ -559,9 +562,9 @@ def test_field_program_raises_the_errors_of_the_reference(n, lifted, scale):
 
 def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluator():
     # loading a config and building its systems compiles no field program,
-    # no closed-form field, no step and no ray program
+    # no field closure, no step and no ray program
     programs = (geometry._field_program, geometry._closed_program, _step_program,
-                geometry._closed_step, geometry._flat_field, integrability._ray_program)
+                geometry._field_evaluator, geometry._field_step, integrability._ray_program)
     for program in programs:
         program.cache_clear()
     cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
@@ -569,57 +572,48 @@ def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluat
     pz = load_config(bundled_config_path("darboux-pz"))
     pz_system, pz_symp = pz.system(), pz.symp_system()
     assert [program.cache_info().misses for program in programs] == [0] * len(programs)
-    # the closed form compiles at the first field_evaluator of its template and
-    # dimension; a standard-form flow takes no call step, but the inlined step
-    # of its integral's tree, at the first flow of that tree, bound once per
-    # system for its own integrals
-    for run, name in ((pz_system, "closed-field dim=3"), (pz_symp, "closed-field dim=4")):
-        first, second = run.field_evaluator(0), run.field_evaluator(1)
-        assert first.__code__ is second.__code__
-        assert first.__code__.co_filename == f"<contactmech {name}>"
-    assert geometry._closed_program.cache_info()[:2] == (2, 2)  # (hits, misses)
-    assert geometry._closed_step.cache_info().misses == 0
-    for f in (0, 1, 0):
-        integrate(pz_system, f, [0.5, 1.2, 0.8], 0.5)
-    assert geometry._closed_step.cache_info()[:2] == (0, 2)
-    assert pz_system._step(1).__code__.co_filename.startswith("<contactmech rkf45-step dim=3 ")
-    assert _step_program.cache_info().misses == 0
-    # a general coframe compiles its kind's solve lines once per dimension,
-    # and a flat program per integral at its first field_evaluator
+    # on every chart the field closure of an integral's tree compiles at its
+    # first field_evaluator, bound once per system; a general coframe also
+    # compiles its kind's solve lines, once per dimension
     x = [0.5, 1.2, 0.8]
-    for run, point in ((system, x), (symp, x + [1.5])):
-        first = run.field_evaluator(0)
-        assert geometry._field_program.cache_info().currsize == (1 if run is system else 2)
-        second = run.field_evaluator(1)
+    for run, point in ((pz_system, x), (pz_symp, x + [1.5]), (system, x), (symp, x + [1.5])):
+        first, second = run.field_evaluator(0), run.field_evaluator(1)
+        assert run.field_evaluator(0) is first
         first(point), second(point)
-    info = geometry._field_program.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
-    assert geometry._flat_field.cache_info()[:2] == (0, 4)
-    names = [symp.chart._flat(f).__code__.co_filename for f in symp.integrals]
-    assert names[0] != names[1]
-    assert all(name.startswith("<contactmech lifted-field dim=4 kernel ") for name in names)
-    # a general-coframe flow calls its flat program from the spread step of
-    # its state size, compiled at the first flow, bound once per system
-    assert _step_program.cache_info().misses == 0
+        names = [first.__code__.co_filename, second.__code__.co_filename]
+        kind = "lifted" if len(point) == 4 else "contact"
+        assert names[0] != names[1]
+        assert all(name.startswith(f"<contactmech {kind}-field dim={len(point)} kernel ")
+                   for name in names)
+        solves = 0 if run in (pz_system, pz_symp) else 1 if run is system else 2
+        assert geometry._field_program.cache_info().misses == solves
+    assert geometry._field_evaluator.cache_info()[:2] == (0, 8)  # (hits, misses)
+    # a flow takes the inlined step of its integral's tree, compiled at the
+    # first flow of that tree, bound once per system; no step calls a closure
+    assert geometry._field_step.cache_info().misses == 0
     for f in (0, 1, 0):
+        integrate(pz_system, f, x, 0.5)
         integrate(system, f, x, 0.5)
-    assert _step_program.cache_info()[:2] == (2, 1)
-    assert system._step(0) is system._step(0)
-    assert system._step(0).args == (system.chart._flat(system.integrals[0]),)
-    assert system._step(0).func.__code__.co_filename == "<contactmech rkf45-step dim=3 spread>"
+    assert geometry._field_step.cache_info()[:2] == (0, 4)
+    for run in (pz_system, system):
+        assert run._step(1) is run._step(1)
+        assert run._step(1).__code__.co_filename.startswith("<contactmech rkf45-step dim=3 kernel ")
+    assert _step_program.cache_info().misses == geometry._closed_program.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
-def test_field_evaluator_takes_any_point_as_floats(lifted):
-    # integers and NumPy floats reach the flat program as Python floats:
-    # integer arithmetic on p = 2^53 + 1 would keep the bit that float(p) drops
-    system = _general_system("rescaled", lifted)
-    field = system.field_evaluator("p - z")
-    x = [1, 2**53 + 1, 3] + ([2] if lifted else [])
-    want = field([float(v) for v in x])
-    for point in (x, np.array(x, dtype=float), tuple(np.array(x, dtype=float))):
-        got = field(point)
-        assert all(type(v) is float for v in got) and _hex(got) == _hex(want)
+def test_field_evaluator_takes_any_point_as_floats(pz_system, lifted):
+    # integers and NumPy floats reach the field lines as Python floats, on a
+    # general coframe and on the standard form: integer arithmetic on
+    # p = 2^53 + 1 would keep the bit that float(p) drops
+    standard = symplectize(pz_system) if lifted else pz_system
+    for system in (_general_system("rescaled", lifted), standard):
+        field = system.field_evaluator("p - z")
+        x = [1, 2**53 + 1, 3] + ([2] if lifted else [])
+        want = field([float(v) for v in x])
+        for point in (x, np.array(x, dtype=float), tuple(np.array(x, dtype=float))):
+            got = field(point)
+            assert all(type(v) is float for v in got) and _hex(got) == _hex(want)
 
 
 @pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
@@ -629,7 +623,7 @@ def test_field_program_names_its_kind_and_dim(name, lifted):
     chart, kind = system.chart, "lifted" if lifted else "contact"
     tree = system.integrals[0]
     kernel = fused_kernel((tree, *chart._eta_chart.eta_coefficients), chart.coordinates)
-    field = chart._flat(tree)
+    field = system.field_evaluator(tree)
     assert field.__code__.co_filename == kernel.__code__.co_filename.replace(
         "<contactmech", f"<contactmech {kind}-field dim={system.dim}")
     assert field.__code__.co_name == "field"
@@ -638,10 +632,22 @@ def test_field_program_names_its_kind_and_dim(name, lifted):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("module", [geometry, symplectization], ids=["contact", "lifted"])
 def test_closed_program_matches_the_template_bitwise(module, n):
-    # the compiled flow closure against the template over floats (`_fdot`),
-    # with -0.0 in a quarter of the entries; the fiber r stays positive
+    # the closed-form field lines that the field emitter writes against the
+    # template over floats (`_fdot`), with -0.0 in a quarter of the entries;
+    # the fiber r stays positive.  A stub kernel with no lines of its own
+    # gives as f's value and gradient the inputs value and g<i>
     template, dim = module._darboux_field, 2 * n + 1 + (module is symplectization)
-    field = geometry._closed_program(template, dim)
+    kind = "lifted" if module is symplectization else "contact"
+    grads = [f"g{i}" for i in range(dim)]
+    stub = SimpleNamespace(emitted=(dim, [f"x{i} = float(values[{i}])" for i in range(dim)], {},
+                                    ["value", *grads], {}))
+    lines, failures, X = geometry._field_source(kind, template, stub, 2)
+    assert failures == {}
+    coordinates = ", ".join(f"x{i}" for i in range(dim))
+    namespace: dict = {}
+    exec("\n".join([f"def field({coordinates}, value, {', '.join(grads)}):",
+                    *(f"    {line}" for line in lines), f"    return [{', '.join(X)}]"]), namespace)
+    field = namespace["field"]
     rng = np.random.default_rng(26)
     signed_zeros = 0
     for _ in range(500):
@@ -650,24 +656,24 @@ def test_closed_program_matches_the_template_bitwise(module, n):
         if module is symplectization:
             x[-1] = abs(x[-1]) + 0.5
         want = template(n, x, value, grad, geometry._fdot)
-        # x has dim entries, so the closure never calls its point check
-        assert _hex(field(lambda _: (value, grad), None)(x)) == _hex(want)
+        assert _hex(field(*x, value, *grad)) == _hex(want)
         signed_zeros += _hex([*x, *grad, value]).count("-0x0.0p+0")
     assert signed_zeros > 200
 
 
 @pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
 def test_closed_program_propagates_a_domain_error(pz_system, lifted):
-    # the kernel's error leaves the closure as it is, for the flow to truncate on
+    # a standard-form field closure, which inlines f's kernel, raises the
+    # kernel's own error, for the flow to truncate on
     system = symplectize(pz_system) if lifted else pz_system
-    chart = system.chart
-
-    def kernel(x):
-        raise EvaluationDomainError("log of non-positive", Var("q"))
-
-    field = geometry._closed_program(chart._closed_field, chart.dim)(kernel, chart.point)
-    with pytest.raises(EvaluationDomainError, match="log of non-positive in 'q'"):
-        field([0.5] * chart.dim)
+    tree = system.resolve("log(q) * p")
+    x = [-0.5] + [0.5] * (system.dim - 1)
+    with pytest.raises(EvaluationDomainError) as want:
+        gradient_kernel(tree, system.coordinates)(x)
+    with pytest.raises(EvaluationDomainError) as got:
+        system.field_evaluator(tree)(x)
+    assert str(got.value) == str(want.value) == "log of a nonpositive value in 'log(q)'"
+    assert got.value.node == want.value.node == parse("log(q)")
 
 
 @pytest.mark.parametrize("d, k", [(1, 1), (2, 2), (3, 2), (4, 1), (5, 2), (6, 1)])
