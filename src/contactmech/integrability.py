@@ -29,7 +29,9 @@ point raises in sample order.  Ray projection runs point by point.
 
 Angle conventions: a declared section may satisfy F(chi(Lambda)) equal
 to +Lambda or -Lambda; the sign is detected and the base point uses the
-reparameterized true section chi(sign * Lambda).  Actions A_a are the
+reparameterized true section chi(sign * Lambda).  chi and d chi / d Lambda
+are one call of the section's fused kernel, bound at first use, and each
+base point passes one check (`SectionSpec._base`).  Actions A_a are the
 basis-weighted integral values at the query point; the relabeling
 denominator is the section's declared index, else argmax |A_a|.
 """
@@ -44,13 +46,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ._programs import _eliminate, _fdot, _names, _sum, _tup, program
-from .expressions import (
-    EvaluationDomainError,
-    Expr,
-    evaluate,
-    gradient_evaluator,
-    gradient_kernel,
-)
+from .expressions import EvaluationDomainError, Expr, fused_kernel, gradient_kernel
 from .flows import (
     FlowError,
     IntegratorConfig,
@@ -148,6 +144,10 @@ class RayTarget:
 class SectionSpec:
     """Parametric section chi of the lifted moment map.
 
+    chi and d chi / d Lambda are slices of one call of the components'
+    `fused_kernel`, bound at first use, which raises the first error of
+    their gradient kernels in order; base points pass one check, `_base`.
+
     Args:
         name: identifier used in configs and reports.
         params: names of the ray parameters (one per integral).
@@ -177,25 +177,42 @@ class SectionSpec:
         if denominator_index is not None and not 0 <= denominator_index < len(self.params):
             raise ValueError(f"denominator index {denominator_index} out of range")
         self.denominator_index = denominator_index
-        self._grads = tuple(gradient_evaluator(c, self.params) for c in self.components)
 
-    def _parameters(self, lam) -> np.ndarray:
+    @functools.cached_property
+    def _fused(self) -> Callable:
+        """The components' `fused_kernel` over the parameters, fetched at first use."""
+        return fused_kernel(self.components, self.params)
+
+    def _jet(self, lam) -> np.ndarray:
+        """Row A holds chi_A(Lambda) and its gradient, from one call of the fused kernel."""
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (len(self.params),):
             raise ValueError(f"section {self.name!r} takes {len(self.params)} parameters, got {lam}")
-        return lam
+        return np.reshape(self._fused(lam.tolist()), (len(self.components), len(self.params) + 1))
+
+    def _base(self, lam, dim: int, where: str | None) -> np.ndarray | None:
+        """`_jet` at Lambda, checked as a base point on a symplectization of dimension dim.
+
+        A wrong component count raises SectionError; so does a fiber <= 0 or a
+        non-finite chi ("leaves the chart " + where, formatted with the
+        fiber), which returns None instead where `where` is None.
+        """
+        if len(self.components) != dim:
+            raise SectionError(f"section {self.name!r} has {len(self.components)} components, "
+                               f"chart needs {dim}")
+        jet = self._jet(lam)
+        if jet[-1, 0] > 0.0 and np.isfinite(jet[:, 0]).all():
+            return jet
+        if where is None:
+            return None
+        raise SectionError(f"section {self.name!r} leaves the chart {where.format(jet[-1, 0])}")
 
     def chi_at(self, lam) -> np.ndarray:
-        env = dict(zip(self.params, map(float, self._parameters(lam))))
-        return np.array([evaluate(c, env) for c in self.components])
+        return self._jet(lam)[:, 0]
 
     def chi_jacobian_at(self, lam) -> np.ndarray:
         """Columns are d chi / d Lambda_a; shape (components, params)."""
-        lam = self._parameters(lam)
-        out = np.empty((len(self.components), len(self.params)))
-        for A, run in enumerate(self._grads):
-            out[A] = run(lam)[1]
-        return out
+        return self._jet(lam)[:, 1:]
 
 
 # report records are NamedTuples, as in symplectization; the CLI prints their _asdict()
@@ -658,21 +675,11 @@ def verify_section(
     lams = rng.uniform(lo, hi, size=(n_samples, len(section.params)))
     res_plus = res_minus = horiz = 0.0
     for lam in lams:
-        point = section.chi_at(lam)
-        if point.shape != (symp_system.dim,):
-            raise SectionError(
-                f"section {section.name!r} has {len(point)} components, "
-                f"chart needs {symp_system.dim}"
-            )
-        if point[-1] <= 0.0:
-            raise SectionError(
-                f"section {section.name!r} leaves the chart (fiber "
-                f"{point[-1]:.3e} at Lambda = {lam.tolist()})"
-            )
-        F = symp_system.integral_values(point)
+        jet = section._base(lam, symp_system.dim, f"(fiber {{:.3e}} at Lambda = {lam.tolist()})")
+        F = symp_system.integral_values(jet[:, 0])
         res_plus = max(res_plus, float(np.max(np.abs(F - lam))))
         res_minus = max(res_minus, float(np.max(np.abs(F + lam))))
-        pullback = _dot(symp_system.chart.theta_at(point), section.chi_jacobian_at(lam).T)
+        pullback = _dot(symp_system.chart.theta_at(jet[:, 0]), jet[:, 1:].T)
         horiz = max(horiz, float(np.max(np.abs(pullback))))
     if res_plus <= tolerance:
         sign = 1
@@ -696,20 +703,18 @@ def verify_section(
 def _detect_sign(
     symp_system: SympSystem, section: SectionSpec, F_x: Sequence[float]
 ) -> tuple[int, np.ndarray]:
-    """Find s with F(chi(s * F_x)) = F_x and a positive fiber; F_x holds floats."""
+    """Find s with F(chi(s * F_x)) = F_x (floats), skipping a sign off chi's domain or chart."""
     scale = max(1.0, _max_abs(F_x))
     for s in (1, -1):
         try:
-            candidate = section.chi_at([s * v for v in F_x])
+            jet = section._base([s * v for v in F_x], symp_system.dim, None)
         except EvaluationDomainError:
+            jet = None
+        if jet is None:
             continue
-        if candidate.shape != (symp_system.dim,) or candidate[-1] <= 0.0:
-            continue
-        if not np.isfinite(candidate).all():
-            continue
-        F_c = symp_system._fused(candidate.tolist())[:: symp_system.dim + 1]
+        F_c = symp_system._fused(jet[:, 0].tolist())[:: symp_system.dim + 1]
         if _max_abs([u - v for u, v in zip(F_c, F_x)]) <= 1e-6 * scale:
-            return s, candidate
+            return s, jet[:, 0]
     raise SectionError(
         f"section {section.name!r} does not cover the ray of F = {list(map(float, F_x))}"
     )
@@ -741,7 +746,7 @@ def angle_solve(
     newton_tolerance: float = 1e-10,
     max_iter: int = 60,
 ) -> ActionAngleResult:
-    """Solve x = Phi(y; chi(sign * F(x))) for the angles y.
+    """Solve x = Phi(y; chi(sign * F(x))) for the angles y; sign is 1, -1 or None (detect).
 
     Damped Newton from y = 0 (or the warm start y0) with the exact
     Jacobian of the group action: the generators commute, so
@@ -781,6 +786,8 @@ def angle_solve(
     Actions are A = M f(x_base) with the base integrals f; the relabeling
     denominator comes from the section (fallback: argmax |A_a|).
     """
+    if sign not in (None, 1, -1):
+        raise ValueError(f"sign must be 1, -1 or None, got {sign!r}")
     chart = symp_system.chart
     x = chart.point(x)
     cfg = config or IntegratorConfig()
@@ -821,16 +828,7 @@ def angle_solve(
         s, base = _detect_sign(symp_system, section, F_x)
     else:
         s = int(sign)
-        base = section.chi_at([s * v for v in F_x])
-        if base.shape != (symp_system.dim,):
-            raise SectionError(
-                f"section {section.name!r} has {len(base)} components, "
-                f"chart needs {symp_system.dim}"
-            )
-        if base[-1] <= 0.0:
-            raise SectionError(
-                f"section {section.name!r} leaves the chart at the base point"
-            )
+        base = section._base([s * v for v in F_x], symp_system.dim, "at the base point")[:, 0]
 
     guards = symp_system.positive_indices
     step = _angle_step_program(m, len(xs))
@@ -964,15 +962,13 @@ def _darboux_covector(symp, section, xb, r_ref, cfg, basis) -> tuple[np.ndarray,
     x = np.append(xb, r_ref)
     center = angle_solve(symp, section, x, config=cfg, basis=basis)
     generators = _generators(symp, center.M_matrix)
-    vgs = symp.values_and_gradients(x)
-    lam = center.sign * np.array([value for value, _ in vgs])
+    jets = np.reshape(symp._fused(x.tolist()), (len(generators), -1))  # rows f_a, df_a
+    chi = section._jet(center.sign * jets[:, 0])
     _, carried = variational_group_action(
-        symp, center.y, section.chi_at(lam), center.sign * section.chi_jacobian_at(lam),
-        cfg, integrals=generators,
+        symp, center.y, chi[:, 0], center.sign * chi[:, 1:], cfg, integrals=generators,
     )
-    dF = np.array([grad[:-1] for _, grad in vgs])
-    J = np.column_stack([symp.hamiltonian_field_at(G, x) for G in generators])
-    rhs = np.eye(len(x))[:, :-1] - _dot(carried[:, None], dF.T)
+    J = np.column_stack([symp.field_evaluator(G)(x.tolist()) for G in generators])
+    rhs = np.eye(len(x))[:, :-1] - _dot(carried[:, None], jets[:, 1:-1].T)
     grad_y, *_ = np.linalg.lstsq(J, rhs, rcond=None)
     d = center.denominator_index
     covector = _dot(np.insert(-center.A_tilde, d, 1.0), grad_y.T)

@@ -97,13 +97,38 @@ def test_failures_raise_the_same_error(pz_config, pz_symp, kwargs, error):
     assert got[0] is error, got
 
 
-def test_a_given_sign_rejects_a_section_of_the_wrong_size(pz_symp):
+@pytest.mark.parametrize("call", ["sign-none", "sign-plus", "sign-minus", "verify-section",
+                                  "darboux-verify"])
+def test_a_given_sign_rejects_a_section_of_the_wrong_size(pz_config, pz_symp, call):
     # the float loop pairs the endpoint with x by position, so a short base
-    # must not reach it
+    # must not reach it; with or without a sign, every caller names the count
     section = SectionSpec("short", ("L1", "L2"), ("0", "L1 / L2", "L2"),
                           {"L1": (0.5, 2.0), "L2": (0.5, 2.0)})
-    with pytest.raises(integrability.SectionError, match="has 3 components, chart needs 4"):
-        angle_solve(pz_symp, section, X4, sign=-1)
+    run = {"sign-none": lambda: angle_solve(pz_symp, section, X4),
+           "sign-plus": lambda: angle_solve(pz_symp, section, X4, sign=1),
+           "sign-minus": lambda: angle_solve(pz_symp, section, X4, sign=-1),
+           "verify-section": lambda: integrability.verify_section(pz_symp, section),
+           "darboux-verify": lambda: integrability.darboux_verify(
+               pz_config.system(), section, points=X4[None, :3])}[call]
+    with pytest.raises(integrability.SectionError,
+                       match="^section 'short' has 3 components, chart needs 4$"):
+        run()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_given_sign_rejects_a_base_point_that_is_not_finite(pz_config, pz_symp, sign):
+    # one sign gives a fiber <= 0, the other a NaN entry at a positive fiber,
+    # which only the finiteness test keeps from a Newton loop at a NaN residual
+    with pytest.raises(integrability.SectionError,
+                       match="^section 'graph-z' leaves the chart at the base point$"):
+        angle_solve(pz_symp, pz_config.section("graph-z"), [2.0, np.nan, 5.0, 1.0], sign=sign)
+
+
+@pytest.mark.parametrize("sign", [-3, 0.5, 0, 2.0, np.nan])
+def test_angle_solve_takes_no_sign_but_plus_or_minus_one(pz_config, pz_symp, sign):
+    # -3 would stall the Newton solve and 0.5 divide by zero in 'L1 / L2'
+    with pytest.raises(ValueError, match=rf"^sign must be 1, -1 or None, got {sign!r}$"):
+        angle_solve(pz_symp, pz_config.section("graph-z"), X4, sign=sign)
 
 
 def _failing_second_call(function):

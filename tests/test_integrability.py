@@ -224,7 +224,11 @@ def test_verify_section_rejects_escaping_fiber(pz_symp):
         ("0", "L1 / L2", "1", "-L2"),
         {"L1": (0.5, 2.0), "L2": (0.5, 2.0)},
     )
-    with pytest.raises(SectionError):
+    # the message names the fiber and Lambda of the first sample
+    lam = np.random.default_rng(0).uniform([0.5, 0.5], [2.0, 2.0], size=(25, 2))[0]
+    with pytest.raises(SectionError, match=re.escape(
+            f"section 'bad-fiber' leaves the chart (fiber {-lam[1]:.3e} at Lambda = "
+            f"{lam.tolist()})")):
         verify_section(pz_symp, section, seed=0)
 
 
