@@ -767,7 +767,7 @@ def _compile(nodes: tuple[Expr, ...], names: tuple[str, ...], jet: bool = False,
         **source.globals,
     }
     kernel = program(f"<contactmech kernel {next(_compiles)}>", lines, namespace, "kernel")
-    if not jet:  # for its row-block twin (`fused_rows`) and `geometry._field_source`
+    if not jet:  # for its row-block twin (`fused_rows`) and `geometry._field_entries`
         kernel.emitted = n, source.lines, source.globals, flat, source.errors
     return kernel
 
@@ -847,8 +847,9 @@ def gradient_kernel(
     runs no extra checks.  A binary node whose value is infinite although
     both operands are finite raises "overflow"; otherwise non-finite values
     propagate.  Loops over floats call the kernel directly; the field
-    closures and flow steps of standard-form charts write its lines into
-    their own (`geometry._field_source`).  It is the one-tree case of
+    programs of standard-form charts, whose entries the field closures and
+    flow steps call, write its lines into their own
+    (`geometry._field_entries`).  It is the one-tree case of
     `fused_kernel`'s compiler, with the gradient as a tuple of its own;
     code that needs several trees at a point calls their fused kernel
     once instead.

@@ -5,22 +5,29 @@ One integrator, the adaptive Fehlberg 4(5) pair.  It controls the
 and propagates the fifth-order solution.  It steps a list of Python
 floats; at the state sizes here this is several times faster than NumPy
 arrays, whose per-call overhead dominates.  A step is one generated
-straight-line function, written by `_fehlberg` with the lines of each of
-its six stages left to a stage renderer, and bound to one field, which
-the flow loop `_run` calls as step(x, h, abs_tol, rel_tol).  The
-system's `_step` lookup gives it: `geometry._field_step`, which writes
-f's kernel and the field lines of its chart into every stage, so that a
-step makes one Python call on every chart; the variational flows take
-`_step_program` ("<contactmech rkf45-step dim=D>"), whose stages call
-the variational closure on a float list.  `_programs.program` compiles
-each, so a traceback through them shows the generated line.
-Trajectories record every accepted step, as arrays built once at the
-end; leaving the chart domain (a positivity guard crossing zero, or an
-expression domain error in the field) truncates the trajectory with an
-explicit status instead of raising.
+straight-line function per state size, `_step_program`
+("<contactmech rkf45-step dim=D>"), shared by every field on every
+chart: each of its six stages calls the field on the stage's floats,
+field(z0 + ..., z1 + ..., ...).  `_calling` binds it to one field, and
+the flow loop `_run` calls the bound step as step(x, h, abs_tol,
+rel_tol).  The flow of f takes the system's `_field(f)`, the positional
+entry of the field program whose list entry is `field_evaluator(f)`
+(`geometry._field_entries`); a variational flow passes the state's
+floats to `variational_evaluator`'s closure as one sequence.
+`_programs.program` compiles each, so a traceback through them shows
+the generated line.  Trajectories record every accepted step, as arrays
+built once at the end; leaving the chart domain (a positivity guard
+crossing zero, or an expression domain error in the field) truncates
+the trajectory with an explicit status instead of raising.  A stage
+tests no guard: at a fiber r < 0 it computes the field, and the guard
+of an accepted state ends the flow.  Any other error of the field
+propagates from the stage: ZeroDivisionError at r = 0 exactly on a
+standard-form symplectization, SingularStructureError (a general base's
+omega is singular at r = 0) and the general contact chart's
+ContactConditionError and GeometryError.
 
 Compositions of flows run one loop, `_compose`, over bound steps that
-its caller binds: `group_action` through the system's `_step`,
+its caller binds: `group_action` on the system's `_field`,
 `variational_group_action` on `variational_evaluator`, and
 `integrability.angle_solve` binds its generators' steps once per solve.
 It checks every time before the first flow, then each flow as
@@ -181,7 +188,7 @@ def integrate(system, f, x0, t_final: float, config: IntegratorConfig | None = N
     """
     _check_time(t_final)
     cfg = config or IntegratorConfig()
-    step = system._step(f)
+    step = _calling(system._field(f), system.dim)
     guards = tuple(getattr(system, "positive_indices", ()))
     names = system.coordinates
     x0 = np.asarray(x0, dtype=float)
@@ -205,11 +212,6 @@ def _check_start(x: Sequence[float], guards: Sequence[int], names: Sequence[str]
         raise StartPointError(f"start point outside domain: {bad}")
 
 
-def _flow(field_fn, x, T, cfg, guards, names) -> Trajectory:
-    """The flow of the field closure field_fn from the float list x over [0, T]."""
-    return _trajectory(*_run(_calling(field_fn, len(x)), x, T, _ramp(T, cfg), cfg, guards, names))
-
-
 def _ramp(T: float, cfg: IntegratorConfig) -> float:
     """`integrate`'s first step proposal: 1% of the span, at least 1e-4, at most max_step."""
     span = abs(T)
@@ -220,64 +222,51 @@ def _trajectory(times: list, points: list, status: str, detail: str) -> Trajecto
     return Trajectory(np.array(times), np.array(points), status, detail)
 
 
-def _fehlberg(name: str, args: str, dim: int, stage: Callable, namespace: dict) -> Callable:
-    """Compile `def step(<args>)`: one Fehlberg step over the dim floats of x, straight-line.
+@functools.lru_cache(maxsize=None)
+def _step_program(dim: int) -> Callable:
+    """`step(field, x, h, abs_tol, rel_tol)`: one straight-line Fehlberg step over dim floats x.
 
-    The step unpacks x into z<i>, and the lines stage(s, inputs, line)
-    compute stage s, assigning k<s>_<i> for each coordinate i from the
-    stage's state, inputs[i]: the source of z_i + (h a_s0) k0_i + ... left
-    to right, z<i> at s = 0.  `line` is the file line number of the first
-    line that stage writes.  The weights h a_sj, h b4_j and h c5_j are the
-    locals ha<s>_<j>, hb<j> and hc<j>, which no kernel or field line
-    writes.  The step returns the fifth-order solution x5 and the error norm
+    field(x0, .., x<dim-1>) is the field at dim floats, as dim floats: a
+    system's `_field`.  The step unpacks x into z<i>, and stage s calls
+    field once on its state z_i + (h a_s0) k0_i + ..., summed left to right
+    (z<i> at s = 0), assigning k<s>_<i>; the weights h a_sj, h b4_j and
+    h c5_j are the locals ha<s>_<j>, hb<j> and hc<j>.  The step returns the
+    fifth-order solution x5 and the error norm
     max_i |x5_i - x4_i| / (abs_tol + rel_tol max(|x_i|, |x5_i|)), NaN if a
     term is, so that a NaN rejects the step (max() keeps a NaN only in first
     place); x4 and x5 keep the zero weights, which decide signs of zero and
-    spread NaNs.  The lines run in namespace, compiled as file `name`.
+    spread NaNs.  One program per state size, shared by every field on
+    every chart, compiled at the first flow of that size as
+    "<contactmech rkf45-step dim=DIM>".
     """
     def sums(i: int, weights: str, stages: int) -> str:
         return f"z{i}" + "".join(f" + {weights}{j} * k{j}_{i}" for j in range(stages))
 
     weights = [*((f"ha{s}_", a) for s, a in enumerate(_A)), ("hb", _B4), ("hc", _B5)]
-    lines = [f"def step({args}):", *(f"    {name}{j} = h * {w!r}" for name, ws in weights
-                                     for j, w in enumerate(ws)), f"    {_names('z', dim)}, = x"]
+    lines = ["def step(field, x, h, abs_tol, rel_tol):",
+             *(f"    {name}{j} = h * {w!r}" for name, ws in weights for j, w in enumerate(ws)),
+             f"    {_names('z', dim)}, = x"]
     for s in range(6):
-        inputs = [sums(i, f"ha{s}_", s) for i in range(dim)]
-        lines += [f"    {line}" for line in stage(s, inputs, len(lines) + 1)]
+        state = ", ".join(sums(i, f"ha{s}_", s) for i in range(dim))
+        lines.append(f"    {_names(f'k{s}_', dim)}, = field({state})")
     for i in range(dim):
         lines += [f"    y{i} = {sums(i, 'hc', 6)}",
                   f"    e{i} = abs(y{i} - ({sums(i, 'hb', 6)})) / "
                   f"(abs_tol + rel_tol * max(abs(z{i}), abs(y{i})))"]
     nan = " or ".join(f"e{i} != e{i}" for i in range(dim))
     lines.append(f"    return [{_names('y', dim)}], nan if {nan} else max(({_names('e', dim)},))")
-    return program(name, lines, {**namespace, "nan": math.nan}, "step")
+    return program(f"<contactmech rkf45-step dim={dim}>", lines, {"nan": math.nan}, "step")
 
 
-@functools.lru_cache(maxsize=None)
-def _step_program(dim: int) -> Callable:
-    """`step(field, x, h, abs_tol, rel_tol)`: the `_fehlberg` step that calls field six times.
-
-    field maps a float list to the field there as a float list.  Compiled
-    at the first flow of each state size that takes it, as
-    "<contactmech rkf45-step dim=DIM>".
-    """
-    def stage(s: int, inputs: Sequence[str], line: int) -> list[str]:
-        state = "x" if s == 0 else f"[{', '.join(inputs)}]"
-        return [f"{_names(f'k{s}_', dim)}, = field({state})"]
-
-    return _fehlberg(f"<contactmech rkf45-step dim={dim}>", "field, x, h, abs_tol, rel_tol", dim,
-                     stage, {})
-
-
-def _calling(field_fn: Callable, dim: int) -> Callable:
-    """The bound step `step(x, h, abs_tol, rel_tol)` of `_step_program` that calls field_fn."""
-    return functools.partial(_step_program(dim), field_fn)
+def _calling(field: Callable, dim: int) -> Callable:
+    """The bound step `step(x, h, abs_tol, rel_tol)` of `_step_program` that calls field."""
+    return functools.partial(_step_program(dim), field)
 
 
 def _run(step, x, T, h, cfg, guards, names) -> tuple[list, list, str, str]:
     """The flow's accepted times and points as lists, its status and detail.
 
-    step(x, h, abs_tol, rel_tol) is a bound Fehlberg step (`_fehlberg`),
+    step(x, h, abs_tol, rel_tol) is a bound Fehlberg step (`_calling`),
     and h > 0 the first step proposal: `integrate` ramps up from
     `_ramp`, `_compose` proposes the whole span.  From there the error
     control grows an accepted step by at most 5x, up to max_step, shrinks
@@ -396,8 +385,8 @@ def group_action(
     if x.shape != (system.dim,):
         raise ValueError(f"expected start point of shape ({system.dim},), got {x.shape}")
     guards = tuple(getattr(system, "positive_indices", ()))
-    x = _compose(lambda idx: system._step(fs[idx]), fs, t.tolist(), x.tolist(),
-                 config or IntegratorConfig(), guards, system.coordinates)
+    x = _compose(lambda idx: _calling(system._field(fs[idx]), system.dim), fs, t.tolist(),
+                 x.tolist(), config or IntegratorConfig(), guards, system.coordinates)
     return np.array(x)
 
 
@@ -434,7 +423,11 @@ def variational_group_action(
         raise ValueError(f"expected tangents of shape ({dim}, k), got {tangents.shape}")
     state = np.concatenate([x0, tangents.T.ravel()]).tolist()
     width = len(state)
-    state = np.array(_compose(lambda idx: _calling(system.variational_evaluator(fs[idx]), width),
-                              fs, t.tolist(), state, config or IntegratorConfig(), guards,
+
+    def bind(idx: int) -> Callable:
+        run = system.variational_evaluator(fs[idx])
+        return _calling(lambda *floats: run(floats), width)  # the closure takes one sequence
+
+    state = np.array(_compose(bind, fs, t.tolist(), state, config or IntegratorConfig(), guards,
                               system.coordinates))
     return state[:dim], state[dim:].reshape(-1, dim).T

@@ -15,13 +15,15 @@ elimination per point for det B, the Reeb field and B^-T df of m
 functions, with its checks and errors, run by single points; its
 row-block twin `_field_rows` over NumPy columns, run by point stacks;
 and `_variational_program`, its lines, then one more elimination per
-tangent for DX_f dx.  One emitter, `_field_source`, writes X_f at a
-state's floats on every chart: f's kernel lines, then the template over
-source symbols or the field program's lines for one function.  Its
-lines make the `field_evaluator` closure (`_field_evaluator`) and every
-stage of a flow step (`_field_step`), one Python call each.  None takes
-a LAPACK solve; `_programs` holds the emitters' helpers and compiles
-every program (`program`).
+tangent for DX_f dx.  One builder, `_field_entries`, compiles X_f on
+every chart into one program per chart kind and kernel, with two
+entries: `at` on a state's floats, f's kernel lines and then the
+template over source symbols or the field program's lines for one
+function, which the stages of every flow's shared Fehlberg step call
+(`flows._step_program`); and `field`, the `field_evaluator` closure,
+which checks a point and returns `at` there.  None takes a LAPACK
+solve; `_programs` holds the emitters' helpers and compiles every
+program (`program`).
 
 The flat map sends a vector v to i_v(d eta) + eta(v) eta.  Its matrix is
 B_ab = (d eta)_ab + eta_a eta_b with the row convention
@@ -89,7 +91,6 @@ from .expressions import (
     jet2_kernel,
     parse,
 )
-from .flows import _fehlberg
 
 __all__ = [
     "GeometryError",
@@ -220,7 +221,7 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     chart's, for the errors).  It returns one list: the components of the
     m fields, then on the contact kind the m Reeb derivatives and the Reeb
     field (at m = 0 the Reeb field alone).  `lines` holds its source
-    lines at one point, on which `_field_source` (at m = 1) and
+    lines at one point, on which `_field_entries` (at m = 1) and
     `_variational_program` build, and `body` and `result` those of
     `solve`, on which `_field_rows` builds.
 
@@ -590,7 +591,7 @@ class _Chart:
         Shapes and `coframes` as in `_solved`.  General coframes return
         `_solved`'s fields, with every check and error of `_field_program`.
         Standard-form charts run the closed form `_closed_field` over
-        arrays, unchecked like `_field_source`'s lines for it: eta(X_f) =
+        arrays, unchecked like `_field_entries`' lines for it: eta(X_f) =
         -f and theta(X_F) = F hold there identically.
         """
         if self._closed_field is None:
@@ -628,7 +629,7 @@ class _Chart:
         return bind(jet, self._eta_chart._coeff_jet, self.point)
 
     def _field_key(self, f: Expr) -> tuple:
-        """(kind, `_closed_field`, kernel): the memo key of X_f's `_field_source` programs.
+        """(kind, `_closed_field`, kernel): the memo key of X_f's `_field_entries` program.
 
         The kernel is f's `gradient_kernel` on standard-form charts, else the
         fused kernel of f and eta's coefficients.
@@ -904,104 +905,67 @@ def _closed_program(template, dim: int) -> Callable:
     return program(f"<contactmech closed-variational dim={dim}>", source, {}, "bind")
 
 
-def _field_source(kind: str, template, kernel, start: int) -> tuple[list[str], dict, list[str]]:
-    """X_f at the floats x0 .. x<dim-1>: source lines, their error entries, X_f's components.
+@functools.lru_cache(maxsize=512)
+def _field_entries(kind: str, template, kernel) -> tuple[Callable, Callable]:
+    """X_f's field program: its entries `at(x0, .., x<dim-1>)` and `field(values)`.
 
     kernel is f's kernel as `_Chart._field_key` gives it: on standard-form
     charts (template, the chart's `_closed_field`, not None) f's
     `gradient_kernel`, otherwise the fused kernel of f and eta's
-    coefficients.  The lines are the lifted kind's fiber test (general
-    coframes: `SympChart.point`'s), the kernel's lines after its input
-    conversions in a try block that raises their EvaluationDomainError,
-    then the field.  On standard-form charts X_f is the template over
-    `_Source` symbols of the state and the kernel's outputs, as source
-    text; otherwise the lines of `_field_program(kind, dim, 1)` on the
-    kernel's outputs (lifted: less eta's r-derivatives), with `point(x)`
-    spelled as the state, and X_f is its locals X0_<i>.  start is the file
-    line number of the first line; the error entries map the line numbers
-    of the kernel lines that can raise to the kernel's entries for them.
+    coefficients.  `at` takes the dim floats of a state, as the Fehlberg
+    step `flows._step_program` passes them, and returns X_f there as a
+    float list: the kernel's lines after its input conversions, in a try
+    block that raises their EvaluationDomainError, then the field.  On
+    standard-form charts that is the template over `_Source` symbols of
+    the floats and the kernel's outputs, unchecked; otherwise the lines of
+    `_field_program(kind, dim, 1)` on the kernel's outputs (lifted: less
+    eta's r-derivatives), with `point(x)` spelled as the floats, checks and
+    errors included.  `field` is `_System.field_evaluator`'s closure: a
+    point of other than dim entries goes to `_point`, the chart's shape
+    ValueError; the kernel's input conversions make its entries floats; a
+    general coframe's lifted kind tests the fiber as `SympChart.point`
+    does; then it returns `at` there.  Memoised per chart kind and kernel,
+    hence per tree signature, and compiled as
+    "<contactmech KIND-field dim=DIM kernel N>".
     """
     dim, lines, _, outputs, errors = kernel.emitted
     lifted = kind == "lifted"
     d = dim - 1 if lifted else dim
-    source = []
-    if lifted and template is None:
-        source += [f"if x{d} <= 0.0:",
-                   f"    raise ValueError(f'fiber coordinate must be positive, got {{x{d}}}')"]
-    failures = {}
+    source = [f"def at({_names('x', dim)}):"]
+    failures = {}  # a line of the program -> the kernel's error entry of the line it copies
     if len(lines) > dim:
-        source.append("try:")
-        failures = {start + len(source) + k - dim: errors[k] for k in errors}
-        source += [*(f"    {line}" for line in lines[dim:]),
-                   "except (ArithmeticError, ValueError) as exc:",
-                   "    raise _domain_error(exc) from None"]
+        source.append("    try:")
+        failures = {len(source) + 1 + k - dim: errors[k] for k in errors}
+        source += [*(f"        {line}" for line in lines[dim:]),
+                   "    except (ArithmeticError, ValueError) as exc:",
+                   "        raise _domain_error(exc) from None"]
+    solve = {} if template is not None else _field_program(kind, dim, 1)
+    namespace = {**kernel.__globals__, **solve, "point": np.array, "_point": _point,
+                 "_domain_error": functools.partial(_domain_error, failures)}
     if template is not None:
         value, *grad = map(_Source, outputs)
-        return source, failures, template((dim - 1) // 2, [_Source(f"x{i}") for i in range(dim)],
-                                          value, grad, _fdot)
-    # f's value and gradient, then eta_i and its gradient over the d base coordinates
-    taken = [*outputs[: dim + 1],
-             *(e for i in range(1, d + 1) for e in outputs[i * (dim + 1) : i * (dim + 1) + d + 1])]
-    names = ["value0", *(f"g0_{i}" for i in range(dim)), *_coframe_names(d).split(", ")[:-1]]
-    state = f"point({_tup('x', dim)})"
-    source += [*(f"{name} = {value}" for name, value in zip(names, taken)),
-               *([f"r = x{d}"] if lifted else []),
-               *(line.replace("point(x)", state) for line in _field_program(kind, dim, 1)["lines"])]
-    return source, failures, [f"X0_{i}" for i in range(dim)]
-
-
-def _namespace(kind: str, template, kernel, failures: dict) -> dict:
-    """The globals of a `_field_source` program: the kernel's, and on general coframes solve's."""
-    solve = {} if template is not None else _field_program(kind, kernel.emitted[0], 1)
-    return {**kernel.__globals__, **solve, "point": np.array, "_point": _point,
-            "_domain_error": functools.partial(_domain_error, failures)}
-
-
-@functools.lru_cache(maxsize=512)
-def _field_evaluator(kind: str, template, kernel) -> Callable:
-    """`field(values)`: X_f at a point as a float list, for `_System.field_evaluator`.
-
-    One program: a point of other than dim entries goes to `_point`, the
-    chart's shape ValueError; the kernel's input conversions make its
-    entries floats; then the `_field_source` lines, with their checks and
-    errors.  Memoised per chart kind and kernel, hence per tree signature,
-    and compiled as "<contactmech KIND-field dim=DIM kernel N>".
-    """
-    dim, lines = kernel.emitted[:2]
-    source = ["def field(values):", f"    if len(values) != {dim}:",
-              f"        _point(values, {dim})", *(f"    {line}" for line in lines[:dim])]
-    body, failures, X = _field_source(kind, template, kernel, len(source) + 1)
-    source += [*(f"    {line}" for line in body), f"    return [{', '.join(X)}]"]
+        X = template((dim - 1) // 2, [_Source(f"x{i}") for i in range(dim)], value, grad, _fdot)
+    else:
+        # f's value and gradient, then eta_i and its gradient over the d base coordinates
+        taken = [*outputs[: dim + 1], *(e for i in range(1, d + 1)
+                                        for e in outputs[i * (dim + 1) : i * (dim + 1) + d + 1])]
+        names = ["value0", *(f"g0_{i}" for i in range(dim)), *_coframe_names(d).split(", ")[:-1]]
+        state = f"point({_tup('x', dim)})"
+        source += [*(f"    {name} = {value}" for name, value in zip(names, taken)),
+                   *([f"    r = x{d}"] if lifted else []),
+                   *(f"    {line.replace('point(x)', state)}" for line in solve["lines"])]
+        X = [f"X0_{i}" for i in range(dim)]
+    source += [f"    return [{', '.join(X)}]", "def field(values):",
+               f"    if len(values) != {dim}:", f"        _point(values, {dim})",
+               *(f"    {line}" for line in lines[:dim])]
+    if lifted and template is None:
+        source += [f"    if x{d} <= 0.0:",
+                   f"        raise ValueError(f'fiber coordinate must be positive, got {{x{d}}}')"]
+    source.append(f"    return at({_names('x', dim)})")
     name = kernel.__code__.co_filename.replace("<contactmech",
                                                f"<contactmech {kind}-field dim={dim}")
-    return program(name, source, _namespace(kind, template, kernel, failures), "field")
-
-
-@functools.lru_cache(maxsize=512)
-def _field_step(kind: str, template, kernel) -> Callable:
-    """`step(x, h, abs_tol, rel_tol)`: the Fehlberg step of X_f, for `_System._step`.
-
-    Each of the six stages of the `flows._fehlberg` step assigns its state
-    to x0 .. x<dim-1> and writes the `_field_source` lines there, whose
-    kernel lines map their errors per stage.  So the step makes the float
-    operations of `flows._step_program` calling `_field_evaluator`'s
-    closure, in their order, and raises its errors, uncaught ones included
-    (such as ZeroDivisionError at r = 0 on a standard-form symplectization),
-    in one call.  Memoised per chart kind and kernel, and compiled at the
-    first flow of the tree, as "<contactmech rkf45-step dim=DIM kernel N>".
-    """
-    dim = kernel.emitted[0]
-    failures = {}  # a line of the step -> the kernel's error entry of the line it copies
-
-    def stage(s: int, inputs: list[str], line: int) -> list[str]:
-        body, errors, X = _field_source(kind, template, kernel, line + 1)
-        failures.update(errors)
-        return [f"{_names('x', dim)}, = {', '.join(inputs)},", *body,
-                f"{_names(f'k{s}_', dim)}, = {', '.join(X)},"]
-
-    name = kernel.__code__.co_filename.replace("<contactmech", f"<contactmech rkf45-step dim={dim}")
-    return _fehlberg(name, "x, h, abs_tol, rel_tol", dim, stage,
-                     _namespace(kind, template, kernel, failures))
+    field = program(name, source, namespace, "field")
+    return namespace["at"], field
 
 
 def _flat(eta: np.ndarray, deta: np.ndarray) -> np.ndarray:
@@ -1106,40 +1070,39 @@ class _System:
 
     @functools.cached_property
     def _bound(self) -> dict:
-        """`_own`'s memo: (kind, integral index) -> what was bound for it."""
+        """`_entries`' memo: integral index -> the entries of its field program."""
         return {}
 
-    def _own(self, kind: str, f: FunctionLike, bind: Callable[[Expr], Callable]) -> Callable:
-        """bind(f's tree), kept per system where f is an integral, by its index or its tree."""
+    def _entries(self, f: FunctionLike) -> tuple[Callable, Callable]:
+        """The chart's `_field_entries` of f, kept per system for an integral (index or tree)."""
         if not isinstance(f, int):
             f = next((a for a, tree in enumerate(self.integrals) if tree is f), f)
             if not isinstance(f, int):
-                return bind(self.resolve(f))
-        key = kind, f
-        if key not in self._bound:
-            self._bound[key] = bind(self.resolve(f))
-        return self._bound[key]
+                return _field_entries(*self.chart._field_key(self.resolve(f)))
+        if f not in self._bound:
+            self._bound[f] = _field_entries(*self.chart._field_key(self.resolve(f)))
+        return self._bound[f]
 
     def field_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
         """Closure computing X_f as a list of floats: the Jacobian columns of the angle solves.
 
-        The chart's `_field_evaluator` program of f: f's kernel and the field
-        lines inlined, with the checks and errors of field_from_gradient on
-        general coframes; on standard-form charts the floats of the template
-        over floats (`_fdot`), unchecked.  A point of other than dim entries
-        raises the chart's shape ValueError.  The system's own integrals get
-        the closure bound at their first call.
+        The list entry of the chart's `_field_entries` program of f: f's
+        kernel and the field lines, with the checks and errors of
+        field_from_gradient on general coframes; on standard-form charts the
+        floats of the template over floats (`_fdot`), unchecked.  A point of
+        other than dim entries raises the chart's shape ValueError, and on a
+        general coframe's symplectization a fiber <= 0 `SympChart.point`'s.
+        The system's own integrals get the program bound at their first call.
         """
-        return self._own("field", f, lambda tree: _field_evaluator(*self.chart._field_key(tree)))
+        return self._entries(f)[1]
 
-    def _step(self, f: FunctionLike) -> Callable:
-        """The bound Fehlberg step `step(x, h, abs_tol, rel_tol)` of X_f, for `flows._run`.
+    def _field(self, f: FunctionLike) -> Callable:
+        """X_f as `at(x0, .., x<dim-1>)`, the other entry of `field_evaluator`'s program.
 
-        The chart's `_field_step` of f, whose every stage inlines f's kernel
-        and the field lines: one Python call per step on every chart.  It is
-        bound at the first call for the system's own integrals.
+        Every flow of f calls it in the stages of the shared Fehlberg step
+        (`flows._step_program`); it tests neither the point's shape nor the fiber.
         """
-        return self._own("step", f, lambda tree: _field_step(*self.chart._field_key(tree)))
+        return self._entries(f)[0]
 
     def variational_evaluator(self, f: FunctionLike) -> Callable[[Sequence[float]], list[float]]:
         """The chart's closure for the variational equation of X_f (`_Chart._variational`)."""

@@ -50,6 +50,7 @@ from .expressions import EvaluationDomainError, Expr, fused_kernel, gradient_ker
 from .flows import (
     FlowError,
     IntegratorConfig,
+    _calling,
     _compose,
     flow_map,
     integrate,
@@ -665,8 +666,10 @@ def verify_section(
     """Check F(chi(Lambda)) = +/-Lambda and chi*theta = 0 on the domain.
 
     The target identity is measured under both signs; the report records
-    the convention that holds (sign 0 when neither does).  At least one
-    sample is required, so that no verdict passes without evidence.
+    the convention that holds (sign 0 when neither does).  A NaN residual
+    is kept in the report and fails: its sign reads 0, or its section is
+    not horizontal.  At least one sample is required, so that no verdict
+    passes without evidence.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -677,10 +680,12 @@ def verify_section(
     for lam in lams:
         jet = section._base(lam, symp_system.dim, f"(fiber {{:.3e}} at Lambda = {lam.tolist()})")
         F = symp_system.integral_values(jet[:, 0])
-        res_plus = max(res_plus, float(np.max(np.abs(F - lam))))
-        res_minus = max(res_minus, float(np.max(np.abs(F + lam))))
-        pullback = _dot(symp_system.chart.theta_at(jet[:, 0]), jet[:, 1:].T)
-        horiz = max(horiz, float(np.max(np.abs(pullback))))
+        with np.errstate(invalid="ignore"):  # 0 * inf: a NaN, which the report keeps
+            pullback = _dot(symp_system.chart.theta_at(jet[:, 0]), jet[:, 1:].T)
+        # a NaN residual stays NaN, and fails the check
+        res_plus = _max_abs([res_plus, *(F - lam).tolist()])
+        res_minus = _max_abs([res_minus, *(F + lam).tolist()])
+        horiz = _max_abs([horiz, *pullback.tolist()])
     if res_plus <= tolerance:
         sign = 1
     elif res_minus <= tolerance:
@@ -769,7 +774,7 @@ def angle_solve(
     The solve runs on lists of floats.  F(x) and the base integrals come
     from one call each of the systems' fused kernels.  The m generator
     field closures and flow steps are bound once per solve, through
-    `symp_system.field_evaluator` and `symp_system._step`, which keep
+    `symp_system.field_evaluator` and `symp_system._field`, which keep
     those of the system's own integrals, the identity basis's generators;
     the involution check pairs the closures with the generators' gradients
     at x (with the identity basis, the fused kernel's from the call for
@@ -802,7 +807,7 @@ def angle_solve(
             raise ValueError(f"basis matrix {M.tolist()} is singular")
     generators = list(symp_system.integrals) if basis is None else _generators(symp_system, M)
     fields = [symp_system.field_evaluator(G) for G in generators]
-    steps = [symp_system._step(G) for G in generators]
+    steps = [_calling(symp_system._field(G), symp_system.dim) for G in generators]
     xs = x.tolist()
     flat = symp_system._fused(xs)
     F_x = list(flat[:: len(xs) + 1])

@@ -15,7 +15,7 @@ stack and measures each identity in one array pass, and the
 single-point methods run the same code on one point.
 On standard-form bases the lifted field is this module's closed-form
 template, run by the same callers as geometry's (`_stacked`,
-`_field_source` and `_closed_program`) and not re-checked (theta(X_F) = F
+`_field_entries` and `_closed_program`) and not re-checked (theta(X_F) = F
 holds for it identically on homogeneous F); on general bases every
 lifted field solves omega^T X = dF, and its tangents omega^T dX =
 d(dF) - d omega^T X, in the "lifted" kind of geometry's `_field_program`

@@ -9,9 +9,10 @@ references kept here, away from the library:
   through `geometry._fdot`.  The program must return their floats
   bitwise and raise their errors.
 * `solve_field`, the program's solve fed by f's kernel and eta's
-  coefficient kernel called apart: the field closures and flow steps
-  (`geometry._field_source`) write those kernels' lines and solve's into
-  one program, and must return its floats and raise its errors.
+  coefficient kernel called apart: the field program of each tree
+  (`geometry._field_entries`), whose entries the field closures and flow
+  steps call, writes those kernels' lines and solve's into one program,
+  and must return its floats and raise its errors.
 * the stacked NumPy solves that point stacks ran before the program
   (`lapack_frames`, `lapack_contact_fields`, `lapack_lifted_fields`):
   det, solve and residual by LAPACK, with the same checks and errors.
@@ -50,6 +51,7 @@ from contactmech.geometry import (
     _first,
     _norm,
     _pairs,
+    _point,
     conformal_rescale,
 )
 from contactmech.symplectization import (
@@ -193,23 +195,27 @@ def reference_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
     return (lifted_field if isinstance(chart, SympChart) else contact_field)(chart, kernel)
 
 
-def solve_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
+def solve_field(chart, kernel, fiber: bool = True) -> Callable[[Sequence[float]], list]:
     """X_f over float lists from the solve of `geometry._field_program(kind, dim, 1)`.
 
-    The closure checks the point's shape and, on the lifted kind, its
-    fiber, then calls f's kernel and the fused kernel of eta's coefficients
-    (`_float_coframe`) each on its own and passes their floats to solve:
-    the float operations and errors that the library's field closure
-    (`geometry._field_evaluator`) makes in one call.
+    The closure checks the point's shape and, on the lifted kind with
+    fiber true, its fiber, then calls f's kernel and the fused kernel of
+    eta's coefficients (`_float_coframe`) each on its own and passes their
+    floats to solve: the float operations and errors that the library's
+    field program (`geometry._field_entries`) makes in one call, through
+    its list entry (`field_evaluator`), or with fiber false through the
+    entry that a flow's stages call, which tests no fiber.
     """
     solve, dim = _field_program(chart._kind, chart.dim, 1)["solve"], chart.dim
-    lifted = isinstance(chart, SympChart)
+    lifted = fiber and isinstance(chart, SympChart)
+    # an error's point: the chart's, or at any fiber the point of its shape check
+    point = chart.point if fiber else functools.partial(_point, dim=dim)
 
     def field(x) -> list[float]:
         if len(x) != dim or (lifted and x[-1] <= 0.0):
             chart.point(x)
         value, grad = kernel(x)
-        return solve(chart.point, x, [value], [grad], chart._eta_chart._float_coframe(x))[:dim]
+        return solve(point, x, [value], [grad], chart._eta_chart._float_coframe(x))[:dim]
 
     return field
 

@@ -1,23 +1,25 @@
-"""Inlined flow steps against the step that calls a field closure.
+"""The shared flow step against the step that calls a field closure on a list.
 
-On every chart a flow takes `geometry._field_step`: one Fehlberg step
-with f's kernel and the field lines written into each of its six stages.
+On every chart a flow takes `flows._step_program`, one Fehlberg step per
+state size, whose six stages call X_f's positional field entry
+(`system._field`) on the stage's floats.
 
-On a standard-form (Darboux) chart the kernel is f's gradient kernel and
-the field the closed form.  The step must make the float operations of
-`flows._step_program` calling the `field_evaluator` closure: the same
+On a standard-form (Darboux) chart the field entry runs f's gradient
+kernel and the closed form.  The step must make the float operations of
+the reference step (`step_reference.calling`) calling the
+`field_evaluator` closure, the list entry of the same program: the same
 fifth-order solution and error norm, bitwise where they are not NaN
 (`flows._run` rejects every non-finite x5, so NaN bits never reach a
 result), the same errors, and the same trajectories.  Both steps are
 bound as `flows._run` takes them: `step(x, h, abs_tol, rel_tol)`.
 
-On a general coframe the kernel is the fused kernel of f and eta's
-coefficients and the field the solve lines of `geometry._field_program`.
-The step must make the float operations, errors and trajectories of
-`flows._step_program` calling the solve with the kernels called apart
-(`float_fields.solve_field`).  The n = 2 coframes (dims 5 and 6) meet
-the most overlap between the local names of the step, the kernel and
-the elimination.
+On a general coframe the field entry runs the fused kernel of f and
+eta's coefficients and the solve lines of `geometry._field_program`.
+The step must make the float operations, errors and trajectories of the
+reference step calling the solve with the kernels called apart
+(`float_fields.solve_field`), which like a stage tests no fiber: at
+r <= 0 the accepted state's guard ends a flow.  The n = 2 coframes
+(dims 5 and 6) are the largest states the step program unrolls.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ import pytest
 from contactmech import _programs, expressions, flows, geometry, integrability
 from contactmech.config import bundled_config_path, load_config
 from contactmech.expressions import EvaluationDomainError, gradient_kernel, parse
-from contactmech.flows import IntegratorConfig, _calling, _compose, _flow, group_action, integrate
+from contactmech.flows import IntegratorConfig, _calling, _compose, group_action, integrate
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.integrability import darboux_verify
 from contactmech.symplectization import symplectize
 from float_fields import _general_system, solve_field
+from step_reference import calling, flow
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CONFIGS = [bundled_config_path("darboux-pz"), bundled_config_path("darboux-5d-involutive"),
@@ -50,8 +53,14 @@ def _systems(path):
 
 
 def _steps(system, f):
-    """(the inlined step, the step calling the field closure) of X_f."""
-    return system._step(f), _calling(system.field_evaluator(f), system.dim)
+    """(the shared step on the field entry, the reference step calling the field closure) of X_f."""
+    return _calling(system._field(f), system.dim), calling(system.field_evaluator(f), system.dim)
+
+
+def _shared(step, dim):
+    """Whether step is `flows._step_program(dim)`, bound to a field."""
+    return step.func is flows._step_program(dim) and step.func.__code__.co_filename == (
+        f"<contactmech rkf45-step dim={dim}>")
 
 
 def _outcome(step, x, h):
@@ -92,12 +101,12 @@ def test_inlined_step_is_the_calling_step(path):
         # system's own integrals, so bound anew
         generator = 2.0 * integrals[0] - 0.5 * integrals[-1]
         for f in [*range(len(integrals)), generator]:
-            fused, calling = _steps(system, f)
-            assert fused.__code__.co_filename.startswith("<contactmech rkf45-step ")
+            shared, reference = _steps(system, f)
+            assert _shared(shared, system.dim)
             finite = 0
             for x in _states(system, rng, 120):
                 h = float(rng.uniform(-0.6, 0.6))
-                got, want = _outcome(fused, x, h), _outcome(calling, x, h)
+                got, want = _outcome(shared, x, h), _outcome(reference, x, h)
                 assert_same(got, want)
                 finite += isinstance(want, list) and all(map(math.isfinite, want))
             assert finite > 60
@@ -114,10 +123,10 @@ def test_inlined_step_fails_where_the_calling_step_fails(lifted):
     rng = np.random.default_rng(63)
     outcomes = {"error": 0, "finite": 0}
     for f in [0, 1, system.integrals[0] - system.integrals[1]]:
-        fused, calling = _steps(system, f)
+        shared, reference = _steps(system, f)
         for x in _states(system, rng, 150):
             h = float(rng.uniform(-0.6, 0.6))
-            got, want = _outcome(fused, x, h), _outcome(calling, x, h)
+            got, want = _outcome(shared, x, h), _outcome(reference, x, h)
             assert_same(got, want)
             outcomes["error" if isinstance(want, tuple) else "finite"] += 1
     assert min(outcomes.values()) > 50, outcomes
@@ -131,14 +140,14 @@ def test_inlined_step_raises_the_calling_steps_errors(lifted):
     system = symplectize(system) if lifted else system
     x = [5.0, 1.0, 0.1] + ([1.0] if lifted else [])
     for f, h in ((0, 0.5), (0, -0.3), (1, 0.5), (1, -4.0)):
-        fused, calling = _steps(system, f)
-        got, want = _outcome(fused, x, h), _outcome(calling, x, h)
+        shared, reference = _steps(system, f)
+        got, want = _outcome(shared, x, h), _outcome(reference, x, h)
         assert_same(got, want)
-    fused, calling = _steps(system, 0)
+    shared, reference = _steps(system, 0)
     with pytest.raises(EvaluationDomainError) as want:
-        calling(x, 0.5, *TOLS)
+        reference(x, 0.5, *TOLS)
     with pytest.raises(EvaluationDomainError) as got:
-        fused(x, 0.5, *TOLS)
+        shared(x, 0.5, *TOLS)
     assert str(got.value) == str(want.value) == "log of a nonpositive value in 'log(z)'"
     assert got.value.node == want.value.node == parse("log(z)")
 
@@ -147,10 +156,10 @@ def test_inlined_step_divides_by_a_zero_fiber_as_the_closure_does(pz_symp):
     # the lifted closed form divides by r and checks no sign: at r = 0 both
     # steps raise Python's own ZeroDivisionError, which no flow catches
     for f in range(2):
-        fused, calling = _steps(pz_symp, f)
-        want = _outcome(calling, [0.5, 1.2, 0.8, 0.0], 0.1)
+        shared, reference = _steps(pz_symp, f)
+        want = _outcome(reference, [0.5, 1.2, 0.8, 0.0], 0.1)
         assert want[0] is ZeroDivisionError
-        assert _outcome(fused, [0.5, 1.2, 0.8, 0.0], 0.1) == want
+        assert _outcome(shared, [0.5, 1.2, 0.8, 0.0], 0.1) == want
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: Path(p).stem)
@@ -163,13 +172,13 @@ def test_trajectories_are_the_calling_steps(path):
         for f in range(len(system.integrals)):
             for t in (1.3, -0.9):
                 got = integrate(system, f, x0, t, cfg)
-                want = _flow(system.field_evaluator(f), x0.tolist(), t, cfg, guards, names)
+                want = flow(system.field_evaluator(f), x0.tolist(), t, cfg, guards, names)
                 assert (got.status, got.detail) == (want.status, want.detail)
                 assert got.times.tobytes() == want.times.tobytes()
                 assert got.points.tobytes() == want.points.tobytes()
         times = rng.uniform(-0.8, 0.8, len(system.integrals))
         fs = system.integrals
-        want = _compose(lambda idx: _calling(system.field_evaluator(fs[idx]), system.dim), fs,
+        want = _compose(lambda idx: calling(system.field_evaluator(fs[idx]), system.dim), fs,
                         times.tolist(), x0.tolist(), cfg, guards, names)
         assert group_action(system, times, x0, cfg).tobytes() == np.array(want).tobytes()
 
@@ -179,11 +188,23 @@ def test_a_domain_exit_truncates_as_the_calling_step():
     # stays finite up to q = 0, where evaluating log(q) fails
     system = ContactSystem(ContactChart.standard(1), ["0*log(q) - p", "z"])
     got = integrate(system, 0, [0.5, 1.0, 1.0], 2.0)
-    want = _flow(system.field_evaluator(0), [0.5, 1.0, 1.0], 2.0, IntegratorConfig(), (),
-                 system.coordinates)
+    want = flow(system.field_evaluator(0), [0.5, 1.0, 1.0], 2.0, IntegratorConfig(), (),
+                system.coordinates)
     assert got.status == want.status == flows.EXITED_DOMAIN
     assert got.detail == want.detail and "log" in got.detail
     assert got.points.tobytes() == want.points.tobytes()
+
+
+def test_a_lifted_flow_exits_the_fiber_domain_on_a_general_base_as_on_the_standard_one():
+    # the flow of z leaves the guarded domain, and on the general base one
+    # of its stages reaches a fiber r < 0, where a fiber test in the stage
+    # raised ValueError; a stage tests no fiber on either base, and an
+    # accepted state's guard ends both flows
+    statuses = []
+    for path in (bundled_config_path("darboux-pz"), GOLDEN / "rescaled-pz.json"):
+        traj = integrate(load_config(path).symp_system(), "z", [0.5, 1.2, 0.8, 0.5], 2.0)
+        statuses.append(traj.status)
+    assert statuses == [flows.EXITED_DOMAIN] * 2
 
 
 def test_a_second_darboux_verify_compiles_no_program(monkeypatch, pz_config, pz_system):
@@ -218,9 +239,10 @@ def _general_systems(name):
 
 
 def _solve_steps(system, f):
-    """(the flat step, the step calling the solve with the kernels called apart) of X_f."""
+    """(the shared step, the reference step on the solve with the kernels called apart) of X_f."""
     kernel = gradient_kernel(system.resolve(f), system.coordinates)
-    return system._step(f), _calling(solve_field(system.chart, kernel), system.dim)
+    return (_calling(system._field(f), system.dim),
+            calling(solve_field(system.chart, kernel, fiber=False), system.dim))
 
 
 GENERAL = ["rescaled-pz", "domain-coframe", "general-n2", "dense-n2"]
@@ -234,17 +256,16 @@ def test_flat_step_is_the_calling_step(name):
         generator = 2.0 * integrals[0] - 0.5 * integrals[-1]
         outcomes = {"error": 0, "finite": 0}
         for f in [*range(len(integrals)), generator]:
-            flat, calling = _solve_steps(system, f)
-            assert flat.__code__.co_filename.startswith(
-                f"<contactmech rkf45-step dim={system.dim} kernel ")
+            shared, reference = _solve_steps(system, f)
+            assert _shared(shared, system.dim)
             for x in _states(system, rng, 150):
                 h = float(rng.uniform(-0.6, 0.6))
-                got, want = _outcome(flat, x, h), _outcome(calling, x, h)
+                got, want = _outcome(shared, x, h), _outcome(reference, x, h)
                 assert_same(got, want)
                 finite = isinstance(want, list) and all(map(math.isfinite, want))
                 outcomes["finite" if finite else "error"] += isinstance(want, tuple) or finite
         assert outcomes["finite"] > 200, outcomes
-        # the n = 2 coframes fail only upstairs, at a fiber r <= 0
+        # the n = 2 coframes fail only upstairs, at a fiber r = 0, where omega is singular
         if name in ("rescaled-pz", "domain-coframe") or system.dim % 2 == 0:
             assert outcomes["error"] > (100 if name == "domain-coframe" else 0), outcomes
 
@@ -265,13 +286,13 @@ def test_flat_step_trajectories_are_the_calling_steps(name):
     for system in _general_systems(name):
         guards, names, dim = tuple(system.positive_indices), system.coordinates, system.dim
         fs = system.integrals
-        fields = [lambda idx=idx: solve_field(system.chart, gradient_kernel(fs[idx], names))
+        fields = [lambda idx=idx: solve_field(system.chart, gradient_kernel(fs[idx], names), False)
                   for idx in range(len(fs))]
         for x0 in system.sample(rng, 2):
             for f in range(len(fs)):
                 for t in (1.3, -2.5):
                     got = _result(lambda: integrate(system, f, x0, t, cfg))
-                    want = _result(lambda: _flow(fields[f](), x0.tolist(), t, cfg, guards, names))
+                    want = _result(lambda: flow(fields[f](), x0.tolist(), t, cfg, guards, names))
                     if isinstance(want, tuple):
                         assert got == want
                         outcomes.add(want[0])
@@ -282,7 +303,7 @@ def test_flat_step_trajectories_are_the_calling_steps(name):
                     outcomes.add(got.status)
             times = rng.uniform(-0.8, 0.8, len(fs)).tolist()
             got = _result(lambda: group_action(system, times, x0, cfg).tolist())
-            want = _result(lambda: _compose(lambda idx: _calling(fields[idx](), dim), fs, times,
+            want = _result(lambda: _compose(lambda idx: calling(fields[idx](), dim), fs, times,
                                             x0.tolist(), cfg, guards, names))
             assert got == want if isinstance(want, tuple) else _hexes(got) == _hexes(want)
     assert flows.COMPLETED in outcomes

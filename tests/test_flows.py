@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from contactmech import flows
 from contactmech.flows import (
     COMPLETED,
     EXITED_DOMAIN,
@@ -207,15 +208,15 @@ def test_group_action_skips_zero_times(pz_system):
     assert np.array_equal(group_action(pz_system, np.zeros(2), X0), X0)
 
 
-def _spied_steps(monkeypatch, system) -> list:
-    """The h of every step call the system's bound steps make from now on."""
-    calls, bind = [], system._step
+def _spied_steps(monkeypatch) -> list:
+    """The h of every step call the flows' bound steps make from now on."""
+    calls, bind = [], flows._calling
 
-    def spying(f):
-        step = bind(f)
+    def spying(field, dim):
+        step = bind(field, dim)
         return lambda x, h, *tols: calls.append(h) or step(x, h, *tols)
 
-    monkeypatch.setattr(system, "_step", spying)
+    monkeypatch.setattr(flows, "_calling", spying)
     return calls
 
 
@@ -223,7 +224,7 @@ def test_a_composed_translation_flow_is_one_step(monkeypatch, pz_system):
     # RKF45 integrates the flow of p, a unit-speed translation in q, exactly:
     # a composition proposes its whole span and takes it in one step call,
     # while integrate records its ramp from 1% of the span
-    calls = _spied_steps(monkeypatch, pz_system)
+    calls = _spied_steps(monkeypatch)
     assert group_action(pz_system, [1.3, 0.0], X0).tolist() == [3.3, 3.0, 5.0]
     assert calls == [1.3]
     calls.clear()
@@ -239,7 +240,7 @@ def test_a_composed_translation_flow_is_one_step(monkeypatch, pz_system):
 @pytest.mark.parametrize("t", [8.0, -3.0])
 def test_a_rejected_whole_span_step_shrinks_to_the_closed_form(monkeypatch, pz_system, t):
     # the flow of z scales (p, z) by exp(-t); no step of the whole span holds
-    calls = _spied_steps(monkeypatch, pz_system)
+    calls = _spied_steps(monkeypatch)
     got = group_action(pz_system, [0.0, t], X0)
     assert calls[0] == t and abs(calls[1]) < abs(t)
     want = np.array([2.0, 3.0 * np.exp(-t), 5.0 * np.exp(-t)])

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -154,6 +155,19 @@ def test_verify_section_flags_nonhorizontal(pz_symp):
     report = verify_section(pz_symp, section, seed=0)
     assert report.sign == -1
     assert report.max_horizontality > 1e-3
+    assert not report.passed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_section_keeps_a_nan_residual(pz_symp):
+    # d chi / d Lambda holds -inf here (-L1 / L2^2), and theta . J is
+    # 0 * -inf = NaN: the report keeps the NaN, which fails the check,
+    # where Python's max(0.0, nan) read 0.0 and passed the section
+    section = SectionSpec("s", ("L1", "L2"), ("0", "L1 / L2", "1", "L2"),
+                          {"L1": (1e200, 1e200), "L2": (1e-100, 1e-100)})
+    report = verify_section(pz_symp, section, seed=0)
+    assert report.sign == -1 and report.residual_minus == 0.0
+    assert math.isnan(report.max_horizontality)
     assert not report.passed
 
 

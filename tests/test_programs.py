@@ -65,9 +65,9 @@ def test_every_builder_has_its_source_readable():
         expressions.gradient_kernel(parse("q * p - z"), ("q", "p", "z")),
         geometry._field_program("contact", 3, 1)["solve"],
         general.field_evaluator(0),
-        general._step(0),
+        general._field(0),
         standard.field_evaluator(0),
-        standard._step(0),
+        standard._field(0),
         geometry._variational_program("lifted", 4),
         geometry._closed_program(symplectization._darboux_field, 4),
         flows._step_program(3),

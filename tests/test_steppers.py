@@ -9,13 +9,13 @@ so at n = 1 the trajectories must be byte-equal.  At n = 2 NumPy's
 p @ g fuses a multiply-add that plain float code does not, so there the
 two agree to round-off only.
 
-The adaptive step that calls a closure is a generated straight-line
-function per state size (`flows._step_program`), and on standard-form
-charts the field closure writes f's kernel and the template's lines
-over source symbols (`geometry._field_source`).  The step must match
-the float-list Fehlberg step and error norm it unrolls, kept below, and
-the template's lines the template run over floats (`_fdot`), each
-bitwise.
+The adaptive step is one generated straight-line function per state
+size (`flows._step_program`), whose stages call a field on their floats,
+and on standard-form charts the field program writes f's kernel and the
+template's lines over source symbols (`geometry._field_entries`).  The
+step must match the float-list Fehlberg step and error norm it unrolls,
+kept below, and the template's lines the template run over floats
+(`_fdot`), each bitwise.
 
 On general coframes the field closure runs the lines of a generated
 straight-line float program (`geometry._field_program`), one
@@ -30,8 +30,9 @@ solves it replaced) rather than to the library: a flow's values,
 trajectories and errors, and a point stack's jets, brackets, lifted
 fields and `lift_check` values to 1e-12.  They also pin when it is
 compiled: once per chart kind and dimension, at the first
-`field_evaluator` call, never while a config loads; and each field
-closure and step once per chart kind and kernel, at its first use.
+`field_evaluator` call, never while a config loads; each field program
+once per chart kind and kernel, at its first use; and one step per
+state size, shared by every field.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from __future__ import annotations
 import itertools
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from contactmech import geometry, integrability, symplectization
+from contactmech import _programs, expressions, flows, geometry, integrability, symplectization
 from contactmech.config import bundled_config_path, load_config
 from contactmech.expressions import (
     EvaluationDomainError,
@@ -63,7 +63,7 @@ from contactmech.flows import (
     STEP_FAILURE,
     IntegratorConfig,
     Trajectory,
-    _flow,
+    _calling,
     _step_program,
     integrate,
 )
@@ -83,6 +83,7 @@ from float_fields import (
     reference_field,
     solve_field,
 )
+from step_reference import flow
 
 RKF45 = IntegratorConfig()
 # a cap below the natural step: many short steps, each clamped by max_step
@@ -268,13 +269,14 @@ def test_float_steppers_are_byte_equal_to_numpy_steppers(systems, name, cfg):
 
 
 def _step_fields(systems, name):
-    """A sampler of start states and the field closures of one state size."""
+    """A sampler of start states and the fields of one state size: (list closure, positional)."""
     if name == "variational":  # darboux-pz's point and three tangents: 12 floats
         system = systems["darboux-pz"]
-        fields = [system.variational_evaluator(f) for f in range(2)]
+        runs = [system.variational_evaluator(f) for f in range(2)]
+        fields = [(run, lambda *state, run=run: run(state)) for run in runs]
         return (lambda rng: [*system.sample(rng, 1)[0], *rng.normal(size=9)]), fields
     system = _cubic_system() if name == "cubic-n2" else systems[name]
-    fields = [system.field_evaluator(f) for f in range(len(system.integrals))]
+    fields = [(system.field_evaluator(f), system._field(f)) for f in range(len(system.integrals))]
     return (lambda rng: system.sample(rng, 1)[0].tolist()), fields
 
 
@@ -286,16 +288,17 @@ def test_step_program_matches_the_float_reference_bitwise(systems, name):
     rng = np.random.default_rng(24)
     tols = (RKF45.abs_tol, RKF45.rel_tol)
     for k in range(600):
-        x, h, field = sample(rng), float(rng.uniform(-0.3, 0.3)), fields[k % len(fields)]
+        x, h = sample(rng), float(rng.uniform(-0.3, 0.3))
+        field, positional = fields[k % len(fields)]
         x4, x5 = float_rkf_step(field, x, h)
-        got, norm = _step_program(len(x))(field, x, h, *tols)
+        got, norm = _step_program(len(x))(positional, x, h, *tols)
         assert (_hex(got), norm.hex()) == (_hex(x5), float_error_norm(x, x4, x5, *tols).hex())
 
 
 def _stages(ks):
-    """A stub field that returns the stages ks in turn."""
+    """A stub field that returns the stages ks in turn, called on a list or on floats."""
     stages = iter(ks)
-    return lambda x: next(stages)
+    return lambda *x: next(stages)
 
 
 def test_step_program_keeps_the_zero_weights():
@@ -324,13 +327,13 @@ def test_nan_error_norm_rejects_the_step():
 
     def field():
         middle = iter([0.0, 0.0, 1.7e307, 1.7e307, 0.95e308])
-        return lambda x: [0.0, next(middle, 0.0), 0.0]
+        return lambda *x: [0.0, next(middle, 0.0), 0.0]
 
     x5, norm = _step_program(3)(field(), [0.0, 0.0, 0.0], 10.0, 1e-12, 1e-10)
     assert all(map(math.isfinite, x5)) and x5[1] != 0.0
     assert math.isnan(norm)
     # a flow rejects that first step, of h = 10, and accepts 1.0 next
-    traj = _flow(field(), [0.0, 0.0, 0.0], 1000.0, RKF45, (), ("a", "b", "c"))
+    traj = flow(field(), [0.0, 0.0, 0.0], 1000.0, RKF45, (), ("a", "b", "c"), _calling)
     assert traj.completed
     assert traj.times[1] == 1.0
     assert not traj.points.any()
@@ -435,8 +438,8 @@ def test_float_field_trajectories_match_field_from_gradient(lifted, cfg):
     for x0 in system.sample(rng, 3):
         for f in range(len(system.integrals)):
             got = integrate(system, f, x0, 1.5, cfg)
-            want = _flow(lapack_field_evaluator(system, f), x0.tolist(), 1.5, cfg, guards,
-                         system.coordinates)
+            want = flow(lapack_field_evaluator(system, f), x0.tolist(), 1.5, cfg, guards,
+                        system.coordinates)
             assert got.status == want.status == COMPLETED
             np.testing.assert_allclose(got.points[-1], want.points[-1], rtol=1e-10, atol=0.0)
 
@@ -560,23 +563,32 @@ def test_field_program_raises_the_errors_of_the_reference(n, lifted, scale):
     assert got.det == pytest.approx(lapack.det, rel=1e-6, abs=1e-300)
 
 
-def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluator():
+def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluator(monkeypatch):
     # loading a config and building its systems compiles no field program,
     # no field closure, no step and no ray program
     programs = (geometry._field_program, geometry._closed_program, _step_program,
-                geometry._field_evaluator, geometry._field_step, integrability._ray_program)
+                geometry._field_entries, integrability._ray_program)
     for program in programs:
         program.cache_clear()
+    compiled = []  # (name, source) of every program compiled from here on
+
+    def recording(name, lines, *args):
+        compiled.append((name, "\n".join(lines)))
+        return _programs.program(name, lines, *args)
+
+    for module in (expressions, geometry, flows):
+        monkeypatch.setattr(module, "program", recording)
     cfg = load_config(Path(__file__).parent / "data" / "golden" / "rescaled-pz.json")
     system, symp = cfg.system(), cfg.symp_system()
     pz = load_config(bundled_config_path("darboux-pz"))
     pz_system, pz_symp = pz.system(), pz.symp_system()
     assert [program.cache_info().misses for program in programs] == [0] * len(programs)
-    # on every chart the field closure of an integral's tree compiles at its
+    # on every chart the field program of an integral's tree compiles at its
     # first field_evaluator, bound once per system; a general coframe also
     # compiles its kind's solve lines, once per dimension
     x = [0.5, 1.2, 0.8]
-    for run, point in ((pz_system, x), (pz_symp, x + [1.5]), (system, x), (symp, x + [1.5])):
+    runs = ((pz_system, x), (pz_symp, x + [1.5]), (system, x), (symp, x + [1.5]))
+    for run, point in runs:
         first, second = run.field_evaluator(0), run.field_evaluator(1)
         assert run.field_evaluator(0) is first
         first(point), second(point)
@@ -587,18 +599,33 @@ def test_field_programs_compile_once_per_kind_and_dim_at_the_first_field_evaluat
                    for name in names)
         solves = 0 if run in (pz_system, pz_symp) else 1 if run is system else 2
         assert geometry._field_program.cache_info().misses == solves
-    assert geometry._field_evaluator.cache_info()[:2] == (0, 8)  # (hits, misses)
-    # a flow takes the inlined step of its integral's tree, compiled at the
-    # first flow of that tree, bound once per system; no step calls a closure
-    assert geometry._field_step.cache_info().misses == 0
+    assert geometry._field_entries.cache_info()[:2] == (0, 8)  # (hits, misses)
+    # a flow binds the one step of its state size to the other entry of its
+    # integral's field program: no flow compiles a field, and no step
+    # belongs to a kernel
+    assert _step_program.cache_info().misses == 0
     for f in (0, 1, 0):
-        integrate(pz_system, f, x, 0.5)
-        integrate(system, f, x, 0.5)
-    assert geometry._field_step.cache_info()[:2] == (0, 4)
-    for run in (pz_system, system):
-        assert run._step(1) is run._step(1)
-        assert run._step(1).__code__.co_filename.startswith("<contactmech rkf45-step dim=3 kernel ")
-    assert _step_program.cache_info().misses == geometry._closed_program.cache_info().misses == 0
+        for run, point in runs:
+            integrate(run, f, point, 0.5)
+    assert geometry._field_entries.cache_info()[:2] == (0, 8)
+    assert _step_program.cache_info()[:2] == (10, 2)
+    steps = [name for name, _ in compiled if "rkf45-step" in name]
+    assert steps == ["<contactmech rkf45-step dim=3>", "<contactmech rkf45-step dim=4>"]
+    assert geometry._closed_program.cache_info().misses == 0
+    # each field's lines, its kernel's lines included, are in one generated
+    # file: its field program (a kernel's own file, and its row-block
+    # twin, hold the kernel's lines alone)
+    fields = 0
+    for run, _ in runs:
+        for tree in run.integrals:
+            field, kernel = run.field_evaluator(tree), run.chart._field_key(tree)[2]
+            assert run._field(tree) is run._field(tree) is field.__globals__["at"]
+            body = [line.strip() for line in kernel.emitted[1][kernel.emitted[0]:]]
+            holders = [name for name, source in compiled if body and not name.startswith(
+                "<contactmech kernel ") and all(line in source for line in body)]
+            assert holders == ([field.__code__.co_filename] if body else [])
+            fields += bool(body)
+    assert fields >= 4
 
 
 @pytest.mark.parametrize("lifted", [False, True], ids=["contact", "symp"])
@@ -632,22 +659,19 @@ def test_field_program_names_its_kind_and_dim(name, lifted):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("module", [geometry, symplectization], ids=["contact", "lifted"])
 def test_closed_program_matches_the_template_bitwise(module, n):
-    # the closed-form field lines that the field emitter writes against the
+    # the closed-form field lines of the positional field entry against the
     # template over floats (`_fdot`), with -0.0 in a quarter of the entries;
-    # the fiber r stays positive.  A stub kernel with no lines of its own
-    # gives as f's value and gradient the inputs value and g<i>
+    # the fiber r stays positive.  A stub kernel whose lines read `inputs`
+    # gives f's value and gradient as the locals value and g<i>
     template, dim = module._darboux_field, 2 * n + 1 + (module is symplectization)
     kind = "lifted" if module is symplectization else "contact"
-    grads = [f"g{i}" for i in range(dim)]
-    stub = SimpleNamespace(emitted=(dim, [f"x{i} = float(values[{i}])" for i in range(dim)], {},
-                                    ["value", *grads], {}))
-    lines, failures, X = geometry._field_source(kind, template, stub, 2)
-    assert failures == {}
-    coordinates = ", ".join(f"x{i}" for i in range(dim))
-    namespace: dict = {}
-    exec("\n".join([f"def field({coordinates}, value, {', '.join(grads)}):",
-                    *(f"    {line}" for line in lines), f"    return [{', '.join(X)}]"]), namespace)
-    field = namespace["field"]
+    inputs = [0.0] * (dim + 1)  # f's value and gradient, as the stub kernel's lines read them
+    stub = _programs.program(f"<contactmech kernel {kind}-stub n={n}>",
+                             ["def kernel(values):", "    pass"], {"inputs": inputs}, "kernel")
+    stub.emitted = (dim, [*(f"x{i} = float(values[{i}])" for i in range(dim)), "value = inputs[0]",
+                          *(f"g{i} = inputs[{i + 1}]" for i in range(dim))],
+                    {}, ["value", *(f"g{i}" for i in range(dim))], {})
+    field = geometry._field_entries(kind, template, stub)[0]
     rng = np.random.default_rng(26)
     signed_zeros = 0
     for _ in range(500):
@@ -656,7 +680,8 @@ def test_closed_program_matches_the_template_bitwise(module, n):
         if module is symplectization:
             x[-1] = abs(x[-1]) + 0.5
         want = template(n, x, value, grad, geometry._fdot)
-        assert _hex(field(*x, value, *grad)) == _hex(want)
+        inputs[:] = [value, *grad]
+        assert _hex(field(*x)) == _hex(want)
         signed_zeros += _hex([*x, *grad, value]).count("-0x0.0p+0")
     assert signed_zeros > 200
 
