@@ -46,13 +46,13 @@ def _sum(terms: Sequence[str]) -> str:
 
 
 def _checked(resid: Sequence[str], tol: float, values: str, vectors: str) -> str:
-    """Source of `_exceeds_float(resid, tol, values, vectors)` behind the pre-test max |r_i| <= tol.
+    """Source of `_exceeds(resid, tol, values, vectors)` behind the pre-test max |r_i| <= tol.
 
-    The pre-test fails on a NaN residual, so `_exceeds_float` decides every
-    case that can raise.
+    The pre-test fails on a NaN residual, so `geometry._exceeds` decides
+    every case that can raise.
     """
     small = " and ".join(f"abs({r}) <= {tol!r}" for r in resid)
-    return f"not ({small}) and _exceeds_float(({', '.join(resid)},), {tol!r}, {values}, {vectors})"
+    return f"not ({small}) and _exceeds(({', '.join(resid)},), {tol!r}, {values}, {vectors})"
 
 
 def _eliminate(dim: int, width: int, pivot: Callable[[int], list[str]]) -> list[str]:

@@ -6,10 +6,12 @@ operators + - * /, and ^ with a constant real exponent.  They are parsed
 by recursive descent, printed back in a canonical form that reparses to
 the same tree, and evaluated over plain floats; + - * / and unary minus
 on nodes build the same trees in code.  Exact derivatives come from
-straight-line float kernels compiled from the tree: forward-mode dual
-arithmetic unrolled into one float per tangent entry, raising their own
-EvaluationDomainError.  A jet kernel carries the Hessian's lower
-triangle through the same pass, without symbolic simplification.
+straight-line float kernels compiled from a list of trees by one
+factory, `fused_kernel`: forward-mode dual arithmetic unrolled into one
+float per tangent entry, raising their own EvaluationDomainError, and
+returning one flat tuple, per tree its value and gradient.  A jet kernel
+carries the Hessian's lower triangle through the same pass, without
+symbolic simplification, and appends each tree's Hessian rows.
 
 Grammar (EBNF, whitespace insignificant):
 
@@ -55,11 +57,9 @@ __all__ = [
     "free_variables",
     "evaluate",
     "gradient_evaluator",
-    "gradient_kernel",
     "fused_kernel",
     "fused_rows",
     "eval_jet2",
-    "jet2_kernel",
 ]
 
 
@@ -716,46 +716,34 @@ class _KernelSource:
             self.plus(self.times(v, T[j]), self.times(T[j], v))))
 
 
-def _compile(nodes: tuple[Expr, ...], names: tuple[str, ...], jet: bool = False,
-             fused: bool = False):
-    """The kernel of trees `nodes` over `names`: one straight-line source for all of them.
+def _compile(nodes: tuple[Expr, ...], names: tuple[str, ...], jet: bool = False):
+    """The kernel of trees `nodes` over `names`: one straight-line source returning one flat tuple.
 
-    A fused kernel returns one flat tuple: per tree its value, gradient
-    and, in a jet, the Hessian rows mirrored from the lower triangle.
-    Otherwise the one tree's (value, gradient tuple[, Hessian rows]).
-    A kernel that is not a jet keeps what its emitter wrote as `emitted`:
-    the number of names, the lines, the bound constants, the source of
-    each flat output and the lines' error entries.
+    Per tree, in order: its value, its gradient and, in a jet, its Hessian
+    rows mirrored from the lower triangle.  A kernel that is not a jet
+    keeps what its emitter wrote as `emitted`: the number of names, the
+    lines, the bound constants, the source of each flat output and the
+    lines' error entries.
     """
     source = _KernelSource(names, jet)
     n = len(names)
 
-    def listed(texts) -> str:
-        return "".join(f"{text}, " for text in texts)
-
-    def entries(node: Expr) -> tuple:
+    def entries(node: Expr) -> list:
         """The tree's value, gradient and Hessian rows (none outside a jet), emitted now."""
         value, tangent, hessian = source.emit(node)
         if tangent is None:
             value, tangent = float(value), [0.0] * n
         if not jet:
-            return value, tangent, []
+            return [value, *tangent]
         entry = dict(zip(source.pairs, hessian or source.zero))
-        return value, tangent, [[entry[max(i, j), min(i, j)] for j in range(n)] for i in range(n)]
+        return [value, *tangent, *(entry[max(i, j), min(i, j)] for i in range(n) for j in range(n))]
 
     trees = [entries(node) for node in nodes]  # emitted in order
     # per tree its value, gradient and Hessian rows, as source text
-    flat = [source.text(0.0 if e is None else e) for value, tangent, rows in trees
-            for e in (value, *tangent, *itertools.chain(*rows))]
-    if fused:
-        result = f"({listed(flat)})"
-    else:
-        result = f"{flat[0]}, ({listed(flat[1 : n + 1])})"
-        if jet:
-            result += ", [" + "".join(f"({listed(flat[k : k + n])}), "
-                                      for k in range(n + 1, len(flat), n)) + "]"
+    flat = [source.text(0.0 if e is None else e) for tree in trees for e in tree]
     lines = ["def kernel(values):", "    try:", *[f"        {line}" for line in source.lines],
-             f"        return {result}", "    except (ArithmeticError, ValueError) as exc:",
+             f"        return ({''.join(f'{text}, ' for text in flat)})",
+             "    except (ArithmeticError, ValueError) as exc:",
              "        raise _domain_error(exc) from None"]
     namespace = {
         # line i of source.lines is line i + 3 of the kernel, after "def kernel" and "try:"
@@ -830,31 +818,8 @@ class _KernelKey:
 
 
 @functools.lru_cache(maxsize=512)
-def _kernel(key: _KernelKey, jet: bool = False, fused: bool = False):
-    return _compile(key.nodes, key.names, jet, fused)
-
-
-def gradient_kernel(
-    node: Expr, names: Sequence[str]
-) -> "Callable[[Sequence[float]], tuple[float, tuple[float, ...]]]":
-    """Compiled kernel computing (value, gradient as a float tuple) at given values.
-
-    The tree is compiled now into straight-line float code, memoised per
-    (tree, names), that runs forward-mode dual arithmetic over floats and
-    computes a repeated subtree once.  The kernel raises
-    EvaluationDomainError itself, naming the subtree that failed: the line
-    that raised maps to the node that emitted it, so a call without errors
-    runs no extra checks.  A binary node whose value is infinite although
-    both operands are finite raises "overflow"; otherwise non-finite values
-    propagate.  Loops over floats call the kernel directly; the field
-    programs of standard-form charts, whose entries the field closures and
-    flow steps call, write its lines into their own
-    (`geometry._field_entries`).  It is the one-tree case of
-    `fused_kernel`'s compiler, with the gradient as a tuple of its own;
-    code that needs several trees at a point calls their fused kernel
-    once instead.
-    """
-    return _kernel(_KernelKey((node,), tuple(names)))
+def _kernel(key: _KernelKey, jet: bool = False):
+    return _compile(key.nodes, key.names, jet)
 
 
 def fused_kernel(
@@ -863,13 +828,18 @@ def fused_kernel(
     """Compiled kernel of all the trees at once, returning one flat float tuple.
 
     Per tree, in order: the value, the gradient and, with jet true, the
-    Hessian rows of `jet2_kernel`, each entry bitwise that kernel's.  The
-    kernel converts the inputs once and emits a subtree shared within or
-    across trees once; it raises the EvaluationDomainError that calling
-    the trees' own kernels in order would raise first.  Memoised per
-    (trees, names), fetched now.
+    Hessian rows.  Compiled now (`_compile`), memoised per (trees, names,
+    jet), it converts the inputs once and computes a subtree shared within
+    or across trees once.  It raises EvaluationDomainError itself, naming
+    the subtree that failed (the line that raised maps to its node, so a
+    call without errors runs no extra checks): the error that evaluating
+    the trees in order would raise first.  A binary node whose value is
+    infinite although both operands are finite raises "overflow", and a
+    jet also where a node's first derivative is not finite although its
+    value is; otherwise non-finite values propagate.  The field programs
+    (`geometry._field_entries`) write f's kernel lines into their own.
     """
-    return _kernel(_KernelKey(tuple(nodes), tuple(names)), jet, True)
+    return _kernel(_KernelKey(tuple(nodes), tuple(names)), jet)
 
 
 @functools.lru_cache(maxsize=512)
@@ -918,8 +888,8 @@ def gradient_evaluator(
 ) -> "Callable[[Sequence[float]], tuple[float, np.ndarray]]":
     """Reusable closure computing (value, gradient array) at given values.
 
-    The first call fetches gradient_kernel's compiled kernel, and every
-    call wraps the kernel's gradient tuple in an array.
+    The first call fetches the tree's `fused_kernel`, and every call
+    wraps the gradient slice of its flat tuple in an array.
     """
     names = tuple(names)
     kernel = None
@@ -927,9 +897,9 @@ def gradient_evaluator(
     def run(values) -> tuple[float, np.ndarray]:
         nonlocal kernel
         if kernel is None:
-            kernel = gradient_kernel(node, names)
-        value, grad = kernel(values)
-        return value, np.array(grad)
+            kernel = fused_kernel((node,), names)
+        out = kernel(values)
+        return out[0], np.array(out[1:])
 
     return run
 
@@ -943,21 +913,9 @@ class Jet2:
     hessian: np.ndarray
 
 
-def jet2_kernel(
-    node: Expr, names: Sequence[str]
-) -> "Callable[[Sequence[float]], tuple[float, tuple[float, ...], list[tuple[float, ...]]]]":
-    """Compiled kernel computing (value, gradient, Hessian rows) as floats.
-
-    gradient_kernel's pass carrying the Hessian's lower triangle (see
-    `_KernelSource`), memoised per (tree, names), fetched now: its rows are
-    mirrored, and it also raises "overflow" where a node's first derivative
-    is not finite although its value is.
-    """
-    return _kernel(_KernelKey((node,), tuple(names)), True)
-
-
 def eval_jet2(node: Expr, names: Sequence[str], values: Sequence[float]) -> Jet2:
-    """Value, gradient, and Hessian from the compiled jet2_kernel."""
-    value, grad, rows = jet2_kernel(node, names)(values)
-    return Jet2(value=float(value), gradient=np.array(grad),
-                hessian=np.array(rows, dtype=float).reshape(len(grad), len(grad)))
+    """Value, gradient, and Hessian from the tree's compiled jet (`fused_kernel` with jet)."""
+    n = len(names)
+    out = fused_kernel((node,), names, True)(values)
+    return Jet2(value=float(out[0]), gradient=np.array(out[1 : n + 1]),
+                hessian=np.array(out[n + 1 :], dtype=float).reshape(n, n))

@@ -16,15 +16,15 @@ entry of the field program whose list entry is `field_evaluator(f)`
 floats to `variational_evaluator`'s closure as one sequence.
 `_programs.program` compiles each, so a traceback through them shows
 the generated line.  Trajectories record every accepted step, as arrays
-built once at the end; leaving the chart domain (a positivity guard
-crossing zero, or an expression domain error in the field) truncates
-the trajectory with an explicit status instead of raising.  A stage
+built once at the end; leaving the chart domain truncates the
+trajectory with status "exited_domain" instead of raising: a positivity
+guard crossing zero at an accepted state, or a stage raising, where the
+step cannot shrink further, an expression domain error or a general
+chart's GeometryError (ContactConditionError: singular flat matrix) or
+SymplectizationError (SingularStructureError: singular omega).  A stage
 tests no guard: at a fiber r < 0 it computes the field, and the guard
-of an accepted state ends the flow.  Any other error of the field
-propagates from the stage: ZeroDivisionError at r = 0 exactly on a
-standard-form symplectization, SingularStructureError (a general base's
-omega is singular at r = 0) and the general contact chart's
-ContactConditionError and GeometryError.
+of an accepted state ends the flow.  The one error that propagates from
+a stage is ZeroDivisionError at r = 0 on a standard-form symplectization.
 
 Compositions of flows run one loop, `_compose`, over bound steps that
 its caller binds: `group_action` on the system's `_field`,
@@ -56,6 +56,8 @@ import numpy as np
 
 from ._programs import _names, program
 from .expressions import EvaluationDomainError
+from .geometry import GeometryError
+from .symplectization import SymplectizationError
 
 __all__ = [
     "IntegratorConfig",
@@ -270,7 +272,10 @@ def _run(step, x, T, h, cfg, guards, names) -> tuple[list, list, str, str]:
     and h > 0 the first step proposal: `integrate` ramps up from
     `_ramp`, `_compose` proposes the whole span.  From there the error
     control grows an accepted step by at most 5x, up to max_step, shrinks
-    a rejected one by at most 10x, and halves one that fails.
+    a rejected one by at most 10x, and halves one whose stage raises an
+    EvaluationDomainError, GeometryError or SymplectizationError, or
+    which gives a non-finite state.  A step halved below min_step ends the
+    flow: "exited_domain" with the error's message, or "step_failure".
     """
     if T == 0.0:
         return [0.0], [x], COMPLETED, ""
@@ -286,7 +291,7 @@ def _run(step, x, T, h, cfg, guards, names) -> tuple[list, list, str, str]:
         h_step = min(h, span - t)
         try:
             x5, err_norm = step(x, sign * h_step, cfg.abs_tol, cfg.rel_tol)
-        except EvaluationDomainError as exc:
+        except (EvaluationDomainError, GeometryError, SymplectizationError) as exc:
             h = 0.5 * h_step
             if h < cfg.min_step:
                 return times, points, EXITED_DOMAIN, str(exc)

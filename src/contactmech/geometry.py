@@ -87,8 +87,6 @@ from .expressions import (
     fused_kernel,
     fused_rows,
     gradient_evaluator,
-    gradient_kernel,
-    jet2_kernel,
     parse,
 )
 
@@ -152,21 +150,21 @@ def _point(x, dim: int) -> np.ndarray:
     return x
 
 
-def _exceeds(resid, tol: float, values=(), vectors=()):
-    """Mask of resid > tol * max(1, |v|, max_i |w_i|) over values v and vectors w.
+def _exceeds(resid: Sequence, tol: float, values=(), vectors=()):
+    """max_i |r_i| > tol * max(1, |v|, |w_j|) over the entries r_i of the residual resid.
 
-    Everything broadcasts together; the scale is computed only when
-    resid > tol somewhere, since it is at least 1.
+    The scales are the values v and the entries w_j of each vector w.
+    Every entry is a float, or a column of one float per row, and all
+    broadcast together; the test is a bool, or a mask of the rows.  As in
+    NumPy's max, a NaN in a residual entry or in a scale makes it False.
     """
-    over = resid > tol
-    if _first(over) is None:
-        return over
-    scale = 1.0
-    for v in values:
-        scale = np.maximum(scale, abs(v))
-    for w in vectors:
-        scale = np.maximum(scale, _norm(w))
-    return resid > tol * scale
+    worst = abs(resid[0])
+    for r in resid[1:]:
+        worst = np.maximum(worst, abs(r))  # NaN where any |r_i| is
+    out = worst > tol
+    for s in (*values, *(u for w in vectors for u in w)):
+        out &= worst > tol * abs(s)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,17 +186,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _max_abs(values: Sequence[float]) -> float:
     """np.max(np.abs(values)) over floats: NaN when an entry is NaN, unlike Python's max."""
     return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
-
-
-def _exceeds_float(resid: Sequence[float], tol: float, values=(), vectors=()) -> bool:
-    """`_exceeds` at one point, over floats, on the largest |r_i| of the residual resid.
-
-    As in NumPy's max, a NaN in resid or in a scale makes it False.
-    """
-    worst = _max_abs(resid)
-    if not worst > tol:
-        return False
-    return all(worst > tol * abs(s) for s in (*values, *(u for w in vectors for u in w)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,7 +275,7 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
                       f"gap = {_sum([f'r * e{j} * {X[j]}' for j in range(d)])} - {value}",
                       # the identity binds homogeneous F only
                       f"if ({_checked(['gap'], 1e-8, f'({value},)', field)}"
-                      f" and not _exceeds_float((r * {g}{d} - {value},), {_RESIDUAL_TOL!r}, "
+                      f" and not _exceeds((r * {g}{d} - {value},), {_RESIDUAL_TOL!r}, "
                       f"({value},))):",
                       "    raise failure(f'theta(X_F) = F violated by {abs(gap):.3e} "
                       f"for homogeneous F {where}')"]
@@ -310,7 +297,7 @@ def _field_program(kind: str, dim: int, m: int) -> dict[str, Callable]:
     result = f"[{', '.join(outputs)}]"
     source = ["def solve(point, x, values, grads, coframe):",
               *[f"    {line}" for line in [*body, f"return {result}"]]]
-    namespace = {"_exceeds_float": _exceeds_float, "singular": singular, "failure": failure,
+    namespace = {"_exceeds": _exceeds, "singular": singular, "failure": failure,
                  "lines": lines, "body": body, "result": result}
     count = "" if m == 1 else f" m={m}"
     program(f"<contactmech {kind}-field dim={dim}{count}>", source, namespace, "solve")
@@ -326,36 +313,20 @@ def _field_rows(kind: str, dim: int, m: int) -> Callable:
     returns solve's outputs at each of the N points, (outputs, N),
     bitwise solve's there: it runs solve's lines as `_columns` renders
     them, with + - * / and abs as ufuncs, whose floats are correctly
-    rounded, each pivot swap taken per row, and each check as
-    `_exceeds_rows` makes `_exceeds_float`'s.  Where a check fails at
-    any point it returns None, and `in_blocks` reruns the block through
-    solve point by point, which raises that point's error.  Compiled at
-    the first stack, as "<contactmech KIND-field dim=DIM[ m=M] rows>".
+    rounded, each pivot swap taken per row, and each check by `_exceeds`
+    over the columns.  Where a check fails at any point it returns None,
+    and `in_blocks` reruns the block through solve point by point, which
+    raises that point's error.  Compiled at the first stack, as
+    "<contactmech KIND-field dim=DIM[ m=M] rows>".
     """
     field = _field_program(kind, dim, m)
     lines = ["def rows(x, values, grads, coframe):",
              *[f"    {line}" for line in _columns(field["body"])],
              f"    return _array({field['result']})"]
-    namespace = {"_exceeds_float": _exceeds_rows, "_where": np.where, "_array": np.array,
+    namespace = {"_exceeds": _exceeds, "_where": np.where, "_array": np.array,
                  "_count": np.count_nonzero}
     count = "" if m == 1 else f" m={m}"
     return program(f"<contactmech {kind}-field dim={dim}{count} rows>", lines, namespace, "rows")
-
-
-def _exceeds_rows(resid, tol: float, values=(), vectors=()) -> np.ndarray:
-    """`_exceeds_float` at each row of columns: its value, row by row, as a mask."""
-    worst = abs(resid[0])
-    for r in resid[1:]:
-        worst = np.maximum(worst, abs(r))  # NaN where any |r_i| is, as `_max_abs`
-    out = worst > tol
-    for s in (*values, *(u for w in vectors for u in w)):
-        out &= worst > tol * abs(s)
-    return out
-
-
-def _matrix(prefix: str, count: int) -> str:
-    """The rows of locals <prefix><i>_<j>, i, j < count: the unpacking target of a jet's Hessian."""
-    return "(" + "".join(f"{_tup(f'{prefix}{i}_', count)}, " for i in range(count)) + ")"
 
 
 def _coframe_names(d: int, jet: bool = False) -> str:
@@ -378,9 +349,10 @@ def _variational_program(kind: str, dim: int) -> Callable:
     The closure maps the float list x, dx_1 .. dx_k to X_f(x), DX_f(x) dx_1
     .. DX_f(x) dx_k; a state whose length is not a multiple of dim goes to
     the chart's `point`.  It runs the lines of `_field_program(kind, dim, 1)`,
-    checks and errors included, once on f's `jet2_kernel` and the fused
-    jet kernel of eta's coefficients (`_coeff_jet`), in which a constant
-    coefficient is literals.  Per tangent it eliminates again on a
+    checks and errors included, once on f's jet, a `fused_kernel` with jet
+    whose flat tuple it unpacks as value0, g0_<i> and h<i>_<j>, and on the
+    fused jet kernel of eta's coefficients (`_coeff_jet`), in which a
+    constant coefficient is literals.  Per tangent it eliminates again on a
     copy of B^T (omega^T), without the pivot tests the field's elimination
     made; with df' = Hess f dx and c = R(f) + f it solves
         B^T [dR | Y] = [d eta - dB^T R | df' - c d eta - dB^T X],
@@ -399,6 +371,7 @@ def _variational_program(kind: str, dim: int) -> Callable:
         return _sum([f"{a} * {b}" for a, b in zip(u, v)])
 
     dx, dg, X, R = map(col, ("dx", "dg", "X0_", "R"))
+    hessian = ", ".join(_names(f"h{i}_", dim) for i in range(dim))  # f's, row by row
     solved = [f"s{i}_{dim}" for i in range(dim)]  # dR, or DX_F dx
     tangent = [f"dg{i} = {dot(col(f'h{i}_'), dx)}" for i in range(dim)]
     tangent += [f"de{i} = {dot(col(f'j{i}_', d), dx)}" for i in range(d)]
@@ -425,7 +398,7 @@ def _variational_program(kind: str, dim: int) -> Callable:
     fiber_test = " or x[-1] <= 0.0" if lifted else ""
     body = [f"x = state[:{dim}]", f"if len(state) % {dim}:", "    point(state)",
             f"if len(x) != {dim}{fiber_test}:", "    point(x)",
-            f"value0, {_tup('g0_', dim)}, {_matrix('h', dim)} = jet(x)",
+            f"value0, {_names('g0_', dim)}, {hessian} = jet(x)",
             *(["r = x[-1]"] if lifted else []),
             f"{_coframe_names(d, True)}= coefficients(x)",
             *namespace["lines"],
@@ -618,11 +591,12 @@ class _Chart:
 
         The state is x followed by k tangent vectors dx_1..dx_k; the
         closure returns X_f(x) followed by DX_f(x) dx_1..DX_f(x) dx_k.  It
-        is a generated program bound to f's `jet2_kernel`: on standard-form
-        charts `_closed_program`'s variational closure, otherwise the chart
-        kind's `_variational_program`.
+        is a generated program bound to f's jet, `fused_kernel((f,), names,
+        True)`, whose flat tuple it unpacks by name: on standard-form charts
+        `_closed_program`'s variational closure, otherwise the chart kind's
+        `_variational_program`.
         """
-        jet = jet2_kernel(f, self.coordinates)
+        jet = fused_kernel((f,), self.coordinates, True)
         if self._closed_field is not None:
             return _closed_program(self._closed_field, self.dim)(jet, self.point)
         bind = _variational_program(self._kind, self.dim)
@@ -631,13 +605,12 @@ class _Chart:
     def _field_key(self, f: Expr) -> tuple:
         """(kind, `_closed_field`, kernel): the memo key of X_f's `_field_entries` program.
 
-        The kernel is f's `gradient_kernel` on standard-form charts, else the
-        fused kernel of f and eta's coefficients.
+        The kernel is `fused_kernel((f, *eta), names)`: f's value and
+        gradient, then on a general coframe those of eta's coefficients; eta
+        is empty on standard-form charts, whose template reads no coframe.
         """
-        if self._closed_field is not None:
-            return self._kind, self._closed_field, gradient_kernel(f, self.coordinates)
-        kernel = fused_kernel((f, *self._eta_chart.eta_coefficients), self.coordinates)
-        return self._kind, None, kernel
+        eta = () if self._closed_field is not None else self._eta_chart.eta_coefficients
+        return self._kind, self._closed_field, fused_kernel((f, *eta), self.coordinates)
 
 
 class ContactChart(_Chart):
@@ -816,7 +789,7 @@ class ContactChart(_Chart):
         first = _dot(fields[..., a, :], grads[..., b, :]) + values[..., b] * reeb[..., a]
         second = -_dot(fields[..., b, :], grads[..., a, :]) - values[..., a] * reeb[..., b]
         gap = abs(first - second)
-        bad = _first(_exceeds(gap, _RESIDUAL_TOL, (first, second)))
+        bad = _first(_exceeds((gap,), _RESIDUAL_TOL, (first, second)))
         if bad is not None:
             raise GeometryError(
                 f"bracket expressions disagree by {gap[bad]:.3e} "
@@ -879,15 +852,17 @@ def _closed_program(template, dim: int) -> Callable:
 
     The template runs once over forward-mode pairs (`_Dual`) of `_Source`
     symbols: x with dx, f with df(dx) and df with Hess f dx.  `bind` takes
-    f's `jet2_kernel`, and the closure maps the float list x, dx_1 .. dx_k
-    to X_f(x) and the tangents DX_f(x) dx_j, making the float operations
-    of their values over floats, in their order.  Like
+    f's jet, a `fused_kernel` with jet whose flat tuple it unpacks as value,
+    g<i> and the Hessian rows h<i>_<j>, and the closure maps the float list
+    x, dx_1 .. dx_k to X_f(x) and the tangents DX_f(x) dx_j, making the
+    float operations of their values over floats, in their order.  Like
     `_variational_program`, it sends a state of fewer or of a length that is
     not a multiple of dim floats to `point`, the chart's shape ValueError;
     it does not test the fiber sign.  Compiled at the first
     `variational_evaluator`, as "<contactmech closed-variational dim=DIM>".
     """
     x, g = ([_Dual(_Source(f"{v}{i}"), _Source(f"d{v}{i}")) for i in range(dim)] for v in "xg")
+    hessian = ", ".join(_names(f"h{i}_", dim) for i in range(dim))
     X = template((dim - 1) // 2, x, _Dual(_Source("value"), _Source("dvalue")), g, _fdot)
     tangent = [f"{_names('dx', dim)}, = x[start : start + {dim}]",
                f"dvalue = {_sum([f'g{j} * dx{j}' for j in range(dim)])}",
@@ -896,7 +871,7 @@ def _closed_program(template, dim: int) -> Callable:
     # x is the state; the kernel reads its first dim entries, the point, which
     # is short exactly when the state is
     body = [f"if len(x) < {dim} or len(x) % {dim}:", "    point(x)",
-            f"value, {_tup('g', dim)}, {_matrix('h', dim)} = jet(x)",
+            f"value, {_names('g', dim)}, {hessian} = jet(x)",
             f"{_names('x', dim)}, = x[:{dim}]", f"out = [{', '.join(c.a for c in X)}]",
             f"for start in range({dim}, len(x), {dim}):", *[f"    {line}" for line in tangent],
             "return out"]
@@ -909,13 +884,13 @@ def _closed_program(template, dim: int) -> Callable:
 def _field_entries(kind: str, template, kernel) -> tuple[Callable, Callable]:
     """X_f's field program: its entries `at(x0, .., x<dim-1>)` and `field(values)`.
 
-    kernel is f's kernel as `_Chart._field_key` gives it: on standard-form
-    charts (template, the chart's `_closed_field`, not None) f's
-    `gradient_kernel`, otherwise the fused kernel of f and eta's
-    coefficients.  `at` takes the dim floats of a state, as the Fehlberg
-    step `flows._step_program` passes them, and returns X_f there as a
-    float list: the kernel's lines after its input conversions, in a try
-    block that raises their EvaluationDomainError, then the field.  On
+    kernel is the `fused_kernel` that `_Chart._field_key` gives: of f alone
+    on standard-form charts (template, the chart's `_closed_field`, not
+    None), otherwise of f and eta's coefficients.  `at` takes the dim
+    floats of a state, as the Fehlberg step `flows._step_program` passes
+    them, and returns X_f there as a float list: the kernel's lines after
+    its input conversions, in a try block that raises their
+    EvaluationDomainError, then the field.  On
     standard-form charts that is the template over `_Source` symbols of
     the floats and the kernel's outputs, unchecked; otherwise the lines of
     `_field_program(kind, dim, 1)` on the kernel's outputs (lifted: less
@@ -1042,8 +1017,8 @@ class _System:
 
     @functools.cached_property
     def _fused_rows(self) -> Callable:
-        """The row-block twin (`fused_rows`) of the integrals' fused kernel, at first use."""
-        return fused_rows(fused_kernel(self.integrals, self.coordinates))
+        """The row-block twin (`fused_rows`) of `_fused`, at first use."""
+        return fused_rows(self._fused)
 
     def gradient_stack(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Values (N, m) and gradients (N, m, dim) of the integrals at the rows of xs.

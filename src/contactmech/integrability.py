@@ -46,7 +46,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ._programs import _eliminate, _fdot, _names, _sum, _tup, program
-from .expressions import EvaluationDomainError, Expr, fused_kernel, gradient_kernel
+from .expressions import EvaluationDomainError, Expr, fused_kernel
 from .flows import (
     FlowError,
     IntegratorConfig,
@@ -146,8 +146,9 @@ class SectionSpec:
     """Parametric section chi of the lifted moment map.
 
     chi and d chi / d Lambda are slices of one call of the components'
-    `fused_kernel`, bound at first use, which raises the first error of
-    their gradient kernels in order; base points pass one check, `_base`.
+    `fused_kernel`, bound at first use, which raises the first error that
+    evaluating the components in order would raise; base points pass one
+    check, `_base`.
 
     Args:
         name: identifier used in configs and reports.
@@ -777,11 +778,12 @@ def angle_solve(
     `symp_system.field_evaluator` and `symp_system._field`, which keep
     those of the system's own integrals, the identity basis's generators;
     the involution check pairs the closures with the generators' gradients
-    at x (with the identity basis, the fused kernel's from the call for
-    F(x)), the Jacobian columns are those closures at the endpoint, and
-    every trial flows the steps through `flows._compose`, which checks
-    every time first, then each flow as `integrate` does (start point,
-    early stop), and starts each flow from one step over its whole time:
+    at x, from one call of the generators' `fused_kernel` (with the
+    identity basis, the integrals' call for F(x)), the Jacobian columns
+    are those closures at the endpoint, and every trial flows the steps
+    through `flows._compose`, which checks every time first, then each
+    flow as `integrate` does (start point, early stop), and starts each
+    flow from one step over its whole time:
     Newton's small final increments are then mostly single steps.
     The step solves the normal equations (J^T J) delta = J^T (x - endpoint)
     in a generated program (`_angle_step_program`); only where J is
@@ -812,13 +814,12 @@ def angle_solve(
     flat = symp_system._fused(xs)
     F_x = list(flat[:: len(xs) + 1])
     # the involution check takes {g_a, g_b} = X_{g_a}(g_b) from the field
-    # closures and the generators' gradients: with the identity basis the
-    # integrals', from that call of the fused kernel
+    # closures and the generators' gradients, from one call of their fused
+    # kernel: with the identity basis the integrals', the call for F(x)
     bracket_tol = 1e-8 * max(1.0, _max_abs(F_x))
-    if basis is None:
-        grads = [flat[a * (len(xs) + 1) + 1 : (a + 1) * (len(xs) + 1)] for a in range(m)]
-    else:
-        grads = [gradient_kernel(G, chart.coordinates)(xs)[1] for G in generators]
+    if basis is not None:
+        flat = fused_kernel(generators, chart.coordinates)(xs)
+    grads = [flat[a * (len(xs) + 1) + 1 : (a + 1) * (len(xs) + 1)] for a in range(m)]
     for a in range(m - 1):
         field_a = fields[a](xs)
         for b in range(a + 1, m):

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from contactmech.expressions import gradient_kernel, jet2_kernel
+from contactmech.expressions import fused_kernel
 from contactmech.geometry import (
     _RESIDUAL_TOL,
     _SINGULAR_DET,
@@ -45,7 +45,6 @@ from contactmech.geometry import (
     Jets,
     _dot,
     _exceeds,
-    _exceeds_float,
     _fdot,
     _field_program,
     _first,
@@ -67,7 +66,13 @@ REGION = {"q": (-2.0, 2.0), "p": (0.5, 2.0), "z": (0.5, 2.0)}
 
 def _float_coframe(chart: ContactChart, x):
     """eta at x and the gradients of its coefficients, from each coefficient's own kernel."""
-    return tuple(zip(*[gradient_kernel(c, chart.coordinates)(x) for c in chart.eta_coefficients]))
+    outs = [fused_kernel((c,), chart.coordinates)(x) for c in chart.eta_coefficients]
+    return tuple(out[0] for out in outs), tuple(out[1:] for out in outs)
+
+
+def _entries(w: np.ndarray) -> np.ndarray:
+    """The vectors of w (..., dim) as `_exceeds` takes a vector: its dim entries, each (...)."""
+    return np.moveaxis(w, -1, 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,7 +112,7 @@ def _eliminator(d: int, width: int) -> Callable[[Sequence[Sequence[float]]], tup
 
 
 def contact_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
-    """X_f over float lists on a general contact coframe, from f's gradient kernel.
+    """X_f over float lists on a general contact coframe, from f's one-tree kernel.
 
     One elimination on B^T augmented with [eta | df] gives the Reeb field R
     and y = B^-T df, and X_f = y - (R(f) + f) R.  The checks are those of
@@ -120,7 +125,7 @@ def contact_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
     def field(x) -> list[float]:
         if len(x) != dim:
             chart.point(x)
-        value, grad = kernel(x)
+        value, *grad = kernel(x)
         eta, jac = _float_coframe(chart, x)
         # row i: B^T_ij = (d_j eta_i - d_i eta_j) + eta_i eta_j over j, then eta_i, df_i
         rows = [[*[u - v + ei * ej for u, v, ej in zip(gi, ci, eta)], ei, fi]
@@ -130,14 +135,14 @@ def contact_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
             raise ContactConditionError(chart.point(x), det)
         reeb, y = columns
         resid = [_fdot(row, reeb) - e for row, e in zip(rows, eta)]  # _fdot stops at B^T
-        if _exceeds_float(resid, _RESIDUAL_TOL, vectors=(eta,)):
+        if _exceeds(resid, _RESIDUAL_TOL, vectors=(eta,)):
             raise GeometryError(
                 f"Reeb solve residual {max(map(abs, resid)):.3e} at {chart.point(x).tolist()}"
             )
         c = _fdot(grad, reeb) + value
         X = [u - c * r for u, r in zip(y, reeb)]
         pairing = _fdot(eta, X) + value
-        if _exceeds_float((pairing,), 1e-8, (value,), (X,)):
+        if _exceeds((pairing,), 1e-8, (value,), (X,)):
             raise GeometryError(
                 f"field invariant eta(X_f) = -f violated by {abs(pairing):.3e} "
                 f"at {chart.point(x).tolist()}"
@@ -148,7 +153,7 @@ def contact_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
 
 
 def lifted_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
-    """X_F over float lists on the symplectization of a general base, from F's gradient kernel.
+    """X_F over float lists on the symplectization of a general base, from F's one-tree kernel.
 
     One elimination on omega^T augmented with [dF] gives X_F.  The checks
     are those of field_from_gradient: the point's shape and fiber,
@@ -160,7 +165,7 @@ def lifted_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
     def field(x) -> list[float]:
         if len(x) != dim or x[-1] <= 0.0:
             chart.point(x)
-        value, grad = kernel(x)
+        value, *grad = kernel(x)
         r = x[-1]
         eta, jac = _float_coframe(base, x[:-1])
         # row i < dim - 1: omega^T_ij = -r (d_j eta_i - d_i eta_j) over j, -eta_i, then dF_i;
@@ -173,14 +178,14 @@ def lifted_field(chart, kernel) -> Callable[[Sequence[float]], list[float]]:
             raise SingularStructureError(chart.point(x), det)
         (X,) = columns
         resid = [_fdot(row, X) - g for row, g in zip(rows, grad)]  # _fdot stops at omega^T
-        if _exceeds_float(resid, _RESIDUAL_TOL, vectors=(grad,)):
+        if _exceeds(resid, _RESIDUAL_TOL, vectors=(grad,)):
             raise SymplectizationError(
                 f"field solve residual {max(map(abs, resid)):.3e} at {chart.point(x).tolist()}"
             )
         gap = _fdot([r * e for e in eta], X) - value
         # the identity binds homogeneous F only
-        if (_exceeds_float((gap,), 1e-8, (value,), (X,))
-                and not _exceeds_float((r * grad[-1] - value,), _RESIDUAL_TOL, (value,))):
+        if (_exceeds((gap,), 1e-8, (value,), (X,))
+                and not _exceeds((r * grad[-1] - value,), _RESIDUAL_TOL, (value,))):
             raise SymplectizationError(
                 f"theta(X_F) = F violated by {abs(gap):.3e} for homogeneous F "
                 f"at {chart.point(x).tolist()}"
@@ -214,7 +219,7 @@ def solve_field(chart, kernel, fiber: bool = True) -> Callable[[Sequence[float]]
     def field(x) -> list[float]:
         if len(x) != dim or (lifted and x[-1] <= 0.0):
             chart.point(x)
-        value, grad = kernel(x)
+        value, *grad = kernel(x)
         return solve(point, x, [value], [grad], chart._eta_chart._float_coframe(x))[:dim]
 
     return field
@@ -250,7 +255,7 @@ def lapack_frames(chart: ContactChart, xs: np.ndarray, coframes=None):
     BT = B.swapaxes(-1, -2)
     reeb = _solve(BT, eta)
     resid = _norm(_matvec(BT, reeb) - eta)
-    bad = _first(_exceeds(resid, _RESIDUAL_TOL, vectors=(eta,)))
+    bad = _first(_exceeds((resid,), _RESIDUAL_TOL, vectors=(_entries(eta),)))
     if bad is not None:
         raise GeometryError(f"Reeb solve residual {resid[bad]:.3e} at {xs[bad].tolist()}")
     return eta, B, reeb
@@ -271,7 +276,7 @@ def lapack_contact_fields(chart: ContactChart, xs: np.ndarray, values, grads: np
     rf = _dot(grads, reeb)
     X = _solve(B.swapaxes(-1, -2), grads - (rf + values)[..., None] * eta)
     resid = abs(_dot(eta, X) + values)
-    bad = _first(_exceeds(resid, 1e-8, (values,), (X,)))
+    bad = _first(_exceeds((resid,), 1e-8, (values,), (_entries(X),)))
     if bad is not None:
         raise GeometryError(
             f"field invariant eta(X_f) = -f violated by {resid[bad]:.3e} "
@@ -298,12 +303,12 @@ def lapack_lifted_fields(chart: SympChart, xs: np.ndarray, values, grads: np.nda
         omegaT, theta, x = omegaT[..., None, :, :], theta[..., None, :], xs[..., None, :]
     X = _solve(omegaT, grads)
     solve_resid = _norm(_matvec(omegaT, X) - grads)
-    solve_bad = _exceeds(solve_resid, _RESIDUAL_TOL, vectors=(grads,))
+    solve_bad = _exceeds((solve_resid,), _RESIDUAL_TOL, vectors=(_entries(grads),))
     gap = abs(_dot(theta, X) - values)
-    theta_bad = _exceeds(gap, 1e-8, (values,), (X,))
+    theta_bad = _exceeds((gap,), 1e-8, (values,), (_entries(X),))
     if _first(theta_bad) is not None:  # the identity binds homogeneous F only
         homogeneity = abs(x[..., -1] * grads[..., -1] - values)
-        theta_bad &= ~_exceeds(homogeneity, _RESIDUAL_TOL, (values,))
+        theta_bad &= ~_exceeds((homogeneity,), _RESIDUAL_TOL, (values,))
     bad = _first(solve_bad | theta_bad)
     if bad is not None:
         where = xs[bad[: xs.ndim - 1]].tolist()
@@ -358,8 +363,10 @@ def _coframe_tangent(chart: ContactChart, x: np.ndarray, dx: np.ndarray):
     From the Hessians of eta's coefficients, their rows' lower triangles
     mirrored as eval_jet2 does.
     """
-    jets = [jet2_kernel(c, chart.coordinates)(x) for c in chart.eta_coefficients]
-    _, jac, rows = map(np.array, zip(*jets))
+    dim = chart.dim
+    jets = np.array([fused_kernel((c,), chart.coordinates, True)(x)
+                     for c in chart.eta_coefficients])
+    jac, rows = jets[:, 1 : dim + 1], jets[:, dim + 1 :].reshape(-1, dim, dim)
     hessians = np.tril(rows) + np.tril(rows, -1).swapaxes(-1, -2)
     djac = np.einsum("bac,cj->jab", hessians, dx)  # [j, a, b] = d_a eta_b along dx_j
     return jac @ dx, djac - djac.transpose(0, 2, 1)
@@ -409,16 +416,17 @@ def lapack_variational(chart, f) -> Callable[[Sequence[float]], list[float]]:
     """`_Chart._variational`'s closure on a general coframe by the NumPy solves.
 
     The state is x followed by k tangents; f's Hessian rows are those of
-    its `jet2_kernel`, as computed.
+    its jet, `fused_kernel((f,), names, True)`, as computed.
     """
-    dim, jet = chart.dim, jet2_kernel(f, chart.coordinates)
+    dim, jet = chart.dim, fused_kernel((f,), chart.coordinates, True)
     tangents_of = lifted_tangents if isinstance(chart, SympChart) else contact_tangents
 
     def field(state) -> list[float]:
         x = chart.point(state[:dim])
-        value, grad, rows = jet(x)
+        value, *out = jet(x)
         tangents = np.array(state[dim:]).reshape(-1, dim).T
-        X, dX = tangents_of(chart, x, value, np.array(grad), np.array(rows), tangents)
+        X, dX = tangents_of(chart, x, value, np.array(out[:dim]),
+                            np.reshape(out[dim:], (dim, dim)), tangents)
         return np.concatenate((X, dX.T.ravel())).tolist()
 
     return field

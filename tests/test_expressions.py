@@ -22,8 +22,8 @@ from contactmech.expressions import (
     eval_jet2,
     evaluate,
     free_variables,
+    fused_kernel,
     gradient_evaluator,
-    gradient_kernel,
     parse,
     to_string,
 )
@@ -295,6 +295,11 @@ def test_dual_sqrt_rejects_zero_derivative():
 # Compiled gradient kernels
 # ---------------------------------------------------------------------------
 
+def _split(flat):
+    """(value, gradient) of one tree from the flat tuple of its kernel."""
+    return flat[0], flat[1:]
+
+
 def _outcome(run, point):
     """Value and gradient bytes, or the exception's type and message."""
     try:
@@ -359,8 +364,8 @@ def test_first_powers_call_no_pow(source, pows):
     # of known zeros that the jet kernel drops
     names = ("q", "p", "z")
     tree = parse(source)
-    kernel, jet = gradient_kernel(tree, names), expressions.jet2_kernel(tree, names)
-    twin = expressions.fused_rows(expressions.fused_kernel([tree], names))
+    kernel, jet = fused_kernel((tree,), names), fused_kernel((tree,), names, True)
+    twin = expressions.fused_rows(kernel)
     assert inspect.getsource(kernel).count("_pow(") == pows
     assert inspect.getsource(twin).count("_pow(") == pows
     assert inspect.getsource(jet).count("_pow(") == 1
@@ -369,21 +374,21 @@ def test_first_powers_call_no_pow(source, pows):
     points = [list(point) for point in itertools.product(specials, repeat=3)]
     finite = [point for point in points if all(map(math.isfinite, point))]
     for point in points:
-        assert _outcome(kernel, point) == _outcome(walk, point)
+        assert _outcome(lambda x: _split(kernel(x)), point) == _outcome(walk, point)
         try:
             want = dual_jet2(tree, names, point)
         except EvaluationDomainError as exc:
             with pytest.raises(EvaluationDomainError, match=re.escape(str(exc))):
                 jet(point)
             continue
-        value, grad, rows = jet(point)
-        assert _outcome(lambda x: (value, grad), point) == _outcome(walk, point)
+        out = jet(point)
+        assert _outcome(lambda x: _split(out[:4]), point) == _outcome(walk, point)
         if point in finite:  # the walk's signed zeros may differ, as its terms do
-            assert np.array_equal(rows, want.hessian)
+            assert np.array_equal(np.reshape(out[4:], (3, 3)), want.hessian)
     got = twin(np.array(finite).T)
     assert got is not None
     for row, point in zip(got.T.tolist(), finite):
-        assert _outcome(lambda x: (row[0], row[1:]), point) == _outcome(walk, point)
+        assert _outcome(lambda x: _split(row), point) == _outcome(walk, point)
     with np.errstate(all="ignore"):  # as `_programs.in_blocks` runs a twin
         assert twin(np.array(points).T) is None  # infinities and NaNs go to the kernel
 
@@ -479,7 +484,7 @@ def test_tree_arithmetic_builds_the_constructor_trees():
     ]
     for built, explicit in cases:
         _same_tree(built, explicit)
-        assert gradient_kernel(built, names) is gradient_kernel(explicit, names)
+        assert fused_kernel((built,), names) is fused_kernel((explicit,), names)
     _same_tree(2 * q + p / 3 - -z, parse("2*q + p/3 - -z", names))
 
 

@@ -32,7 +32,7 @@ import pytest
 
 from contactmech import _programs, expressions, flows, geometry, integrability
 from contactmech.config import bundled_config_path, load_config
-from contactmech.expressions import EvaluationDomainError, gradient_kernel, parse
+from contactmech.expressions import EvaluationDomainError, fused_kernel, parse
 from contactmech.flows import IntegratorConfig, _calling, _compose, group_action, integrate
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.integrability import darboux_verify
@@ -240,7 +240,7 @@ def _general_systems(name):
 
 def _solve_steps(system, f):
     """(the shared step, the reference step on the solve with the kernels called apart) of X_f."""
-    kernel = gradient_kernel(system.resolve(f), system.coordinates)
+    kernel = fused_kernel((system.resolve(f),), system.coordinates)
     return (_calling(system._field(f), system.dim),
             calling(solve_field(system.chart, kernel, fiber=False), system.dim))
 
@@ -286,7 +286,7 @@ def test_flat_step_trajectories_are_the_calling_steps(name):
     for system in _general_systems(name):
         guards, names, dim = tuple(system.positive_indices), system.coordinates, system.dim
         fs = system.integrals
-        fields = [lambda idx=idx: solve_field(system.chart, gradient_kernel(fs[idx], names), False)
+        fields = [lambda idx=idx: solve_field(system.chart, fused_kernel((fs[idx],), names), False)
                   for idx in range(len(fs))]
         for x0 in system.sample(rng, 2):
             for f in range(len(fs)):

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from contactmech.flows import (
     integrate,
     variational_group_action,
 )
+from contactmech.config import load_config
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.integrability import angle_solve
 from contactmech.symplectization import symplectize
@@ -25,6 +27,13 @@ from identities import dissipation_residual
 from test_acceptance import N2_SECTION, N2_SYSTEMS
 
 X0 = np.array([2.0, 3.0, 5.0])
+# dense-n2's f1 flow from this point runs into a singular flat matrix (|det B|
+# at 1e-12) near t = 3.27; lifted at r = 1.8691333659165825, its backward flow
+# runs into a singular omega near t = -3.06
+DENSE = Path(__file__).parent / "data" / "golden" / "dense-n2.json"
+SINGULAR_X0 = [1.4554425309821815, 0.9046800706458055, 0.5614602859042921,
+               0.5247914532927936, 1.7199053588004087]
+SINGULAR_LIFT = [*SINGULAR_X0, 1.8691333659165825]
 
 
 @pytest.mark.parametrize(
@@ -139,6 +148,27 @@ def test_domain_error_truncates(pz_system):
     # invalid already, so instead flow toward the log singularity in z
     traj = integrate(pz_system, "log(z - 0.4)", np.array([0.0, 1.0, 1.0]), 20.0)
     assert traj.status in (EXITED_DOMAIN, COMPLETED)
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["contact", "lifted"])
+def test_a_singular_structure_ends_the_flow_as_a_domain_exit(lifted):
+    # a stage that raises the chart's GeometryError (contact) or
+    # SymplectizationError (lifted) halves the step like a domain error, and
+    # the flow ends where the step collapses, with the error's message
+    config = load_config(DENSE)
+    system = config.symp_system() if lifted else config.system()
+    x0, t = (SINGULAR_LIFT, -20.0) if lifted else (SINGULAR_X0, 5.0)
+    traj = integrate(system, 1, x0, t)
+    assert traj.status == EXITED_DOMAIN
+    prefix = "omega is singular at " if lifted else "flat matrix is singular at "
+    assert traj.detail.startswith(prefix) and traj.detail.endswith("(det 1.000e-12)")
+    assert 3.0 < abs(traj.times[-1]) < 3.5 and np.sign(traj.times[-1]) == np.sign(t)
+    assert np.isfinite(traj.points).all()
+    # the endpoint flows compose the same loop: the flow stops, as a FlowError
+    with pytest.raises(FlowError, match=f"exited_domain: {prefix}") as err:
+        group_action(system, [0.0, t, 0.0], x0)
+    assert err.value.trajectory.status == EXITED_DOMAIN
+    assert err.value.trajectory.detail.startswith(prefix)
 
 
 def test_max_steps_status(pz_system):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactmech import expressions, integrability
 from contactmech.config import bundled_config_path, load_config
 from contactmech.expressions import (
     Binary,
@@ -28,8 +29,9 @@ from contactmech.expressions import (
     Unary,
     Var,
     _compile,
+    eval_jet2,
     fused_kernel,
-    gradient_kernel,
+    gradient_evaluator,
     parse,
 )
 from contactmech.geometry import ContactChart, ContactSystem, _dot
@@ -83,15 +85,23 @@ def _normalised(values) -> bytes:
 
 
 def _first_outcome(runs, point):
-    """The flat entries of runs in order, or the first error's type and message."""
+    """The runs' flat entries in order, or the first error's type and message."""
     flat = []
     try:
         for run in runs:
-            value, grad = run(point)
-            flat += [value, *np.asarray(grad, dtype=float).tolist()]
+            flat += np.asarray(run(point), dtype=float).tolist()
     except EvaluationDomainError as exc:
         return type(exc), str(exc)
     return flat
+
+
+def _flat(walk):
+    """A (value, gradient) walk as a run giving the flat entries of a one-tree kernel."""
+    def run(point):
+        value, grad = walk(point)
+        return [value, *grad]
+
+    return run
 
 
 def _lockstep_outcome(runs, point):
@@ -108,9 +118,9 @@ def test_fused_kernel_matches_the_dual_walk_tree_by_tree(trees, points):
     # and a specialized operation may return the NaN of the other operand: NaN
     # bits are compared between kernels of one call history, compiled afresh
     # (not the memoised ones other tests warmed) and each called once per point
-    kernel = _compile(tuple(trees), NAMES, fused=True)
+    kernel = _compile(tuple(trees), NAMES)
     own = [_compile((tree,), NAMES) for tree in trees]
-    walks = [dual_gradient(tree, NAMES) for tree in trees]
+    walks = [_flat(dual_gradient(tree, NAMES)) for tree in trees]
     for point in map(list, points):
         want, kernels = _first_outcome(walks, point), _lockstep_outcome(own, point)
         try:
@@ -128,12 +138,11 @@ def test_fused_kernel_matches_the_dual_walk_tree_by_tree(trees, points):
 def test_fused_jet_kernel_is_each_jet_kernel_bitwise(trees, point):
     # kernels compiled afresh, each called once: the NaN bits of one call history
     point = list(point)
-    fused = _compile(tuple(trees), NAMES, True, True)
+    fused = _compile(tuple(trees), NAMES, True)
     try:
         want = []
         for tree in trees:
-            value, grad, rows = _compile((tree,), NAMES, True)(point)
-            want += [value, *grad, *(u for row in rows for u in row)]
+            want += _compile((tree,), NAMES, True)(point)
     except EvaluationDomainError as exc:
         with pytest.raises(EvaluationDomainError) as got:
             fused(point)
@@ -145,7 +154,7 @@ def test_fused_jet_kernel_is_each_jet_kernel_bitwise(trees, point):
 def test_a_shared_subtree_is_emitted_once():
     # each power emits _pow( twice: for its value and for its derivative
     trees = [parse("(q + p)^3 * z", NAMES), parse("(q + p)^3 + (q + p)^3 / z", NAMES)]
-    kernels = [gradient_kernel(tree, NAMES) for tree in trees]
+    kernels = [fused_kernel((tree,), NAMES) for tree in trees]
     assert [inspect.getsource(k).count("_pow(") for k in kernels] == [2, 2]
     assert inspect.getsource(fused_kernel(trees, NAMES)).count("_pow(") == 2
     # a zero of the other sign is another subtree: its kernel differs
@@ -169,7 +178,7 @@ def test_a_domain_error_is_the_per_tree_loops(sources, point, message, node):
     trees = [parse(source, NAMES) for source in sources]
     with pytest.raises(EvaluationDomainError) as want:
         for tree in trees:
-            gradient_kernel(tree, NAMES)(point)
+            fused_kernel((tree,), NAMES)(point)
     with pytest.raises(EvaluationDomainError) as got:
         fused_kernel(trees, NAMES)(point)
     assert str(got.value) == str(want.value) == message
@@ -184,7 +193,7 @@ def test_a_stack_fails_at_the_per_tree_loops_row(monkeypatch):
     with pytest.raises(EvaluationDomainError) as want:
         for i, x in enumerate(xs.tolist()):
             for f in system.integrals:
-                gradient_kernel(f, system.coordinates)(x)
+                fused_kernel((f,), system.coordinates)(x)
     rows, kernel = [], system._fused
     monkeypatch.setattr(system, "_fused", lambda x: rows.append(x) or kernel(x))
     with pytest.raises(EvaluationDomainError) as got:
@@ -206,7 +215,7 @@ def test_stacked_values_dot_as_the_per_tree_arrays():
     xs = system.sample(np.random.default_rng(2), 200)
     lam = np.array([0.7, -1.3, 0.4, 2.9])
     values, grads = system.gradient_stack(xs)
-    kernels = [gradient_kernel(f, system.coordinates) for f in system.integrals]
+    kernels = [fused_kernel((f,), system.coordinates) for f in system.integrals]
     want = np.array([[kernel(x)[0] for kernel in kernels] for x in xs.tolist()])
     assert _bits(_dot(values, lam)) == _bits(_dot(want, lam))
     strided = np.stack([values, values], axis=-1)[..., 0]
@@ -222,12 +231,61 @@ def test_stacks_and_coframes_are_the_per_tree_kernels_bitwise(path):
     for system in (config.system(), config.symp_system()):
         xs = system.sample(np.random.default_rng(5), 20)
         values, grads = system.gradient_stack(xs)
-        kernels = [gradient_kernel(f, system.coordinates) for f in system.integrals]
+        kernels = [fused_kernel((f,), system.coordinates) for f in system.integrals]
         rows = [[kernel(x) for kernel in kernels] for x in xs.tolist()]
-        assert _bits(values.ravel()) == _bits(v for row in rows for v, _ in row)
-        assert _bits(grads.ravel()) == _bits(u for row in rows for _, g in row for u in g)
+        assert _bits(values.ravel()) == _bits(out[0] for row in rows for out in row)
+        assert _bits(grads.ravel()) == _bits(u for row in rows for out in row for u in out[1:])
     chart = config.system().chart
     for x in xs[:, :-1].tolist():
-        want = [kernel(x) for kernel in (gradient_kernel(c, chart.coordinates)
+        want = [kernel(x) for kernel in (fused_kernel((c,), chart.coordinates)
                                          for c in chart.eta_coefficients)]
-        assert _bits(chart._float_coframe(x)) == _bits(u for v, g in want for u in (v, *g))
+        assert _bits(chart._float_coframe(x)) == _bits(u for out in want for u in out)
+
+
+def test_one_compiled_kernel_per_tree_list_serves_every_caller():
+    # f's value and gradient, its field program and its flat tuple come from
+    # one compiled kernel; its Hessian and its variational closure from one
+    # more, the jet
+    system = load_config(bundled_config_path("darboux-pz")).system()
+    f, names, x = system.integrals[1], system.coordinates, [0.5, 1.2, 0.8]
+    compiled = expressions._kernel.cache_info
+    expressions._kernel.cache_clear()
+    value, grad = gradient_evaluator(f, names)(x)
+    field = system.field_evaluator(f)(x)
+    flat = fused_kernel((f,), names)(x)
+    assert (compiled().misses, compiled().hits) == (1, 2)
+    assert _bits(flat) == _bits([value, *grad])
+    assert _bits(field) == _bits(system.chart.field_from_gradient(x, value, grad))
+    jet = eval_jet2(f, names, x)
+    system.variational_evaluator(f)([*x, 1.0, 0.0, 0.0])
+    assert (compiled().misses, compiled().hits) == (2, 3)
+    assert _bits([jet.value, *jet.gradient]) == _bits(flat)
+
+
+def test_angle_solve_takes_the_generator_gradients_from_one_kernel_call(monkeypatch):
+    # under a basis, one call of the generators' fused kernel at x gives
+    # every generator's gradient, bitwise each one's `gradient_evaluator`
+    config = load_config(bundled_config_path("darboux-pz"))
+    symp, section = config.symp_system(), config.section("graph-z")
+    M = np.array([[1.0, 1.0], [0.0, 1.0]])
+    generators = integrability._generators(symp, M)
+    calls = []
+
+    def spied(nodes, names, jet=False):
+        kernel = fused_kernel(nodes, names, jet)
+
+        def run(values):
+            calls.append((list(nodes), list(values), kernel(values)))
+            return calls[-1][2]
+
+        return run
+
+    monkeypatch.setattr(integrability, "fused_kernel", spied)
+    x = symp.sample(np.random.default_rng(32), 1)[0]
+    integrability.angle_solve(symp, section, x, basis=M)
+    [(point, flat)] = [(values, out) for nodes, values, out in calls if nodes == generators]
+    assert point == x.tolist()
+    width = symp.dim + 1
+    for a, G in enumerate(generators):
+        _, grad = gradient_evaluator(G, symp.coordinates)(point)
+        assert _bits(flat[a * width + 1 : (a + 1) * width]) == _bits(grad)

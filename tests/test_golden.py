@@ -14,8 +14,9 @@ and whose round-off residuals follow its elimination, not LAPACK's) and
 on `cubic-5d.json` (n = 2, written once by
 `perfbench/inputs.cubic_config`, whose bracket and lift residuals move
 with the order of float operations).  `dense-n2.json`, an n = 2 general
-coframe with no zero entry in its Reeb field, has an `integrate` golden,
-whose every step runs the general-coframe field lines.
+coframe with no zero entry in its Reeb field, has two `integrate` goldens,
+whose every step runs the general-coframe field lines; the second ends
+where its flat matrix turns singular, as a domain exit.
 
 Regenerate the goldens only for an intended report change:
 
@@ -70,6 +71,10 @@ CASES = {
                                          "--points", POINTS],
     "integrate-dense-n2-f2": ["integrate", DENSE, "--f", "2", "--x0", "0.6,1.1,0.9,1.4,1.3",
                               "--t", "0.3"],
+    # the flow runs into a singular flat matrix near t = 3.27: a domain exit, exit 0
+    "integrate-dense-n2-f1-singular": [
+        "integrate", DENSE, "--f", "1", "--x0", "1.4554425309821815,0.9046800706458055,"
+        "0.5614602859042921,0.5247914532927936,1.7199053588004087", "--t", "5"],
 }
 
 SAMPLED = {

@@ -50,7 +50,7 @@ def test_field_program_traceback_shows_the_failing_line():
 
 
 def test_kernel_traceback_names_the_kernel_and_shows_a_line():
-    kernel = expressions.gradient_kernel(parse("log(q)"), ("q", "p", "z"))
+    kernel = expressions.fused_kernel((parse("log(q)"),), ("q", "p", "z"))
     name = kernel.__code__.co_filename
     assert name.startswith("<contactmech kernel ") and name.endswith(">")
     lines = _formatted(EvaluationDomainError, lambda: kernel([-1.0, 0.0, 0.0])).splitlines()
@@ -62,7 +62,7 @@ def test_every_builder_has_its_source_readable():
     general = ContactSystem(conformal_rescale(ContactChart.standard(1), "exp(q)"), ["p", "z"])
     standard = symplectization.symplectize(ContactSystem(ContactChart.standard(1), ["p", "z"]))
     functions = [
-        expressions.gradient_kernel(parse("q * p - z"), ("q", "p", "z")),
+        expressions.fused_kernel((parse("q * p - z"),), ("q", "p", "z")),
         geometry._field_program("contact", 3, 1)["solve"],
         general.field_evaluator(0),
         general._field(0),
@@ -81,8 +81,8 @@ def test_every_builder_has_its_source_readable():
 
 
 def test_line_cache_drops_a_collected_kernel():
-    kernel = expressions.gradient_kernel(parse("q * 1.625 + p"), ("q", "p", "z"))
-    other = expressions.gradient_kernel(parse("q * 1.625 - p"), ("q", "p", "z"))
+    kernel = expressions.fused_kernel((parse("q * 1.625 + p"),), ("q", "p", "z"))
+    other = expressions.fused_kernel((parse("q * 1.625 - p"),), ("q", "p", "z"))
     name = kernel.__code__.co_filename
     assert name != other.__code__.co_filename
     assert name in linecache.cache and other.__code__.co_filename in linecache.cache

@@ -25,7 +25,7 @@ import pytest
 
 from contactmech import cli, integrability
 from contactmech.config import SystemConfig, bundled_config_path, load_config
-from contactmech.expressions import EvaluationDomainError, gradient_kernel
+from contactmech.expressions import EvaluationDomainError, fused_kernel
 from contactmech.geometry import ContactChart, ContactSystem
 from contactmech.integrability import (
     RayProjectionError,
@@ -201,19 +201,18 @@ def test_step_program_is_the_least_norm_step():
 @pytest.mark.parametrize("stub", [
     # NaN off the seed only: a max that drops NaN would take the first
     # trial step, whose other residual is 0, as a decrease and land there
-    lambda kernel, x: kernel(x) if x == [0.0, 1.0, 2.0] else (math.nan, kernel(x)[1]),
-    lambda kernel, x: (math.nan, (math.nan,) * 3),
-    lambda kernel, x: (kernel(x)[0], (math.nan,) * 3),
+    lambda kernel, x: kernel(x) if x == [0.0, 1.0, 2.0] else (math.nan, *kernel(x)[1:]),
+    lambda kernel, x: (math.nan,) * 4,
+    lambda kernel, x: (kernel(x)[0], *(math.nan,) * 3),
 ], ids=["value-off-seed", "everywhere", "gradient"])
 def test_nan_kernel_raises_and_never_lands(stub, monkeypatch):
     # the second integral's entries of the fused kernel are replaced by
     # stub(kernel, x), kernel being that integral's own
     system = ContactSystem(ContactChart.standard(1), ["p", "z"])
-    fused, second = system._fused, gradient_kernel(system.integrals[1], system.coordinates)
+    fused, second = system._fused, fused_kernel(system.integrals[1:], system.coordinates)
 
     def stubbed(x):
-        value, grad = stub(second, x)
-        return fused(x)[: system.dim + 1] + (value, *grad)
+        return fused(x)[: system.dim + 1] + stub(second, x)
 
     monkeypatch.setattr(system, "_fused", stubbed)
     with pytest.raises(RayProjectionError, match="no convergence onto the ray"):

@@ -238,6 +238,7 @@ def test_a_failing_row_in_the_second_block_raises_there(monkeypatch):
     xs = system.sample(np.random.default_rng(3), 24)
     xs[11, 0] = 1e6  # exp(q/3) overflows
     rows = []
+    system._fused_rows  # the twin of the kernel itself, not of the recording
     monkeypatch.setattr(system, "_fused", _recording(system._fused, rows))
     with pytest.raises(EvaluationDomainError) as raised:
         system.gradient_stack(xs)
@@ -286,6 +287,7 @@ def test_a_clean_stack_never_runs_the_float_programs(path, monkeypatch):
         raise AssertionError("a clean stack ran a float program")
 
     for s in (system, symp):
+        s._fused_rows  # the twin of the kernel itself, not of refuse
         monkeypatch.setattr(s, "_fused", refuse)
     chart = system.chart
     if not chart.darboux:

@@ -2,8 +2,8 @@
 
 `SectionSpec` takes chi and d chi / d Lambda from one call of its
 components' fused kernel.  The reference here is the per-component walk
-it replaced: `evaluate` for chi and each component's own
-`gradient_kernel` for the Jacobian rows.  On every bundled and golden
+it replaced: `evaluate` for chi and each component's own kernel,
+`fused_kernel((c,), params)`, for the Jacobian rows.  On every bundled and golden
 section and on the n = 2 section of the acceptance tests, at seeded
 Lambda of both signs, both slices must be bitwise the reference's; where
 a component leaves its domain, both must raise the reference's
@@ -20,7 +20,7 @@ import pytest
 
 from contactmech import cli
 from contactmech.config import bundled_config_path, load_config
-from contactmech.expressions import EvaluationDomainError, evaluate, gradient_kernel
+from contactmech.expressions import EvaluationDomainError, evaluate, fused_kernel
 from contactmech.integrability import SectionError, _detect_sign
 from test_acceptance import N2_SECTION
 
@@ -43,10 +43,10 @@ SECTIONS = _sections()
 
 
 def _walked(section, lam):
-    """chi and its Jacobian by the per-component walk: `evaluate` and `gradient_kernel`."""
+    """chi and its Jacobian by the per-component walk: `evaluate` and each one's own kernel."""
     env = dict(zip(section.params, map(float, lam)))
     chi = np.array([evaluate(c, env) for c in section.components])
-    rows = [gradient_kernel(c, section.params)(list(map(float, lam)))[1]
+    rows = [fused_kernel((c,), section.params)(list(map(float, lam)))[1:]
             for c in section.components]
     return chi, np.array(rows, dtype=float).reshape(len(section.components), -1)
 
@@ -78,7 +78,7 @@ def test_a_domain_failure_is_the_walks_error(pz_config, pz_symp):
     section, lam = pz_config.section("graph-z"), [1.5, 0.0]
     env = dict(zip(section.params, lam))
     want = _raised(lambda: [evaluate(c, env) for c in section.components])
-    assert want == _raised(lambda: [gradient_kernel(c, section.params)(lam)
+    assert want == _raised(lambda: [fused_kernel((c,), section.params)(lam)
                                     for c in section.components])
     assert want[0] == "division by zero in 'L1 / L2'"
     assert _raised(lambda: section.chi_at(lam)) == want

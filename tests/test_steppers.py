@@ -50,7 +50,6 @@ from contactmech.expressions import (
     EvaluationDomainError,
     fused_kernel,
     gradient_evaluator,
-    gradient_kernel,
     parse,
 )
 from contactmech.flows import (
@@ -524,7 +523,7 @@ def test_field_program_matches_the_reference_bitwise(name, lifted):
     # a grid of a few values makes ties between pivot candidates
     points += [list(x) for x in itertools.product((0.5, 1.0, 2.0), repeat=chart.dim)]
     for f in system.integrals:
-        kernel = gradient_kernel(f, chart.coordinates)
+        kernel = fused_kernel((f,), chart.coordinates)
         got, want = system.field_evaluator(f), reference_field(chart, kernel)
         for x in points:
             assert _hex(got(x)) == _hex(want(x)), x
@@ -533,7 +532,7 @@ def test_field_program_matches_the_reference_bitwise(name, lifted):
     for slot in (0, -1):
         grad = [1.0] * chart.dim
         grad[slot] = math.nan
-        kernel = lambda _, grad=tuple(grad): (0.7, grad)  # noqa: E731
+        kernel = lambda _, grad=tuple(grad): (0.7, *grad)  # noqa: E731
         got, want = solve_field(chart, kernel), reference_field(chart, kernel)
         for x in points[:50]:
             assert _hex(got(x)) == _hex(want(x)), (slot, x)
@@ -548,7 +547,7 @@ def test_field_program_raises_the_errors_of_the_reference(n, lifted, scale):
     if lifted:
         system, x = symplectize(system), x + [1.5]
     chart = system.chart
-    kernel = gradient_kernel(system.integrals[0], chart.coordinates)
+    kernel = fused_kernel((system.integrals[0],), chart.coordinates)
     got = _raised(system.field_evaluator(0), x)
     want = _raised(reference_field(chart, kernel), x)
     assert isinstance(got, SingularStructureError if lifted else ContactConditionError)
@@ -694,7 +693,7 @@ def test_closed_program_propagates_a_domain_error(pz_system, lifted):
     tree = system.resolve("log(q) * p")
     x = [-0.5] + [0.5] * (system.dim - 1)
     with pytest.raises(EvaluationDomainError) as want:
-        gradient_kernel(tree, system.coordinates)(x)
+        fused_kernel((tree,), system.coordinates)(x)
     with pytest.raises(EvaluationDomainError) as got:
         system.field_evaluator(tree)(x)
     assert str(got.value) == str(want.value) == "log of a nonpositive value in 'log(q)'"
@@ -720,21 +719,36 @@ def test_eliminator_matches_numpy(d, k):
     assert math.copysign(1.0, det) == math.copysign(1.0, np.linalg.det(singular[:, :d])) == 1.0
 
 
-def test_exceeds_float_reads_like_exceeds():
+def test_exceeds_reads_floats_columns_and_arrays_alike():
+    # max_i |r_i| > tol * max(1, |v|, |w_j|), False where any entry is NaN, on
+    # floats (the field programs), on columns of rows (their row twins), and on
+    # a norm with last-axis vectors (the array checks)
     nan = math.nan
     cases = [
-        ([1e-11, -2e-11], (), ()),
-        ([3e-10, 0.0], (), ()),
-        ([3e-10, 0.0], (5.0,), ()),
-        ([3e-10, 0.0], (), ([1.0, -4.0],)),
-        ([3e-9, 0.0], (2.0,), ([1.0, -4.0],)),
-        ([nan, 3e-10], (), ()),
-        ([3e-10, nan], (), ()),
-        ([3e-10], (nan,), ()),
-        ([3e-10], (), ([1.0, nan],)),
-        ([nan, 1e-12], (1.0,), ()),
+        ([1e-11, -2e-11], (), (), False),
+        ([3e-10, 0.0], (), (), True),
+        ([3e-10, 0.0], (5.0,), (), False),
+        ([3e-10, 0.0], (), ([1.0, -4.0],), False),
+        ([3e-9, 0.0], (2.0,), ([1.0, -4.0],), True),
+        ([-3e-10], (-1.0,), ([0.5],), True),
+        ([3e-10], (2.0,), (), True),
+        ([nan, 3e-10], (), (), False),
+        ([3e-10, nan], (), (), False),
+        ([3e-10], (nan,), (), False),
+        ([3e-10], (), ([1.0, nan],), False),
+        ([1.0], (), ([nan],), False),
+        ([nan, 1e-12], (1.0,), (), False),
     ]
-    for resid, values, vectors in cases:
-        want = geometry._exceeds(geometry._norm(np.array(resid)), 1e-10, values,
-                                 [np.array(w) for w in vectors])
-        assert geometry._exceeds_float(resid, 1e-10, values, vectors) == bool(want)
+    for resid, values, vectors, want in cases:
+        assert geometry._exceeds(resid, 1e-10, values, vectors) == want
+        # two rows: the case, then a clean row (residual 0, scales 1)
+        columns = geometry._exceeds([np.array([r, 0.0]) for r in resid], 1e-10,
+                                    [np.array([v, 1.0]) for v in values],
+                                    [[np.array([u, 1.0]) for u in w] for w in vectors])
+        assert columns.tolist() == [want, False]
+        rows = np.array([resid, [0.0] * len(resid)])
+        arrays = geometry._exceeds((geometry._norm(rows),), 1e-10,
+                                   [np.array([v, 1.0]) for v in values],
+                                   [np.moveaxis(np.array([w, [1.0] * len(w)]), -1, 0)
+                                    for w in vectors])
+        assert arrays.tolist() == [want, False]
